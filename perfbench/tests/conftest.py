@@ -1,0 +1,11 @@
+import os
+import sys
+from pathlib import Path
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+BENCH = Path(__file__).resolve().parents[1]
+ROOT = BENCH.parent
+for path in (ROOT / "src", BENCH):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
