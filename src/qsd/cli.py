@@ -196,6 +196,8 @@ def _cmd_random(args) -> int:
 def _cmd_verify(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise UsageError(f"--tol must be finite and greater than 0, got {args.tol!r}")
     try:
         dims = tuple(int(part) for part in args.dims.split(",") if part.strip())
     except ValueError as exc:

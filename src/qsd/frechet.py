@@ -11,6 +11,12 @@ error. The integral representations
 are implemented with composite Gauss-Legendre quadrature (after mapping
 ``s = u/(1-u)``) purely as an independent cross-check: they never touch the
 eigenvector path, only linear solves.
+
+The oracle routes evaluate their nodes in stacked blocks: the shifted matrices
+``A + s_k`` of the quadrature (or the mixtures of :func:`sd_by_averaging`) form
+one ``(n, d, d)`` array per block, handled by a single batched LAPACK call.
+A block holds at most ``_NODE_BLOCK_ELEMS`` complex entries per array, so
+memory stays bounded at every dimension.
 """
 
 from __future__ import annotations
@@ -25,12 +31,17 @@ import numpy as np
 from .errors import DimensionMismatchError, DomainError
 from .divergences import SUPPORT_DEFECT_TOL, AlphaLike, _as_alpha, _psd_mat_eigs
 from .linalg import (
+    EPS,
     HermitianOperator,
     OperatorLike,
     _as_matrix,
     _eigh,
     default_support_threshold,
 )
+
+# Largest number of complex entries in one stacked (n, d, d) node array
+# (2**16 entries, 1 MiB); the oracle node loops run in blocks of this size.
+_NODE_BLOCK_ELEMS = 1 << 16
 
 # Relative eigenvalue gap below which divided differences switch to their
 # confluent forms; prevents catastrophic cancellation of log differences.
@@ -101,9 +112,8 @@ class DividedDifferenceTable:
         return _log_dd2(w[:, None, None], w[None, :, None], w[None, None, :])
 
 
-def _pd_eigh(a: OperatorLike, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Matrix, eigenvalues and eigenvectors of a positive-definite operator."""
-    mat = _as_matrix(a)
+def _pd_eigh(mat: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of a positive-definite Hermitian matrix."""
     w, v = _eigh(mat)
     dim = mat.shape[0]
     if w[0] <= default_support_threshold(dim, float(w[-1])):
@@ -111,12 +121,13 @@ def _pd_eigh(a: OperatorLike, what: str) -> tuple[np.ndarray, np.ndarray, np.nda
             f"{what} is not positive-definite on the working space "
             f"(min eigenvalue {w[0]:.3e})"
         )
-    return mat, w, v
+    return w, v
 
 
 def frechet_log(a: OperatorLike, delta: OperatorLike) -> HermitianOperator:
     """Derivative of the operator logarithm at ``a`` in direction ``delta``."""
-    mat, w, v = _pd_eigh(a, "base operator")
+    mat = _as_matrix(a)
+    w, v = _pd_eigh(mat, "base operator")
     dmat = _as_matrix(delta)
     if dmat.shape != mat.shape:
         raise DimensionMismatchError("perturbation dimension mismatch")
@@ -127,7 +138,8 @@ def frechet_log(a: OperatorLike, delta: OperatorLike) -> HermitianOperator:
 
 def metric_M(a: OperatorLike, b: OperatorLike, c: OperatorLike) -> complex:
     """Monotone metric ``trace B* T_A(C)`` for a positive-definite base ``A``."""
-    mat, w, v = _pd_eigh(a, "base operator")
+    mat = _as_matrix(a)
+    w, v = _pd_eigh(mat, "base operator")
     bmat = _as_matrix(b)
     cmat = _as_matrix(c)
     if bmat.shape != mat.shape or cmat.shape != mat.shape:
@@ -143,7 +155,8 @@ def second_frechet_log(
 ) -> HermitianOperator:
     """Negative second derivative of the operator logarithm, bilinear in the
     two perturbations (``delta2`` defaults to ``delta1``)."""
-    mat, w, v = _pd_eigh(a, "base operator")
+    mat = _as_matrix(a)
+    w, v = _pd_eigh(mat, "base operator")
     d1 = _as_matrix(delta1)
     d2 = d1 if delta2 is None else _as_matrix(delta2)
     if d1.shape != mat.shape or d2.shape != mat.shape:
@@ -209,6 +222,17 @@ def _graded_u_edges(wmin: float, wmax: float, min_panels: int, density: int = 1)
     return np.concatenate(([0.0], u_edges, [1.0]))
 
 
+def _node_blocks(n_nodes: int, dim: int) -> list[slice]:
+    """Consecutive slices of ``range(n_nodes)``, each short enough that a
+    stack of that many ``dim x dim`` matrices fits in ``_NODE_BLOCK_ELEMS``."""
+    step = max(1, _NODE_BLOCK_ELEMS // (dim * dim))
+    return [slice(lo, min(lo + step, n_nodes)) for lo in range(0, n_nodes, step)]
+
+
+def _adjoint(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().swapaxes(-1, -2)
+
+
 def _integral_pass(
     mat: np.ndarray, dmat: np.ndarray, u_edges: np.ndarray, nodes_per_panel: int, second: bool
 ) -> np.ndarray:
@@ -216,17 +240,16 @@ def _integral_pass(
     eye = np.eye(dim)
     u, wts = _composite_gl(u_edges, nodes_per_panel)
     s = u / (1.0 - u)
-    jac = 1.0 / (1.0 - u) ** 2
+    coef = wts * (1.0 / (1.0 - u) ** 2)
+    if second:
+        coef = 2.0 * coef
     total = np.zeros_like(mat)
-    for si, wi, ji in zip(s, wts, jac):
-        shifted = mat + si * eye
-        left = np.linalg.solve(shifted, dmat)  # (A+s)^-1 D
-        if second:
-            core = np.linalg.solve(shifted, (left @ left).conj().T).conj().T
-            total += (2.0 * wi * ji) * core
-        else:
-            core = np.linalg.solve(shifted, left.conj().T).conj().T
-            total += (wi * ji) * core
+    for block in _node_blocks(s.size, dim):
+        shifted = mat + s[block, None, None] * eye  # stack of A + s_k
+        left = np.linalg.solve(shifted, np.broadcast_to(dmat, shifted.shape))  # (A+s)^-1 D
+        rhs = left @ left if second else left
+        core = _adjoint(np.linalg.solve(shifted, _adjoint(rhs)))
+        total += np.tensordot(coef[block], core, axes=1)
     return total
 
 
@@ -350,27 +373,39 @@ def _restrict_pair(
     return basis.conj().T @ amat @ basis, basis.conj().T @ bmat @ basis
 
 
-def _metric_on_eigenbasis(wt: np.ndarray, vt: np.ndarray, keep: np.ndarray, dmat: np.ndarray) -> float:
-    basis = vt[:, keep]
+def _metric_on_eigenbasis(w: np.ndarray, basis: np.ndarray, dmat: np.ndarray) -> float:
+    """``M(D, D)`` for a base with eigenvalues ``w`` on the columns of ``basis``."""
     dtil = basis.conj().T @ dmat @ basis
-    f1 = _log_dd1(wt[keep][:, None], wt[keep][None, :])
+    f1 = _log_dd1(w[:, None], w[None, :])
     return float(np.sum(f1 * np.abs(dtil) ** 2))
 
 
-def _dsd_core(amat: np.ndarray, bmat: np.ndarray, alpha: float) -> float:
-    """a(1-a) M_tau(A-B, A-B) with tau = a A + (1-a) B, restricted to supp(A+B).
+def _dsd_kernel(amat: np.ndarray, bmat: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """``a(1-a) M_tau(A-B, A-B)`` with ``tau = a A + (1-a) B`` for each ``a`` in
+    ``alphas`` (all interior), restricted to supp(A+B).
 
     For interior alpha the mixture shares its support with A+B, so its own
-    eigenbasis provides the restriction.
+    eigenbasis provides the restriction: a pair of eigenvectors contributes
+    only when both eigenvalues lie above the support threshold.
     """
-    tau = alpha * amat + (1.0 - alpha) * bmat
-    wt, vt = _eigh(tau)
-    thr = default_support_threshold(tau.shape[0], float(wt[-1]))
-    keep = wt > thr
-    if not np.any(keep):
-        raise DomainError("A + B vanishes; differential skew divergence undefined")
-    m = _metric_on_eigenbasis(wt, vt, keep, amat - bmat)
-    return alpha * (1.0 - alpha) * m
+    dim = amat.shape[0]
+    diff = amat - bmat
+    out = np.empty(alphas.shape[0])
+    for block in _node_blocks(alphas.shape[0], dim):
+        a = alphas[block]
+        al = a[:, None, None]
+        wt, vt = _eigh(al * amat + (1.0 - al) * bmat)
+        # default_support_threshold of each mixture, taken elementwise
+        keep = wt > dim * EPS * np.maximum(wt[:, -1:], 0.0)
+        if not keep[:, -1].all():
+            raise DomainError("A + B vanishes; differential skew divergence undefined")
+        # zeroed eigenvectors outside the support null every pair they enter
+        vk = vt * keep[:, None, :]
+        dtil = _adjoint(vk) @ diff @ vk
+        wk = np.where(keep, wt, 1.0)  # keeps log finite on the dropped eigenvalues
+        f1 = _log_dd1(wk[:, :, None], wk[:, None, :])
+        out[block] = a * (1.0 - a) * (f1 * np.abs(dtil) ** 2).sum(axis=(1, 2))
+    return out
 
 
 def differential_skew_divergence(
@@ -389,7 +424,7 @@ def differential_skew_divergence(
         raise DimensionMismatchError("operands have different dimensions")
     if alpha == 0.0 or alpha == 1.0:
         return 0.0
-    return _dsd_core(amat, bmat, alpha)
+    return float(_dsd_kernel(amat, bmat, np.array([alpha]))[0])
 
 
 def scalar_differential_sd(b: float, c: float, alpha: float) -> float:
@@ -428,7 +463,7 @@ def chi2_log(a: OperatorLike, b: OperatorLike) -> float:
         raise DomainError(
             f"first argument leaks outside the support of the second ({defect:.3e})"
         )
-    return _metric_on_eigenbasis(wb, vb, keep, amat - bmat)
+    return _metric_on_eigenbasis(wb[keep], vb[:, keep], amat - bmat)
 
 
 def sd_by_averaging(
@@ -459,9 +494,7 @@ def sd_by_averaging(
         geo = b_total * np.geomspace(1e-9, 1.0, n_geo + 1)
         edges = np.concatenate(([0.0], geo))
         u, wts = _composite_gl(edges, nodes)
-        return float(
-            sum(wi * _dsd_core(ar, br, math.exp(-ui)) for ui, wi in zip(u, wts))
-        )
+        return float(np.dot(wts, _dsd_kernel(ar, br, np.exp(-u))))
 
     if quad is not None:
         return integral(quad.panels, quad.nodes_per_panel, 1) / b_total
@@ -523,14 +556,14 @@ def metric_epsilon_limit_check(
 
     values = []
     for e in eps:
-        base = bmat + e * cmat
-        values.append(_metric_on_full(base, amat))
+        w, v = _pd_eigh(bmat + e * cmat, "metric base")
+        values.append(_metric_on_eigenbasis(w, v, amat))
 
     if np.any(keep):
         basis = vb[:, keep]
         a_r = basis.conj().T @ amat @ basis
-        b_r = basis.conj().T @ bmat @ basis
-        limit = _metric_on_full(b_r, a_r)
+        w, v = _pd_eigh(basis.conj().T @ bmat @ basis, "metric base")
+        limit = _metric_on_eigenbasis(w, v, a_r)
     else:
         limit = 0.0
 
@@ -544,13 +577,3 @@ def metric_epsilon_limit_check(
         final_gap=limit - values[-1],
         monotone=monotone,
     )
-
-
-def _metric_on_full(base: np.ndarray, amat: np.ndarray) -> float:
-    w, v = _eigh(base)
-    dim = base.shape[0]
-    if w[0] <= default_support_threshold(dim, float(w[-1])):
-        raise DomainError("metric base is not positive-definite")
-    atil = v.conj().T @ amat @ v
-    f1 = _log_dd1(w[:, None], w[None, :])
-    return float(np.sum(f1 * np.abs(atil) ** 2))

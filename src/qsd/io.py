@@ -119,7 +119,7 @@ def load_json(path: str) -> dict:
 
 
 def dump_json(payload: dict, path: str) -> None:
-    text = json.dumps(payload, indent=None, separators=(",", ":")) + "\n"
+    text = json.dumps(payload, indent=None, separators=(",", ":"), allow_nan=False) + "\n"
     if path == "-":
         import sys
 

@@ -176,30 +176,6 @@ def _clip_psd(entries, *, tol: float = PSD_TOL) -> np.ndarray:
     return (v * np.maximum(w, 0.0)) @ v.conj().T
 
 
-def _require_psd_eigvals(mat: np.ndarray, what: str = "operator") -> np.ndarray:
-    """Eigenvalues of ``mat``, raising if it is not PSD within tolerance."""
-    w = np.linalg.eigvalsh(mat)
-    scale = max(1.0, float(np.abs(w).max()))
-    if w[0] < -PSD_TOL * scale:
-        raise DomainError(
-            f"{what} is not positive semidefinite (min eigenvalue {w[0]:.3e})"
-        )
-    return w
-
-
-def _psd_matrix(value: OperatorLike, what: str = "operator") -> np.ndarray:
-    """Coerce to a matrix and validate positivity.
-
-    DensityMatrix instances are trusted (their constructor already enforced
-    the PSD invariant); raw arrays and HermitianOperators are checked.
-    """
-    if isinstance(value, DensityMatrix):
-        return value.mat
-    mat = _as_matrix(value)
-    _require_psd_eigvals(mat, what)
-    return mat
-
-
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues in ascending order plus the unitary matrix of eigenvectors
@@ -221,8 +197,8 @@ def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
         return np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
-        d = np.diag(np.diag(mat))
-        residual = float(np.linalg.norm(mat - d))
+        # off-diagonal mass; works for one matrix and for a stack of them
+        residual = float(np.linalg.norm(mat * (1.0 - np.eye(mat.shape[-1]))))
         raise EigendecompositionError(
             f"eigendecomposition did not converge: {exc}", residual
         ) from exc

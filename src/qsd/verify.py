@@ -1107,7 +1107,8 @@ class CheckResult:
             "check_id": self.check_id,
             "label": self.label,
             "trials": self.trials,
-            "worst_slack": self.worst_slack,
+            # a non-finite worst (counted as a violation) has no strict-JSON form
+            "worst_slack": self.worst_slack if math.isfinite(self.worst_slack) else None,
             "violations": self.violations,
         }
         if self.worst_case_inputs is not None:
@@ -1157,12 +1158,15 @@ def run_suite(
 
     ``tol`` rescales every check's pinned tolerance proportionally
     (``tol / 1e-8``); with the default it reproduces the stated tolerances
-    exactly.
+    exactly. It must be finite and positive. A trial whose slack is not
+    finite (NaN or infinite) proves nothing and counts as a violation.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 1 for d in dims):
         raise ValueError("dims must be positive integers")
@@ -1180,6 +1184,8 @@ def run_suite(
             for k in range(trials):
                 rng = _trial_rng(seed, check.check_id, dim, k)
                 slack, payload = check.run(rng, dim, eff_tol)
+                if not math.isfinite(slack):
+                    slack = -math.inf
                 if slack < worst:
                     worst = slack
                     if payload is not None:

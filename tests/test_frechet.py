@@ -25,6 +25,7 @@ from qsd import (
     skew_divergence,
     trace_distance,
 )
+from qsd import frechet as fr
 from qsd.divergences import _skewed_relative_entropy
 
 
@@ -409,3 +410,170 @@ class TestMetricEpsilonLimit:
         b = rand_pd(rng, 2)
         with pytest.raises(DomainError):
             metric_epsilon_limit_check(a, b, b, eps_sequence=[1e-3, 1e-2])
+
+
+# ---------------------------------------------------------------------------
+# Batched oracle kernels against plain per-node loops
+# ---------------------------------------------------------------------------
+
+
+def loop_integral_pass(mat, dmat, u_edges, nodes_per_panel, second):
+    """Reference for ``_integral_pass``: one pair of solves per node."""
+    eye = np.eye(mat.shape[0])
+    u, wts = fr._composite_gl(u_edges, nodes_per_panel)
+    total = np.zeros_like(mat)
+    for ui, wi in zip(u, wts):
+        shifted = mat + (ui / (1.0 - ui)) * eye
+        left = np.linalg.solve(shifted, dmat)
+        rhs = left @ left if second else left
+        core = np.linalg.solve(shifted, rhs.conj().T).conj().T
+        total += ((2.0 if second else 1.0) * wi / (1.0 - ui) ** 2) * core
+    return total
+
+
+def loop_dsd(amat, bmat, alpha):
+    """Reference for one alpha of ``_dsd_kernel``: compress onto the kept
+    eigenvectors of the mixture, then sum the divided-difference form."""
+    tau = alpha * amat + (1.0 - alpha) * bmat
+    w, v = np.linalg.eigh(tau)
+    keep = w > fr.default_support_threshold(tau.shape[0], float(w[-1]))
+    basis = v[:, keep]
+    dtil = basis.conj().T @ (amat - bmat) @ basis
+    f1 = fr._log_dd1(w[keep][:, None], w[keep][None, :])
+    return alpha * (1.0 - alpha) * float(np.sum(f1 * np.abs(dtil) ** 2))
+
+
+def loop_dsd_kernel(amat, bmat, alphas):
+    return np.array([loop_dsd(amat, bmat, float(x)) for x in alphas])
+
+
+def assert_rel_close(value, reference, rtol=1e-13):
+    err = np.linalg.norm(np.asarray(value) - np.asarray(reference))
+    assert err <= rtol * np.linalg.norm(reference), (err, np.linalg.norm(reference))
+
+
+def conditioned_pd(rng, dim, cond):
+    v = random_unitary(dim, rng)
+    lam = np.exp(rng.uniform(-math.log(cond), 0.0, dim))
+    return (v * lam) @ v.conj().T
+
+
+def support_pair(rng, dim, kind):
+    """Pair of PSD operators whose supports are full, nested or orthogonal."""
+    if kind == "full":
+        return random_state(dim, rng).mat, random_state(dim, rng).mat
+    u = random_unitary(dim, rng)
+    k = dim // 2
+    left = (u[:, :k] * rng.uniform(0.1, 1.0, k)) @ u[:, :k].conj().T
+    if kind == "nested":
+        wider = (u[:, : k + 1] * rng.uniform(0.1, 1.0, k + 1)) @ u[:, : k + 1].conj().T
+        return left, wider
+    right = (u[:, k:] * rng.uniform(0.1, 1.0, dim - k)) @ u[:, k:].conj().T
+    return left, right
+
+
+QUADRATURE_ORACLES = (frechet_log_quadrature, second_frechet_log_quadrature)
+
+
+class TestBatchedOracles:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 6, 64])
+    @pytest.mark.parametrize("scheme", [None, QuadratureScheme(8, 16)])
+    @pytest.mark.parametrize("oracle", QUADRATURE_ORACLES)
+    def test_quadrature_matches_node_loop(self, rng, monkeypatch, dim, scheme, oracle):
+        a = conditioned_pd(rng, dim, 1e3)
+        d = rand_herm(rng, dim)
+        batched = oracle(a, d, scheme).mat
+        monkeypatch.setattr(fr, "_integral_pass", loop_integral_pass)
+        assert_rel_close(batched, oracle(a, d, scheme).mat)
+
+    @pytest.mark.parametrize("oracle", QUADRATURE_ORACLES)
+    def test_partial_last_block(self, rng, monkeypatch, oracle):
+        # 7 nodes per block at d=3; no node count of the rules is a multiple of 7
+        monkeypatch.setattr(fr, "_NODE_BLOCK_ELEMS", 7 * 9)
+        a = conditioned_pd(rng, 3, 1e2)
+        d = rand_herm(rng, 3)
+        batched = oracle(a, d).mat
+        monkeypatch.setattr(fr, "_integral_pass", loop_integral_pass)
+        assert_rel_close(batched, oracle(a, d).mat)
+
+    def test_node_blocks_cover_every_node_once(self):
+        for n_nodes, dim in ((160, 4), (4096, 6), (96, 64), (5, 300)):
+            blocks = fr._node_blocks(n_nodes, dim)
+            covered = np.concatenate([np.arange(n_nodes)[b] for b in blocks])
+            assert np.array_equal(covered, np.arange(n_nodes))
+            assert all(
+                (b.stop - b.start) * dim * dim <= max(fr._NODE_BLOCK_ELEMS, dim * dim)
+                for b in blocks
+            )
+
+    @pytest.mark.parametrize("kind", ["full", "nested", "orthogonal"])
+    @pytest.mark.parametrize("dim", [2, 3, 6])
+    def test_averaging_matches_node_loop(self, rng, monkeypatch, kind, dim):
+        a, b = support_pair(rng, dim, kind)
+        alpha = 0.35
+        batched = [
+            sd_by_averaging(a, b, alpha),
+            sd_by_averaging(a, b, alpha, quad=QuadratureScheme(8, 16)),
+            differential_skew_divergence(a, b, alpha),
+        ]
+        monkeypatch.setattr(fr, "_dsd_kernel", loop_dsd_kernel)
+        reference = [
+            sd_by_averaging(a, b, alpha),
+            sd_by_averaging(a, b, alpha, quad=QuadratureScheme(8, 16)),
+            differential_skew_divergence(a, b, alpha),
+        ]
+        for value, ref in zip(batched, reference):
+            assert_rel_close(value, ref)
+
+    def test_averaging_partial_last_block(self, rng, monkeypatch):
+        monkeypatch.setattr(fr, "_NODE_BLOCK_ELEMS", 7 * 16)  # 7 mixtures per block at d=4
+        a, b = support_pair(rng, 4, "nested")
+        batched = sd_by_averaging(a, b, 0.6, quad=QuadratureScheme(8, 16))
+        monkeypatch.setattr(fr, "_dsd_kernel", loop_dsd_kernel)
+        assert_rel_close(batched, sd_by_averaging(a, b, 0.6, quad=QuadratureScheme(8, 16)))
+
+
+def counting(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper; return the list of the positional
+    arguments of every call it receives."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestOracleKernelCalls:
+    """The oracles stay batched: LAPACK calls scale with blocks, not nodes."""
+
+    @pytest.mark.parametrize("oracle", QUADRATURE_ORACLES)
+    def test_quadrature_uses_no_eigenvectors(self, rng, monkeypatch, oracle):
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("the quadrature oracle must not call eigh")
+
+        a = conditioned_pd(rng, 4, 1e3)
+        d = rand_herm(rng, 4)
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        assert np.all(np.isfinite(oracle(a, d).mat))
+
+    def test_solves_per_quadrature_are_per_block(self, rng, monkeypatch):
+        a = conditioned_pd(rng, 4, 1e3)
+        d = rand_herm(rng, 4)
+        passes = counting(monkeypatch, fr, "_composite_gl")
+        solves = counting(monkeypatch, np.linalg, "solve")
+        frechet_log_quadrature(a, d)
+        block = fr._NODE_BLOCK_ELEMS // 16
+        max_nodes = max(len(edges) - 1 for edges, _ in passes) * 16
+        assert len(passes) >= 2  # the adaptive default refines at least once
+        assert len(solves) <= 2 * len(passes) * math.ceil(max_nodes / block)
+
+    def test_averaging_eigh_calls(self, rng, monkeypatch):
+        rho, sig = random_state(4, rng), random_state(4, rng)
+        eighs = counting(monkeypatch, np.linalg, "eigh")
+        sd_by_averaging(rho, sig, 0.4, quad=QuadratureScheme(8, 16))
+        # one for the support of A+B, one for the stack of all 160 mixtures
+        assert len(eighs) == 2

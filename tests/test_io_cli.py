@@ -246,3 +246,45 @@ class TestCliVerify:
         from qsd import assert_registry_complete
 
         assert_registry_complete()  # does not raise
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_tol_must_be_finite_and_positive(self, tmp_path, tol):
+        out = tmp_path / "report.json"
+        code = run_cli(
+            "verify", "--suite", "core", "--dims", "2", "--trials", "1",
+            "--tol", tol, "--quiet", "--out", str(out),
+        )
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
+    def test_run_suite_rejects_bad_tol(self, tol):
+        from qsd import run_suite
+
+        with pytest.raises(ValueError):
+            run_suite(suite="core", dims=(2,), trials=1, tol=tol)
+
+    @pytest.mark.parametrize("slack", [math.nan, math.inf, -math.inf])
+    def test_non_finite_slack_is_a_violation(self, tmp_path, monkeypatch, slack):
+        from qsd import verify
+        from qsd.io import dump_json
+
+        probe = verify.CheckDef(
+            "core.non_finite_probe", "returns a non-finite slack", "core", 0.0,
+            lambda rng, dim, tol: (slack, None),
+        )
+        monkeypatch.setattr(verify, "REGISTRY", (probe,))
+        monkeypatch.setattr(verify, "assert_registry_complete", lambda: None)
+        report = verify.run_suite(suite="core", dims=(2, 3), trials=2)
+        assert report.total_violations == 4
+        out = tmp_path / "report.json"
+        dump_json(report.to_dict(), str(out))  # strict JSON: no NaN or Infinity
+        record = json.loads(out.read_text())["checks"][0]
+        assert record["worst_slack"] is None
+        assert record["violations"] == 4
+
+    def test_reports_are_strict_json(self, tmp_path):
+        from qsd.io import dump_json
+
+        with pytest.raises(ValueError):
+            dump_json({"worst_slack": math.nan}, str(tmp_path / "bad.json"))

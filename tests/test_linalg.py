@@ -70,6 +70,20 @@ class TestEigendecompose:
                 dec.eigenvectors.conj().T @ dec.eigenvectors - np.eye(dim)
             ) <= 1e-12 * dim
 
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_non_convergence_reports_off_diagonal_residual(self, monkeypatch, stacked):
+        from qsd.errors import EigendecompositionError
+        from qsd.linalg import _eigh
+
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        mat = np.array([[1.0, 2.0], [2.0, 1.0]])
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        with pytest.raises(EigendecompositionError) as info:
+            _eigh(np.stack([np.eye(2), mat]) if stacked else mat)
+        assert info.value.offdiag_residual == pytest.approx(np.sqrt(8.0))
+
     def test_eigenvalues_ascending(self, rng):
         for dim in (2, 5, 9, 16):
             a = HermitianOperator(rng.standard_normal((dim, dim)))
