@@ -34,28 +34,43 @@ from .verify import DEFAULT_TOL, SUITES, run_suite
 
 DEFAULT_SEED = 0
 
-MEASURES = (
-    "entropy",
-    "re",
-    "sd",
-    "dsd",
-    "trace-dist",
-    "fidelity",
-    "chi",
-    "mixing-rate",
-    "chi2log",
-)
 
-_INPUT_COUNTS = {
-    "entropy": 1,
-    "re": 2,
-    "sd": 2,
-    "dsd": 2,
-    "trace-dist": 2,
-    "fidelity": 2,
-    "chi": 1,
-    "mixing-rate": 3,
-    "chi2log": 2,
+class UsageError(Exception):
+    pass
+
+
+def _states(args) -> list:
+    return [qio.read_state(path) for path in args.inputs]
+
+
+def _require_alpha(args) -> float:
+    if args.alpha is None:
+        raise UsageError(f"--alpha is required for measure {args.measure!r}")
+    return args.alpha
+
+
+def _mixing_rate(args) -> float:
+    ensemble = qio.read_ensemble(args.inputs[0])
+    h1 = qio.read_state(args.inputs[1])
+    h2 = qio.read_state(args.inputs[2])
+    t = args.t if args.t is not None else 0.0
+    return mixing_rate(MixingExperiment(ensemble, h1, h2, t))
+
+
+# Each measure: the number of input files it takes and its evaluator.
+MEASURES = {
+    "entropy": (1, lambda args: von_neumann_entropy(*_states(args))),
+    "re": (2, lambda args: relative_entropy(*_states(args))),
+    "sd": (2, lambda args: skew_divergence(*_states(args), _require_alpha(args))),
+    "dsd": (
+        2,
+        lambda args: differential_skew_divergence(*_states(args), _require_alpha(args)),
+    ),
+    "trace-dist": (2, lambda args: trace_distance(*_states(args))),
+    "fidelity": (2, lambda args: fidelity(*_states(args))),
+    "chi": (1, lambda args: holevo_chi(qio.read_ensemble(args.inputs[0]))),
+    "mixing-rate": (3, _mixing_rate),
+    "chi2log": (2, lambda args: chi2_log(*_states(args))),
 }
 
 
@@ -115,57 +130,14 @@ def _resolve_seed(seed: int | None) -> int:
     return DEFAULT_SEED
 
 
-def _require_alpha(args) -> float:
-    if args.alpha is None:
-        raise UsageError(f"--alpha is required for measure {args.measure!r}")
-    return args.alpha
-
-
-class UsageError(Exception):
-    pass
-
-
 def _cmd_compute(args) -> int:
-    expected = _INPUT_COUNTS[args.measure]
+    expected, evaluate = MEASURES[args.measure]
     if len(args.inputs) != expected:
         raise UsageError(
             f"measure {args.measure!r} takes {expected} input file(s), got {len(args.inputs)}"
         )
-
-    if args.measure == "entropy":
-        value = von_neumann_entropy(qio.read_state(args.inputs[0]))
-    elif args.measure == "re":
-        value = float(
-            relative_entropy(qio.read_state(args.inputs[0]), qio.read_state(args.inputs[1]))
-        )
-    elif args.measure == "sd":
-        value = skew_divergence(
-            qio.read_state(args.inputs[0]), qio.read_state(args.inputs[1]), _require_alpha(args)
-        )
-    elif args.measure == "dsd":
-        value = differential_skew_divergence(
-            qio.read_state(args.inputs[0]), qio.read_state(args.inputs[1]), _require_alpha(args)
-        )
-    elif args.measure == "trace-dist":
-        value = trace_distance(qio.read_state(args.inputs[0]), qio.read_state(args.inputs[1]))
-    elif args.measure == "fidelity":
-        value = fidelity(qio.read_state(args.inputs[0]), qio.read_state(args.inputs[1]))
-    elif args.measure == "chi2log":
-        value = chi2_log(qio.read_state(args.inputs[0]), qio.read_state(args.inputs[1]))
-    elif args.measure == "chi":
-        value = holevo_chi(qio.read_ensemble(args.inputs[0]))
-    elif args.measure == "mixing-rate":
-        ensemble = qio.read_ensemble(args.inputs[0])
-        h1 = qio.read_state(args.inputs[1])
-        h2 = qio.read_state(args.inputs[2])
-        experiment = MixingExperiment(
-            ensemble, h1, h2, args.t if args.t is not None else 0.0
-        )
-        value = mixing_rate(experiment)
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown measure {args.measure!r}")
-
-    print(repr(float(value)) if not math.isinf(float(value)) else "inf")
+    value = float(evaluate(args))
+    print(repr(value) if not math.isinf(value) else "inf")
     return 0
 
 
@@ -231,10 +203,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "random":
             return _cmd_random(args)
         return _cmd_verify(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FormatError as exc:
+    except (UsageError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, QsdError) as exc:

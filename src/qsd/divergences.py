@@ -24,13 +24,14 @@ from .linalg import (
     DensityMatrix,
     OperatorLike,
     _as_matrix,
+    _common_dim,
     _eigh,
+    _psd_operands,
+    _require_psd,
+    _support,
+    _support_quad,
     default_support_threshold,
-    PSD_TOL,
 )
-
-# Trace mass of A allowed outside supp(B) before S(A||B) is declared infinite.
-SUPPORT_DEFECT_TOL = 1e-10
 
 INFINITE = math.inf
 
@@ -92,18 +93,6 @@ class DivergenceValue:
         return self.value
 
 
-def _psd_mat_eigs(value: OperatorLike, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix plus eigenvalues, validating positivity within tolerance."""
-    mat = _as_matrix(value)
-    w = np.linalg.eigvalsh(mat)
-    scale = max(1.0, float(np.abs(w).max()))
-    if w[0] < -PSD_TOL * scale:
-        raise DomainError(
-            f"{what} is not positive semidefinite (min eigenvalue {w[0]:.3e})"
-        )
-    return mat, w
-
-
 def _xlogx(w: np.ndarray) -> float:
     """``sum w_i log w_i`` with the 0 log 0 = 0 convention (negatives clipped)."""
     pos = w[w > 0.0]
@@ -122,7 +111,8 @@ def shannon_entropy(p: Sequence[float]) -> float:
 
 def von_neumann_entropy(rho: OperatorLike) -> float:
     """``-trace rho log rho`` for a PSD operator."""
-    _, w = _psd_mat_eigs(rho, "entropy argument")
+    w = np.linalg.eigvalsh(_as_matrix(rho))
+    _require_psd(w, "entropy argument")
     return -_xlogx(w)
 
 
@@ -140,35 +130,18 @@ def scalar_relative_entropy(a: float, b: float) -> float:
     return a * (math.log(a) - math.log(b)) - (a - b)
 
 
-def relative_entropy(
-    a: OperatorLike,
-    b: OperatorLike,
-    *,
-    threshold: float | None = None,
-) -> DivergenceValue:
+def relative_entropy(a: OperatorLike, b: OperatorLike) -> DivergenceValue:
     """Relative entropy ``trace A (log A - log B) - trace(A - B)``.
 
     Both operators are restricted to the support of ``B``; if ``A`` carries
     trace mass outside that support beyond tolerance the result is infinite,
     with the leaked mass reported in ``support_defect``.
     """
-    amat, _ = _psd_mat_eigs(a, "first argument")
-    bmat, _ = _psd_mat_eigs(b, "second argument")
-    if amat.shape != bmat.shape:
-        raise DimensionMismatchError("operands have different dimensions")
-    dim = amat.shape[0]
-
-    wb, vb = _eigh(bmat)
-    if threshold is None:
-        threshold = default_support_threshold(dim, float(wb[-1]))
-    keep = wb > threshold
-
-    trace_a = float(np.trace(amat).real)
-    av = amat @ vb
-    quad = np.real(np.sum(np.conj(vb) * av, axis=0))  # v_k* A v_k
-    defect = trace_a - float(quad[keep].sum())
-    if defect > SUPPORT_DEFECT_TOL * max(1.0, trace_a):
-        return DivergenceValue(value=INFINITE, support_defect=defect)
+    amat, bmat = _psd_operands(a, b)
+    wb, vb, keep = _support(bmat)
+    quad, leak = _support_quad(amat, vb, keep)
+    if leak:
+        return DivergenceValue(value=INFINITE, support_defect=leak)
 
     if not np.any(keep):
         return DivergenceValue(value=0.0)
@@ -208,15 +181,11 @@ def _skewed_relative_entropy(amat: np.ndarray, bmat: np.ndarray, a: float) -> fl
     its eigenbasis doubles as the restriction basis.
     """
     tau = a * amat + (1.0 - a) * bmat
-    wt, vt = _eigh(tau)
-    dim = tau.shape[0]
-    thr = default_support_threshold(dim, float(wt[-1]))
-    keep = wt > thr
+    wt, vt, keep = _support(tau)
     if not np.any(keep):
         raise DomainError("A + B vanishes; skew divergence undefined")
 
-    av = amat @ vt
-    quad = np.real(np.sum(np.conj(vt) * av, axis=0))
+    quad, _ = _support_quad(amat, vt, keep)
     term_alog_tau = float(np.dot(np.log(wt[keep]), quad[keep]))
 
     if np.all(keep):
@@ -238,28 +207,19 @@ def skew_divergence(rho: OperatorLike, sigma: OperatorLike, alpha: AlphaLike) ->
     Finite for every pair of positive operators; lies in [0, 1] for states.
     """
     a = _as_alpha(alpha)
-    amat, _ = _psd_mat_eigs(rho, "first argument")
-    bmat, _ = _psd_mat_eigs(sigma, "second argument")
-    if amat.shape != bmat.shape:
-        raise DimensionMismatchError("operands have different dimensions")
+    amat, bmat = _psd_operands(rho, sigma)
     return _skewed_relative_entropy(amat, bmat, a) / (-math.log(a))
 
 
 def trace_distance(rho: OperatorLike, sigma: OperatorLike) -> float:
     """Half the trace norm of ``rho - sigma``."""
-    rmat = _as_matrix(rho)
-    smat = _as_matrix(sigma)
-    if rmat.shape != smat.shape:
-        raise DimensionMismatchError("operands have different dimensions")
+    rmat, smat = _common_dim([_as_matrix(rho), _as_matrix(sigma)])
     return 0.5 * float(np.abs(np.linalg.eigvalsh(rmat - smat)).sum())
 
 
 def fidelity(rho: OperatorLike, sigma: OperatorLike) -> float:
     """Uhlmann fidelity ``trace sqrt(sqrt(rho) sigma sqrt(rho))``."""
-    rmat, wr = _psd_mat_eigs(rho, "first argument")
-    smat, _ = _psd_mat_eigs(sigma, "second argument")
-    if rmat.shape != smat.shape:
-        raise DimensionMismatchError("operands have different dimensions")
+    rmat, smat = _psd_operands(rho, sigma)
     w, v = _eigh(rmat)
     sqrt_r = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     inner = sqrt_r @ smat @ sqrt_r

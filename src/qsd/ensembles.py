@@ -25,7 +25,8 @@ from .linalg import (
     OperatorLike,
     _as_matrix,
     _eigh,
-    default_support_threshold,
+    _support,
+    _support_quad,
     operator_norm,
 )
 
@@ -336,10 +337,8 @@ def mixing_rate(experiment: MixingExperiment) -> float:
     commutator derivative is traceless so no identity term appears.
     """
     avg, deriv = _average_derivative(experiment, experiment.time)
-    w, v = _eigh(avg)
-    thr = default_support_threshold(avg.shape[0], float(w[-1]))
-    keep = w > thr
-    quad = np.real(np.sum(np.conj(v) * (deriv @ v), axis=0))
+    w, v, keep = _support(avg)
+    quad, _ = _support_quad(deriv, v, keep)
     return -float(np.dot(np.log(w[keep]), quad[keep]))
 
 

@@ -29,13 +29,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
-from .divergences import SUPPORT_DEFECT_TOL, AlphaLike, _as_alpha, _psd_mat_eigs
+from .divergences import AlphaLike, _as_alpha
 from .linalg import (
-    EPS,
     HermitianOperator,
     OperatorLike,
     _as_matrix,
     _eigh,
+    _psd_operands,
+    _support,
+    _support_quad,
     default_support_threshold,
 )
 
@@ -58,8 +60,7 @@ def _log_dd1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     close = np.abs(x - y) <= DD_CLOSE_RTOL * np.maximum(x, y)
     denom = np.where(close, 1.0, x - y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = (np.log(x) - np.log(y)) / denom
+    direct = (np.log(x) - np.log(y)) / denom
     return np.where(close, 2.0 / (x + y), direct)
 
 
@@ -187,11 +188,8 @@ class QuadratureScheme:
 
     panels: int = 8
     nodes_per_panel: int = 16
-    kind: str = "gauss-legendre"
 
     def __post_init__(self):
-        if self.kind != "gauss-legendre":
-            raise DomainError(f"unsupported quadrature kind {self.kind!r}")
         if self.panels < 1 or self.nodes_per_panel < 2:
             raise DomainError("quadrature needs at least 1 panel of 2 nodes")
         if self.panels * self.nodes_per_panel < 64:
@@ -361,10 +359,7 @@ def _restrict_pair(
     amat: np.ndarray, bmat: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Compress both operators onto the support of their sum."""
-    total = amat + bmat
-    w, v = _eigh(total)
-    thr = default_support_threshold(total.shape[0], float(w[-1]))
-    keep = w > thr
+    _, v, keep = _support(amat + bmat)
     if not np.any(keep):
         raise DomainError("A + B vanishes")
     if np.all(keep):
@@ -394,9 +389,7 @@ def _dsd_kernel(amat: np.ndarray, bmat: np.ndarray, alphas: np.ndarray) -> np.nd
     for block in _node_blocks(alphas.shape[0], dim):
         a = alphas[block]
         al = a[:, None, None]
-        wt, vt = _eigh(al * amat + (1.0 - al) * bmat)
-        # default_support_threshold of each mixture, taken elementwise
-        keep = wt > dim * EPS * np.maximum(wt[:, -1:], 0.0)
+        wt, vt, keep = _support(al * amat + (1.0 - al) * bmat)
         if not keep[:, -1].all():
             raise DomainError("A + B vanishes; differential skew divergence undefined")
         # zeroed eigenvectors outside the support null every pair they enter
@@ -418,10 +411,7 @@ def differential_skew_divergence(
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
-    amat, _ = _psd_mat_eigs(a, "first argument")
-    bmat, _ = _psd_mat_eigs(b, "second argument")
-    if amat.shape != bmat.shape:
-        raise DimensionMismatchError("operands have different dimensions")
+    amat, bmat = _psd_operands(a, b)
     if alpha == 0.0 or alpha == 1.0:
         return 0.0
     return float(_dsd_kernel(amat, bmat, np.array([alpha]))[0])
@@ -447,21 +437,14 @@ def chi2_log(a: OperatorLike, b: OperatorLike) -> float:
     Both operators are compressed onto the support of ``B``; the first
     argument may not leak trace mass outside that support.
     """
-    amat, _ = _psd_mat_eigs(a, "first argument")
-    bmat, _ = _psd_mat_eigs(b, "second argument")
-    if amat.shape != bmat.shape:
-        raise DimensionMismatchError("operands have different dimensions")
-    wb, vb = _eigh(bmat)
-    thr = default_support_threshold(bmat.shape[0], float(wb[-1]))
-    keep = wb > thr
+    amat, bmat = _psd_operands(a, b)
+    wb, vb, keep = _support(bmat)
     if not np.any(keep):
         raise DomainError("second argument vanishes")
-    quad = np.real(np.sum(np.conj(vb) * (amat @ vb), axis=0))
-    trace_a = float(np.trace(amat).real)
-    defect = trace_a - float(quad[keep].sum())
-    if defect > SUPPORT_DEFECT_TOL * max(1.0, trace_a):
+    _, leak = _support_quad(amat, vb, keep)
+    if leak:
         raise DomainError(
-            f"first argument leaks outside the support of the second ({defect:.3e})"
+            f"first argument leaks outside the support of the second ({leak:.3e})"
         )
     return _metric_on_eigenbasis(wb[keep], vb[:, keep], amat - bmat)
 
@@ -479,11 +462,7 @@ def sd_by_averaging(
     integral-representation cross-check of the closed form.
     """
     alpha = _as_alpha(alpha)
-    amat, _ = _psd_mat_eigs(a, "first argument")
-    bmat, _ = _psd_mat_eigs(b, "second argument")
-    if amat.shape != bmat.shape:
-        raise DimensionMismatchError("operands have different dimensions")
-    ar, br = _restrict_pair(amat, bmat)
+    ar, br = _restrict_pair(*_psd_operands(a, b))
     b_total = -math.log(alpha)
 
     def integral(panels: int, nodes: int, density: int) -> float:
@@ -534,24 +513,16 @@ def metric_epsilon_limit_check(
 
     Requires ``supp A`` inside ``supp B`` and ``B + C`` positive-definite.
     """
-    amat, _ = _psd_mat_eigs(a, "first argument")
-    bmat, _ = _psd_mat_eigs(b, "second argument")
-    cmat, _ = _psd_mat_eigs(c, "third argument")
-    if not (amat.shape == bmat.shape == cmat.shape):
-        raise DimensionMismatchError("operands have different dimensions")
+    amat, bmat, cmat = _psd_operands(a, b, c)
     eps = [float(e) for e in eps_sequence]
     if len(eps) < 1 or any(e <= 0 for e in eps) or any(
         e2 >= e1 for e1, e2 in zip(eps, eps[1:])
     ):
         raise DomainError("eps_sequence must be positive and strictly decreasing")
 
-    wb, vb = _eigh(bmat)
-    thr = default_support_threshold(bmat.shape[0], float(wb[-1]))
-    keep = wb > thr
-    quad = np.real(np.sum(np.conj(vb) * (amat @ vb), axis=0))
-    trace_a = float(np.trace(amat).real)
-    defect = trace_a - float(quad[keep].sum())
-    if defect > SUPPORT_DEFECT_TOL * max(1.0, trace_a):
+    _, vb, keep = _support(bmat)
+    _, leak = _support_quad(amat, vb, keep)
+    if leak:
         raise DomainError("support of A is not contained in the support of B")
 
     values = []

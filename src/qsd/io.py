@@ -1,7 +1,8 @@
 """JSON file formats for states, ensembles and channels.
 
 ``qsd-state-v1`` carries one Hermitian matrix as row-major real and imaginary
-parts; readers verify Hermitian symmetry within 1e-9 and reject otherwise.
+parts; readers reject non-finite entries and matrices that are not Hermitian
+within 1e-9.
 ``qsd-ensemble-v1`` nests state objects under a weight vector, and
 ``qsd-channel-v1`` stores a list of (not necessarily Hermitian) Kraus blocks.
 """
@@ -37,6 +38,8 @@ def _parts_to_matrix(payload: dict, what: str) -> np.ndarray:
         raise FormatError(
             f"{what}: expected {dim}x{dim} 're'/'im' blocks, got {re.shape} and {im.shape}"
         )
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise FormatError(f"{what} has non-finite entries")
     return re + 1j * im
 
 

@@ -26,6 +26,10 @@ EPS = float(np.finfo(np.float64).eps)
 # as positive semidefinite; anything in (-PSD_TOL, 0) is clipped to 0.
 PSD_TOL = 1e-10
 
+# Trace mass of an operator allowed outside a support before it counts as
+# leaking out of it (an infinite relative entropy, a domain error elsewhere).
+SUPPORT_DEFECT_TOL = 1e-10
+
 
 def _symmetrized(entries: np.ndarray) -> np.ndarray:
     # (M + M*)/2 is exactly Hermitian in floating point: the (i,j) and (j,i)
@@ -62,7 +66,11 @@ class HermitianOperator:
                 raise DomainError(
                     f"matrix is not Hermitian (asymmetry {defect:.3e})"
                 )
-        self._mat = _frozen(_symmetrized(mat))
+        sym = _symmetrized(mat)
+        # also catches finite entries that overflow in (M + M*)/2
+        if np.count_nonzero(np.isfinite(sym)) != sym.size:
+            raise DomainError("matrix has non-finite entries")
+        self._mat = _frozen(sym)
 
     @property
     def mat(self) -> np.ndarray:
@@ -162,15 +170,43 @@ def _as_matrix(value: OperatorLike) -> np.ndarray:
     return HermitianOperator(value).mat
 
 
-def _clip_psd(entries, *, tol: float = PSD_TOL) -> np.ndarray:
+def _require_psd(w: np.ndarray, what: str) -> None:
+    """Raise unless the ascending eigenvalues ``w`` are nonnegative up to
+    ``PSD_TOL`` relative to ``max(1, max |w|)``."""
+    scale = max(1.0, float(np.abs(w).max()))
+    if w[0] < -PSD_TOL * scale:
+        raise DomainError(
+            f"{what} is not positive semidefinite (min eigenvalue {w[0]:.3e})"
+        )
+
+
+_ARGUMENTS = ("first argument", "second argument", "third argument")
+
+
+def _psd_operands(*values: OperatorLike) -> list[np.ndarray]:
+    """Matrices of PSD operands that share one dimension, validated in order."""
+    mats = []
+    for what, value in zip(_ARGUMENTS, values):
+        mat = _as_matrix(value)
+        _require_psd(np.linalg.eigvalsh(mat), what)
+        mats.append(mat)
+    return _common_dim(mats)
+
+
+def _common_dim(mats: list[np.ndarray]) -> list[np.ndarray]:
+    """``mats`` unchanged, after checking that they all have one shape."""
+    shape = mats[0].shape
+    for m in mats:
+        if m.shape != shape:
+            raise DimensionMismatchError("operands have different dimensions")
+    return mats
+
+
+def _clip_psd(entries) -> np.ndarray:
     """Eigenvalue-clipped PSD version of ``entries``; rejects genuine negativity."""
     mat = _as_matrix(entries)
     w, v = _eigh(mat)
-    scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
-    if w[0] < -tol * scale:
-        raise DomainError(
-            f"operator is not positive semidefinite (min eigenvalue {w[0]:.3e})"
-        )
+    _require_psd(w, "operator")
     if w[0] >= 0.0:
         return mat
     return (v * np.maximum(w, 0.0)) @ v.conj().T
@@ -246,24 +282,41 @@ def default_support_threshold(dim: int, lambda_max: float) -> float:
     return dim * EPS * max(lambda_max, 0.0)
 
 
-def support_of(a: OperatorLike, threshold: float | None = None) -> SupportProjection:
-    """Support projection of a PSD operator.
-
-    Eigenvectors with eigenvalue strictly above the threshold are retained;
-    the default threshold is ``dim * eps * lambda_max``.
-    """
-    mat = _as_matrix(a)
+def _support(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs of a Hermitian matrix, or of each matrix in an ``(n, d, d)``
+    stack, and the mask of the support: eigenvalues strictly above
+    ``dim * eps * max(lambda_max, 0)`` (:func:`default_support_threshold`)."""
     w, v = _eigh(mat)
-    scale = max(1.0, float(np.abs(w).max()))
-    if w[0] < -PSD_TOL * scale:
-        raise DomainError(
-            f"support argument is not positive semidefinite (min eigenvalue {w[0]:.3e})"
-        )
-    if threshold is None:
-        threshold = default_support_threshold(mat.shape[0], float(w[-1]))
-    keep = w > threshold
-    basis = np.ascontiguousarray(v[:, keep])
-    return SupportProjection(rank=int(keep.sum()), basis=basis, threshold=float(threshold))
+    lam = max(float(w[-1]), 0.0) if w.ndim == 1 else np.maximum(w[:, -1:], 0.0)
+    return w, v, w > mat.shape[-1] * EPS * lam
+
+
+def _support_quad(
+    x: np.ndarray, v: np.ndarray, keep: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Diagonal ``v_k* X v_k`` of ``X`` in the eigenbasis ``v``, and the trace
+    mass of ``X`` outside the kept columns when it exceeds
+    ``SUPPORT_DEFECT_TOL * max(1, trace X)`` (0.0 within tolerance)."""
+    quad = np.real(np.sum(np.conj(v) * (x @ v), axis=0))
+    if keep.all():
+        # a full support leaks nothing; the defect would be rounding noise
+        return quad, 0.0
+    trace_x = float(x.trace().real)
+    leak = trace_x - float(quad[keep].sum())
+    return quad, leak if leak > SUPPORT_DEFECT_TOL * max(1.0, trace_x) else 0.0
+
+
+def support_of(a: OperatorLike) -> SupportProjection:
+    """Support projection of a PSD operator: the eigenvectors with eigenvalue
+    strictly above ``dim * eps * lambda_max``."""
+    mat = _as_matrix(a)
+    w, v, keep = _support(mat)
+    _require_psd(w, "support argument")
+    return SupportProjection(
+        rank=int(keep.sum()),
+        basis=np.ascontiguousarray(v[:, keep]),
+        threshold=default_support_threshold(mat.shape[0], float(w[-1])),
+    )
 
 
 def restrict(a: OperatorLike, projection: SupportProjection) -> HermitianOperator:

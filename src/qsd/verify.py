@@ -1,11 +1,18 @@
 """Property-verification harness.
 
 Every invariant of the library is registered here as a named check. A check
-runs one randomized trial and reports a slack value: for an inequality the
-slack is ``bound - value`` (negative means violated), for an identity it is
-``-|residual|``. A trial passes when the slack is at least ``-tolerance``.
-Checks pin the tolerance their property is stated at; the runner scales all
-of them proportionally when the caller overrides the default ``1e-8``.
+is a function ``(rng, dim) -> (slack, inputs)`` that runs one randomized
+trial. The slack is ``bound - value`` for an inequality (negative means
+violated) and ``-|residual|`` for an identity; ``inputs`` refers to the
+trial's matrices and scalars. A trial passes when the slack is at least
+``-tolerance``. Checks pin the tolerance their property is stated at; the
+runner scales all of them proportionally when the caller overrides the
+default ``1e-8``.
+
+The runner alone judges trials. A non-finite slack, or a check that raises,
+counts as a violation. Of each check it keeps the worst trial and writes that
+trial's inputs to the report, as qsd-state-v1 objects, only when the trial is
+a violation; a raising trial records the exception and its coordinates.
 
 Trial streams are derived from ``(seed, check id, dim, trial index)`` so runs
 are reproducible and trials are independent.
@@ -102,20 +109,30 @@ def _rand_experiment(
     return en.MixingExperiment(ens, h1, h2, float(rng.uniform(0.0, 1.0)))
 
 
-def _states_payload(*mats: np.ndarray, **extra) -> dict:
-    payload = {"states": [state_to_dict(m) for m in mats]}
+# The inputs of one trial, by reference: its matrices and its named scalars.
+Inputs = tuple[tuple, dict]
+
+
+def _inputs(*mats: np.ndarray, **extra) -> Inputs:
+    return mats, extra
+
+
+def _states_payload(inputs: Inputs) -> dict:
+    """Report form of a trial's inputs: matrices as qsd-state-v1 objects."""
+    mats, extra = inputs
+    payload = {"states": [state_to_dict(m) for m in mats]} if mats else {}
     payload.update(extra)
     return payload
 
 
 # ---------------------------------------------------------------------------
-# Check implementations: return (slack, payload-on-violation)
+# Check implementations: return (slack, inputs)
 # ---------------------------------------------------------------------------
 
-Outcome = tuple[float, dict | None]
+Outcome = tuple[float, Inputs]
 
 
-def _chk_eigh_reconstruction(rng, dim, tol) -> Outcome:
+def _chk_eigh_reconstruction(rng, dim) -> Outcome:
     a = _rand_herm(rng, dim, scale=float(rng.uniform(0.1, 3.0)))
     dec = la.eigendecompose(a)
     fro = float(np.linalg.norm(a))
@@ -129,28 +146,28 @@ def _chk_eigh_reconstruction(rng, dim, tol) -> Outcome:
         1e-12 * dim - unit,
         ascending,
     )
-    return slack, _states_payload(a) if slack < -tol else None
+    return slack, _inputs(a)
 
 
-def _chk_spectral_fn_identity(rng, dim, tol) -> Outcome:
+def _chk_spectral_fn_identity(rng, dim) -> Outcome:
     a = _rand_herm(rng, dim)
     out = la.spectral_fn(a, lambda w: w).mat
     resid = float(np.abs(out - a).max())
     slack = 1e-12 * max(1.0, float(np.abs(a).max())) - resid
-    return slack, _states_payload(a) if slack < -tol else None
+    return slack, _inputs(a)
 
 
-def _chk_trace_norm_axioms(rng, dim, tol) -> Outcome:
+def _chk_trace_norm_axioms(rng, dim) -> Outcome:
     x = _rand_herm(rng, dim)
     y = _rand_herm(rng, dim)
     c = float(rng.uniform(-3.0, 3.0))
     triangle = la.trace_norm(x) + la.trace_norm(y) - la.trace_norm(x + y)
     homog = -abs(la.trace_norm(c * x) - abs(c) * la.trace_norm(x))
     slack = min(triangle, homog)
-    return slack, _states_payload(x, y, c=c) if slack < -tol else None
+    return slack, _inputs(x, y, c=c)
 
 
-def _chk_random_state_invariants(rng, dim, tol) -> Outcome:
+def _chk_random_state_invariants(rng, dim) -> Outcome:
     seed = int(rng.integers(0, 2**63 - 1))
     s1 = la.random_state(dim, np.random.default_rng(seed))
     s2 = la.random_state(dim, np.random.default_rng(seed))
@@ -161,10 +178,10 @@ def _chk_random_state_invariants(rng, dim, tol) -> Outcome:
         float(w[0]) + 1e-10,
         deterministic,
     )
-    return slack, _states_payload(s1.mat, seed=seed) if slack < -tol else None
+    return slack, _inputs(s1.mat, seed=seed)
 
 
-def _chk_random_cptp_contract(rng, dim, tol) -> Outcome:
+def _chk_random_cptp_contract(rng, dim) -> Outcome:
     env = int(rng.integers(1, 4))
     kraus = la.random_cptp(dim, env, rng)
     completeness = sum(k.conj().T @ k for k in kraus)
@@ -174,21 +191,21 @@ def _chk_random_cptp_contract(rng, dim, tol) -> Outcome:
     trace_err = abs(float(np.trace(out).real) - 1.0)
     min_eig = float(np.linalg.eigvalsh(out)[0])
     slack = min(1e-10 - comp_err, 1e-10 - trace_err, min_eig + 1e-10)
-    return slack, _states_payload(rho.mat, env=env) if slack < -tol else None
+    return slack, _inputs(rho.mat, env=env)
 
 
 _RANGE_ALPHAS = (0.01, 0.1, 0.5, 0.9, 0.99)
 
 
-def _chk_sd_range(rng, dim, tol) -> Outcome:
+def _chk_sd_range(rng, dim) -> Outcome:
     rho, sig = _rand_state(rng, dim), _rand_state(rng, dim)
     alpha = _RANGE_ALPHAS[int(rng.integers(0, len(_RANGE_ALPHAS)))]
     v = dv.skew_divergence(rho, sig, alpha)
     slack = min(v, 1.0 - v)
-    return slack, _states_payload(rho.mat, sig.mat, alpha=alpha) if slack < -tol else None
+    return slack, _inputs(rho.mat, sig.mat, alpha=alpha)
 
 
-def _chk_sd_orthogonality(rng, dim, tol) -> Outcome:
+def _chk_sd_orthogonality(rng, dim) -> Outcome:
     rho_o, sig_o = _orthogonal_pair(rng, dim)
     alpha = (0.01, 0.5, 0.99)[int(rng.integers(0, 3))]
     v = dv.skew_divergence(rho_o, sig_o, alpha)
@@ -204,10 +221,10 @@ def _chk_sd_orthogonality(rng, dim, tol) -> Outcome:
         1e-9 - overlap,
         (1.0 - 1e-2) - v_mixed,
     )
-    return slack, _states_payload(rho_o, sig_o, alpha=alpha) if slack < -tol else None
+    return slack, _inputs(rho_o, sig_o, alpha=alpha)
 
 
-def _chk_sd_scaling(rng, dim, tol) -> Outcome:
+def _chk_sd_scaling(rng, dim) -> Outcome:
     x = _rand_psd(rng, dim)
     y = _rand_psd(rng, dim)
     b, c = float(rng.uniform(0.05, 2.0)), float(rng.uniform(0.05, 2.0))
@@ -217,10 +234,10 @@ def _chk_sd_scaling(rng, dim, tol) -> Outcome:
         b, c, alpha
     ) * float(np.trace(x).real)
     slack = -max(abs(r1), abs(r2))
-    return slack, _states_payload(x, y, b=b, c=c, alpha=alpha) if slack < -tol else None
+    return slack, _inputs(x, y, b=b, c=c, alpha=alpha)
 
 
-def _chk_sd_unitary_invariance(rng, dim, tol) -> Outcome:
+def _chk_sd_unitary_invariance(rng, dim) -> Outcome:
     rho, sig = _rand_state(rng, dim), _rand_state(rng, dim)
     u = la.random_unitary(dim, rng)
     alpha = _rand_alpha(rng)
@@ -228,10 +245,10 @@ def _chk_sd_unitary_invariance(rng, dim, tol) -> Outcome:
         u @ rho.mat @ u.conj().T, u @ sig.mat @ u.conj().T, alpha
     ) - dv.skew_divergence(rho, sig, alpha)
     slack = -abs(r)
-    return slack, _states_payload(rho.mat, sig.mat, alpha=alpha) if slack < -tol else None
+    return slack, _inputs(rho.mat, sig.mat, alpha=alpha)
 
 
-def _chk_sd_contractivity(rng, dim, tol) -> Outcome:
+def _chk_sd_contractivity(rng, dim) -> Outcome:
     rho, sig = _rand_state(rng, dim), _rand_state(rng, dim)
     alpha = _rand_alpha(rng)
     kraus = la.random_cptp(dim, int(rng.integers(1, 4)), rng)
@@ -240,10 +257,10 @@ def _chk_sd_contractivity(rng, dim, tol) -> Outcome:
         dv.apply_channel(kraus, rho), dv.apply_channel(kraus, sig), alpha
     )
     slack = before - after
-    return slack, _states_payload(rho.mat, sig.mat, alpha=alpha) if slack < -tol else None
+    return slack, _inputs(rho.mat, sig.mat, alpha=alpha)
 
 
-def _chk_sd_joint_convexity(rng, dim, tol) -> Outcome:
+def _chk_sd_joint_convexity(rng, dim) -> Outcome:
     alpha = _rand_alpha(rng)
     w = rng.dirichlet(np.ones(3))
     rhos = [_rand_state(rng, dim).mat for _ in range(3)]
@@ -254,10 +271,10 @@ def _chk_sd_joint_convexity(rng, dim, tol) -> Outcome:
         wi * dv.skew_divergence(r, s, alpha) for wi, r, s in zip(w, rhos, sigs)
     )
     slack = float(rhs) - dv.skew_divergence(mix_r, mix_s, alpha)
-    return slack, _states_payload(*rhos, *sigs, alpha=alpha) if slack < -tol else None
+    return slack, _inputs(*rhos, *sigs, alpha=alpha)
 
 
-def _chk_sd_trace_norm_sandwich(rng, dim, tol) -> Outcome:
+def _chk_sd_trace_norm_sandwich(rng, dim) -> Outcome:
     rho, sig = _rand_state(rng, dim), _rand_state(rng, dim)
     alpha = _rand_alpha(rng)
     t = dv.trace_distance(rho, sig)
@@ -270,58 +287,58 @@ def _chk_sd_trace_norm_sandwich(rng, dim, tol) -> Outcome:
     fam_s = np.diag([0.0, tf, 1.0 - tf]).astype(complex)
     fam_resid = abs(dv.skew_divergence(fam_r, fam_s, af) - tf)
     slack = min(v - lower, t - v, -fam_resid * 10.0)  # family pinned at 1e-9
-    return slack, _states_payload(rho.mat, sig.mat, alpha=alpha) if slack < -tol else None
+    return slack, _inputs(rho.mat, sig.mat, alpha=alpha)
 
 
-def _chk_skewed_re_bound(rng, dim, tol) -> Outcome:
+def _chk_skewed_re_bound(rng, dim) -> Outcome:
     rho, sig = _rand_state(rng, dim), _rand_state(rng, dim)
     alpha = _rand_alpha(rng)
     tau = alpha * rho.mat + (1.0 - alpha) * sig.mat
     s = float(dv.relative_entropy(rho.mat, tau))
     slack = -math.log(alpha) - s
-    return slack, _states_payload(rho.mat, sig.mat, alpha=alpha) if slack < -tol else None
+    return slack, _inputs(rho.mat, sig.mat, alpha=alpha)
 
 
-def _chk_fidelity_trace_distance(rng, dim, tol) -> Outcome:
+def _chk_fidelity_trace_distance(rng, dim) -> Outcome:
     rho, sig = _rand_state(rng, dim), _rand_state(rng, dim)
     f = dv.fidelity(rho, sig)
     t = dv.trace_distance(rho, sig)
     slack = math.sqrt(max(0.0, 1.0 - f * f)) - t
-    return slack, _states_payload(rho.mat, sig.mat) if slack < -tol else None
+    return slack, _inputs(rho.mat, sig.mat)
 
 
-def _chk_t_order_preserving(rng, dim, tol) -> Outcome:
+def _chk_t_order_preserving(rng, dim) -> Outcome:
     a = _rand_pd(rng, dim)
     d = _rand_psd(rng, dim)  # d = Y - X for X <= Y
     slack = float(np.linalg.eigvalsh(fr.frechet_log(a, d).mat)[0])
-    return slack, _states_payload(a, d) if slack < -tol else None
+    return slack, _inputs(a, d)
 
 
-def _chk_t_sum_bound(rng, dim, tol) -> Outcome:
+def _chk_t_sum_bound(rng, dim) -> Outcome:
     a, b = _rand_psd(rng, dim), _rand_psd(rng, dim)
     top = float(np.linalg.eigvalsh(fr.frechet_log(a + b, a).mat)[-1])
     slack = 1.0 - top
-    return slack, _states_payload(a, b) if slack < -tol else None
+    return slack, _inputs(a, b)
 
 
-def _chk_r_sum_bound(rng, dim, tol) -> Outcome:
+def _chk_r_sum_bound(rng, dim) -> Outcome:
     a, b = _rand_psd(rng, dim), _rand_psd(rng, dim)
     top = float(np.linalg.eigvalsh(fr.second_frechet_log(a + b, a).mat)[-1])
     slack = 1.0 - top
-    return slack, _states_payload(a, b) if slack < -tol else None
+    return slack, _inputs(a, b)
 
 
-def _chk_r_reduces_to_t(rng, dim, tol) -> Outcome:
+def _chk_r_reduces_to_t(rng, dim) -> Outcome:
     a = _rand_pd(rng, dim)
     d = _rand_herm(rng, dim)
     resid = float(
         np.linalg.norm(fr.second_frechet_log(a, a, d).mat - fr.frechet_log(a, d).mat)
     )
     slack = -resid
-    return slack, _states_payload(a, d) if slack < -tol else None
+    return slack, _inputs(a, d)
 
 
-def _chk_metric_difference(rng, dim, tol) -> Outcome:
+def _chk_metric_difference(rng, dim) -> Outcome:
     a, b, c = (_rand_psd(rng, dim) for _ in range(3))
     m1 = fr.metric_M(a + b, a, a).real
     m2 = fr.metric_M(a + b + c, a, a).real
@@ -329,10 +346,10 @@ def _chk_metric_difference(rng, dim, tol) -> Outcome:
     ta, tc = float(np.trace(a).real), float(np.trace(c).real)
     upper = ta - ta * ta / (ta + tc)
     slack = min(diff, upper - diff)
-    return slack, _states_payload(a, b, c) if slack < -tol else None
+    return slack, _inputs(a, b, c)
 
 
-def _chk_quadrature_match(rng, dim, tol) -> Outcome:
+def _chk_quadrature_match(rng, dim) -> Outcome:
     cond = 10.0 ** rng.uniform(0.0, 4.0)
     v = la.random_unitary(dim, rng)
     lam = np.exp(rng.uniform(math.log(1.0 / cond), 0.0, dim))
@@ -344,20 +361,20 @@ def _chk_quadrature_match(rng, dim, tol) -> Outcome:
     quad = fr.frechet_log_quadrature(a, d).mat
     rel = float(np.linalg.norm(quad - dd)) / max(1.0, float(np.linalg.norm(dd)))
     slack = -rel
-    return slack, _states_payload(a, d) if slack < -tol else None
+    return slack, _inputs(a, d)
 
 
-def _chk_finite_difference_match(rng, dim, tol) -> Outcome:
+def _chk_finite_difference_match(rng, dim) -> Outcome:
     a = _rand_pd(rng, dim, floor=0.2)
     d = _rand_herm(rng, dim)
     dd = fr.frechet_log(a, d).mat
     fd = fr.frechet_log_central_diff(a, d, h=1e-5, order=2).mat
     rel = float(np.linalg.norm(fd - dd)) / max(1.0, float(np.linalg.norm(dd)))
     slack = -rel
-    return slack, _states_payload(a, d) if slack < -tol else None
+    return slack, _inputs(a, d)
 
 
-def _chk_dsd_symmetry(rng, dim, tol) -> Outcome:
+def _chk_dsd_symmetry(rng, dim) -> Outcome:
     a = _rand_psd(rng, dim)
     b = _rand_psd(rng, dim)
     alpha = _rand_alpha(rng)
@@ -365,10 +382,10 @@ def _chk_dsd_symmetry(rng, dim, tol) -> Outcome:
         b, a, 1.0 - alpha
     )
     slack = -abs(r)
-    return slack, _states_payload(a, b, alpha=alpha) if slack < -tol else None
+    return slack, _inputs(a, b, alpha=alpha)
 
 
-def _chk_dsd_derivative(rng, dim, tol) -> Outcome:
+def _chk_dsd_derivative(rng, dim) -> Outcome:
     a = _rand_conditioned_state(rng, dim)
     b = _rand_conditioned_state(rng, dim)
     alpha = _rand_alpha(rng, 0.1, 0.9)
@@ -383,19 +400,19 @@ def _chk_dsd_derivative(rng, dim, tol) -> Outcome:
         / (2.0 * h)
     )
     slack = -abs(v - fd)
-    return slack, _states_payload(a, b, alpha=alpha) if slack < -tol else None
+    return slack, _inputs(a, b, alpha=alpha)
 
 
-def _chk_dsd_bounds(rng, dim, tol) -> Outcome:
+def _chk_dsd_bounds(rng, dim) -> Outcome:
     rho, sig = _rand_state(rng, dim), _rand_state(rng, dim)
     alpha = _rand_alpha(rng)
     t = dv.trace_distance(rho, sig)
     v = fr.differential_skew_divergence(rho.mat, sig.mat, alpha)
     slack = min(v - 4.0 * alpha * (1.0 - alpha) * t * t, t - v)
-    return slack, _states_payload(rho.mat, sig.mat, alpha=alpha) if slack < -tol else None
+    return slack, _inputs(rho.mat, sig.mat, alpha=alpha)
 
 
-def _chk_dsd_contractivity(rng, dim, tol) -> Outcome:
+def _chk_dsd_contractivity(rng, dim) -> Outcome:
     rho, sig = _rand_state(rng, dim), _rand_state(rng, dim)
     alpha = _rand_alpha(rng)
     kraus = la.random_cptp(dim, int(rng.integers(1, 4)), rng)
@@ -404,10 +421,10 @@ def _chk_dsd_contractivity(rng, dim, tol) -> Outcome:
         dv.apply_channel(kraus, rho).mat, dv.apply_channel(kraus, sig).mat, alpha
     )
     slack = before - after
-    return slack, _states_payload(rho.mat, sig.mat, alpha=alpha) if slack < -tol else None
+    return slack, _inputs(rho.mat, sig.mat, alpha=alpha)
 
 
-def _chk_chi2_relation(rng, dim, tol) -> Outcome:
+def _chk_chi2_relation(rng, dim) -> Outcome:
     rho, sig = _rand_state(rng, dim), _rand_state(rng, dim)
     alpha = _rand_alpha(rng)
     tau = alpha * rho.mat + (1.0 - alpha) * sig.mat
@@ -416,19 +433,19 @@ def _chk_chi2_relation(rng, dim, tol) -> Outcome:
     tn = 2.0 * dv.trace_distance(rho, sig)
     chi2_lb = fr.chi2_log(rho.mat, sig.mat) - tn * tn
     slack = min(-abs(lhs - rhs) * 10.0, chi2_lb)  # relation pinned at 1e-9
-    return slack, _states_payload(rho.mat, sig.mat, alpha=alpha) if slack < -tol else None
+    return slack, _inputs(rho.mat, sig.mat, alpha=alpha)
 
 
-def _chk_averaging_match(rng, dim, tol) -> Outcome:
+def _chk_averaging_match(rng, dim) -> Outcome:
     rho, sig = _rand_state(rng, dim), _rand_state(rng, dim)
     alpha = _rand_alpha(rng, 0.05, 0.95)
     direct = dv.skew_divergence(rho, sig, alpha)
     averaged = fr.sd_by_averaging(rho, sig, alpha, quad=fr.QuadratureScheme(8, 16))
     slack = -abs(direct - averaged)
-    return slack, _states_payload(rho.mat, sig.mat, alpha=alpha) if slack < -tol else None
+    return slack, _inputs(rho.mat, sig.mat, alpha=alpha)
 
 
-def _chk_metric_epsilon_limit(rng, dim, tol) -> Outcome:
+def _chk_metric_epsilon_limit(rng, dim) -> Outcome:
     if dim < 2:
         dim = 2
     rank = int(rng.integers(1, dim))
@@ -443,23 +460,20 @@ def _chk_metric_epsilon_limit(rng, dim, tol) -> Outcome:
     c /= la.operator_norm(c)
     rec = fr.metric_epsilon_limit_check(a, b, c)
     slack = -abs(rec.final_gap) if rec.monotone else -1.0
-    return slack, _states_payload(a, b, c) if slack < -tol else None
+    return slack, _inputs(a, b, c)
 
 
-def _chk_chi_three_ways(rng, dim, tol) -> Outcome:
+def _chk_chi_three_ways(rng, dim) -> Outcome:
     n = int(rng.integers(2, 5))
     ens = _rand_ensemble(rng, dim, n)
     chi = en.holevo_chi(ens)
     r1 = chi - en.holevo_chi_relative_entropy_form(ens)
     r2 = chi - en.holevo_chi_skew_divergence_form(ens)
     slack = -max(abs(r1), abs(r2))
-    payload = None
-    if slack < -tol:
-        payload = _states_payload(*(s.mat for s in ens.states), weights=list(ens.weights))
-    return slack, payload
+    return slack, _inputs(*(s.mat for s in ens.states), weights=list(ens.weights))
 
 
-def _chk_chi_bound_chain(rng, dim, tol) -> Outcome:
+def _chk_chi_bound_chain(rng, dim) -> Outcome:
     n = int(rng.integers(2, 5))
     ens = _rand_ensemble(rng, dim, n)
     rec = en.chi_upper_bounds(ens)
@@ -468,13 +482,10 @@ def _chk_chi_bound_chain(rng, dim, tol) -> Outcome:
         rec.pairwise_bound - rec.complementary_bound,
         rec.entropy_times_t - rec.pairwise_bound,
     )
-    payload = None
-    if slack < -tol:
-        payload = _states_payload(*(s.mat for s in ens.states), weights=list(ens.weights))
-    return slack, payload
+    return slack, _inputs(*(s.mat for s in ens.states), weights=list(ens.weights))
 
 
-def _chk_chi_roga_binary(rng, dim, tol) -> Outcome:
+def _chk_chi_roga_binary(rng, dim) -> Outcome:
     ens = _rand_ensemble(rng, dim, 2)
     rec = en.chi_upper_bounds(ens)
     f = dv.fidelity(ens.states[0], ens.states[1])
@@ -482,13 +493,10 @@ def _chk_chi_roga_binary(rng, dim, tol) -> Outcome:
         max(0.0, 1.0 - f * f)
     )
     slack = min(rec.roga_bound - rec.chi, fidelity_surrogate - rec.roga_bound)
-    payload = None
-    if slack < -tol:
-        payload = _states_payload(*(s.mat for s in ens.states), weights=list(ens.weights))
-    return slack, payload
+    return slack, _inputs(*(s.mat for s in ens.states), weights=list(ens.weights))
 
 
-def _chk_chi_continuity(rng, dim, tol) -> Outcome:
+def _chk_chi_continuity(rng, dim) -> Outcome:
     n = int(rng.integers(2, 5))
     ens = _rand_ensemble(rng, dim, n)
     mix = rng.uniform(0.0, 0.4)
@@ -511,13 +519,10 @@ def _chk_chi_continuity(rng, dim, tol) -> Outcome:
         )
         slacks.append((others_max - tbar) * (DEFAULT_TOL / 1e-12))
     slack = min(slacks)
-    payload = None
-    if slack < -tol:
-        payload = _states_payload(*(s.mat for s in ens.states), weights=list(ens.weights))
-    return slack, payload
+    return slack, _inputs(*(s.mat for s in ens.states), weights=list(ens.weights))
 
 
-def _chk_rbts_family(rng, dim, tol) -> Outcome:
+def _chk_rbts_family(rng, dim) -> Outcome:
     a, b, c = (_rand_psd(rng, dim) for _ in range(3))
     alpha = _rand_alpha(rng)
     ta, tc = float(np.trace(a).real), float(np.trace(c).real)
@@ -542,10 +547,10 @@ def _chk_rbts_family(rng, dim, tol) -> Outcome:
         - dv.scalar_relative_entropy(tc, ta + tc)
         - e_s,
     )
-    return slack, _states_payload(a, b, c, alpha=alpha) if slack < -tol else None
+    return slack, _inputs(a, b, c, alpha=alpha)
 
 
-def _chk_dsd_difference_bounds(rng, dim, tol) -> Outcome:
+def _chk_dsd_difference_bounds(rng, dim) -> Outcome:
     a, b, c = (_rand_psd(rng, dim) for _ in range(3))
     alpha = _rand_alpha(rng)
     ta, tc = float(np.trace(a).real), float(np.trace(c).real)
@@ -565,7 +570,7 @@ def _chk_dsd_difference_bounds(rng, dim, tol) -> Outcome:
         - fr.scalar_differential_sd(tc, ta + tc, alpha)
         - d2,
     )
-    return slack, _states_payload(a, b, c, alpha=alpha) if slack < -tol else None
+    return slack, _inputs(a, b, c, alpha=alpha)
 
 
 def _triangle_rhs_sd(alpha: float, t: float) -> float:
@@ -578,7 +583,7 @@ def _triangle_rhs_sd(alpha: float, t: float) -> float:
     )
 
 
-def _chk_triangle_family(rng, dim, tol) -> Outcome:
+def _chk_triangle_family(rng, dim) -> Outcome:
     rho, s1, s2 = (_rand_state(rng, dim) for _ in range(3))
     alpha = _rand_alpha(rng)
     t = dv.trace_distance(s1, s2)
@@ -621,13 +626,10 @@ def _chk_triangle_family(rng, dim, tol) -> Outcome:
     slack = min(
         rhs_sd1 - lhs_sd1, rhs_sd2 - lhs_sd2, rhs_d1 - lhs_d1, rhs_d2 - lhs_d2
     )
-    payload = None
-    if slack < -tol:
-        payload = _states_payload(rho.mat, s1.mat, s2.mat, alpha=alpha)
-    return slack, payload
+    return slack, _inputs(rho.mat, s1.mat, s2.mat, alpha=alpha)
 
 
-def _chk_triangle_equality(rng, dim, tol) -> Outcome:
+def _chk_triangle_equality(rng, dim) -> Outcome:
     if dim < 2:
         dim = 2
     u = la.random_unitary(dim, rng)
@@ -641,29 +643,29 @@ def _chk_triangle_equality(rng, dim, tol) -> Outcome:
         dv.skew_divergence(rho, s1, alpha) - dv.skew_divergence(rho, s2, alpha)
     )
     slack = -abs(lhs - _triangle_rhs_sd(alpha, t))
-    return slack, _states_payload(rho, s1, alpha=alpha, t=t) if slack < -tol else None
+    return slack, _inputs(rho, s1, alpha=alpha, t=t)
 
 
-def _chk_triangle_rhs_shape(rng, dim, tol) -> Outcome:
+def _chk_triangle_rhs_shape(rng, dim) -> Outcome:
     alpha = _rand_alpha(rng)
     grid = np.arange(0.01, 0.995, 0.01)
     g = np.array([_triangle_rhs_sd(alpha, float(t)) for t in grid])
     monotone = float(np.diff(g).min())
     concave = float((g[1:-1] - (g[:-2] + g[2:]) / 2.0).min())
     slack = min(monotone, concave)
-    return slack, ({"alpha": alpha} if slack < -tol else None)
+    return slack, _inputs(alpha=alpha)
 
 
-def _chk_evolution_distance(rng, dim, tol) -> Outcome:
+def _chk_evolution_distance(rng, dim) -> Outcome:
     rho = _rand_state(rng, dim)
     h = la.random_hamiltonian(dim, rng)
     t = float(rng.uniform(0.0, 2.0))
     moved = en.evolve(rho, h, t)
     slack = t * la.operator_norm(h) - dv.trace_distance(moved, rho)
-    return slack, _states_payload(rho.mat, h.mat, t=t) if slack < -tol else None
+    return slack, _inputs(rho.mat, h.mat, t=t)
 
 
-def _chk_mixing_rate_fd(rng, dim, tol) -> Outcome:
+def _chk_mixing_rate_fd(rng, dim) -> Outcome:
     exp = _rand_experiment(rng, dim, conditioned=True)
     rate = en.mixing_rate(exp)
     h = 1e-5
@@ -679,25 +681,17 @@ def _chk_mixing_rate_fd(rng, dim, tol) -> Outcome:
 
     fd = (entropy_at(exp.time + h) - entropy_at(exp.time - h)) / (2.0 * h)
     slack = -abs(rate - fd)
-    payload = None
-    if slack < -tol:
-        payload = _states_payload(
-            *(s.mat for s in exp.ensemble.states), t=exp.time
-        )
-    return slack, payload
+    return slack, _inputs(*(s.mat for s in exp.ensemble.states), t=exp.time)
 
 
-def _chk_svsd_identity(rng, dim, tol) -> Outcome:
+def _chk_svsd_identity(rng, dim) -> Outcome:
     exp = _rand_experiment(rng, dim)
     rec = en.sim_bound_check(exp)
     slack = -rec.sd_representation_residual
-    payload = None
-    if slack < -tol:
-        payload = _states_payload(*(s.mat for s in exp.ensemble.states), t=exp.time)
-    return slack, payload
+    return slack, _inputs(*(s.mat for s in exp.ensemble.states), t=exp.time)
 
 
-def _chk_bravyi_bound(rng, dim, tol) -> Outcome:
+def _chk_bravyi_bound(rng, dim) -> Outcome:
     exp = _rand_experiment(rng, dim)
     rec = en.sim_bound_check(exp)
     slacks = [rec.bravyi_rhs - lhs for lhs in rec.bravyi_lhs]
@@ -711,20 +705,14 @@ def _chk_bravyi_bound(rng, dim, tol) -> Outcome:
     ) - fr.differential_skew_divergence(rho.mat, sig.mat, alpha)
     slacks.append(min(1.0 / alpha, 1.0 / (1.0 - alpha)) * la.operator_norm(h) - lhs_d)
     slack = min(slacks)
-    payload = None
-    if slack < -tol:
-        payload = _states_payload(rho.mat, sig.mat, alpha=alpha)
-    return slack, payload
+    return slack, _inputs(rho.mat, sig.mat, alpha=alpha)
 
 
-def _chk_entropy_gain_bound(rng, dim, tol) -> Outcome:
+def _chk_entropy_gain_bound(rng, dim) -> Outcome:
     exp = _rand_experiment(rng, dim)
     rec = en.sim_bound_check(exp)
     slack = rec.sim_bound - rec.entropy_gain
-    payload = None
-    if slack < -tol:
-        payload = _states_payload(*(s.mat for s in exp.ensemble.states), t=exp.time)
-    return slack, payload
+    return slack, _inputs(*(s.mat for s in exp.ensemble.states), t=exp.time)
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +726,7 @@ class CheckDef:
     label: str
     suite: str
     tol: float
-    run: Callable[[np.random.Generator, int, float], Outcome]
+    run: Callable[[np.random.Generator, int], Outcome]
 
 
 REGISTRY: tuple[CheckDef, ...] = (
@@ -1146,6 +1134,48 @@ def _trial_rng(seed: int, check_id: str, dim: int, trial: int) -> np.random.Gene
     return np.random.default_rng(np.random.SeedSequence([seed, key, dim, trial]))
 
 
+def _run_check(
+    check: CheckDef, seed: int, dims: tuple[int, ...], trials: int, tol: float
+) -> CheckResult:
+    """Run ``trials`` trials of one check per dimension at tolerance ``tol``.
+
+    A trial that raises counts as a violation with slack ``-inf``; its inputs
+    are the exception and the trial coordinates. The inputs of the worst trial
+    enter the result only when that trial is a violation.
+    """
+    worst = math.inf
+    worst_inputs = None
+    violations = 0
+    for dim in dims:
+        for k in range(trials):
+            rng = _trial_rng(seed, check.check_id, dim, k)
+            try:
+                slack, inputs = check.run(rng, dim)
+            except Exception as exc:
+                slack = -math.inf
+                inputs = _inputs(
+                    error=type(exc).__name__, message=str(exc), dim=dim, trial=k
+                )
+            if not math.isfinite(slack):
+                slack = -math.inf
+            if slack < worst:
+                worst, worst_inputs = slack, inputs
+            if slack < -tol:
+                violations += 1
+    return CheckResult(
+        check_id=check.check_id,
+        label=check.label,
+        trials=trials * len(dims),
+        worst_slack=worst,
+        violations=violations,
+        worst_case_inputs=(
+            _states_payload(worst_inputs)
+            if worst < -tol and worst_inputs is not None
+            else None
+        ),
+    )
+
+
 def run_suite(
     suite: str = "all",
     dims: Sequence[int] = (2, 3, 4),
@@ -1159,7 +1189,8 @@ def run_suite(
     ``tol`` rescales every check's pinned tolerance proportionally
     (``tol / 1e-8``); with the default it reproduces the stated tolerances
     exactly. It must be finite and positive. A trial whose slack is not
-    finite (NaN or infinite) proves nothing and counts as a violation.
+    finite (NaN or infinite), or whose check raises, proves nothing and
+    counts as a violation.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
@@ -1176,34 +1207,11 @@ def run_suite(
     report = VerificationReport(suite=suite, seed=seed, dims=dims, trials=trials)
     started = time.perf_counter()
     for check in selected:
-        eff_tol = check.tol * (tol / DEFAULT_TOL)
-        worst = math.inf
-        violations = 0
-        worst_inputs = None
-        for dim in dims:
-            for k in range(trials):
-                rng = _trial_rng(seed, check.check_id, dim, k)
-                slack, payload = check.run(rng, dim, eff_tol)
-                if not math.isfinite(slack):
-                    slack = -math.inf
-                if slack < worst:
-                    worst = slack
-                    if payload is not None:
-                        worst_inputs = payload
-                if slack < -eff_tol:
-                    violations += 1
-        report.checks.append(
-            CheckResult(
-                check_id=check.check_id,
-                label=check.label,
-                trials=trials * len(dims),
-                worst_slack=worst,
-                violations=violations,
-                worst_case_inputs=worst_inputs,
-            )
-        )
+        result = _run_check(check, seed, dims, trials, check.tol * (tol / DEFAULT_TOL))
+        report.checks.append(result)
         if progress is not None:
-            status = "ok" if violations == 0 else f"{violations} VIOLATIONS"
-            progress(f"{check.check_id}: worst slack {worst:.3e} [{status}]")
+            n = result.violations
+            status = "ok" if n == 0 else f"{n} VIOLATIONS"
+            progress(f"{check.check_id}: worst slack {result.worst_slack:.3e} [{status}]")
     report.wall_time = time.perf_counter() - started
     return report

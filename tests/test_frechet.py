@@ -187,8 +187,6 @@ class TestQuadratureOracles:
     def test_scheme_validation(self):
         with pytest.raises(DomainError):
             QuadratureScheme(panels=2, nodes_per_panel=16)  # fewer than 64 nodes
-        with pytest.raises(DomainError):
-            QuadratureScheme(kind="trapezoid")
 
     def test_weights_positive(self):
         x, w = np.polynomial.legendre.leggauss(16)

@@ -42,6 +42,13 @@ class TestStateFormat:
         with pytest.raises(FormatError):
             state_from_dict(payload)
 
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_rejects_non_finite_entries(self, part):
+        payload = {"format": "qsd-state-v1", "dim": 1, "re": [[1.0]], "im": [[0.0]]}
+        payload[part] = [[math.nan]]
+        with pytest.raises(FormatError):
+            state_from_dict(payload)
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(FormatError):
             state_from_dict(
@@ -143,6 +150,24 @@ class TestCliCompute:
         p = tmp_path / "rho.json"
         p.write_text(json.dumps(state_to_dict(random_state(2, rng))))
         assert run_cli("compute", "--measure", "sd", "--alpha", "1.5", str(p), str(p)) == 3
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "measure, extra", [("entropy", 0), ("re", 1), ("trace-dist", 1), ("sd", 1)]
+    )
+    @pytest.mark.parametrize("entry, code", [("NaN", 2), ("1e308", 3)])
+    def test_non_finite_state_is_rejected(self, tmp_path, capsys, measure, extra, entry, code):
+        # a NaN entry is a malformed file (2); 1e308 parses but overflows (3)
+        bad, ok = tmp_path / "bad.json", tmp_path / "ok.json"
+        bad.write_text(
+            '{"format": "qsd-state-v1", "dim": 2, '
+            f'"re": [[0.5, {entry}], [{entry}, 0.5]], "im": [[0, 0], [0, 0]]}}'
+        )
+        write_diag(ok, [0.5, 0.5])
+        args = ["compute", "--measure", measure, "--alpha", "0.5", str(bad)]
+        assert run_cli(*args, *[str(ok)] * extra) == code
+        assert capsys.readouterr().out == ""
 
     def test_missing_file_exits_4(self, tmp_path):
         assert run_cli("compute", "--measure", "entropy", str(tmp_path / "nope.json")) == 4
@@ -271,7 +296,7 @@ class TestCliVerify:
 
         probe = verify.CheckDef(
             "core.non_finite_probe", "returns a non-finite slack", "core", 0.0,
-            lambda rng, dim, tol: (slack, None),
+            lambda rng, dim: (slack, None),
         )
         monkeypatch.setattr(verify, "REGISTRY", (probe,))
         monkeypatch.setattr(verify, "assert_registry_complete", lambda: None)
@@ -282,6 +307,57 @@ class TestCliVerify:
         record = json.loads(out.read_text())["checks"][0]
         assert record["worst_slack"] is None
         assert record["violations"] == 4
+
+    def test_raising_check_is_a_violation(self, tmp_path, monkeypatch):
+        from qsd import verify
+
+        def probe(rng, dim):
+            if dim == 3:
+                raise RuntimeError(f"probe failed at dim {dim}")
+            return 0.5, verify._inputs(np.eye(dim), alpha=0.5)
+
+        checks = (
+            verify.CheckDef("core.raising_probe", "raises at dim 3", "core", 0.0, probe),
+            verify.REGISTRY[0],
+        )
+        monkeypatch.setattr(verify, "REGISTRY", checks)
+        monkeypatch.setattr(verify, "assert_registry_complete", lambda: None)
+        out = tmp_path / "report.json"
+        code = run_cli(
+            "verify", "--suite", "core", "--dims", "2,3", "--trials", "2",
+            "--seed", "0", "--quiet", "--out", str(out),
+        )
+        assert code == 1
+        report = json.loads(out.read_text())
+        assert report["total_violations"] == 2
+        record, after = report["checks"]
+        assert record["violations"] == 2
+        assert record["worst_slack"] is None
+        assert record["worst_case_inputs"] == {
+            "error": "RuntimeError",
+            "message": "probe failed at dim 3",
+            "dim": 3,
+            "trial": 0,
+        }
+        assert after["check_id"] == verify.REGISTRY[1].check_id  # the run went on
+        assert after["violations"] == 0 and "worst_case_inputs" not in after
+
+    def test_worst_violating_trial_inputs_are_reported(self, monkeypatch):
+        from qsd import verify
+
+        def probe(rng, dim):
+            slack = -float(dim)  # dim 3 is the worst trial
+            return slack, verify._inputs(np.eye(dim), np.zeros((dim, dim)), alpha=0.25)
+
+        checks = (verify.CheckDef("core.slack_probe", "negative slack", "core", 0.0, probe),)
+        monkeypatch.setattr(verify, "REGISTRY", checks)
+        monkeypatch.setattr(verify, "assert_registry_complete", lambda: None)
+        record = verify.run_suite(suite="core", dims=(2, 3), trials=1).checks[0]
+        assert record.worst_slack == -3.0
+        inputs = record.worst_case_inputs
+        assert inputs["alpha"] == 0.25
+        assert [s["dim"] for s in inputs["states"]] == [3, 3]
+        assert state_from_dict(inputs["states"][0]).mat.tolist() == np.eye(3).tolist()
 
     def test_reports_are_strict_json(self, tmp_path):
         from qsd.io import dump_json

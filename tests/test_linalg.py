@@ -34,6 +34,17 @@ class TestHermitianOperator:
         h = (g + g.conj().T) / 2
         HermitianOperator(h, require_hermitian=True)  # does not raise
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, 1e308])
+    def test_rejects_non_finite_entries(self, entry):
+        # 1e308 is finite but overflows in the symmetrization (M + M*)/2
+        mat = np.full((2, 2), entry)
+        with pytest.raises(DomainError):
+            HermitianOperator(mat)
+        with pytest.raises(DomainError):
+            DensityMatrix(mat)
+
     def test_entries_are_immutable(self, rng):
         op = HermitianOperator(np.eye(3))
         with pytest.raises(ValueError):
