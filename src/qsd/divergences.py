@@ -26,6 +26,7 @@ from .linalg import (
     _as_matrix,
     _common_dim,
     _eigh,
+    _like_input,
     _psd_operands,
     _require_psd,
     _support,
@@ -213,14 +214,16 @@ def skew_divergence(rho: OperatorLike, sigma: OperatorLike, alpha: AlphaLike) ->
 
 def trace_distance(rho: OperatorLike, sigma: OperatorLike) -> float:
     """Half the trace norm of ``rho - sigma``."""
-    rmat, smat = _common_dim([_as_matrix(rho), _as_matrix(sigma)])
+    rmat, smat = _common_dim(rho, sigma)
     return 0.5 * float(np.abs(np.linalg.eigvalsh(rmat - smat)).sum())
 
 
 def fidelity(rho: OperatorLike, sigma: OperatorLike) -> float:
     """Uhlmann fidelity ``trace sqrt(sqrt(rho) sigma sqrt(rho))``."""
-    rmat, smat = _psd_operands(rho, sigma)
+    rmat, smat = _common_dim(rho, sigma)
     w, v = _eigh(rmat)
+    _require_psd(w, "first argument")
+    _require_psd(np.linalg.eigvalsh(smat), "second argument")
     sqrt_r = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     inner = sqrt_r @ smat @ sqrt_r
     wi = np.linalg.eigvalsh(inner)
@@ -245,12 +248,7 @@ def apply_channel(kraus: Sequence[np.ndarray], rho: OperatorLike) -> DensityMatr
     if np.abs(completeness - np.eye(dim)).max() > 1e-9:
         raise DomainError("Kraus operators do not satisfy sum K*K = id within 1e-9")
 
-    if isinstance(rho, DensityMatrix):
-        rmat = rho.mat
-        normalized = rho.is_normalized
-    else:
-        rmat = _as_matrix(rho)
-        normalized = False
+    rmat = _as_matrix(rho)
     if rmat.shape[0] != dim:
         raise DimensionMismatchError("state dimension does not match the channel")
 
@@ -261,6 +259,4 @@ def apply_channel(kraus: Sequence[np.ndarray], rho: OperatorLike) -> DensityMatr
         raise DomainError(
             f"channel application changed the trace by {tr_out - tr_in:.3e}"
         )
-    if normalized:
-        return DensityMatrix.from_matrix(out)
-    return DensityMatrix.positive_operator(out)
+    return _like_input(rho, out)

@@ -24,7 +24,9 @@ from .linalg import (
     HermitianOperator,
     OperatorLike,
     _as_matrix,
+    _common_dim,
     _eigh,
+    _like_input,
     _support,
     _support_quad,
     operator_norm,
@@ -303,18 +305,14 @@ def chi_continuity_bound(ensemble: Ensemble, other: Ensemble) -> ChiContinuityRe
     )
 
 
-def evolve(rho, hamiltonian: OperatorLike, t: float) -> DensityMatrix:
-    """Unitary evolution ``U rho U*`` with ``U = exp(i t H)``."""
-    hmat = _as_matrix(hamiltonian)
-    rmat = _as_matrix(rho)
-    if hmat.shape != rmat.shape:
-        raise DimensionMismatchError("state and Hamiltonian dimension mismatch")
+def evolve(rho: OperatorLike, hamiltonian: OperatorLike, t: float) -> DensityMatrix:
+    """Unitary evolution ``U rho U*`` with ``U = exp(i t H)``; a state when
+    ``rho`` is a normalized :class:`DensityMatrix`, otherwise a positive
+    operator with the trace of ``rho``."""
+    hmat, rmat = _common_dim(hamiltonian, rho)
     w, v = _eigh(hmat)
     u = (v * np.exp(1j * t * w)) @ v.conj().T
-    out = u @ rmat @ u.conj().T
-    if isinstance(rho, DensityMatrix) and not rho.is_normalized:
-        return DensityMatrix.positive_operator(out)
-    return DensityMatrix.from_matrix(out)
+    return _like_input(rho, u @ rmat @ u.conj().T)
 
 
 def _average_derivative(experiment: MixingExperiment, at_time: float) -> tuple[np.ndarray, np.ndarray]:

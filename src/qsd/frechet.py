@@ -28,17 +28,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError
+from .errors import DomainError
 from .divergences import AlphaLike, _as_alpha
 from .linalg import (
     HermitianOperator,
     OperatorLike,
-    _as_matrix,
+    _common_dim,
     _eigh,
     _psd_operands,
+    _require_pd,
     _support,
     _support_quad,
-    default_support_threshold,
 )
 
 # Largest number of complex entries in one stacked (n, d, d) node array
@@ -116,22 +116,14 @@ class DividedDifferenceTable:
 def _pd_eigh(mat: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of a positive-definite Hermitian matrix."""
     w, v = _eigh(mat)
-    dim = mat.shape[0]
-    if w[0] <= default_support_threshold(dim, float(w[-1])):
-        raise DomainError(
-            f"{what} is not positive-definite on the working space "
-            f"(min eigenvalue {w[0]:.3e})"
-        )
+    _require_pd(w, what)
     return w, v
 
 
 def frechet_log(a: OperatorLike, delta: OperatorLike) -> HermitianOperator:
     """Derivative of the operator logarithm at ``a`` in direction ``delta``."""
-    mat = _as_matrix(a)
+    mat, dmat = _common_dim(a, delta)
     w, v = _pd_eigh(mat, "base operator")
-    dmat = _as_matrix(delta)
-    if dmat.shape != mat.shape:
-        raise DimensionMismatchError("perturbation dimension mismatch")
     dtil = v.conj().T @ dmat @ v
     f1 = _log_dd1(w[:, None], w[None, :])
     return HermitianOperator(v @ (f1 * dtil) @ v.conj().T)
@@ -139,12 +131,8 @@ def frechet_log(a: OperatorLike, delta: OperatorLike) -> HermitianOperator:
 
 def metric_M(a: OperatorLike, b: OperatorLike, c: OperatorLike) -> complex:
     """Monotone metric ``trace B* T_A(C)`` for a positive-definite base ``A``."""
-    mat = _as_matrix(a)
+    mat, bmat, cmat = _common_dim(a, b, c)
     w, v = _pd_eigh(mat, "base operator")
-    bmat = _as_matrix(b)
-    cmat = _as_matrix(c)
-    if bmat.shape != mat.shape or cmat.shape != mat.shape:
-        raise DimensionMismatchError("metric arguments dimension mismatch")
     btil = v.conj().T @ bmat @ v
     ctil = v.conj().T @ cmat @ v
     f1 = _log_dd1(w[:, None], w[None, :])
@@ -156,12 +144,8 @@ def second_frechet_log(
 ) -> HermitianOperator:
     """Negative second derivative of the operator logarithm, bilinear in the
     two perturbations (``delta2`` defaults to ``delta1``)."""
-    mat = _as_matrix(a)
+    mat, d1, d2 = _common_dim(a, delta1, delta1 if delta2 is None else delta2)
     w, v = _pd_eigh(mat, "base operator")
-    d1 = _as_matrix(delta1)
-    d2 = d1 if delta2 is None else _as_matrix(delta2)
-    if d1.shape != mat.shape or d2.shape != mat.shape:
-        raise DimensionMismatchError("perturbation dimension mismatch")
     d1t = v.conj().T @ d1 @ v
     d2t = v.conj().T @ d2 @ v
     f2 = DividedDifferenceTable(w).second_dd
@@ -254,13 +238,9 @@ def _integral_pass(
 def _quadrature_log_derivative(
     a: OperatorLike, delta: OperatorLike, scheme: QuadratureScheme | None, second: bool
 ) -> HermitianOperator:
-    mat = _as_matrix(a)
-    dmat = _as_matrix(delta)
-    if dmat.shape != mat.shape:
-        raise DimensionMismatchError("perturbation dimension mismatch")
+    mat, dmat = _common_dim(a, delta)
     w = np.linalg.eigvalsh(mat)
-    if w[0] <= default_support_threshold(mat.shape[0], float(w[-1])):
-        raise DomainError("base operator is not positive-definite")
+    _require_pd(w, "base operator")
     wmin, wmax = float(w[0]), float(w[-1])
 
     if scheme is not None:
@@ -309,8 +289,7 @@ def frechet_log_central_diff(
     a: OperatorLike, delta: OperatorLike, h: float = 1e-5, order: int = 2
 ) -> HermitianOperator:
     """Finite-difference estimate of the log derivative (oracle route)."""
-    mat = _as_matrix(a)
-    dmat = _as_matrix(delta)
+    mat, dmat = _common_dim(a, delta)
     if order == 2:
         diff = _matrix_log(mat + h * dmat) - _matrix_log(mat - h * dmat)
         return HermitianOperator(diff / (2.0 * h))
@@ -329,8 +308,7 @@ def second_frechet_log_central_diff(
     a: OperatorLike, delta: OperatorLike, h: float = 1e-3, order: int = 4
 ) -> HermitianOperator:
     """Finite-difference estimate of the quadratic log derivative."""
-    mat = _as_matrix(a)
-    dmat = _as_matrix(delta)
+    mat, dmat = _common_dim(a, delta)
     if order == 2:
         diff = (
             _matrix_log(mat + h * dmat)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import FormatError
 from .ensembles import Ensemble
-from .linalg import DensityMatrix, HermitianOperator
+from .linalg import HermitianOperator
 
 STATE_FORMAT = "qsd-state-v1"
 ENSEMBLE_FORMAT = "qsd-ensemble-v1"
@@ -45,7 +45,7 @@ def _parts_to_matrix(payload: dict, what: str) -> np.ndarray:
 
 def state_to_dict(op) -> dict:
     """Serialize a Hermitian operator (or density matrix) to qsd-state-v1."""
-    mat = op.mat if isinstance(op, (HermitianOperator, DensityMatrix)) else np.asarray(op)
+    mat = op.mat if isinstance(op, HermitianOperator) else np.asarray(op)
     re, im = _matrix_parts(np.asarray(mat, dtype=np.complex128))
     return {"format": STATE_FORMAT, "dim": int(mat.shape[0]), "re": re, "im": im}
 
@@ -78,10 +78,7 @@ def ensemble_from_dict(payload: dict) -> Ensemble:
         state_payloads = list(payload["states"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed ensemble: {exc}") from exc
-    states = [
-        DensityMatrix.from_matrix(state_from_dict(sp).mat) for sp in state_payloads
-    ]
-    return Ensemble(weights, states)
+    return Ensemble(weights, [state_from_dict(sp) for sp in state_payloads])
 
 
 def channel_to_dict(kraus: Sequence[np.ndarray]) -> dict:

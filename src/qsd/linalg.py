@@ -43,34 +43,31 @@ def _frozen(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
+def _hermitian(entries) -> np.ndarray:
+    """``(M + M*)/2`` of a square matrix with finite entries, read-only."""
+    mat = np.asarray(entries, dtype=np.complex128)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise DomainError(f"expected a square matrix, got shape {mat.shape}")
+    if mat.shape[0] < 1:
+        raise DomainError("dimension must be at least 1")
+    # finite entries may overflow in (M + M*)/2; the check below rejects them
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = _symmetrized(mat)
+    if np.count_nonzero(np.isfinite(sym)) != sym.size:
+        raise DomainError("matrix has non-finite entries")
+    return _frozen(sym)
+
+
 class HermitianOperator:
     """Immutable dense complex Hermitian matrix.
 
-    The constructor symmetrizes its input; pass ``require_hermitian=True`` to
-    reject inputs whose anti-Hermitian part exceeds ``1e-9`` (relative to the
-    largest entry).
+    The constructor symmetrizes its input and rejects non-finite entries.
     """
 
     __slots__ = ("_mat",)
 
-    def __init__(self, entries, *, require_hermitian: bool = False):
-        mat = np.asarray(entries, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DomainError(f"expected a square matrix, got shape {mat.shape}")
-        if mat.shape[0] < 1:
-            raise DomainError("dimension must be at least 1")
-        if require_hermitian:
-            scale = max(1.0, float(np.abs(mat).max()))
-            defect = float(np.abs(mat - mat.conj().T).max())
-            if defect > 1e-9 * scale:
-                raise DomainError(
-                    f"matrix is not Hermitian (asymmetry {defect:.3e})"
-                )
-        sym = _symmetrized(mat)
-        # also catches finite entries that overflow in (M + M*)/2
-        if np.count_nonzero(np.isfinite(sym)) != sym.size:
-            raise DomainError("matrix has non-finite entries")
-        self._mat = _frozen(sym)
+    def __init__(self, entries):
+        self._mat = _hermitian(entries)
 
     @property
     def mat(self) -> np.ndarray:
@@ -99,75 +96,67 @@ class HermitianOperator:
         return f"HermitianOperator(dim={self.dim})"
 
 
-class DensityMatrix:
+class DensityMatrix(HermitianOperator):
     """Positive-semidefinite Hermitian operator, unit trace unless built
     through :meth:`positive_operator`.
 
     Construction clips eigenvalues in ``(-1e-10, 0)`` to zero and rejects
-    anything more negative.
+    anything more negative. A normalized input is already a state and is
+    kept as it is.
     """
 
-    __slots__ = ("_op", "_normalized")
+    __slots__ = ("_normalized",)
 
     def __init__(self, entries):
-        built = DensityMatrix.from_matrix(entries)
-        self._op = built._op
+        if isinstance(entries, DensityMatrix) and entries.is_normalized:
+            self._mat = entries.mat
+        else:
+            clipped = _clip_psd(entries)
+            tr = float(np.trace(clipped).real)
+            if not tr > 0.0:
+                raise DomainError("cannot normalize an operator with non-positive trace")
+            # dividing by a positive scalar keeps the matrix exactly Hermitian
+            self._mat = _frozen(clipped / tr)
         self._normalized = True
 
     @classmethod
     def from_matrix(cls, entries) -> "DensityMatrix":
         """Normalized state: clip tiny negative eigenvalues, rescale to unit trace."""
-        clipped = _clip_psd(entries)
-        tr = float(np.trace(clipped).real)
-        if tr <= 0.0:
-            raise DomainError("cannot normalize an operator with non-positive trace")
-        self = object.__new__(cls)
-        self._op = HermitianOperator(clipped / tr)
-        self._normalized = True
-        return self
+        return cls(entries)
 
     @classmethod
     def positive_operator(cls, entries) -> "DensityMatrix":
         """Positive operator: same PSD clipping, but the trace is left alone."""
         self = object.__new__(cls)
-        self._op = HermitianOperator(_clip_psd(entries))
+        self._mat = _frozen(_clip_psd(entries))
         self._normalized = False
         return self
 
     @property
-    def op(self) -> HermitianOperator:
-        return self._op
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self._op.mat
-
-    @property
-    def dim(self) -> int:
-        return self._op.dim
-
-    @property
     def is_normalized(self) -> bool:
         return self._normalized
-
-    def trace(self) -> float:
-        return self._op.trace()
 
     def __repr__(self) -> str:
         kind = "state" if self._normalized else "positive operator"
         return f"DensityMatrix(dim={self.dim}, {kind})"
 
 
-OperatorLike = Union[HermitianOperator, DensityMatrix, np.ndarray, Sequence]
+OperatorLike = Union[HermitianOperator, np.ndarray, Sequence]
 
 
 def _as_matrix(value: OperatorLike) -> np.ndarray:
     """Coerce to a Hermitian ndarray (symmetrizing raw arrays)."""
     if isinstance(value, HermitianOperator):
         return value.mat
-    if isinstance(value, DensityMatrix):
-        return value.mat
-    return HermitianOperator(value).mat
+    return _hermitian(value)
+
+
+def _like_input(rho: OperatorLike, out: np.ndarray) -> DensityMatrix:
+    """``out`` as a normalized state exactly when ``rho`` is one, otherwise
+    as a positive operator that keeps its trace."""
+    if isinstance(rho, DensityMatrix) and rho.is_normalized:
+        return DensityMatrix(out)
+    return DensityMatrix.positive_operator(out)
 
 
 def _require_psd(w: np.ndarray, what: str) -> None:
@@ -180,24 +169,32 @@ def _require_psd(w: np.ndarray, what: str) -> None:
         )
 
 
+def _require_pd(w: np.ndarray, what: str) -> None:
+    """Raise unless the smallest of the ascending eigenvalues ``w`` lies above
+    the support threshold ``dim * eps * max(lambda_max, 0)``."""
+    if w[0] <= default_support_threshold(w.shape[0], float(w[-1])):
+        raise DomainError(
+            f"{what} is not positive-definite on the working space "
+            f"(min eigenvalue {w[0]:.3e})"
+        )
+
+
 _ARGUMENTS = ("first argument", "second argument", "third argument")
 
 
 def _psd_operands(*values: OperatorLike) -> list[np.ndarray]:
     """Matrices of PSD operands that share one dimension, validated in order."""
-    mats = []
-    for what, value in zip(_ARGUMENTS, values):
-        mat = _as_matrix(value)
+    mats = _common_dim(*values)
+    for what, mat in zip(_ARGUMENTS, mats):
         _require_psd(np.linalg.eigvalsh(mat), what)
-        mats.append(mat)
-    return _common_dim(mats)
+    return mats
 
 
-def _common_dim(mats: list[np.ndarray]) -> list[np.ndarray]:
-    """``mats`` unchanged, after checking that they all have one shape."""
-    shape = mats[0].shape
-    for m in mats:
-        if m.shape != shape:
+def _common_dim(*values: OperatorLike) -> list[np.ndarray]:
+    """Matrices of the operands, after checking that they all have one shape."""
+    mats = [_as_matrix(value) for value in values]
+    for m in mats[1:]:
+        if m.shape != mats[0].shape:
             raise DimensionMismatchError("operands have different dimensions")
     return mats
 
@@ -209,7 +206,7 @@ def _clip_psd(entries) -> np.ndarray:
     _require_psd(w, "operator")
     if w[0] >= 0.0:
         return mat
-    return (v * np.maximum(w, 0.0)) @ v.conj().T
+    return _symmetrized((v * np.maximum(w, 0.0)) @ v.conj().T)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from qsd import (
 )
 from qsd import frechet as fr
 from qsd.divergences import _skewed_relative_entropy
+from qsd.linalg import default_support_threshold
 
 
 def rand_pd(rng, dim, floor=0.1):
@@ -434,7 +435,7 @@ def loop_dsd(amat, bmat, alpha):
     eigenvectors of the mixture, then sum the divided-difference form."""
     tau = alpha * amat + (1.0 - alpha) * bmat
     w, v = np.linalg.eigh(tau)
-    keep = w > fr.default_support_threshold(tau.shape[0], float(w[-1]))
+    keep = w > default_support_threshold(tau.shape[0], float(w[-1]))
     basis = v[:, keep]
     dtil = basis.conj().T @ (amat - bmat) @ basis
     f1 = fr._log_dd1(w[keep][:, None], w[keep][None, :])

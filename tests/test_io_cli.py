@@ -116,6 +116,15 @@ class TestCliCompute:
         value = float(capsys.readouterr().out)
         assert 0.0 <= value <= math.log(2) + 1e-9
 
+    def test_ensemble_member_without_unit_trace_exits_3(self, tmp_path, capsys):
+        member = state_to_dict(np.diag([1.5, 0.5]))
+        p = tmp_path / "ens.json"
+        p.write_text(json.dumps(
+            {"format": "qsd-ensemble-v1", "weights": [0.5, 0.5], "states": [member, member]}
+        ))
+        assert run_cli("compute", "--measure", "chi", str(p)) == 3
+        assert capsys.readouterr().out == ""
+
     def test_dsd_fidelity_chi2log(self, tmp_path, capsys, rng):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         a.write_text(json.dumps(state_to_dict(random_state(3, rng))))
@@ -151,8 +160,6 @@ class TestCliCompute:
         p.write_text(json.dumps(state_to_dict(random_state(2, rng))))
         assert run_cli("compute", "--measure", "sd", "--alpha", "1.5", str(p), str(p)) == 3
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize(
         "measure, extra", [("entropy", 0), ("re", 1), ("trace-dist", 1), ("sd", 1)]
     )
@@ -167,7 +174,10 @@ class TestCliCompute:
         write_diag(ok, [0.5, 0.5])
         args = ["compute", "--measure", measure, "--alpha", "0.5", str(bad)]
         assert run_cli(*args, *[str(ok)] * extra) == code
-        assert capsys.readouterr().out == ""
+        out, err = capsys.readouterr()
+        assert out == ""
+        # no numpy warning ahead of the one diagnostic line
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_file_exits_4(self, tmp_path):
         assert run_cli("compute", "--measure", "entropy", str(tmp_path / "nope.json")) == 4

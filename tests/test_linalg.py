@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qsd import (
     DensityMatrix,
@@ -10,11 +11,13 @@ from qsd import (
     random_cptp,
     random_hamiltonian,
     random_state,
+    random_unitary,
     restrict,
     spectral_fn,
     support_of,
     trace_norm,
 )
+from qsd.linalg import EPS, PSD_TOL
 
 
 class TestHermitianOperator:
@@ -27,15 +30,6 @@ class TestHermitianOperator:
         with pytest.raises(DomainError):
             HermitianOperator(np.zeros((2, 3)))
 
-    def test_rejects_asymmetric_when_required(self, rng):
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        with pytest.raises(DomainError):
-            HermitianOperator(g, require_hermitian=True)
-        h = (g + g.conj().T) / 2
-        HermitianOperator(h, require_hermitian=True)  # does not raise
-
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("entry", [np.nan, np.inf, 1e308])
     def test_rejects_non_finite_entries(self, entry):
         # 1e308 is finite but overflows in the symmetrization (M + M*)/2
@@ -215,6 +209,37 @@ class TestDensityMatrix:
         dm = DensityMatrix.positive_operator(np.diag([2.0, 1.0]))
         assert dm.trace() == pytest.approx(3.0)
         assert not dm.is_normalized
+
+    def test_is_a_hermitian_operator(self):
+        dm = DensityMatrix(np.diag([0.25, 0.75]))
+        assert isinstance(dm, HermitianOperator)
+
+    # Adversarial spectra: eigenvalues of order 1e-14, negatives inside
+    # (-PSD_TOL, 0) that construction clips, exact zeros (rank deficiency),
+    # plus one positive eigenvalue so the trace can be normalized.
+    @given(
+        head=st.floats(min_value=1e-14, max_value=1.0),
+        rest=st.lists(
+            st.one_of(
+                st.floats(min_value=1e-15, max_value=1e-13),
+                st.floats(min_value=-0.99 * PSD_TOL, max_value=0.0),
+                st.just(0.0),
+                st.floats(min_value=1e-3, max_value=1.0),
+            ),
+            max_size=5,
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_adversarial_spectra(self, head, rest, seed):
+        w = np.array([head, *rest])
+        u = random_unitary(w.size, np.random.default_rng(seed))
+        mat = (u * w) @ u.conj().T
+        dm = DensityMatrix(mat)
+        assert np.array_equal(dm.mat, dm.mat.conj().T)
+        assert abs(dm.trace() - 1.0) <= 4 * w.size * EPS
+        assert np.array_equal(DensityMatrix(dm).mat, dm.mat)
+        op = DensityMatrix.positive_operator(mat)
+        assert np.array_equal(op.mat, op.mat.conj().T)
 
 
 class TestRandomGeneration:
