@@ -59,16 +59,9 @@ class Ensemble:
         for wi, state in zip(w, states):
             if wi == 0.0:
                 continue
-            if isinstance(state, DensityMatrix):
-                dm = state
-            else:
-                mat = _as_matrix(state)
-                if abs(float(np.trace(mat).real) - 1.0) > 1e-10:
-                    raise DomainError("ensemble members must have unit trace")
-                dm = DensityMatrix.from_matrix(mat)
-            if abs(dm.trace() - 1.0) > 1e-10:
+            if abs(float(np.trace(_as_matrix(state)).real) - 1.0) > 1e-10:
                 raise DomainError("ensemble members must have unit trace")
-            members.append((float(wi), dm))
+            members.append((float(wi), DensityMatrix(state)))
         if not members:
             raise DomainError("all weights are zero")
         dims = {dm.dim for _, dm in members}

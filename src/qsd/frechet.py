@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -53,15 +52,26 @@ DD_CLOSE_RTOL = 1e-7
 def _log_dd1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """First divided difference of log on positive arguments (vectorized).
 
-    Close pairs use the midpoint derivative ``2/(x+y)``; at the switch point
-    the two branches agree to machine precision.
+    Distinct pairs use ``log1p(gap/lo)/gap`` with ``lo = min(x, y)`` and
+    ``gap = |x - y|``, accurate to a few ulps at every gap; close pairs use
+    the midpoint derivative ``2/(x+y)``. At the switch point the two
+    branches agree to machine precision. Works in place on two temporaries,
+    since the arguments may span the d^3 table of :func:`second_frechet_log`.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    close = np.abs(x - y) <= DD_CLOSE_RTOL * np.maximum(x, y)
-    denom = np.where(close, 1.0, x - y)
-    direct = (np.log(x) - np.log(y)) / denom
-    return np.where(close, 2.0 / (x + y), direct)
+    gap = np.subtract(x, y)
+    np.abs(gap, out=gap)
+    out = np.maximum(x, y)
+    out *= DD_CLOSE_RTOL
+    close = gap <= out
+    gap[close] = 1.0
+    np.minimum(x, y, out=out)
+    np.divide(gap, out, out=out)
+    np.log1p(out, out=out)
+    out /= gap
+    np.add(x, y, out=gap)
+    np.divide(2.0, gap, out=gap)
+    np.copyto(out, gap, where=close)
+    return out
 
 
 def _log_dd2(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -71,11 +81,6 @@ def _log_dd2(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     largest available gap; a fully confluent triple falls back to the limit
     ``-1/(2 m^2)`` at the midpoint.
     """
-    x, y, z = np.broadcast_arrays(
-        np.asarray(x, dtype=np.float64),
-        np.asarray(y, dtype=np.float64),
-        np.asarray(z, dtype=np.float64),
-    )
     lo = np.minimum(np.minimum(x, y), z)
     hi = np.maximum(np.maximum(x, y), z)
     mid = x + y + z - lo - hi
@@ -84,33 +89,6 @@ def _log_dd2(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     direct = (_log_dd1(lo, mid) - _log_dd1(mid, hi)) / denom
     m = (lo + mid + hi) / 3.0
     return np.where(confluent, -1.0 / (2.0 * m * m), direct)
-
-
-class DividedDifferenceTable:
-    """Divided differences of log over a fixed positive spectrum.
-
-    ``first_dd[i, j] = log^[1](w_i, w_j)`` and
-    ``second_dd[i, j, k] = log^[2](w_i, w_j, w_k)``; the rank-3 table is only
-    materialized on first access.
-    """
-
-    def __init__(self, eigenvalues: Sequence[float]):
-        w = np.asarray(eigenvalues, dtype=np.float64)
-        if w.ndim != 1 or w.size < 1:
-            raise DomainError("eigenvalues must form a nonempty vector")
-        if w.min() <= 0.0:
-            raise DomainError("divided differences of log need positive eigenvalues")
-        self.eigenvalues = w
-
-    @cached_property
-    def first_dd(self) -> np.ndarray:
-        w = self.eigenvalues
-        return _log_dd1(w[:, None], w[None, :])
-
-    @cached_property
-    def second_dd(self) -> np.ndarray:
-        w = self.eigenvalues
-        return _log_dd2(w[:, None, None], w[None, :, None], w[None, None, :])
 
 
 def _pd_eigh(mat: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -148,7 +126,7 @@ def second_frechet_log(
     w, v = _pd_eigh(mat, "base operator")
     d1t = v.conj().T @ d1 @ v
     d2t = v.conj().T @ d2 @ v
-    f2 = DividedDifferenceTable(w).second_dd
+    f2 = _log_dd2(w[:, None, None], w[None, :, None], w[None, None, :])
     core = np.einsum("ik,ikj,kj->ij", d1t, f2, d2t) + np.einsum(
         "ik,ikj,kj->ij", d2t, f2, d1t
     )
@@ -160,32 +138,38 @@ def second_frechet_log(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadratureScheme:
-    """Composite Gauss-Legendre rule in the variable ``u = s/(1+s)``.
-
-    ``panels`` is the minimum panel count; for spectra spanning several
-    decades the mesh is graded geometrically so each decade of the spectrum
-    gets resolved, which a uniform mesh cannot do for ill-conditioned
-    operators.
-    """
-
-    panels: int = 8
-    nodes_per_panel: int = 16
-
-    def __post_init__(self):
-        if self.panels < 1 or self.nodes_per_panel < 2:
-            raise DomainError("quadrature needs at least 1 panel of 2 nodes")
-        if self.panels * self.nodes_per_panel < 64:
-            raise DomainError("quadrature needs at least 64 nodes in total")
-
-
-_DEFAULT_SCHEME = QuadratureScheme()
+# Composite Gauss-Legendre rule: at least _PANELS panels of _NODES_PER_PANEL
+# nodes. The panels are graded geometrically over the spectral range, so each
+# decade of an ill-conditioned spectrum gets resolved, which a uniform mesh
+# cannot do. The adaptive routes double the grading density until the estimate
+# settles, with no pass above _MAX_QUAD_NODES nodes.
+_PANELS = 8
+_NODES_PER_PANEL = 16
 _MAX_QUAD_NODES = 4096
 
 
-def _composite_gl(edges: np.ndarray, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
-    x, wts = np.polynomial.legendre.leggauss(nodes_per_panel)
+def _refine(integral: Callable[[int], tuple], refine: bool = True):
+    """Value of ``integral(density)``, which returns ``(value, nodes)``.
+
+    Starting from density 1, the density doubles until two successive
+    values differ by at most ``1e-8 * max(1, |value|)`` or the next pass
+    would exceed ``_MAX_QUAD_NODES`` nodes; ``refine=False`` keeps the first
+    pass.
+    """
+    density = 1
+    estimate, nodes = integral(density)
+    while refine and 2 * nodes <= _MAX_QUAD_NODES:
+        density *= 2
+        refined, nodes = integral(density)
+        change = np.linalg.norm(refined - estimate)
+        estimate = refined
+        if change <= 1e-8 * max(1.0, float(np.linalg.norm(refined))):
+            break
+    return estimate
+
+
+def _composite_gl(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    x, wts = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
     half = np.diff(edges) / 2.0
     mid = (edges[:-1] + edges[1:]) / 2.0
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -193,12 +177,12 @@ def _composite_gl(edges: np.ndarray, nodes_per_panel: int) -> tuple[np.ndarray, 
     return nodes, weights
 
 
-def _graded_u_edges(wmin: float, wmax: float, min_panels: int, density: int = 1) -> np.ndarray:
+def _graded_u_edges(wmin: float, wmax: float, density: int) -> np.ndarray:
     """Panel edges in u-space, geometrically graded over the spectral range."""
     s_lo = wmin * 1e-3
     s_hi = wmax * 1e3
     decades = math.log10(s_hi / s_lo)
-    n_geo = max(min_panels - 2, int(math.ceil(decades * density)))
+    n_geo = max(_PANELS - 2, int(math.ceil(decades * density)))
     s_edges = np.geomspace(s_lo, s_hi, n_geo + 1)
     u_edges = s_edges / (1.0 + s_edges)
     return np.concatenate(([0.0], u_edges, [1.0]))
@@ -216,11 +200,11 @@ def _adjoint(stack: np.ndarray) -> np.ndarray:
 
 
 def _integral_pass(
-    mat: np.ndarray, dmat: np.ndarray, u_edges: np.ndarray, nodes_per_panel: int, second: bool
+    mat: np.ndarray, dmat: np.ndarray, u_edges: np.ndarray, second: bool
 ) -> np.ndarray:
     dim = mat.shape[0]
     eye = np.eye(dim)
-    u, wts = _composite_gl(u_edges, nodes_per_panel)
+    u, wts = _composite_gl(u_edges)
     s = u / (1.0 - u)
     coef = wts * (1.0 / (1.0 - u) ** 2)
     if second:
@@ -236,46 +220,29 @@ def _integral_pass(
 
 
 def _quadrature_log_derivative(
-    a: OperatorLike, delta: OperatorLike, scheme: QuadratureScheme | None, second: bool
+    a: OperatorLike, delta: OperatorLike, second: bool
 ) -> HermitianOperator:
     mat, dmat = _common_dim(a, delta)
     w = np.linalg.eigvalsh(mat)
     _require_pd(w, "base operator")
     wmin, wmax = float(w[0]), float(w[-1])
 
-    if scheme is not None:
-        edges = _graded_u_edges(wmin, wmax, scheme.panels)
-        return HermitianOperator(
-            _integral_pass(mat, dmat, edges, scheme.nodes_per_panel, second)
-        )
+    def integral(density: int) -> tuple[np.ndarray, int]:
+        edges = _graded_u_edges(wmin, wmax, density)
+        value = _integral_pass(mat, dmat, edges, second)
+        return value, (len(edges) - 1) * _NODES_PER_PANEL
 
-    nodes = _DEFAULT_SCHEME.nodes_per_panel
-    density = 1
-    edges = _graded_u_edges(wmin, wmax, _DEFAULT_SCHEME.panels, density)
-    estimate = _integral_pass(mat, dmat, edges, nodes, second)
-    while (len(edges) - 1) * nodes * 2 <= _MAX_QUAD_NODES:
-        density *= 2
-        edges = _graded_u_edges(wmin, wmax, _DEFAULT_SCHEME.panels, density)
-        refined = _integral_pass(mat, dmat, edges, nodes, second)
-        change = np.linalg.norm(refined - estimate)
-        estimate = refined
-        if change <= 1e-8 * max(1.0, float(np.linalg.norm(refined))):
-            break
-    return HermitianOperator(estimate)
+    return HermitianOperator(_refine(integral))
 
 
-def frechet_log_quadrature(
-    a: OperatorLike, delta: OperatorLike, scheme: QuadratureScheme | None = None
-) -> HermitianOperator:
+def frechet_log_quadrature(a: OperatorLike, delta: OperatorLike) -> HermitianOperator:
     """Quadrature evaluation of the log derivative (oracle route)."""
-    return _quadrature_log_derivative(a, delta, scheme, second=False)
+    return _quadrature_log_derivative(a, delta, second=False)
 
 
-def second_frechet_log_quadrature(
-    a: OperatorLike, delta: OperatorLike, scheme: QuadratureScheme | None = None
-) -> HermitianOperator:
+def second_frechet_log_quadrature(a: OperatorLike, delta: OperatorLike) -> HermitianOperator:
     """Quadrature evaluation of the quadratic log derivative (oracle route)."""
-    return _quadrature_log_derivative(a, delta, scheme, second=True)
+    return _quadrature_log_derivative(a, delta, second=True)
 
 
 def _matrix_log(mat: np.ndarray) -> np.ndarray:
@@ -285,47 +252,41 @@ def _matrix_log(mat: np.ndarray) -> np.ndarray:
     return (v * np.log(w)) @ v.conj().T
 
 
+# Central-difference stencils, keyed by (derivative, order): offsets k,
+# coefficients c and divisor q of sum_k c log(A + k h D) / (q h^derivative).
+_STENCILS = {
+    (1, 2): ((1, -1), (1.0, -1.0), 2.0),
+    (1, 4): ((2, 1, -1, -2), (-1.0, 8.0, -8.0, 1.0), 12.0),
+    (2, 2): ((1, 0, -1), (1.0, -2.0, 1.0), 1.0),
+    (2, 4): ((2, 1, 0, -1, -2), (-1.0, 16.0, -30.0, 16.0, -1.0), 12.0),
+}
+
+
+def _central_diff(
+    a: OperatorLike, delta: OperatorLike, h: float, order: int, derivative: int
+) -> np.ndarray:
+    """Central-difference estimate of a derivative of log at ``a`` along ``delta``."""
+    mat, dmat = _common_dim(a, delta)
+    if order not in (2, 4):
+        raise DomainError("order must be 2 or 4")
+    offsets, coefs, divisor = _STENCILS[derivative, order]
+    terms = [c * _matrix_log(mat + k * h * dmat if k else mat) for k, c in zip(offsets, coefs)]
+    diff = sum(terms[1:], terms[0])
+    return diff / (divisor * h * h if derivative == 2 else divisor * h)
+
+
 def frechet_log_central_diff(
     a: OperatorLike, delta: OperatorLike, h: float = 1e-5, order: int = 2
 ) -> HermitianOperator:
     """Finite-difference estimate of the log derivative (oracle route)."""
-    mat, dmat = _common_dim(a, delta)
-    if order == 2:
-        diff = _matrix_log(mat + h * dmat) - _matrix_log(mat - h * dmat)
-        return HermitianOperator(diff / (2.0 * h))
-    if order == 4:
-        diff = (
-            -_matrix_log(mat + 2 * h * dmat)
-            + 8.0 * _matrix_log(mat + h * dmat)
-            - 8.0 * _matrix_log(mat - h * dmat)
-            + _matrix_log(mat - 2 * h * dmat)
-        )
-        return HermitianOperator(diff / (12.0 * h))
-    raise DomainError("order must be 2 or 4")
+    return HermitianOperator(_central_diff(a, delta, h, order, derivative=1))
 
 
 def second_frechet_log_central_diff(
     a: OperatorLike, delta: OperatorLike, h: float = 1e-3, order: int = 4
 ) -> HermitianOperator:
     """Finite-difference estimate of the quadratic log derivative."""
-    mat, dmat = _common_dim(a, delta)
-    if order == 2:
-        diff = (
-            _matrix_log(mat + h * dmat)
-            - 2.0 * _matrix_log(mat)
-            + _matrix_log(mat - h * dmat)
-        )
-        return HermitianOperator(-diff / (h * h))
-    if order == 4:
-        diff = (
-            -_matrix_log(mat + 2 * h * dmat)
-            + 16.0 * _matrix_log(mat + h * dmat)
-            - 30.0 * _matrix_log(mat)
-            + 16.0 * _matrix_log(mat - h * dmat)
-            - _matrix_log(mat - 2 * h * dmat)
-        )
-        return HermitianOperator(-diff / (12.0 * h * h))
-    raise DomainError("order must be 2 or 4")
+    return HermitianOperator(-_central_diff(a, delta, h, order, derivative=2))
 
 
 # ---------------------------------------------------------------------------
@@ -428,45 +389,30 @@ def chi2_log(a: OperatorLike, b: OperatorLike) -> float:
 
 
 def sd_by_averaging(
-    a: OperatorLike,
-    b: OperatorLike,
-    alpha: AlphaLike,
-    quad: QuadratureScheme | None = None,
+    a: OperatorLike, b: OperatorLike, alpha: AlphaLike, refine: bool = True
 ) -> float:
     """Skew divergence reconstructed by averaging the differential version
     over ``-log(alpha')`` from 0 to ``-log(alpha)``.
 
     Must agree with :func:`qsd.divergences.skew_divergence`; serves as the
-    integral-representation cross-check of the closed form.
+    integral-representation cross-check of the closed form. ``refine=False``
+    keeps the first quadrature pass instead of refining it.
     """
     alpha = _as_alpha(alpha)
     ar, br = _restrict_pair(*_psd_operands(a, b))
     b_total = -math.log(alpha)
 
-    def integral(panels: int, nodes: int, density: int) -> float:
+    def integral(density: int) -> tuple[float, int]:
         # The integrand develops a boundary layer at u -> 0 (alpha' -> 1) on
         # the scale of the smallest eigenvalue of A, so the mesh is graded
         # geometrically toward that endpoint instead of kept uniform.
-        n_geo = max(panels - 1, int(math.ceil(9 * density)))
+        n_geo = max(_PANELS - 1, int(math.ceil(9 * density)))
         geo = b_total * np.geomspace(1e-9, 1.0, n_geo + 1)
         edges = np.concatenate(([0.0], geo))
-        u, wts = _composite_gl(edges, nodes)
-        return float(np.dot(wts, _dsd_kernel(ar, br, np.exp(-u))))
+        u, wts = _composite_gl(edges)
+        return float(np.dot(wts, _dsd_kernel(ar, br, np.exp(-u)))), u.size
 
-    if quad is not None:
-        return integral(quad.panels, quad.nodes_per_panel, 1) / b_total
-
-    panels, nodes = _DEFAULT_SCHEME.panels, _DEFAULT_SCHEME.nodes_per_panel
-    density = 1
-    estimate = integral(panels, nodes, density)
-    while (max(panels - 1, 9 * density) + 1) * nodes * 2 <= _MAX_QUAD_NODES:
-        density *= 2
-        refined = integral(panels, nodes, density)
-        change = abs(refined - estimate)
-        estimate = refined
-        if change <= 1e-8 * max(1.0, abs(refined)):
-            break
-    return estimate / b_total
+    return _refine(integral, refine) / b_total
 
 
 @dataclass(frozen=True)
@@ -480,23 +426,19 @@ class MetricLimitRecord:
     monotone: bool
 
 
+# Decreasing eps sequence along which M_{B+eps C}(A, A) approaches its limit.
+_METRIC_EPSILONS = tuple(10.0 ** -k for k in range(1, 9))
+
+
 def metric_epsilon_limit_check(
-    a: OperatorLike,
-    b: OperatorLike,
-    c: OperatorLike,
-    eps_sequence: Sequence[float] = tuple(10.0 ** -k for k in range(1, 9)),
+    a: OperatorLike, b: OperatorLike, c: OperatorLike
 ) -> MetricLimitRecord:
-    """Evaluate ``M_{B+eps C}(A, A)`` along ``eps_sequence`` and compare with
-    the support-restricted limit ``M_{B|B}(A|B, A|B)``.
+    """Evaluate ``M_{B+eps C}(A, A)`` for eps = 1e-1, ..., 1e-8 and compare
+    with the support-restricted limit ``M_{B|B}(A|B, A|B)``.
 
     Requires ``supp A`` inside ``supp B`` and ``B + C`` positive-definite.
     """
     amat, bmat, cmat = _psd_operands(a, b, c)
-    eps = [float(e) for e in eps_sequence]
-    if len(eps) < 1 or any(e <= 0 for e in eps) or any(
-        e2 >= e1 for e1, e2 in zip(eps, eps[1:])
-    ):
-        raise DomainError("eps_sequence must be positive and strictly decreasing")
 
     _, vb, keep = _support(bmat)
     _, leak = _support_quad(amat, vb, keep)
@@ -504,7 +446,7 @@ def metric_epsilon_limit_check(
         raise DomainError("support of A is not contained in the support of B")
 
     values = []
-    for e in eps:
+    for e in _METRIC_EPSILONS:
         w, v = _pd_eigh(bmat + e * cmat, "metric base")
         values.append(_metric_on_eigenbasis(w, v, amat))
 
@@ -520,7 +462,7 @@ def metric_epsilon_limit_check(
     scale = max(1.0, max(abs(v) for v in values))
     monotone = bool(np.all(diffs >= -1e-10 * scale))
     return MetricLimitRecord(
-        epsilons=tuple(eps),
+        epsilons=_METRIC_EPSILONS,
         values=tuple(values),
         limit=limit,
         final_gap=limit - values[-1],

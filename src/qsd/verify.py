@@ -440,7 +440,7 @@ def _chk_averaging_match(rng, dim) -> Outcome:
     rho, sig = _rand_state(rng, dim), _rand_state(rng, dim)
     alpha = _rand_alpha(rng, 0.05, 0.95)
     direct = dv.skew_divergence(rho, sig, alpha)
-    averaged = fr.sd_by_averaging(rho, sig, alpha, quad=fr.QuadratureScheme(8, 16))
+    averaged = fr.sd_by_averaging(rho, sig, alpha, refine=False)
     slack = -abs(direct - averaged)
     return slack, _inputs(rho.mat, sig.mat, alpha=alpha)
 
@@ -573,14 +573,13 @@ def _chk_dsd_difference_bounds(rng, dim) -> Outcome:
     return slack, _inputs(a, b, c, alpha=alpha)
 
 
-def _triangle_rhs_sd(alpha: float, t: float) -> float:
+def _triangle_rhs(f, alpha: float, t: float, swap: bool = False) -> float:
+    """``f(1, 0) - f(1, t) + f(0, t)`` at skew ``alpha``, with the two scalar
+    arguments of ``f`` swapped when ``swap``; 0 at ``t = 0``."""
     if t == 0.0:
         return 0.0
-    return (
-        dv.scalar_skew_divergence(1.0, 0.0, alpha)
-        - dv.scalar_skew_divergence(1.0, t, alpha)
-        + dv.scalar_skew_divergence(0.0, t, alpha)
-    )
+    g = (lambda x, y: f(y, x, alpha)) if swap else (lambda x, y: f(x, y, alpha))
+    return g(1.0, 0.0) - g(1.0, t) + g(0.0, t)
 
 
 def _chk_triangle_family(rng, dim) -> Outcome:
@@ -601,30 +600,12 @@ def _chk_triangle_family(rng, dim) -> Outcome:
         fr.differential_skew_divergence(s1.mat, rho.mat, alpha)
         - fr.differential_skew_divergence(s2.mat, rho.mat, alpha)
     )
-    rhs_sd1 = _triangle_rhs_sd(alpha, t)
-    rhs_sd2 = (
-        dv.scalar_skew_divergence(0.0, 1.0, alpha)
-        - dv.scalar_skew_divergence(t, 1.0, alpha)
-        + dv.scalar_skew_divergence(t, 0.0, alpha)
-        if t > 0.0
-        else 0.0
-    )
-    rhs_d1 = (
-        fr.scalar_differential_sd(1.0, 0.0, alpha)
-        - fr.scalar_differential_sd(1.0, t, alpha)
-        + fr.scalar_differential_sd(0.0, t, alpha)
-        if t > 0.0
-        else 0.0
-    )
-    rhs_d2 = (
-        fr.scalar_differential_sd(0.0, 1.0, alpha)
-        - fr.scalar_differential_sd(t, 1.0, alpha)
-        + fr.scalar_differential_sd(t, 0.0, alpha)
-        if t > 0.0
-        else 0.0
-    )
+    sd, dsd = dv.scalar_skew_divergence, fr.scalar_differential_sd
     slack = min(
-        rhs_sd1 - lhs_sd1, rhs_sd2 - lhs_sd2, rhs_d1 - lhs_d1, rhs_d2 - lhs_d2
+        _triangle_rhs(sd, alpha, t) - lhs_sd1,
+        _triangle_rhs(sd, alpha, t, swap=True) - lhs_sd2,
+        _triangle_rhs(dsd, alpha, t) - lhs_d1,
+        _triangle_rhs(dsd, alpha, t, swap=True) - lhs_d2,
     )
     return slack, _inputs(rho.mat, s1.mat, s2.mat, alpha=alpha)
 
@@ -642,14 +623,14 @@ def _chk_triangle_equality(rng, dim) -> Outcome:
     lhs = abs(
         dv.skew_divergence(rho, s1, alpha) - dv.skew_divergence(rho, s2, alpha)
     )
-    slack = -abs(lhs - _triangle_rhs_sd(alpha, t))
+    slack = -abs(lhs - _triangle_rhs(dv.scalar_skew_divergence, alpha, t))
     return slack, _inputs(rho, s1, alpha=alpha, t=t)
 
 
 def _chk_triangle_rhs_shape(rng, dim) -> Outcome:
     alpha = _rand_alpha(rng)
     grid = np.arange(0.01, 0.995, 0.01)
-    g = np.array([_triangle_rhs_sd(alpha, float(t)) for t in grid])
+    g = np.array([_triangle_rhs(dv.scalar_skew_divergence, alpha, float(t)) for t in grid])
     monotone = float(np.diff(g).min())
     concave = float((g[1:-1] - (g[:-2] + g[2:]) / 2.0).min())
     slack = min(monotone, concave)

@@ -68,6 +68,13 @@ class TestEnsemble:
         with pytest.raises(DomainError):
             Ensemble((1.0,), [heavy])
 
+    def test_unit_trace_positive_operator_becomes_a_state(self, rng):
+        op = DensityMatrix.positive_operator(np.diag([0.5, 0.5]))
+        (member,) = Ensemble((1.0,), [op]).states
+        assert member.is_normalized
+        assert np.array_equal(member.mat, op.mat)
+        assert evolve(member, random_hamiltonian(2, rng), 0.3).is_normalized
+
 
 class TestAverageAndComplementary:
     def test_single_state(self, rng):

@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qsd import (
-    DividedDifferenceTable,
     DomainError,
-    QuadratureScheme,
     chi2_log,
     differential_skew_divergence,
     frechet_log,
@@ -48,17 +46,16 @@ def rand_herm(rng, dim):
 class TestDividedDifferenceTable:
     def test_first_dd(self, rng):
         w = np.sort(rng.uniform(0.1, 3.0, 5))
-        table = DividedDifferenceTable(w)
-        assert np.allclose(np.diag(table.first_dd), 1.0 / w)
-        assert np.allclose(table.first_dd, table.first_dd.T)
+        first = fr._log_dd1(w[:, None], w[None, :])
+        assert np.allclose(np.diag(first), 1.0 / w)
+        assert np.allclose(first, first.T)
         assert np.allclose(
-            table.first_dd[0, 1], (math.log(w[0]) - math.log(w[1])) / (w[0] - w[1])
+            first[0, 1], (math.log(w[0]) - math.log(w[1])) / (w[0] - w[1])
         )
 
     def test_second_dd_symmetry_and_diagonal(self, rng):
         w = rng.uniform(0.1, 2.0, 4)
-        table = DividedDifferenceTable(w)
-        t = table.second_dd
+        t = fr._log_dd2(w[:, None, None], w[None, :, None], w[None, None, :])
         for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
             assert np.allclose(t, np.transpose(t, perm))
         for i, wi in enumerate(w):
@@ -71,12 +68,8 @@ class TestDividedDifferenceTable:
         for gap in (1e-6, 1e-7, 1e-8):
             y = x * (1 + gap)
             accurate = math.log1p((y - x) / x) / (y - x)
-            table = DividedDifferenceTable([x, y])
-            assert table.first_dd[0, 1] == pytest.approx(accurate, rel=1e-9)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            DividedDifferenceTable([1.0, 0.0])
+            first = fr._log_dd1(np.array([x]), np.array([y]))
+            assert first[0] == pytest.approx(accurate, rel=1e-9)
 
 
 class TestFrechetLog:
@@ -185,10 +178,6 @@ class TestSecondFrechetLog:
 
 
 class TestQuadratureOracles:
-    def test_scheme_validation(self):
-        with pytest.raises(DomainError):
-            QuadratureScheme(panels=2, nodes_per_panel=16)  # fewer than 64 nodes
-
     def test_weights_positive(self):
         x, w = np.polynomial.legendre.leggauss(16)
         assert w.min() > 0.0
@@ -222,6 +211,32 @@ class TestQuadratureOracles:
         dd = frechet_log(a, d).mat
         fd = frechet_log_central_diff(a, d, h=1e-5, order=2).mat
         assert np.linalg.norm(fd - dd) <= 1e-6 * max(1.0, np.linalg.norm(dd))
+
+
+class TestStraddlingSpectra:
+    """Spectra with a pair just around the confluent switch ``DD_CLOSE_RTOL``:
+    the divided-difference routes must keep full accuracy on both sides of it.
+    """
+
+    @given(
+        base=st.floats(min_value=1e-3, max_value=10.0),
+        factor=st.floats(min_value=0.5, max_value=20.0),
+        third=st.floats(min_value=1e-3, max_value=10.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_derivatives_match_quadrature(self, base, factor, third, seed):
+        rng = np.random.default_rng(seed)
+        lam = np.array([base, base * (1.0 + factor * fr.DD_CLOSE_RTOL), third])
+        u = random_unitary(3, rng)
+        a = (u * lam) @ u.conj().T
+        d = rand_herm(rng, 3)
+        for closed, oracle in (
+            (frechet_log, frechet_log_quadrature),
+            (second_frechet_log, second_frechet_log_quadrature),
+        ):
+            ref = oracle(a, d).mat
+            err = np.linalg.norm(closed(a, d).mat - ref)
+            assert err <= 1e-7 * np.linalg.norm(ref)
 
 
 class TestDifferentialSkewDivergence:
@@ -367,9 +382,9 @@ class TestAveraging:
         sig = np.outer(u[:, 1], u[:, 1].conj())
         assert sd_by_averaging(rho, sig, 0.3) == pytest.approx(1.0, abs=1e-6)
 
-    def test_explicit_scheme(self, rng):
+    def test_single_pass(self, rng):
         rho, sig = random_state(3, rng), random_state(3, rng)
-        v = sd_by_averaging(rho, sig, 0.4, quad=QuadratureScheme(8, 16))
+        v = sd_by_averaging(rho, sig, 0.4, refine=False)
         assert v == pytest.approx(skew_divergence(rho, sig, 0.4), abs=1e-6)
 
 
@@ -404,22 +419,16 @@ class TestMetricEpsilonLimit:
         with pytest.raises(DomainError):
             metric_epsilon_limit_check(a, b, c)
 
-    def test_rejects_nondecreasing_sequence(self, rng):
-        a = rand_psd(rng, 2)
-        b = rand_pd(rng, 2)
-        with pytest.raises(DomainError):
-            metric_epsilon_limit_check(a, b, b, eps_sequence=[1e-3, 1e-2])
-
 
 # ---------------------------------------------------------------------------
 # Batched oracle kernels against plain per-node loops
 # ---------------------------------------------------------------------------
 
 
-def loop_integral_pass(mat, dmat, u_edges, nodes_per_panel, second):
+def loop_integral_pass(mat, dmat, u_edges, second):
     """Reference for ``_integral_pass``: one pair of solves per node."""
     eye = np.eye(mat.shape[0])
-    u, wts = fr._composite_gl(u_edges, nodes_per_panel)
+    u, wts = fr._composite_gl(u_edges)
     total = np.zeros_like(mat)
     for ui, wi in zip(u, wts):
         shifted = mat + (ui / (1.0 - ui)) * eye
@@ -476,14 +485,16 @@ QUADRATURE_ORACLES = (frechet_log_quadrature, second_frechet_log_quadrature)
 
 class TestBatchedOracles:
     @pytest.mark.parametrize("dim", [1, 2, 3, 6, 64])
-    @pytest.mark.parametrize("scheme", [None, QuadratureScheme(8, 16)])
+    @pytest.mark.parametrize("refine", [True, False])
     @pytest.mark.parametrize("oracle", QUADRATURE_ORACLES)
-    def test_quadrature_matches_node_loop(self, rng, monkeypatch, dim, scheme, oracle):
+    def test_quadrature_matches_node_loop(self, rng, monkeypatch, dim, refine, oracle):
+        if not refine:
+            monkeypatch.setattr(fr, "_MAX_QUAD_NODES", 0)  # first pass only
         a = conditioned_pd(rng, dim, 1e3)
         d = rand_herm(rng, dim)
-        batched = oracle(a, d, scheme).mat
+        batched = oracle(a, d).mat
         monkeypatch.setattr(fr, "_integral_pass", loop_integral_pass)
-        assert_rel_close(batched, oracle(a, d, scheme).mat)
+        assert_rel_close(batched, oracle(a, d).mat)
 
     @pytest.mark.parametrize("oracle", QUADRATURE_ORACLES)
     def test_partial_last_block(self, rng, monkeypatch, oracle):
@@ -512,13 +523,13 @@ class TestBatchedOracles:
         alpha = 0.35
         batched = [
             sd_by_averaging(a, b, alpha),
-            sd_by_averaging(a, b, alpha, quad=QuadratureScheme(8, 16)),
+            sd_by_averaging(a, b, alpha, refine=False),
             differential_skew_divergence(a, b, alpha),
         ]
         monkeypatch.setattr(fr, "_dsd_kernel", loop_dsd_kernel)
         reference = [
             sd_by_averaging(a, b, alpha),
-            sd_by_averaging(a, b, alpha, quad=QuadratureScheme(8, 16)),
+            sd_by_averaging(a, b, alpha, refine=False),
             differential_skew_divergence(a, b, alpha),
         ]
         for value, ref in zip(batched, reference):
@@ -527,9 +538,49 @@ class TestBatchedOracles:
     def test_averaging_partial_last_block(self, rng, monkeypatch):
         monkeypatch.setattr(fr, "_NODE_BLOCK_ELEMS", 7 * 16)  # 7 mixtures per block at d=4
         a, b = support_pair(rng, 4, "nested")
-        batched = sd_by_averaging(a, b, 0.6, quad=QuadratureScheme(8, 16))
+        batched = sd_by_averaging(a, b, 0.6, refine=False)
         monkeypatch.setattr(fr, "_dsd_kernel", loop_dsd_kernel)
-        assert_rel_close(batched, sd_by_averaging(a, b, 0.6, quad=QuadratureScheme(8, 16)))
+        assert_rel_close(batched, sd_by_averaging(a, b, 0.6, refine=False))
+
+
+class TestRefinement:
+    """``_refine`` doubles the mesh density of both oracle families."""
+
+    def test_no_pass_exceeds_node_cap(self, rng, monkeypatch):
+        # integrals that never settle, so only the node cap stops refinement
+        nodes = []
+
+        def quad_pass(mat, dmat, u_edges, second):
+            nodes.append((len(u_edges) - 1) * fr._NODES_PER_PANEL)
+            return np.full_like(mat, len(nodes))
+
+        def dsd_kernel(amat, bmat, alphas):
+            nodes.append(alphas.size)
+            return np.full(alphas.size, float(len(nodes)))
+
+        monkeypatch.setattr(fr, "_integral_pass", quad_pass)
+        monkeypatch.setattr(fr, "_dsd_kernel", dsd_kernel)
+        a, d = conditioned_pd(rng, 3, 1e3), rand_herm(rng, 3)
+        rho, sig = random_state(3, rng), random_state(3, rng)
+        for run in (
+            lambda: frechet_log_quadrature(a, d),
+            lambda: second_frechet_log_quadrature(a, d),
+            lambda: sd_by_averaging(rho, sig, 0.4),
+        ):
+            nodes.clear()
+            run()
+            assert len(nodes) >= 2
+            assert max(nodes) <= fr._MAX_QUAD_NODES < 2 * nodes[-1]
+
+    def test_single_pass_is_first_pass(self, rng, monkeypatch):
+        rho, sig = random_state(4, rng), random_state(4, rng)
+        passes = counting(monkeypatch, fr, "_composite_gl")
+        refined = sd_by_averaging(rho, sig, 0.3)
+        assert len(passes) >= 2
+        single = sd_by_averaging(rho, sig, 0.3, refine=False)
+        monkeypatch.setattr(fr, "_MAX_QUAD_NODES", 0)  # the default route stops at once
+        assert single == sd_by_averaging(rho, sig, 0.3)
+        assert single != refined
 
 
 def counting(monkeypatch, owner, name):
@@ -566,13 +617,13 @@ class TestOracleKernelCalls:
         solves = counting(monkeypatch, np.linalg, "solve")
         frechet_log_quadrature(a, d)
         block = fr._NODE_BLOCK_ELEMS // 16
-        max_nodes = max(len(edges) - 1 for edges, _ in passes) * 16
+        max_nodes = max(len(edges) - 1 for (edges,) in passes) * 16
         assert len(passes) >= 2  # the adaptive default refines at least once
         assert len(solves) <= 2 * len(passes) * math.ceil(max_nodes / block)
 
     def test_averaging_eigh_calls(self, rng, monkeypatch):
         rho, sig = random_state(4, rng), random_state(4, rng)
         eighs = counting(monkeypatch, np.linalg, "eigh")
-        sd_by_averaging(rho, sig, 0.4, quad=QuadratureScheme(8, 16))
+        sd_by_averaging(rho, sig, 0.4, refine=False)
         # one for the support of A+B, one for the stack of all 160 mixtures
         assert len(eighs) == 2
