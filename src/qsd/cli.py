@@ -166,26 +166,23 @@ def _cmd_random(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.trials < 1:
-        raise UsageError("--trials must be at least 1")
-    if not (math.isfinite(args.tol) and args.tol > 0.0):
-        raise UsageError(f"--tol must be finite and greater than 0, got {args.tol!r}")
     try:
         dims = tuple(int(part) for part in args.dims.split(",") if part.strip())
     except ValueError as exc:
         raise UsageError(f"--dims must be comma-separated integers: {exc}") from exc
-    if not dims or any(d < 1 for d in dims):
-        raise UsageError("--dims must contain positive integers")
     seed = _resolve_seed(args.seed)
     progress = None if args.quiet else lambda line: print(line, file=sys.stderr)
-    report = run_suite(
-        suite=args.suite,
-        dims=dims,
-        trials=args.trials,
-        seed=seed,
-        tol=args.tol,
-        progress=progress,
-    )
+    try:  # run_suite owns the trials, tol and dims rules
+        report = run_suite(
+            suite=args.suite,
+            dims=dims,
+            trials=args.trials,
+            seed=seed,
+            tol=args.tol,
+            progress=progress,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     qio.dump_json(report.to_dict(), args.out)
     return 0 if report.total_violations == 0 else 1
 

@@ -124,12 +124,16 @@ def second_frechet_log(
     two perturbations (``delta2`` defaults to ``delta1``)."""
     mat, d1, d2 = _common_dim(a, delta1, delta1 if delta2 is None else delta2)
     w, v = _pd_eigh(mat, "base operator")
-    d1t = v.conj().T @ d1 @ v
-    d2t = v.conj().T @ d2 @ v
     f2 = _log_dd2(w[:, None, None], w[None, :, None], w[None, None, :])
-    core = np.einsum("ik,ikj,kj->ij", d1t, f2, d2t) + np.einsum(
-        "ik,ikj,kj->ij", d2t, f2, d1t
-    )
+    d1t = v.conj().T @ d1 @ v
+    if delta2 is None:  # the two terms are equal; x + x is exactly 2x
+        half = np.einsum("ik,ikj,kj->ij", d1t, f2, d1t)
+        core = half + half
+    else:
+        d2t = v.conj().T @ d2 @ v
+        core = np.einsum("ik,ikj,kj->ij", d1t, f2, d2t) + np.einsum(
+            "ik,ikj,kj->ij", d2t, f2, d1t
+        )
     return HermitianOperator(-(v @ core @ v.conj().T))
 
 

@@ -135,7 +135,3 @@ def read_state(path: str) -> HermitianOperator:
 
 def read_ensemble(path: str) -> Ensemble:
     return ensemble_from_dict(load_json(path))
-
-
-def read_channel(path: str) -> list[np.ndarray]:
-    return channel_from_dict(load_json(path))

@@ -1,13 +1,14 @@
 """Property-verification harness.
 
-Every invariant of the library is registered here as a named check. A check
-is a function ``(rng, dim) -> (slack, inputs)`` that runs one randomized
-trial. The slack is ``bound - value`` for an inequality (negative means
-violated) and ``-|residual|`` for an identity; ``inputs`` refers to the
-trial's matrices and scalars. A trial passes when the slack is at least
-``-tolerance``. Checks pin the tolerance their property is stated at; the
-runner scales all of them proportionally when the caller overrides the
-default ``1e-8``.
+Every invariant of the library is registered here as a named check, by the
+``_check`` decorator on its function; the id's prefix names the suite, and
+definition order is report order. A check is a function
+``(rng, dim) -> (slack, inputs)`` that runs one randomized trial. The slack
+is ``bound - value`` for an inequality (negative means violated) and
+``-|residual|`` for an identity; ``inputs`` refers to the trial's matrices
+and scalars. A trial passes when the slack is at least ``-tolerance``.
+Checks pin the tolerance their property is stated at; the runner scales all
+of them proportionally when the caller overrides the default ``1e-8``.
 
 The runner alone judges trials. A non-finite slack, or a check that raises,
 counts as a violation. Of each check it keeps the worst trial and writes that
@@ -35,8 +36,6 @@ from . import linalg as la
 from .io import state_to_dict
 
 DEFAULT_TOL = 1e-8
-
-SUITES = ("core", "div", "frechet", "ensemble", "sim")
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +125,54 @@ def _states_payload(inputs: Inputs) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Check implementations: return (slack, inputs)
+# Registry
 # ---------------------------------------------------------------------------
 
 Outcome = tuple[float, Inputs]
 
 
+@dataclass(frozen=True)
+class CheckDef:
+    check_id: str
+    label: str
+    suite: str
+    tol: float
+    run: Callable[[np.random.Generator, int], Outcome]
+
+
+# The suite each check-id prefix names.
+_SUITE_OF_PREFIX = {"core": "core", "div": "div", "fre": "frechet", "ens": "ensemble", "sim": "sim"}
+SUITES = tuple(_SUITE_OF_PREFIX.values())
+
+_REGISTERED: list[CheckDef] = []
+
+
+def _check(check_id: str, tol: float, label: str):
+    """Register the decorated function as a check in the suite its id prefix
+    names; an unknown prefix raises ``ValueError``."""
+    prefix = check_id.split(".", 1)[0]
+    if prefix not in _SUITE_OF_PREFIX:
+        raise ValueError(
+            f"check {check_id!r}: unknown prefix {prefix!r}; choose from {tuple(_SUITE_OF_PREFIX)}"
+        )
+
+    def register(run):
+        _REGISTERED.append(CheckDef(check_id, label, _SUITE_OF_PREFIX[prefix], tol, run))
+        return run
+
+    return register
+
+
+# ---------------------------------------------------------------------------
+# Check implementations: return (slack, inputs)
+# ---------------------------------------------------------------------------
+
+
+@_check(
+    "core.eigh_reconstruction",
+    0.0,
+    "eigendecomposition reconstructs A within 1e-12 max(1, ||A||_F), unitary basis, ascending eigenvalues",
+)
 def _chk_eigh_reconstruction(rng, dim) -> Outcome:
     a = _rand_herm(rng, dim, scale=float(rng.uniform(0.1, 3.0)))
     dec = la.eigendecompose(a)
@@ -149,6 +190,11 @@ def _chk_eigh_reconstruction(rng, dim) -> Outcome:
     return slack, _inputs(a)
 
 
+@_check(
+    "core.spectral_fn_identity",
+    0.0,
+    "spectral calculus with the identity function returns the input within 1e-12",
+)
 def _chk_spectral_fn_identity(rng, dim) -> Outcome:
     a = _rand_herm(rng, dim)
     out = la.spectral_fn(a, lambda w: w).mat
@@ -157,6 +203,11 @@ def _chk_spectral_fn_identity(rng, dim) -> Outcome:
     return slack, _inputs(a)
 
 
+@_check(
+    "core.trace_norm_axioms",
+    1e-10,
+    "trace norm satisfies the triangle inequality and absolute homogeneity",
+)
 def _chk_trace_norm_axioms(rng, dim) -> Outcome:
     x = _rand_herm(rng, dim)
     y = _rand_herm(rng, dim)
@@ -167,6 +218,11 @@ def _chk_trace_norm_axioms(rng, dim) -> Outcome:
     return slack, _inputs(x, y, c=c)
 
 
+@_check(
+    "core.random_state_invariants",
+    0.0,
+    "random states are PSD with unit trace and deterministic per seed",
+)
 def _chk_random_state_invariants(rng, dim) -> Outcome:
     seed = int(rng.integers(0, 2**63 - 1))
     s1 = la.random_state(dim, np.random.default_rng(seed))
@@ -181,6 +237,11 @@ def _chk_random_state_invariants(rng, dim) -> Outcome:
     return slack, _inputs(s1.mat, seed=seed)
 
 
+@_check(
+    "core.random_cptp_contract",
+    0.0,
+    "random Kraus sets are complete and map states to states (trace, PSD within 1e-10)",
+)
 def _chk_random_cptp_contract(rng, dim) -> Outcome:
     env = int(rng.integers(1, 4))
     kraus = la.random_cptp(dim, env, rng)
@@ -197,6 +258,7 @@ def _chk_random_cptp_contract(rng, dim) -> Outcome:
 _RANGE_ALPHAS = (0.01, 0.1, 0.5, 0.9, 0.99)
 
 
+@_check("div.sd_range", 1e-9, "skew divergence of states lies in [0, 1]")
 def _chk_sd_range(rng, dim) -> Outcome:
     rho, sig = _rand_state(rng, dim), _rand_state(rng, dim)
     alpha = _RANGE_ALPHAS[int(rng.integers(0, len(_RANGE_ALPHAS)))]
@@ -205,6 +267,11 @@ def _chk_sd_range(rng, dim) -> Outcome:
     return slack, _inputs(rho.mat, sig.mat, alpha=alpha)
 
 
+@_check(
+    "div.sd_orthogonality",
+    1e-9,
+    "skew divergence equals 1 exactly on orthogonal pairs and stays below 1 on overlapping pairs",
+)
 def _chk_sd_orthogonality(rng, dim) -> Outcome:
     rho_o, sig_o = _orthogonal_pair(rng, dim)
     alpha = (0.01, 0.5, 0.99)[int(rng.integers(0, 3))]
@@ -224,6 +291,11 @@ def _chk_sd_orthogonality(rng, dim) -> Outcome:
     return slack, _inputs(rho_o, sig_o, alpha=alpha)
 
 
+@_check(
+    "div.sd_scaling",
+    1e-9,
+    "scaling identities: SD_a(bX||bY) = b SD_a(X||Y) and SD_a(bX||cX) = SD_a(b|c) trace X",
+)
 def _chk_sd_scaling(rng, dim) -> Outcome:
     x = _rand_psd(rng, dim)
     y = _rand_psd(rng, dim)
@@ -237,6 +309,11 @@ def _chk_sd_scaling(rng, dim) -> Outcome:
     return slack, _inputs(x, y, b=b, c=c, alpha=alpha)
 
 
+@_check(
+    "div.sd_unitary_invariance",
+    1e-9,
+    "skew divergence is invariant under joint unitary conjugation",
+)
 def _chk_sd_unitary_invariance(rng, dim) -> Outcome:
     rho, sig = _rand_state(rng, dim), _rand_state(rng, dim)
     u = la.random_unitary(dim, rng)
@@ -248,6 +325,7 @@ def _chk_sd_unitary_invariance(rng, dim) -> Outcome:
     return slack, _inputs(rho.mat, sig.mat, alpha=alpha)
 
 
+@_check("div.sd_contractivity", 1e-8, "skew divergence contracts under CPTP maps")
 def _chk_sd_contractivity(rng, dim) -> Outcome:
     rho, sig = _rand_state(rng, dim), _rand_state(rng, dim)
     alpha = _rand_alpha(rng)
@@ -260,6 +338,7 @@ def _chk_sd_contractivity(rng, dim) -> Outcome:
     return slack, _inputs(rho.mat, sig.mat, alpha=alpha)
 
 
+@_check("div.sd_joint_convexity", 1e-8, "skew divergence is jointly convex over 3-term mixtures")
 def _chk_sd_joint_convexity(rng, dim) -> Outcome:
     alpha = _rand_alpha(rng)
     w = rng.dirichlet(np.ones(3))
@@ -274,6 +353,11 @@ def _chk_sd_joint_convexity(rng, dim) -> Outcome:
     return slack, _inputs(*rhos, *sigs, alpha=alpha)
 
 
+@_check(
+    "div.sd_trace_norm_sandwich",
+    1e-8,
+    "2(1-a)^2/(-log a) T^2 <= SD_a <= T, with equality SD_a = t on the diag(t,0,1-t) family",
+)
 def _chk_sd_trace_norm_sandwich(rng, dim) -> Outcome:
     rho, sig = _rand_state(rng, dim), _rand_state(rng, dim)
     alpha = _rand_alpha(rng)
@@ -290,6 +374,7 @@ def _chk_sd_trace_norm_sandwich(rng, dim) -> Outcome:
     return slack, _inputs(rho.mat, sig.mat, alpha=alpha)
 
 
+@_check("div.skewed_re_bound", 1e-9, "S(rho || a rho + (1-a) sigma) <= -log a")
 def _chk_skewed_re_bound(rng, dim) -> Outcome:
     rho, sig = _rand_state(rng, dim), _rand_state(rng, dim)
     alpha = _rand_alpha(rng)
@@ -299,6 +384,7 @@ def _chk_skewed_re_bound(rng, dim) -> Outcome:
     return slack, _inputs(rho.mat, sig.mat, alpha=alpha)
 
 
+@_check("div.fidelity_trace_distance", 1e-8, "trace distance is bounded by sqrt(1 - F^2)")
 def _chk_fidelity_trace_distance(rng, dim) -> Outcome:
     rho, sig = _rand_state(rng, dim), _rand_state(rng, dim)
     f = dv.fidelity(rho, sig)
@@ -307,6 +393,11 @@ def _chk_fidelity_trace_distance(rng, dim) -> Outcome:
     return slack, _inputs(rho.mat, sig.mat)
 
 
+@_check(
+    "fre.t_order_preserving",
+    1e-9,
+    "the log derivative map preserves the PSD order: X <= Y implies T_A(X) <= T_A(Y)",
+)
 def _chk_t_order_preserving(rng, dim) -> Outcome:
     a = _rand_pd(rng, dim)
     d = _rand_psd(rng, dim)  # d = Y - X for X <= Y
@@ -314,6 +405,7 @@ def _chk_t_order_preserving(rng, dim) -> Outcome:
     return slack, _inputs(a, d)
 
 
+@_check("fre.t_sum_bound", 1e-9, "T_{A+B}(A) <= id for PSD A, B")
 def _chk_t_sum_bound(rng, dim) -> Outcome:
     a, b = _rand_psd(rng, dim), _rand_psd(rng, dim)
     top = float(np.linalg.eigvalsh(fr.frechet_log(a + b, a).mat)[-1])
@@ -321,6 +413,7 @@ def _chk_t_sum_bound(rng, dim) -> Outcome:
     return slack, _inputs(a, b)
 
 
+@_check("fre.r_sum_bound", 1e-9, "R_{A+B}(A) <= id for PSD A, B")
 def _chk_r_sum_bound(rng, dim) -> Outcome:
     a, b = _rand_psd(rng, dim), _rand_psd(rng, dim)
     top = float(np.linalg.eigvalsh(fr.second_frechet_log(a + b, a).mat)[-1])
@@ -328,6 +421,7 @@ def _chk_r_sum_bound(rng, dim) -> Outcome:
     return slack, _inputs(a, b)
 
 
+@_check("fre.r_reduces_to_t", 1e-8, "the bilinear second derivative satisfies R_A(A, D) = T_A(D)")
 def _chk_r_reduces_to_t(rng, dim) -> Outcome:
     a = _rand_pd(rng, dim)
     d = _rand_herm(rng, dim)
@@ -338,6 +432,11 @@ def _chk_r_reduces_to_t(rng, dim) -> Outcome:
     return slack, _inputs(a, d)
 
 
+@_check(
+    "fre.metric_difference",
+    1e-8,
+    "0 <= M_{A+B}(A,A) - M_{A+B+C}(A,A) <= a - a^2/(a+c) with a = tr A, c = tr C",
+)
 def _chk_metric_difference(rng, dim) -> Outcome:
     a, b, c = (_rand_psd(rng, dim) for _ in range(3))
     m1 = fr.metric_M(a + b, a, a).real
@@ -349,6 +448,11 @@ def _chk_metric_difference(rng, dim) -> Outcome:
     return slack, _inputs(a, b, c)
 
 
+@_check(
+    "fre.quadrature_match",
+    1e-6,
+    "divided-difference log derivative matches the integral-representation quadrature",
+)
 def _chk_quadrature_match(rng, dim) -> Outcome:
     cond = 10.0 ** rng.uniform(0.0, 4.0)
     v = la.random_unitary(dim, rng)
@@ -364,6 +468,11 @@ def _chk_quadrature_match(rng, dim) -> Outcome:
     return slack, _inputs(a, d)
 
 
+@_check(
+    "fre.finite_difference_match",
+    1e-6,
+    "log derivative matches the central difference (log(A+hD)-log(A-hD))/2h at h=1e-5",
+)
 def _chk_finite_difference_match(rng, dim) -> Outcome:
     a = _rand_pd(rng, dim, floor=0.2)
     d = _rand_herm(rng, dim)
@@ -374,6 +483,9 @@ def _chk_finite_difference_match(rng, dim) -> Outcome:
     return slack, _inputs(a, d)
 
 
+@_check(
+    "fre.dsd_symmetry", 1e-10, "differential skew divergence satisfies D_a(A||B) = D_{1-a}(B||A)"
+)
 def _chk_dsd_symmetry(rng, dim) -> Outcome:
     a = _rand_psd(rng, dim)
     b = _rand_psd(rng, dim)
@@ -385,6 +497,11 @@ def _chk_dsd_symmetry(rng, dim) -> Outcome:
     return slack, _inputs(a, b, alpha=alpha)
 
 
+@_check(
+    "fre.dsd_derivative",
+    1e-6,
+    "differential skew divergence equals -a d/da of the skewed relative entropy",
+)
 def _chk_dsd_derivative(rng, dim) -> Outcome:
     a = _rand_conditioned_state(rng, dim)
     b = _rand_conditioned_state(rng, dim)
@@ -403,6 +520,7 @@ def _chk_dsd_derivative(rng, dim) -> Outcome:
     return slack, _inputs(a, b, alpha=alpha)
 
 
+@_check("fre.dsd_bounds", 1e-8, "4a(1-a) T^2 <= D_a(rho||sigma) <= T")
 def _chk_dsd_bounds(rng, dim) -> Outcome:
     rho, sig = _rand_state(rng, dim), _rand_state(rng, dim)
     alpha = _rand_alpha(rng)
@@ -412,6 +530,7 @@ def _chk_dsd_bounds(rng, dim) -> Outcome:
     return slack, _inputs(rho.mat, sig.mat, alpha=alpha)
 
 
+@_check("fre.dsd_contractivity", 1e-8, "differential skew divergence contracts under CPTP maps")
 def _chk_dsd_contractivity(rng, dim) -> Outcome:
     rho, sig = _rand_state(rng, dim), _rand_state(rng, dim)
     alpha = _rand_alpha(rng)
@@ -424,6 +543,11 @@ def _chk_dsd_contractivity(rng, dim) -> Outcome:
     return slack, _inputs(rho.mat, sig.mat, alpha=alpha)
 
 
+@_check(
+    "fre.chi2_relation",
+    1e-8,
+    "D_a(A||B) = a/(1-a) chi2_log(A, aA+(1-a)B) and chi2_log >= ||rho-sigma||_1^2",
+)
 def _chk_chi2_relation(rng, dim) -> Outcome:
     rho, sig = _rand_state(rng, dim), _rand_state(rng, dim)
     alpha = _rand_alpha(rng)
@@ -436,6 +560,11 @@ def _chk_chi2_relation(rng, dim) -> Outcome:
     return slack, _inputs(rho.mat, sig.mat, alpha=alpha)
 
 
+@_check(
+    "fre.averaging_match",
+    1e-6,
+    "averaging the differential version over -log a' reconstructs the skew divergence",
+)
 def _chk_averaging_match(rng, dim) -> Outcome:
     rho, sig = _rand_state(rng, dim), _rand_state(rng, dim)
     alpha = _rand_alpha(rng, 0.05, 0.95)
@@ -445,6 +574,11 @@ def _chk_averaging_match(rng, dim) -> Outcome:
     return slack, _inputs(rho.mat, sig.mat, alpha=alpha)
 
 
+@_check(
+    "fre.metric_epsilon_limit",
+    1e-6,
+    "M_{B+eps C}(A,A) approaches the support-restricted metric monotonically as eps -> 0",
+)
 def _chk_metric_epsilon_limit(rng, dim) -> Outcome:
     if dim < 2:
         dim = 2
@@ -463,6 +597,11 @@ def _chk_metric_epsilon_limit(rng, dim) -> Outcome:
     return slack, _inputs(a, b, c)
 
 
+@_check(
+    "ens.chi_three_ways",
+    1e-9,
+    "Holevo information agrees across entropy, relative-entropy and skew-divergence forms",
+)
 def _chk_chi_three_ways(rng, dim) -> Outcome:
     n = int(rng.integers(2, 5))
     ens = _rand_ensemble(rng, dim, n)
@@ -473,6 +612,11 @@ def _chk_chi_three_ways(rng, dim) -> Outcome:
     return slack, _inputs(*(s.mat for s in ens.states), weights=list(ens.weights))
 
 
+@_check(
+    "ens.chi_bound_chain",
+    1e-8,
+    "chi <= sum -p log p T(rho_i, rhobar_i) <= pairwise bound <= H(p) max t_ij, monotonically",
+)
 def _chk_chi_bound_chain(rng, dim) -> Outcome:
     n = int(rng.integers(2, 5))
     ens = _rand_ensemble(rng, dim, n)
@@ -485,6 +629,11 @@ def _chk_chi_bound_chain(rng, dim) -> Outcome:
     return slack, _inputs(*(s.mat for s in ens.states), weights=list(ens.weights))
 
 
+@_check(
+    "ens.chi_roga_binary",
+    1e-8,
+    "binary fidelity-surrogate entropy bound dominates chi and undercuts H(p) sqrt(1-F^2)",
+)
 def _chk_chi_roga_binary(rng, dim) -> Outcome:
     ens = _rand_ensemble(rng, dim, 2)
     rec = en.chi_upper_bounds(ens)
@@ -496,6 +645,11 @@ def _chk_chi_roga_binary(rng, dim) -> Outcome:
     return slack, _inputs(*(s.mat for s in ens.states), weights=list(ens.weights))
 
 
+@_check(
+    "ens.chi_continuity",
+    1e-8,
+    "|chi(E) - chi(E')| <= weighted bound <= t log(1+(n-1)/t) + log(1+(n-1)t); complementary distances bounded",
+)
 def _chk_chi_continuity(rng, dim) -> Outcome:
     n = int(rng.integers(2, 5))
     ens = _rand_ensemble(rng, dim, n)
@@ -522,6 +676,11 @@ def _chk_chi_continuity(rng, dim) -> Outcome:
     return slack, _inputs(*(s.mat for s in ens.states), weights=list(ens.weights))
 
 
+@_check(
+    "ens.rbts_family",
+    1e-8,
+    "two-sided scalar bounds on SD_a(A||A+B) - SD_a(A||A+B+C) and the shifted variant, for SD and S",
+)
 def _chk_rbts_family(rng, dim) -> Outcome:
     a, b, c = (_rand_psd(rng, dim) for _ in range(3))
     alpha = _rand_alpha(rng)
@@ -550,6 +709,11 @@ def _chk_rbts_family(rng, dim) -> Outcome:
     return slack, _inputs(a, b, c, alpha=alpha)
 
 
+@_check(
+    "ens.dsd_difference_bounds",
+    1e-8,
+    "two-sided scalar bounds on D_a(A||B) - D_a(A||B+C) and the shifted variant",
+)
 def _chk_dsd_difference_bounds(rng, dim) -> Outcome:
     a, b, c = (_rand_psd(rng, dim) for _ in range(3))
     alpha = _rand_alpha(rng)
@@ -582,6 +746,11 @@ def _triangle_rhs(f, alpha: float, t: float, swap: bool = False) -> float:
     return g(1.0, 0.0) - g(1.0, t) + g(0.0, t)
 
 
+@_check(
+    "ens.triangle_family",
+    1e-8,
+    "perturbing either argument moves SD_a and D_a by at most the scalar three-term bound",
+)
 def _chk_triangle_family(rng, dim) -> Outcome:
     rho, s1, s2 = (_rand_state(rng, dim) for _ in range(3))
     alpha = _rand_alpha(rng)
@@ -610,6 +779,11 @@ def _chk_triangle_family(rng, dim) -> Outcome:
     return slack, _inputs(rho.mat, s1.mat, s2.mat, alpha=alpha)
 
 
+@_check(
+    "ens.triangle_equality",
+    1e-9,
+    "the first-argument continuity bound is attained at rho orthogonal to sigma1, sigma2 = t rho + (1-t) sigma1",
+)
 def _chk_triangle_equality(rng, dim) -> Outcome:
     if dim < 2:
         dim = 2
@@ -627,6 +801,11 @@ def _chk_triangle_equality(rng, dim) -> Outcome:
     return slack, _inputs(rho, s1, alpha=alpha, t=t)
 
 
+@_check(
+    "ens.triangle_rhs_shape",
+    1e-10,
+    "the continuity bound is nondecreasing and midpoint-concave in t on {0.01..0.99}",
+)
 def _chk_triangle_rhs_shape(rng, dim) -> Outcome:
     alpha = _rand_alpha(rng)
     grid = np.arange(0.01, 0.995, 0.01)
@@ -637,6 +816,7 @@ def _chk_triangle_rhs_shape(rng, dim) -> Outcome:
     return slack, _inputs(alpha=alpha)
 
 
+@_check("sim.evolution_distance", 1e-8, "T(U(t) rho U*(t), rho) <= t ||H||")
 def _chk_evolution_distance(rng, dim) -> Outcome:
     rho = _rand_state(rng, dim)
     h = la.random_hamiltonian(dim, rng)
@@ -646,6 +826,11 @@ def _chk_evolution_distance(rng, dim) -> Outcome:
     return slack, _inputs(rho.mat, h.mat, t=t)
 
 
+@_check(
+    "sim.mixing_rate_fd",
+    1e-5,
+    "analytic mixing rate matches the entropy central difference at h=1e-5",
+)
 def _chk_mixing_rate_fd(rng, dim) -> Outcome:
     exp = _rand_experiment(rng, dim, conditioned=True)
     rate = en.mixing_rate(exp)
@@ -665,6 +850,11 @@ def _chk_mixing_rate_fd(rng, dim) -> Outcome:
     return slack, _inputs(*(s.mat for s in exp.ensemble.states), t=exp.time)
 
 
+@_check(
+    "sim.svsd_identity",
+    1e-8,
+    "entropy gain of a binary experiment decomposes into weighted skew-divergence increments",
+)
 def _chk_svsd_identity(rng, dim) -> Outcome:
     exp = _rand_experiment(rng, dim)
     rec = en.sim_bound_check(exp)
@@ -672,6 +862,11 @@ def _chk_svsd_identity(rng, dim) -> Outcome:
     return slack, _inputs(*(s.mat for s in exp.ensemble.states), t=exp.time)
 
 
+@_check(
+    "sim.bravyi_bound",
+    1e-8,
+    "SD_a(rho||U sigma U*) - SD_a(rho||sigma) <= 2||tH||; differential version <= min(1/a,1/(1-a))||H||",
+)
 def _chk_bravyi_bound(rng, dim) -> Outcome:
     exp = _rand_experiment(rng, dim)
     rec = en.sim_bound_check(exp)
@@ -689,6 +884,11 @@ def _chk_bravyi_bound(rng, dim) -> Outcome:
     return slack, _inputs(rho.mat, sig.mat, alpha=alpha)
 
 
+@_check(
+    "sim.entropy_gain_bound",
+    1e-8,
+    "S(rho_0(t)) - S(rho_0) <= 2 t h(p1,p2) ||H|| for binary experiments",
+)
 def _chk_entropy_gain_bound(rng, dim) -> Outcome:
     exp = _rand_experiment(rng, dim)
     rec = en.sim_bound_check(exp)
@@ -696,316 +896,7 @@ def _chk_entropy_gain_bound(rng, dim) -> Outcome:
     return slack, _inputs(*(s.mat for s in exp.ensemble.states), t=exp.time)
 
 
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CheckDef:
-    check_id: str
-    label: str
-    suite: str
-    tol: float
-    run: Callable[[np.random.Generator, int], Outcome]
-
-
-REGISTRY: tuple[CheckDef, ...] = (
-    CheckDef(
-        "core.eigh_reconstruction",
-        "eigendecomposition reconstructs A within 1e-12 max(1, ||A||_F), unitary basis, ascending eigenvalues",
-        "core",
-        0.0,
-        _chk_eigh_reconstruction,
-    ),
-    CheckDef(
-        "core.spectral_fn_identity",
-        "spectral calculus with the identity function returns the input within 1e-12",
-        "core",
-        0.0,
-        _chk_spectral_fn_identity,
-    ),
-    CheckDef(
-        "core.trace_norm_axioms",
-        "trace norm satisfies the triangle inequality and absolute homogeneity",
-        "core",
-        1e-10,
-        _chk_trace_norm_axioms,
-    ),
-    CheckDef(
-        "core.random_state_invariants",
-        "random states are PSD with unit trace and deterministic per seed",
-        "core",
-        0.0,
-        _chk_random_state_invariants,
-    ),
-    CheckDef(
-        "core.random_cptp_contract",
-        "random Kraus sets are complete and map states to states (trace, PSD within 1e-10)",
-        "core",
-        0.0,
-        _chk_random_cptp_contract,
-    ),
-    CheckDef(
-        "div.sd_range",
-        "skew divergence of states lies in [0, 1]",
-        "div",
-        1e-9,
-        _chk_sd_range,
-    ),
-    CheckDef(
-        "div.sd_orthogonality",
-        "skew divergence equals 1 exactly on orthogonal pairs and stays below 1 on overlapping pairs",
-        "div",
-        1e-9,
-        _chk_sd_orthogonality,
-    ),
-    CheckDef(
-        "div.sd_scaling",
-        "scaling identities: SD_a(bX||bY) = b SD_a(X||Y) and SD_a(bX||cX) = SD_a(b|c) trace X",
-        "div",
-        1e-9,
-        _chk_sd_scaling,
-    ),
-    CheckDef(
-        "div.sd_unitary_invariance",
-        "skew divergence is invariant under joint unitary conjugation",
-        "div",
-        1e-9,
-        _chk_sd_unitary_invariance,
-    ),
-    CheckDef(
-        "div.sd_contractivity",
-        "skew divergence contracts under CPTP maps",
-        "div",
-        1e-8,
-        _chk_sd_contractivity,
-    ),
-    CheckDef(
-        "div.sd_joint_convexity",
-        "skew divergence is jointly convex over 3-term mixtures",
-        "div",
-        1e-8,
-        _chk_sd_joint_convexity,
-    ),
-    CheckDef(
-        "div.sd_trace_norm_sandwich",
-        "2(1-a)^2/(-log a) T^2 <= SD_a <= T, with equality SD_a = t on the diag(t,0,1-t) family",
-        "div",
-        1e-8,
-        _chk_sd_trace_norm_sandwich,
-    ),
-    CheckDef(
-        "div.skewed_re_bound",
-        "S(rho || a rho + (1-a) sigma) <= -log a",
-        "div",
-        1e-9,
-        _chk_skewed_re_bound,
-    ),
-    CheckDef(
-        "div.fidelity_trace_distance",
-        "trace distance is bounded by sqrt(1 - F^2)",
-        "div",
-        1e-8,
-        _chk_fidelity_trace_distance,
-    ),
-    CheckDef(
-        "fre.t_order_preserving",
-        "the log derivative map preserves the PSD order: X <= Y implies T_A(X) <= T_A(Y)",
-        "frechet",
-        1e-9,
-        _chk_t_order_preserving,
-    ),
-    CheckDef(
-        "fre.t_sum_bound",
-        "T_{A+B}(A) <= id for PSD A, B",
-        "frechet",
-        1e-9,
-        _chk_t_sum_bound,
-    ),
-    CheckDef(
-        "fre.r_sum_bound",
-        "R_{A+B}(A) <= id for PSD A, B",
-        "frechet",
-        1e-9,
-        _chk_r_sum_bound,
-    ),
-    CheckDef(
-        "fre.r_reduces_to_t",
-        "the bilinear second derivative satisfies R_A(A, D) = T_A(D)",
-        "frechet",
-        1e-8,
-        _chk_r_reduces_to_t,
-    ),
-    CheckDef(
-        "fre.metric_difference",
-        "0 <= M_{A+B}(A,A) - M_{A+B+C}(A,A) <= a - a^2/(a+c) with a = tr A, c = tr C",
-        "frechet",
-        1e-8,
-        _chk_metric_difference,
-    ),
-    CheckDef(
-        "fre.quadrature_match",
-        "divided-difference log derivative matches the integral-representation quadrature",
-        "frechet",
-        1e-6,
-        _chk_quadrature_match,
-    ),
-    CheckDef(
-        "fre.finite_difference_match",
-        "log derivative matches the central difference (log(A+hD)-log(A-hD))/2h at h=1e-5",
-        "frechet",
-        1e-6,
-        _chk_finite_difference_match,
-    ),
-    CheckDef(
-        "fre.dsd_symmetry",
-        "differential skew divergence satisfies D_a(A||B) = D_{1-a}(B||A)",
-        "frechet",
-        1e-10,
-        _chk_dsd_symmetry,
-    ),
-    CheckDef(
-        "fre.dsd_derivative",
-        "differential skew divergence equals -a d/da of the skewed relative entropy",
-        "frechet",
-        1e-6,
-        _chk_dsd_derivative,
-    ),
-    CheckDef(
-        "fre.dsd_bounds",
-        "4a(1-a) T^2 <= D_a(rho||sigma) <= T",
-        "frechet",
-        1e-8,
-        _chk_dsd_bounds,
-    ),
-    CheckDef(
-        "fre.dsd_contractivity",
-        "differential skew divergence contracts under CPTP maps",
-        "frechet",
-        1e-8,
-        _chk_dsd_contractivity,
-    ),
-    CheckDef(
-        "fre.chi2_relation",
-        "D_a(A||B) = a/(1-a) chi2_log(A, aA+(1-a)B) and chi2_log >= ||rho-sigma||_1^2",
-        "frechet",
-        1e-8,
-        _chk_chi2_relation,
-    ),
-    CheckDef(
-        "fre.averaging_match",
-        "averaging the differential version over -log a' reconstructs the skew divergence",
-        "frechet",
-        1e-6,
-        _chk_averaging_match,
-    ),
-    CheckDef(
-        "fre.metric_epsilon_limit",
-        "M_{B+eps C}(A,A) approaches the support-restricted metric monotonically as eps -> 0",
-        "frechet",
-        1e-6,
-        _chk_metric_epsilon_limit,
-    ),
-    CheckDef(
-        "ens.chi_three_ways",
-        "Holevo information agrees across entropy, relative-entropy and skew-divergence forms",
-        "ensemble",
-        1e-9,
-        _chk_chi_three_ways,
-    ),
-    CheckDef(
-        "ens.chi_bound_chain",
-        "chi <= sum -p log p T(rho_i, rhobar_i) <= pairwise bound <= H(p) max t_ij, monotonically",
-        "ensemble",
-        1e-8,
-        _chk_chi_bound_chain,
-    ),
-    CheckDef(
-        "ens.chi_roga_binary",
-        "binary fidelity-surrogate entropy bound dominates chi and undercuts H(p) sqrt(1-F^2)",
-        "ensemble",
-        1e-8,
-        _chk_chi_roga_binary,
-    ),
-    CheckDef(
-        "ens.chi_continuity",
-        "|chi(E) - chi(E')| <= weighted bound <= t log(1+(n-1)/t) + log(1+(n-1)t); complementary distances bounded",
-        "ensemble",
-        1e-8,
-        _chk_chi_continuity,
-    ),
-    CheckDef(
-        "ens.rbts_family",
-        "two-sided scalar bounds on SD_a(A||A+B) - SD_a(A||A+B+C) and the shifted variant, for SD and S",
-        "ensemble",
-        1e-8,
-        _chk_rbts_family,
-    ),
-    CheckDef(
-        "ens.dsd_difference_bounds",
-        "two-sided scalar bounds on D_a(A||B) - D_a(A||B+C) and the shifted variant",
-        "ensemble",
-        1e-8,
-        _chk_dsd_difference_bounds,
-    ),
-    CheckDef(
-        "ens.triangle_family",
-        "perturbing either argument moves SD_a and D_a by at most the scalar three-term bound",
-        "ensemble",
-        1e-8,
-        _chk_triangle_family,
-    ),
-    CheckDef(
-        "ens.triangle_equality",
-        "the first-argument continuity bound is attained at rho orthogonal to sigma1, sigma2 = t rho + (1-t) sigma1",
-        "ensemble",
-        1e-9,
-        _chk_triangle_equality,
-    ),
-    CheckDef(
-        "ens.triangle_rhs_shape",
-        "the continuity bound is nondecreasing and midpoint-concave in t on {0.01..0.99}",
-        "ensemble",
-        1e-10,
-        _chk_triangle_rhs_shape,
-    ),
-    CheckDef(
-        "sim.evolution_distance",
-        "T(U(t) rho U*(t), rho) <= t ||H||",
-        "sim",
-        1e-8,
-        _chk_evolution_distance,
-    ),
-    CheckDef(
-        "sim.mixing_rate_fd",
-        "analytic mixing rate matches the entropy central difference at h=1e-5",
-        "sim",
-        1e-5,
-        _chk_mixing_rate_fd,
-    ),
-    CheckDef(
-        "sim.svsd_identity",
-        "entropy gain of a binary experiment decomposes into weighted skew-divergence increments",
-        "sim",
-        1e-8,
-        _chk_svsd_identity,
-    ),
-    CheckDef(
-        "sim.bravyi_bound",
-        "SD_a(rho||U sigma U*) - SD_a(rho||sigma) <= 2||tH||; differential version <= min(1/a,1/(1-a))||H||",
-        "sim",
-        1e-8,
-        _chk_bravyi_bound,
-    ),
-    CheckDef(
-        "sim.entropy_gain_bound",
-        "S(rho_0(t)) - S(rho_0) <= 2 t h(p1,p2) ||H|| for binary experiments",
-        "sim",
-        1e-8,
-        _chk_entropy_gain_bound,
-    ),
-)
+REGISTRY: tuple[CheckDef, ...] = tuple(_REGISTERED)
 
 # One check id per stated library invariant; the registry must cover them all.
 REQUIRED_CHECK_IDS = frozenset(
@@ -1027,19 +918,31 @@ REQUIRED_CHECK_IDS = frozenset(
         "fre.t_order_preserving",
         "fre.t_sum_bound",
         "fre.r_sum_bound",
+        "fre.r_reduces_to_t",
         "fre.metric_difference",
+        "fre.quadrature_match",
+        "fre.finite_difference_match",
         "fre.dsd_symmetry",
         "fre.dsd_derivative",
         "fre.dsd_bounds",
         "fre.dsd_contractivity",
-        "fre.finite_difference_match",
+        "fre.chi2_relation",
+        "fre.averaging_match",
+        "fre.metric_epsilon_limit",
+        "ens.chi_three_ways",
         "ens.chi_bound_chain",
+        "ens.chi_roga_binary",
+        "ens.chi_continuity",
         "ens.rbts_family",
+        "ens.dsd_difference_bounds",
         "ens.triangle_family",
         "ens.triangle_equality",
         "ens.triangle_rhs_shape",
+        "sim.evolution_distance",
+        "sim.mixing_rate_fd",
         "sim.svsd_identity",
         "sim.bravyi_bound",
+        "sim.entropy_gain_bound",
     }
 )
 

@@ -167,6 +167,23 @@ class TestSecondFrechetLog:
             top = np.linalg.eigvalsh(second_frechet_log(a + b, a).mat).max()
             assert top <= 1 + 1e-9
 
+    def test_quadratic_form_contracts_once(self, rng, monkeypatch):
+        calls = []
+        einsum = np.einsum
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counting)
+        second_frechet_log(rand_pd(rng, 4), rand_herm(rng, 4))
+        assert calls == ["ik,ikj,kj->ij"]
+
+    @pytest.mark.parametrize("dim", [1, 4, 9])
+    def test_default_second_perturbation_is_bit_identical(self, rng, dim):
+        a, d = rand_pd(rng, dim), rand_herm(rng, dim)
+        assert np.array_equal(second_frechet_log(a, d).mat, second_frechet_log(a, d, d).mat)
+
     def test_finite_difference_oracle(self, rng):
         a = rand_pd(rng, 4, floor=0.3)
         d = rand_herm(rng, 4)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,3 +378,31 @@ class TestCliVerify:
 
         with pytest.raises(ValueError):
             dump_json({"worst_slack": math.nan}, str(tmp_path / "bad.json"))
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def test_python_dash_m_verify_exit_codes():
+    """``python -m qsd`` as a process: a clean run prints strict JSON and
+    exits 0; a usage error exits 2 with one ``error:`` line."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def qsd(*args):
+        cmd = [sys.executable, "-m", "qsd", "verify", "--suite", "core", "--dims", "2", *args]
+        return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+
+    ok = qsd("--trials", "2", "--quiet", "--out", "-")
+    assert ok.returncode == 0, ok.stderr
+    report = json.loads(ok.stdout, parse_constant=_reject_constant)
+    assert report["total_violations"] == 0
+    assert [c["trials"] for c in report["checks"]] == [2] * len(report["checks"])
+
+    bad = qsd("--trials", "0", "--quiet", "--out", "-")
+    assert bad.returncode == 2
+    assert bad.stdout == ""
+    lines = bad.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), bad.stderr

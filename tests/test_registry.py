@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from qsd.verify import REGISTRY, SUITES, run_suite
+from qsd import verify
+from qsd.verify import REGISTRY, REQUIRED_CHECK_IDS, SUITES, run_suite
 
 # The suite each check-id prefix names, stated independently of verify.py.
 PREFIX_SUITE = {"core": "core", "div": "div", "fre": "frechet", "ens": "ensemble", "sim": "sim"}
@@ -25,6 +26,10 @@ def test_registry_contents_and_order_are_pinned():
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == REGISTRY_SHA256
 
 
+def test_coverage_contract_names_every_registered_check():
+    assert REQUIRED_CHECK_IDS == {c.check_id for c in REGISTRY}
+
+
 def test_suite_is_named_by_the_id_prefix():
     assert [c.suite for c in REGISTRY] == [PREFIX_SUITE[_prefix(c.check_id)] for c in REGISTRY]
     assert set(SUITES) == set(PREFIX_SUITE.values())
@@ -36,3 +41,10 @@ def test_run_suite_selects_exactly_the_prefixed_ids(suite):
     report = run_suite(suite=suite, dims=(2,), trials=1)
     expected = [c.check_id for c in REGISTRY if PREFIX_SUITE[_prefix(c.check_id)] == suite]
     assert [r.check_id for r in report.checks] == expected
+
+
+@pytest.mark.parametrize("check_id", ["qjsd.identity", "frechet.t_sum_bound", "sd_range"])
+def test_unknown_prefix_is_rejected(check_id):
+    with pytest.raises(ValueError, match=check_id):
+        verify._check(check_id, 1e-8, "a check in no suite")
+    assert len(verify._REGISTERED) == len(REGISTRY)
