@@ -3,7 +3,17 @@ built on them.
 
 The primary evaluation path is the divided-difference (Daleckii-Krein) form in
 the eigenbasis of the base operator, which is exact up to eigendecomposition
-error. The integral representations
+error. The second derivative never forms the d^3 table of
+``log[w_i, w_k, w_j]``: the recursion
+``log[w_i, w_k, w_j] = (log[w_i, w_k] - log[w_k, w_j]) / (w_i - w_j)`` turns
+the sum over ``k`` into two matrix products for every pair whose relative gap
+exceeds ``_SPLIT_RTOL`` = 0.1, and the diagonal into one d x d table. Only
+the off-diagonal close pairs (and the diagonal of their rows) are summed
+directly, in blocks, so memory is O(d^2). The recursion divides the rounding
+error of its products by the gap, so a far pair loses at most a factor
+1/_SPLIT_RTOL = 10 against a direct sum.
+
+The integral representations
 
     T_A(D) = int_0^inf (A+s)^-1 D (A+s)^-1 ds
     R_A(D) = 2 int_0^inf (A+s)^-1 D (A+s)^-1 D (A+s)^-1 ds
@@ -48,6 +58,19 @@ _NODE_BLOCK_ELEMS = 1 << 16
 # confluent forms; prevents catastrophic cancellation of log differences.
 DD_CLOSE_RTOL = 1e-7
 
+# Relative spread below which the second divided difference uses its Taylor
+# series. The direct form divides a difference of two first differences, each
+# good to a few ulps, by the spread, so it loses about 1e-15/spread relative;
+# the series, cut after its degree-6 term, errs by order spread^7. At 1e-2
+# both stay below 1e-13 relative (60-digit reference).
+_DD2_TAYLOR_RTOL = 1e-2
+
+# Relative eigenvalue gap above which ``_second_core`` takes a pair from the
+# two-GEMM split form. That form divides the GEMM rounding error by the gap,
+# so a pair loses at most a factor 1/_SPLIT_RTOL against a direct sum; closer
+# pairs are summed directly.
+_SPLIT_RTOL = 0.1
+
 
 def _log_dd1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """First divided difference of log on positive arguments (vectorized).
@@ -55,40 +78,70 @@ def _log_dd1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Distinct pairs use ``log1p(gap/lo)/gap`` with ``lo = min(x, y)`` and
     ``gap = |x - y|``, accurate to a few ulps at every gap; close pairs use
     the midpoint derivative ``2/(x+y)``. At the switch point the two
-    branches agree to machine precision. Works in place on two temporaries,
-    since the arguments may span the d^3 table of :func:`second_frechet_log`.
+    branches agree to machine precision.
     """
-    gap = np.subtract(x, y)
-    np.abs(gap, out=gap)
-    out = np.maximum(x, y)
-    out *= DD_CLOSE_RTOL
-    close = gap <= out
+    lo = np.minimum(x, y)
+    hi = np.maximum(x, y)
+    gap = hi - lo
+    close = gap <= DD_CLOSE_RTOL * hi
     gap[close] = 1.0
-    np.minimum(x, y, out=out)
-    np.divide(gap, out, out=out)
+    out = np.divide(gap, lo)
     np.log1p(out, out=out)
     out /= gap
-    np.add(x, y, out=gap)
-    np.divide(2.0, gap, out=gap)
-    np.copyto(out, gap, where=close)
+    hi += lo
+    np.divide(2.0, hi, out=hi)
+    np.copyto(out, hi, where=close)
     return out
 
 
-def _log_dd2(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Second divided difference of log, fully symmetric in its arguments.
+def _order3(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Elementwise ``(lowest, median, highest)`` of three arrays, by min/max
+    alone, so each result is one of the arguments bit for bit."""
+    lo_xy = np.minimum(x, y)
+    hi_xy = np.maximum(x, y)
+    mid = np.maximum(lo_xy, np.minimum(hi_xy, z))
+    return np.minimum(lo_xy, z), mid, np.maximum(hi_xy, z)
 
-    Evaluated through the extreme pair so the outer division carries the
-    largest available gap; a fully confluent triple falls back to the limit
-    ``-1/(2 m^2)`` at the midpoint.
+
+def _log_dd2(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Second divided difference of log, fully symmetric in its arguments."""
+    lo, mid, hi = _order3(x, y, z)
+    return _log_dd2_ordered(lo, mid, hi, _log_dd1(lo, mid), _log_dd1(mid, hi))
+
+
+def _log_dd2_ordered(
+    lo: np.ndarray, mid: np.ndarray, hi: np.ndarray, f_lm: np.ndarray, f_mh: np.ndarray
+) -> np.ndarray:
+    """``log[lo, mid, hi]`` for ordered arguments ``lo <= mid <= hi``, given
+    the first differences ``f_lm = log[lo, mid]`` and ``f_mh = log[mid, hi]``.
+
+    A triple whose spread exceeds ``_DD2_TAYLOR_RTOL`` of ``hi`` is
+    ``(f_lm - f_mh) / (lo - hi)``, so the outer division carries the largest
+    gap. A closer triple uses the Taylor series about its mean ``m``: with
+    relative deviations ``a, b, c`` (which sum to zero),
+    ``r2 = (a^2 + b^2 + c^2)/2`` and ``r3 = abc``,
+
+        log[x, y, z] = -1/(2 m^2) (1 + r2/2 - 2 r3/5 + r2^2/3 - 4 r2 r3/7
+                                  + (r2^3 + r3^2)/4 + ...)
+
+    which is exact at full confluence.
     """
-    lo = np.minimum(np.minimum(x, y), z)
-    hi = np.maximum(np.maximum(x, y), z)
-    mid = x + y + z - lo - hi
-    confluent = (hi - lo) <= DD_CLOSE_RTOL * hi
-    denom = np.where(confluent, 1.0, lo - hi)
-    direct = (_log_dd1(lo, mid) - _log_dd1(mid, hi)) / denom
+    spread = lo - hi
+    taylor = spread >= -_DD2_TAYLOR_RTOL * hi
+    spread[taylor] = 1.0
+    out = f_lm - f_mh
+    out /= spread
+    lo, mid, hi = lo[taylor], mid[taylor], hi[taylor]
     m = (lo + mid + hi) / 3.0
-    return np.where(confluent, -1.0 / (2.0 * m * m), direct)
+    a = (lo - m) / m
+    b = (hi - m) / m
+    s = a + b  # the third deviation is -s
+    r2 = a * s + b * b
+    r3 = a * b * s  # minus abc
+    series = ((r2 / 4.0 + 1.0 / 3.0) * r2 + 0.5) * r2 + 1.0
+    series += (0.4 + (4.0 / 7.0) * r2 + r3 / 4.0) * r3
+    out[taylor] = series / (-2.0 * m * m)
+    return out
 
 
 def _pd_eigh(mat: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -117,24 +170,58 @@ def metric_M(a: OperatorLike, b: OperatorLike, c: OperatorLike) -> complex:
     return complex(np.sum(np.conj(btil) * f1 * ctil))
 
 
+def _second_core(w: np.ndarray, f1: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``C_ij = sum_k x_ik log[w_i, w_k, w_j] y_kj`` without a d^3 table.
+
+    ``w`` is ascending (as ``eigh`` returns it) and ``f1`` is the
+    first-difference table ``log[w_i, w_j]``. Far pairs use
+    ``log[w_i, w_k, w_j] = (log[w_i, w_k] - log[w_k, w_j]) / (w_i - w_j)``,
+    which turns their sums into two matrix products. The diagonal takes
+    ``log[w_i, w_k, w_i]`` from one d x d table by the same recursion, which
+    is accurate for every ``k`` far from ``i``, and the limit ``-1/(2 w_i^2)``
+    at ``k = i``. Off-diagonal close
+    pairs, and the diagonal of their rows, are summed directly from
+    ``(pairs, d)`` tables of at most ``_NODE_BLOCK_ELEMS`` entries; ordering
+    a triple's indices orders its values, so its two first differences are
+    entries of ``f1``.
+    """
+    dim = w.size
+    gap = w[:, None] - w[None, :]
+    close = np.abs(gap) <= _SPLIT_RTOL * np.maximum(w[:, None], w[None, :])
+    gap[close] = 1.0
+    core = (x * f1) @ y
+    core -= x @ (f1 * y)
+    core /= gap
+    diag = (np.diagonal(f1)[:, None] - f1) / gap
+    np.fill_diagonal(diag, -0.5 / (w * w))
+    np.fill_diagonal(core, np.einsum("ik,ik,ki->i", x, diag, y))
+    # a row with a close partner also redoes its diagonal, whose table entry
+    # at that partner divided by a small gap
+    np.fill_diagonal(close, close.sum(axis=1) > 1)
+    rows, cols = np.nonzero(close)
+    step = max(1, _NODE_BLOCK_ELEMS // dim)
+    for start in range(0, rows.size, step):
+        i, j = rows[start : start + step], cols[start : start + step]
+        lo, mid, hi = _order3(i[:, None], j[:, None], np.arange(dim))
+        f2 = _log_dd2_ordered(w[lo], w[mid], w[hi], f1[lo, mid], f1[mid, hi])
+        core[i, j] = np.einsum("pk,pk,kp->p", x[i], f2, y[:, j])
+    return core
+
+
 def second_frechet_log(
     a: OperatorLike, delta1: OperatorLike, delta2: OperatorLike | None = None
 ) -> HermitianOperator:
     """Negative second derivative of the operator logarithm, bilinear in the
     two perturbations (``delta2`` defaults to ``delta1``)."""
-    mat, d1, d2 = _common_dim(a, delta1, delta1 if delta2 is None else delta2)
-    w, v = _pd_eigh(mat, "base operator")
-    f2 = _log_dd2(w[:, None, None], w[None, :, None], w[None, None, :])
-    d1t = v.conj().T @ d1 @ v
-    if delta2 is None:  # the two terms are equal; x + x is exactly 2x
-        half = np.einsum("ik,ikj,kj->ij", d1t, f2, d1t)
-        core = half + half
-    else:
-        d2t = v.conj().T @ d2 @ v
-        core = np.einsum("ik,ikj,kj->ij", d1t, f2, d2t) + np.einsum(
-            "ik,ikj,kj->ij", d2t, f2, d1t
-        )
-    return HermitianOperator(-(v @ core @ v.conj().T))
+    mats = _common_dim(a, delta1) if delta2 is None else _common_dim(a, delta1, delta2)
+    w, v = _pd_eigh(mats[0], "base operator")
+    x = v.conj().T @ mats[1] @ v
+    y = x if delta2 is None else v.conj().T @ mats[2] @ v
+    # For Hermitian x and y the swapped term C(y, x) is the adjoint of
+    # C(x, y); HermitianOperator keeps the Hermitian part (M + M*)/2, so one
+    # core and a factor 2 give both terms.
+    core = _second_core(w, _log_dd1(w[:, None], w[None, :]), x, y)
+    return HermitianOperator(-2.0 * (v @ core @ v.conj().T))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import decimal
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +72,34 @@ class TestDividedDifferenceTable:
             accurate = math.log1p((y - x) / x) / (y - x)
             first = fr._log_dd1(np.array([x]), np.array([y]))
             assert first[0] == pytest.approx(accurate, rel=1e-9)
+
+    @given(
+        base=st.floats(min_value=-14.0, max_value=3.0),
+        spread=st.floats(min_value=-17.0, max_value=3.0),
+        inner=st.floats(min_value=0.0, max_value=1.0),
+        order=st.permutations(range(3)),
+    )
+    def test_second_dd_matches_decimal_reference(self, base, spread, inner, order):
+        lo = 10.0**base
+        hi = lo * (1.0 + 10.0**spread)
+        triple = np.array([lo, lo + inner * (hi - lo), hi])[order]
+        got = fr._log_dd2(*(triple[i : i + 1] for i in range(3)))[0]
+        ref = log_dd2_decimal(*triple)
+        assert abs(got - ref) <= 1e-10 * abs(ref)
+
+
+def log_dd2_decimal(x, y, z):
+    """``log[x, y, z]`` at 60 digits from the exact values of three floats."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        lo, mid, hi = sorted(decimal.Decimal(float(t)) for t in (x, y, z))
+
+        def dd1(p, q):
+            return 1 / p if p == q else (p.ln() - q.ln()) / (p - q)
+
+        if lo == hi:
+            return float(-1 / (2 * lo * lo))
+        return float((dd1(lo, mid) - dd1(mid, hi)) / (lo - hi))
 
 
 class TestFrechetLog:
@@ -167,17 +197,24 @@ class TestSecondFrechetLog:
             top = np.linalg.eigvalsh(second_frechet_log(a + b, a).mat).max()
             assert top <= 1 + 1e-9
 
-    def test_quadratic_form_contracts_once(self, rng, monkeypatch):
-        calls = []
-        einsum = np.einsum
+    def test_quadratic_form_runs_the_core_once(self, rng, monkeypatch):
+        cores = counting(monkeypatch, fr, "_second_core")
+        a, d = rand_pd(rng, 4), rand_herm(rng, 4)
+        second_frechet_log(a, d)
+        assert len(cores) == 1
+        second_frechet_log(a, d, rand_herm(rng, 4))  # the swapped term is the adjoint
+        assert len(cores) == 2
 
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return einsum(*args, **kwargs)
-
-        monkeypatch.setattr(np, "einsum", counting)
-        second_frechet_log(rand_pd(rng, 4), rand_herm(rng, 4))
-        assert calls == ["ik,ikj,kj->ij"]
+    def test_memory_stays_quadratic(self, rng):
+        # the d^3 table of log[w_i, w_k, w_j] alone would take 16 MiB at d=128
+        a, d = rand_pd(rng, 128), rand_herm(rng, 128)
+        tracemalloc.start()
+        try:
+            second_frechet_log(a, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
     @pytest.mark.parametrize("dim", [1, 4, 9])
     def test_default_second_perturbation_is_bit_identical(self, rng, dim):
@@ -644,3 +681,67 @@ class TestOracleKernelCalls:
         sd_by_averaging(rho, sig, 0.4, refine=False)
         # one for the support of A+B, one for the stack of all 160 mixtures
         assert len(eighs) == 2
+
+
+# ---------------------------------------------------------------------------
+# The second-derivative kernel against the d^3 einsum
+# ---------------------------------------------------------------------------
+
+
+def einsum_second_frechet_log(a, d1, d2):
+    """Reference for ``second_frechet_log``: the full d^3 table of
+    ``log[w_i, w_k, w_j]`` contracted by one einsum per term."""
+    w, v = np.linalg.eigh(a)
+    f2 = fr._log_dd2(w[:, None, None], w[None, :, None], w[None, None, :])
+    x = v.conj().T @ d1 @ v
+    y = v.conj().T @ d2 @ v
+    core = np.einsum("ik,ikj,kj->ij", x, f2, y) + np.einsum("ik,ikj,kj->ij", y, f2, x)
+    return -(v @ core @ v.conj().T)
+
+
+def spectrum_of_kind(rng, dim, kind):
+    """Eigenvalues, largest 1, of one of the kinds the kernel splits on."""
+    if kind.startswith("gap"):  # neighbours at a relative gap of factor * tau
+        ratio = 1.0 - float(kind[3:]) * fr._SPLIT_RTOL
+        return ratio ** np.arange(dim)
+    if kind == "cluster":
+        return 1.0 - 0.05 * rng.uniform(0.0, 1.0, dim)
+    if kind == "tiny":  # half the spectrum near 1e-14, above the support floor
+        lam = rng.uniform(0.1, 1.0, dim)
+        lam[: dim // 2] = 1e-14 * rng.uniform(2.0, 4.0, dim // 2)
+        return lam
+    return np.geomspace(1e-12, 1.0, dim)  # condition number 1e12
+
+
+SPECTRA = ("gap0.5", "gap1", "gap2", "cluster", "tiny", "kappa")
+
+
+class TestSecondCore:
+    @pytest.mark.parametrize("kind", SPECTRA)
+    @pytest.mark.parametrize("dim", [1, 2, 5, 33, 64])
+    @pytest.mark.parametrize("second", [False, True])
+    def test_matches_einsum(self, rng, dim, kind, second):
+        u = random_unitary(dim, rng)
+        a = (u * spectrum_of_kind(rng, dim, kind)) @ u.conj().T
+        a = (a + a.conj().T) / 2
+        d1 = rand_herm(rng, dim)
+        d2 = rand_herm(rng, dim) if second else d1
+        got = second_frechet_log(a, d1, d2 if second else None).mat
+        assert_rel_close(got, einsum_second_frechet_log(a, d1, d2))
+
+    @pytest.mark.parametrize("pairs_per_block", [None, 1500])
+    def test_all_close_pairs_span_blocks(self, rng, monkeypatch, pairs_per_block):
+        # every pair of this spectrum is close: 4096 pairs, 4 full blocks of
+        # 1024 at the default size, or 2 of 1500 and a last one of 1096
+        if pairs_per_block:
+            monkeypatch.setattr(fr, "_NODE_BLOCK_ELEMS", pairs_per_block * 64)
+        u = random_unitary(64, rng)
+        a = (u * rng.uniform(1.0, 1.05, 64)) @ u.conj().T
+        a = (a + a.conj().T) / 2
+        d = rand_herm(rng, 64)
+        blocks = counting(monkeypatch, fr, "_log_dd2_ordered")
+        got = second_frechet_log(a, d).mat
+        assert [len(args[0]) for args in blocks] == (
+            [1024] * 4 if pairs_per_block is None else [1500, 1500, 1096]
+        )
+        assert_rel_close(got, einsum_second_frechet_log(a, d, d))
