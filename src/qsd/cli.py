@@ -99,8 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
     random_cmd.add_argument(
         "--n",
         type=int,
-        default=None,
-        help="ensemble size (default 2) or environment dimension for channels",
+        default=2,
+        help="ensemble size or environment dimension for channels (default 2)",
     )
     random_cmd.add_argument("--seed", type=int, default=None)
     random_cmd.add_argument("--out", required=True, help="output path, '-' for stdout")
@@ -144,6 +144,8 @@ def _cmd_compute(args) -> int:
 def _cmd_random(args) -> int:
     if args.dim < 1:
         raise UsageError("--dim must be at least 1")
+    if args.n < 1:
+        raise UsageError("--n must be at least 1")
     seed = _resolve_seed(args.seed)
     rng = np.random.default_rng(seed)
     if args.kind == "state":
@@ -151,15 +153,11 @@ def _cmd_random(args) -> int:
     elif args.kind == "hamiltonian":
         payload = qio.state_to_dict(random_hamiltonian(args.dim, rng))
     elif args.kind == "channel":
-        env = args.n if args.n is not None else 2
-        payload = qio.channel_to_dict(random_cptp(args.dim, env, rng))
+        payload = qio.channel_to_dict(random_cptp(args.dim, args.n, rng))
     else:  # ensemble
-        n = args.n if args.n is not None else 2
-        if n < 1:
-            raise UsageError("--n must be at least 1")
-        weights = rng.dirichlet(np.ones(n))
+        weights = rng.dirichlet(np.ones(args.n))
         weights /= weights.sum()
-        states = [random_state(args.dim, rng) for _ in range(n)]
+        states = [random_state(args.dim, rng) for _ in range(args.n)]
         payload = qio.ensemble_to_dict(Ensemble(weights, states))
     qio.dump_json(payload, args.out)
     return 0

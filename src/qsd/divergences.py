@@ -7,8 +7,9 @@ so that it stays nonnegative. The skew divergence
     SD_a(A||B) = S(A || a A + (1-a) B) / (-log a)
 
 is always finite because the support of ``A`` is contained in the support of
-the skewed mixture; both arguments are restricted to ``supp(A+B)`` before any
-spectral call.
+the skewed mixture. Both divergences share one core that works in the
+eigenbasis of the second argument (``B`` or the mixture) on its support; the
+operand validation and that eigendecomposition see the unrestricted matrices.
 """
 
 from __future__ import annotations
@@ -131,6 +132,24 @@ def scalar_relative_entropy(a: float, b: float) -> float:
     return a * (math.log(a) - math.log(b)) - (a - b)
 
 
+def _relative_entropy_on(
+    amat: np.ndarray, w: np.ndarray, v: np.ndarray, keep: np.ndarray, quad: np.ndarray
+) -> float:
+    """``trace A (log A - log B) - trace(A - B)`` on the support of ``B``.
+
+    ``w``, ``v`` and ``keep`` are the eigenpairs and support mask of ``B``
+    (as :func:`qsd.linalg._support` returns them) and ``quad`` the diagonal of
+    ``A`` in that eigenbasis; ``A`` must not leak outside the kept columns. It
+    is compressed onto them only when the support is not full.
+    """
+    if not keep.all():
+        basis = v[:, keep]
+        amat = basis.conj().T @ amat @ basis
+    term_alog_a = _xlogx(np.linalg.eigvalsh(amat))
+    term_alog_b = float(np.dot(np.log(w[keep]), quad[keep]))
+    return term_alog_a - term_alog_b - (float(np.trace(amat).real) - float(w[keep].sum()))
+
+
 def relative_entropy(a: OperatorLike, b: OperatorLike) -> DivergenceValue:
     """Relative entropy ``trace A (log A - log B) - trace(A - B)``.
 
@@ -143,19 +162,9 @@ def relative_entropy(a: OperatorLike, b: OperatorLike) -> DivergenceValue:
     quad, leak = _support_quad(amat, vb, keep)
     if leak:
         return DivergenceValue(value=INFINITE, support_defect=leak)
-
     if not np.any(keep):
         return DivergenceValue(value=0.0)
-
-    basis = vb[:, keep]
-    a_r = basis.conj().T @ amat @ basis
-    wa_r = np.linalg.eigvalsh(a_r)
-    term_alog_a = _xlogx(wa_r)
-    term_alog_b = float(np.dot(np.log(wb[keep]), quad[keep]))
-    trace_a_r = float(np.trace(a_r).real)
-    trace_b_r = float(wb[keep].sum())
-    value = term_alog_a - term_alog_b - (trace_a_r - trace_b_r)
-    return DivergenceValue(value=value)
+    return DivergenceValue(value=_relative_entropy_on(amat, wb, vb, keep, quad))
 
 
 def scalar_skew_divergence(b: float, c: float, alpha: AlphaLike) -> float:
@@ -176,30 +185,16 @@ def scalar_skew_divergence(b: float, c: float, alpha: AlphaLike) -> float:
 
 
 def _skewed_relative_entropy(amat: np.ndarray, bmat: np.ndarray, a: float) -> float:
-    """``S(A || a A + (1-a) B)`` with both operands restricted to supp(A+B).
+    """``S(A || a A + (1-a) B)`` on the support of the mixture.
 
     The mixture has the same support as ``A + B`` for any interior ``a``, so
-    its eigenbasis doubles as the restriction basis.
+    ``A`` never leaks outside it.
     """
-    tau = a * amat + (1.0 - a) * bmat
-    wt, vt, keep = _support(tau)
+    wt, vt, keep = _support(a * amat + (1.0 - a) * bmat)
     if not np.any(keep):
         raise DomainError("A + B vanishes; skew divergence undefined")
-
     quad, _ = _support_quad(amat, vt, keep)
-    term_alog_tau = float(np.dot(np.log(wt[keep]), quad[keep]))
-
-    if np.all(keep):
-        wa = np.linalg.eigvalsh(amat)
-        term_alog_a = _xlogx(wa)
-        trace_a_r = float(np.trace(amat).real)
-    else:
-        basis = vt[:, keep]
-        a_r = basis.conj().T @ amat @ basis
-        term_alog_a = _xlogx(np.linalg.eigvalsh(a_r))
-        trace_a_r = float(np.trace(a_r).real)
-    trace_tau_r = float(wt[keep].sum())
-    return term_alog_a - term_alog_tau - (trace_a_r - trace_tau_r)
+    return _relative_entropy_on(amat, wt, vt, keep, quad)
 
 
 def skew_divergence(rho: OperatorLike, sigma: OperatorLike, alpha: AlphaLike) -> float:

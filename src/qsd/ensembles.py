@@ -269,25 +269,17 @@ def chi_continuity_bound(ensemble: Ensemble, other: Ensemble) -> ChiContinuityRe
     else:
         t_comp = ()
 
-    if t == 0.0:
-        return ChiContinuityRecord(
-            delta_chi=delta_chi,
-            weighted_bound=0.0,
-            dimension_free_bound=0.0,
-            max_member_distance=0.0,
-            member_distances=t_members,
-            complementary_distances=t_comp,
+    if t == 0.0:  # the bound formulas divide by t
+        weighted = dimension_free = 0.0
+    else:
+        weighted = float(
+            sum(
+                p * t * math.log1p((1.0 - p) / (p * t))
+                + p * math.log1p((1.0 - p) * t / p)
+                for p in ensemble.weights
+            )
         )
-
-    w = ensemble.weights
-    weighted = float(
-        sum(
-            p * t * math.log1p((1.0 - p) / (p * t))
-            + p * math.log1p((1.0 - p) * t / p)
-            for p in w
-        )
-    )
-    dimension_free = t * math.log1p((n - 1) / t) + math.log1p((n - 1) * t)
+        dimension_free = t * math.log1p((n - 1) / t) + math.log1p((n - 1) * t)
     return ChiContinuityRecord(
         delta_chi=delta_chi,
         weighted_bound=weighted,

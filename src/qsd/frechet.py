@@ -385,24 +385,21 @@ def second_frechet_log_central_diff(
 # ---------------------------------------------------------------------------
 
 
-def _restrict_pair(
-    amat: np.ndarray, bmat: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Compress both operators onto the support of their sum."""
-    _, v, keep = _support(amat + bmat)
-    if not np.any(keep):
-        raise DomainError("A + B vanishes")
-    if np.all(keep):
-        return amat, bmat
-    basis = v[:, keep]
-    return basis.conj().T @ amat @ basis, basis.conj().T @ bmat @ basis
+def _metric_on_support(
+    w: np.ndarray, v: np.ndarray, keep: np.ndarray, dmat: np.ndarray
+) -> np.ndarray:
+    """``M(D, D)`` on the support of a base, or of each base in a stack, from
+    its eigenpairs ``w``, ``v`` and support mask ``keep`` as
+    :func:`qsd.linalg._support` returns them.
 
-
-def _metric_on_eigenbasis(w: np.ndarray, basis: np.ndarray, dmat: np.ndarray) -> float:
-    """``M(D, D)`` for a base with eigenvalues ``w`` on the columns of ``basis``."""
-    dtil = basis.conj().T @ dmat @ basis
-    f1 = _log_dd1(w[:, None], w[None, :])
-    return float(np.sum(f1 * np.abs(dtil) ** 2))
+    A pair of eigenvectors contributes only when both are kept: zeroed
+    eigenvectors outside the support null every pair they enter.
+    """
+    vk = v * keep[..., None, :]
+    dtil = _adjoint(vk) @ dmat @ vk
+    wk = np.where(keep, w, 1.0)  # keeps log finite on the dropped eigenvalues
+    f1 = _log_dd1(wk[..., :, None], wk[..., None, :])
+    return (f1 * np.abs(dtil) ** 2).sum(axis=(-2, -1))
 
 
 def _dsd_kernel(amat: np.ndarray, bmat: np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -410,8 +407,7 @@ def _dsd_kernel(amat: np.ndarray, bmat: np.ndarray, alphas: np.ndarray) -> np.nd
     ``alphas`` (all interior), restricted to supp(A+B).
 
     For interior alpha the mixture shares its support with A+B, so its own
-    eigenbasis provides the restriction: a pair of eigenvectors contributes
-    only when both eigenvalues lie above the support threshold.
+    eigenbasis provides the restriction.
     """
     dim = amat.shape[0]
     diff = amat - bmat
@@ -422,12 +418,7 @@ def _dsd_kernel(amat: np.ndarray, bmat: np.ndarray, alphas: np.ndarray) -> np.nd
         wt, vt, keep = _support(al * amat + (1.0 - al) * bmat)
         if not keep[:, -1].all():
             raise DomainError("A + B vanishes; differential skew divergence undefined")
-        # zeroed eigenvectors outside the support null every pair they enter
-        vk = vt * keep[:, None, :]
-        dtil = _adjoint(vk) @ diff @ vk
-        wk = np.where(keep, wt, 1.0)  # keeps log finite on the dropped eigenvalues
-        f1 = _log_dd1(wk[:, :, None], wk[:, None, :])
-        out[block] = a * (1.0 - a) * (f1 * np.abs(dtil) ** 2).sum(axis=(1, 2))
+        out[block] = a * (1.0 - a) * _metric_on_support(wt, vt, keep, diff)
     return out
 
 
@@ -476,7 +467,7 @@ def chi2_log(a: OperatorLike, b: OperatorLike) -> float:
         raise DomainError(
             f"first argument leaks outside the support of the second ({leak:.3e})"
         )
-    return _metric_on_eigenbasis(wb[keep], vb[:, keep], amat - bmat)
+    return float(_metric_on_support(wb, vb, keep, amat - bmat))
 
 
 def sd_by_averaging(
@@ -490,7 +481,7 @@ def sd_by_averaging(
     keeps the first quadrature pass instead of refining it.
     """
     alpha = _as_alpha(alpha)
-    ar, br = _restrict_pair(*_psd_operands(a, b))
+    amat, bmat = _psd_operands(a, b)
     b_total = -math.log(alpha)
 
     def integral(density: int) -> tuple[float, int]:
@@ -501,7 +492,7 @@ def sd_by_averaging(
         geo = b_total * np.geomspace(1e-9, 1.0, n_geo + 1)
         edges = np.concatenate(([0.0], geo))
         u, wts = _composite_gl(edges)
-        return float(np.dot(wts, _dsd_kernel(ar, br, np.exp(-u)))), u.size
+        return float(np.dot(wts, _dsd_kernel(amat, bmat, np.exp(-u)))), u.size
 
     return _refine(integral, refine) / b_total
 
@@ -527,27 +518,22 @@ def metric_epsilon_limit_check(
     """Evaluate ``M_{B+eps C}(A, A)`` for eps = 1e-1, ..., 1e-8 and compare
     with the support-restricted limit ``M_{B|B}(A|B, A|B)``.
 
-    Requires ``supp A`` inside ``supp B`` and ``B + C`` positive-definite.
+    Requires ``supp A`` inside ``supp B`` and every ``B + eps C``
+    positive-definite.
     """
     amat, bmat, cmat = _psd_operands(a, b, c)
 
-    _, vb, keep = _support(bmat)
+    wb, vb, keep = _support(bmat)
     _, leak = _support_quad(amat, vb, keep)
     if leak:
         raise DomainError("support of A is not contained in the support of B")
 
-    values = []
-    for e in _METRIC_EPSILONS:
-        w, v = _pd_eigh(bmat + e * cmat, "metric base")
-        values.append(_metric_on_eigenbasis(w, v, amat))
-
-    if np.any(keep):
-        basis = vb[:, keep]
-        a_r = basis.conj().T @ amat @ basis
-        w, v = _pd_eigh(basis.conj().T @ bmat @ basis, "metric base")
-        limit = _metric_on_eigenbasis(w, v, a_r)
-    else:
-        limit = 0.0
+    eps = np.array(_METRIC_EPSILONS)
+    w, v, kept = _support(bmat + eps[:, None, None] * cmat)
+    if not kept.all():
+        raise DomainError("metric base B + eps C is not positive-definite")
+    values = _metric_on_support(w, v, kept, amat).tolist()
+    limit = float(_metric_on_support(wb, vb, keep, amat))
 
     diffs = np.diff(values)
     scale = max(1.0, max(abs(v) for v in values))

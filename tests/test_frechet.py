@@ -473,6 +473,20 @@ class TestMetricEpsilonLimit:
         with pytest.raises(DomainError):
             metric_epsilon_limit_check(a, b, c)
 
+    def test_rejects_singular_base(self):
+        # every B + eps C equals the rank-2 B, which is not positive-definite
+        a = np.diag([1.0, 1.0, 0.0]) / 2
+        b = np.diag([1.0, 2.0, 0.0]) / 3
+        with pytest.raises(DomainError):
+            metric_epsilon_limit_check(a, b, np.zeros((3, 3)))
+
+    def test_two_eigh_calls(self, rng, monkeypatch):
+        a, b = support_pair(rng, 4, "nested")
+        eighs = counting(monkeypatch, np.linalg, "eigh")
+        metric_epsilon_limit_check(a, b, np.eye(4))
+        # one for the support of B, one for the stack of the 8 bases B + eps C
+        assert len(eighs) == 2
+
 
 # ---------------------------------------------------------------------------
 # Batched oracle kernels against plain per-node loops
@@ -679,8 +693,9 @@ class TestOracleKernelCalls:
         rho, sig = random_state(4, rng), random_state(4, rng)
         eighs = counting(monkeypatch, np.linalg, "eigh")
         sd_by_averaging(rho, sig, 0.4, refine=False)
-        # one for the support of A+B, one for the stack of all 160 mixtures
-        assert len(eighs) == 2
+        # one for the stack of all 160 mixtures; their support masks drop
+        # every direction outside supp(A+B), so no separate support call
+        assert len(eighs) == 1
 
 
 # ---------------------------------------------------------------------------

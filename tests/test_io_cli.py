@@ -229,6 +229,14 @@ class TestCliRandom:
         total = sum(k.conj().T @ k for k in kraus)
         assert np.abs(total - np.eye(3)).max() <= 1e-10
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    @pytest.mark.parametrize("kind", ["channel", "ensemble"])
+    def test_n_below_one_is_a_usage_error(self, capsys, kind, n):
+        assert run_cli("random", "--kind", kind, "--dim", "2", "--n", n, "--out", "-") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_seed_env_override(self, tmp_path, monkeypatch):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         monkeypatch.setenv("QSD_SEED", "123")
