@@ -119,15 +119,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_seed(seed: int | None) -> int:
-    if seed is not None:
-        return seed
-    env = os.environ.get("QSD_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise DomainError(f"QSD_SEED is not an integer: {env!r}") from exc
-    return DEFAULT_SEED
+    """``--seed``, else ``QSD_SEED``, else the default; a seed that is not a
+    nonnegative integer is a usage error naming where it came from."""
+    source, text = "--seed", seed
+    if seed is None:
+        source, text = "QSD_SEED", os.environ.get("QSD_SEED")
+        if text is None:
+            return DEFAULT_SEED
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise UsageError(f"{source} must be a nonnegative integer, got {text!r}")
+    return value
 
 
 def _cmd_compute(args) -> int:

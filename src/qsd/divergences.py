@@ -157,8 +157,9 @@ def relative_entropy(a: OperatorLike, b: OperatorLike) -> DivergenceValue:
     trace mass outside that support beyond tolerance the result is infinite,
     with the leaked mass reported in ``support_defect``.
     """
-    amat, bmat = _psd_operands(a, b)
-    wb, vb, keep = _support(bmat)
+    amat, bmat = _common_dim(a, b)
+    _require_psd(np.linalg.eigvalsh(amat), "first argument")
+    wb, vb, keep = _support(bmat, "second argument")
     quad, leak = _support_quad(amat, vb, keep)
     if leak:
         return DivergenceValue(value=INFINITE, support_defect=leak)
@@ -238,6 +239,10 @@ def apply_channel(kraus: Sequence[np.ndarray], rho: OperatorLike) -> DensityMatr
     if not kraus:
         raise DomainError("empty Kraus set")
     ops = [np.asarray(k, dtype=np.complex128) for k in kraus]
+    if any(k.ndim != 2 for k in ops):
+        raise DomainError("every Kraus operator must be a matrix")
+    if any(k.shape != ops[0].shape for k in ops):
+        raise DimensionMismatchError("Kraus operators have different shapes")
     dim = ops[0].shape[1]
     completeness = sum(k.conj().T @ k for k in ops)
     if np.abs(completeness - np.eye(dim)).max() > 1e-9:

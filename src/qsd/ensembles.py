@@ -290,36 +290,37 @@ def chi_continuity_bound(ensemble: Ensemble, other: Ensemble) -> ChiContinuityRe
     )
 
 
+def _propagator(hmat: np.ndarray, t: float) -> np.ndarray:
+    """``U = exp(i t H)`` of a Hermitian matrix, from its eigenpairs."""
+    w, v = _eigh(hmat)
+    return (v * np.exp(1j * t * w)) @ v.conj().T
+
+
 def evolve(rho: OperatorLike, hamiltonian: OperatorLike, t: float) -> DensityMatrix:
     """Unitary evolution ``U rho U*`` with ``U = exp(i t H)``; a state when
     ``rho`` is a normalized :class:`DensityMatrix`, otherwise a positive
     operator with the trace of ``rho``."""
     hmat, rmat = _common_dim(hamiltonian, rho)
-    w, v = _eigh(hmat)
-    u = (v * np.exp(1j * t * w)) @ v.conj().T
+    u = _propagator(hmat, t)
     return _like_input(rho, u @ rmat @ u.conj().T)
-
-
-def _average_derivative(experiment: MixingExperiment, at_time: float) -> tuple[np.ndarray, np.ndarray]:
-    """Averaged state and its time derivative ``sum p_j i [H_j, rho_j(t)]``."""
-    (p1, p2) = experiment.ensemble.weights
-    hams = (experiment.h1.mat, experiment.h2.mat)
-    avg = np.zeros((experiment.ensemble.dim,) * 2, dtype=np.complex128)
-    deriv = np.zeros_like(avg)
-    for p, dm, h in zip((p1, p2), experiment.ensemble.states, hams):
-        r = evolve(dm, h, at_time).mat if at_time != 0.0 else dm.mat
-        avg += p * r
-        deriv += p * 1j * (h @ r - r @ h)
-    return avg, deriv
 
 
 def mixing_rate(experiment: MixingExperiment) -> float:
     """Entropy production rate ``d/dt S(rho_0(t))`` at the experiment's time.
 
     Evaluates ``-trace(rho_0' log rho_0)`` on the support of ``rho_0``; the
-    commutator derivative is traceless so no identity term appears.
+    derivative ``sum p_j i [H_j, rho_j(t)]`` is traceless, so no identity term.
     """
-    avg, deriv = _average_derivative(experiment, experiment.time)
+    t, ens = experiment.time, experiment.ensemble
+    avg = np.zeros((ens.dim, ens.dim), dtype=np.complex128)
+    deriv = np.zeros_like(avg)
+    for p, dm, ham in zip(ens.weights, ens.states, (experiment.h1, experiment.h2)):
+        h, r = ham.mat, dm.mat
+        if t != 0.0:
+            u = _propagator(h, t)
+            r = u @ r @ u.conj().T
+        avg += p * r
+        deriv += p * 1j * (h @ r - r @ h)
     w, v, keep = _support(avg)
     quad, _ = _support_quad(deriv, v, keep)
     return -float(np.dot(np.log(w[keep]), quad[keep]))
@@ -355,11 +356,12 @@ def sim_bound_check(experiment: MixingExperiment) -> SimBoundRecord:
     h = HermitianOperator(experiment.h2.mat - experiment.h1.mat)
     h_norm = operator_norm(h)
 
-    rho2_t = evolve(rho2, h, t)
-    rho1_back = evolve(rho1, h, -t)  # U* rho1 U
+    u = _propagator(h.mat, t)
+    rho2_t = u @ rho2.mat @ u.conj().T
+    rho1_back = u.conj().T @ rho1.mat @ u
 
     rho0 = DensityMatrix.from_matrix(p1 * rho1.mat + p2 * rho2.mat)
-    rho0_t = DensityMatrix.from_matrix(p1 * rho1.mat + p2 * rho2_t.mat)
+    rho0_t = DensityMatrix.from_matrix(p1 * rho1.mat + p2 * rho2_t)
     entropy_gain = von_neumann_entropy(rho0_t) - von_neumann_entropy(rho0)
 
     sd1_t = skew_divergence(rho1, rho2_t, p1)

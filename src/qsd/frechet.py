@@ -46,6 +46,7 @@ from .linalg import (
     _eigh,
     _psd_operands,
     _require_pd,
+    _require_psd,
     _support,
     _support_quad,
 )
@@ -144,29 +145,27 @@ def _log_dd2_ordered(
     return out
 
 
-def _pd_eigh(mat: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of a positive-definite Hermitian matrix."""
+def _eigenframe(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs and first differences ``log[w_i, w_j]`` of a positive-definite base."""
     w, v = _eigh(mat)
-    _require_pd(w, what)
-    return w, v
+    _require_pd(w, "base operator")
+    return w, v, _log_dd1(w[:, None], w[None, :])
 
 
 def frechet_log(a: OperatorLike, delta: OperatorLike) -> HermitianOperator:
     """Derivative of the operator logarithm at ``a`` in direction ``delta``."""
     mat, dmat = _common_dim(a, delta)
-    w, v = _pd_eigh(mat, "base operator")
+    w, v, f1 = _eigenframe(mat)
     dtil = v.conj().T @ dmat @ v
-    f1 = _log_dd1(w[:, None], w[None, :])
     return HermitianOperator(v @ (f1 * dtil) @ v.conj().T)
 
 
 def metric_M(a: OperatorLike, b: OperatorLike, c: OperatorLike) -> complex:
     """Monotone metric ``trace B* T_A(C)`` for a positive-definite base ``A``."""
     mat, bmat, cmat = _common_dim(a, b, c)
-    w, v = _pd_eigh(mat, "base operator")
+    w, v, f1 = _eigenframe(mat)
     btil = v.conj().T @ bmat @ v
     ctil = v.conj().T @ cmat @ v
-    f1 = _log_dd1(w[:, None], w[None, :])
     return complex(np.sum(np.conj(btil) * f1 * ctil))
 
 
@@ -183,7 +182,8 @@ def _second_core(w: np.ndarray, f1: np.ndarray, x: np.ndarray, y: np.ndarray) ->
     pairs, and the diagonal of their rows, are summed directly from
     ``(pairs, d)`` tables of at most ``_NODE_BLOCK_ELEMS`` entries; ordering
     a triple's indices orders its values, so its two first differences are
-    entries of ``f1``.
+    entries of ``f1``. The table row of a pair ``(i, j)`` with ``i <= j``
+    also serves ``(j, i)``, since ``log[w_i, w_k, w_j]`` is symmetric.
     """
     dim = w.size
     gap = w[:, None] - w[None, :]
@@ -199,12 +199,15 @@ def _second_core(w: np.ndarray, f1: np.ndarray, x: np.ndarray, y: np.ndarray) ->
     # at that partner divided by a small gap
     np.fill_diagonal(close, close.sum(axis=1) > 1)
     rows, cols = np.nonzero(close)
+    upper = rows <= cols  # the row of (i, j) also serves (j, i)
+    rows, cols = rows[upper], cols[upper]
     step = max(1, _NODE_BLOCK_ELEMS // dim)
     for start in range(0, rows.size, step):
         i, j = rows[start : start + step], cols[start : start + step]
         lo, mid, hi = _order3(i[:, None], j[:, None], np.arange(dim))
         f2 = _log_dd2_ordered(w[lo], w[mid], w[hi], f1[lo, mid], f1[mid, hi])
-        core[i, j] = np.einsum("pk,pk,kp->p", x[i], f2, y[:, j])
+        p, q = np.concatenate((i, j)), np.concatenate((j, i))
+        core[p, q] = np.einsum("pk,pk,kp->p", x[p], np.concatenate((f2, f2)), y[:, q])
     return core
 
 
@@ -214,13 +217,13 @@ def second_frechet_log(
     """Negative second derivative of the operator logarithm, bilinear in the
     two perturbations (``delta2`` defaults to ``delta1``)."""
     mats = _common_dim(a, delta1) if delta2 is None else _common_dim(a, delta1, delta2)
-    w, v = _pd_eigh(mats[0], "base operator")
+    w, v, f1 = _eigenframe(mats[0])
     x = v.conj().T @ mats[1] @ v
     y = x if delta2 is None else v.conj().T @ mats[2] @ v
     # For Hermitian x and y the swapped term C(y, x) is the adjoint of
     # C(x, y); HermitianOperator keeps the Hermitian part (M + M*)/2, so one
     # core and a factor 2 give both terms.
-    core = _second_core(w, _log_dd1(w[:, None], w[None, :]), x, y)
+    core = _second_core(w, f1, x, y)
     return HermitianOperator(-2.0 * (v @ core @ v.conj().T))
 
 
@@ -458,8 +461,9 @@ def chi2_log(a: OperatorLike, b: OperatorLike) -> float:
     Both operators are compressed onto the support of ``B``; the first
     argument may not leak trace mass outside that support.
     """
-    amat, bmat = _psd_operands(a, b)
-    wb, vb, keep = _support(bmat)
+    amat, bmat = _common_dim(a, b)
+    _require_psd(np.linalg.eigvalsh(amat), "first argument")
+    wb, vb, keep = _support(bmat, "second argument")
     if not np.any(keep):
         raise DomainError("second argument vanishes")
     _, leak = _support_quad(amat, vb, keep)
@@ -521,9 +525,10 @@ def metric_epsilon_limit_check(
     Requires ``supp A`` inside ``supp B`` and every ``B + eps C``
     positive-definite.
     """
-    amat, bmat, cmat = _psd_operands(a, b, c)
-
-    wb, vb, keep = _support(bmat)
+    amat, bmat, cmat = _common_dim(a, b, c)
+    _require_psd(np.linalg.eigvalsh(amat), "first argument")
+    wb, vb, keep = _support(bmat, "second argument")
+    _require_psd(np.linalg.eigvalsh(cmat), "third argument")
     _, leak = _support_quad(amat, vb, keep)
     if leak:
         raise DomainError("support of A is not contained in the support of B")

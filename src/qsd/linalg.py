@@ -279,11 +279,13 @@ def default_support_threshold(dim: int, lambda_max: float) -> float:
     return dim * EPS * max(lambda_max, 0.0)
 
 
-def _support(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _support(mat: np.ndarray, what: str | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenpairs of a Hermitian matrix, or of each matrix in an ``(n, d, d)``
-    stack, and the mask of the support: eigenvalues strictly above
-    ``dim * eps * max(lambda_max, 0)`` (:func:`default_support_threshold`)."""
+    stack, and the support mask ``w > dim * eps * max(lambda_max, 0)``; one
+    matrix labelled ``what`` must also pass :func:`_require_psd` on ``w``."""
     w, v = _eigh(mat)
+    if what is not None:
+        _require_psd(w, what)
     lam = max(float(w[-1]), 0.0) if w.ndim == 1 else np.maximum(w[:, -1:], 0.0)
     return w, v, w > mat.shape[-1] * EPS * lam
 
@@ -307,8 +309,7 @@ def support_of(a: OperatorLike) -> SupportProjection:
     """Support projection of a PSD operator: the eigenvectors with eigenvalue
     strictly above ``dim * eps * lambda_max``."""
     mat = _as_matrix(a)
-    w, v, keep = _support(mat)
-    _require_psd(w, "support argument")
+    w, v, keep = _support(mat, "support argument")
     return SupportProjection(
         rank=int(keep.sum()),
         basis=np.ascontiguousarray(v[:, keep]),

@@ -746,8 +746,9 @@ class TestSecondCore:
 
     @pytest.mark.parametrize("pairs_per_block", [None, 1500])
     def test_all_close_pairs_span_blocks(self, rng, monkeypatch, pairs_per_block):
-        # every pair of this spectrum is close: 4096 pairs, 4 full blocks of
-        # 1024 at the default size, or 2 of 1500 and a last one of 1096
+        # every pair of this spectrum is close: the 2080 pairs with i <= j
+        # fill 2 blocks of 1024 and a last one of 32 at the default size, or
+        # one of 1500 and a last one of 580
         if pairs_per_block:
             monkeypatch.setattr(fr, "_NODE_BLOCK_ELEMS", pairs_per_block * 64)
         u = random_unitary(64, rng)
@@ -757,6 +758,6 @@ class TestSecondCore:
         blocks = counting(monkeypatch, fr, "_log_dd2_ordered")
         got = second_frechet_log(a, d).mat
         assert [len(args[0]) for args in blocks] == (
-            [1024] * 4 if pairs_per_block is None else [1500, 1500, 1096]
+            [1024, 1024, 32] if pairs_per_block is None else [1500, 580]
         )
         assert_rel_close(got, einsum_second_frechet_log(a, d, d))

@@ -246,6 +246,34 @@ class TestCliRandom:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+# The seeded commands, complete apart from the seed and --out.
+SEEDED_COMMANDS = {
+    "random": ("random", "--kind", "state", "--dim", "2"),
+    "verify": ("verify", "--suite", "core", "--dims", "2", "--trials", "1", "--quiet"),
+}
+
+
+@pytest.mark.parametrize("command", SEEDED_COMMANDS)
+@pytest.mark.parametrize(
+    "seed_args, env, source",
+    [
+        (("--seed", "-1"), None, "--seed"),
+        ((), "-5", "QSD_SEED"),
+        ((), "abc", "QSD_SEED"),
+        ((), "1.5", "QSD_SEED"),
+    ],
+)
+def test_bad_seed_is_a_usage_error(capsys, monkeypatch, command, seed_args, env, source):
+    if env is None:
+        monkeypatch.delenv("QSD_SEED", raising=False)
+    else:
+        monkeypatch.setenv("QSD_SEED", env)
+    assert run_cli(*SEEDED_COMMANDS[command], *seed_args, "--out", "-") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {source} ") and err.count("\n") == 1
+
+
 class TestCliVerify:
     def test_small_run_exits_zero(self, tmp_path):
         out = tmp_path / "report.json"

@@ -6,6 +6,7 @@ import pytest
 
 from qsd import (
     DimensionMismatchError,
+    DomainError,
     apply_channel,
     chi2_log,
     differential_skew_divergence,
@@ -69,6 +70,45 @@ def test_mismatched_channel_and_projection_raise(rng):
         apply_channel([random_unitary(2, rng)], np.eye(3) / 3)
     with pytest.raises(DimensionMismatchError):
         restrict(np.eye(2), support_of(np.eye(3)))
+
+
+# name -> (function, operand count, trailing scalar arguments) of the
+# functions that require every operand to be positive semidefinite
+PSD_OPERANDS = {
+    name: MULTI_OPERAND[name]
+    for name in (
+        "relative_entropy",
+        "skew_divergence",
+        "differential_skew_divergence",
+        "chi2_log",
+        "sd_by_averaging",
+        "fidelity",
+        "metric_epsilon_limit_check",
+    )
+}
+POSITIONS = ("first argument", "second argument", "third argument")
+
+
+@pytest.mark.parametrize(
+    "name, position",
+    [(name, pos) for name, (_, n, _) in PSD_OPERANDS.items() for pos in range(n)],
+)
+def test_non_psd_operand_is_named_by_position(name, position):
+    fn, n, scalars = PSD_OPERANDS[name]
+    operands = [np.eye(2) / 2] * n
+    operands[position] = np.diag([1.0, -0.5])
+    with pytest.raises(DomainError, match=f"^{POSITIONS[position]} is not positive semidefinite"):
+        fn(*operands, *scalars)
+
+
+def test_kraus_blocks_of_different_shapes_raise():
+    with pytest.raises(DimensionMismatchError):
+        apply_channel([np.eye(2), np.eye(3)], np.eye(2) / 2)
+
+
+def test_kraus_block_that_is_not_a_matrix_raises():
+    with pytest.raises(DomainError):
+        apply_channel([np.ones(2)], np.eye(2) / 2)
 
 
 def _unitary_evolution(rng):

@@ -1,6 +1,12 @@
-"""The public namespace: every exported name exists and is listed once."""
+"""The public namespace: every exported name exists, is listed once and is
+documented in README."""
+
+import re
+from pathlib import Path
 
 import qsd
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_all_is_sorted_unique_and_resolves():
@@ -8,3 +14,10 @@ def test_all_is_sorted_unique_and_resolves():
     assert names == sorted(names)
     assert len(set(names)) == len(names)
     assert [name for name in names if not hasattr(qsd, name)] == []
+
+
+def test_every_exported_name_is_in_readme():
+    # in backticks, alone or as the start of a call such as `evolve(rho, h, t)`
+    text = README.read_text(encoding="utf-8")
+    missing = [name for name in qsd.__all__ if not re.search(rf"`{name}[`(]", text)]
+    assert missing == []
