@@ -29,7 +29,6 @@ from .linalg import (
     _like_input,
     _support,
     _support_quad,
-    operator_norm,
 )
 
 WEIGHT_SUM_TOL = 1e-12
@@ -112,12 +111,21 @@ class MixingExperiment:
             raise DomainError("time must be nonnegative")
 
 
+def _mixture(ensemble: Ensemble, skip: int | None = None) -> np.ndarray:
+    """``sum p_j rho_j`` over the members, or over all but ``skip`` divided by
+    ``1 - p_skip``. The members were validated when the ensemble was built;
+    a consumer that needs a state validates the mixture where it enters."""
+    acc = sum(
+        wi * dm.mat
+        for j, (wi, dm) in enumerate(zip(ensemble.weights, ensemble.states))
+        if j != skip
+    )
+    return acc if skip is None else acc / (1.0 - ensemble.weights[skip])
+
+
 def average_state(ensemble: Ensemble) -> DensityMatrix:
     """Weighted mixture ``sum p_i rho_i`` of the ensemble members."""
-    acc = sum(
-        wi * dm.mat for wi, dm in zip(ensemble.weights, ensemble.states)
-    )
-    return DensityMatrix.from_matrix(acc)
+    return DensityMatrix.from_matrix(_mixture(ensemble))
 
 
 def complementary_state(ensemble: Ensemble, index: int) -> DensityMatrix:
@@ -126,19 +134,12 @@ def complementary_state(ensemble: Ensemble, index: int) -> DensityMatrix:
         raise DomainError("complementary states need at least two members")
     if not 0 <= index < ensemble.n:
         raise DomainError(f"index {index} out of range for n={ensemble.n}")
-    p_i = ensemble.weights[index]
-    acc = sum(
-        wi * dm.mat
-        for j, (wi, dm) in enumerate(zip(ensemble.weights, ensemble.states))
-        if j != index
-    )
-    return DensityMatrix.from_matrix(acc / (1.0 - p_i))
+    return DensityMatrix.from_matrix(_mixture(ensemble, skip=index))
 
 
 def holevo_chi(ensemble: Ensemble) -> float:
     """Holevo information ``S(sum p_i rho_i) - sum p_i S(rho_i)``."""
-    avg = average_state(ensemble)
-    return von_neumann_entropy(avg) - float(
+    return von_neumann_entropy(_mixture(ensemble)) - float(
         sum(
             wi * von_neumann_entropy(dm)
             for wi, dm in zip(ensemble.weights, ensemble.states)
@@ -148,7 +149,7 @@ def holevo_chi(ensemble: Ensemble) -> float:
 
 def holevo_chi_relative_entropy_form(ensemble: Ensemble) -> float:
     """Equivalent evaluation ``sum p_i S(rho_i || rho_0)`` (cross-check route)."""
-    avg = average_state(ensemble)
+    avg = _mixture(ensemble)
     total = 0.0
     for wi, dm in zip(ensemble.weights, ensemble.states):
         total += wi * float(relative_entropy(dm, avg))
@@ -162,8 +163,7 @@ def holevo_chi_skew_divergence_form(ensemble: Ensemble) -> float:
         return 0.0
     total = 0.0
     for i, (wi, dm) in enumerate(zip(ensemble.weights, ensemble.states)):
-        comp = complementary_state(ensemble, i)
-        total += -wi * math.log(wi) * skew_divergence(dm, comp, wi)
+        total += -wi * math.log(wi) * skew_divergence(dm, _mixture(ensemble, skip=i), wi)
     return total
 
 
@@ -202,8 +202,7 @@ def chi_upper_bounds(ensemble: Ensemble) -> ChiBoundRecord:
     if n > 1:
         for i in range(n):
             coeff = -w[i] * math.log(w[i])
-            comp = complementary_state(ensemble, i)
-            comp_bound += coeff * trace_distance(states[i], comp)
+            comp_bound += coeff * trace_distance(states[i], _mixture(ensemble, skip=i))
             pair_bound += coeff * float(
                 sum(w[j] * dist[i, j] for j in range(n) if j != i) / (1.0 - w[i])
             )
@@ -261,13 +260,10 @@ def chi_continuity_bound(ensemble: Ensemble, other: Ensemble) -> ChiContinuityRe
     t = max(t_members)
     delta_chi = abs(holevo_chi(ensemble) - holevo_chi(other))
 
-    if n >= 2:
-        t_comp = tuple(
-            trace_distance(complementary_state(ensemble, i), complementary_state(other, i))
-            for i in range(n)
-        )
-    else:
-        t_comp = ()
+    t_comp = tuple(  # a single member has no complement
+        trace_distance(_mixture(ensemble, skip=i), _mixture(other, skip=i))
+        for i in range(n if n > 1 else 0)
+    )
 
     if t == 0.0:  # the bound formulas divide by t
         weighted = dimension_free = 0.0
@@ -290,9 +286,8 @@ def chi_continuity_bound(ensemble: Ensemble, other: Ensemble) -> ChiContinuityRe
     )
 
 
-def _propagator(hmat: np.ndarray, t: float) -> np.ndarray:
-    """``U = exp(i t H)`` of a Hermitian matrix, from its eigenpairs."""
-    w, v = _eigh(hmat)
+def _propagator(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+    """``U = exp(i t H)`` from the eigenpairs ``w``, ``v`` of ``H``."""
     return (v * np.exp(1j * t * w)) @ v.conj().T
 
 
@@ -301,7 +296,7 @@ def evolve(rho: OperatorLike, hamiltonian: OperatorLike, t: float) -> DensityMat
     ``rho`` is a normalized :class:`DensityMatrix`, otherwise a positive
     operator with the trace of ``rho``."""
     hmat, rmat = _common_dim(hamiltonian, rho)
-    u = _propagator(hmat, t)
+    u = _propagator(*_eigh(hmat), t)
     return _like_input(rho, u @ rmat @ u.conj().T)
 
 
@@ -317,7 +312,7 @@ def mixing_rate(experiment: MixingExperiment) -> float:
     for p, dm, ham in zip(ens.weights, ens.states, (experiment.h1, experiment.h2)):
         h, r = ham.mat, dm.mat
         if t != 0.0:
-            u = _propagator(h, t)
+            u = _propagator(*_eigh(h), t)
             r = u @ r @ u.conj().T
         avg += p * r
         deriv += p * 1j * (h @ r - r @ h)
@@ -348,35 +343,30 @@ class SimBoundRecord:
 def sim_bound_check(experiment: MixingExperiment) -> SimBoundRecord:
     """Entropy gain of a binary mixing experiment against ``2 t h(p) ||H||``."""
     ens = experiment.ensemble
-    if ens.n != 2:
-        raise DomainError("incremental-mixing bound needs a binary ensemble")
     p1, p2 = (float(x) for x in ens.weights)
     rho1, rho2 = ens.states
     t = experiment.time
-    h = HermitianOperator(experiment.h2.mat - experiment.h1.mat)
-    h_norm = operator_norm(h)
+    w, v = _eigh((experiment.h2 - experiment.h1).mat)
+    h_norm = float(np.abs(w).max())
 
-    u = _propagator(h.mat, t)
+    u = _propagator(w, v, t)
     rho2_t = u @ rho2.mat @ u.conj().T
     rho1_back = u.conj().T @ rho1.mat @ u
 
-    rho0 = DensityMatrix.from_matrix(p1 * rho1.mat + p2 * rho2.mat)
-    rho0_t = DensityMatrix.from_matrix(p1 * rho1.mat + p2 * rho2_t)
-    entropy_gain = von_neumann_entropy(rho0_t) - von_neumann_entropy(rho0)
+    rho0_t = p1 * rho1.mat + p2 * rho2_t
+    entropy_gain = von_neumann_entropy(rho0_t) - von_neumann_entropy(_mixture(ens))
 
-    sd1_t = skew_divergence(rho1, rho2_t, p1)
-    sd1_0 = skew_divergence(rho1, rho2, p1)
-    sd2_t = skew_divergence(rho2, rho1_back, p2)
-    sd2_0 = skew_divergence(rho2, rho1, p2)
-    svsd_rhs = -p1 * math.log(p1) * (sd1_t - sd1_0) - p2 * math.log(p2) * (
-        sd2_t - sd2_0
+    increments = (
+        skew_divergence(rho1, rho2_t, p1) - skew_divergence(rho1, rho2, p1),
+        skew_divergence(rho2, rho1_back, p2) - skew_divergence(rho2, rho1, p2),
     )
+    svsd_rhs = -p1 * math.log(p1) * increments[0] - p2 * math.log(p2) * increments[1]
 
     return SimBoundRecord(
         entropy_gain=entropy_gain,
         sim_bound=2.0 * t * shannon_entropy((p1, p2)) * h_norm,
         sd_representation_residual=abs(entropy_gain - svsd_rhs),
-        bravyi_lhs=(sd1_t - sd1_0, sd2_t - sd2_0),
+        bravyi_lhs=increments,
         bravyi_rhs=2.0 * t * h_norm,
         hamiltonian_norm=h_norm,
     )

@@ -275,19 +275,20 @@ class SupportProjection:
         return self.basis.shape[0]
 
 
-def default_support_threshold(dim: int, lambda_max: float) -> float:
-    return dim * EPS * max(lambda_max, 0.0)
+def default_support_threshold(dim: int, lambda_max):
+    """``dim * eps * max(lambda_max, 0)``, also for the ``(n, 1)`` column of
+    a stack's largest eigenvalues; the support lies strictly above it."""
+    return dim * EPS * np.maximum(lambda_max, 0.0)
 
 
 def _support(mat: np.ndarray, what: str | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenpairs of a Hermitian matrix, or of each matrix in an ``(n, d, d)``
-    stack, and the support mask ``w > dim * eps * max(lambda_max, 0)``; one
+    stack, and the mask of eigenvalues above the support threshold; one
     matrix labelled ``what`` must also pass :func:`_require_psd` on ``w``."""
     w, v = _eigh(mat)
     if what is not None:
         _require_psd(w, what)
-    lam = max(float(w[-1]), 0.0) if w.ndim == 1 else np.maximum(w[:, -1:], 0.0)
-    return w, v, w > mat.shape[-1] * EPS * lam
+    return w, v, w > default_support_threshold(mat.shape[-1], w[..., -1:])
 
 
 def _support_quad(
@@ -313,7 +314,7 @@ def support_of(a: OperatorLike) -> SupportProjection:
     return SupportProjection(
         rank=int(keep.sum()),
         basis=np.ascontiguousarray(v[:, keep]),
-        threshold=default_support_threshold(mat.shape[0], float(w[-1])),
+        threshold=float(default_support_threshold(mat.shape[0], w[-1])),
     )
 
 

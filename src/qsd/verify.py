@@ -22,6 +22,7 @@ are reproducible and trials are independent.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -1072,9 +1073,9 @@ def run_suite(
 
     ``tol`` rescales every check's pinned tolerance proportionally
     (``tol / 1e-8``); with the default it reproduces the stated tolerances
-    exactly. It must be finite and positive. A trial whose slack is not
-    finite (NaN or infinite), or whose check raises, proves nothing and
-    counts as a violation.
+    exactly. It must be finite and positive, ``seed`` a nonnegative integer.
+    A trial whose slack is not finite (NaN or infinite), or whose check
+    raises, proves nothing and counts as a violation.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
@@ -1082,13 +1083,15 @@ def run_suite(
         raise ValueError("trials must be at least 1")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 1 for d in dims):
         raise ValueError("dims must be positive integers")
 
     assert_registry_complete()
     selected = [c for c in REGISTRY if suite == "all" or c.suite == suite]
-    report = VerificationReport(suite=suite, seed=seed, dims=dims, trials=trials)
+    report = VerificationReport(suite=suite, seed=int(seed), dims=dims, trials=trials)
     started = time.perf_counter()
     for check in selected:
         result = _run_check(check, seed, dims, trials, check.tol * (tol / DEFAULT_TOL))

@@ -118,6 +118,39 @@ class TestAverageAndComplementary:
             complementary_state(ens, 0)
 
 
+class TestInternalMixtures:
+    """The Holevo routes form their mixtures without building states; each
+    must agree with the route through the public average and complementary
+    states."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_agree_with_public_states(self, rng, n):
+        ens = random_ensemble(rng, 3, n)
+        other = Ensemble(ens.weights, [random_state(3, rng) for _ in range(n)])
+        w, states = ens.weights, ens.states
+
+        chi = von_neumann_entropy(average_state(ens)) - sum(
+            p * von_neumann_entropy(s) for p, s in zip(w, states)
+        )
+        assert holevo_chi(ens) == pytest.approx(chi, abs=1e-14)
+
+        comp_bound = sum(
+            -w[i] * math.log(w[i]) * trace_distance(states[i], complementary_state(ens, i))
+            for i in range(n)
+        ) if n > 1 else 0.0
+        assert chi_upper_bounds(ens).complementary_bound == pytest.approx(
+            comp_bound, abs=1e-14
+        )
+
+        distances = chi_continuity_bound(ens, other).complementary_distances
+        assert len(distances) == (n if n > 1 else 0)
+        for i, value in enumerate(distances):
+            expected = trace_distance(
+                complementary_state(ens, i), complementary_state(other, i)
+            )
+            assert value == pytest.approx(expected, abs=1e-14)
+
+
 class TestHolevoChi:
     def test_identical_states(self, rng):
         rho = random_state(3, rng)

@@ -339,6 +339,13 @@ class TestCliVerify:
         with pytest.raises(ValueError):
             run_suite(suite="core", dims=(2,), trials=1, tol=tol)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_run_suite_rejects_bad_seed(self, seed):
+        from qsd import run_suite
+
+        with pytest.raises(ValueError, match="seed"):
+            run_suite(suite="core", dims=(2,), trials=1, seed=seed)
+
     @pytest.mark.parametrize("slack", [math.nan, math.inf, -math.inf])
     def test_non_finite_slack_is_a_violation(self, tmp_path, monkeypatch, slack):
         from qsd import verify

@@ -6,13 +6,22 @@ import pytest
 
 import qsd
 
-# name -> np.linalg.eigh + eigvalsh calls per call on d = 4 states
+# name -> np.linalg.eigh + eigvalsh calls per call on d = 4 states; the
+# ensembles have n = 3 members unless the name says n = 2
 EXPECTED_CALLS = {
     "relative_entropy": 3,
     "chi2_log": 2,
     "metric_epsilon_limit_check": 4,
     "mixing_rate": 3,
-    "sim_bound_check": 22,
+    "sim_bound_check": 19,
+    "average_state": 1,
+    "complementary_state": 1,
+    "holevo_chi": 4,
+    "holevo_chi_relative_entropy_form": 9,
+    "holevo_chi_skew_divergence_form": 12,
+    "chi_upper_bounds n=2": 10,
+    "chi_upper_bounds n=3": 10,
+    "chi_continuity_bound": 14,
     "skew_divergence": 4,
     "frechet_log": 1,
     "metric_M": 1,
@@ -22,15 +31,26 @@ EXPECTED_CALLS = {
 
 @pytest.fixture
 def calls(rng):
-    a, b, c = (qsd.random_state(4, rng) for _ in range(3))
+    a, b, c, d, e, f = (qsd.random_state(4, rng) for _ in range(6))
     h1, h2 = qsd.random_hamiltonian(4, rng), qsd.random_hamiltonian(4, rng)
-    mixing = qsd.MixingExperiment(qsd.Ensemble((0.3, 0.7), (a, b)), h1, h2, 0.4)
+    binary = qsd.Ensemble((0.3, 0.7), (a, b))
+    mixing = qsd.MixingExperiment(binary, h1, h2, 0.4)
+    ens = qsd.Ensemble((0.2, 0.3, 0.5), (a, b, c))
+    other = qsd.Ensemble((0.2, 0.3, 0.5), (d, e, f))
     return {
         "relative_entropy": lambda: qsd.relative_entropy(a, b),
         "chi2_log": lambda: qsd.chi2_log(a, b),
         "metric_epsilon_limit_check": lambda: qsd.metric_epsilon_limit_check(a, b, c),
         "mixing_rate": lambda: qsd.mixing_rate(mixing),
         "sim_bound_check": lambda: qsd.sim_bound_check(mixing),
+        "average_state": lambda: qsd.average_state(ens),
+        "complementary_state": lambda: qsd.complementary_state(ens, 1),
+        "holevo_chi": lambda: qsd.holevo_chi(ens),
+        "holevo_chi_relative_entropy_form": lambda: qsd.holevo_chi_relative_entropy_form(ens),
+        "holevo_chi_skew_divergence_form": lambda: qsd.holevo_chi_skew_divergence_form(ens),
+        "chi_upper_bounds n=2": lambda: qsd.chi_upper_bounds(binary),
+        "chi_upper_bounds n=3": lambda: qsd.chi_upper_bounds(ens),
+        "chi_continuity_bound": lambda: qsd.chi_continuity_bound(ens, other),
         "skew_divergence": lambda: qsd.skew_divergence(a, b, 0.5),
         "frechet_log": lambda: qsd.frechet_log(a, h1),
         "metric_M": lambda: qsd.metric_M(a, h1, h2),
