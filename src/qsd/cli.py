@@ -5,8 +5,9 @@ files, ``random`` writes seeded random objects, and ``verify`` runs the
 inequality-verification suite and emits a machine-readable report.
 
 Exit codes: 0 success, 1 verification found violations, 2 usage or parse
-failure, 3 domain error, 4 I/O failure. The environment variable ``QSD_SEED``
-overrides the default seed when ``--seed`` is not given.
+failure, 3 domain error (also a non-finite ``compute`` result other than a
+relative entropy's support-defect ``inf``), 4 I/O failure. The environment
+variable ``QSD_SEED`` overrides the default seed when ``--seed`` is not given.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from . import io as qio
 from .divergences import (
+    DivergenceValue,
     fidelity,
     relative_entropy,
     skew_divergence,
@@ -141,8 +143,15 @@ def _cmd_compute(args) -> int:
         raise UsageError(
             f"measure {args.measure!r} takes {expected} input file(s), got {len(args.inputs)}"
         )
-    value = float(evaluate(args))
-    print(repr(value) if not math.isinf(value) else "inf")
+    with np.errstate(over="ignore"):  # an overflow surfaces as a non-finite value
+        result = evaluate(args)
+    value = float(result)
+    if isinstance(result, DivergenceValue) and result.is_infinite:
+        print("inf")  # relative entropy's support defect
+    elif math.isfinite(value):
+        print(repr(value))
+    else:
+        raise DomainError(f"measure {args.measure!r} is {value} on these inputs")
     return 0
 
 

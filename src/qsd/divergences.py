@@ -215,19 +215,24 @@ def trace_distance(rho: OperatorLike, sigma: OperatorLike) -> float:
 
 
 def fidelity(rho: OperatorLike, sigma: OperatorLike) -> float:
-    """Uhlmann fidelity ``trace sqrt(sqrt(rho) sigma sqrt(rho))``."""
+    """Uhlmann fidelity ``trace sqrt(sqrt(rho) sigma sqrt(rho))`` of positive
+    operators; ``F(c rho, c sigma) = c F(rho, sigma)``."""
     rmat, smat = _common_dim(rho, sigma)
     w, v = _eigh(rmat)
     _require_psd(w, "first argument")
-    _require_psd(np.linalg.eigvalsh(smat), "second argument")
-    sqrt_r = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    ws = np.linalg.eigvalsh(smat)
+    _require_psd(ws, "second argument")
+    w = np.clip(w, 0.0, None)
+    sqrt_r = (v * np.sqrt(w)) @ v.conj().T
     inner = sqrt_r @ smat @ sqrt_r
     wi = np.linalg.eigvalsh(inner)
     # eigenvalue noise of order eps turns into sqrt(eps) after the root,
     # so drop anything at the numerical-zero level before summing
     thr = default_support_threshold(inner.shape[0], float(max(wi[-1], 0.0)))
     value = float(np.sqrt(wi[wi > thr]).sum())
-    return min(1.0, max(0.0, value))
+    # Cauchy-Schwarz: F <= sqrt(trace rho trace sigma), which is 1 for states
+    bound = math.sqrt(float(w.sum())) * math.sqrt(float(np.clip(ws, 0.0, None).sum()))
+    return min(bound, max(0.0, value))
 
 
 def apply_channel(kraus: Sequence[np.ndarray], rho: OperatorLike) -> DensityMatrix:

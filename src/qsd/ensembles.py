@@ -12,10 +12,11 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
 from .divergences import (
+    _as_alpha,
+    _relative_entropy_on,
+    _skewed_relative_entropy,
     fidelity,
-    relative_entropy,
     shannon_entropy,
-    skew_divergence,
     trace_distance,
     von_neumann_entropy,
 )
@@ -29,6 +30,7 @@ from .linalg import (
     _like_input,
     _support,
     _support_quad,
+    _symmetrized,
 )
 
 WEIGHT_SUM_TOL = 1e-12
@@ -113,14 +115,12 @@ class MixingExperiment:
 
 def _mixture(ensemble: Ensemble, skip: int | None = None) -> np.ndarray:
     """``sum p_j rho_j`` over the members, or over all but ``skip`` divided by
-    ``1 - p_skip``. The members were validated when the ensemble was built;
-    a consumer that needs a state validates the mixture where it enters."""
-    acc = sum(
-        wi * dm.mat
-        for j, (wi, dm) in enumerate(zip(ensemble.weights, ensemble.states))
-        if j != skip
-    )
-    return acc if skip is None else acc / (1.0 - ensemble.weights[skip])
+    the sum of their weights (``1 - p_skip`` loses digits when ``p_skip`` is
+    near 1). The members were validated when the ensemble was built; a
+    consumer that needs a state validates the mixture where it enters."""
+    kept = [j for j in range(ensemble.n) if j != skip]
+    acc = sum(ensemble.weights[j] * ensemble.states[j].mat for j in kept)
+    return acc if skip is None else acc / ensemble.weights[kept].sum()
 
 
 def average_state(ensemble: Ensemble) -> DensityMatrix:
@@ -148,22 +148,25 @@ def holevo_chi(ensemble: Ensemble) -> float:
 
 
 def holevo_chi_relative_entropy_form(ensemble: Ensemble) -> float:
-    """Equivalent evaluation ``sum p_i S(rho_i || rho_0)`` (cross-check route)."""
-    avg = _mixture(ensemble)
+    """Equivalent evaluation ``sum p_i S(rho_i || rho_0)`` (cross-check route);
+    ``rho_0 >= p_i rho_i``, so no member leaks out of the support of ``rho_0``."""
+    w, v, keep = _support(_mixture(ensemble))
     total = 0.0
     for wi, dm in zip(ensemble.weights, ensemble.states):
-        total += wi * float(relative_entropy(dm, avg))
+        quad, _ = _support_quad(dm.mat, v, keep)
+        total += wi * _relative_entropy_on(dm.mat, w, v, keep, quad)
     return total
 
 
 def holevo_chi_skew_divergence_form(ensemble: Ensemble) -> float:
     """Equivalent evaluation ``-sum p_i log(p_i) SD_{p_i}(rho_i || rhobar_i)``
-    through the complementary states (cross-check route)."""
+    through the complementary states (cross-check route); ``-log p_i`` cancels
+    the divergence's ``1/(-log p_i)``, so every weight is a valid skew."""
     if ensemble.n == 1:
         return 0.0
     total = 0.0
     for i, (wi, dm) in enumerate(zip(ensemble.weights, ensemble.states)):
-        total += -wi * math.log(wi) * skew_divergence(dm, _mixture(ensemble, skip=i), wi)
+        total += wi * _skewed_relative_entropy(dm.mat, _mixture(ensemble, skip=i), wi)
     return total
 
 
@@ -343,30 +346,30 @@ class SimBoundRecord:
 def sim_bound_check(experiment: MixingExperiment) -> SimBoundRecord:
     """Entropy gain of a binary mixing experiment against ``2 t h(p) ||H||``."""
     ens = experiment.ensemble
-    p1, p2 = (float(x) for x in ens.weights)
-    rho1, rho2 = ens.states
+    # the increments are skew divergences at skews p_1 and p_2
+    p1, p2 = (_as_alpha(float(x)) for x in ens.weights)
+    rho1, rho2 = (dm.mat for dm in ens.states)
     t = experiment.time
     w, v = _eigh((experiment.h2 - experiment.h1).mat)
     h_norm = float(np.abs(w).max())
 
     u = _propagator(w, v, t)
-    rho2_t = u @ rho2.mat @ u.conj().T
-    rho1_back = u.conj().T @ rho1.mat @ u
+    rho2_t = _symmetrized(u @ rho2 @ u.conj().T)
+    rho1_back = _symmetrized(u.conj().T @ rho1 @ u)
 
-    rho0_t = p1 * rho1.mat + p2 * rho2_t
+    rho0_t = p1 * rho1 + p2 * rho2_t
     entropy_gain = von_neumann_entropy(rho0_t) - von_neumann_entropy(_mixture(ens))
 
-    increments = (
-        skew_divergence(rho1, rho2_t, p1) - skew_divergence(rho1, rho2, p1),
-        skew_divergence(rho2, rho1_back, p2) - skew_divergence(rho2, rho1, p2),
-    )
-    svsd_rhs = -p1 * math.log(p1) * increments[0] - p2 * math.log(p2) * increments[1]
+    # d_i is -log p_i times the skew-divergence increment of member i
+    skewed = _skewed_relative_entropy
+    d1 = skewed(rho1, rho2_t, p1) - skewed(rho1, rho2, p1)
+    d2 = skewed(rho2, rho1_back, p2) - skewed(rho2, rho1, p2)
 
     return SimBoundRecord(
         entropy_gain=entropy_gain,
         sim_bound=2.0 * t * shannon_entropy((p1, p2)) * h_norm,
-        sd_representation_residual=abs(entropy_gain - svsd_rhs),
-        bravyi_lhs=increments,
+        sd_representation_residual=abs(entropy_gain - (p1 * d1 + p2 * d2)),
+        bravyi_lhs=(d1 / -math.log(p1), d2 / -math.log(p2)),
         bravyi_rhs=2.0 * t * h_norm,
         hamiltonian_norm=h_norm,
     )

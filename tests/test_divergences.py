@@ -270,6 +270,13 @@ class TestFidelity:
             f = fidelity(np.outer(psi, psi.conj()), np.outer(phi, phi.conj()))
             assert f == pytest.approx(abs(np.vdot(psi, phi)), abs=1e-10)
 
+    @pytest.mark.parametrize("c", [0.3, 2.0])
+    def test_homogeneous_on_positive_operators(self, rng, c):
+        # the clamp is sqrt(trace rho trace sigma), not 1
+        rho, sig = random_state(3, rng), random_state(3, rng)
+        scaled = fidelity(c * rho.mat, c * sig.mat)
+        assert scaled == pytest.approx(c * fidelity(rho, sig), rel=1e-12)
+
     def test_fuchs_van_de_graaf(self, rng):
         for _ in range(30):
             rho, sig = random_state(4, rng), random_state(4, rng)

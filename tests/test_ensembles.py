@@ -23,6 +23,7 @@ from qsd import (
     random_unitary,
     shannon_entropy,
     sim_bound_check,
+    skew_divergence,
     trace_distance,
     von_neumann_entropy,
 )
@@ -150,6 +151,18 @@ class TestInternalMixtures:
             )
             assert value == pytest.approx(expected, abs=1e-14)
 
+    @pytest.mark.parametrize("w0", [1e-9, 1e-5])
+    def test_complement_of_a_heavy_member_keeps_its_digits(self, rng, w0):
+        # for n = 2 the complement of member 1 is member 0, so its distance
+        # equals the member distance; dividing by 1 - p_1 loses that
+        weights = (w0, 1.0 - w0)
+        ens = Ensemble(weights, [random_state(3, rng) for _ in range(2)])
+        other = Ensemble(weights, [random_state(3, rng) for _ in range(2)])
+        rec = chi_continuity_bound(ens, other)
+        assert rec.complementary_distances[1] == pytest.approx(
+            rec.member_distances[0], rel=1e-14, abs=0.0
+        )
+
 
 class TestHolevoChi:
     def test_identical_states(self, rng):
@@ -178,6 +191,17 @@ class TestHolevoChi:
             assert chi == pytest.approx(
                 holevo_chi_skew_divergence_form(ens), abs=1e-9
             )
+
+    @pytest.mark.parametrize(
+        "weights", [(0.5, 0.5), (0.2, 0.3, 0.5), (1e-13, 0.4, 0.6 - 1e-13), (0.1,) * 10]
+    )
+    def test_three_forms_agree_tightly(self, rng, weights):
+        # a weight below ALPHA_MIN is no skew parameter, but the SD form's
+        # -p log p cancels the 1/(-log p), so its value is still defined
+        ens = Ensemble(weights, [random_state(4, rng) for _ in weights])
+        chi = holevo_chi(ens)
+        assert holevo_chi_relative_entropy_form(ens) == pytest.approx(chi, abs=1e-12)
+        assert holevo_chi_skew_divergence_form(ens) == pytest.approx(chi, abs=1e-12)
 
 
 class TestChiUpperBounds:
@@ -371,6 +395,19 @@ class TestSimBound:
             assert rec.sd_representation_residual <= 1e-8
             for lhs in rec.bravyi_lhs:
                 assert lhs <= rec.bravyi_rhs + 1e-8
+
+    def test_increments_match_public_skew_divergences(self, rng):
+        exp = random_experiment(rng, 4)
+        (p1, p2), (rho1, rho2) = exp.ensemble.weights, exp.ensemble.states
+        h = exp.h2 - exp.h1
+        rho2_t = evolve(rho2, h, exp.time)
+        rho1_back = evolve(rho1, h * -1.0, exp.time)
+        expected = (
+            skew_divergence(rho1, rho2_t, p1) - skew_divergence(rho1, rho2, p1),
+            skew_divergence(rho2, rho1_back, p2) - skew_divergence(rho2, rho1, p2),
+        )
+        lhs = sim_bound_check(exp).bravyi_lhs
+        assert lhs == pytest.approx(expected, abs=1e-13)
 
     def test_gain_reconstruction_weights(self, rng):
         # the SD increments weighted by -p log p reproduce the entropy gain

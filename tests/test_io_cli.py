@@ -165,19 +165,28 @@ class TestCliCompute:
         assert run_cli("compute", "--measure", "sd", "--alpha", "1.5", str(p), str(p)) == 3
 
     @pytest.mark.parametrize(
-        "measure, extra", [("entropy", 0), ("re", 1), ("trace-dist", 1), ("sd", 1)]
+        "measure, extra",
+        [("entropy", 0), ("re", 1), ("trace-dist", 1), ("sd", 1), ("dsd", 1), ("chi2log", 1)],
     )
-    @pytest.mark.parametrize("entry, code", [("NaN", 2), ("1e308", 3)])
-    def test_non_finite_state_is_rejected(self, tmp_path, capsys, measure, extra, entry, code):
-        # a NaN entry is a malformed file (2); 1e308 parses but overflows (3)
-        bad, ok = tmp_path / "bad.json", tmp_path / "ok.json"
+    @pytest.mark.parametrize(
+        "diag, off, code",
+        [("0.5", "NaN", 2), ("0.5", "1e308", 3), ("8.9e307", "0", 3)],
+        ids=["NaN-2", "1e308-3", "8.9e307-3"],
+    )
+    def test_non_finite_state_is_rejected(
+        self, tmp_path, capsys, measure, extra, diag, off, code
+    ):
+        # a NaN entry is a malformed file (2); 1e308 parses but overflows (3);
+        # diag(8.9e307, 8.9e307) is finite, but every measure of it overflows
+        # (3): against diag(0.5, 0.5), and trace distance against its negation
+        bad, partner = tmp_path / "bad.json", tmp_path / "partner.json"
         bad.write_text(
             '{"format": "qsd-state-v1", "dim": 2, '
-            f'"re": [[0.5, {entry}], [{entry}, 0.5]], "im": [[0, 0], [0, 0]]}}'
+            f'"re": [[{diag}, {off}], [{off}, {diag}]], "im": [[0, 0], [0, 0]]}}'
         )
-        write_diag(ok, [0.5, 0.5])
+        write_diag(partner, [-float(diag)] * 2 if measure == "trace-dist" else [0.5] * 2)
         args = ["compute", "--measure", measure, "--alpha", "0.5", str(bad)]
-        assert run_cli(*args, *[str(ok)] * extra) == code
+        assert run_cli(*args, *[str(partner)] * extra) == code
         out, err = capsys.readouterr()
         assert out == ""
         # no numpy warning ahead of the one diagnostic line

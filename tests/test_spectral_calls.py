@@ -13,12 +13,12 @@ EXPECTED_CALLS = {
     "chi2_log": 2,
     "metric_epsilon_limit_check": 4,
     "mixing_rate": 3,
-    "sim_bound_check": 19,
+    "sim_bound_check": 11,
     "average_state": 1,
     "complementary_state": 1,
     "holevo_chi": 4,
-    "holevo_chi_relative_entropy_form": 9,
-    "holevo_chi_skew_divergence_form": 12,
+    "holevo_chi_relative_entropy_form": 4,
+    "holevo_chi_skew_divergence_form": 6,
     "chi_upper_bounds n=2": 10,
     "chi_upper_bounds n=3": 10,
     "chi_continuity_bound": 14,
