@@ -155,7 +155,8 @@ def relative_entropy(a: OperatorLike, b: OperatorLike) -> DivergenceValue:
 
     Both operators are restricted to the support of ``B``; if ``A`` carries
     trace mass outside that support beyond tolerance the result is infinite,
-    with the leaked mass reported in ``support_defect``.
+    with the leaked mass reported in ``support_defect``. A value that
+    overflows without a leak raises :class:`DomainError`.
     """
     amat, bmat = _common_dim(a, b)
     _require_psd(np.linalg.eigvalsh(amat), "first argument")
@@ -165,24 +166,20 @@ def relative_entropy(a: OperatorLike, b: OperatorLike) -> DivergenceValue:
         return DivergenceValue(value=INFINITE, support_defect=leak)
     if not np.any(keep):
         return DivergenceValue(value=0.0)
-    return DivergenceValue(value=_relative_entropy_on(amat, wb, vb, keep, quad))
+    value = _relative_entropy_on(amat, wb, vb, keep, quad)
+    if not math.isfinite(value):
+        raise DomainError(f"relative entropy overflows ({value}) on these operands")
+    return DivergenceValue(value=value)
 
 
 def scalar_skew_divergence(b: float, c: float, alpha: AlphaLike) -> float:
-    """Skew divergence of nonnegative scalars by direct substitution.
-
-    ``(b (log b - log(a b + (1-a) c)) - (1-a)(b - c)) / (-log a)``.
-    """
+    """Skew divergence of nonnegative scalars: ``S(b || a b + (1-a) c) / (-log a)``."""
     a = _as_alpha(alpha)
     if b < 0.0 or c < 0.0:
         raise DomainError("scalar skew divergence needs nonnegative arguments")
     if b == 0.0 and c == 0.0:
         raise DomainError("scalar skew divergence undefined at (0, 0)")
-    neg_log_a = -math.log(a)
-    if b == 0.0:
-        return (1.0 - a) * c / neg_log_a
-    mix = a * b + (1.0 - a) * c
-    return (b * (math.log(b) - math.log(mix)) - (1.0 - a) * (b - c)) / neg_log_a
+    return scalar_relative_entropy(b, a * b + (1.0 - a) * c) / (-math.log(a))
 
 
 def _skewed_relative_entropy(amat: np.ndarray, bmat: np.ndarray, a: float) -> float:
@@ -211,7 +208,8 @@ def skew_divergence(rho: OperatorLike, sigma: OperatorLike, alpha: AlphaLike) ->
 def trace_distance(rho: OperatorLike, sigma: OperatorLike) -> float:
     """Half the trace norm of ``rho - sigma``."""
     rmat, smat = _common_dim(rho, sigma)
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(rmat - smat)).sum())
+    # halving before the sum keeps every representable distance finite
+    return float((0.5 * np.abs(np.linalg.eigvalsh(rmat - smat))).sum())
 
 
 def fidelity(rho: OperatorLike, sigma: OperatorLike) -> float:

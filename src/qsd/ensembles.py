@@ -198,7 +198,7 @@ def chi_upper_bounds(ensemble: Ensemble) -> ChiBoundRecord:
     for i in range(n):
         for j in range(i + 1, n):
             dist[i, j] = dist[j, i] = trace_distance(states[i], states[j])
-    t_max = float(dist.max()) if n > 1 else 0.0
+    t_max = float(dist.max())
 
     comp_bound = 0.0
     pair_bound = 0.0
@@ -206,9 +206,9 @@ def chi_upper_bounds(ensemble: Ensemble) -> ChiBoundRecord:
         for i in range(n):
             coeff = -w[i] * math.log(w[i])
             comp_bound += coeff * trace_distance(states[i], _mixture(ensemble, skip=i))
-            pair_bound += coeff * float(
-                sum(w[j] * dist[i, j] for j in range(n) if j != i) / (1.0 - w[i])
-            )
+            # the complementary weights, normalized as _mixture normalizes them
+            kept = np.arange(n) != i
+            pair_bound += coeff * float(np.dot(w[kept], dist[i, kept]) / w[kept].sum())
     entropy_times_t = shannon_entropy(w) * t_max
 
     roga = None

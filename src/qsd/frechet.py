@@ -31,6 +31,7 @@ memory stays bounded at every dimension.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -49,6 +50,7 @@ from .linalg import (
     _require_psd,
     _support,
     _support_quad,
+    spectral_fn,
 )
 
 # Largest number of complex entries in one stacked (n, d, d) node array
@@ -262,8 +264,16 @@ def _refine(integral: Callable[[int], tuple], refine: bool = True):
     return estimate
 
 
-def _composite_gl(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre rule on [-1, 1], built on first use, not at import."""
     x, wts = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
+    x.flags.writeable = wts.flags.writeable = False
+    return x, wts
+
+
+def _composite_gl(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    x, wts = _gauss_legendre()
     half = np.diff(edges) / 2.0
     mid = (edges[:-1] + edges[1:]) / 2.0
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -339,13 +349,6 @@ def second_frechet_log_quadrature(a: OperatorLike, delta: OperatorLike) -> Hermi
     return _quadrature_log_derivative(a, delta, second=True)
 
 
-def _matrix_log(mat: np.ndarray) -> np.ndarray:
-    w, v = _eigh(mat)
-    if w[0] <= 0.0:
-        raise DomainError("matrix log of a non-positive operator")
-    return (v * np.log(w)) @ v.conj().T
-
-
 # Central-difference stencils, keyed by (derivative, order): offsets k,
 # coefficients c and divisor q of sum_k c log(A + k h D) / (q h^derivative).
 _STENCILS = {
@@ -364,7 +367,8 @@ def _central_diff(
     if order not in (2, 4):
         raise DomainError("order must be 2 or 4")
     offsets, coefs, divisor = _STENCILS[derivative, order]
-    terms = [c * _matrix_log(mat + k * h * dmat if k else mat) for k, c in zip(offsets, coefs)]
+    shifted = (mat + k * h * dmat if k else mat for k in offsets)
+    terms = [c * spectral_fn(m, np.log).mat for m, c in zip(shifted, coefs)]
     diff = sum(terms[1:], terms[0])
     return diff / (divisor * h * h if derivative == 2 else divisor * h)
 

@@ -4,7 +4,8 @@
 parts; readers reject non-finite entries and matrices that are not Hermitian
 within 1e-9.
 ``qsd-ensemble-v1`` nests state objects under a weight vector, and
-``qsd-channel-v1`` stores a list of (not necessarily Hermitian) Kraus blocks.
+``qsd-channel-v1`` stores a list of (not necessarily Hermitian) Kraus blocks;
+it is written by ``qsd random --kind channel`` and has no reader.
 """
 
 from __future__ import annotations
@@ -27,19 +28,19 @@ def _matrix_parts(mat: np.ndarray) -> tuple[list, list]:
     return mat.real.tolist(), mat.imag.tolist()
 
 
-def _parts_to_matrix(payload: dict, what: str) -> np.ndarray:
+def _parts_to_matrix(payload: dict) -> np.ndarray:
     try:
         dim = int(payload["dim"])
         re = np.asarray(payload["re"], dtype=np.float64)
         im = np.asarray(payload["im"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed {what}: {exc}") from exc
+        raise FormatError(f"malformed state: {exc}") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise FormatError(
-            f"{what}: expected {dim}x{dim} 're'/'im' blocks, got {re.shape} and {im.shape}"
+            f"state: expected {dim}x{dim} 're'/'im' blocks, got {re.shape} and {im.shape}"
         )
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise FormatError(f"{what} has non-finite entries")
+        raise FormatError("state has non-finite entries")
     return re + 1j * im
 
 
@@ -54,7 +55,7 @@ def state_from_dict(payload: dict) -> HermitianOperator:
     """Parse qsd-state-v1, rejecting non-Hermitian content."""
     if not isinstance(payload, dict) or payload.get("format") != STATE_FORMAT:
         raise FormatError(f"expected format {STATE_FORMAT!r}")
-    mat = _parts_to_matrix(payload, "state")
+    mat = _parts_to_matrix(payload)
     scale = max(1.0, float(np.abs(mat).max()))
     asym = float(np.abs(mat - mat.conj().T).max())
     if asym > 1e-9 * scale:
@@ -89,22 +90,6 @@ def channel_to_dict(kraus: Sequence[np.ndarray]) -> dict:
         blocks.append({"re": re, "im": im})
     dim = int(np.asarray(kraus[0]).shape[1])
     return {"format": CHANNEL_FORMAT, "dim": dim, "kraus": blocks}
-
-
-def channel_from_dict(payload: dict) -> list[np.ndarray]:
-    if not isinstance(payload, dict) or payload.get("format") != CHANNEL_FORMAT:
-        raise FormatError(f"expected format {CHANNEL_FORMAT!r}")
-    try:
-        dim = int(payload["dim"])
-        blocks = list(payload["kraus"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed channel: {exc}") from exc
-    kraus = []
-    for block in blocks:
-        kraus.append(_parts_to_matrix({"dim": dim, **block}, "Kraus block"))
-    if not kraus:
-        raise FormatError("channel carries no Kraus operators")
-    return kraus
 
 
 def load_json(path: str) -> dict:

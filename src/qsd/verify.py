@@ -45,12 +45,12 @@ DEFAULT_TOL = 1e-8
 
 
 def _rand_herm(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    g = la._complex_gaussian(rng, (dim, dim))
     return scale * (g + g.conj().T) / 2.0
 
 
 def _rand_psd(rng: np.random.Generator, dim: int, scale: float | None = None) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    g = la._complex_gaussian(rng, (dim, dim))
     p = g @ g.conj().T / dim
     if scale is None:
         scale = rng.uniform(0.2, 2.0)
@@ -60,10 +60,6 @@ def _rand_psd(rng: np.random.Generator, dim: int, scale: float | None = None) ->
 def _rand_pd(rng: np.random.Generator, dim: int, floor: float = 0.05) -> np.ndarray:
     p = _rand_psd(rng, dim, scale=1.0)
     return p + floor * np.eye(dim)
-
-
-def _rand_state(rng: np.random.Generator, dim: int) -> la.DensityMatrix:
-    return la.random_state(dim, rng)
 
 
 def _rand_conditioned_state(rng: np.random.Generator, dim: int, mix: float = 0.05) -> np.ndarray:
@@ -113,7 +109,7 @@ def _rand_experiment(
 Inputs = tuple[tuple, dict]
 
 
-def _inputs(*mats: np.ndarray, **extra) -> Inputs:
+def _inputs(*mats: la.OperatorLike, **extra) -> Inputs:
     return mats, extra
 
 
@@ -235,7 +231,7 @@ def _chk_random_state_invariants(rng, dim) -> Outcome:
         float(w[0]) + 1e-10,
         deterministic,
     )
-    return slack, _inputs(s1.mat, seed=seed)
+    return slack, _inputs(s1, seed=seed)
 
 
 @_check(
@@ -253,7 +249,7 @@ def _chk_random_cptp_contract(rng, dim) -> Outcome:
     trace_err = abs(float(np.trace(out).real) - 1.0)
     min_eig = float(np.linalg.eigvalsh(out)[0])
     slack = min(1e-10 - comp_err, 1e-10 - trace_err, min_eig + 1e-10)
-    return slack, _inputs(rho.mat, env=env)
+    return slack, _inputs(rho, env=env)
 
 
 _RANGE_ALPHAS = (0.01, 0.1, 0.5, 0.9, 0.99)
@@ -261,11 +257,11 @@ _RANGE_ALPHAS = (0.01, 0.1, 0.5, 0.9, 0.99)
 
 @_check("div.sd_range", 1e-9, "skew divergence of states lies in [0, 1]")
 def _chk_sd_range(rng, dim) -> Outcome:
-    rho, sig = _rand_state(rng, dim), _rand_state(rng, dim)
+    rho, sig = la.random_state(dim, rng), la.random_state(dim, rng)
     alpha = _RANGE_ALPHAS[int(rng.integers(0, len(_RANGE_ALPHAS)))]
     v = dv.skew_divergence(rho, sig, alpha)
     slack = min(v, 1.0 - v)
-    return slack, _inputs(rho.mat, sig.mat, alpha=alpha)
+    return slack, _inputs(rho, sig, alpha=alpha)
 
 
 @_check(
@@ -281,8 +277,8 @@ def _chk_sd_orthogonality(rng, dim) -> Outcome:
     # constructed overlapping pair: a 1% identity admixture caps the trace
     # distance at 0.99, so the skew divergence must sit below 1 - 1e-2
     eye = np.eye(dim) / dim
-    rho = 0.99 * _rand_state(rng, dim).mat + 0.01 * eye
-    sig = 0.99 * _rand_state(rng, dim).mat + 0.01 * eye
+    rho = 0.99 * la.random_state(dim, rng).mat + 0.01 * eye
+    sig = 0.99 * la.random_state(dim, rng).mat + 0.01 * eye
     v_mixed = dv.skew_divergence(rho, sig, alpha)
     slack = min(
         -abs(1.0 - v),
@@ -316,19 +312,19 @@ def _chk_sd_scaling(rng, dim) -> Outcome:
     "skew divergence is invariant under joint unitary conjugation",
 )
 def _chk_sd_unitary_invariance(rng, dim) -> Outcome:
-    rho, sig = _rand_state(rng, dim), _rand_state(rng, dim)
+    rho, sig = la.random_state(dim, rng), la.random_state(dim, rng)
     u = la.random_unitary(dim, rng)
     alpha = _rand_alpha(rng)
     r = dv.skew_divergence(
         u @ rho.mat @ u.conj().T, u @ sig.mat @ u.conj().T, alpha
     ) - dv.skew_divergence(rho, sig, alpha)
     slack = -abs(r)
-    return slack, _inputs(rho.mat, sig.mat, alpha=alpha)
+    return slack, _inputs(rho, sig, alpha=alpha)
 
 
 @_check("div.sd_contractivity", 1e-8, "skew divergence contracts under CPTP maps")
 def _chk_sd_contractivity(rng, dim) -> Outcome:
-    rho, sig = _rand_state(rng, dim), _rand_state(rng, dim)
+    rho, sig = la.random_state(dim, rng), la.random_state(dim, rng)
     alpha = _rand_alpha(rng)
     kraus = la.random_cptp(dim, int(rng.integers(1, 4)), rng)
     before = dv.skew_divergence(rho, sig, alpha)
@@ -336,17 +332,17 @@ def _chk_sd_contractivity(rng, dim) -> Outcome:
         dv.apply_channel(kraus, rho), dv.apply_channel(kraus, sig), alpha
     )
     slack = before - after
-    return slack, _inputs(rho.mat, sig.mat, alpha=alpha)
+    return slack, _inputs(rho, sig, alpha=alpha)
 
 
 @_check("div.sd_joint_convexity", 1e-8, "skew divergence is jointly convex over 3-term mixtures")
 def _chk_sd_joint_convexity(rng, dim) -> Outcome:
     alpha = _rand_alpha(rng)
     w = rng.dirichlet(np.ones(3))
-    rhos = [_rand_state(rng, dim).mat for _ in range(3)]
-    sigs = [_rand_state(rng, dim).mat for _ in range(3)]
-    mix_r = sum(wi * r for wi, r in zip(w, rhos))
-    mix_s = sum(wi * s for wi, s in zip(w, sigs))
+    rhos = [la.random_state(dim, rng) for _ in range(3)]
+    sigs = [la.random_state(dim, rng) for _ in range(3)]
+    mix_r = sum(wi * r.mat for wi, r in zip(w, rhos))
+    mix_s = sum(wi * s.mat for wi, s in zip(w, sigs))
     rhs = sum(
         wi * dv.skew_divergence(r, s, alpha) for wi, r, s in zip(w, rhos, sigs)
     )
@@ -360,7 +356,7 @@ def _chk_sd_joint_convexity(rng, dim) -> Outcome:
     "2(1-a)^2/(-log a) T^2 <= SD_a <= T, with equality SD_a = t on the diag(t,0,1-t) family",
 )
 def _chk_sd_trace_norm_sandwich(rng, dim) -> Outcome:
-    rho, sig = _rand_state(rng, dim), _rand_state(rng, dim)
+    rho, sig = la.random_state(dim, rng), la.random_state(dim, rng)
     alpha = _rand_alpha(rng)
     t = dv.trace_distance(rho, sig)
     v = dv.skew_divergence(rho, sig, alpha)
@@ -372,26 +368,26 @@ def _chk_sd_trace_norm_sandwich(rng, dim) -> Outcome:
     fam_s = np.diag([0.0, tf, 1.0 - tf]).astype(complex)
     fam_resid = abs(dv.skew_divergence(fam_r, fam_s, af) - tf)
     slack = min(v - lower, t - v, -fam_resid * 10.0)  # family pinned at 1e-9
-    return slack, _inputs(rho.mat, sig.mat, alpha=alpha)
+    return slack, _inputs(rho, sig, alpha=alpha)
 
 
 @_check("div.skewed_re_bound", 1e-9, "S(rho || a rho + (1-a) sigma) <= -log a")
 def _chk_skewed_re_bound(rng, dim) -> Outcome:
-    rho, sig = _rand_state(rng, dim), _rand_state(rng, dim)
+    rho, sig = la.random_state(dim, rng), la.random_state(dim, rng)
     alpha = _rand_alpha(rng)
     tau = alpha * rho.mat + (1.0 - alpha) * sig.mat
-    s = float(dv.relative_entropy(rho.mat, tau))
+    s = float(dv.relative_entropy(rho, tau))
     slack = -math.log(alpha) - s
-    return slack, _inputs(rho.mat, sig.mat, alpha=alpha)
+    return slack, _inputs(rho, sig, alpha=alpha)
 
 
 @_check("div.fidelity_trace_distance", 1e-8, "trace distance is bounded by sqrt(1 - F^2)")
 def _chk_fidelity_trace_distance(rng, dim) -> Outcome:
-    rho, sig = _rand_state(rng, dim), _rand_state(rng, dim)
+    rho, sig = la.random_state(dim, rng), la.random_state(dim, rng)
     f = dv.fidelity(rho, sig)
     t = dv.trace_distance(rho, sig)
     slack = math.sqrt(max(0.0, 1.0 - f * f)) - t
-    return slack, _inputs(rho.mat, sig.mat)
+    return slack, _inputs(rho, sig)
 
 
 @_check(
@@ -523,25 +519,25 @@ def _chk_dsd_derivative(rng, dim) -> Outcome:
 
 @_check("fre.dsd_bounds", 1e-8, "4a(1-a) T^2 <= D_a(rho||sigma) <= T")
 def _chk_dsd_bounds(rng, dim) -> Outcome:
-    rho, sig = _rand_state(rng, dim), _rand_state(rng, dim)
+    rho, sig = la.random_state(dim, rng), la.random_state(dim, rng)
     alpha = _rand_alpha(rng)
     t = dv.trace_distance(rho, sig)
-    v = fr.differential_skew_divergence(rho.mat, sig.mat, alpha)
+    v = fr.differential_skew_divergence(rho, sig, alpha)
     slack = min(v - 4.0 * alpha * (1.0 - alpha) * t * t, t - v)
-    return slack, _inputs(rho.mat, sig.mat, alpha=alpha)
+    return slack, _inputs(rho, sig, alpha=alpha)
 
 
 @_check("fre.dsd_contractivity", 1e-8, "differential skew divergence contracts under CPTP maps")
 def _chk_dsd_contractivity(rng, dim) -> Outcome:
-    rho, sig = _rand_state(rng, dim), _rand_state(rng, dim)
+    rho, sig = la.random_state(dim, rng), la.random_state(dim, rng)
     alpha = _rand_alpha(rng)
     kraus = la.random_cptp(dim, int(rng.integers(1, 4)), rng)
-    before = fr.differential_skew_divergence(rho.mat, sig.mat, alpha)
+    before = fr.differential_skew_divergence(rho, sig, alpha)
     after = fr.differential_skew_divergence(
-        dv.apply_channel(kraus, rho).mat, dv.apply_channel(kraus, sig).mat, alpha
+        dv.apply_channel(kraus, rho), dv.apply_channel(kraus, sig), alpha
     )
     slack = before - after
-    return slack, _inputs(rho.mat, sig.mat, alpha=alpha)
+    return slack, _inputs(rho, sig, alpha=alpha)
 
 
 @_check(
@@ -550,15 +546,15 @@ def _chk_dsd_contractivity(rng, dim) -> Outcome:
     "D_a(A||B) = a/(1-a) chi2_log(A, aA+(1-a)B) and chi2_log >= ||rho-sigma||_1^2",
 )
 def _chk_chi2_relation(rng, dim) -> Outcome:
-    rho, sig = _rand_state(rng, dim), _rand_state(rng, dim)
+    rho, sig = la.random_state(dim, rng), la.random_state(dim, rng)
     alpha = _rand_alpha(rng)
     tau = alpha * rho.mat + (1.0 - alpha) * sig.mat
-    lhs = fr.differential_skew_divergence(rho.mat, sig.mat, alpha)
-    rhs = alpha / (1.0 - alpha) * fr.chi2_log(rho.mat, tau)
+    lhs = fr.differential_skew_divergence(rho, sig, alpha)
+    rhs = alpha / (1.0 - alpha) * fr.chi2_log(rho, tau)
     tn = 2.0 * dv.trace_distance(rho, sig)
-    chi2_lb = fr.chi2_log(rho.mat, sig.mat) - tn * tn
+    chi2_lb = fr.chi2_log(rho, sig) - tn * tn
     slack = min(-abs(lhs - rhs) * 10.0, chi2_lb)  # relation pinned at 1e-9
-    return slack, _inputs(rho.mat, sig.mat, alpha=alpha)
+    return slack, _inputs(rho, sig, alpha=alpha)
 
 
 @_check(
@@ -567,12 +563,12 @@ def _chk_chi2_relation(rng, dim) -> Outcome:
     "averaging the differential version over -log a' reconstructs the skew divergence",
 )
 def _chk_averaging_match(rng, dim) -> Outcome:
-    rho, sig = _rand_state(rng, dim), _rand_state(rng, dim)
+    rho, sig = la.random_state(dim, rng), la.random_state(dim, rng)
     alpha = _rand_alpha(rng, 0.05, 0.95)
     direct = dv.skew_divergence(rho, sig, alpha)
     averaged = fr.sd_by_averaging(rho, sig, alpha, refine=False)
     slack = -abs(direct - averaged)
-    return slack, _inputs(rho.mat, sig.mat, alpha=alpha)
+    return slack, _inputs(rho, sig, alpha=alpha)
 
 
 @_check(
@@ -610,7 +606,7 @@ def _chk_chi_three_ways(rng, dim) -> Outcome:
     r1 = chi - en.holevo_chi_relative_entropy_form(ens)
     r2 = chi - en.holevo_chi_skew_divergence_form(ens)
     slack = -max(abs(r1), abs(r2))
-    return slack, _inputs(*(s.mat for s in ens.states), weights=list(ens.weights))
+    return slack, _inputs(*ens.states, weights=list(ens.weights))
 
 
 @_check(
@@ -627,7 +623,7 @@ def _chk_chi_bound_chain(rng, dim) -> Outcome:
         rec.pairwise_bound - rec.complementary_bound,
         rec.entropy_times_t - rec.pairwise_bound,
     )
-    return slack, _inputs(*(s.mat for s in ens.states), weights=list(ens.weights))
+    return slack, _inputs(*ens.states, weights=list(ens.weights))
 
 
 @_check(
@@ -643,7 +639,7 @@ def _chk_chi_roga_binary(rng, dim) -> Outcome:
         max(0.0, 1.0 - f * f)
     )
     slack = min(rec.roga_bound - rec.chi, fidelity_surrogate - rec.roga_bound)
-    return slack, _inputs(*(s.mat for s in ens.states), weights=list(ens.weights))
+    return slack, _inputs(*ens.states, weights=list(ens.weights))
 
 
 @_check(
@@ -674,7 +670,7 @@ def _chk_chi_continuity(rng, dim) -> Outcome:
         )
         slacks.append((others_max - tbar) * (DEFAULT_TOL / 1e-12))
     slack = min(slacks)
-    return slack, _inputs(*(s.mat for s in ens.states), weights=list(ens.weights))
+    return slack, _inputs(*ens.states, weights=list(ens.weights))
 
 
 @_check(
@@ -753,7 +749,7 @@ def _triangle_rhs(f, alpha: float, t: float, swap: bool = False) -> float:
     "perturbing either argument moves SD_a and D_a by at most the scalar three-term bound",
 )
 def _chk_triangle_family(rng, dim) -> Outcome:
-    rho, s1, s2 = (_rand_state(rng, dim) for _ in range(3))
+    rho, s1, s2 = (la.random_state(dim, rng) for _ in range(3))
     alpha = _rand_alpha(rng)
     t = dv.trace_distance(s1, s2)
     lhs_sd1 = abs(
@@ -763,12 +759,12 @@ def _chk_triangle_family(rng, dim) -> Outcome:
         dv.skew_divergence(s1, rho, alpha) - dv.skew_divergence(s2, rho, alpha)
     )
     lhs_d1 = abs(
-        fr.differential_skew_divergence(rho.mat, s1.mat, alpha)
-        - fr.differential_skew_divergence(rho.mat, s2.mat, alpha)
+        fr.differential_skew_divergence(rho, s1, alpha)
+        - fr.differential_skew_divergence(rho, s2, alpha)
     )
     lhs_d2 = abs(
-        fr.differential_skew_divergence(s1.mat, rho.mat, alpha)
-        - fr.differential_skew_divergence(s2.mat, rho.mat, alpha)
+        fr.differential_skew_divergence(s1, rho, alpha)
+        - fr.differential_skew_divergence(s2, rho, alpha)
     )
     sd, dsd = dv.scalar_skew_divergence, fr.scalar_differential_sd
     slack = min(
@@ -777,7 +773,7 @@ def _chk_triangle_family(rng, dim) -> Outcome:
         _triangle_rhs(dsd, alpha, t) - lhs_d1,
         _triangle_rhs(dsd, alpha, t, swap=True) - lhs_d2,
     )
-    return slack, _inputs(rho.mat, s1.mat, s2.mat, alpha=alpha)
+    return slack, _inputs(rho, s1, s2, alpha=alpha)
 
 
 @_check(
@@ -819,12 +815,12 @@ def _chk_triangle_rhs_shape(rng, dim) -> Outcome:
 
 @_check("sim.evolution_distance", 1e-8, "T(U(t) rho U*(t), rho) <= t ||H||")
 def _chk_evolution_distance(rng, dim) -> Outcome:
-    rho = _rand_state(rng, dim)
+    rho = la.random_state(dim, rng)
     h = la.random_hamiltonian(dim, rng)
     t = float(rng.uniform(0.0, 2.0))
     moved = en.evolve(rho, h, t)
     slack = t * la.operator_norm(h) - dv.trace_distance(moved, rho)
-    return slack, _inputs(rho.mat, h.mat, t=t)
+    return slack, _inputs(rho, h, t=t)
 
 
 @_check(
@@ -848,7 +844,7 @@ def _chk_mixing_rate_fd(rng, dim) -> Outcome:
 
     fd = (entropy_at(exp.time + h) - entropy_at(exp.time - h)) / (2.0 * h)
     slack = -abs(rate - fd)
-    return slack, _inputs(*(s.mat for s in exp.ensemble.states), t=exp.time)
+    return slack, _inputs(*exp.ensemble.states, t=exp.time)
 
 
 @_check(
@@ -860,7 +856,7 @@ def _chk_svsd_identity(rng, dim) -> Outcome:
     exp = _rand_experiment(rng, dim)
     rec = en.sim_bound_check(exp)
     slack = -rec.sd_representation_residual
-    return slack, _inputs(*(s.mat for s in exp.ensemble.states), t=exp.time)
+    return slack, _inputs(*exp.ensemble.states, t=exp.time)
 
 
 @_check(
@@ -873,16 +869,16 @@ def _chk_bravyi_bound(rng, dim) -> Outcome:
     rec = en.sim_bound_check(exp)
     slacks = [rec.bravyi_rhs - lhs for lhs in rec.bravyi_lhs]
     # sharper bound min(1/a, 1/(1-a)) ||H|| for the differential version
-    rho, sig = _rand_state(rng, dim), _rand_state(rng, dim)
+    rho, sig = la.random_state(dim, rng), la.random_state(dim, rng)
     h = la.random_hamiltonian(dim, rng)
     alpha = (0.1, 0.5, 0.9)[int(rng.integers(0, 3))]
     moved = en.evolve(sig, h, 1.0)
     lhs_d = fr.differential_skew_divergence(
-        rho.mat, moved.mat, alpha
-    ) - fr.differential_skew_divergence(rho.mat, sig.mat, alpha)
+        rho, moved, alpha
+    ) - fr.differential_skew_divergence(rho, sig, alpha)
     slacks.append(min(1.0 / alpha, 1.0 / (1.0 - alpha)) * la.operator_norm(h) - lhs_d)
     slack = min(slacks)
-    return slack, _inputs(rho.mat, sig.mat, alpha=alpha)
+    return slack, _inputs(rho, sig, alpha=alpha)
 
 
 @_check(
@@ -894,7 +890,7 @@ def _chk_entropy_gain_bound(rng, dim) -> Outcome:
     exp = _rand_experiment(rng, dim)
     rec = en.sim_bound_check(exp)
     slack = rec.sim_bound - rec.entropy_gain
-    return slack, _inputs(*(s.mat for s in exp.ensemble.states), t=exp.time)
+    return slack, _inputs(*exp.ensemble.states, t=exp.time)
 
 
 REGISTRY: tuple[CheckDef, ...] = tuple(_REGISTERED)

@@ -106,6 +106,11 @@ class TestRelativeEntropy:
         with pytest.raises(DomainError):
             relative_entropy(np.diag([1.0, -0.5]), np.eye(2))
 
+    def test_overflow_is_a_named_domain_error(self):
+        # finite operands, no leak, but trace A log A overflows
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="overflows"):
+            relative_entropy(np.diag([8.9e307, 8.9e307]), np.diag([0.5, 0.5]))
+
     def test_singular_but_nested_supports(self, rng):
         u = random_unitary(4, rng)
         b = (u[:, :3] * np.array([0.5, 0.3, 0.2])) @ u[:, :3].conj().T
@@ -240,6 +245,10 @@ class TestTraceDistance:
             rho = np.diag([t, 0.0, 1.0 - t])
             sig = np.diag([0.0, t, 1.0 - t])
             assert trace_distance(rho, sig) == pytest.approx(t, abs=1e-12)
+
+    def test_representable_distance_near_the_float_limit(self):
+        big = np.diag([8.9e307, 8.9e307])
+        assert trace_distance(big, -big) == 1.7799999999999998e308
 
     def test_equals_positive_part_trace(self, rng):
         rho, sig = random_state(5, rng), random_state(5, rng)

@@ -227,6 +227,14 @@ class TestChiUpperBounds:
             assert rec.complementary_bound <= rec.pairwise_bound + 1e-8
             assert rec.pairwise_bound <= rec.entropy_times_t + 1e-8
 
+    @pytest.mark.parametrize("w0", [1e-9, 1e-5, 0.3])
+    def test_binary_pairwise_bound_is_the_complementary_bound(self, rng, w0):
+        # for n = 2 each complement is the other member, so the two bounds
+        # coincide; dividing by 1 - p_i instead of the kept weights loses that
+        ens = Ensemble((w0, 1.0 - w0), [random_state(3, rng) for _ in range(2)])
+        rec = chi_upper_bounds(ens)
+        assert rec.pairwise_bound == pytest.approx(rec.complementary_bound, rel=1e-14, abs=0.0)
+
     def test_roga_only_for_binary(self, rng):
         assert chi_upper_bounds(random_ensemble(rng, 2, 3)).roga_bound is None
 
@@ -408,6 +416,19 @@ class TestSimBound:
         )
         lhs = sim_bound_check(exp).bravyi_lhs
         assert lhs == pytest.approx(expected, abs=1e-13)
+
+    def test_canonical_gain_is_the_member_dynamics_for_commuting_hamiltonians(self):
+        # the record evolves member 2 alone under H = H2 - H1; when H1 and H2
+        # commute that differs from evolving each member under its own
+        # Hamiltonian by the global unitary exp(i t H1), which keeps the entropy
+        rng = np.random.default_rng(1)
+        rho1, rho2 = random_state(3, rng), random_state(3, rng)
+        h2 = random_hamiltonian(3, rng)
+        h1, t = h2 * 0.37, 0.8
+        exp = MixingExperiment(Ensemble((0.3, 0.7), (rho1, rho2)), h1, h2, t)
+        moved = 0.3 * evolve(rho1, h1, t).mat + 0.7 * evolve(rho2, h2, t).mat
+        gain = von_neumann_entropy(moved) - von_neumann_entropy(0.3 * rho1.mat + 0.7 * rho2.mat)
+        assert sim_bound_check(exp).entropy_gain == pytest.approx(gain, abs=1e-12)
 
     def test_gain_reconstruction_weights(self, rng):
         # the SD increments weighted by -p log p reproduce the entropy gain

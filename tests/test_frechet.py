@@ -1,5 +1,8 @@
 import decimal
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -235,6 +238,43 @@ class TestQuadratureOracles:
     def test_weights_positive(self):
         x, w = np.polynomial.legendre.leggauss(16)
         assert w.min() > 0.0
+
+    def test_rule_is_built_once(self, rng, monkeypatch):
+        calls = []
+        real = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(
+            np.polynomial.legendre, "leggauss", lambda n: calls.append(n) or real(n)
+        )
+        fr._gauss_legendre.cache_clear()
+        a, d = rand_pd(rng, 3), rand_herm(rng, 3)
+        frechet_log_quadrature(a, d)
+        sd_by_averaging(random_state(3, rng), random_state(3, rng), 0.4)
+        assert calls == [16]
+        x, w = fr._gauss_legendre()
+        assert not (x.flags.writeable or w.flags.writeable)
+
+    def test_cached_rule_gives_bit_identical_oracles(self, rng, monkeypatch):
+        a, d = rand_pd(rng, 4), rand_herm(rng, 4)
+        rho, sig = random_state(4, rng), random_state(4, rng)
+
+        def oracles():
+            return frechet_log_quadrature(a, d).mat, sd_by_averaging(rho, sig, 0.3)
+
+        cached = oracles()
+        monkeypatch.setattr(fr, "_gauss_legendre", lambda: np.polynomial.legendre.leggauss(16))
+        fresh = oracles()
+        assert np.array_equal(cached[0], fresh[0]) and cached[1] == fresh[1]
+
+    def test_cli_import_leaves_numpy_polynomial_unloaded(self):
+        # the rule is built on first use: the CLI's cold start never pays
+        # for loading numpy.polynomial
+        src = os.path.dirname(os.path.dirname(fr.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, qsd.cli; print('numpy.polynomial' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
     def test_first_derivative_well_conditioned(self, rng):
         a = rand_pd(rng, 5)

@@ -16,7 +16,6 @@ from qsd import (
 )
 from qsd.cli import main
 from qsd.io import (
-    channel_from_dict,
     channel_to_dict,
     ensemble_from_dict,
     ensemble_to_dict,
@@ -70,9 +69,20 @@ class TestEnsembleAndChannelFormat:
 
     def test_channel_round_trip(self, rng):
         kraus = random_cptp(3, 2, rng)
-        back = channel_from_dict(channel_to_dict(kraus))
+        back = kraus_blocks(json.loads(json.dumps(channel_to_dict(kraus))))
+        assert len(back) == len(kraus)
         for a, b in zip(back, kraus):
             assert np.allclose(a, b, atol=1e-15)
+
+
+def kraus_blocks(payload):
+    """The Kraus matrices of a qsd-channel-v1 object (the library writes the
+    format but has no reader)."""
+    assert payload["format"] == "qsd-channel-v1"
+    dim = payload["dim"]
+    blocks = [np.array(b["re"]) + 1j * np.array(b["im"]) for b in payload["kraus"]]
+    assert blocks and all(k.shape[1] == dim for k in blocks)
+    return blocks
 
 
 def run_cli(*args):
@@ -178,19 +188,39 @@ class TestCliCompute:
     ):
         # a NaN entry is a malformed file (2); 1e308 parses but overflows (3);
         # diag(8.9e307, 8.9e307) is finite, but every measure of it overflows
-        # (3): against diag(0.5, 0.5), and trace distance against its negation
+        # (3) against diag(0.5, 0.5); trace distance against its negation
+        # overflows from three such entries (2.67e308; two give 1.78e308)
+        dim = 3 if (measure, diag) == ("trace-dist", "8.9e307") else 2
+        re = [[float(diag) if i == j else float(off) for j in range(dim)] for i in range(dim)]
         bad, partner = tmp_path / "bad.json", tmp_path / "partner.json"
         bad.write_text(
-            '{"format": "qsd-state-v1", "dim": 2, '
-            f'"re": [[{diag}, {off}], [{off}, {diag}]], "im": [[0, 0], [0, 0]]}}'
+            json.dumps({"format": "qsd-state-v1", "dim": dim, "re": re, "im": [[0] * dim] * dim})
         )
-        write_diag(partner, [-float(diag)] * 2 if measure == "trace-dist" else [0.5] * 2)
+        write_diag(partner, [-float(diag)] * dim if measure == "trace-dist" else [0.5] * 2)
         args = ["compute", "--measure", measure, "--alpha", "0.5", str(bad)]
         assert run_cli(*args, *[str(partner)] * extra) == code
         out, err = capsys.readouterr()
         assert out == ""
         # no numpy warning ahead of the one diagnostic line
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_trace_distance_near_the_float_limit(self, tmp_path, capsys):
+        # T(diag(8.9e307, 8.9e307), its negation) = 1.78e308 is representable
+        bad, partner = tmp_path / "bad.json", tmp_path / "partner.json"
+        write_diag(bad, [8.9e307] * 2)
+        write_diag(partner, [-8.9e307] * 2)
+        assert run_cli("compute", "--measure", "trace-dist", str(bad), str(partner)) == 0
+        out, err = capsys.readouterr()
+        assert out == "1.7799999999999998e+308\n" and err == ""
+
+    def test_relative_entropy_overflow_is_named(self, tmp_path, capsys):
+        bad, partner = tmp_path / "bad.json", tmp_path / "partner.json"
+        write_diag(bad, [8.9e307] * 2)
+        write_diag(partner, [0.5] * 2)
+        assert run_cli("compute", "--measure", "re", str(bad), str(partner)) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: relative entropy overflows")
 
     def test_missing_file_exits_4(self, tmp_path):
         assert run_cli("compute", "--measure", "entropy", str(tmp_path / "nope.json")) == 4
@@ -234,7 +264,7 @@ class TestCliRandom:
         assert run_cli("random", "--kind", "channel", "--dim", "3", "--n", "2", "--seed", "1", "--out", str(c_out)) == 0
         h = read_state(str(h_out))
         assert np.abs(np.linalg.eigvalsh(h.mat)).max() == pytest.approx(1.0, abs=1e-12)
-        kraus = channel_from_dict(json.loads(c_out.read_text()))
+        kraus = kraus_blocks(json.loads(c_out.read_text()))
         total = sum(k.conj().T @ k for k in kraus)
         assert np.abs(total - np.eye(3)).max() <= 1e-10
 
