@@ -24,6 +24,7 @@ from .errors import DimensionMismatchError, DomainError
 from .linalg import (
     DensityMatrix,
     OperatorLike,
+    _adjoint,
     _as_matrix,
     _common_dim,
     _eigh,
@@ -31,7 +32,9 @@ from .linalg import (
     _psd_operands,
     _require_psd,
     _support,
+    _support_leak,
     _support_quad,
+    _trace,
     default_support_threshold,
 )
 
@@ -95,12 +98,17 @@ class DivergenceValue:
         return self.value
 
 
-def _xlogx(w: np.ndarray) -> float:
-    """``sum w_i log w_i`` with the 0 log 0 = 0 convention (negatives clipped)."""
-    pos = w[w > 0.0]
-    if pos.size == 0:
-        return 0.0
-    return float(np.dot(pos, np.log(pos)))
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``sum x_i y_i`` over the last axis, summed as ``np.dot`` sums one pair
+    of vectors."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def _xlogx(w: np.ndarray) -> np.ndarray:
+    """``sum w_i log w_i`` over the last axis, with the 0 log 0 = 0 convention
+    (negatives clipped)."""
+    pos = np.where(w > 0.0, w, 1.0)  # 1 log 1 = 0 stands for a clipped entry
+    return _dot(pos, np.log(pos))
 
 
 def shannon_entropy(p: Sequence[float]) -> float:
@@ -108,14 +116,14 @@ def shannon_entropy(p: Sequence[float]) -> float:
     arr = np.asarray(p, dtype=np.float64)
     if arr.size and arr.min() < -1e-12:
         raise DomainError("probabilities must be nonnegative")
-    return -_xlogx(np.clip(arr, 0.0, None))
+    return -float(_xlogx(np.clip(arr, 0.0, None)))
 
 
 def von_neumann_entropy(rho: OperatorLike) -> float:
     """``-trace rho log rho`` for a PSD operator."""
     w = np.linalg.eigvalsh(_as_matrix(rho))
     _require_psd(w, "entropy argument")
-    return -_xlogx(w)
+    return -float(_xlogx(w))
 
 
 def scalar_relative_entropy(a: float, b: float) -> float:
@@ -134,20 +142,79 @@ def scalar_relative_entropy(a: float, b: float) -> float:
 
 def _relative_entropy_on(
     amat: np.ndarray, w: np.ndarray, v: np.ndarray, keep: np.ndarray, quad: np.ndarray
-) -> float:
-    """``trace A (log A - log B) - trace(A - B)`` on the support of ``B``.
+) -> np.ndarray:
+    """``trace A (log A - log B) - trace(A - B)`` on the support of ``B``, for
+    one pair or for each pair of an ``(n, d, d)`` stack.
 
     ``w``, ``v`` and ``keep`` are the eigenpairs and support mask of ``B``
     (as :func:`qsd.linalg._support` returns them) and ``quad`` the diagonal of
-    ``A`` in that eigenbasis; ``A`` must not leak outside the kept columns. It
-    is compressed onto them only when the support is not full.
+    ``A`` in that eigenbasis; ``A`` must not leak outside the kept columns.
+    Items whose support is not full are compressed onto their kept columns.
     """
-    if not keep.all():
-        basis = v[:, keep]
-        amat = basis.conj().T @ amat @ basis
-    term_alog_a = _xlogx(np.linalg.eigvalsh(amat))
-    term_alog_b = float(np.dot(np.log(w[keep]), quad[keep]))
-    return term_alog_a - term_alog_b - (float(np.trace(amat).real) - float(w[keep].sum()))
+    # a term that overflows makes the value inf or NaN, which callers judge
+    with np.errstate(over="ignore", invalid="ignore"):
+        if keep[..., 0].all():  # eigenvalues ascend: the support is full
+            term_alog_a = _xlogx(np.linalg.eigvalsh(amat))
+            trace_a = _trace(amat)
+            log_w, mass_b = np.log(w), w.sum(axis=-1)
+        else:
+            term_alog_a, trace_a = _compressed_terms(amat, v, keep)
+            log_w, mass_b = np.log(np.where(keep, w, 1.0)), w.sum(axis=-1, where=keep)
+        return term_alog_a - _dot(log_w, quad) - (trace_a - mass_b)
+
+
+def _compressed_terms(
+    amat: np.ndarray, v: np.ndarray, keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``trace A log A`` and ``trace A`` of one matrix, or of each matrix of an
+    ``(n, d, d)`` stack, on the kept columns of ``v``. The items of full
+    support share one ``eigvalsh`` call; one whose support is not full is
+    compressed onto its kept columns on its own."""
+    if keep.ndim == 1:
+        return _compressed_item(amat, v, keep)
+    full = keep[:, 0]
+    term_alog_a, trace_a = np.empty(full.shape), np.empty(full.shape)
+    if full.any():
+        term_alog_a[full] = _xlogx(np.linalg.eigvalsh(amat[full]))
+        trace_a[full] = _trace(amat[full])
+    for i in np.flatnonzero(~full):
+        term_alog_a[i], trace_a[i] = _compressed_item(amat[i], v[i], keep[i])
+    return term_alog_a, trace_a
+
+
+def _compressed_item(amat: np.ndarray, v: np.ndarray, keep: np.ndarray) -> tuple:
+    basis = v[:, keep]
+    sub = basis.conj().T @ amat @ basis
+    return _xlogx(np.linalg.eigvalsh(sub)), _trace(sub)
+
+
+def _relative_entropy(amat: np.ndarray, bmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Relative entropy of one pair of Hermitian matrices, or of each pair of
+    an ``(n, d, d)`` stack, and the support defect: infinite with the leaked
+    mass where ``A`` leaks outside the support of ``B``. Both arguments are
+    validated here, ``B`` on its own eigendecomposition."""
+    _require_psd(np.linalg.eigvalsh(amat), "first argument")
+    wb, vb, keep = _support(bmat, "second argument")
+    quad = _support_quad(amat, vb)
+    leak = _support_leak(amat, quad, keep)
+    # the value is finite where A does not leak; it is 0 where B vanishes
+    finite = (leak == 0.0) & keep[..., -1]
+    if finite.all():
+        value = _relative_entropy_on(amat, wb, vb, keep, quad)
+        overflow = ~np.isfinite(value)
+    else:
+        value = np.where(leak > 0.0, INFINITE, 0.0)
+        if not finite.any():
+            return value, leak
+        value[finite] = _relative_entropy_on(
+            amat[finite], wb[finite], vb[finite], keep[finite], quad[finite]
+        )
+        overflow = finite & ~np.isfinite(value)
+    if overflow.any():
+        raise DomainError(
+            f"relative entropy overflows ({np.extract(overflow, value)[0]}) on these operands"
+        )
+    return value, leak
 
 
 def relative_entropy(a: OperatorLike, b: OperatorLike) -> DivergenceValue:
@@ -158,18 +225,8 @@ def relative_entropy(a: OperatorLike, b: OperatorLike) -> DivergenceValue:
     with the leaked mass reported in ``support_defect``. A value that
     overflows without a leak raises :class:`DomainError`.
     """
-    amat, bmat = _common_dim(a, b)
-    _require_psd(np.linalg.eigvalsh(amat), "first argument")
-    wb, vb, keep = _support(bmat, "second argument")
-    quad, leak = _support_quad(amat, vb, keep)
-    if leak:
-        return DivergenceValue(value=INFINITE, support_defect=leak)
-    if not np.any(keep):
-        return DivergenceValue(value=0.0)
-    value = _relative_entropy_on(amat, wb, vb, keep, quad)
-    if not math.isfinite(value):
-        raise DomainError(f"relative entropy overflows ({value}) on these operands")
-    return DivergenceValue(value=value)
+    value, leak = _relative_entropy(*_common_dim(a, b))
+    return DivergenceValue(value=float(value), support_defect=float(leak))
 
 
 def scalar_skew_divergence(b: float, c: float, alpha: AlphaLike) -> float:
@@ -182,17 +239,24 @@ def scalar_skew_divergence(b: float, c: float, alpha: AlphaLike) -> float:
     return scalar_relative_entropy(b, a * b + (1.0 - a) * c) / (-math.log(a))
 
 
-def _skewed_relative_entropy(amat: np.ndarray, bmat: np.ndarray, a: float) -> float:
-    """``S(A || a A + (1-a) B)`` on the support of the mixture.
+def _skewed_relative_entropy(amat: np.ndarray, bmat: np.ndarray, a) -> np.ndarray:
+    """``S(A || a A + (1-a) B)`` on the support of the mixture, for one pair
+    or for each pair of an ``(n, d, d)`` stack at its own entry of ``a``.
 
     The mixture has the same support as ``A + B`` for any interior ``a``, so
     ``A`` never leaks outside it.
     """
-    wt, vt, keep = _support(a * amat + (1.0 - a) * bmat)
-    if not np.any(keep):
+    al = a[:, None, None] if np.ndim(a) else a
+    wt, vt, keep = _support(al * amat + (1.0 - al) * bmat)
+    if not keep[..., -1].all():
         raise DomainError("A + B vanishes; skew divergence undefined")
-    quad, _ = _support_quad(amat, vt, keep)
-    return _relative_entropy_on(amat, wt, vt, keep, quad)
+    return _relative_entropy_on(amat, wt, vt, keep, _support_quad(amat, vt))
+
+
+def _skew_divergence(amat: np.ndarray, bmat: np.ndarray, a) -> np.ndarray:
+    """Skew divergence of validated operands: one pair, or each pair of an
+    ``(n, d, d)`` stack at its own entry of ``a``."""
+    return _skewed_relative_entropy(amat, bmat, a) / -np.log(a)
 
 
 def skew_divergence(rho: OperatorLike, sigma: OperatorLike, alpha: AlphaLike) -> float:
@@ -201,36 +265,44 @@ def skew_divergence(rho: OperatorLike, sigma: OperatorLike, alpha: AlphaLike) ->
     Finite for every pair of positive operators; lies in [0, 1] for states.
     """
     a = _as_alpha(alpha)
-    amat, bmat = _psd_operands(rho, sigma)
-    return _skewed_relative_entropy(amat, bmat, a) / (-math.log(a))
+    return float(_skew_divergence(*_psd_operands(rho, sigma), a))
+
+
+def _trace_distance(rmat: np.ndarray, smat: np.ndarray) -> np.ndarray:
+    """Half the trace norm of ``rho - sigma``, for one pair or each pair of a stack."""
+    # halving before the sum keeps every representable distance finite
+    return (0.5 * np.abs(np.linalg.eigvalsh(rmat - smat))).sum(axis=-1)
 
 
 def trace_distance(rho: OperatorLike, sigma: OperatorLike) -> float:
     """Half the trace norm of ``rho - sigma``."""
-    rmat, smat = _common_dim(rho, sigma)
-    # halving before the sum keeps every representable distance finite
-    return float((0.5 * np.abs(np.linalg.eigvalsh(rmat - smat))).sum())
+    return float(_trace_distance(*_common_dim(rho, sigma)))
+
+
+def _fidelity(rmat: np.ndarray, smat: np.ndarray) -> np.ndarray:
+    """Fidelity of one pair of Hermitian matrices, or of each pair of a
+    stack, validated here."""
+    w, v = _eigh(rmat)
+    _require_psd(w, "first argument")
+    ws = np.linalg.eigvalsh(smat)
+    _require_psd(ws, "second argument")
+    w = np.maximum(w, 0.0)
+    sqrt_r = (v * np.sqrt(w)[..., None, :]) @ _adjoint(v)
+    inner = sqrt_r @ smat @ sqrt_r
+    wi = np.linalg.eigvalsh(inner)
+    # eigenvalue noise of order eps turns into sqrt(eps) after the root,
+    # so drop anything at the numerical-zero level before summing
+    thr = default_support_threshold(inner.shape[-1], wi[..., -1:])
+    value = np.sqrt(np.where(wi > thr, wi, 0.0)).sum(axis=-1)
+    # Cauchy-Schwarz: F <= sqrt(trace rho trace sigma), which is 1 for states
+    bound = np.sqrt(w.sum(axis=-1)) * np.sqrt(np.maximum(ws, 0.0).sum(axis=-1))
+    return np.minimum(bound, np.maximum(0.0, value))
 
 
 def fidelity(rho: OperatorLike, sigma: OperatorLike) -> float:
     """Uhlmann fidelity ``trace sqrt(sqrt(rho) sigma sqrt(rho))`` of positive
     operators; ``F(c rho, c sigma) = c F(rho, sigma)``."""
-    rmat, smat = _common_dim(rho, sigma)
-    w, v = _eigh(rmat)
-    _require_psd(w, "first argument")
-    ws = np.linalg.eigvalsh(smat)
-    _require_psd(ws, "second argument")
-    w = np.clip(w, 0.0, None)
-    sqrt_r = (v * np.sqrt(w)) @ v.conj().T
-    inner = sqrt_r @ smat @ sqrt_r
-    wi = np.linalg.eigvalsh(inner)
-    # eigenvalue noise of order eps turns into sqrt(eps) after the root,
-    # so drop anything at the numerical-zero level before summing
-    thr = default_support_threshold(inner.shape[0], float(max(wi[-1], 0.0)))
-    value = float(np.sqrt(wi[wi > thr]).sum())
-    # Cauchy-Schwarz: F <= sqrt(trace rho trace sigma), which is 1 for states
-    bound = math.sqrt(float(w.sum())) * math.sqrt(float(np.clip(ws, 0.0, None).sum()))
-    return min(bound, max(0.0, value))
+    return float(_fidelity(*_common_dim(rho, sigma)))
 
 
 def apply_channel(kraus: Sequence[np.ndarray], rho: OperatorLike) -> DensityMatrix:

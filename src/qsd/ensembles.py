@@ -153,7 +153,7 @@ def holevo_chi_relative_entropy_form(ensemble: Ensemble) -> float:
     w, v, keep = _support(_mixture(ensemble))
     total = 0.0
     for wi, dm in zip(ensemble.weights, ensemble.states):
-        quad, _ = _support_quad(dm.mat, v, keep)
+        quad = _support_quad(dm.mat, v)
         total += wi * _relative_entropy_on(dm.mat, w, v, keep, quad)
     return total
 
@@ -320,7 +320,7 @@ def mixing_rate(experiment: MixingExperiment) -> float:
         avg += p * r
         deriv += p * 1j * (h @ r - r @ h)
     w, v, keep = _support(avg)
-    quad, _ = _support_quad(deriv, v, keep)
+    quad = _support_quad(deriv, v)
     return -float(np.dot(np.log(w[keep]), quad[keep]))
 
 

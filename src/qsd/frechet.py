@@ -43,12 +43,14 @@ from .divergences import AlphaLike, _as_alpha
 from .linalg import (
     HermitianOperator,
     OperatorLike,
+    _adjoint,
     _common_dim,
     _eigh,
     _psd_operands,
     _require_pd,
     _require_psd,
     _support,
+    _support_leak,
     _support_quad,
     spectral_fn,
 )
@@ -299,10 +301,6 @@ def _node_blocks(n_nodes: int, dim: int) -> list[slice]:
     return [slice(lo, min(lo + step, n_nodes)) for lo in range(0, n_nodes, step)]
 
 
-def _adjoint(stack: np.ndarray) -> np.ndarray:
-    return stack.conj().swapaxes(-1, -2)
-
-
 def _integral_pass(
     mat: np.ndarray, dmat: np.ndarray, u_edges: np.ndarray, second: bool
 ) -> np.ndarray:
@@ -410,22 +408,25 @@ def _metric_on_support(
 
 
 def _dsd_kernel(amat: np.ndarray, bmat: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """``a(1-a) M_tau(A-B, A-B)`` with ``tau = a A + (1-a) B`` for each ``a`` in
-    ``alphas`` (all interior), restricted to supp(A+B).
+    """``a(1-a) M_tau(A-B, A-B)`` with ``tau = a A + (1-a) B``, restricted to
+    supp(A+B), for one pair at each ``a`` in ``alphas`` or for each pair of an
+    ``(n, d, d)`` stack at its own entry of ``alphas`` (all interior).
 
     For interior alpha the mixture shares its support with A+B, so its own
     eigenbasis provides the restriction.
     """
-    dim = amat.shape[0]
+    dim = amat.shape[-1]
     diff = amat - bmat
+    stacked = amat.ndim == 3
     out = np.empty(alphas.shape[0])
     for block in _node_blocks(alphas.shape[0], dim):
         a = alphas[block]
         al = a[:, None, None]
-        wt, vt, keep = _support(al * amat + (1.0 - al) * bmat)
+        pa, pb, pd = (m[block] for m in (amat, bmat, diff)) if stacked else (amat, bmat, diff)
+        wt, vt, keep = _support(al * pa + (1.0 - al) * pb)
         if not keep[:, -1].all():
             raise DomainError("A + B vanishes; differential skew divergence undefined")
-        out[block] = a * (1.0 - a) * _metric_on_support(wt, vt, keep, diff)
+        out[block] = a * (1.0 - a) * _metric_on_support(wt, vt, keep, pd)
     return out
 
 
@@ -465,17 +466,22 @@ def chi2_log(a: OperatorLike, b: OperatorLike) -> float:
     Both operators are compressed onto the support of ``B``; the first
     argument may not leak trace mass outside that support.
     """
-    amat, bmat = _common_dim(a, b)
+    return float(_chi2_log(*_common_dim(a, b)))
+
+
+def _chi2_log(amat: np.ndarray, bmat: np.ndarray) -> np.ndarray:
+    """``M_B(A-B, A-B)`` of one pair of Hermitian matrices, or of each pair of
+    a stack, validated here."""
     _require_psd(np.linalg.eigvalsh(amat), "first argument")
     wb, vb, keep = _support(bmat, "second argument")
-    if not np.any(keep):
+    if not keep[..., -1].all():
         raise DomainError("second argument vanishes")
-    _, leak = _support_quad(amat, vb, keep)
-    if leak:
+    leak = _support_leak(amat, _support_quad(amat, vb), keep)
+    if leak.any():
         raise DomainError(
-            f"first argument leaks outside the support of the second ({leak:.3e})"
+            f"first argument leaks outside the support of the second ({leak[leak > 0.0][0]:.3e})"
         )
-    return float(_metric_on_support(wb, vb, keep, amat - bmat))
+    return _metric_on_support(wb, vb, keep, amat - bmat)
 
 
 def sd_by_averaging(
@@ -533,7 +539,7 @@ def metric_epsilon_limit_check(
     _require_psd(np.linalg.eigvalsh(amat), "first argument")
     wb, vb, keep = _support(bmat, "second argument")
     _require_psd(np.linalg.eigvalsh(cmat), "third argument")
-    _, leak = _support_quad(amat, vb, keep)
+    leak = _support_leak(amat, _support_quad(amat, vb), keep)
     if leak:
         raise DomainError("support of A is not contained in the support of B")
 

@@ -31,10 +31,20 @@ PSD_TOL = 1e-10
 SUPPORT_DEFECT_TOL = 1e-10
 
 
+def _adjoint(mat: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return mat.conj().swapaxes(-1, -2)
+
+
+def _trace(mat: np.ndarray) -> np.ndarray:
+    """Real part of the trace of a matrix, or of each matrix of a stack."""
+    return mat.diagonal(0, -2, -1).sum(axis=-1).real
+
+
 def _symmetrized(entries: np.ndarray) -> np.ndarray:
     # (M + M*)/2 is exactly Hermitian in floating point: the (i,j) and (j,i)
     # results are the same two flops up to conjugation.
-    return (entries + entries.conj().T) / 2.0
+    return (entries + _adjoint(entries)) / 2.0
 
 
 def _frozen(mat: np.ndarray) -> np.ndarray:
@@ -43,12 +53,14 @@ def _frozen(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _hermitian(entries) -> np.ndarray:
-    """``(M + M*)/2`` of a square matrix with finite entries, read-only."""
+def _hermitian(entries, stacked: bool = False) -> np.ndarray:
+    """``(M + M*)/2`` of a square matrix with finite entries, read-only; with
+    ``stacked``, of each matrix of an ``(n, d, d)`` stack."""
     mat = np.asarray(entries, dtype=np.complex128)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {mat.shape}")
-    if mat.shape[0] < 1:
+    if mat.ndim != 2 + stacked or mat.shape[-1] != mat.shape[-2]:
+        what = "stack of square matrices" if stacked else "square matrix"
+        raise DomainError(f"expected a {what}, got shape {mat.shape}")
+    if mat.shape[-1] < 1:
         raise DomainError("dimension must be at least 1")
     # finite entries may overflow in (M + M*)/2; the check below rejects them
     with np.errstate(over="ignore", invalid="ignore"):
@@ -144,11 +156,12 @@ class DensityMatrix(HermitianOperator):
 OperatorLike = Union[HermitianOperator, np.ndarray, Sequence]
 
 
-def _as_matrix(value: OperatorLike) -> np.ndarray:
-    """Coerce to a Hermitian ndarray (symmetrizing raw arrays)."""
+def _as_matrix(value: OperatorLike, stacked: bool = False) -> np.ndarray:
+    """Coerce to a Hermitian ndarray (symmetrizing raw arrays); with
+    ``stacked``, a raw ``(n, d, d)`` array to a stack of them."""
     if isinstance(value, HermitianOperator):
         return value.mat
-    return _hermitian(value)
+    return _hermitian(value, stacked)
 
 
 def _like_input(rho: OperatorLike, out: np.ndarray) -> DensityMatrix:
@@ -160,12 +173,16 @@ def _like_input(rho: OperatorLike, out: np.ndarray) -> DensityMatrix:
 
 
 def _require_psd(w: np.ndarray, what: str) -> None:
-    """Raise unless the ascending eigenvalues ``w`` are nonnegative up to
-    ``PSD_TOL`` relative to ``max(1, max |w|)``."""
-    scale = max(1.0, float(np.abs(w).max()))
-    if w[0] < -PSD_TOL * scale:
+    """Raise unless the ascending eigenvalues ``w``, or each row of a stack of
+    them, are nonnegative up to ``PSD_TOL`` relative to ``max(1, max |w|)``;
+    the message names the first offending row."""
+    low = w[..., 0]
+    if not (low < -PSD_TOL).any():
+        return  # the tolerance scale max(1, max |w|) is at least 1
+    bad = low < -PSD_TOL * np.maximum(1.0, np.abs(w).max(axis=-1))
+    if bad.any():
         raise DomainError(
-            f"{what} is not positive semidefinite (min eigenvalue {w[0]:.3e})"
+            f"{what} is not positive semidefinite (min eigenvalue {low[bad][0]:.3e})"
         )
 
 
@@ -182,17 +199,19 @@ def _require_pd(w: np.ndarray, what: str) -> None:
 _ARGUMENTS = ("first argument", "second argument", "third argument")
 
 
-def _psd_operands(*values: OperatorLike) -> list[np.ndarray]:
-    """Matrices of PSD operands that share one dimension, validated in order."""
-    mats = _common_dim(*values)
+def _psd_operands(*values: OperatorLike, stacked: bool = False) -> list[np.ndarray]:
+    """Matrices of PSD operands that share one dimension, validated in order;
+    with ``stacked``, ``(n, d, d)`` stacks validated item by item."""
+    mats = _common_dim(*values, stacked=stacked)
     for what, mat in zip(_ARGUMENTS, mats):
         _require_psd(np.linalg.eigvalsh(mat), what)
     return mats
 
 
-def _common_dim(*values: OperatorLike) -> list[np.ndarray]:
-    """Matrices of the operands, after checking that they all have one shape."""
-    mats = [_as_matrix(value) for value in values]
+def _common_dim(*values: OperatorLike, stacked: bool = False) -> list[np.ndarray]:
+    """Matrices of the operands, after checking that they all have one shape;
+    with ``stacked``, raw ``(n, d, d)`` stacks of them."""
+    mats = [_as_matrix(value, stacked) for value in values]
     for m in mats[1:]:
         if m.shape != mats[0].shape:
             raise DimensionMismatchError("operands have different dimensions")
@@ -283,27 +302,33 @@ def default_support_threshold(dim: int, lambda_max):
 
 def _support(mat: np.ndarray, what: str | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenpairs of a Hermitian matrix, or of each matrix in an ``(n, d, d)``
-    stack, and the mask of eigenvalues above the support threshold; one
-    matrix labelled ``what`` must also pass :func:`_require_psd` on ``w``."""
+    stack, and the mask of eigenvalues above the support threshold; a matrix
+    or stack labelled ``what`` must also pass :func:`_require_psd` on ``w``."""
     w, v = _eigh(mat)
     if what is not None:
         _require_psd(w, what)
     return w, v, w > default_support_threshold(mat.shape[-1], w[..., -1:])
 
 
-def _support_quad(
-    x: np.ndarray, v: np.ndarray, keep: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Diagonal ``v_k* X v_k`` of ``X`` in the eigenbasis ``v``, and the trace
-    mass of ``X`` outside the kept columns when it exceeds
-    ``SUPPORT_DEFECT_TOL * max(1, trace X)`` (0.0 within tolerance)."""
-    quad = np.real(np.sum(np.conj(v) * (x @ v), axis=0))
-    if keep.all():
-        # a full support leaks nothing; the defect would be rounding noise
-        return quad, 0.0
-    trace_x = float(x.trace().real)
-    leak = trace_x - float(quad[keep].sum())
-    return quad, leak if leak > SUPPORT_DEFECT_TOL * max(1.0, trace_x) else 0.0
+def _support_quad(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Diagonal ``v_k* X v_k`` of ``X`` in the eigenbasis ``v``, or of each
+    matrix of a stack in its own eigenbasis."""
+    return (np.conj(v) * (x @ v)).real.sum(axis=-2)
+
+
+def _support_leak(x: np.ndarray, quad: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Trace mass of ``X`` outside the kept columns, from its diagonal
+    ``quad`` in their eigenbasis, where it exceeds
+    ``SUPPORT_DEFECT_TOL * max(1, trace X)`` (0.0 within tolerance); for a
+    stack, of each item."""
+    # a full support leaks nothing; the defect would be rounding noise
+    full = keep[..., 0]  # the eigenvalues ascend, so the smallest decides
+    if full.all():
+        return np.zeros(full.shape)
+    trace_x = _trace(x)
+    leak = trace_x - quad.sum(axis=-1, where=keep)
+    leaks = ~full & (leak > SUPPORT_DEFECT_TOL * np.maximum(1.0, trace_x))
+    return np.where(leaks, leak, 0.0)
 
 
 def support_of(a: OperatorLike) -> SupportProjection:
@@ -353,7 +378,11 @@ def _as_rng(rng: RngLike) -> np.random.Generator:
 
 
 def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # the real parts are drawn first, then the imaginary parts
+    g = np.empty(shape, dtype=np.complex128)
+    g.real = rng.standard_normal(shape)
+    g.imag = rng.standard_normal(shape)
+    return g
 
 
 def random_state(dim: int, rng: RngLike) -> DensityMatrix:

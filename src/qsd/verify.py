@@ -1,22 +1,31 @@
 """Property-verification harness.
 
 Every invariant of the library is registered here as a named check, by the
-``_check`` decorator on its function; the id's prefix names the suite, and
-definition order is report order. A check is a function
-``(rng, dim) -> (slack, inputs)`` that runs one randomized trial. The slack
-is ``bound - value`` for an inequality (negative means violated) and
-``-|residual|`` for an identity; ``inputs`` refers to the trial's matrices
-and scalars. A trial passes when the slack is at least ``-tolerance``.
-Checks pin the tolerance their property is stated at; the runner scales all
-of them proportionally when the caller overrides the default ``1e-8``.
+``_check`` decorator; the id's prefix names the suite, and definition order
+is report order. A check comes in two steps. Its draw
+``(rng, dim) -> (args, inputs)`` makes one randomized trial: the judge's
+arguments (matrices and scalars) and the trial's inputs for the report. Its
+judge takes the arguments of all the trials of one dimension, each stacked
+along a new first axis, and returns one slack per trial. The slack is
+``bound - value`` for an inequality (negative means violated) and
+``-|residual|`` for an identity. A trial passes when the slack is at least
+``-tolerance``. Checks pin the tolerance their property is stated at; the
+runner scales all of them proportionally when the caller overrides the
+default ``1e-8``. A check registered without a draw is a plain function
+``(rng, dim) -> (slack, inputs)`` that runs one whole trial; the runner
+calls it trial by trial and passes its slacks through.
 
-The runner alone judges trials. A non-finite slack, or a check that raises,
-counts as a violation. Of each check it keeps the worst trial and writes that
-trial's inputs to the report, as qsd-state-v1 objects, only when the trial is
-a violation; a raising trial records the exception and its coordinates.
+The runner alone judges trials. A non-finite slack, or a trial that raises,
+counts as a violation. A judge that raises on a stack is run again on each
+trial alone, so the exception is charged to the trial that raised it. Of
+each check the runner keeps the worst trial, the first in (dim, trial)
+order, and names it by its coordinates; it writes that trial's inputs to the
+report, as qsd-state-v1 objects, only when the trial is a violation. A
+raising trial records the exception and its coordinates.
 
 Trial streams are derived from ``(seed, check id, dim, trial index)`` so runs
-are reproducible and trials are independent.
+are reproducible, trials are independent, and the coordinates of a trial
+alone replay it.
 """
 
 from __future__ import annotations
@@ -107,6 +116,8 @@ def _rand_experiment(
 
 # The inputs of one trial, by reference: its matrices and its named scalars.
 Inputs = tuple[tuple, dict]
+# One trial's draw: the judge's arguments and the trial's inputs.
+Draw = tuple[tuple, Inputs]
 
 
 def _inputs(*mats: la.OperatorLike, **extra) -> Inputs:
@@ -122,6 +133,52 @@ def _states_payload(inputs: Inputs) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Stacked primitives: the library's kernels over (n, d, d) stacks of raw
+# operands, under the operand rules of the public functions
+# ---------------------------------------------------------------------------
+
+
+def _sd(rho: np.ndarray, sig: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    return dv._skew_divergence(*la._psd_operands(rho, sig, stacked=True), alpha)
+
+
+def _dsd(a: np.ndarray, b: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    return fr._dsd_kernel(*la._psd_operands(a, b, stacked=True), alpha)
+
+
+def _re(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return dv._relative_entropy(*la._common_dim(a, b, stacked=True))[0]
+
+
+def _chi2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return fr._chi2_log(*la._common_dim(a, b, stacked=True))
+
+
+def _td(rho: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    return dv._trace_distance(*la._common_dim(rho, sig, stacked=True))
+
+
+def _fid(rho: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    return dv._fidelity(*la._common_dim(rho, sig, stacked=True))
+
+
+def _mix(alpha: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``alpha A + (1 - alpha) B`` of each pair of a stack."""
+    al = alpha[:, None, None]
+    return al * a + (1.0 - al) * b
+
+
+def _each(fn: Callable[..., float], *columns: np.ndarray) -> np.ndarray:
+    """``fn`` of each trial's scalars: one value per row of the columns."""
+    return np.array([fn(*row) for row in zip(*(c.tolist() for c in columns))])
+
+
+def _least(*slacks) -> np.ndarray:
+    """Per-trial minimum of several slacks (a NaN stays NaN)."""
+    return np.min(np.broadcast_arrays(*slacks), axis=0)
+
+
+# ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
@@ -130,11 +187,16 @@ Outcome = tuple[float, Inputs]
 
 @dataclass(frozen=True)
 class CheckDef:
+    """A registered check: ``judge`` maps the stacked arguments of ``draw``'s
+    trials to their slacks; without a judge, ``draw`` is a plain check
+    ``(rng, dim) -> (slack, inputs)``."""
+
     check_id: str
     label: str
     suite: str
     tol: float
-    run: Callable[[np.random.Generator, int], Outcome]
+    draw: Callable[[np.random.Generator, int], Draw | Outcome]
+    judge: Callable[..., np.ndarray] | None = None
 
 
 # The suite each check-id prefix names.
@@ -144,24 +206,26 @@ SUITES = tuple(_SUITE_OF_PREFIX.values())
 _REGISTERED: list[CheckDef] = []
 
 
-def _check(check_id: str, tol: float, label: str):
-    """Register the decorated function as a check in the suite its id prefix
-    names; an unknown prefix raises ``ValueError``."""
+def _check(check_id: str, tol: float, label: str, draw=None):
+    """Register a check in the suite its id prefix names: with ``draw``, the
+    decorated function is the judge of the trials ``draw`` makes; without
+    it, a plain check. An unknown prefix raises ``ValueError``."""
     prefix = check_id.split(".", 1)[0]
     if prefix not in _SUITE_OF_PREFIX:
         raise ValueError(
             f"check {check_id!r}: unknown prefix {prefix!r}; choose from {tuple(_SUITE_OF_PREFIX)}"
         )
 
-    def register(run):
-        _REGISTERED.append(CheckDef(check_id, label, _SUITE_OF_PREFIX[prefix], tol, run))
-        return run
+    def register(fn):
+        stages = (fn,) if draw is None else (draw, fn)
+        _REGISTERED.append(CheckDef(check_id, label, _SUITE_OF_PREFIX[prefix], tol, *stages))
+        return fn
 
     return register
 
 
 # ---------------------------------------------------------------------------
-# Check implementations: return (slack, inputs)
+# Checks: a draw and the judge registered with it, or a plain check
 # ---------------------------------------------------------------------------
 
 
@@ -255,139 +319,175 @@ def _chk_random_cptp_contract(rng, dim) -> Outcome:
 _RANGE_ALPHAS = (0.01, 0.1, 0.5, 0.9, 0.99)
 
 
-@_check("div.sd_range", 1e-9, "skew divergence of states lies in [0, 1]")
-def _chk_sd_range(rng, dim) -> Outcome:
+def _draw_state_pair(rng, dim) -> Draw:
+    rho, sig = la.random_state(dim, rng), la.random_state(dim, rng)
+    alpha = _rand_alpha(rng)
+    return (rho.mat, sig.mat, alpha), _inputs(rho, sig, alpha=alpha)
+
+
+def _draw_sd_range(rng, dim) -> Draw:
     rho, sig = la.random_state(dim, rng), la.random_state(dim, rng)
     alpha = _RANGE_ALPHAS[int(rng.integers(0, len(_RANGE_ALPHAS)))]
-    v = dv.skew_divergence(rho, sig, alpha)
-    slack = min(v, 1.0 - v)
-    return slack, _inputs(rho, sig, alpha=alpha)
+    return (rho.mat, sig.mat, alpha), _inputs(rho, sig, alpha=alpha)
+
+
+@_check("div.sd_range", 1e-9, "skew divergence of states lies in [0, 1]", _draw_sd_range)
+def _judge_sd_range(rho, sig, alpha):
+    v = _sd(rho, sig, alpha)
+    return np.minimum(v, 1.0 - v)
+
+
+def _draw_sd_orthogonality(rng, dim) -> Draw:
+    rho_o, sig_o = _orthogonal_pair(rng, dim)
+    alpha = (0.01, 0.5, 0.99)[int(rng.integers(0, 3))]
+    # constructed overlapping pair: a 1% identity admixture caps the trace
+    # distance at 0.99, so the skew divergence must sit below 1 - 1e-2
+    eye = np.eye(dim) / dim
+    rho = 0.99 * la.random_state(dim, rng).mat + 0.01 * eye
+    sig = 0.99 * la.random_state(dim, rng).mat + 0.01 * eye
+    return (rho_o, sig_o, rho, sig, alpha), _inputs(rho_o, sig_o, alpha=alpha)
 
 
 @_check(
     "div.sd_orthogonality",
     1e-9,
     "skew divergence equals 1 exactly on orthogonal pairs and stays below 1 on overlapping pairs",
+    _draw_sd_orthogonality,
 )
-def _chk_sd_orthogonality(rng, dim) -> Outcome:
-    rho_o, sig_o = _orthogonal_pair(rng, dim)
-    alpha = (0.01, 0.5, 0.99)[int(rng.integers(0, 3))]
-    v = dv.skew_divergence(rho_o, sig_o, alpha)
-    overlap = float(np.trace(rho_o @ sig_o).real)
-    # constructed overlapping pair: a 1% identity admixture caps the trace
-    # distance at 0.99, so the skew divergence must sit below 1 - 1e-2
-    eye = np.eye(dim) / dim
-    rho = 0.99 * la.random_state(dim, rng).mat + 0.01 * eye
-    sig = 0.99 * la.random_state(dim, rng).mat + 0.01 * eye
-    v_mixed = dv.skew_divergence(rho, sig, alpha)
-    slack = min(
-        -abs(1.0 - v),
-        1e-9 - overlap,
-        (1.0 - 1e-2) - v_mixed,
-    )
-    return slack, _inputs(rho_o, sig_o, alpha=alpha)
+def _judge_sd_orthogonality(rho_o, sig_o, rho, sig, alpha):
+    v = _sd(rho_o, sig_o, alpha)
+    overlap = la._trace(rho_o @ sig_o)
+    v_mixed = _sd(rho, sig, alpha)
+    return _least(-np.abs(1.0 - v), 1e-9 - overlap, (1.0 - 1e-2) - v_mixed)
+
+
+def _draw_sd_scaling(rng, dim) -> Draw:
+    x = _rand_psd(rng, dim)
+    y = _rand_psd(rng, dim)
+    b, c = float(rng.uniform(0.05, 2.0)), float(rng.uniform(0.05, 2.0))
+    alpha = _rand_alpha(rng)
+    return (x, y, b, c, alpha), _inputs(x, y, b=b, c=c, alpha=alpha)
 
 
 @_check(
     "div.sd_scaling",
     1e-9,
     "scaling identities: SD_a(bX||bY) = b SD_a(X||Y) and SD_a(bX||cX) = SD_a(b|c) trace X",
+    _draw_sd_scaling,
 )
-def _chk_sd_scaling(rng, dim) -> Outcome:
-    x = _rand_psd(rng, dim)
-    y = _rand_psd(rng, dim)
-    b, c = float(rng.uniform(0.05, 2.0)), float(rng.uniform(0.05, 2.0))
+def _judge_sd_scaling(x, y, b, c, alpha):
+    bx, by, cx = (s[:, None, None] * m for s, m in ((b, x), (b, y), (c, x)))
+    r1 = _sd(bx, by, alpha) - b * _sd(x, y, alpha)
+    r2 = _sd(bx, cx, alpha) - _each(dv.scalar_skew_divergence, b, c, alpha) * la._trace(x)
+    return -np.maximum(np.abs(r1), np.abs(r2))
+
+
+def _draw_sd_unitary_invariance(rng, dim) -> Draw:
+    rho, sig = la.random_state(dim, rng), la.random_state(dim, rng)
+    u = la.random_unitary(dim, rng)
     alpha = _rand_alpha(rng)
-    r1 = dv.skew_divergence(b * x, b * y, alpha) - b * dv.skew_divergence(x, y, alpha)
-    r2 = dv.skew_divergence(b * x, c * x, alpha) - dv.scalar_skew_divergence(
-        b, c, alpha
-    ) * float(np.trace(x).real)
-    slack = -max(abs(r1), abs(r2))
-    return slack, _inputs(x, y, b=b, c=c, alpha=alpha)
+    return (rho.mat, sig.mat, u, alpha), _inputs(rho, sig, alpha=alpha)
 
 
 @_check(
     "div.sd_unitary_invariance",
     1e-9,
     "skew divergence is invariant under joint unitary conjugation",
+    _draw_sd_unitary_invariance,
 )
-def _chk_sd_unitary_invariance(rng, dim) -> Outcome:
-    rho, sig = la.random_state(dim, rng), la.random_state(dim, rng)
-    u = la.random_unitary(dim, rng)
-    alpha = _rand_alpha(rng)
-    r = dv.skew_divergence(
-        u @ rho.mat @ u.conj().T, u @ sig.mat @ u.conj().T, alpha
-    ) - dv.skew_divergence(rho, sig, alpha)
-    slack = -abs(r)
-    return slack, _inputs(rho, sig, alpha=alpha)
+def _judge_sd_unitary_invariance(rho, sig, u, alpha):
+    uh = la._adjoint(u)
+    r = _sd(u @ rho @ uh, u @ sig @ uh, alpha) - _sd(rho, sig, alpha)
+    return -np.abs(r)
 
 
-@_check("div.sd_contractivity", 1e-8, "skew divergence contracts under CPTP maps")
-def _chk_sd_contractivity(rng, dim) -> Outcome:
+def _draw_channel_pair(rng, dim) -> Draw:
+    """A pair of states, a skew and the pair's images under a random channel."""
     rho, sig = la.random_state(dim, rng), la.random_state(dim, rng)
     alpha = _rand_alpha(rng)
     kraus = la.random_cptp(dim, int(rng.integers(1, 4)), rng)
-    before = dv.skew_divergence(rho, sig, alpha)
-    after = dv.skew_divergence(
-        dv.apply_channel(kraus, rho), dv.apply_channel(kraus, sig), alpha
-    )
-    slack = before - after
-    return slack, _inputs(rho, sig, alpha=alpha)
+    moved = (dv.apply_channel(kraus, rho).mat, dv.apply_channel(kraus, sig).mat)
+    return (rho.mat, sig.mat, *moved, alpha), _inputs(rho, sig, alpha=alpha)
 
 
-@_check("div.sd_joint_convexity", 1e-8, "skew divergence is jointly convex over 3-term mixtures")
-def _chk_sd_joint_convexity(rng, dim) -> Outcome:
+@_check(
+    "div.sd_contractivity", 1e-8, "skew divergence contracts under CPTP maps", _draw_channel_pair
+)
+def _judge_sd_contractivity(rho, sig, rho_out, sig_out, alpha):
+    return _sd(rho, sig, alpha) - _sd(rho_out, sig_out, alpha)
+
+
+def _draw_sd_joint_convexity(rng, dim) -> Draw:
     alpha = _rand_alpha(rng)
     w = rng.dirichlet(np.ones(3))
     rhos = [la.random_state(dim, rng) for _ in range(3)]
     sigs = [la.random_state(dim, rng) for _ in range(3)]
-    mix_r = sum(wi * r.mat for wi, r in zip(w, rhos))
-    mix_s = sum(wi * s.mat for wi, s in zip(w, sigs))
-    rhs = sum(
-        wi * dv.skew_divergence(r, s, alpha) for wi, r, s in zip(w, rhos, sigs)
+    args = (np.stack([r.mat for r in rhos]), np.stack([s.mat for s in sigs]), w, alpha)
+    return args, _inputs(*rhos, *sigs, alpha=alpha)
+
+
+@_check(
+    "div.sd_joint_convexity",
+    1e-8,
+    "skew divergence is jointly convex over 3-term mixtures",
+    _draw_sd_joint_convexity,
+)
+def _judge_sd_joint_convexity(rhos, sigs, w, alpha):
+    n, terms, dim = rhos.shape[:3]
+    mix_r = (w[..., None, None] * rhos).sum(axis=1)
+    mix_s = (w[..., None, None] * sigs).sum(axis=1)
+    each = _sd(
+        rhos.reshape(-1, dim, dim), sigs.reshape(-1, dim, dim), np.repeat(alpha, terms)
     )
-    slack = float(rhs) - dv.skew_divergence(mix_r, mix_s, alpha)
-    return slack, _inputs(*rhos, *sigs, alpha=alpha)
+    rhs = (w * each.reshape(n, terms)).sum(axis=1)
+    return rhs - _sd(mix_r, mix_s, alpha)
+
+
+def _draw_sd_trace_norm_sandwich(rng, dim) -> Draw:
+    (rho, sig, alpha), inputs = _draw_state_pair(rng, dim)
+    # tightness family diag(t,0,1-t) vs diag(0,t,1-t): SD equals t (at 1e-9)
+    tf = float(rng.choice(np.arange(0.1, 0.95, 0.1)))
+    af = (0.1, 0.5, 0.9)[int(rng.integers(0, 3))]
+    fam_r = np.diag([tf, 0.0, 1.0 - tf]).astype(complex)
+    fam_s = np.diag([0.0, tf, 1.0 - tf]).astype(complex)
+    return (rho, sig, alpha, fam_r, fam_s, tf, af), inputs
 
 
 @_check(
     "div.sd_trace_norm_sandwich",
     1e-8,
     "2(1-a)^2/(-log a) T^2 <= SD_a <= T, with equality SD_a = t on the diag(t,0,1-t) family",
+    _draw_sd_trace_norm_sandwich,
 )
-def _chk_sd_trace_norm_sandwich(rng, dim) -> Outcome:
+def _judge_sd_trace_norm_sandwich(rho, sig, alpha, fam_r, fam_s, tf, af):
+    t = _td(rho, sig)
+    v = _sd(rho, sig, alpha)
+    lower = 2.0 * (1.0 - alpha) ** 2 / (-np.log(alpha)) * t * t
+    fam_resid = np.abs(_sd(fam_r, fam_s, af) - tf)
+    return _least(v - lower, t - v, -fam_resid * 10.0)  # family pinned at 1e-9
+
+
+@_check(
+    "div.skewed_re_bound", 1e-9, "S(rho || a rho + (1-a) sigma) <= -log a", _draw_state_pair
+)
+def _judge_skewed_re_bound(rho, sig, alpha):
+    return -np.log(alpha) - _re(rho, _mix(alpha, rho, sig))
+
+
+def _draw_states(rng, dim) -> Draw:
     rho, sig = la.random_state(dim, rng), la.random_state(dim, rng)
-    alpha = _rand_alpha(rng)
-    t = dv.trace_distance(rho, sig)
-    v = dv.skew_divergence(rho, sig, alpha)
-    lower = 2.0 * (1.0 - alpha) ** 2 / (-math.log(alpha)) * t * t
-    # tightness family diag(t,0,1-t) vs diag(0,t,1-t): SD equals t (at 1e-9)
-    tf = float(rng.choice(np.arange(0.1, 0.95, 0.1)))
-    af = (0.1, 0.5, 0.9)[int(rng.integers(0, 3))]
-    fam_r = np.diag([tf, 0.0, 1.0 - tf]).astype(complex)
-    fam_s = np.diag([0.0, tf, 1.0 - tf]).astype(complex)
-    fam_resid = abs(dv.skew_divergence(fam_r, fam_s, af) - tf)
-    slack = min(v - lower, t - v, -fam_resid * 10.0)  # family pinned at 1e-9
-    return slack, _inputs(rho, sig, alpha=alpha)
+    return (rho.mat, sig.mat), _inputs(rho, sig)
 
 
-@_check("div.skewed_re_bound", 1e-9, "S(rho || a rho + (1-a) sigma) <= -log a")
-def _chk_skewed_re_bound(rng, dim) -> Outcome:
-    rho, sig = la.random_state(dim, rng), la.random_state(dim, rng)
-    alpha = _rand_alpha(rng)
-    tau = alpha * rho.mat + (1.0 - alpha) * sig.mat
-    s = float(dv.relative_entropy(rho, tau))
-    slack = -math.log(alpha) - s
-    return slack, _inputs(rho, sig, alpha=alpha)
-
-
-@_check("div.fidelity_trace_distance", 1e-8, "trace distance is bounded by sqrt(1 - F^2)")
-def _chk_fidelity_trace_distance(rng, dim) -> Outcome:
-    rho, sig = la.random_state(dim, rng), la.random_state(dim, rng)
-    f = dv.fidelity(rho, sig)
-    t = dv.trace_distance(rho, sig)
-    slack = math.sqrt(max(0.0, 1.0 - f * f)) - t
-    return slack, _inputs(rho, sig)
+@_check(
+    "div.fidelity_trace_distance",
+    1e-8,
+    "trace distance is bounded by sqrt(1 - F^2)",
+    _draw_states,
+)
+def _judge_fidelity_trace_distance(rho, sig):
+    f = _fid(rho, sig)
+    return np.sqrt(np.maximum(0.0, 1.0 - f * f)) - _td(rho, sig)
 
 
 @_check(
@@ -480,31 +580,39 @@ def _chk_finite_difference_match(rng, dim) -> Outcome:
     return slack, _inputs(a, d)
 
 
-@_check(
-    "fre.dsd_symmetry", 1e-10, "differential skew divergence satisfies D_a(A||B) = D_{1-a}(B||A)"
-)
-def _chk_dsd_symmetry(rng, dim) -> Outcome:
+def _draw_psd_pair(rng, dim) -> Draw:
     a = _rand_psd(rng, dim)
     b = _rand_psd(rng, dim)
     alpha = _rand_alpha(rng)
-    r = fr.differential_skew_divergence(a, b, alpha) - fr.differential_skew_divergence(
-        b, a, 1.0 - alpha
-    )
-    slack = -abs(r)
-    return slack, _inputs(a, b, alpha=alpha)
+    return (a, b, alpha), _inputs(a, b, alpha=alpha)
+
+
+@_check(
+    "fre.dsd_symmetry",
+    1e-10,
+    "differential skew divergence satisfies D_a(A||B) = D_{1-a}(B||A)",
+    _draw_psd_pair,
+)
+def _judge_dsd_symmetry(a, b, alpha):
+    return -np.abs(_dsd(a, b, alpha) - _dsd(b, a, 1.0 - alpha))
+
+
+def _draw_dsd_derivative(rng, dim) -> Draw:
+    a = _rand_conditioned_state(rng, dim)
+    b = _rand_conditioned_state(rng, dim)
+    alpha = _rand_alpha(rng, 0.1, 0.9)
+    return (a, b, alpha), _inputs(a, b, alpha=alpha)
 
 
 @_check(
     "fre.dsd_derivative",
     1e-6,
     "differential skew divergence equals -a d/da of the skewed relative entropy",
+    _draw_dsd_derivative,
 )
-def _chk_dsd_derivative(rng, dim) -> Outcome:
-    a = _rand_conditioned_state(rng, dim)
-    b = _rand_conditioned_state(rng, dim)
-    alpha = _rand_alpha(rng, 0.1, 0.9)
+def _judge_dsd_derivative(a, b, alpha):
     h = 1e-5
-    v = fr.differential_skew_divergence(a, b, alpha)
+    v = _dsd(a, b, alpha)
     fd = (
         -alpha
         * (
@@ -513,48 +621,38 @@ def _chk_dsd_derivative(rng, dim) -> Outcome:
         )
         / (2.0 * h)
     )
-    slack = -abs(v - fd)
-    return slack, _inputs(a, b, alpha=alpha)
+    return -np.abs(v - fd)
 
 
-@_check("fre.dsd_bounds", 1e-8, "4a(1-a) T^2 <= D_a(rho||sigma) <= T")
-def _chk_dsd_bounds(rng, dim) -> Outcome:
-    rho, sig = la.random_state(dim, rng), la.random_state(dim, rng)
-    alpha = _rand_alpha(rng)
-    t = dv.trace_distance(rho, sig)
-    v = fr.differential_skew_divergence(rho, sig, alpha)
-    slack = min(v - 4.0 * alpha * (1.0 - alpha) * t * t, t - v)
-    return slack, _inputs(rho, sig, alpha=alpha)
+@_check("fre.dsd_bounds", 1e-8, "4a(1-a) T^2 <= D_a(rho||sigma) <= T", _draw_state_pair)
+def _judge_dsd_bounds(rho, sig, alpha):
+    t = _td(rho, sig)
+    v = _dsd(rho, sig, alpha)
+    return _least(v - 4.0 * alpha * (1.0 - alpha) * t * t, t - v)
 
 
-@_check("fre.dsd_contractivity", 1e-8, "differential skew divergence contracts under CPTP maps")
-def _chk_dsd_contractivity(rng, dim) -> Outcome:
-    rho, sig = la.random_state(dim, rng), la.random_state(dim, rng)
-    alpha = _rand_alpha(rng)
-    kraus = la.random_cptp(dim, int(rng.integers(1, 4)), rng)
-    before = fr.differential_skew_divergence(rho, sig, alpha)
-    after = fr.differential_skew_divergence(
-        dv.apply_channel(kraus, rho), dv.apply_channel(kraus, sig), alpha
-    )
-    slack = before - after
-    return slack, _inputs(rho, sig, alpha=alpha)
+@_check(
+    "fre.dsd_contractivity",
+    1e-8,
+    "differential skew divergence contracts under CPTP maps",
+    _draw_channel_pair,
+)
+def _judge_dsd_contractivity(rho, sig, rho_out, sig_out, alpha):
+    return _dsd(rho, sig, alpha) - _dsd(rho_out, sig_out, alpha)
 
 
 @_check(
     "fre.chi2_relation",
     1e-8,
     "D_a(A||B) = a/(1-a) chi2_log(A, aA+(1-a)B) and chi2_log >= ||rho-sigma||_1^2",
+    _draw_state_pair,
 )
-def _chk_chi2_relation(rng, dim) -> Outcome:
-    rho, sig = la.random_state(dim, rng), la.random_state(dim, rng)
-    alpha = _rand_alpha(rng)
-    tau = alpha * rho.mat + (1.0 - alpha) * sig.mat
-    lhs = fr.differential_skew_divergence(rho, sig, alpha)
-    rhs = alpha / (1.0 - alpha) * fr.chi2_log(rho, tau)
-    tn = 2.0 * dv.trace_distance(rho, sig)
-    chi2_lb = fr.chi2_log(rho, sig) - tn * tn
-    slack = min(-abs(lhs - rhs) * 10.0, chi2_lb)  # relation pinned at 1e-9
-    return slack, _inputs(rho, sig, alpha=alpha)
+def _judge_chi2_relation(rho, sig, alpha):
+    lhs = _dsd(rho, sig, alpha)
+    rhs = alpha / (1.0 - alpha) * _chi2(rho, _mix(alpha, rho, sig))
+    tn = 2.0 * _td(rho, sig)
+    chi2_lb = _chi2(rho, sig) - tn * tn
+    return _least(-np.abs(lhs - rhs) * 10.0, chi2_lb)  # relation pinned at 1e-9
 
 
 @_check(
@@ -673,65 +771,58 @@ def _chk_chi_continuity(rng, dim) -> Outcome:
     return slack, _inputs(*ens.states, weights=list(ens.weights))
 
 
+def _draw_psd_triple(rng, dim) -> Draw:
+    a, b, c = (_rand_psd(rng, dim) for _ in range(3))
+    alpha = _rand_alpha(rng)
+    return (a, b, c, alpha), _inputs(a, b, c, alpha=alpha)
+
+
 @_check(
     "ens.rbts_family",
     1e-8,
     "two-sided scalar bounds on SD_a(A||A+B) - SD_a(A||A+B+C) and the shifted variant, for SD and S",
+    _draw_psd_triple,
 )
-def _chk_rbts_family(rng, dim) -> Outcome:
-    a, b, c = (_rand_psd(rng, dim) for _ in range(3))
-    alpha = _rand_alpha(rng)
-    ta, tc = float(np.trace(a).real), float(np.trace(c).real)
-
-    d_sd = dv.skew_divergence(a, a + b, alpha) - dv.skew_divergence(a, a + b + c, alpha)
-    d_s = float(dv.relative_entropy(a, a + b)) - float(dv.relative_entropy(a, a + b + c))
-    e_sd = dv.skew_divergence(b, a + b, alpha) - dv.skew_divergence(b + c, a + b + c, alpha)
-    e_s = float(dv.relative_entropy(b, a + b)) - float(
-        dv.relative_entropy(b + c, a + b + c)
-    )
-    slack = min(
-        d_sd + dv.scalar_skew_divergence(0.0, tc, alpha),
-        -dv.scalar_skew_divergence(ta, ta + tc, alpha) - d_sd,
-        d_s + dv.scalar_relative_entropy(0.0, tc),
-        -dv.scalar_relative_entropy(ta, ta + tc) - d_s,
+def _judge_rbts_family(a, b, c, alpha):
+    ta, tc = la._trace(a), la._trace(c)
+    ab, abc = a + b, a + b + c
+    d_sd = _sd(a, ab, alpha) - _sd(a, abc, alpha)
+    d_s = _re(a, ab) - _re(a, abc)
+    e_sd = _sd(b, ab, alpha) - _sd(b + c, abc, alpha)
+    e_s = _re(b, ab) - _re(b + c, abc)
+    zero = np.zeros_like(ta)
+    sd = lambda x, y: _each(dv.scalar_skew_divergence, x, y, alpha)  # noqa: E731
+    re = lambda x, y: _each(dv.scalar_relative_entropy, x, y)  # noqa: E731
+    return _least(
+        d_sd + sd(zero, tc),
+        -sd(ta, ta + tc) - d_sd,
+        d_s + re(zero, tc),
+        -re(ta, ta + tc) - d_s,
         e_sd,
-        dv.scalar_skew_divergence(0.0, ta, alpha)
-        - dv.scalar_skew_divergence(tc, ta + tc, alpha)
-        - e_sd,
+        sd(zero, ta) - sd(tc, ta + tc) - e_sd,
         e_s,
-        dv.scalar_relative_entropy(0.0, ta)
-        - dv.scalar_relative_entropy(tc, ta + tc)
-        - e_s,
+        re(zero, ta) - re(tc, ta + tc) - e_s,
     )
-    return slack, _inputs(a, b, c, alpha=alpha)
 
 
 @_check(
     "ens.dsd_difference_bounds",
     1e-8,
     "two-sided scalar bounds on D_a(A||B) - D_a(A||B+C) and the shifted variant",
+    _draw_psd_triple,
 )
-def _chk_dsd_difference_bounds(rng, dim) -> Outcome:
-    a, b, c = (_rand_psd(rng, dim) for _ in range(3))
-    alpha = _rand_alpha(rng)
-    ta, tc = float(np.trace(a).real), float(np.trace(c).real)
-    d1 = fr.differential_skew_divergence(a, b, alpha) - fr.differential_skew_divergence(
-        a, b + c, alpha
-    )
-    d2 = fr.differential_skew_divergence(b, a + b, alpha) - fr.differential_skew_divergence(
-        b + c, a + b + c, alpha
-    )
-    slack = min(
-        d1 + fr.scalar_differential_sd(0.0, tc, alpha),
-        fr.scalar_differential_sd(ta, 0.0, alpha)
-        - fr.scalar_differential_sd(ta, tc, alpha)
-        - d1,
+def _judge_dsd_difference_bounds(a, b, c, alpha):
+    ta, tc = la._trace(a), la._trace(c)
+    d1 = _dsd(a, b, alpha) - _dsd(a, b + c, alpha)
+    d2 = _dsd(b, a + b, alpha) - _dsd(b + c, a + b + c, alpha)
+    zero = np.zeros_like(ta)
+    dsd = lambda x, y: _each(fr.scalar_differential_sd, x, y, alpha)  # noqa: E731
+    return _least(
+        d1 + dsd(zero, tc),
+        dsd(ta, zero) - dsd(ta, tc) - d1,
         d2,
-        fr.scalar_differential_sd(0.0, ta, alpha)
-        - fr.scalar_differential_sd(tc, ta + tc, alpha)
-        - d2,
+        dsd(zero, ta) - dsd(tc, ta + tc) - d2,
     )
-    return slack, _inputs(a, b, c, alpha=alpha)
 
 
 def _triangle_rhs(f, alpha: float, t: float, swap: bool = False) -> float:
@@ -743,45 +834,34 @@ def _triangle_rhs(f, alpha: float, t: float, swap: bool = False) -> float:
     return g(1.0, 0.0) - g(1.0, t) + g(0.0, t)
 
 
+def _draw_triangle_family(rng, dim) -> Draw:
+    rho, s1, s2 = (la.random_state(dim, rng) for _ in range(3))
+    alpha = _rand_alpha(rng)
+    return (rho.mat, s1.mat, s2.mat, alpha), _inputs(rho, s1, s2, alpha=alpha)
+
+
 @_check(
     "ens.triangle_family",
     1e-8,
     "perturbing either argument moves SD_a and D_a by at most the scalar three-term bound",
+    _draw_triangle_family,
 )
-def _chk_triangle_family(rng, dim) -> Outcome:
-    rho, s1, s2 = (la.random_state(dim, rng) for _ in range(3))
-    alpha = _rand_alpha(rng)
-    t = dv.trace_distance(s1, s2)
-    lhs_sd1 = abs(
-        dv.skew_divergence(rho, s1, alpha) - dv.skew_divergence(rho, s2, alpha)
-    )
-    lhs_sd2 = abs(
-        dv.skew_divergence(s1, rho, alpha) - dv.skew_divergence(s2, rho, alpha)
-    )
-    lhs_d1 = abs(
-        fr.differential_skew_divergence(rho, s1, alpha)
-        - fr.differential_skew_divergence(rho, s2, alpha)
-    )
-    lhs_d2 = abs(
-        fr.differential_skew_divergence(s1, rho, alpha)
-        - fr.differential_skew_divergence(s2, rho, alpha)
-    )
+def _judge_triangle_family(rho, s1, s2, alpha):
+    t = _td(s1, s2)
     sd, dsd = dv.scalar_skew_divergence, fr.scalar_differential_sd
-    slack = min(
-        _triangle_rhs(sd, alpha, t) - lhs_sd1,
-        _triangle_rhs(sd, alpha, t, swap=True) - lhs_sd2,
-        _triangle_rhs(dsd, alpha, t) - lhs_d1,
-        _triangle_rhs(dsd, alpha, t, swap=True) - lhs_d2,
+
+    def rhs(f, swap=False):
+        return _each(lambda a, x: _triangle_rhs(f, a, x, swap), alpha, t)
+
+    return _least(
+        rhs(sd) - np.abs(_sd(rho, s1, alpha) - _sd(rho, s2, alpha)),
+        rhs(sd, swap=True) - np.abs(_sd(s1, rho, alpha) - _sd(s2, rho, alpha)),
+        rhs(dsd) - np.abs(_dsd(rho, s1, alpha) - _dsd(rho, s2, alpha)),
+        rhs(dsd, swap=True) - np.abs(_dsd(s1, rho, alpha) - _dsd(s2, rho, alpha)),
     )
-    return slack, _inputs(rho, s1, s2, alpha=alpha)
 
 
-@_check(
-    "ens.triangle_equality",
-    1e-9,
-    "the first-argument continuity bound is attained at rho orthogonal to sigma1, sigma2 = t rho + (1-t) sigma1",
-)
-def _chk_triangle_equality(rng, dim) -> Outcome:
+def _draw_triangle_equality(rng, dim) -> Draw:
     if dim < 2:
         dim = 2
     u = la.random_unitary(dim, rng)
@@ -791,11 +871,19 @@ def _chk_triangle_equality(rng, dim) -> Outcome:
     t = float(rng.uniform(0.05, 0.95))
     s2 = t * rho + (1.0 - t) * s1
     alpha = _rand_alpha(rng, 0.05, 0.95)
-    lhs = abs(
-        dv.skew_divergence(rho, s1, alpha) - dv.skew_divergence(rho, s2, alpha)
-    )
-    slack = -abs(lhs - _triangle_rhs(dv.scalar_skew_divergence, alpha, t))
-    return slack, _inputs(rho, s1, alpha=alpha, t=t)
+    return (rho, s1, s2, alpha, t), _inputs(rho, s1, alpha=alpha, t=t)
+
+
+@_check(
+    "ens.triangle_equality",
+    1e-9,
+    "the first-argument continuity bound is attained at rho orthogonal to sigma1, sigma2 = t rho + (1-t) sigma1",
+    _draw_triangle_equality,
+)
+def _judge_triangle_equality(rho, s1, s2, alpha, t):
+    lhs = np.abs(_sd(rho, s1, alpha) - _sd(rho, s2, alpha))
+    rhs = _each(lambda a, x: _triangle_rhs(dv.scalar_skew_divergence, a, x), alpha, t)
+    return -np.abs(lhs - rhs)
 
 
 @_check(
@@ -969,6 +1057,7 @@ class CheckResult:
     trials: int
     worst_slack: float
     violations: int
+    worst_trial: dict  # {"dim", "trial"} of the worst trial, the first in run order
     worst_case_inputs: dict | None = None
 
     def to_dict(self) -> dict:
@@ -979,6 +1068,7 @@ class CheckResult:
             # a non-finite worst (counted as a violation) has no strict-JSON form
             "worst_slack": self.worst_slack if math.isfinite(self.worst_slack) else None,
             "violations": self.violations,
+            "worst_trial": dict(self.worst_trial),
         }
         if self.worst_case_inputs is not None:
             out["worst_case_inputs"] = self.worst_case_inputs
@@ -1012,7 +1102,69 @@ class VerificationReport:
 
 def _trial_rng(seed: int, check_id: str, dim: int, trial: int) -> np.random.Generator:
     key = zlib.crc32(check_id.encode("utf-8"))
-    return np.random.default_rng(np.random.SeedSequence([seed, key, dim, trial]))
+    # the generator np.random.default_rng builds, without its argument checks
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, key, dim, trial])))
+
+
+def _raised(exc: Exception, dim: int, trial: int) -> Inputs:
+    return _inputs(error=type(exc).__name__, message=str(exc), dim=dim, trial=trial)
+
+
+def _stages(check: CheckDef) -> tuple[Callable, Callable]:
+    """The draw and the judge of a check. A plain check draws its whole
+    trial, and its judge passes the slacks through."""
+    if check.judge is not None:
+        return check.draw, check.judge
+
+    def draw(rng, dim) -> Draw:
+        slack, inputs = check.draw(rng, dim)
+        return (slack,), inputs
+
+    return draw, lambda slacks: slacks
+
+
+def _judge_dim(
+    check: CheckDef, seed: int, dim: int, trials: int
+) -> tuple[list[float], list[Inputs]]:
+    """Slack and inputs of each trial of one check at ``dim``.
+
+    Every trial is drawn first, and the drawn trials are judged as one stack.
+    A trial whose draw raises gets slack ``-inf`` and an exception record for
+    its inputs. When the judge raises on the stack, each trial is judged
+    alone, so only the trials that raise get that record.
+    """
+    draw, judge = _stages(check)
+    slacks = [-math.inf] * trials
+    inputs: list[Inputs] = []
+    drawn, args = [], []
+    for k in range(trials):
+        try:
+            trial_args, trial_inputs = draw(_trial_rng(seed, check.check_id, dim, k), dim)
+        except Exception as exc:
+            trial_inputs = _raised(exc, dim, k)
+        else:
+            drawn.append(k)
+            args.append(trial_args)
+        inputs.append(trial_inputs)
+    if not drawn:
+        return slacks, inputs
+    stacks = [np.stack(column) for column in zip(*args)]
+    try:
+        judged = [float(x) for x in judge(*stacks)]
+        if len(judged) != len(drawn):
+            raise ValueError(f"judge returned {len(judged)} slacks for {len(drawn)} trials")
+    except Exception:
+        judged = []
+        for i, k in enumerate(drawn):
+            try:
+                (slack,) = judge(*(s[i : i + 1] for s in stacks))
+                judged.append(float(slack))
+            except Exception as exc:
+                judged.append(-math.inf)
+                inputs[k] = _raised(exc, dim, k)
+    for k, slack in zip(drawn, judged):
+        slacks[k] = slack
+    return slacks, inputs
 
 
 def _run_check(
@@ -1021,26 +1173,20 @@ def _run_check(
     """Run ``trials`` trials of one check per dimension at tolerance ``tol``.
 
     A trial that raises counts as a violation with slack ``-inf``; its inputs
-    are the exception and the trial coordinates. The inputs of the worst trial
-    enter the result only when that trial is a violation.
+    are the exception and the trial coordinates. The worst trial is the first
+    minimum in (dim, trial) order; its inputs enter the result only when it is
+    a violation.
     """
     worst = math.inf
-    worst_inputs = None
+    worst_trial = worst_inputs = None
     violations = 0
     for dim in dims:
-        for k in range(trials):
-            rng = _trial_rng(seed, check.check_id, dim, k)
-            try:
-                slack, inputs = check.run(rng, dim)
-            except Exception as exc:
-                slack = -math.inf
-                inputs = _inputs(
-                    error=type(exc).__name__, message=str(exc), dim=dim, trial=k
-                )
+        slacks, inputs = _judge_dim(check, seed, dim, trials)
+        for k, slack in enumerate(slacks):
             if not math.isfinite(slack):
                 slack = -math.inf
             if slack < worst:
-                worst, worst_inputs = slack, inputs
+                worst, worst_trial, worst_inputs = slack, {"dim": dim, "trial": k}, inputs[k]
             if slack < -tol:
                 violations += 1
     return CheckResult(
@@ -1049,6 +1195,7 @@ def _run_check(
         trials=trials * len(dims),
         worst_slack=worst,
         violations=violations,
+        worst_trial=worst_trial,
         worst_case_inputs=(
             _states_payload(worst_inputs)
             if worst < -tol and worst_inputs is not None

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -450,10 +451,76 @@ class TestCliVerify:
         monkeypatch.setattr(verify, "assert_registry_complete", lambda: None)
         record = verify.run_suite(suite="core", dims=(2, 3), trials=1).checks[0]
         assert record.worst_slack == -3.0
+        assert record.worst_trial == {"dim": 3, "trial": 0}
         inputs = record.worst_case_inputs
         assert inputs["alpha"] == 0.25
         assert [s["dim"] for s in inputs["states"]] == [3, 3]
         assert state_from_dict(inputs["states"][0]).mat.tolist() == np.eye(3).tolist()
+
+    def test_worst_trial_is_the_first_minimum(self, monkeypatch):
+        from qsd import verify
+
+        probe = verify.CheckDef(
+            "core.tie_probe", "every trial ties", "core", 0.0, lambda rng, dim: (-1.0, None)
+        )
+        monkeypatch.setattr(verify, "REGISTRY", (probe,))
+        monkeypatch.setattr(verify, "assert_registry_complete", lambda: None)
+        record = verify.run_suite(suite="core", dims=(3, 2), trials=3).to_dict()["checks"][0]
+        assert record["violations"] == 6
+        assert record["worst_trial"] == {"dim": 3, "trial": 0}
+
+    def test_raising_judge_is_charged_to_its_trial(self, tmp_path, monkeypatch):
+        from qsd import verify
+
+        order = itertools.count()  # trials draw in (dim, trial) order
+
+        def draw(rng, dim):
+            bad = next(order) == 4  # dim 3, trial 1
+            return (bad,), verify._inputs(np.eye(dim), alpha=0.5)
+
+        def judge(bad):
+            if bad.any():
+                raise RuntimeError("judge failed")
+            return np.full(bad.shape, 0.5)
+
+        checks = (
+            verify.CheckDef("core.judge_probe", "judge raises", "core", 0.0, draw, judge),
+            verify.REGISTRY[0],
+        )
+        monkeypatch.setattr(verify, "REGISTRY", checks)
+        monkeypatch.setattr(verify, "assert_registry_complete", lambda: None)
+        out = tmp_path / "report.json"
+        code = run_cli(
+            "verify", "--suite", "core", "--dims", "2,3", "--trials", "3",
+            "--seed", "0", "--quiet", "--out", str(out),
+        )
+        assert code == 1
+        record, after = json.loads(out.read_text())["checks"]
+        assert record["violations"] == 1  # the other five trials were judged
+        assert record["worst_slack"] is None
+        assert record["worst_trial"] == {"dim": 3, "trial": 1}
+        assert record["worst_case_inputs"] == {
+            "error": "RuntimeError",
+            "message": "judge failed",
+            "dim": 3,
+            "trial": 1,
+        }
+        assert after["check_id"] == verify.REGISTRY[1].check_id
+        assert after["violations"] == 0 and "worst_case_inputs" not in after
+
+    def test_judge_of_the_wrong_length_is_a_violation(self, monkeypatch):
+        from qsd import verify
+
+        probe = verify.CheckDef(
+            "core.two_slack_probe", "two slacks for every stack", "core", 0.0,
+            lambda rng, dim: ((0.0,), verify._inputs()), lambda x: np.ones(2),
+        )
+        monkeypatch.setattr(verify, "REGISTRY", (probe,))
+        monkeypatch.setattr(verify, "assert_registry_complete", lambda: None)
+        record = verify.run_suite(suite="core", dims=(2,), trials=3).to_dict()["checks"][0]
+        assert record["violations"] == 3
+        assert record["worst_case_inputs"]["error"] == "ValueError"
+        assert record["worst_trial"] == {"dim": 2, "trial": 0}
 
     def test_reports_are_strict_json(self, tmp_path):
         from qsd.io import dump_json

@@ -30,6 +30,7 @@ from qsd import (
     support_of,
     trace_distance,
 )
+from qsd.linalg import _hermitian, _psd_operands
 
 # name -> (function, operand count, trailing scalar arguments)
 MULTI_OPERAND = {
@@ -128,3 +129,31 @@ def test_output_is_a_state_exactly_for_a_state(rng, make_map):
     out = move(np.diag([1.5, 0.5]))
     assert not out.is_normalized
     assert out.trace() == pytest.approx(2.0, abs=1e-12)
+
+
+def test_stacked_operand_rule_symmetrizes_each_item(rng):
+    # raw non-Hermitian matrices whose Hermitian parts are positive-definite
+    noise = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    raw = np.eye(3) + 0.3 * noise
+    stacked = _hermitian(raw, stacked=True)
+    assert stacked.shape == raw.shape
+    for item, single in zip(stacked, raw):
+        assert np.array_equal(item, _hermitian(single))
+    first, second = _psd_operands(raw, raw[::-1], stacked=True)
+    assert np.array_equal(first, stacked) and np.array_equal(second, stacked[::-1])
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3, 2), (2, 2, 2, 2)])
+def test_stacked_operand_rule_takes_only_stacks_of_square_matrices(shape):
+    with pytest.raises(DomainError, match="stack of square matrices"):
+        _hermitian(np.zeros(shape), stacked=True)
+
+
+def test_stacked_operands_name_the_first_non_psd_argument():
+    good = np.stack([np.eye(2) / 2] * 3)
+    bad = good.copy()
+    bad[1] = np.diag([1.0, -0.5])
+    with pytest.raises(DomainError, match="^second argument is not positive semidefinite"):
+        _psd_operands(good, bad, stacked=True)
+    with pytest.raises(DimensionMismatchError):
+        _psd_operands(good, good[:2], stacked=True)

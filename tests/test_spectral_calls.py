@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import qsd
+from qsd import divergences as dv
+from qsd.linalg import _common_dim, _psd_operands
 
 # name -> np.linalg.eigh + eigvalsh calls per call on d = 4 states; the
 # ensembles have n = 3 members unless the name says n = 2
@@ -58,8 +60,7 @@ def calls(rng):
     }
 
 
-@pytest.mark.parametrize("name", EXPECTED_CALLS)
-def test_eigen_calls_per_call(monkeypatch, calls, name):
+def count_eigen_calls(monkeypatch, call) -> int:
     count = [0]
     for kernel in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, kernel)
@@ -69,5 +70,29 @@ def test_eigen_calls_per_call(monkeypatch, calls, name):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, kernel, counted)
-    calls[name]()
-    assert count[0] == EXPECTED_CALLS[name]
+    call()
+    monkeypatch.undo()
+    return count[0]
+
+
+@pytest.mark.parametrize("name", EXPECTED_CALLS)
+def test_eigen_calls_per_call(monkeypatch, calls, name):
+    assert count_eigen_calls(monkeypatch, calls[name]) == EXPECTED_CALLS[name]
+
+
+# stacked kernel -> the public function it serves one pair at a time
+STACKED = {
+    "skew_divergence": lambda a, b: dv._skew_divergence(
+        *_psd_operands(a, b, stacked=True), np.full(a.shape[0], 0.5)
+    ),
+    "relative_entropy": lambda a, b: dv._relative_entropy(*_common_dim(a, b, stacked=True)),
+}
+
+
+@pytest.mark.parametrize("name", STACKED)
+def test_a_stack_makes_the_calls_of_one_pair(monkeypatch, rng, name):
+    # full-rank states: every item of the stack has full support
+    a, b = (np.stack([qsd.random_state(4, rng).mat for _ in range(20)]) for _ in range(2))
+    one = count_eigen_calls(monkeypatch, lambda: STACKED[name](a[:1], b[:1]))
+    assert one == EXPECTED_CALLS[name]
+    assert count_eigen_calls(monkeypatch, lambda: STACKED[name](a, b)) == one

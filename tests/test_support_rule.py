@@ -20,10 +20,14 @@ from qsd import (
     chi2_log,
     differential_skew_divergence,
     mixing_rate,
+    random_state,
     relative_entropy,
     skew_divergence,
     support_of,
 )
+from qsd import divergences as dv
+from qsd import frechet as fr
+from qsd.linalg import _support
 
 EPS = float(np.finfo(np.float64).eps)
 FACTORS = (0.5, 2.0)
@@ -132,3 +136,41 @@ def test_mixing_rate(factor):
         assert rate == pytest.approx(expected, rel=1e-6, abs=0.0)
     else:
         assert abs(rate) < 1e-15
+
+
+def mixed_pairs(dim=3):
+    """Pairs of one dimension whose supports differ: a full-rank pair, the
+    two skewed pairs above (the mixture drops its small direction at 0.5x
+    the threshold and keeps it at 2x), and two orthogonal pairs."""
+    rng = np.random.default_rng(11)
+    pairs = [tuple(random_state(dim, rng).mat for _ in range(2))]
+    pairs += [skewed_pair(dim, factor)[:2] for factor in FACTORS]
+    pairs += [(diag(1.0, 0.0, 0.0), diag(0.0, 0.5, 0.5)), (diag(0.0, 0.3, 0.7), diag(1.0, 0.0, 0.0))]
+    return pairs
+
+
+def test_one_stack_of_mixed_supports_matches_single_calls():
+    pairs = mixed_pairs()
+    a, b = (np.stack(side) for side in zip(*pairs))
+    alpha = np.full(len(pairs), ALPHA)
+    stacked = {
+        "sd": dv._skew_divergence(a, b, alpha),
+        "re": dv._relative_entropy(a, b)[0],
+        "defect": dv._relative_entropy(a, b)[1],
+        "dsd": fr._dsd_kernel(a, b, alpha),
+    }
+    _, _, keep = _support(ALPHA * a + (1.0 - ALPHA) * b)
+    for i, (x, y) in enumerate(pairs):
+        single = {
+            "sd": skew_divergence(x, y, ALPHA),
+            "re": relative_entropy(x, y).value,
+            "defect": relative_entropy(x, y).support_defect,
+            "dsd": differential_skew_divergence(x, y, ALPHA),
+        }
+        assert {k: v[i] for k, v in stacked.items()} == single, i
+        assert keep[i].tolist() == _support(ALPHA * x + (1.0 - ALPHA) * y)[2].tolist()
+    # the small direction is dropped at 0.5x and kept at 2x the threshold
+    assert keep[1:3].tolist() == [[False, True, True], [True, True, True]]
+    assert stacked["sd"][1] == 0.0
+    assert stacked["sd"][3] == stacked["sd"][4] == 1.0
+    assert np.isinf(stacked["re"][3:]).all()
