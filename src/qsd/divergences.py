@@ -67,10 +67,31 @@ class SkewParameter:
 AlphaLike = Union[SkewParameter, float]
 
 
-def _as_alpha(alpha: AlphaLike) -> float:
+def _as_alpha(alpha: AlphaLike):
+    """The skew parameter as a float, or an array of them validated entrywise."""
     if isinstance(alpha, SkewParameter):
         return alpha.alpha
+    if np.ndim(alpha):  # the range holds every entry when it holds both extremes
+        a = np.asarray(alpha, dtype=np.float64)
+        SkewParameter(float(a.min())), SkewParameter(float(a.max()))
+        return a
     return SkewParameter(float(alpha)).alpha
+
+
+def _float_or_array(value):
+    """A 0-d result as a float; an array result as it is."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def _nonnegative_pair(x, y, what: str, zero_pair_ok: bool = False) -> tuple:
+    """The scalar arguments ``x``, ``y`` of ``what`` as float arrays; each
+    entry must be nonnegative, and not both zero unless ``zero_pair_ok``."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    if (x < 0.0).any() or (y < 0.0).any():
+        raise DomainError(f"{what} needs nonnegative arguments")
+    if not zero_pair_ok and ((x == 0.0) & (y == 0.0)).any():
+        raise DomainError(f"{what} undefined at (0, 0)")
+    return x, y
 
 
 @dataclass(frozen=True)
@@ -126,18 +147,17 @@ def von_neumann_entropy(rho: OperatorLike) -> float:
     return -float(_xlogx(w))
 
 
-def scalar_relative_entropy(a: float, b: float) -> float:
-    """``a (log a - log b) - (a - b)`` for nonnegative scalars.
+def scalar_relative_entropy(a, b):
+    """``a (log a - log b) - (a - b)`` for nonnegative scalars, or entrywise
+    for arrays that broadcast together.
 
     Limits: ``S(0|b) = b`` and ``S(a|0) = inf`` for ``a > 0``.
     """
-    if a < 0.0 or b < 0.0:
-        raise DomainError("scalar relative entropy needs nonnegative arguments")
-    if a == 0.0:
-        return b
-    if b == 0.0:
-        return INFINITE
-    return a * (math.log(a) - math.log(b)) - (a - b)
+    a, b = _nonnegative_pair(a, b, "scalar relative entropy", zero_pair_ok=True)
+    # the limits replace the 0 and inf entries; an overflow is inf, as in float arithmetic
+    with np.errstate(all="ignore"):
+        value = a * (np.log(a) - np.log(b)) - (a - b)
+    return _float_or_array(np.where(a == 0.0, b, np.where(b == 0.0, INFINITE, value)))
 
 
 def _relative_entropy_on(
@@ -229,14 +249,12 @@ def relative_entropy(a: OperatorLike, b: OperatorLike) -> DivergenceValue:
     return DivergenceValue(value=float(value), support_defect=float(leak))
 
 
-def scalar_skew_divergence(b: float, c: float, alpha: AlphaLike) -> float:
-    """Skew divergence of nonnegative scalars: ``S(b || a b + (1-a) c) / (-log a)``."""
+def scalar_skew_divergence(b, c, alpha):
+    """Skew divergence of nonnegative scalars: ``S(b || a b + (1-a) c) / (-log a)``,
+    or entrywise for arrays that broadcast together."""
     a = _as_alpha(alpha)
-    if b < 0.0 or c < 0.0:
-        raise DomainError("scalar skew divergence needs nonnegative arguments")
-    if b == 0.0 and c == 0.0:
-        raise DomainError("scalar skew divergence undefined at (0, 0)")
-    return scalar_relative_entropy(b, a * b + (1.0 - a) * c) / (-math.log(a))
+    b, c = _nonnegative_pair(b, c, "scalar skew divergence")
+    return _float_or_array(scalar_relative_entropy(b, a * b + (1.0 - a) * c) / -np.log(a))
 
 
 def _skewed_relative_entropy(amat: np.ndarray, bmat: np.ndarray, a) -> np.ndarray:

@@ -15,18 +15,21 @@ from .divergences import (
     _as_alpha,
     _relative_entropy_on,
     _skewed_relative_entropy,
+    _trace_distance,
+    _xlogx,
     fidelity,
     shannon_entropy,
-    trace_distance,
     von_neumann_entropy,
 )
 from .linalg import (
     DensityMatrix,
     HermitianOperator,
     OperatorLike,
+    _adjoint,
     _as_matrix,
     _common_dim,
     _eigh,
+    _frozen,
     _like_input,
     _support,
     _support_quad,
@@ -41,9 +44,11 @@ class Ensemble:
 
     Zero-weight members are dropped at construction so that every
     ``-p log p`` and skew parameter derived from the weights is well defined.
+    The validated members are also kept as one read-only ``(n, d, d)`` stack,
+    on which every route of this module evaluates.
     """
 
-    __slots__ = ("_weights", "_states")
+    __slots__ = ("_weights", "_states", "_stack")
 
     def __init__(self, weights: Sequence[float], states: Sequence):
         w = np.asarray(weights, dtype=np.float64)
@@ -51,28 +56,27 @@ class Ensemble:
             raise DomainError("weights must form a nonempty vector")
         if len(states) != w.size:
             raise DomainError("weights and states must have equal length")
+        if not np.isfinite(w).all():
+            raise DomainError(f"non-finite weight {w[~np.isfinite(w)][0]}")
         if w.min() < 0.0:
             raise DomainError(f"negative weight {w.min()}")
         if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise DomainError(f"weights sum to {w.sum()}, expected 1")
 
-        members = []
-        for wi, state in zip(w, states):
-            if wi == 0.0:
-                continue
-            if abs(float(np.trace(_as_matrix(state)).real) - 1.0) > 1e-10:
-                raise DomainError("ensemble members must have unit trace")
-            members.append((float(wi), DensityMatrix(state)))
-        if not members:
+        kept = np.flatnonzero(w)
+        if kept.size == 0:
             raise DomainError("all weights are zero")
-        dims = {dm.dim for _, dm in members}
+        if any(abs(float(np.trace(_as_matrix(states[i])).real) - 1.0) > 1e-10 for i in kept):
+            raise DomainError("ensemble members must have unit trace")
+        members = tuple(DensityMatrix(states[i]) for i in kept)
+        dims = {dm.dim for dm in members}
         if len(dims) != 1:
             raise DimensionMismatchError(f"states have mixed dimensions {sorted(dims)}")
 
-        arr = np.array([wi for wi, _ in members])
-        arr.flags.writeable = False
-        self._weights = arr
-        self._states = tuple(dm for _, dm in members)
+        self._weights = w[kept]
+        self._weights.flags.writeable = False
+        self._states = members
+        self._stack = _frozen(np.stack([dm.mat for dm in members]))
 
     @property
     def weights(self) -> np.ndarray:
@@ -88,7 +92,7 @@ class Ensemble:
 
     @property
     def dim(self) -> int:
-        return self._states[0].dim
+        return self._stack.shape[-1]
 
     def __repr__(self) -> str:
         return f"Ensemble(n={self.n}, dim={self.dim})"
@@ -109,18 +113,31 @@ class MixingExperiment:
             raise DomainError("mixing experiments require a binary ensemble")
         if self.h1.dim != self.ensemble.dim or self.h2.dim != self.ensemble.dim:
             raise DimensionMismatchError("Hamiltonian dimension must match the ensemble")
-        if self.time < 0.0:
-            raise DomainError("time must be nonnegative")
+        if not (math.isfinite(self.time) and self.time >= 0.0):
+            raise DomainError(f"time must be finite and nonnegative, got {self.time}")
 
 
-def _mixture(ensemble: Ensemble, skip: int | None = None) -> np.ndarray:
-    """``sum p_j rho_j`` over the members, or over all but ``skip`` divided by
-    the sum of their weights (``1 - p_skip`` loses digits when ``p_skip`` is
-    near 1). The members were validated when the ensemble was built; a
-    consumer that needs a state validates the mixture where it enters."""
-    kept = [j for j in range(ensemble.n) if j != skip]
-    acc = sum(ensemble.weights[j] * ensemble.states[j].mat for j in kept)
-    return acc if skip is None else acc / ensemble.weights[kept].sum()
+def _mixture(ensemble: Ensemble) -> np.ndarray:
+    """``sum p_j rho_j`` over the members. The members were validated when
+    the ensemble was built; a consumer that needs a state validates the
+    mixture where it enters."""
+    return np.einsum("j,jkl->kl", ensemble.weights, ensemble._stack)
+
+
+def _complement_weights(w: np.ndarray) -> np.ndarray:
+    """Row ``i``: the weights of every member but ``i``, divided by their sum
+    (``1 - p_i`` loses digits when ``p_i`` is near 1)."""
+    c = np.where(np.eye(w.size, dtype=bool), 0.0, w)
+    return c / c.sum(axis=1, keepdims=True)
+
+
+def _complements(ensemble: Ensemble) -> np.ndarray:
+    """The ``n >= 2`` complementary mixtures as an ``(n, d, d)`` stack: item
+    ``i`` mixes every member but ``i`` with the weights of row ``i`` of
+    :func:`_complement_weights`, in one BLAS matrix product over the
+    flattened members (its ``n^2 d^2`` terms are too many for ``einsum``)."""
+    c, stack = _complement_weights(ensemble.weights), ensemble._stack
+    return (c @ stack.reshape(ensemble.n, -1)).reshape(stack.shape)
 
 
 def average_state(ensemble: Ensemble) -> DensityMatrix:
@@ -134,28 +151,22 @@ def complementary_state(ensemble: Ensemble, index: int) -> DensityMatrix:
         raise DomainError("complementary states need at least two members")
     if not 0 <= index < ensemble.n:
         raise DomainError(f"index {index} out of range for n={ensemble.n}")
-    return DensityMatrix.from_matrix(_mixture(ensemble, skip=index))
+    return DensityMatrix.from_matrix(_complements(ensemble)[index])
 
 
 def holevo_chi(ensemble: Ensemble) -> float:
     """Holevo information ``S(sum p_i rho_i) - sum p_i S(rho_i)``."""
-    return von_neumann_entropy(_mixture(ensemble)) - float(
-        sum(
-            wi * von_neumann_entropy(dm)
-            for wi, dm in zip(ensemble.weights, ensemble.states)
-        )
-    )
+    entropies = -_xlogx(np.linalg.eigvalsh(ensemble._stack))
+    return von_neumann_entropy(_mixture(ensemble)) - float(np.dot(ensemble.weights, entropies))
 
 
 def holevo_chi_relative_entropy_form(ensemble: Ensemble) -> float:
     """Equivalent evaluation ``sum p_i S(rho_i || rho_0)`` (cross-check route);
     ``rho_0 >= p_i rho_i``, so no member leaks out of the support of ``rho_0``."""
+    stack = ensemble._stack
     w, v, keep = _support(_mixture(ensemble))
-    total = 0.0
-    for wi, dm in zip(ensemble.weights, ensemble.states):
-        quad = _support_quad(dm.mat, v)
-        total += wi * _relative_entropy_on(dm.mat, w, v, keep, quad)
-    return total
+    values = _relative_entropy_on(stack, w, v, keep, _support_quad(stack, v))
+    return float(np.dot(ensemble.weights, values))
 
 
 def holevo_chi_skew_divergence_form(ensemble: Ensemble) -> float:
@@ -164,10 +175,8 @@ def holevo_chi_skew_divergence_form(ensemble: Ensemble) -> float:
     the divergence's ``1/(-log p_i)``, so every weight is a valid skew."""
     if ensemble.n == 1:
         return 0.0
-    total = 0.0
-    for i, (wi, dm) in enumerate(zip(ensemble.weights, ensemble.states)):
-        total += wi * _skewed_relative_entropy(dm.mat, _mixture(ensemble, skip=i), wi)
-    return total
+    w = ensemble.weights
+    return float(np.dot(w, _skewed_relative_entropy(ensemble._stack, _complements(ensemble), w)))
 
 
 @dataclass(frozen=True)
@@ -190,34 +199,25 @@ class ChiBoundRecord:
 def chi_upper_bounds(ensemble: Ensemble) -> ChiBoundRecord:
     """Holevo information and its trace-distance upper-bound chain."""
     chi = holevo_chi(ensemble)
-    w = ensemble.weights
-    states = ensemble.states
-    n = ensemble.n
+    w, n, stack = ensemble.weights, ensemble.n, ensemble._stack
 
     dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[i, j] = dist[j, i] = trace_distance(states[i], states[j])
-    t_max = float(dist.max())
-
-    comp_bound = 0.0
-    pair_bound = 0.0
+    comp_bound = pair_bound = 0.0
     if n > 1:
-        for i in range(n):
-            coeff = -w[i] * math.log(w[i])
-            comp_bound += coeff * trace_distance(states[i], _mixture(ensemble, skip=i))
-            # the complementary weights, normalized as _mixture normalizes them
-            kept = np.arange(n) != i
-            pair_bound += coeff * float(np.dot(w[kept], dist[i, kept]) / w[kept].sum())
+        i, j = np.triu_indices(n, 1)
+        dist[i, j] = dist[j, i] = _trace_distance(stack[i], stack[j])
+        coeff = -w * np.log(w)
+        comp_bound = float(np.dot(coeff, _trace_distance(stack, _complements(ensemble))))
+        # the complementary weights, normalized as _complements normalizes them
+        pair_bound = float(np.dot(coeff, (_complement_weights(w) * dist).sum(axis=1)))
+    t_max = float(dist.max())
     entropy_times_t = shannon_entropy(w) * t_max
 
     roga = None
     if n == 2:
         p = float(w[0])
-        f = fidelity(states[0], states[1])
-        off = math.sqrt(p * (1.0 - p)) * f
-        surrogate = np.array([[p, off], [off, 1.0 - p]])
-        roga = von_neumann_entropy(surrogate)
+        off = math.sqrt(p * (1.0 - p)) * fidelity(*ensemble.states)
+        roga = von_neumann_entropy(np.array([[p, off], [off, 1.0 - p]]))
 
     return ChiBoundRecord(
         chi=chi,
@@ -257,26 +257,19 @@ def chi_continuity_bound(ensemble: Ensemble, other: Ensemble) -> ChiContinuityRe
         raise DomainError("ensembles must carry identical weights")
 
     n = ensemble.n
-    t_members = tuple(
-        trace_distance(a, b) for a, b in zip(ensemble.states, other.states)
-    )
-    t = max(t_members)
+    t_members = _trace_distance(ensemble._stack, other._stack)
+    t = float(t_members.max())
     delta_chi = abs(holevo_chi(ensemble) - holevo_chi(other))
 
-    t_comp = tuple(  # a single member has no complement
-        trace_distance(_mixture(ensemble, skip=i), _mixture(other, skip=i))
-        for i in range(n if n > 1 else 0)
-    )
+    # a single member has no complement
+    t_comp = _trace_distance(_complements(ensemble), _complements(other)) if n > 1 else np.empty(0)
 
     if t == 0.0:  # the bound formulas divide by t
         weighted = dimension_free = 0.0
     else:
+        p = ensemble.weights
         weighted = float(
-            sum(
-                p * t * math.log1p((1.0 - p) / (p * t))
-                + p * math.log1p((1.0 - p) * t / p)
-                for p in ensemble.weights
-            )
+            np.sum(p * t * np.log1p((1.0 - p) / (p * t)) + p * np.log1p((1.0 - p) * t / p))
         )
         dimension_free = t * math.log1p((n - 1) / t) + math.log1p((n - 1) * t)
     return ChiContinuityRecord(
@@ -284,14 +277,15 @@ def chi_continuity_bound(ensemble: Ensemble, other: Ensemble) -> ChiContinuityRe
         weighted_bound=weighted,
         dimension_free_bound=dimension_free,
         max_member_distance=t,
-        member_distances=t_members,
-        complementary_distances=t_comp,
+        member_distances=tuple(t_members.tolist()),
+        complementary_distances=tuple(t_comp.tolist()),
     )
 
 
 def _propagator(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-    """``U = exp(i t H)`` from the eigenpairs ``w``, ``v`` of ``H``."""
-    return (v * np.exp(1j * t * w)) @ v.conj().T
+    """``U = exp(i t H)`` from the eigenpairs ``w``, ``v`` of ``H``, or of
+    each ``H`` of a stack."""
+    return (v * np.exp(1j * t * w)[..., None, :]) @ _adjoint(v)
 
 
 def evolve(rho: OperatorLike, hamiltonian: OperatorLike, t: float) -> DensityMatrix:
@@ -300,7 +294,7 @@ def evolve(rho: OperatorLike, hamiltonian: OperatorLike, t: float) -> DensityMat
     operator with the trace of ``rho``."""
     hmat, rmat = _common_dim(hamiltonian, rho)
     u = _propagator(*_eigh(hmat), t)
-    return _like_input(rho, u @ rmat @ u.conj().T)
+    return _like_input(rho, u @ rmat @ _adjoint(u))
 
 
 def mixing_rate(experiment: MixingExperiment) -> float:
@@ -310,17 +304,14 @@ def mixing_rate(experiment: MixingExperiment) -> float:
     derivative ``sum p_j i [H_j, rho_j(t)]`` is traceless, so no identity term.
     """
     t, ens = experiment.time, experiment.ensemble
-    avg = np.zeros((ens.dim, ens.dim), dtype=np.complex128)
-    deriv = np.zeros_like(avg)
-    for p, dm, ham in zip(ens.weights, ens.states, (experiment.h1, experiment.h2)):
-        h, r = ham.mat, dm.mat
-        if t != 0.0:
-            u = _propagator(*_eigh(h), t)
-            r = u @ r @ u.conj().T
-        avg += p * r
-        deriv += p * 1j * (h @ r - r @ h)
-    w, v, keep = _support(avg)
-    quad = _support_quad(deriv, v)
+    h = np.stack([experiment.h1.mat, experiment.h2.mat])
+    r = ens._stack
+    if t != 0.0:
+        u = _propagator(*_eigh(h), t)
+        r = u @ r @ _adjoint(u)
+    p = ens.weights
+    w, v, keep = _support(np.einsum("j,jkl->kl", p, r))  # rho_0(t)
+    quad = _support_quad(np.einsum("j,jkl->kl", p * 1j, h @ r - r @ h), v)
     return -float(np.dot(np.log(w[keep]), quad[keep]))
 
 
@@ -348,22 +339,26 @@ def sim_bound_check(experiment: MixingExperiment) -> SimBoundRecord:
     ens = experiment.ensemble
     # the increments are skew divergences at skews p_1 and p_2
     p1, p2 = (_as_alpha(float(x)) for x in ens.weights)
-    rho1, rho2 = (dm.mat for dm in ens.states)
+    rho1, rho2 = ens._stack
     t = experiment.time
     w, v = _eigh((experiment.h2 - experiment.h1).mat)
     h_norm = float(np.abs(w).max())
 
     u = _propagator(w, v, t)
-    rho2_t = _symmetrized(u @ rho2 @ u.conj().T)
-    rho1_back = _symmetrized(u.conj().T @ rho1 @ u)
+    rho2_t = _symmetrized(u @ rho2 @ _adjoint(u))
+    rho1_back = _symmetrized(_adjoint(u) @ rho1 @ u)
 
     rho0_t = p1 * rho1 + p2 * rho2_t
     entropy_gain = von_neumann_entropy(rho0_t) - von_neumann_entropy(_mixture(ens))
 
-    # d_i is -log p_i times the skew-divergence increment of member i
-    skewed = _skewed_relative_entropy
-    d1 = skewed(rho1, rho2_t, p1) - skewed(rho1, rho2, p1)
-    d2 = skewed(rho2, rho1_back, p2) - skewed(rho2, rho1, p2)
+    # d_i is -log p_i times the skew-divergence increment of member i: its
+    # skewed entropy against the moved partner less that against the unmoved
+    s = _skewed_relative_entropy(
+        np.stack([rho1, rho1, rho2, rho2]),
+        np.stack([rho2_t, rho2, rho1_back, rho1]),
+        np.array([p1, p1, p2, p2]),
+    )
+    d1, d2 = s[0] - s[1], s[2] - s[3]
 
     return SimBoundRecord(
         entropy_gain=entropy_gain,

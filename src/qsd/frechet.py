@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .divergences import AlphaLike, _as_alpha
+from .divergences import AlphaLike, _as_alpha, _float_or_array, _nonnegative_pair
 from .linalg import (
     HermitianOperator,
     OperatorLike,
@@ -409,24 +409,22 @@ def _metric_on_support(
 
 def _dsd_kernel(amat: np.ndarray, bmat: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """``a(1-a) M_tau(A-B, A-B)`` with ``tau = a A + (1-a) B``, restricted to
-    supp(A+B), for one pair at each ``a`` in ``alphas`` or for each pair of an
-    ``(n, d, d)`` stack at its own entry of ``alphas`` (all interior).
+    supp(A+B), for each pair of an ``(n, d, d)`` stack at its own entry of
+    ``alphas`` (all interior); one pair at many alphas comes as a broadcast
+    view, so memory stays bounded by the blocks.
 
     For interior alpha the mixture shares its support with A+B, so its own
     eigenbasis provides the restriction.
     """
-    dim = amat.shape[-1]
-    diff = amat - bmat
-    stacked = amat.ndim == 3
     out = np.empty(alphas.shape[0])
-    for block in _node_blocks(alphas.shape[0], dim):
+    for block in _node_blocks(alphas.shape[0], amat.shape[-1]):
         a = alphas[block]
         al = a[:, None, None]
-        pa, pb, pd = (m[block] for m in (amat, bmat, diff)) if stacked else (amat, bmat, diff)
+        pa, pb = amat[block], bmat[block]
         wt, vt, keep = _support(al * pa + (1.0 - al) * pb)
         if not keep[:, -1].all():
             raise DomainError("A + B vanishes; differential skew divergence undefined")
-        out[block] = a * (1.0 - a) * _metric_on_support(wt, vt, keep, pd)
+        out[block] = a * (1.0 - a) * _metric_on_support(wt, vt, keep, pa - pb)
     return out
 
 
@@ -443,21 +441,21 @@ def differential_skew_divergence(
     amat, bmat = _psd_operands(a, b)
     if alpha == 0.0 or alpha == 1.0:
         return 0.0
-    return float(_dsd_kernel(amat, bmat, np.array([alpha]))[0])
+    return float(_dsd_kernel(amat[None], bmat[None], np.array([alpha]))[0])
 
 
-def scalar_differential_sd(b: float, c: float, alpha: float) -> float:
-    """``a(1-a)(b-c)^2 / (a b + (1-a) c)`` for nonnegative scalars."""
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
-    if b < 0.0 or c < 0.0:
-        raise DomainError("scalar arguments must be nonnegative")
-    if b == 0.0 and c == 0.0:
-        raise DomainError("scalar differential skew divergence undefined at (0, 0)")
-    if alpha == 0.0 or alpha == 1.0:
-        return 0.0
-    return alpha * (1.0 - alpha) * (b - c) ** 2 / (alpha * b + (1.0 - alpha) * c)
+def scalar_differential_sd(b, c, alpha):
+    """``a(1-a)(b-c)^2 / (a b + (1-a) c)`` for nonnegative scalars, or
+    entrywise for arrays that broadcast together; 0 at ``a`` 0 or 1."""
+    a = np.asarray(alpha, dtype=np.float64)
+    outside = ~((0.0 <= a) & (a <= 1.0))
+    if outside.any():
+        raise DomainError(f"alpha must lie in [0, 1], got {a[outside][0]}")
+    b, c = _nonnegative_pair(b, c, "scalar differential skew divergence")
+    # a b + (1-a) c may vanish at the ends, where the value is 0; an overflow is inf
+    with np.errstate(all="ignore"):
+        value = a * (1.0 - a) * (b - c) ** 2 / (a * b + (1.0 - a) * c)
+    return _float_or_array(np.where((a == 0.0) | (a == 1.0), 0.0, value))
 
 
 def chi2_log(a: OperatorLike, b: OperatorLike) -> float:
@@ -506,7 +504,8 @@ def sd_by_averaging(
         geo = b_total * np.geomspace(1e-9, 1.0, n_geo + 1)
         edges = np.concatenate(([0.0], geo))
         u, wts = _composite_gl(edges)
-        return float(np.dot(wts, _dsd_kernel(amat, bmat, np.exp(-u)))), u.size
+        pair = (np.broadcast_to(m, u.shape + m.shape) for m in (amat, bmat))
+        return float(np.dot(wts, _dsd_kernel(*pair, np.exp(-u)))), u.size
 
     return _refine(integral, refine) / b_total
 

@@ -168,11 +168,6 @@ def _mix(alpha: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return al * a + (1.0 - al) * b
 
 
-def _each(fn: Callable[..., float], *columns: np.ndarray) -> np.ndarray:
-    """``fn`` of each trial's scalars: one value per row of the columns."""
-    return np.array([fn(*row) for row in zip(*(c.tolist() for c in columns))])
-
-
 def _least(*slacks) -> np.ndarray:
     """Per-trial minimum of several slacks (a NaN stays NaN)."""
     return np.min(np.broadcast_arrays(*slacks), axis=0)
@@ -378,7 +373,7 @@ def _draw_sd_scaling(rng, dim) -> Draw:
 def _judge_sd_scaling(x, y, b, c, alpha):
     bx, by, cx = (s[:, None, None] * m for s, m in ((b, x), (b, y), (c, x)))
     r1 = _sd(bx, by, alpha) - b * _sd(x, y, alpha)
-    r2 = _sd(bx, cx, alpha) - _each(dv.scalar_skew_divergence, b, c, alpha) * la._trace(x)
+    r2 = _sd(bx, cx, alpha) - dv.scalar_skew_divergence(b, c, alpha) * la._trace(x)
     return -np.maximum(np.abs(r1), np.abs(r2))
 
 
@@ -762,12 +757,10 @@ def _chk_chi_continuity(rng, dim) -> Outcome:
         rec.dimension_free_bound - rec.weighted_bound,
     ]
     # complementary distances obey t-bar_i <= max_{j != i} t_j at 1e-12
-    for i, tbar in enumerate(rec.complementary_distances):
-        others_max = max(
-            tj for j, tj in enumerate(rec.member_distances) if j != i
-        )
-        slacks.append((others_max - tbar) * (DEFAULT_TOL / 1e-12))
-    slack = min(slacks)
+    t = np.array(rec.member_distances)
+    others_max = np.where(np.eye(t.size, dtype=bool), -np.inf, t).max(axis=1)
+    slacks.extend((others_max - rec.complementary_distances) * (DEFAULT_TOL / 1e-12))
+    slack = float(min(slacks))
     return slack, _inputs(*ens.states, weights=list(ens.weights))
 
 
@@ -790,18 +783,16 @@ def _judge_rbts_family(a, b, c, alpha):
     d_s = _re(a, ab) - _re(a, abc)
     e_sd = _sd(b, ab, alpha) - _sd(b + c, abc, alpha)
     e_s = _re(b, ab) - _re(b + c, abc)
-    zero = np.zeros_like(ta)
-    sd = lambda x, y: _each(dv.scalar_skew_divergence, x, y, alpha)  # noqa: E731
-    re = lambda x, y: _each(dv.scalar_relative_entropy, x, y)  # noqa: E731
+    sd, re = dv.scalar_skew_divergence, dv.scalar_relative_entropy
     return _least(
-        d_sd + sd(zero, tc),
-        -sd(ta, ta + tc) - d_sd,
-        d_s + re(zero, tc),
+        d_sd + sd(0.0, tc, alpha),
+        -sd(ta, ta + tc, alpha) - d_sd,
+        d_s + re(0.0, tc),
         -re(ta, ta + tc) - d_s,
         e_sd,
-        sd(zero, ta) - sd(tc, ta + tc) - e_sd,
+        sd(0.0, ta, alpha) - sd(tc, ta + tc, alpha) - e_sd,
         e_s,
-        re(zero, ta) - re(tc, ta + tc) - e_s,
+        re(0.0, ta) - re(tc, ta + tc) - e_s,
     )
 
 
@@ -815,23 +806,23 @@ def _judge_dsd_difference_bounds(a, b, c, alpha):
     ta, tc = la._trace(a), la._trace(c)
     d1 = _dsd(a, b, alpha) - _dsd(a, b + c, alpha)
     d2 = _dsd(b, a + b, alpha) - _dsd(b + c, a + b + c, alpha)
-    zero = np.zeros_like(ta)
-    dsd = lambda x, y: _each(fr.scalar_differential_sd, x, y, alpha)  # noqa: E731
+    dsd = fr.scalar_differential_sd
     return _least(
-        d1 + dsd(zero, tc),
-        dsd(ta, zero) - dsd(ta, tc) - d1,
+        d1 + dsd(0.0, tc, alpha),
+        dsd(ta, 0.0, alpha) - dsd(ta, tc, alpha) - d1,
         d2,
-        dsd(zero, ta) - dsd(tc, ta + tc) - d2,
+        dsd(0.0, ta, alpha) - dsd(tc, ta + tc, alpha) - d2,
     )
 
 
-def _triangle_rhs(f, alpha: float, t: float, swap: bool = False) -> float:
+def _triangle_rhs(f, alpha, t, swap: bool = False):
     """``f(1, 0) - f(1, t) + f(0, t)`` at skew ``alpha``, with the two scalar
-    arguments of ``f`` swapped when ``swap``; 0 at ``t = 0``."""
-    if t == 0.0:
-        return 0.0
+    arguments of ``f`` swapped when ``swap``; 0 at ``t = 0``. Floats give a
+    float, arrays give the value of each entry."""
+    t = np.asarray(t, dtype=np.float64)
+    s = np.where(t == 0.0, 1.0, t)  # f(0, 0) is undefined; the t = 0 entries are 0
     g = (lambda x, y: f(y, x, alpha)) if swap else (lambda x, y: f(x, y, alpha))
-    return g(1.0, 0.0) - g(1.0, t) + g(0.0, t)
+    return dv._float_or_array(np.where(t == 0.0, 0.0, g(1.0, 0.0) - g(1.0, s) + g(0.0, s)))
 
 
 def _draw_triangle_family(rng, dim) -> Draw:
@@ -849,15 +840,11 @@ def _draw_triangle_family(rng, dim) -> Draw:
 def _judge_triangle_family(rho, s1, s2, alpha):
     t = _td(s1, s2)
     sd, dsd = dv.scalar_skew_divergence, fr.scalar_differential_sd
-
-    def rhs(f, swap=False):
-        return _each(lambda a, x: _triangle_rhs(f, a, x, swap), alpha, t)
-
     return _least(
-        rhs(sd) - np.abs(_sd(rho, s1, alpha) - _sd(rho, s2, alpha)),
-        rhs(sd, swap=True) - np.abs(_sd(s1, rho, alpha) - _sd(s2, rho, alpha)),
-        rhs(dsd) - np.abs(_dsd(rho, s1, alpha) - _dsd(rho, s2, alpha)),
-        rhs(dsd, swap=True) - np.abs(_dsd(s1, rho, alpha) - _dsd(s2, rho, alpha)),
+        _triangle_rhs(sd, alpha, t) - np.abs(_sd(rho, s1, alpha) - _sd(rho, s2, alpha)),
+        _triangle_rhs(sd, alpha, t, True) - np.abs(_sd(s1, rho, alpha) - _sd(s2, rho, alpha)),
+        _triangle_rhs(dsd, alpha, t) - np.abs(_dsd(rho, s1, alpha) - _dsd(rho, s2, alpha)),
+        _triangle_rhs(dsd, alpha, t, True) - np.abs(_dsd(s1, rho, alpha) - _dsd(s2, rho, alpha)),
     )
 
 
@@ -882,8 +869,7 @@ def _draw_triangle_equality(rng, dim) -> Draw:
 )
 def _judge_triangle_equality(rho, s1, s2, alpha, t):
     lhs = np.abs(_sd(rho, s1, alpha) - _sd(rho, s2, alpha))
-    rhs = _each(lambda a, x: _triangle_rhs(dv.scalar_skew_divergence, a, x), alpha, t)
-    return -np.abs(lhs - rhs)
+    return -np.abs(lhs - _triangle_rhs(dv.scalar_skew_divergence, alpha, t))
 
 
 @_check(
@@ -894,7 +880,7 @@ def _judge_triangle_equality(rho, s1, s2, alpha, t):
 def _chk_triangle_rhs_shape(rng, dim) -> Outcome:
     alpha = _rand_alpha(rng)
     grid = np.arange(0.01, 0.995, 0.01)
-    g = np.array([_triangle_rhs(dv.scalar_skew_divergence, alpha, float(t)) for t in grid])
+    g = _triangle_rhs(dv.scalar_skew_divergence, alpha, grid)
     monotone = float(np.diff(g).min())
     concave = float((g[1:-1] - (g[:-2] + g[2:]) / 2.0).min())
     slack = min(monotone, concave)

@@ -13,6 +13,7 @@ from qsd import (
     random_state,
     random_unitary,
     relative_entropy,
+    scalar_differential_sd,
     scalar_relative_entropy,
     scalar_skew_divergence,
     skew_divergence,
@@ -70,6 +71,58 @@ class TestScalarRelativeEntropy:
     @given(a=positive, b=positive)
     def test_nonnegative(self, a, b):
         assert scalar_relative_entropy(a, b) >= -1e-12
+
+
+class TestScalarFormulasOnArrays:
+    """Each scalar formula takes arrays entrywise: an entry gets the value of
+    its float call, limits included, and floats still give floats."""
+
+    # (formula, takes a skew parameter); (0, 0) is skipped where undefined
+    FORMULAS = [
+        (scalar_relative_entropy, False),
+        (scalar_skew_divergence, True),
+        (scalar_differential_sd, True),
+    ]
+
+    @pytest.mark.parametrize("fn, skewed", FORMULAS)
+    def test_entries_match_float_calls(self, rng, fn, skewed):
+        b = np.concatenate([rng.uniform(0.0, 2.0, 20), [0.0, 0.0, 1.0, 0.5]])
+        c = np.concatenate([rng.uniform(0.0, 2.0, 20), [1.0, 0.7, 0.0, 0.5]])
+        alpha = rng.uniform(0.02, 0.98, b.size)
+        args = (b, c, alpha) if skewed else (b, c)
+        values = fn(*args)
+        assert isinstance(values, np.ndarray) and values.shape == b.shape
+        for i, value in enumerate(values):
+            one = fn(*(float(x[i]) for x in args))
+            assert type(one) is float
+            assert value == one
+
+    def test_limits_on_arrays(self):
+        assert list(scalar_relative_entropy([0.0, 0.3], [0.7, 0.0])) == [0.7, math.inf]
+        assert list(scalar_differential_sd([1.0, 1.0], [0.0, 0.0], [0.0, 1.0])) == [0.0, 0.0]
+        assert scalar_differential_sd(1.0, 0.0, 0.0) == 0.0
+
+    def test_alpha_broadcasts_against_scalars(self):
+        alpha = np.array([0.25, 0.5, 0.9])
+        expected = [scalar_skew_divergence(1.0, 0.0, float(a)) for a in alpha]
+        assert list(scalar_skew_divergence(1.0, 0.0, alpha)) == expected
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: scalar_relative_entropy([0.5, -0.1], 1.0),
+            lambda: scalar_skew_divergence([0.5, 0.0], [0.5, 0.0], 0.5),
+            lambda: scalar_skew_divergence(1.0, [0.5, -1.0], 0.5),
+            lambda: scalar_skew_divergence(1.0, 0.5, [0.5, 1.0]),
+            lambda: scalar_skew_divergence(1.0, 0.5, [0.5, math.nan]),
+            lambda: scalar_differential_sd([0.5, 0.0], [0.5, 0.0], 0.5),
+            lambda: scalar_differential_sd(1.0, 0.5, [0.5, 1.5]),
+            lambda: scalar_differential_sd(1.0, 0.5, math.nan),
+        ],
+    )
+    def test_one_bad_entry_raises(self, call):
+        with pytest.raises(DomainError):
+            call()
 
 
 class TestRelativeEntropy:

@@ -54,6 +54,20 @@ class TestEnsemble:
         with pytest.raises(DomainError):
             Ensemble((0.5,), states)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_is_rejected(self, rng, bad):
+        # NaN passes both the sign and the sum test; each must be named
+        states = [random_state(2, rng) for _ in range(3)]
+        with pytest.raises(DomainError, match=f"non-finite weight {bad}"):
+            Ensemble((0.5, bad, 0.5), states)
+
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -1.0])
+    def test_time_must_be_finite_and_nonnegative(self, rng, time):
+        ens = Ensemble((0.5, 0.5), [random_state(2, rng) for _ in range(2)])
+        h = random_hamiltonian(2, rng)
+        with pytest.raises(DomainError, match=f"got {time}"):
+            MixingExperiment(ens, h, h, time)
+
     def test_zero_weights_dropped(self, rng):
         states = [random_state(2, rng) for _ in range(3)]
         ens = Ensemble((0.5, 0.0, 0.5), states)

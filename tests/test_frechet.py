@@ -560,7 +560,7 @@ def loop_dsd(amat, bmat, alpha):
 
 
 def loop_dsd_kernel(amat, bmat, alphas):
-    return np.array([loop_dsd(amat, bmat, float(x)) for x in alphas])
+    return np.array([loop_dsd(a, b, float(x)) for a, b, x in zip(amat, bmat, alphas)])
 
 
 def assert_rel_close(value, reference, rtol=1e-13):

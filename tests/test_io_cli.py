@@ -165,6 +165,34 @@ class TestCliCompute:
         ) == 0
         assert math.isfinite(float(capsys.readouterr().out))
 
+    @pytest.mark.parametrize(
+        "weight, t, named",
+        [(0.4, "nan", "got nan"), (0.4, "inf", "got inf"), (math.nan, "0.2", "weight nan")],
+    )
+    def test_mixing_rate_of_a_non_finite_input_exits_3(
+        self, tmp_path, capsys, rng, weight, t, named
+    ):
+        from qsd import random_hamiltonian
+
+        # json writes a NaN weight as the literal NaN, which json.load accepts
+        ens = ensemble_to_dict(Ensemble((0.4, 0.6), [random_state(3, rng) for _ in range(2)]))
+        ens["weights"][0] = weight
+        e, h = tmp_path / "e.json", tmp_path / "h.json"
+        e.write_text(json.dumps(ens))
+        h.write_text(json.dumps(state_to_dict(random_hamiltonian(3, rng))))
+        args = ("compute", "--measure", "mixing-rate", str(e), str(h), str(h), "--t", t)
+        assert run_cli(*args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and named in captured.err
+
+    def test_chi_of_a_nan_weight_exits_3(self, tmp_path, capsys, rng):
+        ens = ensemble_to_dict(Ensemble((0.4, 0.6), [random_state(3, rng) for _ in range(2)]))
+        ens["weights"][1] = math.nan
+        p = tmp_path / "e.json"
+        p.write_text(json.dumps(ens))
+        assert run_cli("compute", "--measure", "chi", str(p)) == 3
+        assert capsys.readouterr().out == ""
+
     def test_parse_failure_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("not json")
