@@ -8,7 +8,8 @@ so that it stays nonnegative. The skew divergence
 
 is always finite because the support of ``A`` is contained in the support of
 the skewed mixture. Both divergences share one core that works in the
-eigenbasis of the second argument (``B`` or the mixture) on its support; the
+eigenbasis of the second argument (``B`` or the mixture) on its support,
+given as a mask: eigenvectors outside it are zeroed, not removed. The
 operand validation and that eigendecomposition see the unrestricted matrices.
 """
 
@@ -29,10 +30,11 @@ from .linalg import (
     _common_dim,
     _eigh,
     _like_input,
+    _psd_against_support,
     _psd_operands,
     _require_psd,
+    _skewed_mixture,
     _support,
-    _support_leak,
     _support_quad,
     _trace,
     default_support_threshold,
@@ -87,7 +89,7 @@ def _nonnegative_pair(x, y, what: str, zero_pair_ok: bool = False) -> tuple:
     """The scalar arguments ``x``, ``y`` of ``what`` as float arrays; each
     entry must be nonnegative, and not both zero unless ``zero_pair_ok``."""
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
-    if (x < 0.0).any() or (y < 0.0).any():
+    if not ((x >= 0.0).all() and (y >= 0.0).all()):  # NaN fails too
         raise DomainError(f"{what} needs nonnegative arguments")
     if not zero_pair_ok and ((x == 0.0) & (y == 0.0)).any():
         raise DomainError(f"{what} undefined at (0, 0)")
@@ -135,6 +137,8 @@ def _xlogx(w: np.ndarray) -> np.ndarray:
 def shannon_entropy(p: Sequence[float]) -> float:
     """Shannon entropy (natural log) of a nonnegative weight vector."""
     arr = np.asarray(p, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise DomainError(f"Shannon entropy needs finite weights, got {arr}")
     if arr.size and arr.min() < -1e-12:
         raise DomainError("probabilities must be nonnegative")
     return -float(_xlogx(np.clip(arr, 0.0, None)))
@@ -169,7 +173,9 @@ def _relative_entropy_on(
     ``w``, ``v`` and ``keep`` are the eigenpairs and support mask of ``B``
     (as :func:`qsd.linalg._support` returns them) and ``quad`` the diagonal of
     ``A`` in that eigenbasis; ``A`` must not leak outside the kept columns.
-    Items whose support is not full are compressed onto their kept columns.
+    An item whose support is not full sees ``A`` through the kept
+    eigenvectors only: the dropped ones are zeroed, so each item of a stack
+    gets the value of its single call.
     """
     # a term that overflows makes the value inf or NaN, which callers judge
     with np.errstate(over="ignore", invalid="ignore"):
@@ -178,34 +184,12 @@ def _relative_entropy_on(
             trace_a = _trace(amat)
             log_w, mass_b = np.log(w), w.sum(axis=-1)
         else:
-            term_alog_a, trace_a = _compressed_terms(amat, v, keep)
+            # a full item keeps A itself, as in its single call
+            vk = v * keep[..., None, :]
+            sub = np.where(keep[..., 0, None, None], amat, _adjoint(vk) @ amat @ vk)
+            term_alog_a, trace_a = _xlogx(np.linalg.eigvalsh(sub)), _trace(sub)
             log_w, mass_b = np.log(np.where(keep, w, 1.0)), w.sum(axis=-1, where=keep)
         return term_alog_a - _dot(log_w, quad) - (trace_a - mass_b)
-
-
-def _compressed_terms(
-    amat: np.ndarray, v: np.ndarray, keep: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``trace A log A`` and ``trace A`` of one matrix, or of each matrix of an
-    ``(n, d, d)`` stack, on the kept columns of ``v``. The items of full
-    support share one ``eigvalsh`` call; one whose support is not full is
-    compressed onto its kept columns on its own."""
-    if keep.ndim == 1:
-        return _compressed_item(amat, v, keep)
-    full = keep[:, 0]
-    term_alog_a, trace_a = np.empty(full.shape), np.empty(full.shape)
-    if full.any():
-        term_alog_a[full] = _xlogx(np.linalg.eigvalsh(amat[full]))
-        trace_a[full] = _trace(amat[full])
-    for i in np.flatnonzero(~full):
-        term_alog_a[i], trace_a[i] = _compressed_item(amat[i], v[i], keep[i])
-    return term_alog_a, trace_a
-
-
-def _compressed_item(amat: np.ndarray, v: np.ndarray, keep: np.ndarray) -> tuple:
-    basis = v[:, keep]
-    sub = basis.conj().T @ amat @ basis
-    return _xlogx(np.linalg.eigvalsh(sub)), _trace(sub)
 
 
 def _relative_entropy(amat: np.ndarray, bmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -213,28 +197,19 @@ def _relative_entropy(amat: np.ndarray, bmat: np.ndarray) -> tuple[np.ndarray, n
     an ``(n, d, d)`` stack, and the support defect: infinite with the leaked
     mass where ``A`` leaks outside the support of ``B``. Both arguments are
     validated here, ``B`` on its own eigendecomposition."""
-    _require_psd(np.linalg.eigvalsh(amat), "first argument")
-    wb, vb, keep = _support(bmat, "second argument")
-    quad = _support_quad(amat, vb)
-    leak = _support_leak(amat, quad, keep)
+    wb, vb, keep, quad, leak = _psd_against_support(amat, bmat)
     # the value is finite where A does not leak; it is 0 where B vanishes
+    limit = np.where(leak > 0.0, INFINITE, 0.0)
     finite = (leak == 0.0) & keep[..., -1]
-    if finite.all():
-        value = _relative_entropy_on(amat, wb, vb, keep, quad)
-        overflow = ~np.isfinite(value)
-    else:
-        value = np.where(leak > 0.0, INFINITE, 0.0)
-        if not finite.any():
-            return value, leak
-        value[finite] = _relative_entropy_on(
-            amat[finite], wb[finite], vb[finite], keep[finite], quad[finite]
-        )
-        overflow = finite & ~np.isfinite(value)
+    if not finite.any():
+        return limit, leak  # no item needs the eigenvalues of A
+    value = _relative_entropy_on(amat, wb, vb, keep, quad)
+    overflow = finite & ~np.isfinite(value)
     if overflow.any():
         raise DomainError(
             f"relative entropy overflows ({np.extract(overflow, value)[0]}) on these operands"
         )
-    return value, leak
+    return np.where(finite, value, limit), leak
 
 
 def relative_entropy(a: OperatorLike, b: OperatorLike) -> DivergenceValue:
@@ -264,8 +239,7 @@ def _skewed_relative_entropy(amat: np.ndarray, bmat: np.ndarray, a) -> np.ndarra
     The mixture has the same support as ``A + B`` for any interior ``a``, so
     ``A`` never leaks outside it.
     """
-    al = a[:, None, None] if np.ndim(a) else a
-    wt, vt, keep = _support(al * amat + (1.0 - al) * bmat)
+    wt, vt, keep = _support(_skewed_mixture(amat, bmat, a))
     if not keep[..., -1].all():
         raise DomainError("A + B vanishes; skew divergence undefined")
     return _relative_entropy_on(amat, wt, vt, keep, _support_quad(amat, vt))

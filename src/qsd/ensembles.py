@@ -312,7 +312,7 @@ def mixing_rate(experiment: MixingExperiment) -> float:
     p = ens.weights
     w, v, keep = _support(np.einsum("j,jkl->kl", p, r))  # rho_0(t)
     quad = _support_quad(np.einsum("j,jkl->kl", p * 1j, h @ r - r @ h), v)
-    return -float(np.dot(np.log(w[keep]), quad[keep]))
+    return -float(np.dot(np.log(np.where(keep, w, 1.0)), quad))  # log 1 = 0 off the support
 
 
 @dataclass(frozen=True)

@@ -46,12 +46,12 @@ from .linalg import (
     _adjoint,
     _common_dim,
     _eigh,
+    _psd_against_support,
     _psd_operands,
     _require_pd,
     _require_psd,
+    _skewed_mixture,
     _support,
-    _support_leak,
-    _support_quad,
     spectral_fn,
 )
 
@@ -364,6 +364,8 @@ def _central_diff(
     mat, dmat = _common_dim(a, delta)
     if order not in (2, 4):
         raise DomainError("order must be 2 or 4")
+    if not (math.isfinite(h) and h != 0.0):
+        raise DomainError(f"step h must be finite and nonzero, got {h}")
     offsets, coefs, divisor = _STENCILS[derivative, order]
     shifted = (mat + k * h * dmat if k else mat for k in offsets)
     terms = [c * spectral_fn(m, np.log).mat for m, c in zip(shifted, coefs)]
@@ -418,10 +420,8 @@ def _dsd_kernel(amat: np.ndarray, bmat: np.ndarray, alphas: np.ndarray) -> np.nd
     """
     out = np.empty(alphas.shape[0])
     for block in _node_blocks(alphas.shape[0], amat.shape[-1]):
-        a = alphas[block]
-        al = a[:, None, None]
-        pa, pb = amat[block], bmat[block]
-        wt, vt, keep = _support(al * pa + (1.0 - al) * pb)
+        a, pa, pb = alphas[block], amat[block], bmat[block]
+        wt, vt, keep = _support(_skewed_mixture(pa, pb, a))
         if not keep[:, -1].all():
             raise DomainError("A + B vanishes; differential skew divergence undefined")
         out[block] = a * (1.0 - a) * _metric_on_support(wt, vt, keep, pa - pb)
@@ -461,8 +461,9 @@ def scalar_differential_sd(b, c, alpha):
 def chi2_log(a: OperatorLike, b: OperatorLike) -> float:
     """Logarithmic chi-square divergence ``M_B(A-B, A-B)``.
 
-    Both operators are compressed onto the support of ``B``; the first
-    argument may not leak trace mass outside that support.
+    Both operators are restricted to the support of ``B``: eigenvectors of
+    ``B`` outside it are masked out. The first argument may not leak trace
+    mass outside that support.
     """
     return float(_chi2_log(*_common_dim(a, b)))
 
@@ -470,11 +471,9 @@ def chi2_log(a: OperatorLike, b: OperatorLike) -> float:
 def _chi2_log(amat: np.ndarray, bmat: np.ndarray) -> np.ndarray:
     """``M_B(A-B, A-B)`` of one pair of Hermitian matrices, or of each pair of
     a stack, validated here."""
-    _require_psd(np.linalg.eigvalsh(amat), "first argument")
-    wb, vb, keep = _support(bmat, "second argument")
+    wb, vb, keep, _, leak = _psd_against_support(amat, bmat)
     if not keep[..., -1].all():
         raise DomainError("second argument vanishes")
-    leak = _support_leak(amat, _support_quad(amat, vb), keep)
     if leak.any():
         raise DomainError(
             f"first argument leaks outside the support of the second ({leak[leak > 0.0][0]:.3e})"
@@ -535,10 +534,8 @@ def metric_epsilon_limit_check(
     positive-definite.
     """
     amat, bmat, cmat = _common_dim(a, b, c)
-    _require_psd(np.linalg.eigvalsh(amat), "first argument")
-    wb, vb, keep = _support(bmat, "second argument")
+    wb, vb, keep, _, leak = _psd_against_support(amat, bmat)
     _require_psd(np.linalg.eigvalsh(cmat), "third argument")
-    leak = _support_leak(amat, _support_quad(amat, vb), keep)
     if leak:
         raise DomainError("support of A is not contained in the support of B")
 

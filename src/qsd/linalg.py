@@ -316,19 +316,31 @@ def _support_quad(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (np.conj(v) * (x @ v)).real.sum(axis=-2)
 
 
-def _support_leak(x: np.ndarray, quad: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Trace mass of ``X`` outside the kept columns, from its diagonal
-    ``quad`` in their eigenbasis, where it exceeds
-    ``SUPPORT_DEFECT_TOL * max(1, trace X)`` (0.0 within tolerance); for a
-    stack, of each item."""
+def _psd_against_support(amat: np.ndarray, bmat: np.ndarray) -> tuple:
+    """Validate the first argument ``A``, then the second ``B``, as PSD, for
+    one pair or each pair of an ``(n, d, d)`` stack. Returns the eigenpairs
+    and support mask of ``B`` (as :func:`_support` returns them), the
+    diagonal ``quad`` of ``A`` in that eigenbasis, and the leak: the trace
+    mass of ``A`` outside the support where it exceeds
+    ``SUPPORT_DEFECT_TOL * max(1, trace A)``, 0.0 within tolerance."""
+    _require_psd(np.linalg.eigvalsh(amat), "first argument")
+    w, v, keep = _support(bmat, "second argument")
+    quad = _support_quad(amat, v)
     # a full support leaks nothing; the defect would be rounding noise
     full = keep[..., 0]  # the eigenvalues ascend, so the smallest decides
     if full.all():
-        return np.zeros(full.shape)
-    trace_x = _trace(x)
-    leak = trace_x - quad.sum(axis=-1, where=keep)
-    leaks = ~full & (leak > SUPPORT_DEFECT_TOL * np.maximum(1.0, trace_x))
-    return np.where(leaks, leak, 0.0)
+        return w, v, keep, quad, np.zeros(full.shape)
+    trace_a = _trace(amat)
+    leak = trace_a - quad.sum(axis=-1, where=keep)
+    leaks = ~full & (leak > SUPPORT_DEFECT_TOL * np.maximum(1.0, trace_a))
+    return w, v, keep, quad, np.where(leaks, leak, 0.0)
+
+
+def _skewed_mixture(amat: np.ndarray, bmat: np.ndarray, a) -> np.ndarray:
+    """``a A + (1 - a) B`` of one pair at a float ``a``, or of each pair of an
+    ``(n, d, d)`` stack at its own entry of the array ``a``."""
+    al = a[:, None, None] if np.ndim(a) else a
+    return al * amat + (1.0 - al) * bmat
 
 
 def support_of(a: OperatorLike) -> SupportProjection:

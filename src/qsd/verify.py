@@ -162,12 +162,6 @@ def _fid(rho: np.ndarray, sig: np.ndarray) -> np.ndarray:
     return dv._fidelity(*la._common_dim(rho, sig, stacked=True))
 
 
-def _mix(alpha: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``alpha A + (1 - alpha) B`` of each pair of a stack."""
-    al = alpha[:, None, None]
-    return al * a + (1.0 - al) * b
-
-
 def _least(*slacks) -> np.ndarray:
     """Per-trial minimum of several slacks (a NaN stays NaN)."""
     return np.min(np.broadcast_arrays(*slacks), axis=0)
@@ -466,7 +460,7 @@ def _judge_sd_trace_norm_sandwich(rho, sig, alpha, fam_r, fam_s, tf, af):
     "div.skewed_re_bound", 1e-9, "S(rho || a rho + (1-a) sigma) <= -log a", _draw_state_pair
 )
 def _judge_skewed_re_bound(rho, sig, alpha):
-    return -np.log(alpha) - _re(rho, _mix(alpha, rho, sig))
+    return -np.log(alpha) - _re(rho, la._skewed_mixture(rho, sig, alpha))
 
 
 def _draw_states(rng, dim) -> Draw:
@@ -644,7 +638,7 @@ def _judge_dsd_contractivity(rho, sig, rho_out, sig_out, alpha):
 )
 def _judge_chi2_relation(rho, sig, alpha):
     lhs = _dsd(rho, sig, alpha)
-    rhs = alpha / (1.0 - alpha) * _chi2(rho, _mix(alpha, rho, sig))
+    rhs = alpha / (1.0 - alpha) * _chi2(rho, la._skewed_mixture(rho, sig, alpha))
     tn = 2.0 * _td(rho, sig)
     chi2_lb = _chi2(rho, sig) - tn * tn
     return _least(-np.abs(lhs - rhs) * 10.0, chi2_lb)  # relation pinned at 1e-9
@@ -1190,6 +1184,11 @@ def _run_check(
     )
 
 
+def _integral(value) -> bool:
+    """Whether ``value`` is an integer; a bool is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def run_suite(
     suite: str = "all",
     dims: Sequence[int] = (2, 3, 4),
@@ -1202,21 +1201,23 @@ def run_suite(
 
     ``tol`` rescales every check's pinned tolerance proportionally
     (``tol / 1e-8``); with the default it reproduces the stated tolerances
-    exactly. It must be finite and positive, ``seed`` a nonnegative integer.
+    exactly. It must be finite and positive, ``seed`` a nonnegative integer,
+    ``trials`` and each entry of ``dims`` positive integers (a bool is none).
     A trial whose slack is not finite (NaN or infinite), or whose check
     raises, proves nothing and counts as a violation.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    if not _integral(trials) or trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+    if not _integral(seed) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 1 for d in dims):
-        raise ValueError("dims must be positive integers")
+    dims = tuple(dims)
+    if not dims or not all(_integral(d) and d >= 1 for d in dims):
+        raise ValueError(f"dims must be positive integers, got {dims!r}")
+    dims, trials = tuple(int(d) for d in dims), int(trials)
 
     assert_registry_complete()
     selected = [c for c in REGISTRY if suite == "all" or c.suite == suite]

@@ -16,6 +16,7 @@ from qsd import (
     scalar_differential_sd,
     scalar_relative_entropy,
     scalar_skew_divergence,
+    shannon_entropy,
     skew_divergence,
     trace_distance,
     von_neumann_entropy,
@@ -123,6 +124,25 @@ class TestScalarFormulasOnArrays:
     def test_one_bad_entry_raises(self, call):
         with pytest.raises(DomainError):
             call()
+
+    @pytest.mark.parametrize(
+        "fn, args, name",
+        [
+            (scalar_relative_entropy, (math.nan, 0.5), "scalar relative entropy"),
+            (scalar_relative_entropy, (0.5, [1.0, math.nan]), "scalar relative entropy"),
+            (scalar_skew_divergence, (0.5, math.nan, 0.5), "scalar skew divergence"),
+            (scalar_differential_sd, (math.nan, 0.5, 0.3), "scalar differential skew divergence"),
+        ],
+    )
+    def test_nan_argument_raises_naming_the_formula(self, fn, args, name):
+        with pytest.raises(DomainError, match=name):
+            fn(*args)
+
+
+@pytest.mark.parametrize("weights", [[math.nan, 1.0], [math.inf, 1.0], [0.5, -math.inf]])
+def test_shannon_entropy_rejects_non_finite_weights(weights):
+    with pytest.raises(DomainError, match="Shannon entropy"):
+        shannon_entropy(weights)
 
 
 class TestRelativeEntropy:

@@ -234,7 +234,7 @@ def test_zero_weight_member_is_not_stacked(rng):
 
 def test_rank_deficient_mixture_is_compressed(rng):
     # the average has rank 2 of 4: the relative-entropy form takes the
-    # compressed branch of its core, with one mask for the whole stack
+    # masked branch of its core, with one mask for the whole stack
     ens = Ensemble((0.2, 0.3, 0.5), low_rank_states(rng, 4, 2, 3))
     _, _, keep = en._support(en._mixture(ens))
     assert keep.sum() == 2

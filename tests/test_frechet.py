@@ -306,6 +306,13 @@ class TestQuadratureOracles:
         fd = frechet_log_central_diff(a, d, h=1e-5, order=2).mat
         assert np.linalg.norm(fd - dd) <= 1e-6 * max(1.0, np.linalg.norm(dd))
 
+    @pytest.mark.parametrize("oracle", [frechet_log_central_diff, second_frechet_log_central_diff])
+    @pytest.mark.parametrize("h", [0.0, math.nan, math.inf, -math.inf])
+    def test_finite_difference_rejects_a_degenerate_step(self, rng, oracle, h):
+        # a divide warning would fail the test before the domain error
+        with pytest.raises(DomainError, match="step h"):
+            oracle(rand_pd(rng, 3, floor=0.2), rand_herm(rng, 3), h=h)
+
 
 class TestStraddlingSpectra:
     """Spectra with a pair just around the confluent switch ``DD_CLOSE_RTOL``:

@@ -414,6 +414,20 @@ class TestCliVerify:
         with pytest.raises(ValueError, match="seed"):
             run_suite(suite="core", dims=(2,), trials=1, seed=seed)
 
+    @pytest.mark.parametrize("trials", [0, True, 1.5, 2.0])
+    def test_run_suite_rejects_bad_trials(self, trials):
+        from qsd import run_suite
+
+        with pytest.raises(ValueError, match="trials"):
+            run_suite(suite="core", dims=(2,), trials=trials)
+
+    @pytest.mark.parametrize("dims", [(), (0,), (2.7,), (2, True), ("2",)])
+    def test_run_suite_rejects_bad_dims(self, dims):
+        from qsd import run_suite
+
+        with pytest.raises(ValueError, match="dims"):
+            run_suite(suite="core", dims=dims, trials=1)
+
     @pytest.mark.parametrize("slack", [math.nan, math.inf, -math.inf])
     def test_non_finite_slack_is_a_violation(self, tmp_path, monkeypatch, slack):
         from qsd import verify

@@ -174,3 +174,19 @@ def test_one_stack_of_mixed_supports_matches_single_calls():
     assert stacked["sd"][1] == 0.0
     assert stacked["sd"][3] == stacked["sd"][4] == 1.0
     assert np.isinf(stacked["re"][3:]).all()
+
+
+def test_one_relative_entropy_stack_of_every_outcome_matches_single_calls():
+    # the mixed pairs give finite values on full and on rank-deficient B and
+    # infinite ones where A leaks; B = 0 gives 0 against A = 0, else infinity
+    zero = np.zeros((3, 3), dtype=complex)
+    pairs = mixed_pairs() + [(zero, zero), (diag(0.2, 0.3, 0.5), zero)]
+    a, b = (np.stack(side) for side in zip(*pairs))
+    values, defects = dv._relative_entropy(a, b)
+    for i, (x, y) in enumerate(pairs):
+        single = relative_entropy(x, y)
+        assert (values[i], defects[i]) == (single.value, single.support_defect), i
+    assert [_support(y)[2].all() for _, y in pairs[:3]] == [True, False, False]
+    assert np.isfinite(values[:3]).all() and (defects[:3] == 0.0).all()
+    assert values[5] == defects[5] == 0.0
+    assert np.isinf(values[[3, 4, 6]]).all() and (defects[[3, 4, 6]] > 0.0).all()
