@@ -80,6 +80,12 @@ def _as_alpha(alpha: AlphaLike):
     return SkewParameter(float(alpha)).alpha
 
 
+def _require_per_pair(alpha, mat: np.ndarray) -> None:
+    """Raise unless ``alpha`` is one value or one entry per pair of the stack ``mat``."""
+    if np.shape(alpha) not in ((), mat.shape[:-2]):
+        raise DomainError(f"alpha must be one float or one per pair, got shape {np.shape(alpha)}")
+
+
 def _float_or_array(value):
     """A 0-d result as a float; an array result as it is."""
     return float(value) if np.ndim(value) == 0 else value
@@ -101,20 +107,26 @@ class DivergenceValue:
     """Value of a divergence that may be infinite.
 
     ``support_defect`` is the trace mass of the first argument outside the
-    support of the second; it is 0 exactly when the value is finite.
+    support of the second; it is 0 exactly when the value is finite. For a
+    stack of pairs both fields are arrays, one entry per pair, and the rule
+    holds entry by entry.
     """
 
-    value: float
-    support_defect: float = 0.0
+    value: float | np.ndarray
+    support_defect: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        if math.isinf(self.value) != (self.support_defect > 0.0):
+        mismatch = self.is_infinite != (self.support_defect > 0.0)
+        if mismatch.any() if isinstance(mismatch, np.ndarray) else mismatch:
             raise DomainError(
                 "infinite divergence values must carry a positive support defect"
             )
 
     @property
-    def is_infinite(self) -> bool:
+    def is_infinite(self) -> bool | np.ndarray:
+        """Whether the value is infinite; for a stack, one flag per pair."""
+        if isinstance(self.value, np.ndarray):
+            return np.isinf(self.value)
         return math.isinf(self.value)
 
     def __float__(self) -> float:
@@ -192,36 +204,29 @@ def _relative_entropy_on(
         return term_alog_a - _dot(log_w, quad) - (trace_a - mass_b)
 
 
-def _relative_entropy(amat: np.ndarray, bmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Relative entropy of one pair of Hermitian matrices, or of each pair of
-    an ``(n, d, d)`` stack, and the support defect: infinite with the leaked
-    mass where ``A`` leaks outside the support of ``B``. Both arguments are
-    validated here, ``B`` on its own eigendecomposition."""
-    wb, vb, keep, quad, leak = _psd_against_support(amat, bmat)
-    # the value is finite where A does not leak; it is 0 where B vanishes
-    limit = np.where(leak > 0.0, INFINITE, 0.0)
-    finite = (leak == 0.0) & keep[..., -1]
-    if not finite.any():
-        return limit, leak  # no item needs the eigenvalues of A
-    value = _relative_entropy_on(amat, wb, vb, keep, quad)
-    overflow = finite & ~np.isfinite(value)
-    if overflow.any():
-        raise DomainError(
-            f"relative entropy overflows ({np.extract(overflow, value)[0]}) on these operands"
-        )
-    return np.where(finite, value, limit), leak
-
-
 def relative_entropy(a: OperatorLike, b: OperatorLike) -> DivergenceValue:
     """Relative entropy ``trace A (log A - log B) - trace(A - B)``.
 
     Both operators are restricted to the support of ``B``; if ``A`` carries
     trace mass outside that support beyond tolerance the result is infinite,
     with the leaked mass reported in ``support_defect``. A value that
-    overflows without a leak raises :class:`DomainError`.
+    overflows without a leak raises :class:`DomainError`. Raw ``(n, d, d)``
+    stacks give one value and one defect per pair, as arrays.
     """
-    value, leak = _relative_entropy(*_common_dim(a, b))
-    return DivergenceValue(value=float(value), support_defect=float(leak))
+    amat, bmat = _common_dim(a, b, stacked=True)
+    wb, vb, keep, quad, leak = _psd_against_support(amat, bmat)
+    # the value is finite where A does not leak; it is 0 where B vanishes
+    value = np.where(leak > 0.0, INFINITE, 0.0)
+    finite = (leak == 0.0) & keep[..., -1]
+    if finite.any():  # only then are the eigenvalues of A needed
+        inside = _relative_entropy_on(amat, wb, vb, keep, quad)
+        overflow = finite & ~np.isfinite(inside)
+        if overflow.any():
+            raise DomainError(
+                f"relative entropy overflows ({np.extract(overflow, inside)[0]}) on these operands"
+            )
+        value = np.where(finite, inside, value)
+    return DivergenceValue(_float_or_array(value), _float_or_array(leak))
 
 
 def scalar_skew_divergence(b, c, alpha):
@@ -245,19 +250,19 @@ def _skewed_relative_entropy(amat: np.ndarray, bmat: np.ndarray, a) -> np.ndarra
     return _relative_entropy_on(amat, wt, vt, keep, _support_quad(amat, vt))
 
 
-def _skew_divergence(amat: np.ndarray, bmat: np.ndarray, a) -> np.ndarray:
-    """Skew divergence of validated operands: one pair, or each pair of an
-    ``(n, d, d)`` stack at its own entry of ``a``."""
-    return _skewed_relative_entropy(amat, bmat, a) / -np.log(a)
-
-
-def skew_divergence(rho: OperatorLike, sigma: OperatorLike, alpha: AlphaLike) -> float:
+def skew_divergence(
+    rho: OperatorLike, sigma: OperatorLike, alpha: AlphaLike
+) -> float | np.ndarray:
     """Quantum skew divergence ``S(rho || a rho + (1-a) sigma) / (-log a)``.
 
     Finite for every pair of positive operators; lies in [0, 1] for states.
+    Raw ``(n, d, d)`` stacks give one value per pair, at one ``alpha`` or at
+    an array of one entry per pair.
     """
     a = _as_alpha(alpha)
-    return float(_skew_divergence(*_psd_operands(rho, sigma), a))
+    rmat, smat = _psd_operands(rho, sigma, stacked=True)
+    _require_per_pair(a, rmat)
+    return _float_or_array(_skewed_relative_entropy(rmat, smat, a) / -np.log(a))
 
 
 def _trace_distance(rmat: np.ndarray, smat: np.ndarray) -> np.ndarray:
@@ -266,14 +271,17 @@ def _trace_distance(rmat: np.ndarray, smat: np.ndarray) -> np.ndarray:
     return (0.5 * np.abs(np.linalg.eigvalsh(rmat - smat))).sum(axis=-1)
 
 
-def trace_distance(rho: OperatorLike, sigma: OperatorLike) -> float:
-    """Half the trace norm of ``rho - sigma``."""
-    return float(_trace_distance(*_common_dim(rho, sigma)))
+def trace_distance(rho: OperatorLike, sigma: OperatorLike) -> float | np.ndarray:
+    """Half the trace norm of ``rho - sigma``; raw ``(n, d, d)`` stacks give
+    one value per pair."""
+    return _float_or_array(_trace_distance(*_common_dim(rho, sigma, stacked=True)))
 
 
-def _fidelity(rmat: np.ndarray, smat: np.ndarray) -> np.ndarray:
-    """Fidelity of one pair of Hermitian matrices, or of each pair of a
-    stack, validated here."""
+def fidelity(rho: OperatorLike, sigma: OperatorLike) -> float | np.ndarray:
+    """Uhlmann fidelity ``trace sqrt(sqrt(rho) sigma sqrt(rho))`` of positive
+    operators; ``F(c rho, c sigma) = c F(rho, sigma)``. Raw ``(n, d, d)``
+    stacks give one value per pair."""
+    rmat, smat = _common_dim(rho, sigma, stacked=True)
     w, v = _eigh(rmat)
     _require_psd(w, "first argument")
     ws = np.linalg.eigvalsh(smat)
@@ -288,13 +296,7 @@ def _fidelity(rmat: np.ndarray, smat: np.ndarray) -> np.ndarray:
     value = np.sqrt(np.where(wi > thr, wi, 0.0)).sum(axis=-1)
     # Cauchy-Schwarz: F <= sqrt(trace rho trace sigma), which is 1 for states
     bound = np.sqrt(w.sum(axis=-1)) * np.sqrt(np.maximum(ws, 0.0).sum(axis=-1))
-    return np.minimum(bound, np.maximum(0.0, value))
-
-
-def fidelity(rho: OperatorLike, sigma: OperatorLike) -> float:
-    """Uhlmann fidelity ``trace sqrt(sqrt(rho) sigma sqrt(rho))`` of positive
-    operators; ``F(c rho, c sigma) = c F(rho, sigma)``."""
-    return float(_fidelity(*_common_dim(rho, sigma)))
+    return _float_or_array(np.minimum(bound, np.maximum(0.0, value)))
 
 
 def apply_channel(kraus: Sequence[np.ndarray], rho: OperatorLike) -> DensityMatrix:

@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .divergences import AlphaLike, _as_alpha, _float_or_array, _nonnegative_pair
+from .divergences import AlphaLike, _as_alpha, _float_or_array, _nonnegative_pair, _require_per_pair
 from .linalg import (
     HermitianOperator,
     OperatorLike,
@@ -429,19 +429,31 @@ def _dsd_kernel(amat: np.ndarray, bmat: np.ndarray, alphas: np.ndarray) -> np.nd
 
 
 def differential_skew_divergence(
-    a: OperatorLike, b: OperatorLike, alpha: float
-) -> float:
+    a: OperatorLike, b: OperatorLike, alpha: float | np.ndarray
+) -> float | np.ndarray:
     """Differential skew divergence ``a(1-a) M_{aA+(1-a)B}(A-B, A-B)``.
 
-    Defined on the closed interval: exactly zero at ``alpha`` 0 or 1.
+    Defined on the closed interval: exactly zero at ``alpha`` 0 or 1. Raw
+    ``(n, d, d)`` stacks give one value per pair, at one ``alpha`` or at an
+    array of one entry per pair.
     """
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
-    amat, bmat = _psd_operands(a, b)
-    if alpha == 0.0 or alpha == 1.0:
-        return 0.0
-    return float(_dsd_kernel(amat[None], bmat[None], np.array([alpha]))[0])
+    al = np.asarray(alpha, dtype=np.float64)
+    inner = (0.0 < al) & (al < 1.0)
+    interior = inner.all() if al.ndim else bool(inner)  # no 0-d reduction on one alpha
+    if not interior:
+        outside = ~((0.0 <= al) & (al <= 1.0))
+        if outside.any():
+            raise DomainError(f"alpha must lie in [0, 1], got {al[outside][0]}")
+    amat, bmat = _psd_operands(a, b, stacked=True)
+    _require_per_pair(al, amat)
+    if interior:
+        if amat.ndim == 2:  # one pair, as a stack of one
+            return float(_dsd_kernel(amat[None], bmat[None], al.reshape(1))[0])
+        return _dsd_kernel(amat, bmat, np.broadcast_to(al, amat.shape[:1]))
+    out = np.zeros(amat.shape[:-2])  # 0 at the endpoints; the kernel sees the other entries
+    if inner.any():
+        out[inner] = _dsd_kernel(amat[inner], bmat[inner], al[inner])
+    return _float_or_array(out)
 
 
 def scalar_differential_sd(b, c, alpha):
@@ -458,19 +470,15 @@ def scalar_differential_sd(b, c, alpha):
     return _float_or_array(np.where((a == 0.0) | (a == 1.0), 0.0, value))
 
 
-def chi2_log(a: OperatorLike, b: OperatorLike) -> float:
+def chi2_log(a: OperatorLike, b: OperatorLike) -> float | np.ndarray:
     """Logarithmic chi-square divergence ``M_B(A-B, A-B)``.
 
     Both operators are restricted to the support of ``B``: eigenvectors of
     ``B`` outside it are masked out. The first argument may not leak trace
-    mass outside that support.
+    mass outside that support. Raw ``(n, d, d)`` stacks give one value per
+    pair.
     """
-    return float(_chi2_log(*_common_dim(a, b)))
-
-
-def _chi2_log(amat: np.ndarray, bmat: np.ndarray) -> np.ndarray:
-    """``M_B(A-B, A-B)`` of one pair of Hermitian matrices, or of each pair of
-    a stack, validated here."""
+    amat, bmat = _common_dim(a, b, stacked=True)
     wb, vb, keep, _, leak = _psd_against_support(amat, bmat)
     if not keep[..., -1].all():
         raise DomainError("second argument vanishes")
@@ -478,7 +486,7 @@ def _chi2_log(amat: np.ndarray, bmat: np.ndarray) -> np.ndarray:
         raise DomainError(
             f"first argument leaks outside the support of the second ({leak[leak > 0.0][0]:.3e})"
         )
-    return _metric_on_support(wb, vb, keep, amat - bmat)
+    return _float_or_array(_metric_on_support(wb, vb, keep, amat - bmat))
 
 
 def sd_by_averaging(

@@ -55,10 +55,10 @@ def _frozen(mat: np.ndarray) -> np.ndarray:
 
 def _hermitian(entries, stacked: bool = False) -> np.ndarray:
     """``(M + M*)/2`` of a square matrix with finite entries, read-only; with
-    ``stacked``, of each matrix of an ``(n, d, d)`` stack."""
+    ``stacked``, of a square matrix or of each matrix of an ``(n, d, d)`` stack."""
     mat = np.asarray(entries, dtype=np.complex128)
-    if mat.ndim != 2 + stacked or mat.shape[-1] != mat.shape[-2]:
-        what = "stack of square matrices" if stacked else "square matrix"
+    if not (mat.ndim == 2 or stacked and mat.ndim == 3) or mat.shape[-1] != mat.shape[-2]:
+        what = "square matrix or a stack of square matrices" if stacked else "square matrix"
         raise DomainError(f"expected a {what}, got shape {mat.shape}")
     if mat.shape[-1] < 1:
         raise DomainError("dimension must be at least 1")
@@ -158,7 +158,7 @@ OperatorLike = Union[HermitianOperator, np.ndarray, Sequence]
 
 def _as_matrix(value: OperatorLike, stacked: bool = False) -> np.ndarray:
     """Coerce to a Hermitian ndarray (symmetrizing raw arrays); with
-    ``stacked``, a raw ``(n, d, d)`` array to a stack of them."""
+    ``stacked``, a raw ``(n, d, d)`` array too, to a stack of them."""
     if isinstance(value, HermitianOperator):
         return value.mat
     return _hermitian(value, stacked)
@@ -200,8 +200,8 @@ _ARGUMENTS = ("first argument", "second argument", "third argument")
 
 
 def _psd_operands(*values: OperatorLike, stacked: bool = False) -> list[np.ndarray]:
-    """Matrices of PSD operands that share one dimension, validated in order;
-    with ``stacked``, ``(n, d, d)`` stacks validated item by item."""
+    """Matrices of PSD operands that share one shape, validated in order;
+    with ``stacked``, raw ``(n, d, d)`` stacks too, validated item by item."""
     mats = _common_dim(*values, stacked=stacked)
     for what, mat in zip(_ARGUMENTS, mats):
         _require_psd(np.linalg.eigvalsh(mat), what)
@@ -210,7 +210,7 @@ def _psd_operands(*values: OperatorLike, stacked: bool = False) -> list[np.ndarr
 
 def _common_dim(*values: OperatorLike, stacked: bool = False) -> list[np.ndarray]:
     """Matrices of the operands, after checking that they all have one shape;
-    with ``stacked``, raw ``(n, d, d)`` stacks of them."""
+    with ``stacked``, raw ``(n, d, d)`` stacks of them too."""
     mats = [_as_matrix(value, stacked) for value in values]
     for m in mats[1:]:
         if m.shape != mats[0].shape:

@@ -132,36 +132,6 @@ def _states_payload(inputs: Inputs) -> dict:
     return payload
 
 
-# ---------------------------------------------------------------------------
-# Stacked primitives: the library's kernels over (n, d, d) stacks of raw
-# operands, under the operand rules of the public functions
-# ---------------------------------------------------------------------------
-
-
-def _sd(rho: np.ndarray, sig: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    return dv._skew_divergence(*la._psd_operands(rho, sig, stacked=True), alpha)
-
-
-def _dsd(a: np.ndarray, b: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    return fr._dsd_kernel(*la._psd_operands(a, b, stacked=True), alpha)
-
-
-def _re(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return dv._relative_entropy(*la._common_dim(a, b, stacked=True))[0]
-
-
-def _chi2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return fr._chi2_log(*la._common_dim(a, b, stacked=True))
-
-
-def _td(rho: np.ndarray, sig: np.ndarray) -> np.ndarray:
-    return dv._trace_distance(*la._common_dim(rho, sig, stacked=True))
-
-
-def _fid(rho: np.ndarray, sig: np.ndarray) -> np.ndarray:
-    return dv._fidelity(*la._common_dim(rho, sig, stacked=True))
-
-
 def _least(*slacks) -> np.ndarray:
     """Per-trial minimum of several slacks (a NaN stays NaN)."""
     return np.min(np.broadcast_arrays(*slacks), axis=0)
@@ -322,7 +292,7 @@ def _draw_sd_range(rng, dim) -> Draw:
 
 @_check("div.sd_range", 1e-9, "skew divergence of states lies in [0, 1]", _draw_sd_range)
 def _judge_sd_range(rho, sig, alpha):
-    v = _sd(rho, sig, alpha)
+    v = dv.skew_divergence(rho, sig, alpha)
     return np.minimum(v, 1.0 - v)
 
 
@@ -344,9 +314,9 @@ def _draw_sd_orthogonality(rng, dim) -> Draw:
     _draw_sd_orthogonality,
 )
 def _judge_sd_orthogonality(rho_o, sig_o, rho, sig, alpha):
-    v = _sd(rho_o, sig_o, alpha)
+    v = dv.skew_divergence(rho_o, sig_o, alpha)
     overlap = la._trace(rho_o @ sig_o)
-    v_mixed = _sd(rho, sig, alpha)
+    v_mixed = dv.skew_divergence(rho, sig, alpha)
     return _least(-np.abs(1.0 - v), 1e-9 - overlap, (1.0 - 1e-2) - v_mixed)
 
 
@@ -366,8 +336,8 @@ def _draw_sd_scaling(rng, dim) -> Draw:
 )
 def _judge_sd_scaling(x, y, b, c, alpha):
     bx, by, cx = (s[:, None, None] * m for s, m in ((b, x), (b, y), (c, x)))
-    r1 = _sd(bx, by, alpha) - b * _sd(x, y, alpha)
-    r2 = _sd(bx, cx, alpha) - dv.scalar_skew_divergence(b, c, alpha) * la._trace(x)
+    r1 = dv.skew_divergence(bx, by, alpha) - b * dv.skew_divergence(x, y, alpha)
+    r2 = dv.skew_divergence(bx, cx, alpha) - dv.scalar_skew_divergence(b, c, alpha) * la._trace(x)
     return -np.maximum(np.abs(r1), np.abs(r2))
 
 
@@ -386,8 +356,8 @@ def _draw_sd_unitary_invariance(rng, dim) -> Draw:
 )
 def _judge_sd_unitary_invariance(rho, sig, u, alpha):
     uh = la._adjoint(u)
-    r = _sd(u @ rho @ uh, u @ sig @ uh, alpha) - _sd(rho, sig, alpha)
-    return -np.abs(r)
+    moved = dv.skew_divergence(u @ rho @ uh, u @ sig @ uh, alpha)
+    return -np.abs(moved - dv.skew_divergence(rho, sig, alpha))
 
 
 def _draw_channel_pair(rng, dim) -> Draw:
@@ -403,7 +373,7 @@ def _draw_channel_pair(rng, dim) -> Draw:
     "div.sd_contractivity", 1e-8, "skew divergence contracts under CPTP maps", _draw_channel_pair
 )
 def _judge_sd_contractivity(rho, sig, rho_out, sig_out, alpha):
-    return _sd(rho, sig, alpha) - _sd(rho_out, sig_out, alpha)
+    return dv.skew_divergence(rho, sig, alpha) - dv.skew_divergence(rho_out, sig_out, alpha)
 
 
 def _draw_sd_joint_convexity(rng, dim) -> Draw:
@@ -425,11 +395,11 @@ def _judge_sd_joint_convexity(rhos, sigs, w, alpha):
     n, terms, dim = rhos.shape[:3]
     mix_r = (w[..., None, None] * rhos).sum(axis=1)
     mix_s = (w[..., None, None] * sigs).sum(axis=1)
-    each = _sd(
+    each = dv.skew_divergence(
         rhos.reshape(-1, dim, dim), sigs.reshape(-1, dim, dim), np.repeat(alpha, terms)
     )
     rhs = (w * each.reshape(n, terms)).sum(axis=1)
-    return rhs - _sd(mix_r, mix_s, alpha)
+    return rhs - dv.skew_divergence(mix_r, mix_s, alpha)
 
 
 def _draw_sd_trace_norm_sandwich(rng, dim) -> Draw:
@@ -449,10 +419,10 @@ def _draw_sd_trace_norm_sandwich(rng, dim) -> Draw:
     _draw_sd_trace_norm_sandwich,
 )
 def _judge_sd_trace_norm_sandwich(rho, sig, alpha, fam_r, fam_s, tf, af):
-    t = _td(rho, sig)
-    v = _sd(rho, sig, alpha)
+    t = dv.trace_distance(rho, sig)
+    v = dv.skew_divergence(rho, sig, alpha)
     lower = 2.0 * (1.0 - alpha) ** 2 / (-np.log(alpha)) * t * t
-    fam_resid = np.abs(_sd(fam_r, fam_s, af) - tf)
+    fam_resid = np.abs(dv.skew_divergence(fam_r, fam_s, af) - tf)
     return _least(v - lower, t - v, -fam_resid * 10.0)  # family pinned at 1e-9
 
 
@@ -460,7 +430,7 @@ def _judge_sd_trace_norm_sandwich(rho, sig, alpha, fam_r, fam_s, tf, af):
     "div.skewed_re_bound", 1e-9, "S(rho || a rho + (1-a) sigma) <= -log a", _draw_state_pair
 )
 def _judge_skewed_re_bound(rho, sig, alpha):
-    return -np.log(alpha) - _re(rho, la._skewed_mixture(rho, sig, alpha))
+    return -np.log(alpha) - dv.relative_entropy(rho, la._skewed_mixture(rho, sig, alpha)).value
 
 
 def _draw_states(rng, dim) -> Draw:
@@ -475,8 +445,8 @@ def _draw_states(rng, dim) -> Draw:
     _draw_states,
 )
 def _judge_fidelity_trace_distance(rho, sig):
-    f = _fid(rho, sig)
-    return np.sqrt(np.maximum(0.0, 1.0 - f * f)) - _td(rho, sig)
+    f = dv.fidelity(rho, sig)
+    return np.sqrt(np.maximum(0.0, 1.0 - f * f)) - dv.trace_distance(rho, sig)
 
 
 @_check(
@@ -583,7 +553,8 @@ def _draw_psd_pair(rng, dim) -> Draw:
     _draw_psd_pair,
 )
 def _judge_dsd_symmetry(a, b, alpha):
-    return -np.abs(_dsd(a, b, alpha) - _dsd(b, a, 1.0 - alpha))
+    op_dsd = fr.differential_skew_divergence
+    return -np.abs(op_dsd(a, b, alpha) - op_dsd(b, a, 1.0 - alpha))
 
 
 def _draw_dsd_derivative(rng, dim) -> Draw:
@@ -601,22 +572,17 @@ def _draw_dsd_derivative(rng, dim) -> Draw:
 )
 def _judge_dsd_derivative(a, b, alpha):
     h = 1e-5
-    v = _dsd(a, b, alpha)
-    fd = (
-        -alpha
-        * (
-            dv._skewed_relative_entropy(a, b, alpha + h)
-            - dv._skewed_relative_entropy(a, b, alpha - h)
-        )
-        / (2.0 * h)
+    v = fr.differential_skew_divergence(a, b, alpha)
+    up, down = (
+        dv.relative_entropy(a, la._skewed_mixture(a, b, x)).value for x in (alpha + h, alpha - h)
     )
-    return -np.abs(v - fd)
+    return -np.abs(v + alpha * (up - down) / (2.0 * h))
 
 
 @_check("fre.dsd_bounds", 1e-8, "4a(1-a) T^2 <= D_a(rho||sigma) <= T", _draw_state_pair)
 def _judge_dsd_bounds(rho, sig, alpha):
-    t = _td(rho, sig)
-    v = _dsd(rho, sig, alpha)
+    t = dv.trace_distance(rho, sig)
+    v = fr.differential_skew_divergence(rho, sig, alpha)
     return _least(v - 4.0 * alpha * (1.0 - alpha) * t * t, t - v)
 
 
@@ -627,7 +593,8 @@ def _judge_dsd_bounds(rho, sig, alpha):
     _draw_channel_pair,
 )
 def _judge_dsd_contractivity(rho, sig, rho_out, sig_out, alpha):
-    return _dsd(rho, sig, alpha) - _dsd(rho_out, sig_out, alpha)
+    op_dsd = fr.differential_skew_divergence
+    return op_dsd(rho, sig, alpha) - op_dsd(rho_out, sig_out, alpha)
 
 
 @_check(
@@ -637,10 +604,10 @@ def _judge_dsd_contractivity(rho, sig, rho_out, sig_out, alpha):
     _draw_state_pair,
 )
 def _judge_chi2_relation(rho, sig, alpha):
-    lhs = _dsd(rho, sig, alpha)
-    rhs = alpha / (1.0 - alpha) * _chi2(rho, la._skewed_mixture(rho, sig, alpha))
-    tn = 2.0 * _td(rho, sig)
-    chi2_lb = _chi2(rho, sig) - tn * tn
+    lhs = fr.differential_skew_divergence(rho, sig, alpha)
+    rhs = alpha / (1.0 - alpha) * fr.chi2_log(rho, la._skewed_mixture(rho, sig, alpha))
+    tn = 2.0 * dv.trace_distance(rho, sig)
+    chi2_lb = fr.chi2_log(rho, sig) - tn * tn
     return _least(-np.abs(lhs - rhs) * 10.0, chi2_lb)  # relation pinned at 1e-9
 
 
@@ -773,10 +740,11 @@ def _draw_psd_triple(rng, dim) -> Draw:
 def _judge_rbts_family(a, b, c, alpha):
     ta, tc = la._trace(a), la._trace(c)
     ab, abc = a + b, a + b + c
-    d_sd = _sd(a, ab, alpha) - _sd(a, abc, alpha)
-    d_s = _re(a, ab) - _re(a, abc)
-    e_sd = _sd(b, ab, alpha) - _sd(b + c, abc, alpha)
-    e_s = _re(b, ab) - _re(b + c, abc)
+    op_sd, op_re = dv.skew_divergence, lambda x, y: dv.relative_entropy(x, y).value
+    d_sd = op_sd(a, ab, alpha) - op_sd(a, abc, alpha)
+    d_s = op_re(a, ab) - op_re(a, abc)
+    e_sd = op_sd(b, ab, alpha) - op_sd(b + c, abc, alpha)
+    e_s = op_re(b, ab) - op_re(b + c, abc)
     sd, re = dv.scalar_skew_divergence, dv.scalar_relative_entropy
     return _least(
         d_sd + sd(0.0, tc, alpha),
@@ -798,8 +766,9 @@ def _judge_rbts_family(a, b, c, alpha):
 )
 def _judge_dsd_difference_bounds(a, b, c, alpha):
     ta, tc = la._trace(a), la._trace(c)
-    d1 = _dsd(a, b, alpha) - _dsd(a, b + c, alpha)
-    d2 = _dsd(b, a + b, alpha) - _dsd(b + c, a + b + c, alpha)
+    op_dsd = fr.differential_skew_divergence
+    d1 = op_dsd(a, b, alpha) - op_dsd(a, b + c, alpha)
+    d2 = op_dsd(b, a + b, alpha) - op_dsd(b + c, a + b + c, alpha)
     dsd = fr.scalar_differential_sd
     return _least(
         d1 + dsd(0.0, tc, alpha),
@@ -811,12 +780,12 @@ def _judge_dsd_difference_bounds(a, b, c, alpha):
 
 def _triangle_rhs(f, alpha, t, swap: bool = False):
     """``f(1, 0) - f(1, t) + f(0, t)`` at skew ``alpha``, with the two scalar
-    arguments of ``f`` swapped when ``swap``; 0 at ``t = 0``. Floats give a
-    float, arrays give the value of each entry."""
+    arguments of ``f`` swapped when ``swap``; 0 at ``t = 0``. An array of the
+    value at each entry of ``t``, 0-d for a float ``t``."""
     t = np.asarray(t, dtype=np.float64)
     s = np.where(t == 0.0, 1.0, t)  # f(0, 0) is undefined; the t = 0 entries are 0
     g = (lambda x, y: f(y, x, alpha)) if swap else (lambda x, y: f(x, y, alpha))
-    return dv._float_or_array(np.where(t == 0.0, 0.0, g(1.0, 0.0) - g(1.0, s) + g(0.0, s)))
+    return np.where(t == 0.0, 0.0, g(1.0, 0.0) - g(1.0, s) + g(0.0, s))
 
 
 def _draw_triangle_family(rng, dim) -> Draw:
@@ -832,14 +801,17 @@ def _draw_triangle_family(rng, dim) -> Draw:
     _draw_triangle_family,
 )
 def _judge_triangle_family(rho, s1, s2, alpha):
-    t = _td(s1, s2)
-    sd, dsd = dv.scalar_skew_divergence, fr.scalar_differential_sd
-    return _least(
-        _triangle_rhs(sd, alpha, t) - np.abs(_sd(rho, s1, alpha) - _sd(rho, s2, alpha)),
-        _triangle_rhs(sd, alpha, t, True) - np.abs(_sd(s1, rho, alpha) - _sd(s2, rho, alpha)),
-        _triangle_rhs(dsd, alpha, t) - np.abs(_dsd(rho, s1, alpha) - _dsd(rho, s2, alpha)),
-        _triangle_rhs(dsd, alpha, t, True) - np.abs(_dsd(s1, rho, alpha) - _dsd(s2, rho, alpha)),
-    )
+    t = dv.trace_distance(s1, s2)
+    slacks = []
+    for op, scalar in (
+        (dv.skew_divergence, dv.scalar_skew_divergence),
+        (fr.differential_skew_divergence, fr.scalar_differential_sd),
+    ):
+        second = np.abs(op(rho, s1, alpha) - op(rho, s2, alpha))  # the second argument moves
+        first = np.abs(op(s1, rho, alpha) - op(s2, rho, alpha))
+        slacks.append(_triangle_rhs(scalar, alpha, t) - second)
+        slacks.append(_triangle_rhs(scalar, alpha, t, True) - first)
+    return _least(*slacks)
 
 
 def _draw_triangle_equality(rng, dim) -> Draw:
@@ -862,7 +834,7 @@ def _draw_triangle_equality(rng, dim) -> Draw:
     _draw_triangle_equality,
 )
 def _judge_triangle_equality(rho, s1, s2, alpha, t):
-    lhs = np.abs(_sd(rho, s1, alpha) - _sd(rho, s2, alpha))
+    lhs = np.abs(dv.skew_divergence(rho, s1, alpha) - dv.skew_divergence(rho, s2, alpha))
     return -np.abs(lhs - _triangle_rhs(dv.scalar_skew_divergence, alpha, t))
 
 
@@ -1201,8 +1173,9 @@ def run_suite(
 
     ``tol`` rescales every check's pinned tolerance proportionally
     (``tol / 1e-8``); with the default it reproduces the stated tolerances
-    exactly. It must be finite and positive, ``seed`` a nonnegative integer,
-    ``trials`` and each entry of ``dims`` positive integers (a bool is none).
+    exactly. It must be a finite positive number, ``seed`` a nonnegative
+    integer, ``trials`` and each entry of ``dims`` positive integers (a bool
+    is none of these), and no dimension may repeat: its trials would repeat.
     A trial whose slack is not finite (NaN or infinite), or whose check
     raises, proves nothing and counts as a violation.
     """
@@ -1210,13 +1183,16 @@ def run_suite(
         raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
     if not _integral(trials) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+    if not (real and math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
     if not _integral(seed) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     dims = tuple(dims)
     if not dims or not all(_integral(d) and d >= 1 for d in dims):
         raise ValueError(f"dims must be positive integers, got {dims!r}")
+    if len(set(dims)) != len(dims):
+        raise ValueError(f"dims must not repeat, got {dims!r}")
     dims, trials = tuple(int(d) for d in dims), int(trials)
 
     assert_registry_complete()

@@ -400,11 +400,12 @@ class TestCliVerify:
         assert code == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0, True, "1e-8", None])
     def test_run_suite_rejects_bad_tol(self, tol):
         from qsd import run_suite
 
-        with pytest.raises(ValueError):
+        # True would pass as 1.0 and scale every pinned tolerance by 1e8
+        with pytest.raises(ValueError, match="tol"):
             run_suite(suite="core", dims=(2,), trials=1, tol=tol)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
@@ -421,12 +422,23 @@ class TestCliVerify:
         with pytest.raises(ValueError, match="trials"):
             run_suite(suite="core", dims=(2,), trials=trials)
 
-    @pytest.mark.parametrize("dims", [(), (0,), (2.7,), (2, True), ("2",)])
+    @pytest.mark.parametrize("dims", [(), (0,), (2.7,), (2, True), ("2",), (2, 2), (3, 2, 3)])
     def test_run_suite_rejects_bad_dims(self, dims):
         from qsd import run_suite
 
         with pytest.raises(ValueError, match="dims"):
             run_suite(suite="core", dims=dims, trials=1)
+
+    def test_repeated_dims_exit_2(self, tmp_path, capsys):
+        # a repeated dimension would replay the same seeded trials and count them twice
+        out = tmp_path / "report.json"
+        code = run_cli(
+            "verify", "--suite", "core", "--dims", "2,2", "--trials", "1",
+            "--quiet", "--out", str(out),
+        )
+        assert code == 2
+        assert not out.exists()
+        assert "dims" in capsys.readouterr().err
 
     @pytest.mark.parametrize("slack", [math.nan, math.inf, -math.inf])
     def test_non_finite_slack_is_a_violation(self, tmp_path, monkeypatch, slack):

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from qsd import (
+    DensityMatrix,
     DimensionMismatchError,
     DomainError,
+    HermitianOperator,
     apply_channel,
     chi2_log,
     differential_skew_divergence,
@@ -29,7 +31,9 @@ from qsd import (
     skew_divergence,
     support_of,
     trace_distance,
+    von_neumann_entropy,
 )
+from qsd import frechet as fr
 from qsd.linalg import _hermitian, _psd_operands
 
 # name -> (function, operand count, trailing scalar arguments)
@@ -143,10 +147,122 @@ def test_stacked_operand_rule_symmetrizes_each_item(rng):
     assert np.array_equal(first, stacked) and np.array_equal(second, stacked[::-1])
 
 
-@pytest.mark.parametrize("shape", [(3, 3), (2, 3, 2), (2, 2, 2, 2)])
-def test_stacked_operand_rule_takes_only_stacks_of_square_matrices(shape):
+# name -> (function, operand count, trailing scalar arguments) of the
+# functions that also take raw (n, d, d) stacks, one value per pair
+STACKED = {
+    name: MULTI_OPERAND[name]
+    for name in (
+        "relative_entropy",
+        "skew_divergence",
+        "trace_distance",
+        "fidelity",
+        "chi2_log",
+        "differential_skew_divergence",
+    )
+}
+
+
+def values_of(out):
+    """A public result as its number or numbers: a DivergenceValue as its value."""
+    return getattr(out, "value", out)
+
+
+def pair_stacks(rng, n_operands, size=5, dim=3):
+    return [np.stack([random_state(dim, rng).mat for _ in range(size)]) for _ in range(n_operands)]
+
+
+@pytest.mark.parametrize("name", STACKED)
+def test_each_item_of_a_stack_gets_its_one_pair_value(rng, name):
+    fn, n, scalars = STACKED[name]
+    stacks = pair_stacks(rng, n)
+    values = values_of(fn(*stacks, *scalars))
+    assert values.shape == (5,)
+    for i in range(5):
+        one = values_of(fn(*(s[i] for s in stacks), *scalars))
+        assert isinstance(one, float)
+        assert values[i] == one, i
+
+
+@pytest.mark.parametrize("name", ["skew_divergence", "differential_skew_divergence"])
+def test_a_stack_takes_one_alpha_per_pair(rng, name):
+    fn = STACKED[name][0]
+    a, b = pair_stacks(rng, 2)
+    alphas = np.linspace(0.1, 0.9, 5)
+    values = fn(a, b, alphas)
+    assert values.tolist() == [fn(x, y, float(al)) for x, y, al in zip(a, b, alphas)]
+    for operands, wrong in (((a, b), alphas[:3]), ((a[0], b[0]), alphas[:2])):
+        with pytest.raises(DomainError, match="one per pair"):
+            fn(*operands, wrong)
+
+
+def test_differential_skew_divergence_is_zero_at_endpoint_entries(rng, monkeypatch):
+    a, b = pair_stacks(rng, 2)
+    alphas = np.array([0.0, 0.3, 1.0, 0.6, 0.0])
+    values = differential_skew_divergence(a, b, alphas)
+    assert values[[0, 2, 4]].tolist() == [0.0] * 3
+    for i in (1, 3):
+        assert values[i] == differential_skew_divergence(a[i], b[i], float(alphas[i]))
+    with pytest.raises(DomainError, match="alpha must lie in"):
+        differential_skew_divergence(a, b, np.array([0.5, 0.5, 1.5, 0.5, 0.5]))
+    with pytest.raises(DomainError, match="one per pair"):
+        differential_skew_divergence(a, b, alphas[:3])
+
+    def no_kernel(*args):
+        raise AssertionError("the kernel ran at an endpoint")
+
+    monkeypatch.setattr(fr, "_dsd_kernel", no_kernel)
+    assert differential_skew_divergence(a, b, 1.0).tolist() == [0.0] * 5
+    ends = np.array([0.0, 1.0, 1.0, 0.0, 0.0])
+    assert differential_skew_divergence(a, b, ends).tolist() == [0.0] * 5
+    assert differential_skew_divergence(a[0], b[0], 0.0) == 0.0
+
+
+def test_a_stacked_divergence_value_holds_its_rule_per_entry():
+    value = relative_entropy(
+        np.stack([np.diag([1.0, 0.0]), np.diag([0.5, 0.5])]),
+        np.stack([np.diag([1.0, 0.0]), np.diag([1.0, 0.0])]),
+    )
+    assert value.is_infinite.tolist() == [False, True]
+    assert value.value[0] == 0.0 and value.support_defect.tolist() == [0.0, 0.5]
+    with pytest.raises(DomainError, match="support defect"):
+        type(value)(np.array([0.0, np.inf]), np.array([0.0, 0.0]))
+    with pytest.raises(DomainError, match="support defect"):
+        type(value)(np.array([0.0, 1.0]), np.array([0.0, 0.5]))
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 2), (2, 2, 2, 2)])
+@pytest.mark.parametrize("name", STACKED)
+def test_stacked_operand_rule_takes_only_stacks_of_square_matrices(name, shape):
+    fn, n, scalars = STACKED[name]
     with pytest.raises(DomainError, match="stack of square matrices"):
-        _hermitian(np.zeros(shape), stacked=True)
+        fn(*[np.zeros(shape)] * n, *scalars)
+
+
+@pytest.mark.parametrize("name", STACKED)
+def test_a_density_matrix_is_one_operand_against_a_stack(name):
+    fn, n, scalars = STACKED[name]
+    operands = [np.stack([np.eye(2) / 2] * 3)] * n
+    operands[0] = DensityMatrix(np.eye(2) / 2)
+    with pytest.raises(DimensionMismatchError):
+        fn(*operands, *scalars)
+
+
+# operand rules that take one matrix only: a raw stack is no operand there
+ONE_MATRIX = {
+    "HermitianOperator": HermitianOperator,
+    "DensityMatrix": DensityMatrix,
+    "frechet_log": lambda x: frechet_log(x, x),
+    "von_neumann_entropy": von_neumann_entropy,
+    "evolve": lambda x: evolve(x, x, 0.7),
+    "sd_by_averaging": lambda x: sd_by_averaging(x, x, 0.5),
+}
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 2), (2, 2, 2, 2)])
+@pytest.mark.parametrize("name", ONE_MATRIX)
+def test_other_operands_reject_raw_stacks(name, shape):
+    with pytest.raises(DomainError, match="expected a square matrix, got shape"):
+        ONE_MATRIX[name](np.zeros(shape))
 
 
 def test_stacked_operands_name_the_first_non_psd_argument():

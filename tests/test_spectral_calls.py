@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 import qsd
-from qsd import divergences as dv
-from qsd.linalg import _common_dim, _psd_operands
 
 # name -> np.linalg.eigh + eigvalsh calls per call on d = 4 states; the
 # ensembles have n = 3 members unless the name says n = 2
@@ -80,12 +78,11 @@ def test_eigen_calls_per_call(monkeypatch, calls, name):
     assert count_eigen_calls(monkeypatch, calls[name]) == EXPECTED_CALLS[name]
 
 
-# stacked kernel -> the public function it serves one pair at a time
+# public functions called on raw (n, d, d) stacks
 STACKED = {
-    "skew_divergence": lambda a, b: dv._skew_divergence(
-        *_psd_operands(a, b, stacked=True), np.full(a.shape[0], 0.5)
-    ),
-    "relative_entropy": lambda a, b: dv._relative_entropy(*_common_dim(a, b, stacked=True)),
+    "skew_divergence": lambda a, b: qsd.skew_divergence(a, b, np.full(a.shape[0], 0.5)),
+    "relative_entropy": qsd.relative_entropy,
+    "chi2_log": qsd.chi2_log,
 }
 
 

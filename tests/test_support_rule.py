@@ -25,8 +25,6 @@ from qsd import (
     skew_divergence,
     support_of,
 )
-from qsd import divergences as dv
-from qsd import frechet as fr
 from qsd.linalg import _support
 
 EPS = float(np.finfo(np.float64).eps)
@@ -154,10 +152,10 @@ def test_one_stack_of_mixed_supports_matches_single_calls():
     a, b = (np.stack(side) for side in zip(*pairs))
     alpha = np.full(len(pairs), ALPHA)
     stacked = {
-        "sd": dv._skew_divergence(a, b, alpha),
-        "re": dv._relative_entropy(a, b)[0],
-        "defect": dv._relative_entropy(a, b)[1],
-        "dsd": fr._dsd_kernel(a, b, alpha),
+        "sd": skew_divergence(a, b, alpha),
+        "re": relative_entropy(a, b).value,
+        "defect": relative_entropy(a, b).support_defect,
+        "dsd": differential_skew_divergence(a, b, alpha),
     }
     _, _, keep = _support(ALPHA * a + (1.0 - ALPHA) * b)
     for i, (x, y) in enumerate(pairs):
@@ -182,7 +180,8 @@ def test_one_relative_entropy_stack_of_every_outcome_matches_single_calls():
     zero = np.zeros((3, 3), dtype=complex)
     pairs = mixed_pairs() + [(zero, zero), (diag(0.2, 0.3, 0.5), zero)]
     a, b = (np.stack(side) for side in zip(*pairs))
-    values, defects = dv._relative_entropy(a, b)
+    stacked = relative_entropy(a, b)
+    values, defects = stacked.value, stacked.support_defect
     for i, (x, y) in enumerate(pairs):
         single = relative_entropy(x, y)
         assert (values[i], defects[i]) == (single.value, single.support_defect), i
@@ -190,3 +189,4 @@ def test_one_relative_entropy_stack_of_every_outcome_matches_single_calls():
     assert np.isfinite(values[:3]).all() and (defects[:3] == 0.0).all()
     assert values[5] == defects[5] == 0.0
     assert np.isinf(values[[3, 4, 6]]).all() and (defects[[3, 4, 6]] > 0.0).all()
+    assert stacked.is_infinite.tolist() == [False] * 3 + [True] * 2 + [False, True]
