@@ -32,7 +32,7 @@ from .ensembles import Ensemble, MixingExperiment, holevo_chi, mixing_rate
 from .errors import DomainError, FormatError, QsdError
 from .frechet import chi2_log, differential_skew_divergence
 from .linalg import random_cptp, random_hamiltonian, random_state
-from .verify import DEFAULT_TOL, SUITES, run_suite
+from .verify import SUITES, run_suite
 
 DEFAULT_SEED = 0
 
@@ -112,7 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--dims", default="2,3,4", help="comma-separated dimensions")
     verify.add_argument("--trials", type=int, default=200)
     verify.add_argument("--seed", type=int, default=None)
-    verify.add_argument("--tol", type=float, default=DEFAULT_TOL)
     verify.add_argument("--out", default="-", help="report path, '-' for stdout")
     verify.add_argument(
         "--quiet", action="store_true", help="suppress per-check progress lines"
@@ -184,15 +183,8 @@ def _cmd_verify(args) -> int:
         raise UsageError(f"--dims must be comma-separated integers: {exc}") from exc
     seed = _resolve_seed(args.seed)
     progress = None if args.quiet else lambda line: print(line, file=sys.stderr)
-    try:  # run_suite owns the trials, tol and dims rules
-        report = run_suite(
-            suite=args.suite,
-            dims=dims,
-            trials=args.trials,
-            seed=seed,
-            tol=args.tol,
-            progress=progress,
-        )
+    try:  # run_suite owns the trials and dims rules
+        report = run_suite(args.suite, dims, args.trials, seed, progress)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     qio.dump_json(report.to_dict(), args.out)

@@ -9,9 +9,9 @@ judge takes the arguments of all the trials of one dimension, each stacked
 along a new first axis, and returns one slack per trial. The slack is
 ``bound - value`` for an inequality (negative means violated) and
 ``-|residual|`` for an identity. A trial passes when the slack is at least
-``-tolerance``. Checks pin the tolerance their property is stated at; the
-runner scales all of them proportionally when the caller overrides the
-default ``1e-8``. A check registered without a draw is a plain function
+``-tol``, the tolerance its property is stated at, pinned when the check
+is registered; the runner judges every check at its own ``tol`` and writes
+it to the report. A check registered without a draw is a plain function
 ``(rng, dim) -> (slack, inputs)`` that runs one whole trial; the runner
 calls it trial by trial and passes its slacks through.
 
@@ -44,8 +44,6 @@ from . import ensembles as en
 from . import frechet as fr
 from . import linalg as la
 from .io import state_to_dict
-
-DEFAULT_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -717,10 +715,11 @@ def _chk_chi_continuity(rng, dim) -> Outcome:
         rec.weighted_bound - rec.delta_chi,
         rec.dimension_free_bound - rec.weighted_bound,
     ]
-    # complementary distances obey t-bar_i <= max_{j != i} t_j at 1e-12
+    # complementary distances obey t-bar_i <= max_{j != i} t_j at 1e-12:
+    # 1e4 is the check's pinned 1e-8 over that 1e-12
     t = np.array(rec.member_distances)
     others_max = np.where(np.eye(t.size, dtype=bool), -np.inf, t).max(axis=1)
-    slacks.extend((others_max - rec.complementary_distances) * (DEFAULT_TOL / 1e-12))
+    slacks.extend((others_max - rec.complementary_distances) * 1e4)
     slack = float(min(slacks))
     return slack, _inputs(*ens.states, weights=list(ens.weights))
 
@@ -1006,6 +1005,7 @@ assert_registry_complete()
 class CheckResult:
     check_id: str
     label: str
+    tol: float  # the check's pinned tolerance: a violation has slack below -tol
     trials: int
     worst_slack: float
     violations: int
@@ -1016,6 +1016,7 @@ class CheckResult:
         out = {
             "check_id": self.check_id,
             "label": self.label,
+            "tol": self.tol,
             "trials": self.trials,
             # a non-finite worst (counted as a violation) has no strict-JSON form
             "worst_slack": self.worst_slack if math.isfinite(self.worst_slack) else None,
@@ -1119,10 +1120,8 @@ def _judge_dim(
     return slacks, inputs
 
 
-def _run_check(
-    check: CheckDef, seed: int, dims: tuple[int, ...], trials: int, tol: float
-) -> CheckResult:
-    """Run ``trials`` trials of one check per dimension at tolerance ``tol``.
+def _run_check(check: CheckDef, seed: int, dims: tuple[int, ...], trials: int) -> CheckResult:
+    """Run ``trials`` trials of one check per dimension at its pinned ``tol``.
 
     A trial that raises counts as a violation with slack ``-inf``; its inputs
     are the exception and the trial coordinates. The worst trial is the first
@@ -1139,18 +1138,19 @@ def _run_check(
                 slack = -math.inf
             if slack < worst:
                 worst, worst_trial, worst_inputs = slack, {"dim": dim, "trial": k}, inputs[k]
-            if slack < -tol:
+            if slack < -check.tol:
                 violations += 1
     return CheckResult(
         check_id=check.check_id,
         label=check.label,
+        tol=check.tol,
         trials=trials * len(dims),
         worst_slack=worst,
         violations=violations,
         worst_trial=worst_trial,
         worst_case_inputs=(
             _states_payload(worst_inputs)
-            if worst < -tol and worst_inputs is not None
+            if worst < -check.tol and worst_inputs is not None
             else None
         ),
     )
@@ -1166,26 +1166,22 @@ def run_suite(
     dims: Sequence[int] = (2, 3, 4),
     trials: int = 200,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
     progress: Callable[[str], None] | None = None,
 ) -> VerificationReport:
     """Run every registered check of a suite over random trials per dimension.
 
-    ``tol`` rescales every check's pinned tolerance proportionally
-    (``tol / 1e-8``); with the default it reproduces the stated tolerances
-    exactly. It must be a finite positive number, ``seed`` a nonnegative
-    integer, ``trials`` and each entry of ``dims`` positive integers (a bool
-    is none of these), and no dimension may repeat: its trials would repeat.
-    A trial whose slack is not finite (NaN or infinite), or whose check
-    raises, proves nothing and counts as a violation.
+    Each check is judged at the tolerance pinned in its registration: a
+    trial is a violation when its slack is below ``-tol``. ``seed`` must be
+    a nonnegative integer, ``trials`` and each entry of ``dims`` positive
+    integers (a bool is none of these), and no dimension may repeat: its
+    trials would repeat. A trial whose slack is not finite (NaN or
+    infinite), or whose check raises, proves nothing and counts as a
+    violation.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
     if not _integral(trials) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
-    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
-    if not (real and math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
     if not _integral(seed) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     dims = tuple(dims)
@@ -1200,7 +1196,7 @@ def run_suite(
     report = VerificationReport(suite=suite, seed=int(seed), dims=dims, trials=trials)
     started = time.perf_counter()
     for check in selected:
-        result = _run_check(check, seed, dims, trials, check.tol * (tol / DEFAULT_TOL))
+        result = _run_check(check, seed, dims, trials)
         report.checks.append(result)
         if progress is not None:
             n = result.violations

@@ -179,6 +179,19 @@ class TestRelativeEntropy:
         with pytest.raises(DomainError):
             relative_entropy(np.diag([1.0, -0.5]), np.eye(2))
 
+    def test_float_of_a_stacked_value_names_value(self, rng):
+        a = np.stack([random_state(3, rng).mat for _ in range(2)])
+        b = np.stack([random_state(3, rng).mat for _ in range(2)])
+        with pytest.raises(TypeError, match=r"one value per pair.*\.value"):
+            float(relative_entropy(a, b))
+
+    def test_float_of_a_one_pair_value_is_its_entry(self, rng):
+        a = np.stack([random_state(3, rng).mat for _ in range(2)])
+        b = np.stack([random_state(3, rng).mat for _ in range(2)])
+        stacked = relative_entropy(a, b).value
+        for i in range(2):
+            assert float(relative_entropy(a[i], b[i])) == pytest.approx(stacked[i], abs=1e-14)
+
     def test_overflow_is_a_named_domain_error(self):
         # finite operands, no leak, but trace A log A overflows
         with np.errstate(over="ignore"), pytest.raises(DomainError, match="overflows"):
@@ -393,3 +406,15 @@ class TestApplyChannel:
     def test_incomplete_kraus_rejected(self, rng):
         with pytest.raises(DomainError):
             apply_channel([0.5 * np.eye(2)], random_state(2, rng))
+
+    def test_set_complete_within_1e_9_is_accepted(self, rng):
+        # completeness error 5e-10: the trace moves by 5e-10, within dim * 1e-9
+        kraus = [math.sqrt(1.0 + 5e-10) * k for k in random_cptp(4, 2, np.random.default_rng(3))]
+        rho = random_state(4, rng).mat
+        out = apply_channel(kraus, rho)
+        assert out.trace() == pytest.approx(1.0 + 5e-10, abs=1e-14)
+
+    def test_set_beyond_1e_9_is_rejected(self, rng):
+        kraus = [math.sqrt(1.0 + 2e-9) * k for k in random_cptp(4, 2, np.random.default_rng(3))]
+        with pytest.raises(DomainError, match=r"sum K\*K = id within 1e-9"):
+            apply_channel(kraus, random_state(4, rng))
