@@ -102,39 +102,6 @@ def _nonnegative_pair(x, y, what: str, zero_pair_ok: bool = False) -> tuple:
     return x, y
 
 
-@dataclass(frozen=True)
-class DivergenceValue:
-    """Value of a divergence that may be infinite.
-
-    ``support_defect`` is the trace mass of the first argument outside the
-    support of the second; it is 0 exactly when the value is finite. For a
-    stack of pairs both fields are arrays, one entry per pair, and the rule
-    holds entry by entry.
-    """
-
-    value: float | np.ndarray
-    support_defect: float | np.ndarray = 0.0
-
-    def __post_init__(self):
-        mismatch = self.is_infinite != (self.support_defect > 0.0)
-        if mismatch.any() if isinstance(mismatch, np.ndarray) else mismatch:
-            raise DomainError(
-                "infinite divergence values must carry a positive support defect"
-            )
-
-    @property
-    def is_infinite(self) -> bool | np.ndarray:
-        """Whether the value is infinite; for a stack, one flag per pair."""
-        if isinstance(self.value, np.ndarray):
-            return np.isinf(self.value)
-        return math.isinf(self.value)
-
-    def __float__(self) -> float:
-        if isinstance(self.value, np.ndarray):
-            raise TypeError("a stacked DivergenceValue holds one value per pair; read .value")
-        return self.value
-
-
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``sum x_i y_i`` over the last axis, summed as ``np.dot`` sums one pair
     of vectors."""
@@ -206,14 +173,13 @@ def _relative_entropy_on(
         return term_alog_a - _dot(log_w, quad) - (trace_a - mass_b)
 
 
-def relative_entropy(a: OperatorLike, b: OperatorLike) -> DivergenceValue:
+def relative_entropy(a: OperatorLike, b: OperatorLike) -> float | np.ndarray:
     """Relative entropy ``trace A (log A - log B) - trace(A - B)``.
 
-    Both operators are restricted to the support of ``B``; if ``A`` carries
-    trace mass outside that support beyond tolerance the result is infinite,
-    with the leaked mass reported in ``support_defect``. A value that
-    overflows without a leak raises :class:`DomainError`. Raw ``(n, d, d)``
-    stacks give one value and one defect per pair, as arrays.
+    Both operators are restricted to the support of ``B``; the result is
+    infinite exactly when ``A`` carries trace mass outside that support
+    beyond tolerance. A value that overflows without a leak raises
+    :class:`DomainError`. Raw ``(n, d, d)`` stacks give one value per pair.
     """
     amat, bmat = _common_dim(a, b, stacked=True)
     wb, vb, keep, quad, leak = _psd_against_support(amat, bmat)
@@ -228,7 +194,7 @@ def relative_entropy(a: OperatorLike, b: OperatorLike) -> DivergenceValue:
                 f"relative entropy overflows ({np.extract(overflow, inside)[0]}) on these operands"
             )
         value = np.where(finite, inside, value)
-    return DivergenceValue(_float_or_array(value), _float_or_array(leak))
+    return _float_or_array(value)
 
 
 def scalar_skew_divergence(b, c, alpha):

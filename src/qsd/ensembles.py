@@ -151,7 +151,9 @@ def complementary_state(ensemble: Ensemble, index: int) -> DensityMatrix:
         raise DomainError("complementary states need at least two members")
     if not 0 <= index < ensemble.n:
         raise DomainError(f"index {index} out of range for n={ensemble.n}")
-    return DensityMatrix.from_matrix(_complements(ensemble)[index])
+    stack = ensemble._stack
+    row = _complement_weights(ensemble.weights)[index] @ stack.reshape(ensemble.n, -1)
+    return DensityMatrix.from_matrix(row.reshape(stack.shape[1:]))
 
 
 def holevo_chi(ensemble: Ensemble) -> float:
@@ -319,8 +321,8 @@ def mixing_rate(experiment: MixingExperiment) -> float:
 class SimBoundRecord:
     """Finite-time entropy gain of a binary mixing experiment and its bounds.
 
-    The experiment is canonicalized to ``H_1 = 0`` and ``H = H_2 - H_1``
-    before evaluation. ``bravyi_lhs`` holds the two skew-divergence
+    Each member evolves under its own Hamiltonian, as in :func:`mixing_rate`;
+    ``H = H_2 - H_1``. ``bravyi_lhs`` holds the two skew-divergence
     increments (at skew parameters ``p_1`` and ``p_2``) whose weighted sum
     reconstructs the entropy gain; each is bounded by ``bravyi_rhs = 2 t
     ||H||``.
@@ -341,10 +343,14 @@ def sim_bound_check(experiment: MixingExperiment) -> SimBoundRecord:
     p1, p2 = (_as_alpha(float(x)) for x in ens.weights)
     rho1, rho2 = ens._stack
     t = experiment.time
-    w, v = _eigh((experiment.h2 - experiment.h1).mat)
-    h_norm = float(np.abs(w).max())
+    h1, h2 = experiment.h1, experiment.h2
+    w, v = _eigh(np.stack([h1.mat, h2.mat, (h2 - h1).mat]))
+    h_norm = float(np.abs(w[2]).max())
 
-    u = _propagator(w, v, t)
+    # rho_0(t) = U_1 (p_1 rho_1 + p_2 V rho_2 V*) U_1* with the relative
+    # unitary V = U_1* U_2, and every quantity below is unitarily invariant
+    u1, u2 = _propagator(w[:2], v[:2], t)
+    u = _adjoint(u1) @ u2
     rho2_t = _symmetrized(u @ rho2 @ _adjoint(u))
     rho1_back = _symmetrized(_adjoint(u) @ rho1 @ u)
 

@@ -228,23 +228,6 @@ def _clip_psd(entries) -> np.ndarray:
     return _symmetrized((v * np.maximum(w, 0.0)) @ v.conj().T)
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues in ascending order plus the unitary matrix of eigenvectors
-    (as columns)."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
 def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
         return np.linalg.eigh(mat)
@@ -256,11 +239,11 @@ def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ) from exc
 
 
-def eigendecompose(a: OperatorLike) -> SpectralDecomposition:
-    """Full spectral decomposition of a Hermitian operator."""
-    mat = _as_matrix(a)
-    w, v = _eigh(mat)
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
+def eigendecompose(a: OperatorLike) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues ``w`` and the unitary ``v`` of eigenvectors (as
+    columns) of a Hermitian operator, as a plain ``(w, v)`` tuple."""
+    w, v = _eigh(_as_matrix(a))
+    return w, v
 
 
 def spectral_fn(a: OperatorLike, f: Callable[[np.ndarray], np.ndarray]) -> HermitianOperator:

@@ -32,7 +32,7 @@ def holevo_chi(ens):
 def holevo_chi_relative_entropy_form(ens):
     avg = mixture(ens)
     return sum(
-        p * qsd.relative_entropy(s, avg).value for p, s in zip(ens.weights, ens.states)
+        p * qsd.relative_entropy(s, avg) for p, s in zip(ens.weights, ens.states)
     )
 
 
@@ -118,9 +118,9 @@ def mixing_rate(exp):
 def sim_bound_check(exp):
     (p1, p2), (rho1, rho2) = exp.ensemble.weights, (s.mat for s in exp.ensemble.states)
     t = exp.time
-    w, v = _eigh((exp.h2 - exp.h1).mat)
-    h_norm = float(np.abs(w).max())
-    u = en._propagator(w, v, t)
+    h_norm = float(np.abs(_eigh((exp.h2 - exp.h1).mat)[0]).max())
+    u1, u2 = (en._propagator(*_eigh(h.mat), t) for h in (exp.h1, exp.h2))
+    u = u1.conj().T @ u2  # member 2 in the frame of member 1
     rho2_t = _symmetrized(u @ rho2 @ u.conj().T)
     rho1_back = _symmetrized(u.conj().T @ rho1 @ u)
     gain = qsd.von_neumann_entropy(p1 * rho1 + p2 * rho2_t) - qsd.von_neumann_entropy(

@@ -110,6 +110,12 @@ class TestCliCompute:
         assert run_cli("compute", "--measure", "re", str(a), str(b)) == 0
         assert capsys.readouterr().out.strip() == "inf"
 
+    def test_re_of_a_pure_state_against_itself_prints_zero(self, tmp_path, capsys):
+        b = tmp_path / "b.json"
+        write_diag(b, [0.0, 1.0])
+        assert run_cli("compute", "--measure", "re", str(b), str(b)) == 0
+        assert capsys.readouterr().out.strip() == "0.0"
+
     def test_trace_dist_diag_family(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         write_diag(a, [0.3, 0.0, 0.7])
@@ -313,6 +319,15 @@ class TestCliRandom:
         assert run_cli("random", "--kind", "state", "--dim", "2", "--seed", "123", "--out", str(out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("env", ["123", "abc"])
+    def test_seed_option_beats_the_environment(self, tmp_path, monkeypatch, env):
+        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+        monkeypatch.setenv("QSD_SEED", env)
+        assert run_cli("random", "--kind", "state", "--dim", "2", "--seed", "5", "--out", str(out1)) == 0
+        monkeypatch.delenv("QSD_SEED")
+        assert run_cli("random", "--kind", "state", "--dim", "2", "--seed", "5", "--out", str(out2)) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
 
 # The seeded commands, complete apart from the seed and --out.
 SEEDED_COMMANDS = {
@@ -329,6 +344,8 @@ SEEDED_COMMANDS = {
         ((), "-5", "QSD_SEED"),
         ((), "abc", "QSD_SEED"),
         ((), "1.5", "QSD_SEED"),
+        ((), "-1", "QSD_SEED"),
+        ((), "", "QSD_SEED"),
     ],
 )
 def test_bad_seed_is_a_usage_error(capsys, monkeypatch, command, seed_args, env, source):
@@ -355,6 +372,12 @@ class TestCliVerify:
         assert report["seed"] == 11
         assert report["dims"] == [2, 3]
         assert all(c["trials"] == 10 for c in report["checks"])
+
+    def test_report_seed_is_the_environment_seed(self, tmp_path, monkeypatch):
+        out = tmp_path / "report.json"
+        monkeypatch.setenv("QSD_SEED", "17")
+        assert run_cli(*SEEDED_COMMANDS["verify"], "--out", str(out)) == 0
+        assert json.loads(out.read_text())["seed"] == 17
 
     def test_zero_trials_is_usage_error(self, tmp_path):
         assert run_cli("verify", "--trials", "0", "--quiet") == 2

@@ -21,3 +21,11 @@ def test_every_exported_name_is_in_readme():
     text = README.read_text(encoding="utf-8")
     missing = [name for name in qsd.__all__ if not re.search(rf"`{name}[`(]", text)]
     assert missing == []
+
+
+def test_every_readme_api_bullet_resolves():
+    # each `- `name`` bullet under "## API" names an exported object, once
+    text = README.read_text(encoding="utf-8")
+    api = text.split("\n## API", 1)[1].split("\n## ", 1)[0]
+    bullets = re.findall(r"^- `(\w+)", api, flags=re.M)
+    assert sorted(bullets) == qsd.__all__

@@ -7,6 +7,8 @@ bases come with the pair, so every expected leak is computed without the
 library's support rule.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -83,10 +85,9 @@ def test_relative_entropy_is_finite_exactly_without_leak(pair):
     for x, y, basis_y in both_orders(pair):
         leak = leaked(x, basis_y)
         value = relative_entropy(x, y)
-        assert value.is_infinite == (leak > SUPPORT_DEFECT_TOL)
-        assert abs(value.support_defect - leak) <= 1e-12
-        if not value.is_infinite:
-            assert value.value >= -1e-12
+        assert math.isinf(value) == (leak > SUPPORT_DEFECT_TOL)
+        if math.isfinite(value):
+            assert value >= -1e-12
 
 
 @given(pair=pairs(), alpha=alphas)
