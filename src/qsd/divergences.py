@@ -29,6 +29,7 @@ from .linalg import (
     _as_matrix,
     _common_dim,
     _eigh,
+    _float_or_array,
     _like_input,
     _psd_against_support,
     _psd_operands,
@@ -84,11 +85,6 @@ def _require_per_pair(alpha, mat: np.ndarray) -> None:
     """Raise unless ``alpha`` is one value or one entry per pair of the stack ``mat``."""
     if np.shape(alpha) not in ((), mat.shape[:-2]):
         raise DomainError(f"alpha must be one float or one per pair, got shape {np.shape(alpha)}")
-
-
-def _float_or_array(value):
-    """A 0-d result as a float; an array result as it is."""
-    return float(value) if np.ndim(value) == 0 else value
 
 
 def _nonnegative_pair(x, y, what: str, zero_pair_ok: bool = False) -> tuple:

@@ -30,6 +30,7 @@ from .linalg import (
     _common_dim,
     _eigh,
     _frozen,
+    _integral,
     _like_input,
     _support,
     _support_quad,
@@ -149,8 +150,8 @@ def complementary_state(ensemble: Ensemble, index: int) -> DensityMatrix:
     """Reweighted mixture of all members except ``index``."""
     if ensemble.n < 2:
         raise DomainError("complementary states need at least two members")
-    if not 0 <= index < ensemble.n:
-        raise DomainError(f"index {index} out of range for n={ensemble.n}")
+    if not (_integral(index) and 0 <= index < ensemble.n):
+        raise DomainError(f"index must be an integer in [0, {ensemble.n}), got {index!r}")
     stack = ensemble._stack
     row = _complement_weights(ensemble.weights)[index] @ stack.reshape(ensemble.n, -1)
     return DensityMatrix.from_matrix(row.reshape(stack.shape[1:]))
@@ -294,6 +295,8 @@ def evolve(rho: OperatorLike, hamiltonian: OperatorLike, t: float) -> DensityMat
     """Unitary evolution ``U rho U*`` with ``U = exp(i t H)``; a state when
     ``rho`` is a normalized :class:`DensityMatrix`, otherwise a positive
     operator with the trace of ``rho``."""
+    if not math.isfinite(t):
+        raise DomainError(f"evolution time t must be finite, got {t}")
     hmat, rmat = _common_dim(hamiltonian, rho)
     u = _propagator(*_eigh(hmat), t)
     return _like_input(rho, u @ rmat @ _adjoint(u))

@@ -39,13 +39,14 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .divergences import AlphaLike, _as_alpha, _float_or_array, _nonnegative_pair, _require_per_pair
+from .divergences import AlphaLike, _as_alpha, _nonnegative_pair, _require_per_pair
 from .linalg import (
     HermitianOperator,
     OperatorLike,
     _adjoint,
     _common_dim,
     _eigh,
+    _float_or_array,
     _psd_against_support,
     _psd_operands,
     _require_pd,

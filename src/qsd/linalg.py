@@ -9,6 +9,7 @@ Hamiltonians and channels.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -39,6 +40,16 @@ def _adjoint(mat: np.ndarray) -> np.ndarray:
 def _trace(mat: np.ndarray) -> np.ndarray:
     """Real part of the trace of a matrix, or of each matrix of a stack."""
     return mat.diagonal(0, -2, -1).sum(axis=-1).real
+
+
+def _float_or_array(value):
+    """A 0-d result as a float; an array result as it is."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def _integral(value) -> bool:
+    """Whether ``value`` is an integer; a bool is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _symmetrized(entries: np.ndarray) -> np.ndarray:
@@ -241,9 +252,9 @@ def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def eigendecompose(a: OperatorLike) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues ``w`` and the unitary ``v`` of eigenvectors (as
-    columns) of a Hermitian operator, as a plain ``(w, v)`` tuple."""
-    w, v = _eigh(_as_matrix(a))
-    return w, v
+    columns) of a Hermitian operator, or of each item of a raw ``(n, d, d)``
+    stack, as a plain ``(w, v)`` tuple."""
+    return tuple(_eigh(_as_matrix(a, stacked=True)))
 
 
 def spectral_fn(a: OperatorLike, f: Callable[[np.ndarray], np.ndarray]) -> HermitianOperator:
@@ -255,9 +266,12 @@ def spectral_fn(a: OperatorLike, f: Callable[[np.ndarray], np.ndarray]) -> Hermi
     mat = _as_matrix(a)
     w, v = _eigh(mat)
     with np.errstate(all="ignore"):
-        fw = np.asarray(f(w), dtype=np.float64)
+        fw = np.asarray(f(w))
     if fw.shape != w.shape:
         raise DomainError("spectral function must map eigenvalues elementwise")
+    if np.iscomplexobj(fw) and (fw.imag != 0.0).any():
+        raise DomainError(f"function not real at eigenvalue(s) {w[fw.imag != 0.0]}")
+    fw = fw.real.astype(np.float64, copy=False)
     if not np.all(np.isfinite(fw)):
         bad = w[~np.isfinite(fw)]
         raise DomainError(f"function undefined at eigenvalue(s) {bad}")
@@ -349,14 +363,14 @@ def restrict(a: OperatorLike, projection: SupportProjection) -> HermitianOperato
     return HermitianOperator(b.conj().T @ mat @ b)
 
 
-def trace_norm(x: OperatorLike) -> float:
-    """Sum of absolute eigenvalues."""
-    return float(np.abs(np.linalg.eigvalsh(_as_matrix(x))).sum())
+def trace_norm(x: OperatorLike) -> float | np.ndarray:
+    """Sum of absolute eigenvalues; a raw ``(n, d, d)`` stack gives one per item."""
+    return _float_or_array(np.abs(np.linalg.eigvalsh(_as_matrix(x, True))).sum(axis=-1))
 
 
-def operator_norm(x: OperatorLike) -> float:
-    """Largest absolute eigenvalue."""
-    return float(np.abs(np.linalg.eigvalsh(_as_matrix(x))).max())
+def operator_norm(x: OperatorLike) -> float | np.ndarray:
+    """Largest absolute eigenvalue; a raw ``(n, d, d)`` stack gives one per item."""
+    return _float_or_array(np.abs(np.linalg.eigvalsh(_as_matrix(x, True))).max(axis=-1))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,7 @@ along a new first axis, and returns one slack per trial. The slack is
 ``-|residual|`` for an identity. A trial passes when the slack is at least
 ``-tol``, the tolerance its property is stated at, pinned when the check
 is registered; the runner judges every check at its own ``tol`` and writes
-it to the report. A check registered without a draw is a plain function
-``(rng, dim) -> (slack, inputs)`` that runs one whole trial; the runner
-calls it trial by trial and passes its slacks through.
+it to the report.
 
 The runner alone judges trials. A non-finite slack, or a trial that raises,
 counts as a violation. A judge that raises on a stack is run again on each
@@ -31,10 +29,10 @@ alone replay it.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -89,29 +87,6 @@ def _orthogonal_pair(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np
     return (left * wl) @ left.conj().T, (right * wr) @ right.conj().T
 
 
-def _rand_ensemble(rng: np.random.Generator, dim: int, n: int) -> en.Ensemble:
-    w = 0.8 * rng.dirichlet(np.ones(n)) + 0.2 / n
-    w /= w.sum()
-    return en.Ensemble(w, [la.random_state(dim, rng) for _ in range(n)])
-
-
-def _rand_experiment(
-    rng: np.random.Generator, dim: int, conditioned: bool = False
-) -> en.MixingExperiment:
-    p = float(rng.uniform(0.05, 0.95))
-    if conditioned:
-        states = [
-            la.DensityMatrix.from_matrix(_rand_conditioned_state(rng, dim, 0.1))
-            for _ in range(2)
-        ]
-    else:
-        states = [la.random_state(dim, rng) for _ in range(2)]
-    ens = en.Ensemble((p, 1.0 - p), states)
-    h1 = la.random_hamiltonian(dim, rng)
-    h2 = la.random_hamiltonian(dim, rng)
-    return en.MixingExperiment(ens, h1, h2, float(rng.uniform(0.0, 1.0)))
-
-
 # The inputs of one trial, by reference: its matrices and its named scalars.
 Inputs = tuple[tuple, dict]
 # One trial's draw: the judge's arguments and the trial's inputs.
@@ -135,25 +110,39 @@ def _least(*slacks) -> np.ndarray:
     return np.min(np.broadcast_arrays(*slacks), axis=0)
 
 
+def _each(fn, *stacks) -> np.ndarray:
+    """``fn`` called on each trial's arguments, its results stacked (an
+    operator as its matrix): the judge's form of a one-matrix function."""
+    return np.stack([getattr(out, "mat", out) for out in map(fn, *stacks)])
+
+
+def _fields(records, *names) -> list[np.ndarray]:
+    """Each named field of the records, as one array over the trials."""
+    records = list(records)
+    return [np.array([getattr(rec, name) for rec in records]) for name in names]
+
+
+def _rel_err(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """``||x - ref|| / max(1, ||ref||)`` per trial, in Frobenius norms."""
+    return _each(np.linalg.norm, x - ref) / np.maximum(1.0, _each(np.linalg.norm, ref))
+
+
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
-Outcome = tuple[float, Inputs]
-
 
 @dataclass(frozen=True)
 class CheckDef:
-    """A registered check: ``judge`` maps the stacked arguments of ``draw``'s
-    trials to their slacks; without a judge, ``draw`` is a plain check
-    ``(rng, dim) -> (slack, inputs)``."""
+    """A registered check: ``judge`` maps the stacked arguments of the trials
+    ``draw`` makes to their slacks."""
 
     check_id: str
     label: str
     suite: str
     tol: float
-    draw: Callable[[np.random.Generator, int], Draw | Outcome]
-    judge: Callable[..., np.ndarray] | None = None
+    draw: Callable[[np.random.Generator, int], Draw]
+    judge: Callable[..., np.ndarray]
 
 
 # The suite each check-id prefix names.
@@ -163,120 +152,127 @@ SUITES = tuple(_SUITE_OF_PREFIX.values())
 _REGISTERED: list[CheckDef] = []
 
 
-def _check(check_id: str, tol: float, label: str, draw=None):
-    """Register a check in the suite its id prefix names: with ``draw``, the
-    decorated function is the judge of the trials ``draw`` makes; without
-    it, a plain check. An unknown prefix raises ``ValueError``."""
+def _check(check_id: str, tol: float, label: str, draw):
+    """Register the decorated function as the judge of the trials ``draw``
+    makes, in the suite its id prefix names. An unknown prefix raises
+    ``ValueError``."""
     prefix = check_id.split(".", 1)[0]
     if prefix not in _SUITE_OF_PREFIX:
         raise ValueError(
             f"check {check_id!r}: unknown prefix {prefix!r}; choose from {tuple(_SUITE_OF_PREFIX)}"
         )
 
-    def register(fn):
-        stages = (fn,) if draw is None else (draw, fn)
-        _REGISTERED.append(CheckDef(check_id, label, _SUITE_OF_PREFIX[prefix], tol, *stages))
-        return fn
+    def register(judge):
+        _REGISTERED.append(CheckDef(check_id, label, _SUITE_OF_PREFIX[prefix], tol, draw, judge))
+        return judge
 
     return register
 
 
 # ---------------------------------------------------------------------------
-# Checks: a draw and the judge registered with it, or a plain check
+# Checks: a draw and the judge registered with it
 # ---------------------------------------------------------------------------
+
+
+def _draw_herm(rng, dim, scaled: bool = False) -> Draw:
+    a = _rand_herm(rng, dim, float(rng.uniform(0.1, 3.0)) if scaled else 1.0)
+    return (a,), _inputs(a)
 
 
 @_check(
     "core.eigh_reconstruction",
     0.0,
     "eigendecomposition reconstructs A within 1e-12 max(1, ||A||_F), unitary basis, ascending eigenvalues",
+    partial(_draw_herm, scaled=True),
 )
-def _chk_eigh_reconstruction(rng, dim) -> Outcome:
-    a = _rand_herm(rng, dim, scale=float(rng.uniform(0.1, 3.0)))
+def _judge_eigh_reconstruction(a):
     w, v = la.eigendecompose(a)
-    fro = float(np.linalg.norm(a))
-    resid = float(np.linalg.norm((v * w) @ v.conj().T - la._as_matrix(a)))
-    unit = float(np.linalg.norm(v.conj().T @ v - np.eye(dim)))
-    ascending = 0.0 if np.all(np.diff(w) >= 0.0) else -1.0
-    slack = min(
-        1e-12 * max(1.0, fro) - resid,
-        1e-12 * dim - unit,
-        ascending,
-    )
-    return slack, _inputs(a)
+    resid = _each(np.linalg.norm, (v * w[:, None, :]) @ la._adjoint(v) - a)
+    unit = _each(np.linalg.norm, la._adjoint(v) @ v - np.eye(a.shape[-1]))
+    ascending = np.where((np.diff(w) >= 0.0).all(axis=-1), 0.0, -1.0)
+    fro = _each(np.linalg.norm, a)
+    return _least(1e-12 * np.maximum(1.0, fro) - resid, 1e-12 * a.shape[-1] - unit, ascending)
 
 
 @_check(
     "core.spectral_fn_identity",
     0.0,
     "spectral calculus with the identity function returns the input within 1e-12",
+    _draw_herm,
 )
-def _chk_spectral_fn_identity(rng, dim) -> Outcome:
-    a = _rand_herm(rng, dim)
-    out = la.spectral_fn(a, lambda w: w).mat
-    resid = float(np.abs(out - a).max())
-    slack = 1e-12 * max(1.0, float(np.abs(a).max())) - resid
-    return slack, _inputs(a)
+def _judge_spectral_fn_identity(a):
+    out = _each(lambda x: la.spectral_fn(x, lambda w: w), a)
+    resid = np.abs(out - a).max(axis=(1, 2))
+    return 1e-12 * np.maximum(1.0, np.abs(a).max(axis=(1, 2))) - resid
+
+
+def _draw_trace_norm_axioms(rng, dim) -> Draw:
+    x = _rand_herm(rng, dim)
+    y = _rand_herm(rng, dim)
+    c = float(rng.uniform(-3.0, 3.0))
+    return (x, y, c), _inputs(x, y, c=c)
 
 
 @_check(
     "core.trace_norm_axioms",
     1e-10,
     "trace norm satisfies the triangle inequality and absolute homogeneity",
+    _draw_trace_norm_axioms,
 )
-def _chk_trace_norm_axioms(rng, dim) -> Outcome:
-    x = _rand_herm(rng, dim)
-    y = _rand_herm(rng, dim)
-    c = float(rng.uniform(-3.0, 3.0))
-    triangle = la.trace_norm(x) + la.trace_norm(y) - la.trace_norm(x + y)
-    homog = -abs(la.trace_norm(c * x) - abs(c) * la.trace_norm(x))
-    slack = min(triangle, homog)
-    return slack, _inputs(x, y, c=c)
+def _judge_trace_norm_axioms(x, y, c):
+    tn = la.trace_norm
+    homog = -np.abs(tn(c[:, None, None] * x) - np.abs(c) * tn(x))
+    return np.minimum(tn(x) + tn(y) - tn(x + y), homog)
+
+
+def _draw_random_state_invariants(rng, dim) -> Draw:
+    seed = int(rng.integers(0, 2**63 - 1))
+    s1, s2 = (la.random_state(dim, np.random.default_rng(seed)) for _ in range(2))
+    return (s1.mat, s2.mat), _inputs(s1, seed=seed)
 
 
 @_check(
     "core.random_state_invariants",
     0.0,
     "random states are PSD with unit trace and deterministic per seed",
+    _draw_random_state_invariants,
 )
-def _chk_random_state_invariants(rng, dim) -> Outcome:
-    seed = int(rng.integers(0, 2**63 - 1))
-    s1 = la.random_state(dim, np.random.default_rng(seed))
-    s2 = la.random_state(dim, np.random.default_rng(seed))
-    deterministic = 0.0 if np.array_equal(s1.mat, s2.mat) else -1.0
-    w = np.linalg.eigvalsh(s1.mat)
-    slack = min(
-        1e-12 - abs(s1.trace() - 1.0),
-        float(w[0]) + 1e-10,
-        deterministic,
-    )
-    return slack, _inputs(s1, seed=seed)
+def _judge_random_state_invariants(s1, s2):
+    deterministic = np.where((s1 == s2).all(axis=(1, 2)), 0.0, -1.0)
+    trace_err = np.abs(la._trace(s1) - 1.0)
+    return _least(1e-12 - trace_err, np.linalg.eigvalsh(s1)[:, 0] + 1e-10, deterministic)
+
+
+def _draw_random_cptp(rng, dim) -> Draw:
+    env = int(rng.integers(1, 4))
+    kraus = la.random_cptp(dim, env, rng)
+    rho = la.random_state(dim, rng)
+    # zero Kraus blocks add exact zeros: every trial stacks three blocks
+    blocks = np.concatenate([kraus, np.zeros((3 - env, dim, dim))])
+    return (blocks, rho.mat), _inputs(rho, env=env)
 
 
 @_check(
     "core.random_cptp_contract",
     0.0,
     "random Kraus sets are complete and map states to states (trace, PSD within 1e-10)",
+    _draw_random_cptp,
 )
-def _chk_random_cptp_contract(rng, dim) -> Outcome:
-    env = int(rng.integers(1, 4))
-    kraus = la.random_cptp(dim, env, rng)
-    completeness = sum(k.conj().T @ k for k in kraus)
-    comp_err = float(np.abs(completeness - np.eye(dim)).max())
-    rho = la.random_state(dim, rng)
-    out = sum(k @ rho.mat @ k.conj().T for k in kraus)
-    trace_err = abs(float(np.trace(out).real) - 1.0)
-    min_eig = float(np.linalg.eigvalsh(out)[0])
-    slack = min(1e-10 - comp_err, 1e-10 - trace_err, min_eig + 1e-10)
-    return slack, _inputs(rho, env=env)
+def _judge_random_cptp_contract(kraus, rho):
+    kh = la._adjoint(kraus)
+    comp_err = np.abs((kh @ kraus).sum(axis=1) - np.eye(rho.shape[-1])).max(axis=(1, 2))
+    out = (kraus @ rho[:, None] @ kh).sum(axis=1)
+    trace_err = np.abs(la._trace(out) - 1.0)
+    min_eig = np.linalg.eigvalsh(out)[:, 0]
+    return _least(1e-10 - comp_err, 1e-10 - trace_err, min_eig + 1e-10)
 
 
 _RANGE_ALPHAS = (0.01, 0.1, 0.5, 0.9, 0.99)
 
 
-def _draw_state_pair(rng, dim) -> Draw:
+def _draw_state_pair(rng, dim, lo: float = 0.02, hi: float = 0.98) -> Draw:
     rho, sig = la.random_state(dim, rng), la.random_state(dim, rng)
-    alpha = _rand_alpha(rng)
+    alpha = _rand_alpha(rng, lo, hi)
     return (rho.mat, sig.mat, alpha), _inputs(rho, sig, alpha=alpha)
 
 
@@ -445,94 +441,20 @@ def _judge_fidelity_trace_distance(rho, sig):
     return np.sqrt(np.maximum(0.0, 1.0 - f * f)) - dv.trace_distance(rho, sig)
 
 
+def _draw_pd_direction(rng, dim, floor: float = 0.05, direction=_rand_herm) -> Draw:
+    a = _rand_pd(rng, dim, floor)
+    d = direction(rng, dim)
+    return (a, d), _inputs(a, d)
+
+
 @_check(
     "fre.t_order_preserving",
     1e-9,
     "the log derivative map preserves the PSD order: X <= Y implies T_A(X) <= T_A(Y)",
+    partial(_draw_pd_direction, direction=_rand_psd),  # d = Y - X for X <= Y
 )
-def _chk_t_order_preserving(rng, dim) -> Outcome:
-    a = _rand_pd(rng, dim)
-    d = _rand_psd(rng, dim)  # d = Y - X for X <= Y
-    slack = float(np.linalg.eigvalsh(fr.frechet_log(a, d).mat)[0])
-    return slack, _inputs(a, d)
-
-
-@_check("fre.t_sum_bound", 1e-9, "T_{A+B}(A) <= id for PSD A, B")
-def _chk_t_sum_bound(rng, dim) -> Outcome:
-    a, b = _rand_psd(rng, dim), _rand_psd(rng, dim)
-    top = float(np.linalg.eigvalsh(fr.frechet_log(a + b, a).mat)[-1])
-    slack = 1.0 - top
-    return slack, _inputs(a, b)
-
-
-@_check("fre.r_sum_bound", 1e-9, "R_{A+B}(A) <= id for PSD A, B")
-def _chk_r_sum_bound(rng, dim) -> Outcome:
-    a, b = _rand_psd(rng, dim), _rand_psd(rng, dim)
-    top = float(np.linalg.eigvalsh(fr.second_frechet_log(a + b, a).mat)[-1])
-    slack = 1.0 - top
-    return slack, _inputs(a, b)
-
-
-@_check("fre.r_reduces_to_t", 1e-8, "the bilinear second derivative satisfies R_A(A, D) = T_A(D)")
-def _chk_r_reduces_to_t(rng, dim) -> Outcome:
-    a = _rand_pd(rng, dim)
-    d = _rand_herm(rng, dim)
-    resid = float(
-        np.linalg.norm(fr.second_frechet_log(a, a, d).mat - fr.frechet_log(a, d).mat)
-    )
-    slack = -resid
-    return slack, _inputs(a, d)
-
-
-@_check(
-    "fre.metric_difference",
-    1e-8,
-    "0 <= M_{A+B}(A,A) - M_{A+B+C}(A,A) <= a - a^2/(a+c) with a = tr A, c = tr C",
-)
-def _chk_metric_difference(rng, dim) -> Outcome:
-    a, b, c = (_rand_psd(rng, dim) for _ in range(3))
-    m1 = fr.metric_M(a + b, a, a).real
-    m2 = fr.metric_M(a + b + c, a, a).real
-    diff = m1 - m2
-    ta, tc = float(np.trace(a).real), float(np.trace(c).real)
-    upper = ta - ta * ta / (ta + tc)
-    slack = min(diff, upper - diff)
-    return slack, _inputs(a, b, c)
-
-
-@_check(
-    "fre.quadrature_match",
-    1e-6,
-    "divided-difference log derivative matches the integral-representation quadrature",
-)
-def _chk_quadrature_match(rng, dim) -> Outcome:
-    cond = 10.0 ** rng.uniform(0.0, 4.0)
-    v = la.random_unitary(dim, rng)
-    lam = np.exp(rng.uniform(math.log(1.0 / cond), 0.0, dim))
-    if dim >= 2 and rng.uniform() < 0.5:
-        lam[1] = lam[0]  # exercise the confluent divided-difference branch
-    a = (v * lam) @ v.conj().T
-    d = _rand_herm(rng, dim)
-    dd = fr.frechet_log(a, d).mat
-    quad = fr.frechet_log_quadrature(a, d).mat
-    rel = float(np.linalg.norm(quad - dd)) / max(1.0, float(np.linalg.norm(dd)))
-    slack = -rel
-    return slack, _inputs(a, d)
-
-
-@_check(
-    "fre.finite_difference_match",
-    1e-6,
-    "log derivative matches the central difference (log(A+hD)-log(A-hD))/2h at h=1e-5",
-)
-def _chk_finite_difference_match(rng, dim) -> Outcome:
-    a = _rand_pd(rng, dim, floor=0.2)
-    d = _rand_herm(rng, dim)
-    dd = fr.frechet_log(a, d).mat
-    fd = fr.frechet_log_central_diff(a, d, h=1e-5, order=2).mat
-    rel = float(np.linalg.norm(fd - dd)) / max(1.0, float(np.linalg.norm(dd)))
-    slack = -rel
-    return slack, _inputs(a, d)
+def _judge_t_order_preserving(a, d):
+    return np.linalg.eigvalsh(_each(fr.frechet_log, a, d))[:, 0]
 
 
 def _draw_psd_pair(rng, dim) -> Draw:
@@ -540,6 +462,77 @@ def _draw_psd_pair(rng, dim) -> Draw:
     b = _rand_psd(rng, dim)
     alpha = _rand_alpha(rng)
     return (a, b, alpha), _inputs(a, b, alpha=alpha)
+
+
+@_check("fre.t_sum_bound", 1e-9, "T_{A+B}(A) <= id for PSD A, B", _draw_psd_pair)
+def _judge_t_sum_bound(a, b, alpha):
+    return 1.0 - np.linalg.eigvalsh(_each(fr.frechet_log, a + b, a))[:, -1]
+
+
+@_check("fre.r_sum_bound", 1e-9, "R_{A+B}(A) <= id for PSD A, B", _draw_psd_pair)
+def _judge_r_sum_bound(a, b, alpha):
+    return 1.0 - np.linalg.eigvalsh(_each(fr.second_frechet_log, a + b, a))[:, -1]
+
+
+@_check(
+    "fre.r_reduces_to_t",
+    1e-8,
+    "the bilinear second derivative satisfies R_A(A, D) = T_A(D)",
+    _draw_pd_direction,
+)
+def _judge_r_reduces_to_t(a, d):
+    second = _each(fr.second_frechet_log, a, a, d)
+    return -_each(np.linalg.norm, second - _each(fr.frechet_log, a, d))
+
+
+def _draw_psd_triple(rng, dim) -> Draw:
+    a, b, c = (_rand_psd(rng, dim) for _ in range(3))
+    alpha = _rand_alpha(rng)
+    return (a, b, c, alpha), _inputs(a, b, c, alpha=alpha)
+
+
+@_check(
+    "fre.metric_difference",
+    1e-8,
+    "0 <= M_{A+B}(A,A) - M_{A+B+C}(A,A) <= a - a^2/(a+c) with a = tr A, c = tr C",
+    _draw_psd_triple,
+)
+def _judge_metric_difference(a, b, c, alpha):
+    diff = _each(fr.metric_M, a + b, a, a).real - _each(fr.metric_M, a + b + c, a, a).real
+    ta, tc = la._trace(a), la._trace(c)
+    return np.minimum(diff, ta - ta * ta / (ta + tc) - diff)
+
+
+def _draw_quadrature_match(rng, dim) -> Draw:
+    cond = 10.0 ** rng.uniform(0.0, 4.0)
+    v = la.random_unitary(dim, rng)
+    lam = np.exp(rng.uniform(math.log(1.0 / cond), 0.0, dim))
+    if dim >= 2 and rng.uniform() < 0.5:
+        lam[1] = lam[0]  # exercise the confluent divided-difference branch
+    a = (v * lam) @ v.conj().T
+    d = _rand_herm(rng, dim)
+    return (a, d), _inputs(a, d)
+
+
+@_check(
+    "fre.quadrature_match",
+    1e-6,
+    "divided-difference log derivative matches the integral-representation quadrature",
+    _draw_quadrature_match,
+)
+def _judge_quadrature_match(a, d):
+    return -_rel_err(_each(fr.frechet_log_quadrature, a, d), _each(fr.frechet_log, a, d))
+
+
+@_check(
+    "fre.finite_difference_match",
+    1e-6,
+    "log derivative matches the central difference (log(A+hD)-log(A-hD))/2h at h=1e-5",
+    partial(_draw_pd_direction, floor=0.2),
+)
+def _judge_finite_difference_match(a, d):
+    fd = _each(partial(fr.frechet_log_central_diff, h=1e-5, order=2), a, d)
+    return -_rel_err(fd, _each(fr.frechet_log, a, d))
 
 
 @_check(
@@ -611,22 +604,14 @@ def _judge_chi2_relation(rho, sig, alpha):
     "fre.averaging_match",
     1e-6,
     "averaging the differential version over -log a' reconstructs the skew divergence",
+    partial(_draw_state_pair, lo=0.05, hi=0.95),
 )
-def _chk_averaging_match(rng, dim) -> Outcome:
-    rho, sig = la.random_state(dim, rng), la.random_state(dim, rng)
-    alpha = _rand_alpha(rng, 0.05, 0.95)
-    direct = dv.skew_divergence(rho, sig, alpha)
-    averaged = fr.sd_by_averaging(rho, sig, alpha, refine=False)
-    slack = -abs(direct - averaged)
-    return slack, _inputs(rho, sig, alpha=alpha)
+def _judge_averaging_match(rho, sig, alpha):
+    averaged = _each(partial(fr.sd_by_averaging, refine=False), rho, sig, alpha)
+    return -np.abs(dv.skew_divergence(rho, sig, alpha) - averaged)
 
 
-@_check(
-    "fre.metric_epsilon_limit",
-    1e-6,
-    "M_{B+eps C}(A,A) approaches the support-restricted metric monotonically as eps -> 0",
-)
-def _chk_metric_epsilon_limit(rng, dim) -> Outcome:
+def _draw_metric_epsilon_limit(rng, dim) -> Draw:
     if dim < 2:
         dim = 2
     rank = int(rng.integers(1, dim))
@@ -639,93 +624,95 @@ def _chk_metric_epsilon_limit(rng, dim) -> Outcome:
     a = (u[:, :rank] * wa) @ u[:, :rank].conj().T
     c = _rand_psd(rng, dim) + u[:, rank:] @ u[:, rank:].conj().T
     c /= la.operator_norm(c)
-    rec = fr.metric_epsilon_limit_check(a, b, c)
-    slack = -abs(rec.final_gap) if rec.monotone else -1.0
-    return slack, _inputs(a, b, c)
+    return (a, b, c), _inputs(a, b, c)
+
+
+@_check(
+    "fre.metric_epsilon_limit",
+    1e-6,
+    "M_{B+eps C}(A,A) approaches the support-restricted metric monotonically as eps -> 0",
+    _draw_metric_epsilon_limit,
+)
+def _judge_metric_epsilon_limit(a, b, c):
+    records = map(fr.metric_epsilon_limit_check, a, b, c)
+    return np.array([-abs(rec.final_gap) if rec.monotone else -1.0 for rec in records])
+
+
+def _draw_ensemble(rng, dim, n: int | None = None) -> Draw:
+    """An ensemble of ``n`` random states; of 2 to 4 when ``n`` is not given."""
+    if n is None:
+        n = int(rng.integers(2, 5))
+    w = 0.8 * rng.dirichlet(np.ones(n)) + 0.2 / n
+    w /= w.sum()
+    ens = en.Ensemble(w, [la.random_state(dim, rng) for _ in range(n)])
+    return (ens,), _inputs(*ens.states, weights=list(ens.weights))
 
 
 @_check(
     "ens.chi_three_ways",
     1e-9,
     "Holevo information agrees across entropy, relative-entropy and skew-divergence forms",
+    _draw_ensemble,
 )
-def _chk_chi_three_ways(rng, dim) -> Outcome:
-    n = int(rng.integers(2, 5))
-    ens = _rand_ensemble(rng, dim, n)
-    chi = en.holevo_chi(ens)
-    r1 = chi - en.holevo_chi_relative_entropy_form(ens)
-    r2 = chi - en.holevo_chi_skew_divergence_form(ens)
-    slack = -max(abs(r1), abs(r2))
-    return slack, _inputs(*ens.states, weights=list(ens.weights))
+def _judge_chi_three_ways(ens):
+    chi = _each(en.holevo_chi, ens)
+    r1 = chi - _each(en.holevo_chi_relative_entropy_form, ens)
+    r2 = chi - _each(en.holevo_chi_skew_divergence_form, ens)
+    return -np.maximum(np.abs(r1), np.abs(r2))
 
 
 @_check(
     "ens.chi_bound_chain",
     1e-8,
     "chi <= sum -p log p T(rho_i, rhobar_i) <= pairwise bound <= H(p) max t_ij, monotonically",
+    _draw_ensemble,
 )
-def _chk_chi_bound_chain(rng, dim) -> Outcome:
-    n = int(rng.integers(2, 5))
-    ens = _rand_ensemble(rng, dim, n)
-    rec = en.chi_upper_bounds(ens)
-    slack = min(
-        rec.complementary_bound - rec.chi,
-        rec.pairwise_bound - rec.complementary_bound,
-        rec.entropy_times_t - rec.pairwise_bound,
-    )
-    return slack, _inputs(*ens.states, weights=list(ens.weights))
+def _judge_chi_bound_chain(ens):
+    names = ("chi", "complementary_bound", "pairwise_bound", "entropy_times_t")
+    chi, comp, pair, ent = _fields(map(en.chi_upper_bounds, ens), *names)
+    return _least(comp - chi, pair - comp, ent - pair)
 
 
 @_check(
     "ens.chi_roga_binary",
     1e-8,
     "binary fidelity-surrogate entropy bound dominates chi and undercuts H(p) sqrt(1-F^2)",
+    partial(_draw_ensemble, n=2),
 )
-def _chk_chi_roga_binary(rng, dim) -> Outcome:
-    ens = _rand_ensemble(rng, dim, 2)
-    rec = en.chi_upper_bounds(ens)
-    f = dv.fidelity(ens.states[0], ens.states[1])
-    fidelity_surrogate = dv.shannon_entropy(ens.weights) * math.sqrt(
-        max(0.0, 1.0 - f * f)
-    )
-    slack = min(rec.roga_bound - rec.chi, fidelity_surrogate - rec.roga_bound)
-    return slack, _inputs(*ens.states, weights=list(ens.weights))
+def _judge_chi_roga_binary(ens):
+    chi, roga = _fields(map(en.chi_upper_bounds, ens), "chi", "roga_bound")
+    f = _each(lambda e: dv.fidelity(*e.states), ens)
+    entropy = _each(lambda e: dv.shannon_entropy(e.weights), ens)
+    return np.minimum(roga - chi, entropy * np.sqrt(np.maximum(0.0, 1.0 - f * f)) - roga)
+
+
+def _draw_ensemble_pair(rng, dim) -> Draw:
+    (ens,), inputs = _draw_ensemble(rng, dim)
+    mix = rng.uniform(0.0, 0.4)
+    others = [
+        la.DensityMatrix.from_matrix((1.0 - mix) * s.mat + mix * la.random_state(dim, rng).mat)
+        for s in ens.states
+    ]
+    return (ens, en.Ensemble(ens.weights, others)), inputs
 
 
 @_check(
     "ens.chi_continuity",
     1e-8,
     "|chi(E) - chi(E')| <= weighted bound <= t log(1+(n-1)/t) + log(1+(n-1)t); complementary distances bounded",
+    _draw_ensemble_pair,
 )
-def _chk_chi_continuity(rng, dim) -> Outcome:
-    n = int(rng.integers(2, 5))
-    ens = _rand_ensemble(rng, dim, n)
-    mix = rng.uniform(0.0, 0.4)
-    others = [
-        la.DensityMatrix.from_matrix(
-            (1.0 - mix) * s.mat + mix * la.random_state(dim, rng).mat
-        )
-        for s in ens.states
-    ]
-    other = en.Ensemble(ens.weights, others)
-    rec = en.chi_continuity_bound(ens, other)
-    slacks = [
-        rec.weighted_bound - rec.delta_chi,
-        rec.dimension_free_bound - rec.weighted_bound,
-    ]
+def _judge_chi_continuity(ens, other):
+    records = list(map(en.chi_continuity_bound, ens, other))
+    delta, weighted, free = _fields(records, "delta_chi", "weighted_bound", "dimension_free_bound")
     # complementary distances obey t-bar_i <= max_{j != i} t_j at 1e-12:
     # 1e4 is the check's pinned 1e-8 over that 1e-12
-    t = np.array(rec.member_distances)
-    others_max = np.where(np.eye(t.size, dtype=bool), -np.inf, t).max(axis=1)
-    slacks.extend((others_max - rec.complementary_distances) * 1e4)
-    slack = float(min(slacks))
-    return slack, _inputs(*ens.states, weights=list(ens.weights))
-
-
-def _draw_psd_triple(rng, dim) -> Draw:
-    a, b, c = (_rand_psd(rng, dim) for _ in range(3))
-    alpha = _rand_alpha(rng)
-    return (a, b, c, alpha), _inputs(a, b, c, alpha=alpha)
+    complementary = []
+    for rec in records:
+        t = np.array(rec.member_distances)
+        others_max = np.where(np.eye(t.size, dtype=bool), -np.inf, t).max(axis=1)
+        complementary.append(((others_max - rec.complementary_distances) * 1e4).min())
+    return _least(weighted - delta, free - weighted, complementary)
 
 
 @_check(
@@ -835,99 +822,118 @@ def _judge_triangle_equality(rho, s1, s2, alpha, t):
     return -np.abs(lhs - _triangle_rhs(dv.scalar_skew_divergence, alpha, t))
 
 
+def _draw_alpha(rng, dim) -> Draw:
+    alpha = _rand_alpha(rng)
+    return (alpha,), _inputs(alpha=alpha)
+
+
 @_check(
     "ens.triangle_rhs_shape",
     1e-10,
     "the continuity bound is nondecreasing and midpoint-concave in t on {0.01..0.99}",
+    _draw_alpha,
 )
-def _chk_triangle_rhs_shape(rng, dim) -> Outcome:
-    alpha = _rand_alpha(rng)
+def _judge_triangle_rhs_shape(alpha):
     grid = np.arange(0.01, 0.995, 0.01)
-    g = _triangle_rhs(dv.scalar_skew_divergence, alpha, grid)
-    monotone = float(np.diff(g).min())
-    concave = float((g[1:-1] - (g[:-2] + g[2:]) / 2.0).min())
-    slack = min(monotone, concave)
-    return slack, _inputs(alpha=alpha)
+    g = _triangle_rhs(dv.scalar_skew_divergence, alpha[:, None], grid)
+    concave = (g[:, 1:-1] - (g[:, :-2] + g[:, 2:]) / 2.0).min(axis=1)
+    return np.minimum(np.diff(g).min(axis=1), concave)
 
 
-@_check("sim.evolution_distance", 1e-8, "T(U(t) rho U*(t), rho) <= t ||H||")
-def _chk_evolution_distance(rng, dim) -> Outcome:
+def _draw_evolution(rng, dim) -> Draw:
     rho = la.random_state(dim, rng)
     h = la.random_hamiltonian(dim, rng)
     t = float(rng.uniform(0.0, 2.0))
-    moved = en.evolve(rho, h, t)
-    slack = t * la.operator_norm(h) - dv.trace_distance(moved, rho)
-    return slack, _inputs(rho, h, t=t)
+    # rho stays a DensityMatrix, so that evolve normalizes what it moves
+    return (rho, h.mat, t), _inputs(rho, h, t=t)
+
+
+@_check(
+    "sim.evolution_distance", 1e-8, "T(U(t) rho U*(t), rho) <= t ||H||", _draw_evolution
+)
+def _judge_evolution_distance(rho, h, t):
+    moved = _each(en.evolve, rho, h, t)
+    return t * la.operator_norm(h) - dv.trace_distance(moved, np.stack([r.mat for r in rho]))
+
+
+def _draw_experiment(rng, dim, conditioned: bool = False) -> Draw:
+    p = float(rng.uniform(0.05, 0.95))
+    states = [
+        la.DensityMatrix.from_matrix(_rand_conditioned_state(rng, dim, 0.1))
+        if conditioned
+        else la.random_state(dim, rng)
+        for _ in range(2)
+    ]
+    ens = en.Ensemble((p, 1.0 - p), states)
+    h1, h2 = (la.random_hamiltonian(dim, rng) for _ in range(2))
+    exp = en.MixingExperiment(ens, h1, h2, float(rng.uniform(0.0, 1.0)))
+    return (exp,), _inputs(*ens.states, t=exp.time)
+
+
+def _entropy_at(exp: en.MixingExperiment, t: float) -> float:
+    """Entropy of the experiment's mixture with each member evolved to ``t``."""
+    ens, hams = exp.ensemble, (exp.h1, exp.h2)
+    mix = sum(p * en.evolve(s, h, t).mat for p, s, h in zip(ens.weights, ens.states, hams))
+    return dv.von_neumann_entropy(mix)
 
 
 @_check(
     "sim.mixing_rate_fd",
     1e-5,
     "analytic mixing rate matches the entropy central difference at h=1e-5",
+    partial(_draw_experiment, conditioned=True),
 )
-def _chk_mixing_rate_fd(rng, dim) -> Outcome:
-    exp = _rand_experiment(rng, dim, conditioned=True)
-    rate = en.mixing_rate(exp)
+def _judge_mixing_rate_fd(exp):
     h = 1e-5
-
-    def entropy_at(t: float) -> float:
-        acc = sum(
-            p * en.evolve(s, ham, t).mat
-            for p, s, ham in zip(
-                exp.ensemble.weights, exp.ensemble.states, (exp.h1, exp.h2)
-            )
-        )
-        return dv.von_neumann_entropy(acc)
-
-    fd = (entropy_at(exp.time + h) - entropy_at(exp.time - h)) / (2.0 * h)
-    slack = -abs(rate - fd)
-    return slack, _inputs(*exp.ensemble.states, t=exp.time)
+    up, down = (_each(_entropy_at, exp, [e.time + s for e in exp]) for s in (h, -h))
+    return -np.abs(_each(en.mixing_rate, exp) - (up - down) / (2.0 * h))
 
 
 @_check(
     "sim.svsd_identity",
     1e-8,
     "entropy gain of a binary experiment decomposes into weighted skew-divergence increments",
+    _draw_experiment,
 )
-def _chk_svsd_identity(rng, dim) -> Outcome:
-    exp = _rand_experiment(rng, dim)
-    rec = en.sim_bound_check(exp)
-    slack = -rec.sd_representation_residual
-    return slack, _inputs(*exp.ensemble.states, t=exp.time)
+def _judge_svsd_identity(exp):
+    (residual,) = _fields(map(en.sim_bound_check, exp), "sd_representation_residual")
+    return -residual
+
+
+def _draw_bravyi(rng, dim) -> Draw:
+    (exp,), _ = _draw_experiment(rng, dim)
+    rho, sig = la.random_state(dim, rng), la.random_state(dim, rng)
+    h = la.random_hamiltonian(dim, rng)
+    alpha = (0.1, 0.5, 0.9)[int(rng.integers(0, 3))]
+    # sig stays a DensityMatrix, so that evolve normalizes what it moves
+    return (exp, rho.mat, sig, h.mat, alpha), _inputs(rho, sig, alpha=alpha)
 
 
 @_check(
     "sim.bravyi_bound",
     1e-8,
     "SD_a(rho||U sigma U*) - SD_a(rho||sigma) <= 2||tH||; differential version <= min(1/a,1/(1-a))||H||",
+    _draw_bravyi,
 )
-def _chk_bravyi_bound(rng, dim) -> Outcome:
-    exp = _rand_experiment(rng, dim)
-    rec = en.sim_bound_check(exp)
-    slacks = [rec.bravyi_rhs - lhs for lhs in rec.bravyi_lhs]
+def _judge_bravyi_bound(exp, rho, sig, h, alpha):
+    lhs, rhs = _fields(map(en.sim_bound_check, exp), "bravyi_lhs", "bravyi_rhs")
     # sharper bound min(1/a, 1/(1-a)) ||H|| for the differential version
-    rho, sig = la.random_state(dim, rng), la.random_state(dim, rng)
-    h = la.random_hamiltonian(dim, rng)
-    alpha = (0.1, 0.5, 0.9)[int(rng.integers(0, 3))]
-    moved = en.evolve(sig, h, 1.0)
-    lhs_d = fr.differential_skew_divergence(
-        rho, moved, alpha
-    ) - fr.differential_skew_divergence(rho, sig, alpha)
-    slacks.append(min(1.0 / alpha, 1.0 / (1.0 - alpha)) * la.operator_norm(h) - lhs_d)
-    slack = min(slacks)
-    return slack, _inputs(rho, sig, alpha=alpha)
+    moved = _each(lambda s, x: en.evolve(s, x, 1.0), sig, h)
+    op_dsd = fr.differential_skew_divergence
+    lhs_d = op_dsd(rho, moved, alpha) - op_dsd(rho, np.stack([s.mat for s in sig]), alpha)
+    sharp = np.minimum(1.0 / alpha, 1.0 / (1.0 - alpha)) * la.operator_norm(h) - lhs_d
+    return _least(rhs - lhs[:, 0], rhs - lhs[:, 1], sharp)
 
 
 @_check(
     "sim.entropy_gain_bound",
     1e-8,
     "S(rho_0(t)) - S(rho_0) <= 2 t h(p1,p2) ||H|| for binary experiments",
+    _draw_experiment,
 )
-def _chk_entropy_gain_bound(rng, dim) -> Outcome:
-    exp = _rand_experiment(rng, dim)
-    rec = en.sim_bound_check(exp)
-    slack = rec.sim_bound - rec.entropy_gain
-    return slack, _inputs(*exp.ensemble.states, t=exp.time)
+def _judge_entropy_gain_bound(exp):
+    bound, gain = _fields(map(en.sim_bound_check, exp), "sim_bound", "entropy_gain")
+    return bound - gain
 
 
 REGISTRY: tuple[CheckDef, ...] = tuple(_REGISTERED)
@@ -1061,19 +1067,6 @@ def _raised(exc: Exception, dim: int, trial: int) -> Inputs:
     return _inputs(error=type(exc).__name__, message=str(exc), dim=dim, trial=trial)
 
 
-def _stages(check: CheckDef) -> tuple[Callable, Callable]:
-    """The draw and the judge of a check. A plain check draws its whole
-    trial, and its judge passes the slacks through."""
-    if check.judge is not None:
-        return check.draw, check.judge
-
-    def draw(rng, dim) -> Draw:
-        slack, inputs = check.draw(rng, dim)
-        return (slack,), inputs
-
-    return draw, lambda slacks: slacks
-
-
 def _judge_dim(
     check: CheckDef, seed: int, dim: int, trials: int
 ) -> tuple[list[float], list[Inputs]]:
@@ -1084,7 +1077,7 @@ def _judge_dim(
     its inputs. When the judge raises on the stack, each trial is judged
     alone, so only the trials that raise get that record.
     """
-    draw, judge = _stages(check)
+    draw, judge = check.draw, check.judge
     slacks = [-math.inf] * trials
     inputs: list[Inputs] = []
     drawn, args = [], []
@@ -1146,17 +1139,8 @@ def _run_check(check: CheckDef, seed: int, dims: tuple[int, ...], trials: int) -
         worst_slack=worst,
         violations=violations,
         worst_trial=worst_trial,
-        worst_case_inputs=(
-            _states_payload(worst_inputs)
-            if worst < -check.tol and worst_inputs is not None
-            else None
-        ),
+        worst_case_inputs=_states_payload(worst_inputs) if worst < -check.tol else None,
     )
-
-
-def _integral(value) -> bool:
-    """Whether ``value`` is an integer; a bool is not."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def run_suite(
@@ -1178,12 +1162,12 @@ def run_suite(
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
-    if not _integral(trials) or trials < 1:
+    if not la._integral(trials) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
-    if not _integral(seed) or seed < 0:
+    if not la._integral(seed) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     dims = tuple(dims)
-    if not dims or not all(_integral(d) and d >= 1 for d in dims):
+    if not dims or not all(la._integral(d) and d >= 1 for d in dims):
         raise ValueError(f"dims must be positive integers, got {dims!r}")
     if len(set(dims)) != len(dims):
         raise ValueError(f"dims must not repeat, got {dims!r}")

@@ -132,6 +132,18 @@ class TestAverageAndComplementary:
         with pytest.raises(DomainError):
             complementary_state(ens, 0)
 
+    @pytest.mark.parametrize("index", [True, 1.0, -1, 3, "1"])
+    def test_complementary_index_must_be_an_integer_in_range(self, rng, index):
+        ens = random_ensemble(rng, 3, 3)
+        with pytest.raises(DomainError, match=f"got {index!r}"):
+            complementary_state(ens, index)
+
+    def test_complementary_index_may_be_a_numpy_integer(self, rng):
+        ens = random_ensemble(rng, 3, 3)
+        assert complementary_state(ens, np.int64(1)).mat.tolist() == (
+            complementary_state(ens, 1).mat.tolist()
+        )
+
 
 class TestInternalMixtures:
     """The Holevo routes form their mixtures without building states; each
@@ -314,6 +326,12 @@ class TestEvolve:
         assert np.allclose(
             np.linalg.eigvalsh(out.mat), np.linalg.eigvalsh(rho.mat), atol=1e-10
         )
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_non_finite_time_is_domain_error(self, rng, t):
+        rho, h = random_state(2, rng), random_hamiltonian(2, rng)
+        with pytest.raises(DomainError, match="evolution time t must be finite"):
+            evolve(rho, h, t)
 
     def test_distance_bounded_by_t_norm(self, rng):
         for _ in range(20):

@@ -471,7 +471,7 @@ class TestCliVerify:
 
         probe = verify.CheckDef(
             "core.non_finite_probe", "returns a non-finite slack", "core", 0.0,
-            lambda rng, dim: (slack, None),
+            lambda rng, dim: ((slack,), verify._inputs()), lambda slacks: slacks,
         )
         monkeypatch.setattr(verify, "REGISTRY", (probe,))
         monkeypatch.setattr(verify, "assert_registry_complete", lambda: None)
@@ -486,13 +486,16 @@ class TestCliVerify:
     def test_raising_check_is_a_violation(self, tmp_path, monkeypatch):
         from qsd import verify
 
-        def probe(rng, dim):
+        def draw(rng, dim):
             if dim == 3:
                 raise RuntimeError(f"probe failed at dim {dim}")
-            return 0.5, verify._inputs(np.eye(dim), alpha=0.5)
+            return (0.5,), verify._inputs(np.eye(dim), alpha=0.5)
 
+        probe = verify.CheckDef(
+            "core.raising_probe", "raises at dim 3", "core", 0.0, draw, lambda slacks: slacks
+        )
         checks = (
-            verify.CheckDef("core.raising_probe", "raises at dim 3", "core", 0.0, probe),
+            probe,
             verify.REGISTRY[0],
         )
         monkeypatch.setattr(verify, "REGISTRY", checks)
@@ -520,11 +523,15 @@ class TestCliVerify:
     def test_worst_violating_trial_inputs_are_reported(self, monkeypatch):
         from qsd import verify
 
-        def probe(rng, dim):
+        def draw(rng, dim):
             slack = -float(dim)  # dim 3 is the worst trial
-            return slack, verify._inputs(np.eye(dim), np.zeros((dim, dim)), alpha=0.25)
+            return (slack,), verify._inputs(np.eye(dim), np.zeros((dim, dim)), alpha=0.25)
 
-        checks = (verify.CheckDef("core.slack_probe", "negative slack", "core", 0.0, probe),)
+        checks = (
+            verify.CheckDef(
+                "core.slack_probe", "negative slack", "core", 0.0, draw, lambda slacks: slacks
+            ),
+        )
         monkeypatch.setattr(verify, "REGISTRY", checks)
         monkeypatch.setattr(verify, "assert_registry_complete", lambda: None)
         record = verify.run_suite(suite="core", dims=(2, 3), trials=1).checks[0]
@@ -539,7 +546,8 @@ class TestCliVerify:
         from qsd import verify
 
         probe = verify.CheckDef(
-            "core.tie_probe", "every trial ties", "core", 0.0, lambda rng, dim: (-1.0, None)
+            "core.tie_probe", "every trial ties", "core", 0.0,
+            lambda rng, dim: ((-1.0,), verify._inputs()), lambda slacks: slacks,
         )
         monkeypatch.setattr(verify, "REGISTRY", (probe,))
         monkeypatch.setattr(verify, "assert_registry_complete", lambda: None)

@@ -120,6 +120,15 @@ class TestSpectralFn:
         with pytest.raises(DomainError):
             spectral_fn(np.diag([1.0, 0.0]), np.log)
 
+    def test_complex_valued_function_is_domain_error(self):
+        with pytest.raises(DomainError, match="not real at eigenvalue"):
+            spectral_fn(np.eye(2), lambda w: w + 1j)
+
+    def test_complex_dtype_with_zero_imaginary_part_is_real(self):
+        a = np.diag([1.0, 4.0])
+        out = spectral_fn(a, lambda w: np.sqrt(w) + 0j)
+        assert out.mat.tolist() == spectral_fn(a, np.sqrt).mat.tolist()
+
 
 class TestSupport:
     def test_rank_two_diagonal(self):

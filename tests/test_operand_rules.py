@@ -14,6 +14,7 @@ from qsd import (
     apply_channel,
     chi2_log,
     differential_skew_divergence,
+    eigendecompose,
     evolve,
     fidelity,
     frechet_log,
@@ -21,6 +22,7 @@ from qsd import (
     frechet_log_quadrature,
     metric_M,
     metric_epsilon_limit_check,
+    operator_norm,
     random_hamiltonian,
     random_state,
     random_unitary,
@@ -33,6 +35,7 @@ from qsd import (
     skew_divergence,
     support_of,
     trace_distance,
+    trace_norm,
     von_neumann_entropy,
 )
 from qsd import frechet as fr
@@ -223,10 +226,18 @@ def test_a_stacked_divergence_value_holds_its_rule_per_entry():
     assert value.tolist() == [0.0, math.inf]
 
 
+# one-operand functions that also take a raw (n, d, d) stack, one result per item
+ONE_OPERAND_STACKED = {
+    "eigendecompose": (eigendecompose, 1, ()),
+    "trace_norm": (trace_norm, 1, ()),
+    "operator_norm": (operator_norm, 1, ()),
+}
+
+
 @pytest.mark.parametrize("shape", [(2, 3, 2), (2, 2, 2, 2)])
-@pytest.mark.parametrize("name", STACKED)
+@pytest.mark.parametrize("name", [*STACKED, *ONE_OPERAND_STACKED])
 def test_stacked_operand_rule_takes_only_stacks_of_square_matrices(name, shape):
-    fn, n, scalars = STACKED[name]
+    fn, n, scalars = {**STACKED, **ONE_OPERAND_STACKED}[name]
     with pytest.raises(DomainError, match="stack of square matrices"):
         fn(*[np.zeros(shape)] * n, *scalars)
 
@@ -238,6 +249,22 @@ def test_a_density_matrix_is_one_operand_against_a_stack(name):
     operands[0] = DensityMatrix(np.eye(2) / 2)
     with pytest.raises(DimensionMismatchError):
         fn(*operands, *scalars)
+
+
+@pytest.mark.parametrize("name", ONE_OPERAND_STACKED)
+def test_each_item_of_a_one_operand_stack_gets_its_one_matrix_result(rng, name):
+    fn = ONE_OPERAND_STACKED[name][0]
+    # raw non-Hermitian items: the stack symmetrizes each as one matrix would be
+    raw = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    stacked = fn(raw)
+    for i in range(5):
+        one = fn(raw[i])
+        if name == "eigendecompose":
+            assert [x.shape for x in stacked] == [(5, 3), (5, 3, 3)]
+            assert all(np.array_equal(x[i], y) for x, y in zip(stacked, one)), i
+        else:
+            assert stacked.shape == (5,) and isinstance(one, float)
+            assert stacked[i] == one, i
 
 
 # operand rules that take one matrix only: a raw stack is no operand there

@@ -46,5 +46,5 @@ def test_run_suite_selects_exactly_the_prefixed_ids(suite):
 @pytest.mark.parametrize("check_id", ["qjsd.identity", "frechet.t_sum_bound", "sd_range"])
 def test_unknown_prefix_is_rejected(check_id):
     with pytest.raises(ValueError, match=check_id):
-        verify._check(check_id, 1e-8, "a check in no suite")
+        verify._check(check_id, 1e-8, "a check in no suite", verify._draw_state_pair)
     assert len(verify._REGISTERED) == len(REGISTRY)
