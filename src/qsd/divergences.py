@@ -30,6 +30,7 @@ from .linalg import (
     _common_dim,
     _eigh,
     _float_or_array,
+    _is_state,
     _like_input,
     _psd_against_support,
     _psd_operands,
@@ -111,21 +112,31 @@ def _xlogx(w: np.ndarray) -> np.ndarray:
     return _dot(pos, np.log(pos))
 
 
-def shannon_entropy(p: Sequence[float]) -> float:
-    """Shannon entropy (natural log) of a nonnegative weight vector."""
+def shannon_entropy(p: Sequence[float]) -> float | np.ndarray:
+    """Shannon entropy (natural log) of a nonnegative weight vector, or of
+    each row of a 2-D array of them."""
     arr = np.asarray(p, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise DomainError(f"Shannon entropy needs finite weights, got {arr}")
     if arr.size and arr.min() < -1e-12:
         raise DomainError("probabilities must be nonnegative")
-    return -float(_xlogx(np.clip(arr, 0.0, None)))
+    return _float_or_array(-_xlogx(np.clip(arr, 0.0, None)))
 
 
-def von_neumann_entropy(rho: OperatorLike) -> float:
-    """``-trace rho log rho`` for a PSD operator."""
-    w = np.linalg.eigvalsh(_as_matrix(rho))
+def von_neumann_entropy(rho: OperatorLike) -> float | np.ndarray:
+    """``-trace rho log rho`` for a PSD operator; a raw ``(n, d, d)`` stack
+    gives one value per item."""
+    w = np.linalg.eigvalsh(_as_matrix(rho, stacked=True))
     _require_psd(w, "entropy argument")
-    return -float(_xlogx(w))
+    return _float_or_array(-_xlogx(w))
+
+
+def _scalar_relative_entropy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`scalar_relative_entropy` of validated float arrays."""
+    # the limits replace the 0 and inf entries; an overflow is inf, as in float arithmetic
+    with np.errstate(all="ignore"):
+        value = a * (np.log(a) - np.log(b)) - (a - b)
+    return np.where(a == 0.0, b, np.where(b == 0.0, INFINITE, value))
 
 
 def scalar_relative_entropy(a, b):
@@ -135,10 +146,7 @@ def scalar_relative_entropy(a, b):
     Limits: ``S(0|b) = b`` and ``S(a|0) = inf`` for ``a > 0``.
     """
     a, b = _nonnegative_pair(a, b, "scalar relative entropy", zero_pair_ok=True)
-    # the limits replace the 0 and inf entries; an overflow is inf, as in float arithmetic
-    with np.errstate(all="ignore"):
-        value = a * (np.log(a) - np.log(b)) - (a - b)
-    return _float_or_array(np.where(a == 0.0, b, np.where(b == 0.0, INFINITE, value)))
+    return _float_or_array(_scalar_relative_entropy(a, b))
 
 
 def _relative_entropy_on(
@@ -198,12 +206,13 @@ def scalar_skew_divergence(b, c, alpha):
     or entrywise for arrays that broadcast together."""
     a = _as_alpha(alpha)
     b, c = _nonnegative_pair(b, c, "scalar skew divergence")
-    return _float_or_array(scalar_relative_entropy(b, a * b + (1.0 - a) * c) / -np.log(a))
+    # the mixture of nonnegative b and c is nonnegative: no second validation
+    return _float_or_array(_scalar_relative_entropy(b, a * b + (1.0 - a) * c) / -np.log(a))
 
 
 def _skewed_relative_entropy(amat: np.ndarray, bmat: np.ndarray, a) -> np.ndarray:
     """``S(A || a A + (1-a) B)`` on the support of the mixture, for one pair
-    or for each pair of an ``(n, d, d)`` stack at its own entry of ``a``.
+    or for each pair of a stack at its own entry of ``a``.
 
     The mixture has the same support as ``A + B`` for any interior ``a``, so
     ``A`` never leaks outside it.
@@ -287,4 +296,4 @@ def apply_channel(kraus: Sequence[np.ndarray], rho: OperatorLike) -> DensityMatr
     if rmat.shape[0] != dim:
         raise DimensionMismatchError("state dimension does not match the channel")
 
-    return _like_input(rho, sum(k @ rmat @ k.conj().T for k in ops))
+    return _like_input(_is_state(rho), sum(k @ rmat @ k.conj().T for k in ops))

@@ -1,9 +1,17 @@
 """Ensembles of quantum states: Holevo information, complementary states,
 continuity bounds, Hamiltonian mixing dynamics and the incremental-mixing
-entropy bound."""
+entropy bound.
+
+Every route evaluates on member stacks. One ensemble (or experiment) gives a
+float, or a record of floats; a sequence of them is evaluated once per group
+whose members share their count and dimension, as ``(T, n, d, d)`` stacks,
+and gives an array of one value per item, or a record of such arrays. Each
+item of a group runs the kernels and reductions of its single call.
+"""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -13,6 +21,7 @@ import numpy as np
 from .errors import DimensionMismatchError, DomainError
 from .divergences import (
     _as_alpha,
+    _dot,
     _relative_entropy_on,
     _skewed_relative_entropy,
     _trace_distance,
@@ -32,6 +41,7 @@ from .linalg import (
     _frozen,
     _integral,
     _like_input,
+    _operand_stack,
     _support,
     _support_quad,
     _symmetrized,
@@ -118,32 +128,96 @@ class MixingExperiment:
             raise DomainError(f"time must be finite and nonnegative, got {self.time}")
 
 
-def _mixture(ensemble: Ensemble) -> np.ndarray:
-    """``sum p_j rho_j`` over the members. The members were validated when
-    the ensemble was built; a consumer that needs a state validates the
-    mixture where it enters."""
-    return np.einsum("j,jkl->kl", ensemble.weights, ensemble._stack)
+def _arrays(item) -> tuple:
+    """The arrays a route evaluates of one ensemble or experiment."""
+    ens = getattr(item, "ensemble", item)
+    moving = (item.h1.mat, item.h2.mat, item.time) if ens is not item else ()
+    return (ens.weights, ens._stack, *moving)
+
+
+def _plain(result):
+    """A single item's result as floats: an axis as a tuple, a record field
+    by field, None as it is."""
+    if dataclasses.is_dataclass(result):
+        fields = dataclasses.fields(result)
+        return dataclasses.replace(result, **{f.name: _plain(getattr(result, f.name)) for f in fields})
+    if result is None or np.ndim(result) == 0:
+        return None if result is None else float(result)
+    return tuple(result.tolist())
+
+
+def _scatter(parts: list, size: int):
+    """The ``(indices, result)`` of each group as one result in input order:
+    an array of one value per item, or a record of such arrays. A trailing
+    axis is NaN past an item's own member count, and a field that a group
+    leaves None is NaN there."""
+    sample = parts[0][1]
+    if dataclasses.is_dataclass(sample):
+        fields = dataclasses.fields(sample)
+        return type(sample)(**{
+            f.name: _scatter([(idx, getattr(rec, f.name)) for idx, rec in parts], size) for f in fields
+        })
+    shapes = [np.shape(value)[1:] for _, value in parts if value is not None]
+    out = np.full((size, *(np.max(shapes, axis=0) if shapes else ())), np.nan)
+    for idx, value in parts:
+        if value is not None:
+            out[(idx, *(slice(n) for n in np.shape(value)[1:]))] = value
+    return out
+
+
+def _route(core, *columns):
+    """``core`` on the :func:`_arrays` of one ensemble or experiment per
+    column, or, when every column is a sequence of them of one length, once
+    on each group of items whose arrays share their shapes, those arrays
+    stacked along a new first axis."""
+    single = [isinstance(c, (Ensemble, MixingExperiment)) for c in columns]
+    if all(single):
+        return _plain(core(*(a for item in columns for a in _arrays(item))))
+    size = 0 if any(single) else len(columns[0])
+    if size == 0 or any(len(c) != size for c in columns):
+        raise DomainError("expected one item per argument, or nonempty sequences of one length")
+    rows = [[a for item in row for a in _arrays(item)] for row in zip(*columns)]
+    groups: dict = {}
+    for k, row in enumerate(rows):
+        groups.setdefault(tuple(np.shape(a) for a in row), []).append(k)
+    stacked = ((idx, map(np.stack, zip(*(rows[k] for k in idx)))) for idx in groups.values())
+    return _scatter([(idx, core(*arrays)) for idx, arrays in stacked], size)
+
+
+def _libm(fn, x) -> np.ndarray:
+    """``fn`` of :mod:`math` at each entry of ``x``: numpy's vectorized
+    ``log`` and ``log1p`` can round apart from it, and a single call's
+    scalar formula takes it from :mod:`math`."""
+    return np.reshape([fn(v) for v in np.ravel(x)], np.shape(x))
+
+
+def _mixture(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """``sum p_j rho_j`` of one ensemble's weights and member stack, or of
+    each ensemble of a stack of them. The members were validated when the
+    ensemble was built; a consumer that needs a state validates the mixture
+    where it enters."""
+    return np.einsum("...j,...jkl->...kl", w, stack)
 
 
 def _complement_weights(w: np.ndarray) -> np.ndarray:
     """Row ``i``: the weights of every member but ``i``, divided by their sum
     (``1 - p_i`` loses digits when ``p_i`` is near 1)."""
-    c = np.where(np.eye(w.size, dtype=bool), 0.0, w)
-    return c / c.sum(axis=1, keepdims=True)
+    c = np.where(np.eye(w.shape[-1], dtype=bool), 0.0, w[..., None, :])
+    return c / c.sum(axis=-1, keepdims=True)
 
 
-def _complements(ensemble: Ensemble) -> np.ndarray:
-    """The ``n >= 2`` complementary mixtures as an ``(n, d, d)`` stack: item
-    ``i`` mixes every member but ``i`` with the weights of row ``i`` of
+def _complements(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """The ``n >= 2`` complementary mixtures of each member stack: item ``i``
+    mixes every member but ``i`` with the weights of row ``i`` of
     :func:`_complement_weights`, in one BLAS matrix product over the
     flattened members (its ``n^2 d^2`` terms are too many for ``einsum``)."""
-    c, stack = _complement_weights(ensemble.weights), ensemble._stack
-    return (c @ stack.reshape(ensemble.n, -1)).reshape(stack.shape)
+    flat = stack.reshape(*stack.shape[:-2], -1)
+    return (_complement_weights(w) @ flat).reshape(stack.shape)
 
 
 def average_state(ensemble: Ensemble) -> DensityMatrix:
     """Weighted mixture ``sum p_i rho_i`` of the ensemble members."""
-    return DensityMatrix.from_matrix(_mixture(ensemble))
+    return DensityMatrix.from_matrix(_mixture(ensemble.weights, ensemble._stack))
 
 
 def complementary_state(ensemble: Ensemble, index: int) -> DensityMatrix:
@@ -157,29 +231,39 @@ def complementary_state(ensemble: Ensemble, index: int) -> DensityMatrix:
     return DensityMatrix.from_matrix(row.reshape(stack.shape[1:]))
 
 
+def _chi(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    entropies = -_xlogx(np.linalg.eigvalsh(stack))
+    return von_neumann_entropy(_mixture(w, stack)) - _dot(w, entropies)
+
+
 def holevo_chi(ensemble: Ensemble) -> float:
     """Holevo information ``S(sum p_i rho_i) - sum p_i S(rho_i)``."""
-    entropies = -_xlogx(np.linalg.eigvalsh(ensemble._stack))
-    return von_neumann_entropy(_mixture(ensemble)) - float(np.dot(ensemble.weights, entropies))
+    return _route(_chi, ensemble)
+
+
+def _chi_relative_entropy_form(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    wm, v, keep = _support(_mixture(w, stack))
+    wm, v, keep = wm[..., None, :], v[..., None, :, :], keep[..., None, :]
+    return _dot(w, _relative_entropy_on(stack, wm, v, keep, _support_quad(stack, v)))
 
 
 def holevo_chi_relative_entropy_form(ensemble: Ensemble) -> float:
     """Equivalent evaluation ``sum p_i S(rho_i || rho_0)`` (cross-check route);
     ``rho_0 >= p_i rho_i``, so no member leaks out of the support of ``rho_0``."""
-    stack = ensemble._stack
-    w, v, keep = _support(_mixture(ensemble))
-    values = _relative_entropy_on(stack, w, v, keep, _support_quad(stack, v))
-    return float(np.dot(ensemble.weights, values))
+    return _route(_chi_relative_entropy_form, ensemble)
+
+
+def _chi_skew_divergence_form(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    if stack.shape[-3] == 1:
+        return np.zeros(stack.shape[:-3])
+    return _dot(w, _skewed_relative_entropy(stack, _complements(w, stack), w))
 
 
 def holevo_chi_skew_divergence_form(ensemble: Ensemble) -> float:
     """Equivalent evaluation ``-sum p_i log(p_i) SD_{p_i}(rho_i || rhobar_i)``
     through the complementary states (cross-check route); ``-log p_i`` cancels
     the divergence's ``1/(-log p_i)``, so every weight is a valid skew."""
-    if ensemble.n == 1:
-        return 0.0
-    w = ensemble.weights
-    return float(np.dot(w, _skewed_relative_entropy(ensemble._stack, _complements(ensemble), w)))
+    return _route(_chi_skew_divergence_form, ensemble)
 
 
 @dataclass(frozen=True)
@@ -199,37 +283,38 @@ class ChiBoundRecord:
     roga_bound: float | None = None
 
 
-def chi_upper_bounds(ensemble: Ensemble) -> ChiBoundRecord:
-    """Holevo information and its trace-distance upper-bound chain."""
-    chi = holevo_chi(ensemble)
-    w, n, stack = ensemble.weights, ensemble.n, ensemble._stack
-
-    dist = np.zeros((n, n))
-    comp_bound = pair_bound = 0.0
+def _chi_bounds(w: np.ndarray, stack: np.ndarray) -> ChiBoundRecord:
+    n = stack.shape[-3]
+    dist = np.zeros((*stack.shape[:-3], n, n))
+    comp_bound = pair_bound = np.zeros(stack.shape[:-3])
     if n > 1:
         i, j = np.triu_indices(n, 1)
-        dist[i, j] = dist[j, i] = _trace_distance(stack[i], stack[j])
+        dist[..., i, j] = dist[..., j, i] = _trace_distance(stack[..., i, :, :], stack[..., j, :, :])
         coeff = -w * np.log(w)
-        comp_bound = float(np.dot(coeff, _trace_distance(stack, _complements(ensemble))))
+        comp_bound = _dot(coeff, _trace_distance(stack, _complements(w, stack)))
         # the complementary weights, normalized as _complements normalizes them
-        pair_bound = float(np.dot(coeff, (_complement_weights(w) * dist).sum(axis=1)))
-    t_max = float(dist.max())
-    entropy_times_t = shannon_entropy(w) * t_max
+        pair_bound = _dot(coeff, (_complement_weights(w) * dist).sum(axis=-1))
+    t_max = dist.max(axis=(-2, -1))
 
     roga = None
     if n == 2:
-        p = float(w[0])
-        off = math.sqrt(p * (1.0 - p)) * fidelity(*ensemble.states)
-        roga = von_neumann_entropy(np.array([[p, off], [off, 1.0 - p]]))
+        p = w[..., 0]
+        off = np.sqrt(p * (1.0 - p)) * fidelity(stack[..., 0, :, :], stack[..., 1, :, :])
+        roga = von_neumann_entropy(np.stack([np.stack([p, off], -1), np.stack([off, 1.0 - p], -1)], -2))
 
     return ChiBoundRecord(
-        chi=chi,
+        chi=_chi(w, stack),
         complementary_bound=comp_bound,
         pairwise_bound=pair_bound,
-        entropy_times_t=entropy_times_t,
+        entropy_times_t=shannon_entropy(w) * t_max,
         max_pairwise_distance=t_max,
         roga_bound=roga,
     )
+
+
+def chi_upper_bounds(ensemble: Ensemble) -> ChiBoundRecord:
+    """Holevo information and its trace-distance upper-bound chain."""
+    return _route(_chi_bounds, ensemble)
 
 
 @dataclass(frozen=True)
@@ -244,6 +329,37 @@ class ChiContinuityRecord:
     complementary_distances: tuple[float, ...]
 
 
+def _chi_continuity(w, stack, w_other, stack_other) -> ChiContinuityRecord:
+    n = stack.shape[-3]
+    if n != stack_other.shape[-3]:
+        raise DomainError("ensembles must have the same number of members")
+    if stack.shape[-1] != stack_other.shape[-1]:
+        raise DimensionMismatchError("ensembles must share dimension")
+    if not np.allclose(w, w_other, rtol=0.0, atol=1e-12):
+        raise DomainError("ensembles must carry identical weights")
+
+    t_members = _trace_distance(stack, stack_other)
+    t = t_members.max(axis=-1)
+    # a single member has no complement
+    t_comp = np.empty((*stack.shape[:-3], 0))
+    if n > 1:
+        t_comp = _trace_distance(_complements(w, stack), _complements(w_other, stack_other))
+
+    # the bound formulas divide by t; where it vanishes, so do the bounds
+    s = np.where(t == 0.0, 1.0, t)
+    p, s1 = w, s[..., None]
+    weighted = np.sum(p * s1 * np.log1p((1.0 - p) / (p * s1)) + p * np.log1p((1.0 - p) * s1 / p), -1)
+    dimension_free = s * _libm(math.log1p, (n - 1) / s) + _libm(math.log1p, (n - 1) * s)
+    return ChiContinuityRecord(
+        delta_chi=np.abs(_chi(w, stack) - _chi(w_other, stack_other)),
+        weighted_bound=np.where(t == 0.0, 0.0, weighted),
+        dimension_free_bound=np.where(t == 0.0, 0.0, dimension_free),
+        max_member_distance=t,
+        member_distances=t_members,
+        complementary_distances=t_comp,
+    )
+
+
 def chi_continuity_bound(ensemble: Ensemble, other: Ensemble) -> ChiContinuityRecord:
     """Bound ``|chi(E) - chi(E')|`` for ensembles with identical weights.
 
@@ -252,54 +368,41 @@ def chi_continuity_bound(ensemble: Ensemble, other: Ensemble) -> ChiContinuityRe
     distance; eliminating the weights by concavity of the log gives the
     dimension-free form ``t log(1 + (n-1)/t) + log(1 + (n-1) t)``.
     """
-    if ensemble.n != other.n:
-        raise DomainError("ensembles must have the same number of members")
-    if ensemble.dim != other.dim:
-        raise DimensionMismatchError("ensembles must share dimension")
-    if not np.allclose(ensemble.weights, other.weights, rtol=0.0, atol=1e-12):
-        raise DomainError("ensembles must carry identical weights")
-
-    n = ensemble.n
-    t_members = _trace_distance(ensemble._stack, other._stack)
-    t = float(t_members.max())
-    delta_chi = abs(holevo_chi(ensemble) - holevo_chi(other))
-
-    # a single member has no complement
-    t_comp = _trace_distance(_complements(ensemble), _complements(other)) if n > 1 else np.empty(0)
-
-    if t == 0.0:  # the bound formulas divide by t
-        weighted = dimension_free = 0.0
-    else:
-        p = ensemble.weights
-        weighted = float(
-            np.sum(p * t * np.log1p((1.0 - p) / (p * t)) + p * np.log1p((1.0 - p) * t / p))
-        )
-        dimension_free = t * math.log1p((n - 1) / t) + math.log1p((n - 1) * t)
-    return ChiContinuityRecord(
-        delta_chi=delta_chi,
-        weighted_bound=weighted,
-        dimension_free_bound=dimension_free,
-        max_member_distance=t,
-        member_distances=tuple(t_members.tolist()),
-        complementary_distances=tuple(t_comp.tolist()),
-    )
+    return _route(_chi_continuity, ensemble, other)
 
 
-def _propagator(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+def _propagator(w: np.ndarray, v: np.ndarray, t) -> np.ndarray:
     """``U = exp(i t H)`` from the eigenpairs ``w``, ``v`` of ``H``, or of
-    each ``H`` of a stack."""
+    each ``H`` of a stack; ``t`` broadcasts against ``w``."""
     return (v * np.exp(1j * t * w)[..., None, :]) @ _adjoint(v)
 
 
-def evolve(rho: OperatorLike, hamiltonian: OperatorLike, t: float) -> DensityMatrix:
+def evolve(rho: OperatorLike, hamiltonian: OperatorLike, t) -> DensityMatrix:
     """Unitary evolution ``U rho U*`` with ``U = exp(i t H)``; a state when
     ``rho`` is a normalized :class:`DensityMatrix`, otherwise a positive
-    operator with the trace of ``rho``."""
-    if not math.isfinite(t):
-        raise DomainError(f"evolution time t must be finite, got {t}")
-    hmat, rmat = _common_dim(hamiltonian, rho)
-    u = _propagator(*_eigh(hmat), t)
-    return _like_input(rho, u @ rmat @ _adjoint(u))
+    operator with the trace of ``rho``. A raw stack or a sequence of
+    operators, with a raw stack of Hamiltonians and one ``t`` or one per
+    item, gives the read-only stack of the moved items."""
+    t = np.asarray(t, dtype=np.float64)
+    if not np.isfinite(t).all():
+        raise DomainError(f"evolution time t must be finite, got {t[~np.isfinite(t)][0]}")
+    rmat, states = _operand_stack(rho)
+    hmat, rmat = _common_dim(hamiltonian, rmat, stacked=True)
+    if t.shape not in ((), hmat.shape[:-2]):
+        raise DomainError(f"t must be one float or one per item, got shape {t.shape}")
+    u = _propagator(*_eigh(hmat), t[..., None])
+    return _like_input(states, u @ rmat @ _adjoint(u))
+
+
+def _mixing_rate(p, stack, h1, h2, t) -> np.ndarray:
+    t, h, r = np.asarray(t), np.stack([h1, h2], axis=-3), stack
+    moving = t != 0.0
+    if moving.any():
+        u = _propagator(*_eigh(h), t[..., None, None])
+        r = np.where(moving[..., None, None, None], u @ r @ _adjoint(u), r)
+    w, v, keep = _support(_mixture(p, r))  # rho_0(t)
+    quad = _support_quad(_mixture(p * 1j, h @ r - r @ h), v)
+    return -_dot(np.log(np.where(keep, w, 1.0)), quad)  # log 1 = 0 off the support
 
 
 def mixing_rate(experiment: MixingExperiment) -> float:
@@ -308,16 +411,7 @@ def mixing_rate(experiment: MixingExperiment) -> float:
     Evaluates ``-trace(rho_0' log rho_0)`` on the support of ``rho_0``; the
     derivative ``sum p_j i [H_j, rho_j(t)]`` is traceless, so no identity term.
     """
-    t, ens = experiment.time, experiment.ensemble
-    h = np.stack([experiment.h1.mat, experiment.h2.mat])
-    r = ens._stack
-    if t != 0.0:
-        u = _propagator(*_eigh(h), t)
-        r = u @ r @ _adjoint(u)
-    p = ens.weights
-    w, v, keep = _support(np.einsum("j,jkl->kl", p, r))  # rho_0(t)
-    quad = _support_quad(np.einsum("j,jkl->kl", p * 1j, h @ r - r @ h), v)
-    return -float(np.dot(np.log(np.where(keep, w, 1.0)), quad))  # log 1 = 0 off the support
+    return _route(_mixing_rate, experiment)
 
 
 @dataclass(frozen=True)
@@ -339,41 +433,43 @@ class SimBoundRecord:
     hamiltonian_norm: float
 
 
-def sim_bound_check(experiment: MixingExperiment) -> SimBoundRecord:
-    """Entropy gain of a binary mixing experiment against ``2 t h(p) ||H||``."""
-    ens = experiment.ensemble
+def _sim_bound(w, stack, h1, h2, t) -> SimBoundRecord:
     # the increments are skew divergences at skews p_1 and p_2
-    p1, p2 = (_as_alpha(float(x)) for x in ens.weights)
-    rho1, rho2 = ens._stack
-    t = experiment.time
-    h1, h2 = experiment.h1, experiment.h2
-    w, v = _eigh(np.stack([h1.mat, h2.mat, (h2 - h1).mat]))
-    h_norm = float(np.abs(w[2]).max())
+    p, t = _as_alpha(w), np.asarray(t)
+    p1, p2 = p[..., 0], p[..., 1]
+    rho1, rho2 = stack[..., 0, :, :], stack[..., 1, :, :]
+    wh, vh = _eigh(np.stack([h1, h2, _symmetrized(h2 - h1)], axis=-3))
+    h_norm = np.abs(wh[..., 2, :]).max(axis=-1)
 
     # rho_0(t) = U_1 (p_1 rho_1 + p_2 V rho_2 V*) U_1* with the relative
     # unitary V = U_1* U_2, and every quantity below is unitarily invariant
-    u1, u2 = _propagator(w[:2], v[:2], t)
-    u = _adjoint(u1) @ u2
+    u12 = _propagator(wh[..., :2, :], vh[..., :2, :, :], t[..., None, None])
+    u = _adjoint(u12[..., 0, :, :]) @ u12[..., 1, :, :]
     rho2_t = _symmetrized(u @ rho2 @ _adjoint(u))
     rho1_back = _symmetrized(_adjoint(u) @ rho1 @ u)
 
-    rho0_t = p1 * rho1 + p2 * rho2_t
-    entropy_gain = von_neumann_entropy(rho0_t) - von_neumann_entropy(_mixture(ens))
+    rho0_t = p1[..., None, None] * rho1 + p2[..., None, None] * rho2_t
+    entropy_gain = von_neumann_entropy(rho0_t) - von_neumann_entropy(_mixture(w, stack))
 
     # d_i is -log p_i times the skew-divergence increment of member i: its
     # skewed entropy against the moved partner less that against the unmoved
     s = _skewed_relative_entropy(
-        np.stack([rho1, rho1, rho2, rho2]),
-        np.stack([rho2_t, rho2, rho1_back, rho1]),
-        np.array([p1, p1, p2, p2]),
+        np.stack([rho1, rho1, rho2, rho2], axis=-3),
+        np.stack([rho2_t, rho2, rho1_back, rho1], axis=-3),
+        np.stack([p1, p1, p2, p2], axis=-1),
     )
-    d1, d2 = s[0] - s[1], s[2] - s[3]
+    d1, d2 = s[..., 0] - s[..., 1], s[..., 2] - s[..., 3]
 
     return SimBoundRecord(
         entropy_gain=entropy_gain,
-        sim_bound=2.0 * t * shannon_entropy((p1, p2)) * h_norm,
-        sd_representation_residual=abs(entropy_gain - (p1 * d1 + p2 * d2)),
-        bravyi_lhs=(d1 / -math.log(p1), d2 / -math.log(p2)),
+        sim_bound=2.0 * t * shannon_entropy(p) * h_norm,
+        sd_representation_residual=np.abs(entropy_gain - (p1 * d1 + p2 * d2)),
+        bravyi_lhs=np.stack([d1, d2], axis=-1) / -_libm(math.log, p),
         bravyi_rhs=2.0 * t * h_norm,
         hamiltonian_norm=h_norm,
     )
+
+
+def sim_bound_check(experiment: MixingExperiment) -> SimBoundRecord:
+    """Entropy gain of a binary mixing experiment against ``2 t h(p) ||H||``."""
+    return _route(_sim_bound, experiment)

@@ -47,6 +47,7 @@ from .linalg import (
     _common_dim,
     _eigh,
     _float_or_array,
+    _operator,
     _psd_against_support,
     _psd_operands,
     _require_pd,
@@ -151,27 +152,32 @@ def _log_dd2_ordered(
 
 
 def _eigenframe(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenpairs and first differences ``log[w_i, w_j]`` of a positive-definite base."""
+    """Eigenpairs and first differences ``log[w_i, w_j]`` of a positive-definite
+    base, or of each base of a stack."""
     w, v = _eigh(mat)
     _require_pd(w, "base operator")
-    return w, v, _log_dd1(w[:, None], w[None, :])
+    return w, v, _log_dd1(w[..., :, None], w[..., None, :])
 
 
 def frechet_log(a: OperatorLike, delta: OperatorLike) -> HermitianOperator:
-    """Derivative of the operator logarithm at ``a`` in direction ``delta``."""
-    mat, dmat = _common_dim(a, delta)
+    """Derivative of the operator logarithm at ``a`` in direction ``delta``;
+    raw ``(n, d, d)`` stacks give the read-only stack of one derivative per
+    pair."""
+    mat, dmat = _common_dim(a, delta, stacked=True)
     w, v, f1 = _eigenframe(mat)
-    dtil = v.conj().T @ dmat @ v
-    return HermitianOperator(v @ (f1 * dtil) @ v.conj().T)
+    dtil = _adjoint(v) @ dmat @ v
+    return _operator(v @ (f1 * dtil) @ _adjoint(v))
 
 
-def metric_M(a: OperatorLike, b: OperatorLike, c: OperatorLike) -> complex:
-    """Monotone metric ``trace B* T_A(C)`` for a positive-definite base ``A``."""
-    mat, bmat, cmat = _common_dim(a, b, c)
+def metric_M(a: OperatorLike, b: OperatorLike, c: OperatorLike) -> complex | np.ndarray:
+    """Monotone metric ``trace B* T_A(C)`` for a positive-definite base ``A``;
+    raw ``(n, d, d)`` stacks give one complex value per triple."""
+    mat, bmat, cmat = _common_dim(a, b, c, stacked=True)
     w, v, f1 = _eigenframe(mat)
-    btil = v.conj().T @ bmat @ v
-    ctil = v.conj().T @ cmat @ v
-    return complex(np.sum(np.conj(btil) * f1 * ctil))
+    btil = _adjoint(v) @ bmat @ v
+    ctil = _adjoint(v) @ cmat @ v
+    value = (np.conj(btil) * f1 * ctil).sum(axis=(-2, -1))
+    return complex(value) if value.ndim == 0 else value
 
 
 def _second_core(w: np.ndarray, f1: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -361,15 +367,18 @@ _STENCILS = {
 def _central_diff(
     a: OperatorLike, delta: OperatorLike, h: float, order: int, derivative: int
 ) -> np.ndarray:
-    """Central-difference estimate of a derivative of log at ``a`` along ``delta``."""
-    mat, dmat = _common_dim(a, delta)
+    """Central-difference estimate of a derivative of log at ``a`` along
+    ``delta``, or at each pair of raw ``(n, d, d)`` stacks."""
+    mat, dmat = _common_dim(a, delta, stacked=True)
     if order not in (2, 4):
         raise DomainError("order must be 2 or 4")
     if not (math.isfinite(h) and h != 0.0):
         raise DomainError(f"step h must be finite and nonzero, got {h}")
     offsets, coefs, divisor = _STENCILS[derivative, order]
-    shifted = (mat + k * h * dmat if k else mat for k in offsets)
-    terms = [c * spectral_fn(m, np.log).mat for m, c in zip(shifted, coefs)]
+    shifted = np.stack([mat + k * h * dmat if k else mat for k in offsets])
+    # one spectral call takes every stencil point of every pair
+    logs = spectral_fn(shifted.reshape(-1, *mat.shape[-2:]), np.log).reshape(shifted.shape)
+    terms = [c * m for m, c in zip(logs, coefs)]
     diff = sum(terms[1:], terms[0])
     return diff / (divisor * h * h if derivative == 2 else divisor * h)
 
@@ -377,15 +386,17 @@ def _central_diff(
 def frechet_log_central_diff(
     a: OperatorLike, delta: OperatorLike, h: float = 1e-5, order: int = 2
 ) -> HermitianOperator:
-    """Finite-difference estimate of the log derivative (oracle route)."""
-    return HermitianOperator(_central_diff(a, delta, h, order, derivative=1))
+    """Finite-difference estimate of the log derivative (oracle route); raw
+    ``(n, d, d)`` stacks give the read-only stack of one estimate per pair."""
+    return _operator(_central_diff(a, delta, h, order, derivative=1))
 
 
 def second_frechet_log_central_diff(
     a: OperatorLike, delta: OperatorLike, h: float = 1e-3, order: int = 4
 ) -> HermitianOperator:
-    """Finite-difference estimate of the quadratic log derivative."""
-    return HermitianOperator(-_central_diff(a, delta, h, order, derivative=2))
+    """Finite-difference estimate of the quadratic log derivative; raw
+    ``(n, d, d)`` stacks give the read-only stack of one estimate per pair."""
+    return _operator(-_central_diff(a, delta, h, order, derivative=2))
 
 
 # ---------------------------------------------------------------------------

@@ -134,13 +134,17 @@ class DensityMatrix(HermitianOperator):
         if isinstance(entries, DensityMatrix) and entries.is_normalized:
             self._mat = entries.mat
         else:
-            clipped = _clip_psd(entries)
-            tr = float(np.trace(clipped).real)
-            if not tr > 0.0:
-                raise DomainError("cannot normalize an operator with non-positive trace")
-            # dividing by a positive scalar keeps the matrix exactly Hermitian
-            self._mat = _frozen(clipped / tr)
+            self._mat = _frozen(_unit_trace(_clip_psd(entries)))
         self._normalized = True
+
+    @classmethod
+    def _of(cls, mat: np.ndarray, normalized: bool) -> "DensityMatrix":
+        """``mat``, already Hermitian and PSD (and of unit trace when
+        ``normalized``), without a check."""
+        self = object.__new__(cls)
+        self._mat = _frozen(mat)
+        self._normalized = normalized
+        return self
 
     @classmethod
     def from_matrix(cls, entries) -> "DensityMatrix":
@@ -150,10 +154,7 @@ class DensityMatrix(HermitianOperator):
     @classmethod
     def positive_operator(cls, entries) -> "DensityMatrix":
         """Positive operator: same PSD clipping, but the trace is left alone."""
-        self = object.__new__(cls)
-        self._mat = _frozen(_clip_psd(entries))
-        self._normalized = False
-        return self
+        return cls._of(_clip_psd(entries), False)
 
     @property
     def is_normalized(self) -> bool:
@@ -175,12 +176,34 @@ def _as_matrix(value: OperatorLike, stacked: bool = False) -> np.ndarray:
     return _hermitian(value, stacked)
 
 
-def _like_input(rho: OperatorLike, out: np.ndarray) -> DensityMatrix:
-    """``out`` as a normalized state exactly when ``rho`` is one, otherwise
-    as a positive operator that keeps its trace."""
-    if isinstance(rho, DensityMatrix) and rho.is_normalized:
-        return DensityMatrix(out)
-    return DensityMatrix.positive_operator(out)
+def _operator(raw: np.ndarray):
+    """The Hermitian part of a matrix result as a :class:`HermitianOperator`,
+    or of each matrix of a stack as a read-only ``(n, d, d)`` array."""
+    return HermitianOperator(raw) if raw.ndim == 2 else _hermitian(raw, stacked=True)
+
+
+def _is_state(value) -> bool:
+    return isinstance(value, DensityMatrix) and value.is_normalized
+
+
+def _operand_stack(values) -> tuple:
+    """``values`` as one operand for :func:`_common_dim`, and whether it is a
+    normalized state: a sequence that holds an operator object becomes one
+    stack, with a flag per item."""
+    listed = isinstance(values, (list, tuple)) or getattr(values, "dtype", None) == object
+    if not (listed and any(isinstance(v, HermitianOperator) for v in values)):
+        return values, _is_state(values)
+    return np.stack(_common_dim(*values)), np.array([_is_state(v) for v in values])
+
+
+def _like_input(states, out: np.ndarray):
+    """``out`` clipped PSD and divided by its trace where ``states``: a
+    :class:`DensityMatrix`, a state exactly when ``states``, or for a stack
+    a read-only array."""
+    out = _unit_trace(_clip_psd(out, stacked=True), states)
+    if out.ndim == 3:
+        return _frozen(out)
+    return DensityMatrix._of(out, bool(states))
 
 
 def _require_psd(w: np.ndarray, what: str) -> None:
@@ -198,12 +221,16 @@ def _require_psd(w: np.ndarray, what: str) -> None:
 
 
 def _require_pd(w: np.ndarray, what: str) -> None:
-    """Raise unless the smallest of the ascending eigenvalues ``w`` lies above
-    the support threshold ``dim * eps * max(lambda_max, 0)``."""
-    if w[0] <= default_support_threshold(w.shape[0], float(w[-1])):
+    """Raise unless the smallest of the ascending eigenvalues ``w``, or of
+    each row of a stack of them, lies above the support threshold
+    ``dim * eps * max(lambda_max, 0)``; the message names the first
+    offending row."""
+    low = w[..., 0]
+    bad = low <= default_support_threshold(w.shape[-1], w[..., -1])
+    if bad.any():
         raise DomainError(
             f"{what} is not positive-definite on the working space "
-            f"(min eigenvalue {w[0]:.3e})"
+            f"(min eigenvalue {low[bad][0]:.3e})"
         )
 
 
@@ -229,14 +256,33 @@ def _common_dim(*values: OperatorLike, stacked: bool = False) -> list[np.ndarray
     return mats
 
 
-def _clip_psd(entries) -> np.ndarray:
-    """Eigenvalue-clipped PSD version of ``entries``; rejects genuine negativity."""
-    mat = _as_matrix(entries)
+def _clip_psd(entries, stacked: bool = False) -> np.ndarray:
+    """Eigenvalue-clipped PSD version of ``entries``, or with ``stacked`` of
+    each matrix of a raw stack; rejects genuine negativity."""
+    mat = _as_matrix(entries, stacked)
     w, v = _eigh(mat)
     _require_psd(w, "operator")
-    if w[0] >= 0.0:
+    kept = w[..., 0] >= 0.0
+    if kept.all():
         return mat
-    return _symmetrized((v * np.maximum(w, 0.0)) @ v.conj().T)
+    clipped = _symmetrized((v * np.maximum(w, 0.0)[..., None, :]) @ _adjoint(v))
+    return np.where(kept[..., None, None], mat, clipped)
+
+
+def _unit_trace(mat: np.ndarray, states=True) -> np.ndarray:
+    """``mat`` divided by its trace; with ``states``, one flag per matrix of
+    a stack, each matrix where its flag holds, and the others divided by 1.0,
+    which keeps them. A trace that divides must be positive."""
+    if states is True:
+        tr = float(np.trace(mat).real)
+        positive = tr > 0.0
+    else:
+        tr = np.where(states, _trace(mat), 1.0)[..., None, None]
+        positive = (tr > 0.0).all()
+    if not positive:
+        raise DomainError("cannot normalize an operator with non-positive trace")
+    # dividing by a positive scalar keeps the matrix exactly Hermitian
+    return mat / tr
 
 
 def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -261,10 +307,11 @@ def spectral_fn(a: OperatorLike, f: Callable[[np.ndarray], np.ndarray]) -> Hermi
     """Apply a real function to a Hermitian operator through its eigenbasis.
 
     ``f`` must be defined (and finite) at every eigenvalue; ``log`` of a
-    singular operator, for example, is a domain error here.
+    singular operator, for example, is a domain error here. A raw
+    ``(n, d, d)`` stack gives the read-only stack of the results' matrices,
+    and ``f`` then sees the ``(n, d)`` array of their eigenvalues.
     """
-    mat = _as_matrix(a)
-    w, v = _eigh(mat)
+    w, v = _eigh(_as_matrix(a, stacked=True))
     with np.errstate(all="ignore"):
         fw = np.asarray(f(w))
     if fw.shape != w.shape:
@@ -275,7 +322,7 @@ def spectral_fn(a: OperatorLike, f: Callable[[np.ndarray], np.ndarray]) -> Hermi
     if not np.all(np.isfinite(fw)):
         bad = w[~np.isfinite(fw)]
         raise DomainError(f"function undefined at eigenvalue(s) {bad}")
-    return HermitianOperator((v * fw) @ v.conj().T)
+    return _operator((v * fw[..., None, :]) @ _adjoint(v))
 
 
 @dataclass(frozen=True)
@@ -334,9 +381,9 @@ def _psd_against_support(amat: np.ndarray, bmat: np.ndarray) -> tuple:
 
 
 def _skewed_mixture(amat: np.ndarray, bmat: np.ndarray, a) -> np.ndarray:
-    """``a A + (1 - a) B`` of one pair at a float ``a``, or of each pair of an
-    ``(n, d, d)`` stack at its own entry of the array ``a``."""
-    al = a[:, None, None] if np.ndim(a) else a
+    """``a A + (1 - a) B`` of one pair at a float ``a``, or of each pair of a
+    stack at its own entry of the array ``a``."""
+    al = a[..., None, None] if np.ndim(a) else a
     return al * amat + (1.0 - al) * bmat
 
 
@@ -398,10 +445,10 @@ def random_state(dim: int, rng: RngLike) -> DensityMatrix:
     """Random density matrix from the Hilbert-Schmidt measure: G G* normalized."""
     if dim < 1:
         raise DomainError("dim must be at least 1")
-    rng = _as_rng(rng)
-    g = _complex_gaussian(rng, (dim, dim))
-    p = g @ g.conj().T
-    return DensityMatrix.from_matrix(p)
+    g = _complex_gaussian(_as_rng(rng), (dim, dim))
+    # G G* is PSD by construction: the clipping eigh of from_matrix would
+    # keep it as it is, so only its trace is divided out
+    return DensityMatrix._of(_unit_trace(_symmetrized(g @ g.conj().T)), True)
 
 
 def random_hamiltonian(dim: int, rng: RngLike) -> HermitianOperator:

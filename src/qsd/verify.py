@@ -13,6 +13,14 @@ along a new first axis, and returns one slack per trial. The slack is
 is registered; the runner judges every check at its own ``tol`` and writes
 it to the report.
 
+A judge calls each public function once on the whole stack. The divergences,
+the Fréchet closed forms, ``evolve`` and the ensemble and SIM routes take a
+trial axis: raw ``(n, d, d)`` stacks, or the 1-D object array that a column
+of ensembles, experiments or states stacks into. Four functions take one
+trial only and are called per trial through ``_each``:
+``frechet_log_quadrature``, ``sd_by_averaging``, ``second_frechet_log`` and
+``metric_epsilon_limit_check``.
+
 The runner alone judges trials. A non-finite slack, or a trial that raises,
 counts as a violation. A judge that raises on a stack is run again on each
 trial alone, so the exception is charged to the trial that raised it. Of
@@ -112,14 +120,9 @@ def _least(*slacks) -> np.ndarray:
 
 def _each(fn, *stacks) -> np.ndarray:
     """``fn`` called on each trial's arguments, its results stacked (an
-    operator as its matrix): the judge's form of a one-matrix function."""
+    operator as its matrix): the judge's form of a function that takes one
+    matrix or one trial only."""
     return np.stack([getattr(out, "mat", out) for out in map(fn, *stacks)])
-
-
-def _fields(records, *names) -> list[np.ndarray]:
-    """Each named field of the records, as one array over the trials."""
-    records = list(records)
-    return [np.array([getattr(rec, name) for rec in records]) for name in names]
 
 
 def _rel_err(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -201,7 +204,7 @@ def _judge_eigh_reconstruction(a):
     _draw_herm,
 )
 def _judge_spectral_fn_identity(a):
-    out = _each(lambda x: la.spectral_fn(x, lambda w: w), a)
+    out = la.spectral_fn(a, lambda w: w)
     resid = np.abs(out - a).max(axis=(1, 2))
     return 1e-12 * np.maximum(1.0, np.abs(a).max(axis=(1, 2))) - resid
 
@@ -454,7 +457,7 @@ def _draw_pd_direction(rng, dim, floor: float = 0.05, direction=_rand_herm) -> D
     partial(_draw_pd_direction, direction=_rand_psd),  # d = Y - X for X <= Y
 )
 def _judge_t_order_preserving(a, d):
-    return np.linalg.eigvalsh(_each(fr.frechet_log, a, d))[:, 0]
+    return np.linalg.eigvalsh(fr.frechet_log(a, d))[:, 0]
 
 
 def _draw_psd_pair(rng, dim) -> Draw:
@@ -466,7 +469,7 @@ def _draw_psd_pair(rng, dim) -> Draw:
 
 @_check("fre.t_sum_bound", 1e-9, "T_{A+B}(A) <= id for PSD A, B", _draw_psd_pair)
 def _judge_t_sum_bound(a, b, alpha):
-    return 1.0 - np.linalg.eigvalsh(_each(fr.frechet_log, a + b, a))[:, -1]
+    return 1.0 - np.linalg.eigvalsh(fr.frechet_log(a + b, a))[:, -1]
 
 
 @_check("fre.r_sum_bound", 1e-9, "R_{A+B}(A) <= id for PSD A, B", _draw_psd_pair)
@@ -482,7 +485,7 @@ def _judge_r_sum_bound(a, b, alpha):
 )
 def _judge_r_reduces_to_t(a, d):
     second = _each(fr.second_frechet_log, a, a, d)
-    return -_each(np.linalg.norm, second - _each(fr.frechet_log, a, d))
+    return -_each(np.linalg.norm, second - fr.frechet_log(a, d))
 
 
 def _draw_psd_triple(rng, dim) -> Draw:
@@ -498,7 +501,7 @@ def _draw_psd_triple(rng, dim) -> Draw:
     _draw_psd_triple,
 )
 def _judge_metric_difference(a, b, c, alpha):
-    diff = _each(fr.metric_M, a + b, a, a).real - _each(fr.metric_M, a + b + c, a, a).real
+    diff = fr.metric_M(a + b, a, a).real - fr.metric_M(a + b + c, a, a).real
     ta, tc = la._trace(a), la._trace(c)
     return np.minimum(diff, ta - ta * ta / (ta + tc) - diff)
 
@@ -521,7 +524,7 @@ def _draw_quadrature_match(rng, dim) -> Draw:
     _draw_quadrature_match,
 )
 def _judge_quadrature_match(a, d):
-    return -_rel_err(_each(fr.frechet_log_quadrature, a, d), _each(fr.frechet_log, a, d))
+    return -_rel_err(_each(fr.frechet_log_quadrature, a, d), fr.frechet_log(a, d))
 
 
 @_check(
@@ -531,8 +534,8 @@ def _judge_quadrature_match(a, d):
     partial(_draw_pd_direction, floor=0.2),
 )
 def _judge_finite_difference_match(a, d):
-    fd = _each(partial(fr.frechet_log_central_diff, h=1e-5, order=2), a, d)
-    return -_rel_err(fd, _each(fr.frechet_log, a, d))
+    fd = fr.frechet_log_central_diff(a, d, h=1e-5, order=2)
+    return -_rel_err(fd, fr.frechet_log(a, d))
 
 
 @_check(
@@ -655,9 +658,9 @@ def _draw_ensemble(rng, dim, n: int | None = None) -> Draw:
     _draw_ensemble,
 )
 def _judge_chi_three_ways(ens):
-    chi = _each(en.holevo_chi, ens)
-    r1 = chi - _each(en.holevo_chi_relative_entropy_form, ens)
-    r2 = chi - _each(en.holevo_chi_skew_divergence_form, ens)
+    chi = en.holevo_chi(ens)
+    r1 = chi - en.holevo_chi_relative_entropy_form(ens)
+    r2 = chi - en.holevo_chi_skew_divergence_form(ens)
     return -np.maximum(np.abs(r1), np.abs(r2))
 
 
@@ -668,9 +671,9 @@ def _judge_chi_three_ways(ens):
     _draw_ensemble,
 )
 def _judge_chi_bound_chain(ens):
-    names = ("chi", "complementary_bound", "pairwise_bound", "entropy_times_t")
-    chi, comp, pair, ent = _fields(map(en.chi_upper_bounds, ens), *names)
-    return _least(comp - chi, pair - comp, ent - pair)
+    rec = en.chi_upper_bounds(ens)
+    comp, pair = rec.complementary_bound, rec.pairwise_bound
+    return _least(comp - rec.chi, pair - comp, rec.entropy_times_t - pair)
 
 
 @_check(
@@ -680,10 +683,12 @@ def _judge_chi_bound_chain(ens):
     partial(_draw_ensemble, n=2),
 )
 def _judge_chi_roga_binary(ens):
-    chi, roga = _fields(map(en.chi_upper_bounds, ens), "chi", "roga_bound")
-    f = _each(lambda e: dv.fidelity(*e.states), ens)
-    entropy = _each(lambda e: dv.shannon_entropy(e.weights), ens)
-    return np.minimum(roga - chi, entropy * np.sqrt(np.maximum(0.0, 1.0 - f * f)) - roga)
+    rec = en.chi_upper_bounds(ens)
+    roga = rec.roga_bound
+    members = np.stack([[s.mat for s in e.states] for e in ens])
+    f = dv.fidelity(members[:, 0], members[:, 1])
+    entropy = dv.shannon_entropy(np.stack([e.weights for e in ens]))
+    return np.minimum(roga - rec.chi, entropy * np.sqrt(np.maximum(0.0, 1.0 - f * f)) - roga)
 
 
 def _draw_ensemble_pair(rng, dim) -> Draw:
@@ -703,16 +708,17 @@ def _draw_ensemble_pair(rng, dim) -> Draw:
     _draw_ensemble_pair,
 )
 def _judge_chi_continuity(ens, other):
-    records = list(map(en.chi_continuity_bound, ens, other))
-    delta, weighted, free = _fields(records, "delta_chi", "weighted_bound", "dimension_free_bound")
+    rec = en.chi_continuity_bound(ens, other)
+    weighted = rec.weighted_bound
     # complementary distances obey t-bar_i <= max_{j != i} t_j at 1e-12:
-    # 1e4 is the check's pinned 1e-8 over that 1e-12
-    complementary = []
-    for rec in records:
-        t = np.array(rec.member_distances)
-        others_max = np.where(np.eye(t.size, dtype=bool), -np.inf, t).max(axis=1)
-        complementary.append(((others_max - rec.complementary_distances) * 1e4).min())
-    return _least(weighted - delta, free - weighted, complementary)
+    # 1e4 is the check's pinned 1e-8 over that 1e-12. Each trial reads its
+    # own n members; the NaN padding past them drops out.
+    t, comp = rec.member_distances, rec.complementary_distances
+    member = np.arange(t.shape[1]) < np.array([e.n for e in ens])[:, None]
+    others = np.eye(t.shape[1], dtype=bool) | ~member[:, None, :]
+    others_max = np.where(others, -np.inf, t[:, None, :]).max(axis=2)
+    complementary = np.where(member, (others_max - comp) * 1e4, np.inf).min(axis=1)
+    return _least(weighted - rec.delta_chi, rec.dimension_free_bound - weighted, complementary)
 
 
 @_check(
@@ -852,7 +858,7 @@ def _draw_evolution(rng, dim) -> Draw:
     "sim.evolution_distance", 1e-8, "T(U(t) rho U*(t), rho) <= t ||H||", _draw_evolution
 )
 def _judge_evolution_distance(rho, h, t):
-    moved = _each(en.evolve, rho, h, t)
+    moved = en.evolve(rho, h, t)
     return t * la.operator_norm(h) - dv.trace_distance(moved, np.stack([r.mat for r in rho]))
 
 
@@ -870,11 +876,14 @@ def _draw_experiment(rng, dim, conditioned: bool = False) -> Draw:
     return (exp,), _inputs(*ens.states, t=exp.time)
 
 
-def _entropy_at(exp: en.MixingExperiment, t: float) -> float:
-    """Entropy of the experiment's mixture with each member evolved to ``t``."""
-    ens, hams = exp.ensemble, (exp.h1, exp.h2)
-    mix = sum(p * en.evolve(s, h, t).mat for p, s, h in zip(ens.weights, ens.states, hams))
-    return dv.von_neumann_entropy(mix)
+def _entropy_at(exp, t: np.ndarray) -> np.ndarray:
+    """Entropy of each experiment's mixture with each member evolved to its
+    entry of ``t``."""
+    states = [s for e in exp for s in e.ensemble.states]
+    hams = np.stack([h.mat for e in exp for h in (e.h1, e.h2)])
+    moved = en.evolve(states, hams, np.repeat(t, 2)).reshape(len(exp), 2, *hams.shape[1:])
+    p = np.stack([e.ensemble.weights for e in exp])
+    return dv.von_neumann_entropy(sum(p[:, j, None, None] * moved[:, j] for j in range(2)))
 
 
 @_check(
@@ -885,8 +894,9 @@ def _entropy_at(exp: en.MixingExperiment, t: float) -> float:
 )
 def _judge_mixing_rate_fd(exp):
     h = 1e-5
-    up, down = (_each(_entropy_at, exp, [e.time + s for e in exp]) for s in (h, -h))
-    return -np.abs(_each(en.mixing_rate, exp) - (up - down) / (2.0 * h))
+    times = np.array([e.time for e in exp])
+    up, down = (_entropy_at(exp, times + s) for s in (h, -h))
+    return -np.abs(en.mixing_rate(exp) - (up - down) / (2.0 * h))
 
 
 @_check(
@@ -896,8 +906,7 @@ def _judge_mixing_rate_fd(exp):
     _draw_experiment,
 )
 def _judge_svsd_identity(exp):
-    (residual,) = _fields(map(en.sim_bound_check, exp), "sd_representation_residual")
-    return -residual
+    return -en.sim_bound_check(exp).sd_representation_residual
 
 
 def _draw_bravyi(rng, dim) -> Draw:
@@ -916,9 +925,10 @@ def _draw_bravyi(rng, dim) -> Draw:
     _draw_bravyi,
 )
 def _judge_bravyi_bound(exp, rho, sig, h, alpha):
-    lhs, rhs = _fields(map(en.sim_bound_check, exp), "bravyi_lhs", "bravyi_rhs")
+    rec = en.sim_bound_check(exp)
+    lhs, rhs = rec.bravyi_lhs, rec.bravyi_rhs
     # sharper bound min(1/a, 1/(1-a)) ||H|| for the differential version
-    moved = _each(lambda s, x: en.evolve(s, x, 1.0), sig, h)
+    moved = en.evolve(sig, h, 1.0)
     op_dsd = fr.differential_skew_divergence
     lhs_d = op_dsd(rho, moved, alpha) - op_dsd(rho, np.stack([s.mat for s in sig]), alpha)
     sharp = np.minimum(1.0 / alpha, 1.0 / (1.0 - alpha)) * la.operator_norm(h) - lhs_d
@@ -932,8 +942,8 @@ def _judge_bravyi_bound(exp, rho, sig, h, alpha):
     _draw_experiment,
 )
 def _judge_entropy_gain_bound(exp):
-    bound, gain = _fields(map(en.sim_bound_check, exp), "sim_bound", "entropy_gain")
-    return bound - gain
+    rec = en.sim_bound_check(exp)
+    return rec.sim_bound - rec.entropy_gain
 
 
 REGISTRY: tuple[CheckDef, ...] = tuple(_REGISTERED)

@@ -206,6 +206,22 @@ class TestScalarSkewDivergence:
         with pytest.raises(DomainError):
             scalar_skew_divergence(0.0, 0.0, 0.5)
 
+    def test_validates_its_arguments_once(self, monkeypatch):
+        from qsd import divergences
+
+        calls = []
+        validate = divergences._nonnegative_pair
+        monkeypatch.setattr(
+            divergences, "_nonnegative_pair", lambda *a, **k: calls.append(a) or validate(*a, **k)
+        )
+        b, c, alpha = np.array([0.0, 0.4, 2.0]), np.array([1.0, 0.4, 0.0]), 0.3
+        value = scalar_skew_divergence(b, c, alpha)
+        assert len(calls) == 1
+        # the shared arithmetic is the relative entropy against the mixture
+        mix = alpha * b + (1.0 - alpha) * c
+        expected = [scalar_relative_entropy(x, y) / -np.log(alpha) for x, y in zip(b, mix)]
+        assert value.tolist() == expected
+
     @given(b=positive, c=positive, a=alphas)
     def test_nonnegative_and_finite(self, b, c, a):
         v = scalar_skew_divergence(b, c, a)

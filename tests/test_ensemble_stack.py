@@ -236,20 +236,20 @@ def test_rank_deficient_mixture_is_compressed(rng):
     # the average has rank 2 of 4: the relative-entropy form takes the
     # masked branch of its core, with one mask for the whole stack
     ens = Ensemble((0.2, 0.3, 0.5), low_rank_states(rng, 4, 2, 3))
-    _, _, keep = en._support(en._mixture(ens))
+    _, _, keep = en._support(en._mixture(ens.weights, ens._stack))
     assert keep.sum() == 2
     assert_close(en.holevo_chi_relative_entropy_form(ens), holevo_chi_relative_entropy_form(ens))
 
 
 def test_binary_complements_are_the_other_member(rng):
     ens = Ensemble((1e-9, 1.0 - 1e-9), random_states(rng, 3, 2))
-    comp = en._complements(ens)
+    comp = en._complements(ens.weights, ens._stack)
     assert np.array_equal(comp[0], ens._stack[1])
     assert np.array_equal(comp[1], ens._stack[0])
 
 
 def test_a_single_member_builds_no_complement(monkeypatch, rng):
-    def refuse(ensemble):
+    def refuse(*args):
         raise AssertionError("a single member has no complement")
 
     monkeypatch.setattr(en, "_complements", refuse)

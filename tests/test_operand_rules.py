@@ -33,6 +33,7 @@ from qsd import (
     second_frechet_log_central_diff,
     second_frechet_log_quadrature,
     skew_divergence,
+    spectral_fn,
     support_of,
     trace_distance,
     trace_norm,
@@ -234,17 +235,37 @@ ONE_OPERAND_STACKED = {
 }
 
 
+# name -> (function, operand count, trailing scalar arguments) of the
+# functions whose raw stacks give one operator per item, as the read-only
+# (n, d, d) stack of their matrices, or one complex value per item
+OPERATOR_STACKED = {
+    **{
+        name: MULTI_OPERAND[name]
+        for name in (
+            "frechet_log",
+            "metric_M",
+            "frechet_log_central_diff",
+            "second_frechet_log_central_diff",
+            "evolve",
+        )
+    },
+    "spectral_fn": (lambda x: spectral_fn(x, np.log), 1, ()),
+    "von_neumann_entropy": (von_neumann_entropy, 1, ()),
+}
+ALL_STACKED = {**STACKED, **ONE_OPERAND_STACKED, **OPERATOR_STACKED}
+
+
 @pytest.mark.parametrize("shape", [(2, 3, 2), (2, 2, 2, 2)])
-@pytest.mark.parametrize("name", [*STACKED, *ONE_OPERAND_STACKED])
+@pytest.mark.parametrize("name", ALL_STACKED)
 def test_stacked_operand_rule_takes_only_stacks_of_square_matrices(name, shape):
-    fn, n, scalars = {**STACKED, **ONE_OPERAND_STACKED}[name]
+    fn, n, scalars = ALL_STACKED[name]
     with pytest.raises(DomainError, match="stack of square matrices"):
         fn(*[np.zeros(shape)] * n, *scalars)
 
 
-@pytest.mark.parametrize("name", STACKED)
+@pytest.mark.parametrize("name", [*STACKED, *(k for k, v in OPERATOR_STACKED.items() if v[1] > 1)])
 def test_a_density_matrix_is_one_operand_against_a_stack(name):
-    fn, n, scalars = STACKED[name]
+    fn, n, scalars = ALL_STACKED[name]
     operands = [np.stack([np.eye(2) / 2] * 3)] * n
     operands[0] = DensityMatrix(np.eye(2) / 2)
     with pytest.raises(DimensionMismatchError):
@@ -267,14 +288,28 @@ def test_each_item_of_a_one_operand_stack_gets_its_one_matrix_result(rng, name):
             assert stacked[i] == one, i
 
 
+@pytest.mark.parametrize("name", OPERATOR_STACKED)
+def test_each_item_of_an_operator_stack_gets_its_one_call_result(rng, name):
+    fn, n, scalars = OPERATOR_STACKED[name]
+    stacks = pair_stacks(rng, n)
+    values = fn(*stacks, *scalars)
+    assert values.shape[0] == 5
+    for i in range(5):
+        one = fn(*(s[i] for s in stacks), *scalars)
+        assert isinstance(one, (float, complex, HermitianOperator))
+        assert np.array_equal(values[i], getattr(one, "mat", one)), i
+    if values.ndim == 3:  # a stack of operators is read-only, as an operator is
+        assert not values.flags.writeable
+
+
 # operand rules that take one matrix only: a raw stack is no operand there
 ONE_MATRIX = {
     "HermitianOperator": HermitianOperator,
     "DensityMatrix": DensityMatrix,
-    "frechet_log": lambda x: frechet_log(x, x),
-    "von_neumann_entropy": von_neumann_entropy,
-    "evolve": lambda x: evolve(x, x, 0.7),
     "sd_by_averaging": lambda x: sd_by_averaging(x, x, 0.5),
+    "second_frechet_log": lambda x: second_frechet_log(x, x),
+    "frechet_log_quadrature": lambda x: frechet_log_quadrature(x, x),
+    "metric_epsilon_limit_check": lambda x: metric_epsilon_limit_check(x, x, x),
 }
 
 

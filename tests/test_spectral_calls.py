@@ -120,3 +120,37 @@ def test_an_ensemble_route_makes_the_calls_of_three_members(monkeypatch, rng, na
 
     assert count(3) == EXPECTED_CALLS[name]
     assert count(6) == EXPECTED_CALLS[name]
+
+
+def test_a_sequence_of_experiments_makes_the_calls_of_one(monkeypatch, rng):
+    def experiment(time):
+        ens = qsd.Ensemble((0.3, 0.7), [qsd.random_state(4, rng) for _ in range(2)])
+        h1, h2 = qsd.random_hamiltonian(4, rng), qsd.random_hamiltonian(4, rng)
+        return qsd.MixingExperiment(ens, h1, h2, time)
+
+    experiments = [experiment(t) for t in (0.4, 0.0, 0.9, 0.2, 0.6)]
+    assert count_eigen_calls(monkeypatch, lambda: qsd.sim_bound_check(experiments)) == 5
+    assert count_eigen_calls(monkeypatch, lambda: qsd.mixing_rate(experiments)) == 2
+
+
+def test_a_sequence_of_ensembles_makes_the_calls_of_one_per_member_count(monkeypatch, rng):
+    def ensemble(n):
+        return qsd.Ensemble(np.full(n, 1.0 / n), [qsd.random_state(4, rng) for _ in range(n)])
+
+    # two groups, n = 2 and n = 3, however many ensembles each holds
+    sequence = [ensemble(n) for n in (2, 3, 3, 2, 2, 3)]
+    assert count_eigen_calls(monkeypatch, lambda: qsd.holevo_chi(sequence)) == 2 * 2
+    assert count_eigen_calls(monkeypatch, lambda: qsd.holevo_chi(sequence[:1])) == 2
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("frechet_log", lambda a, d: qsd.frechet_log(a, d)),
+        ("metric_M", lambda a, d: qsd.metric_M(a, d, d)),
+    ],
+)
+def test_a_frechet_stack_makes_the_calls_of_one_base(monkeypatch, rng, name, call):
+    a = np.stack([qsd.random_state(4, rng).mat for _ in range(20)])
+    d = np.stack([qsd.random_hamiltonian(4, rng).mat for _ in range(20)])
+    assert count_eigen_calls(monkeypatch, lambda: call(a, d)) == EXPECTED_CALLS[name]
