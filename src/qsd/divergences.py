@@ -264,8 +264,11 @@ def fidelity(rho: OperatorLike, sigma: OperatorLike) -> float | np.ndarray:
     inner = sqrt_r @ smat @ sqrt_r
     wi = np.linalg.eigvalsh(inner)
     # eigenvalue noise of order eps turns into sqrt(eps) after the root,
-    # so drop anything at the numerical-zero level before summing
-    thr = default_support_threshold(inner.shape[-1], wi[..., -1:])
+    # so drop anything at the numerical-zero level before summing. That
+    # noise scales with ||rho|| ||sigma||, which for two pure states of small
+    # overlap lies far above the largest eigenvalue |<psi|phi>|^2
+    scale = np.maximum(wi[..., -1:], w[..., -1:] * ws[..., -1:])
+    thr = default_support_threshold(inner.shape[-1], scale)
     value = np.sqrt(np.where(wi > thr, wi, 0.0)).sum(axis=-1)
     # Cauchy-Schwarz: F <= sqrt(trace rho trace sigma), which is 1 for states
     bound = np.sqrt(w.sum(axis=-1)) * np.sqrt(np.maximum(ws, 0.0).sum(axis=-1))

@@ -92,6 +92,13 @@ class HermitianOperator:
     def __init__(self, entries):
         self._mat = _hermitian(entries)
 
+    @classmethod
+    def _of(cls, mat: np.ndarray) -> "HermitianOperator":
+        """``mat``, already Hermitian, without a check."""
+        self = object.__new__(cls)
+        self._mat = _frozen(mat)
+        return self
+
     @property
     def mat(self) -> np.ndarray:
         """The matrix entries as a read-only (dim, dim) complex array."""
@@ -141,8 +148,7 @@ class DensityMatrix(HermitianOperator):
     def _of(cls, mat: np.ndarray, normalized: bool) -> "DensityMatrix":
         """``mat``, already Hermitian and PSD (and of unit trace when
         ``normalized``), without a check."""
-        self = object.__new__(cls)
-        self._mat = _frozen(mat)
+        self = super()._of(mat)
         self._normalized = normalized
         return self
 
@@ -441,26 +447,61 @@ def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return g
 
 
+# The stacked generators below draw one item per generator, each generator
+# making the calls its single draw makes, so an item is the same alone as in
+# any stack; a single draw is the stack of one.
+
+
+def _complex_gaussians(rngs: Sequence[np.random.Generator], shape) -> np.ndarray:
+    """A :func:`_complex_gaussian` array of ``shape`` from each generator, stacked."""
+    return np.stack([_complex_gaussian(rng, shape) for rng in rngs])
+
+
+def _random_states(rngs: Sequence[np.random.Generator], dim: int) -> np.ndarray:
+    """The matrix :func:`random_state` draws from each generator, stacked."""
+    g = _complex_gaussians(rngs, (dim, dim))
+    # G G* is PSD by construction: the clipping eigh of from_matrix would
+    # keep it as it is, so only its trace is divided out
+    return _unit_trace(_symmetrized(g @ _adjoint(g)), np.ones(len(g), dtype=bool))
+
+
+def _random_hamiltonians(rngs: Sequence[np.random.Generator], dim: int) -> np.ndarray:
+    """The matrix :func:`random_hamiltonian` draws from each generator, as
+    one read-only stack."""
+    h = _symmetrized(_complex_gaussians(rngs, (dim, dim)))
+    norm = np.abs(np.linalg.eigvalsh(h)).max(axis=-1)
+    for k in np.flatnonzero(norm == 0.0):
+        while norm[k] == 0.0:  # a zero matrix has no unit-norm rescaling: draw again
+            h[k] = _symmetrized(_complex_gaussian(rngs[k], (dim, dim)))
+            norm[k] = np.abs(np.linalg.eigvalsh(h[k])).max()
+    return _hermitian(h / norm[:, None, None], stacked=True)
+
+
+def _haar_columns(g: np.ndarray, columns: int) -> np.ndarray:
+    """The first ``columns`` columns of the Haar unitary that the QR
+    factorization of the square Gaussian matrix ``g`` gives, or of each
+    matrix of a stack."""
+    q, r = np.linalg.qr(g)
+    phases = r.diagonal(0, -2, -1).copy()
+    phases /= np.abs(phases)
+    # fix the QR gauge so the distribution is Haar
+    return (q * phases[..., None, :])[..., :columns]
+
+
 def random_state(dim: int, rng: RngLike) -> DensityMatrix:
     """Random density matrix from the Hilbert-Schmidt measure: G G* normalized."""
     if dim < 1:
         raise DomainError("dim must be at least 1")
-    g = _complex_gaussian(_as_rng(rng), (dim, dim))
-    # G G* is PSD by construction: the clipping eigh of from_matrix would
-    # keep it as it is, so only its trace is divided out
-    return DensityMatrix._of(_unit_trace(_symmetrized(g @ g.conj().T)), True)
+    (mat,) = _random_states([_as_rng(rng)], dim)
+    return DensityMatrix._of(mat, True)
 
 
 def random_hamiltonian(dim: int, rng: RngLike) -> HermitianOperator:
     """Random GUE-style Hermitian matrix rescaled to unit operator norm."""
     if dim < 1:
         raise DomainError("dim must be at least 1")
-    rng = _as_rng(rng)
-    while True:
-        h = _symmetrized(_complex_gaussian(rng, (dim, dim)))
-        norm = float(np.abs(np.linalg.eigvalsh(h)).max())
-        if norm > 0.0:
-            return HermitianOperator(h / norm)
+    (mat,) = _random_hamiltonians([_as_rng(rng)], dim)
+    return HermitianOperator._of(mat)
 
 
 def random_cptp(dim_in: int, dim_env: int, rng: RngLike) -> list[np.ndarray]:
@@ -472,18 +513,9 @@ def random_cptp(dim_in: int, dim_env: int, rng: RngLike) -> list[np.ndarray]:
     """
     if dim_in < 1 or dim_env < 1:
         raise DomainError("dimensions must be at least 1")
-    rng = _as_rng(rng)
     total = dim_in * dim_env
-    g = _complex_gaussian(rng, (total, total))
-    q, r = np.linalg.qr(g)
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    q = q * phases  # fix the QR gauge so the distribution is Haar
-    isometry = q[:, :dim_in]
-    return [
-        np.ascontiguousarray(isometry[i * dim_in : (i + 1) * dim_in, :])
-        for i in range(dim_env)
-    ]
+    isometry = _haar_columns(_complex_gaussian(_as_rng(rng), (total, total)), dim_in)
+    return list(isometry.reshape(dim_env, dim_in, dim_in))
 
 
 def random_unitary(dim: int, rng: RngLike) -> np.ndarray:

@@ -3,11 +3,13 @@
 Every invariant of the library is registered here as a named check, by the
 ``_check`` decorator; the id's prefix names the suite, and definition order
 is report order. A check comes in two steps. Its draw
-``(rng, dim) -> (args, inputs)`` makes one randomized trial: the judge's
-arguments (matrices and scalars) and the trial's inputs for the report. Its
-judge takes the arguments of all the trials of one dimension, each stacked
-along a new first axis, and returns one slack per trial. The slack is
-``bound - value`` for an inequality (negative means violated) and
+``(rngs, dim) -> (stacks, inputs)`` makes all the randomized trials of one
+dimension, one per generator in ``rngs``: the judge's arguments (matrices
+and scalars), each stacked along a first trial axis, and a list of each
+trial's inputs for the report. Each generator makes its own trial's calls
+in one fixed order, so a trial draws the same numbers alone as in any
+stack. Its judge takes those stacks and returns one slack per trial. The
+slack is ``bound - value`` for an inequality (negative means violated) and
 ``-|residual|`` for an identity. A trial passes when the slack is at least
 ``-tol``, the tolerance its property is stated at, pinned when the check
 is registered; the runner judges every check at its own ``tol`` and writes
@@ -22,12 +24,12 @@ trial only and are called per trial through ``_each``:
 ``metric_epsilon_limit_check``.
 
 The runner alone judges trials. A non-finite slack, or a trial that raises,
-counts as a violation. A judge that raises on a stack is run again on each
-trial alone, so the exception is charged to the trial that raised it. Of
-each check the runner keeps the worst trial, the first in (dim, trial)
-order, and names it by its coordinates; it writes that trial's inputs to the
-report, as qsd-state-v1 objects, only when the trial is a violation. A
-raising trial records the exception and its coordinates.
+counts as a violation. A draw or a judge that raises on a stack is run
+again on each trial alone, so the exception is charged to the trials that
+raise it. Of each check the runner keeps the worst trial, the first in
+(dim, trial) order, and names it by its coordinates; it writes that
+trial's inputs to the report, as qsd-state-v1 objects, only when the trial
+is a violation. A raising trial records the exception and its coordinates.
 
 Trial streams are derived from ``(seed, check id, dim, trial index)`` so runs
 are reproducible, trials are independent, and the coordinates of a trial
@@ -55,54 +57,122 @@ from .io import state_to_dict
 # ---------------------------------------------------------------------------
 # Random input builders
 # ---------------------------------------------------------------------------
+#
+# Each builder takes the generators of a stack of trials, one per trial, and
+# returns one stack. Every generator makes the calls of its own trial's draw
+# in that draw's order, so a trial draws the same numbers alone as in any
+# stack; the linear algebra then runs once on the stack.
 
 
-def _rand_herm(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
-    g = la._complex_gaussian(rng, (dim, dim))
-    return scale * (g + g.conj().T) / 2.0
+def _uniforms(rngs, lo: float, hi: float) -> np.ndarray:
+    return np.array([rng.uniform(lo, hi) for rng in rngs])
 
 
-def _rand_psd(rng: np.random.Generator, dim: int, scale: float | None = None) -> np.ndarray:
-    g = la._complex_gaussian(rng, (dim, dim))
-    p = g @ g.conj().T / dim
+def _picks(rngs, options: tuple) -> np.ndarray:
+    """An entry of ``options`` per trial, each equally likely."""
+    return np.array([options[int(rng.integers(0, len(options)))] for rng in rngs])
+
+
+def _repeated(rngs, counts) -> list:
+    """Each generator ``counts`` times in a row (an int, or one count per
+    generator): for draws of several items per trial."""
+    if isinstance(counts, int):
+        counts = [counts] * len(rngs)
+    return [rng for rng, n in zip(rngs, counts) for _ in range(n)]
+
+
+def _herms(rngs, dim: int, scale=1.0) -> np.ndarray:
+    g = la._complex_gaussians(rngs, (dim, dim))
+    return scale * (g + la._adjoint(g)) / 2.0
+
+
+def _psds(rngs, dim: int, scale=None) -> np.ndarray:
+    g = la._complex_gaussians(rngs, (dim, dim))
+    p = g @ la._adjoint(g) / dim
     if scale is None:
-        scale = rng.uniform(0.2, 2.0)
-    return scale * p / max(1.0, float(np.trace(p).real))
+        scale = _uniforms(rngs, 0.2, 2.0)[:, None, None]
+    return scale * p / np.maximum(1.0, la._trace(p))[:, None, None]
 
 
-def _rand_pd(rng: np.random.Generator, dim: int, floor: float = 0.05) -> np.ndarray:
-    p = _rand_psd(rng, dim, scale=1.0)
-    return p + floor * np.eye(dim)
+def _pds(rngs, dim: int, floor: float = 0.05) -> np.ndarray:
+    return _psds(rngs, dim, scale=1.0) + floor * np.eye(dim)
 
 
-def _rand_conditioned_state(rng: np.random.Generator, dim: int, mix: float = 0.05) -> np.ndarray:
+def _conditioned_states(rngs, dim: int, mix: float = 0.05) -> np.ndarray:
     # identity admixture keeps finite-difference oracles well conditioned
-    return (1.0 - mix) * la.random_state(dim, rng).mat + mix * np.eye(dim) / dim
+    return (1.0 - mix) * la._random_states(rngs, dim) + mix * np.eye(dim) / dim
 
 
-def _rand_alpha(rng: np.random.Generator, lo: float = 0.02, hi: float = 0.98) -> float:
-    return float(rng.uniform(lo, hi))
+def _unitaries(rngs, dim: int) -> np.ndarray:
+    return la._haar_columns(la._complex_gaussians(rngs, (dim, dim)), dim)
 
 
-def _orthogonal_pair(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    if dim < 2:
-        dim = 2
-    u = la.random_unitary(dim, rng)
-    split = int(rng.integers(1, dim))
-    left, right = u[:, :split], u[:, split:]
-    wl = rng.dirichlet(np.ones(split))
-    wr = rng.dirichlet(np.ones(dim - split))
-    return (left * wl) @ left.conj().T, (right * wr) @ right.conj().T
+def _channels(rngs, dim: int) -> tuple[np.ndarray, list[int]]:
+    """A ``la.random_cptp`` channel per trial and its count of 1 to 3 Kraus
+    blocks. The channels stack as ``(n, 3, dim, dim)``: zero blocks pad each
+    to 3, and add exact zeros."""
+    kraus = np.zeros((len(rngs), 3, dim, dim), dtype=np.complex128)
+    envs = [int(rng.integers(1, 4)) for rng in rngs]
+    for k, (rng, env) in enumerate(zip(rngs, envs)):
+        kraus[k, :env] = la.random_cptp(dim, env, rng)
+    return kraus, envs
+
+
+def _from_matrices(raw: np.ndarray) -> np.ndarray:
+    """``la.DensityMatrix.from_matrix`` of each matrix of a stack, as one
+    stack: clipped PSD and divided by its trace."""
+    return la._like_input(np.ones(len(raw), dtype=bool), raw)
+
+
+def _channel_images(kraus: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """``dv.apply_channel`` of each trial's state under its Kraus blocks."""
+    return _from_matrices(sum(k @ states @ la._adjoint(k) for k in kraus.swapaxes(0, 1)))
+
+
+def _orthogonal_pairs(rngs, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    dim = max(dim, 2)
+    pairs = []
+    for rng, u in zip(rngs, _unitaries(rngs, dim)):
+        split = int(rng.integers(1, dim))
+        left, right = u[:, :split], u[:, split:]
+        wl = rng.dirichlet(np.ones(split))
+        wr = rng.dirichlet(np.ones(dim - split))
+        pairs.append(((left * wl) @ left.conj().T, (right * wr) @ right.conj().T))
+    return tuple(np.stack(side) for side in zip(*pairs))
+
+
+def _objects(items) -> np.ndarray:
+    """A 1-D object array of ``items``: the stack of a column of ensembles,
+    experiments or states."""
+    out = np.empty(len(items), dtype=object)
+    out[:] = items
+    return out
+
+
+def _density_matrices(mats: np.ndarray) -> list:
+    """Each matrix of a stack of states as a :class:`la.DensityMatrix`."""
+    return [la.DensityMatrix._of(m, True) for m in mats]
 
 
 # The inputs of one trial, by reference: its matrices and its named scalars.
 Inputs = tuple[tuple, dict]
-# One trial's draw: the judge's arguments and the trial's inputs.
-Draw = tuple[tuple, Inputs]
+# The draw of a stack of trials: the judge's arguments, each stacked along a
+# first trial axis, and each trial's inputs.
+Draw = tuple[tuple, list]
 
 
 def _inputs(*mats: la.OperatorLike, **extra) -> Inputs:
     return mats, extra
+
+
+def _per_trial(*mats: np.ndarray, **extra) -> list[Inputs]:
+    """Each trial's inputs from stacks: its item of each stack in ``mats``
+    and its entry of each named stack, as a plain number."""
+    columns = {name: np.asarray(v).tolist() for name, v in extra.items()}
+    n = len(mats[0]) if mats else len(next(iter(columns.values())))
+    return [
+        (tuple(m[k] for m in mats), {name: c[k] for name, c in columns.items()}) for k in range(n)
+    ]
 
 
 def _states_payload(inputs: Inputs) -> dict:
@@ -144,7 +214,7 @@ class CheckDef:
     label: str
     suite: str
     tol: float
-    draw: Callable[[np.random.Generator, int], Draw]
+    draw: Callable[[Sequence[np.random.Generator], int], Draw]
     judge: Callable[..., np.ndarray]
 
 
@@ -177,9 +247,9 @@ def _check(check_id: str, tol: float, label: str, draw):
 # ---------------------------------------------------------------------------
 
 
-def _draw_herm(rng, dim, scaled: bool = False) -> Draw:
-    a = _rand_herm(rng, dim, float(rng.uniform(0.1, 3.0)) if scaled else 1.0)
-    return (a,), _inputs(a)
+def _draw_herm(rngs, dim, scaled: bool = False) -> Draw:
+    a = _herms(rngs, dim, _uniforms(rngs, 0.1, 3.0)[:, None, None] if scaled else 1.0)
+    return (a,), _per_trial(a)
 
 
 @_check(
@@ -209,11 +279,11 @@ def _judge_spectral_fn_identity(a):
     return 1e-12 * np.maximum(1.0, np.abs(a).max(axis=(1, 2))) - resid
 
 
-def _draw_trace_norm_axioms(rng, dim) -> Draw:
-    x = _rand_herm(rng, dim)
-    y = _rand_herm(rng, dim)
-    c = float(rng.uniform(-3.0, 3.0))
-    return (x, y, c), _inputs(x, y, c=c)
+def _draw_trace_norm_axioms(rngs, dim) -> Draw:
+    x = _herms(rngs, dim)
+    y = _herms(rngs, dim)
+    c = _uniforms(rngs, -3.0, 3.0)
+    return (x, y, c), _per_trial(x, y, c=c)
 
 
 @_check(
@@ -228,10 +298,14 @@ def _judge_trace_norm_axioms(x, y, c):
     return np.minimum(tn(x) + tn(y) - tn(x + y), homog)
 
 
-def _draw_random_state_invariants(rng, dim) -> Draw:
-    seed = int(rng.integers(0, 2**63 - 1))
-    s1, s2 = (la.random_state(dim, np.random.default_rng(seed)) for _ in range(2))
-    return (s1.mat, s2.mat), _inputs(s1, seed=seed)
+def _draw_random_state_invariants(rngs, dim) -> Draw:
+    seeds = [int(rng.integers(0, 2**63 - 1)) for rng in rngs]
+    # the check is on the single-trial generator: one call per state
+    s1, s2 = (
+        np.stack([la.random_state(dim, np.random.default_rng(seed)).mat for seed in seeds])
+        for _ in range(2)
+    )
+    return (s1, s2), _per_trial(s1, seed=seeds)
 
 
 @_check(
@@ -246,13 +320,10 @@ def _judge_random_state_invariants(s1, s2):
     return _least(1e-12 - trace_err, np.linalg.eigvalsh(s1)[:, 0] + 1e-10, deterministic)
 
 
-def _draw_random_cptp(rng, dim) -> Draw:
-    env = int(rng.integers(1, 4))
-    kraus = la.random_cptp(dim, env, rng)
-    rho = la.random_state(dim, rng)
-    # zero Kraus blocks add exact zeros: every trial stacks three blocks
-    blocks = np.concatenate([kraus, np.zeros((3 - env, dim, dim))])
-    return (blocks, rho.mat), _inputs(rho, env=env)
+def _draw_random_cptp(rngs, dim) -> Draw:
+    kraus, envs = _channels(rngs, dim)
+    rho = la._random_states(rngs, dim)
+    return (kraus, rho), _per_trial(rho, env=envs)
 
 
 @_check(
@@ -273,16 +344,16 @@ def _judge_random_cptp_contract(kraus, rho):
 _RANGE_ALPHAS = (0.01, 0.1, 0.5, 0.9, 0.99)
 
 
-def _draw_state_pair(rng, dim, lo: float = 0.02, hi: float = 0.98) -> Draw:
-    rho, sig = la.random_state(dim, rng), la.random_state(dim, rng)
-    alpha = _rand_alpha(rng, lo, hi)
-    return (rho.mat, sig.mat, alpha), _inputs(rho, sig, alpha=alpha)
+def _draw_state_pair(rngs, dim, lo: float = 0.02, hi: float = 0.98) -> Draw:
+    rho, sig = la._random_states(rngs, dim), la._random_states(rngs, dim)
+    alpha = _uniforms(rngs, lo, hi)
+    return (rho, sig, alpha), _per_trial(rho, sig, alpha=alpha)
 
 
-def _draw_sd_range(rng, dim) -> Draw:
-    rho, sig = la.random_state(dim, rng), la.random_state(dim, rng)
-    alpha = _RANGE_ALPHAS[int(rng.integers(0, len(_RANGE_ALPHAS)))]
-    return (rho.mat, sig.mat, alpha), _inputs(rho, sig, alpha=alpha)
+def _draw_sd_range(rngs, dim) -> Draw:
+    rho, sig = la._random_states(rngs, dim), la._random_states(rngs, dim)
+    alpha = _picks(rngs, _RANGE_ALPHAS)
+    return (rho, sig, alpha), _per_trial(rho, sig, alpha=alpha)
 
 
 @_check("div.sd_range", 1e-9, "skew divergence of states lies in [0, 1]", _draw_sd_range)
@@ -291,15 +362,15 @@ def _judge_sd_range(rho, sig, alpha):
     return np.minimum(v, 1.0 - v)
 
 
-def _draw_sd_orthogonality(rng, dim) -> Draw:
-    rho_o, sig_o = _orthogonal_pair(rng, dim)
-    alpha = (0.01, 0.5, 0.99)[int(rng.integers(0, 3))]
+def _draw_sd_orthogonality(rngs, dim) -> Draw:
+    rho_o, sig_o = _orthogonal_pairs(rngs, dim)
+    alpha = _picks(rngs, (0.01, 0.5, 0.99))
     # constructed overlapping pair: a 1% identity admixture caps the trace
     # distance at 0.99, so the skew divergence must sit below 1 - 1e-2
     eye = np.eye(dim) / dim
-    rho = 0.99 * la.random_state(dim, rng).mat + 0.01 * eye
-    sig = 0.99 * la.random_state(dim, rng).mat + 0.01 * eye
-    return (rho_o, sig_o, rho, sig, alpha), _inputs(rho_o, sig_o, alpha=alpha)
+    rho = 0.99 * la._random_states(rngs, dim) + 0.01 * eye
+    sig = 0.99 * la._random_states(rngs, dim) + 0.01 * eye
+    return (rho_o, sig_o, rho, sig, alpha), _per_trial(rho_o, sig_o, alpha=alpha)
 
 
 @_check(
@@ -315,12 +386,12 @@ def _judge_sd_orthogonality(rho_o, sig_o, rho, sig, alpha):
     return _least(-np.abs(1.0 - v), 1e-9 - overlap, (1.0 - 1e-2) - v_mixed)
 
 
-def _draw_sd_scaling(rng, dim) -> Draw:
-    x = _rand_psd(rng, dim)
-    y = _rand_psd(rng, dim)
-    b, c = float(rng.uniform(0.05, 2.0)), float(rng.uniform(0.05, 2.0))
-    alpha = _rand_alpha(rng)
-    return (x, y, b, c, alpha), _inputs(x, y, b=b, c=c, alpha=alpha)
+def _draw_sd_scaling(rngs, dim) -> Draw:
+    x = _psds(rngs, dim)
+    y = _psds(rngs, dim)
+    b, c = _uniforms(rngs, 0.05, 2.0), _uniforms(rngs, 0.05, 2.0)
+    alpha = _uniforms(rngs, 0.02, 0.98)
+    return (x, y, b, c, alpha), _per_trial(x, y, b=b, c=c, alpha=alpha)
 
 
 @_check(
@@ -336,11 +407,11 @@ def _judge_sd_scaling(x, y, b, c, alpha):
     return -np.maximum(np.abs(r1), np.abs(r2))
 
 
-def _draw_sd_unitary_invariance(rng, dim) -> Draw:
-    rho, sig = la.random_state(dim, rng), la.random_state(dim, rng)
-    u = la.random_unitary(dim, rng)
-    alpha = _rand_alpha(rng)
-    return (rho.mat, sig.mat, u, alpha), _inputs(rho, sig, alpha=alpha)
+def _draw_sd_unitary_invariance(rngs, dim) -> Draw:
+    rho, sig = la._random_states(rngs, dim), la._random_states(rngs, dim)
+    u = _unitaries(rngs, dim)
+    alpha = _uniforms(rngs, 0.02, 0.98)
+    return (rho, sig, u, alpha), _per_trial(rho, sig, alpha=alpha)
 
 
 @_check(
@@ -355,13 +426,13 @@ def _judge_sd_unitary_invariance(rho, sig, u, alpha):
     return -np.abs(moved - dv.skew_divergence(rho, sig, alpha))
 
 
-def _draw_channel_pair(rng, dim) -> Draw:
+def _draw_channel_pair(rngs, dim) -> Draw:
     """A pair of states, a skew and the pair's images under a random channel."""
-    rho, sig = la.random_state(dim, rng), la.random_state(dim, rng)
-    alpha = _rand_alpha(rng)
-    kraus = la.random_cptp(dim, int(rng.integers(1, 4)), rng)
-    moved = (dv.apply_channel(kraus, rho).mat, dv.apply_channel(kraus, sig).mat)
-    return (rho.mat, sig.mat, *moved, alpha), _inputs(rho, sig, alpha=alpha)
+    rho, sig = la._random_states(rngs, dim), la._random_states(rngs, dim)
+    alpha = _uniforms(rngs, 0.02, 0.98)
+    kraus, _ = _channels(rngs, dim)
+    moved = (_channel_images(kraus, rho), _channel_images(kraus, sig))
+    return (rho, sig, *moved, alpha), _per_trial(rho, sig, alpha=alpha)
 
 
 @_check(
@@ -371,13 +442,13 @@ def _judge_sd_contractivity(rho, sig, rho_out, sig_out, alpha):
     return dv.skew_divergence(rho, sig, alpha) - dv.skew_divergence(rho_out, sig_out, alpha)
 
 
-def _draw_sd_joint_convexity(rng, dim) -> Draw:
-    alpha = _rand_alpha(rng)
-    w = rng.dirichlet(np.ones(3))
-    rhos = [la.random_state(dim, rng) for _ in range(3)]
-    sigs = [la.random_state(dim, rng) for _ in range(3)]
-    args = (np.stack([r.mat for r in rhos]), np.stack([s.mat for s in sigs]), w, alpha)
-    return args, _inputs(*rhos, *sigs, alpha=alpha)
+def _draw_sd_joint_convexity(rngs, dim) -> Draw:
+    alpha = _uniforms(rngs, 0.02, 0.98)
+    w = np.stack([rng.dirichlet(np.ones(3)) for rng in rngs])
+    rhos = la._random_states(_repeated(rngs, 3), dim).reshape(-1, 3, dim, dim)
+    sigs = la._random_states(_repeated(rngs, 3), dim).reshape(-1, 3, dim, dim)
+    inputs = [_inputs(*r, *s, alpha=a) for r, s, a in zip(rhos, sigs, alpha.tolist())]
+    return (rhos, sigs, w, alpha), inputs
 
 
 @_check(
@@ -397,13 +468,14 @@ def _judge_sd_joint_convexity(rhos, sigs, w, alpha):
     return rhs - dv.skew_divergence(mix_r, mix_s, alpha)
 
 
-def _draw_sd_trace_norm_sandwich(rng, dim) -> Draw:
-    (rho, sig, alpha), inputs = _draw_state_pair(rng, dim)
+def _draw_sd_trace_norm_sandwich(rngs, dim) -> Draw:
+    (rho, sig, alpha), inputs = _draw_state_pair(rngs, dim)
     # tightness family diag(t,0,1-t) vs diag(0,t,1-t): SD equals t (at 1e-9)
-    tf = float(rng.choice(np.arange(0.1, 0.95, 0.1)))
-    af = (0.1, 0.5, 0.9)[int(rng.integers(0, 3))]
-    fam_r = np.diag([tf, 0.0, 1.0 - tf]).astype(complex)
-    fam_s = np.diag([0.0, tf, 1.0 - tf]).astype(complex)
+    tf = np.array([rng.choice(np.arange(0.1, 0.95, 0.1)) for rng in rngs])
+    af = _picks(rngs, (0.1, 0.5, 0.9))
+    fam_r, fam_s = np.zeros((2, len(rngs), 3, 3), dtype=np.complex128)
+    fam_r[:, 0, 0] = fam_s[:, 1, 1] = tf
+    fam_r[:, 2, 2] = fam_s[:, 2, 2] = 1.0 - tf
     return (rho, sig, alpha, fam_r, fam_s, tf, af), inputs
 
 
@@ -428,9 +500,9 @@ def _judge_skewed_re_bound(rho, sig, alpha):
     return -np.log(alpha) - dv.relative_entropy(rho, la._skewed_mixture(rho, sig, alpha))
 
 
-def _draw_states(rng, dim) -> Draw:
-    rho, sig = la.random_state(dim, rng), la.random_state(dim, rng)
-    return (rho.mat, sig.mat), _inputs(rho, sig)
+def _draw_states(rngs, dim) -> Draw:
+    rho, sig = la._random_states(rngs, dim), la._random_states(rngs, dim)
+    return (rho, sig), _per_trial(rho, sig)
 
 
 @_check(
@@ -444,27 +516,27 @@ def _judge_fidelity_trace_distance(rho, sig):
     return np.sqrt(np.maximum(0.0, 1.0 - f * f)) - dv.trace_distance(rho, sig)
 
 
-def _draw_pd_direction(rng, dim, floor: float = 0.05, direction=_rand_herm) -> Draw:
-    a = _rand_pd(rng, dim, floor)
-    d = direction(rng, dim)
-    return (a, d), _inputs(a, d)
+def _draw_pd_direction(rngs, dim, floor: float = 0.05, direction=_herms) -> Draw:
+    a = _pds(rngs, dim, floor)
+    d = direction(rngs, dim)
+    return (a, d), _per_trial(a, d)
 
 
 @_check(
     "fre.t_order_preserving",
     1e-9,
     "the log derivative map preserves the PSD order: X <= Y implies T_A(X) <= T_A(Y)",
-    partial(_draw_pd_direction, direction=_rand_psd),  # d = Y - X for X <= Y
+    partial(_draw_pd_direction, direction=_psds),  # d = Y - X for X <= Y
 )
 def _judge_t_order_preserving(a, d):
     return np.linalg.eigvalsh(fr.frechet_log(a, d))[:, 0]
 
 
-def _draw_psd_pair(rng, dim) -> Draw:
-    a = _rand_psd(rng, dim)
-    b = _rand_psd(rng, dim)
-    alpha = _rand_alpha(rng)
-    return (a, b, alpha), _inputs(a, b, alpha=alpha)
+def _draw_psd_pair(rngs, dim) -> Draw:
+    a = _psds(rngs, dim)
+    b = _psds(rngs, dim)
+    alpha = _uniforms(rngs, 0.02, 0.98)
+    return (a, b, alpha), _per_trial(a, b, alpha=alpha)
 
 
 @_check("fre.t_sum_bound", 1e-9, "T_{A+B}(A) <= id for PSD A, B", _draw_psd_pair)
@@ -488,10 +560,10 @@ def _judge_r_reduces_to_t(a, d):
     return -_each(np.linalg.norm, second - fr.frechet_log(a, d))
 
 
-def _draw_psd_triple(rng, dim) -> Draw:
-    a, b, c = (_rand_psd(rng, dim) for _ in range(3))
-    alpha = _rand_alpha(rng)
-    return (a, b, c, alpha), _inputs(a, b, c, alpha=alpha)
+def _draw_psd_triple(rngs, dim) -> Draw:
+    a, b, c = (_psds(rngs, dim) for _ in range(3))
+    alpha = _uniforms(rngs, 0.02, 0.98)
+    return (a, b, c, alpha), _per_trial(a, b, c, alpha=alpha)
 
 
 @_check(
@@ -506,15 +578,17 @@ def _judge_metric_difference(a, b, c, alpha):
     return np.minimum(diff, ta - ta * ta / (ta + tc) - diff)
 
 
-def _draw_quadrature_match(rng, dim) -> Draw:
-    cond = 10.0 ** rng.uniform(0.0, 4.0)
-    v = la.random_unitary(dim, rng)
-    lam = np.exp(rng.uniform(math.log(1.0 / cond), 0.0, dim))
-    if dim >= 2 and rng.uniform() < 0.5:
-        lam[1] = lam[0]  # exercise the confluent divided-difference branch
-    a = (v * lam) @ v.conj().T
-    d = _rand_herm(rng, dim)
-    return (a, d), _inputs(a, d)
+def _draw_quadrature_match(rngs, dim) -> Draw:
+    conds = [10.0 ** rng.uniform(0.0, 4.0) for rng in rngs]
+    v = _unitaries(rngs, dim)
+    lam = np.empty((len(rngs), dim))
+    for k, (rng, cond) in enumerate(zip(rngs, conds)):
+        lam[k] = np.exp(rng.uniform(math.log(1.0 / cond), 0.0, dim))
+        if dim >= 2 and rng.uniform() < 0.5:
+            lam[k, 1] = lam[k, 0]  # exercise the confluent divided-difference branch
+    a = (v * lam[:, None, :]) @ la._adjoint(v)
+    d = _herms(rngs, dim)
+    return (a, d), _per_trial(a, d)
 
 
 @_check(
@@ -549,11 +623,11 @@ def _judge_dsd_symmetry(a, b, alpha):
     return -np.abs(op_dsd(a, b, alpha) - op_dsd(b, a, 1.0 - alpha))
 
 
-def _draw_dsd_derivative(rng, dim) -> Draw:
-    a = _rand_conditioned_state(rng, dim)
-    b = _rand_conditioned_state(rng, dim)
-    alpha = _rand_alpha(rng, 0.1, 0.9)
-    return (a, b, alpha), _inputs(a, b, alpha=alpha)
+def _draw_dsd_derivative(rngs, dim) -> Draw:
+    a = _conditioned_states(rngs, dim)
+    b = _conditioned_states(rngs, dim)
+    alpha = _uniforms(rngs, 0.1, 0.9)
+    return (a, b, alpha), _per_trial(a, b, alpha=alpha)
 
 
 @_check(
@@ -614,20 +688,22 @@ def _judge_averaging_match(rho, sig, alpha):
     return -np.abs(dv.skew_divergence(rho, sig, alpha) - averaged)
 
 
-def _draw_metric_epsilon_limit(rng, dim) -> Draw:
-    if dim < 2:
-        dim = 2
-    rank = int(rng.integers(1, dim))
-    u = la.random_unitary(dim, rng)
+def _draw_metric_epsilon_limit(rngs, dim) -> Draw:
+    dim = max(dim, 2)
+    ranks = [int(rng.integers(1, dim)) for rng in rngs]
+    us = _unitaries(rngs, dim)
     # the residual gap at the last eps scales like eps * ||C|| / lambda_min(B)^2,
     # so keep B well conditioned on its support and C of unit norm
-    wb = rng.uniform(0.5, 1.0, rank)
-    b = (u[:, :rank] * wb) @ u[:, :rank].conj().T
-    wa = rng.uniform(0.1, 1.0, rank)
-    a = (u[:, :rank] * wa) @ u[:, :rank].conj().T
-    c = _rand_psd(rng, dim) + u[:, rank:] @ u[:, rank:].conj().T
-    c /= la.operator_norm(c)
-    return (a, b, c), _inputs(a, b, c)
+    a, b, off = (np.empty_like(us) for _ in range(3))
+    for k, (rng, rank, u) in enumerate(zip(rngs, ranks, us)):
+        wb = rng.uniform(0.5, 1.0, rank)
+        b[k] = (u[:, :rank] * wb) @ u[:, :rank].conj().T
+        wa = rng.uniform(0.1, 1.0, rank)
+        a[k] = (u[:, :rank] * wa) @ u[:, :rank].conj().T
+        off[k] = u[:, rank:] @ u[:, rank:].conj().T
+    c = _psds(rngs, dim) + off
+    c /= la.operator_norm(c)[:, None, None]
+    return (a, b, c), _per_trial(a, b, c)
 
 
 @_check(
@@ -641,14 +717,17 @@ def _judge_metric_epsilon_limit(a, b, c):
     return np.array([-abs(rec.final_gap) if rec.monotone else -1.0 for rec in records])
 
 
-def _draw_ensemble(rng, dim, n: int | None = None) -> Draw:
-    """An ensemble of ``n`` random states; of 2 to 4 when ``n`` is not given."""
-    if n is None:
-        n = int(rng.integers(2, 5))
-    w = 0.8 * rng.dirichlet(np.ones(n)) + 0.2 / n
-    w /= w.sum()
-    ens = en.Ensemble(w, [la.random_state(dim, rng) for _ in range(n)])
-    return (ens,), _inputs(*ens.states, weights=list(ens.weights))
+def _draw_ensemble(rngs, dim, n: int | None = None) -> Draw:
+    """An ensemble of ``n`` random states per trial; of 2 to 4 when ``n`` is
+    not given."""
+    counts = [int(rng.integers(2, 5)) if n is None else n for rng in rngs]
+    weights = []
+    for rng, m in zip(rngs, counts):
+        w = 0.8 * rng.dirichlet(np.ones(m)) + 0.2 / m
+        weights.append(w / w.sum())
+    members = iter(_density_matrices(la._random_states(_repeated(rngs, counts), dim)))
+    ens = [en.Ensemble(w, [next(members) for _ in w]) for w in weights]
+    return (_objects(ens),), [_inputs(*e.states, weights=list(e.weights)) for e in ens]
 
 
 @_check(
@@ -691,14 +770,15 @@ def _judge_chi_roga_binary(ens):
     return np.minimum(roga - rec.chi, entropy * np.sqrt(np.maximum(0.0, 1.0 - f * f)) - roga)
 
 
-def _draw_ensemble_pair(rng, dim) -> Draw:
-    (ens,), inputs = _draw_ensemble(rng, dim)
-    mix = rng.uniform(0.0, 0.4)
-    others = [
-        la.DensityMatrix.from_matrix((1.0 - mix) * s.mat + mix * la.random_state(dim, rng).mat)
-        for s in ens.states
-    ]
-    return (ens, en.Ensemble(ens.weights, others)), inputs
+def _draw_ensemble_pair(rngs, dim) -> Draw:
+    (ens,), inputs = _draw_ensemble(rngs, dim)
+    counts = [e.n for e in ens]
+    mix = np.repeat(_uniforms(rngs, 0.0, 0.4), counts)[:, None, None]
+    own = np.stack([s.mat for e in ens for s in e.states])
+    fresh = la._random_states(_repeated(rngs, counts), dim)
+    others = iter(_density_matrices(_from_matrices((1.0 - mix) * own + mix * fresh)))
+    pairs = [en.Ensemble(e.weights, [next(others) for _ in e.states]) for e in ens]
+    return (ens, _objects(pairs)), inputs
 
 
 @_check(
@@ -778,10 +858,11 @@ def _triangle_rhs(f, alpha, t, swap: bool = False):
     return np.where(t == 0.0, 0.0, g(1.0, 0.0) - g(1.0, s) + g(0.0, s))
 
 
-def _draw_triangle_family(rng, dim) -> Draw:
-    rho, s1, s2 = (la.random_state(dim, rng) for _ in range(3))
-    alpha = _rand_alpha(rng)
-    return (rho.mat, s1.mat, s2.mat, alpha), _inputs(rho, s1, s2, alpha=alpha)
+def _draw_triangle_family(rngs, dim) -> Draw:
+    mats = la._random_states(_repeated(rngs, 3), dim).reshape(-1, 3, dim, dim)
+    rho, s1, s2 = (np.ascontiguousarray(mats[:, j]) for j in range(3))
+    alpha = _uniforms(rngs, 0.02, 0.98)
+    return (rho, s1, s2, alpha), _per_trial(rho, s1, s2, alpha=alpha)
 
 
 @_check(
@@ -804,17 +885,16 @@ def _judge_triangle_family(rho, s1, s2, alpha):
     return _least(*slacks)
 
 
-def _draw_triangle_equality(rng, dim) -> Draw:
-    if dim < 2:
-        dim = 2
-    u = la.random_unitary(dim, rng)
-    rho = np.outer(u[:, 0], u[:, 0].conj())
-    w = rng.dirichlet(np.ones(dim - 1))
-    s1 = (u[:, 1:] * w) @ u[:, 1:].conj().T
-    t = float(rng.uniform(0.05, 0.95))
-    s2 = t * rho + (1.0 - t) * s1
-    alpha = _rand_alpha(rng, 0.05, 0.95)
-    return (rho, s1, s2, alpha, t), _inputs(rho, s1, alpha=alpha, t=t)
+def _draw_triangle_equality(rngs, dim) -> Draw:
+    dim = max(dim, 2)
+    u = _unitaries(rngs, dim)
+    rho = u[:, :, 0, None] * u[:, None, :, 0].conj()
+    w = np.stack([rng.dirichlet(np.ones(dim - 1)) for rng in rngs])
+    s1 = (u[:, :, 1:] * w[:, None, :]) @ la._adjoint(u[:, :, 1:])
+    t = _uniforms(rngs, 0.05, 0.95)
+    s2 = t[:, None, None] * rho + (1.0 - t[:, None, None]) * s1
+    alpha = _uniforms(rngs, 0.05, 0.95)
+    return (rho, s1, s2, alpha, t), _per_trial(rho, s1, alpha=alpha, t=t)
 
 
 @_check(
@@ -828,9 +908,9 @@ def _judge_triangle_equality(rho, s1, s2, alpha, t):
     return -np.abs(lhs - _triangle_rhs(dv.scalar_skew_divergence, alpha, t))
 
 
-def _draw_alpha(rng, dim) -> Draw:
-    alpha = _rand_alpha(rng)
-    return (alpha,), _inputs(alpha=alpha)
+def _draw_alpha(rngs, dim) -> Draw:
+    alpha = _uniforms(rngs, 0.02, 0.98)
+    return (alpha,), _per_trial(alpha=alpha)
 
 
 @_check(
@@ -846,12 +926,12 @@ def _judge_triangle_rhs_shape(alpha):
     return np.minimum(np.diff(g).min(axis=1), concave)
 
 
-def _draw_evolution(rng, dim) -> Draw:
-    rho = la.random_state(dim, rng)
-    h = la.random_hamiltonian(dim, rng)
-    t = float(rng.uniform(0.0, 2.0))
+def _draw_evolution(rngs, dim) -> Draw:
+    rho = la._random_states(rngs, dim)
+    h = la._random_hamiltonians(rngs, dim)
+    t = _uniforms(rngs, 0.0, 2.0)
     # rho stays a DensityMatrix, so that evolve normalizes what it moves
-    return (rho, h.mat, t), _inputs(rho, h, t=t)
+    return (_objects(_density_matrices(rho)), h, t), _per_trial(rho, h, t=t)
 
 
 @_check(
@@ -862,18 +942,21 @@ def _judge_evolution_distance(rho, h, t):
     return t * la.operator_norm(h) - dv.trace_distance(moved, np.stack([r.mat for r in rho]))
 
 
-def _draw_experiment(rng, dim, conditioned: bool = False) -> Draw:
-    p = float(rng.uniform(0.05, 0.95))
-    states = [
-        la.DensityMatrix.from_matrix(_rand_conditioned_state(rng, dim, 0.1))
-        if conditioned
-        else la.random_state(dim, rng)
-        for _ in range(2)
+def _draw_experiment(rngs, dim, conditioned: bool = False) -> Draw:
+    p = _uniforms(rngs, 0.05, 0.95)
+    pairs = _repeated(rngs, 2)
+    if conditioned:
+        mats = _from_matrices(_conditioned_states(pairs, dim, 0.1))
+    else:
+        mats = la._random_states(pairs, dim)
+    states = _density_matrices(mats)
+    hams = [la.HermitianOperator._of(h) for h in la._random_hamiltonians(pairs, dim)]
+    times = _uniforms(rngs, 0.0, 1.0).tolist()
+    exps = [
+        en.MixingExperiment(en.Ensemble((pk, 1.0 - pk), states[j : j + 2]), *hams[j : j + 2], t)
+        for j, pk, t in zip(range(0, len(pairs), 2), p.tolist(), times)
     ]
-    ens = en.Ensemble((p, 1.0 - p), states)
-    h1, h2 = (la.random_hamiltonian(dim, rng) for _ in range(2))
-    exp = en.MixingExperiment(ens, h1, h2, float(rng.uniform(0.0, 1.0)))
-    return (exp,), _inputs(*ens.states, t=exp.time)
+    return (_objects(exps),), [_inputs(*e.ensemble.states, t=e.time) for e in exps]
 
 
 def _entropy_at(exp, t: np.ndarray) -> np.ndarray:
@@ -909,13 +992,14 @@ def _judge_svsd_identity(exp):
     return -en.sim_bound_check(exp).sd_representation_residual
 
 
-def _draw_bravyi(rng, dim) -> Draw:
-    (exp,), _ = _draw_experiment(rng, dim)
-    rho, sig = la.random_state(dim, rng), la.random_state(dim, rng)
-    h = la.random_hamiltonian(dim, rng)
-    alpha = (0.1, 0.5, 0.9)[int(rng.integers(0, 3))]
+def _draw_bravyi(rngs, dim) -> Draw:
+    (exp,), _ = _draw_experiment(rngs, dim)
+    rho, sig = la._random_states(rngs, dim), la._random_states(rngs, dim)
+    h = la._random_hamiltonians(rngs, dim)
+    alpha = _picks(rngs, (0.1, 0.5, 0.9))
     # sig stays a DensityMatrix, so that evolve normalizes what it moves
-    return (exp, rho.mat, sig, h.mat, alpha), _inputs(rho, sig, alpha=alpha)
+    args = (exp, rho, _objects(_density_matrices(sig)), h, alpha)
+    return args, _per_trial(rho, sig, alpha=alpha)
 
 
 @_check(
@@ -1077,32 +1161,49 @@ def _raised(exc: Exception, dim: int, trial: int) -> Inputs:
     return _inputs(error=type(exc).__name__, message=str(exc), dim=dim, trial=trial)
 
 
+def _draw_dim(check: CheckDef, seed: int, dim: int, trials: int) -> tuple:
+    """The stacked arguments of the trials of one check at ``dim`` that draw,
+    their indices, and each trial's inputs.
+
+    All trials are drawn in one call. When that raises, each trial is drawn
+    alone from a fresh generator, so only the trials that raise are left
+    out, with an exception record for their inputs.
+    """
+    rng_of = partial(_trial_rng, seed, check.check_id, dim)
+    try:
+        stacks, inputs = check.draw([rng_of(k) for k in range(trials)], dim)
+        if len(inputs) == trials:
+            return stacks, list(range(trials)), inputs
+    except Exception:
+        pass  # drawn trial by trial below
+    drawn, columns, inputs = [], [], []
+    for k in range(trials):
+        try:
+            trial_stacks, (trial_inputs,) = check.draw([rng_of(k)], dim)
+        except Exception as exc:
+            trial_inputs = _raised(exc, dim, k)
+        else:
+            drawn.append(k)
+            columns.append(trial_stacks)
+        inputs.append(trial_inputs)
+    return [np.concatenate(column) for column in zip(*columns)], drawn, inputs
+
+
 def _judge_dim(
     check: CheckDef, seed: int, dim: int, trials: int
 ) -> tuple[list[float], list[Inputs]]:
     """Slack and inputs of each trial of one check at ``dim``.
 
-    Every trial is drawn first, and the drawn trials are judged as one stack.
-    A trial whose draw raises gets slack ``-inf`` and an exception record for
-    its inputs. When the judge raises on the stack, each trial is judged
-    alone, so only the trials that raise get that record.
+    The drawn trials are judged as one stack; a trial whose draw raises gets
+    slack ``-inf`` and an exception record for its inputs. When the judge
+    raises on the stack, each trial is judged alone, so only the trials that
+    raise get that record.
     """
-    draw, judge = check.draw, check.judge
+    judge = check.judge
     slacks = [-math.inf] * trials
-    inputs: list[Inputs] = []
-    drawn, args = [], []
-    for k in range(trials):
-        try:
-            trial_args, trial_inputs = draw(_trial_rng(seed, check.check_id, dim, k), dim)
-        except Exception as exc:
-            trial_inputs = _raised(exc, dim, k)
-        else:
-            drawn.append(k)
-            args.append(trial_args)
-        inputs.append(trial_inputs)
+    stacks, drawn, inputs = _draw_dim(check, seed, dim, trials)
     if not drawn:
         return slacks, inputs
-    stacks = [np.stack(column) for column in zip(*args)]
     try:
         judged = [float(x) for x in judge(*stacks)]
         if len(judged) != len(drawn):

@@ -43,6 +43,8 @@ from qsd.cli import main as cli_main
 from qsd.divergences import _skewed_relative_entropy
 from qsd.verify import REQUIRED_CHECK_IDS
 
+from make_acceptance_report import TABLE, VERIFY_ARGS, table_of
+
 SEED = 719
 DIMS = (2, 3, 4, 6)
 
@@ -429,30 +431,62 @@ def test_criterion_09_holevo_suite():
     )
 
 
+def _moved_records(table: dict, pinned: dict) -> list[str]:
+    """Where a report's table differs from the pinned one: ids, ``tol``,
+    ``trials`` and ``violations`` exactly, ``worst_slack`` within 1e-12, and
+    ``worst_trial`` exactly where ``|worst_slack| > 1e-9`` (below that a
+    rounding-level tie may pick another trial on another BLAS)."""
+    if list(table) != list(pinned):
+        return [f"check ids {list(table)} != pinned {list(pinned)}"]
+    moved = []
+    for check_id, want in pinned.items():
+        got = table[check_id]
+        for key in ("tol", "trials", "violations"):
+            if got[key] != want[key]:
+                moved.append(f"{check_id}: {key} {got[key]!r} != pinned {want[key]!r}")
+        slack, pin = got["worst_slack"], want["worst_slack"]
+        # a non-finite worst slack is written as None, and must stay None
+        if slack != pin and (None in (slack, pin) or abs(slack - pin) > 1e-12):
+            moved.append(f"{check_id}: worst_slack {slack!r} != pinned {pin!r}")
+        elif pin is not None and abs(pin) > 1e-9 and got["worst_trial"] != want["worst_trial"]:
+            moved.append(f"{check_id}: worst_trial {got['worst_trial']} != pinned {want['worst_trial']}")
+    return moved
+
+
+def test_moved_records_are_caught():
+    pinned = json.loads(TABLE.read_text())
+    check_id = next(k for k, v in pinned.items() if abs(v["worst_slack"]) > 1e-9)
+
+    def moved(key, value, of=check_id):
+        table = json.loads(TABLE.read_text())
+        table[of][key] = value
+        return _moved_records(table, pinned)
+
+    slack = pinned[check_id]["worst_slack"]
+    assert _moved_records(json.loads(TABLE.read_text()), pinned) == []
+    assert moved("worst_slack", slack + 1e-13) == []
+    assert len(moved("worst_slack", slack + 1e-11)) == 1
+    assert len(moved("worst_slack", None)) == 1
+    assert len(moved("worst_trial", {"dim": 5, "trial": 0})) == 1
+    assert len(moved("violations", 1)) == 1
+    assert len(moved("tol", 1e-3)) == 1
+    tiny = next(k for k, v in pinned.items() if abs(v["worst_slack"]) <= 1e-9)
+    assert moved("worst_trial", {"dim": 5, "trial": 0}, of=tiny) == []
+    del pinned[check_id]
+    assert len(_moved_records(json.loads(TABLE.read_text()), pinned)) == 1
+
+
 def test_criterion_10_end_to_end_verify(tmp_path):
     out = tmp_path / "report.json"
-    code = cli_main(
-        [
-            "verify",
-            "--suite",
-            "all",
-            "--dims",
-            "2,3,4,6",
-            "--trials",
-            "200",
-            "--seed",
-            "42",
-            "--quiet",
-            "--out",
-            str(out),
-        ]
-    )
+    code = cli_main([*VERIFY_ARGS, "--quiet", "--out", str(out)])
     report = json.loads(out.read_text())
     ids = {c["check_id"] for c in report["checks"]}
     coverage_ok = REQUIRED_CHECK_IDS <= ids
+    moved = _moved_records(table_of(report), json.loads(TABLE.read_text()))
     _report(
         10,
         f"verify --suite all exits {code} with {report['total_violations']} violations; "
-        f"{len(ids)} checks cover all {len(REQUIRED_CHECK_IDS)} required invariants",
-        code == 0 and report["total_violations"] == 0 and coverage_ok,
+        f"{len(ids)} checks cover all {len(REQUIRED_CHECK_IDS)} required invariants; "
+        f"{len(moved)} records differ from {TABLE.name} {moved}",
+        code == 0 and report["total_violations"] == 0 and coverage_ok and not moved,
     )

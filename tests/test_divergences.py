@@ -358,6 +358,20 @@ class TestFidelity:
             f = fidelity(np.outer(psi, psi.conj()), np.outer(phi, phi.conj()))
             assert f == pytest.approx(abs(np.vdot(psi, phi)), abs=1e-10)
 
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_pure_pairs_at_small_overlap(self, dim):
+        # the zero eigenvalues of sqrt(rho) sigma sqrt(rho) carry rounding
+        # noise of order ||rho|| ||sigma||, far above the one nonzero
+        # eigenvalue |<psi|phi>|^2 when the overlap is small: a threshold on
+        # that eigenvalue's scale lets the noise into the root (3e-9 off)
+        rng = np.random.default_rng([20240817, dim])
+        psi, phi = (rng.standard_normal((500, dim)) + 1j * rng.standard_normal((500, dim)) for _ in range(2))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        phi /= np.linalg.norm(phi, axis=1, keepdims=True)
+        pure = lambda v: v[:, :, None] * v[:, None, :].conj()
+        exact = np.abs((psi.conj() * phi).sum(axis=1))
+        np.testing.assert_allclose(fidelity(pure(psi), pure(phi)), exact, rtol=0.0, atol=1e-12)
+
     @pytest.mark.parametrize("c", [0.3, 2.0])
     def test_homogeneous_on_positive_operators(self, rng, c):
         # the clamp is sqrt(trace rho trace sigma), not 1

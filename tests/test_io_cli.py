@@ -471,7 +471,8 @@ class TestCliVerify:
 
         probe = verify.CheckDef(
             "core.non_finite_probe", "returns a non-finite slack", "core", 0.0,
-            lambda rng, dim: ((slack,), verify._inputs()), lambda slacks: slacks,
+            lambda rngs, dim: ((np.full(len(rngs), slack),), [verify._inputs()] * len(rngs)),
+            lambda slacks: slacks,
         )
         monkeypatch.setattr(verify, "REGISTRY", (probe,))
         monkeypatch.setattr(verify, "assert_registry_complete", lambda: None)
@@ -486,10 +487,10 @@ class TestCliVerify:
     def test_raising_check_is_a_violation(self, tmp_path, monkeypatch):
         from qsd import verify
 
-        def draw(rng, dim):
+        def draw(rngs, dim):
             if dim == 3:
                 raise RuntimeError(f"probe failed at dim {dim}")
-            return (0.5,), verify._inputs(np.eye(dim), alpha=0.5)
+            return (np.full(len(rngs), 0.5),), [verify._inputs(np.eye(dim), alpha=0.5)] * len(rngs)
 
         probe = verify.CheckDef(
             "core.raising_probe", "raises at dim 3", "core", 0.0, draw, lambda slacks: slacks
@@ -520,12 +521,41 @@ class TestCliVerify:
         assert after["check_id"] == verify.REGISTRY[1].check_id  # the run went on
         assert after["violations"] == 0 and "worst_case_inputs" not in after
 
+    def test_raising_draw_is_charged_to_its_trial(self, monkeypatch):
+        from qsd import verify
+
+        # the trial of dim 3 whose generator starts lowest raises in the draw
+        first = [verify._trial_rng(0, "core.draw_probe", 3, k).uniform() for k in range(4)]
+        bad = int(np.argmin(first))
+
+        def draw(rngs, dim):
+            x = np.array([rng.uniform() for rng in rngs])
+            if dim == 3 and (x <= first[bad]).any():
+                raise RuntimeError("draw failed")
+            return (np.full(len(rngs), 0.5),), [verify._inputs(np.eye(dim), alpha=0.5)] * len(rngs)
+
+        probe = verify.CheckDef(
+            "core.draw_probe", "draw raises", "core", 0.0, draw, lambda slacks: slacks
+        )
+        monkeypatch.setattr(verify, "REGISTRY", (probe,))
+        monkeypatch.setattr(verify, "assert_registry_complete", lambda: None)
+        record = verify.run_suite(suite="core", dims=(2, 3), trials=4, seed=0).to_dict()["checks"][0]
+        assert record["violations"] == 1  # the other seven trials were judged
+        assert record["worst_trial"] == {"dim": 3, "trial": bad}
+        assert record["worst_case_inputs"] == {
+            "error": "RuntimeError",
+            "message": "draw failed",
+            "dim": 3,
+            "trial": bad,
+        }
+
     def test_worst_violating_trial_inputs_are_reported(self, monkeypatch):
         from qsd import verify
 
-        def draw(rng, dim):
+        def draw(rngs, dim):
             slack = -float(dim)  # dim 3 is the worst trial
-            return (slack,), verify._inputs(np.eye(dim), np.zeros((dim, dim)), alpha=0.25)
+            inputs = verify._inputs(np.eye(dim), np.zeros((dim, dim)), alpha=0.25)
+            return (np.full(len(rngs), slack),), [inputs] * len(rngs)
 
         checks = (
             verify.CheckDef(
@@ -547,7 +577,8 @@ class TestCliVerify:
 
         probe = verify.CheckDef(
             "core.tie_probe", "every trial ties", "core", 0.0,
-            lambda rng, dim: ((-1.0,), verify._inputs()), lambda slacks: slacks,
+            lambda rngs, dim: ((np.full(len(rngs), -1.0),), [verify._inputs()] * len(rngs)),
+            lambda slacks: slacks,
         )
         monkeypatch.setattr(verify, "REGISTRY", (probe,))
         monkeypatch.setattr(verify, "assert_registry_complete", lambda: None)
@@ -560,9 +591,9 @@ class TestCliVerify:
 
         order = itertools.count()  # trials draw in (dim, trial) order
 
-        def draw(rng, dim):
-            bad = next(order) == 4  # dim 3, trial 1
-            return (bad,), verify._inputs(np.eye(dim), alpha=0.5)
+        def draw(rngs, dim):
+            bad = np.array([next(order) == 4 for _ in rngs])  # dim 3, trial 1
+            return (bad,), [verify._inputs(np.eye(dim), alpha=0.5)] * len(rngs)
 
         def judge(bad):
             if bad.any():
@@ -599,7 +630,8 @@ class TestCliVerify:
 
         probe = verify.CheckDef(
             "core.two_slack_probe", "two slacks for every stack", "core", 0.0,
-            lambda rng, dim: ((0.0,), verify._inputs()), lambda x: np.ones(2),
+            lambda rngs, dim: ((np.zeros(len(rngs)),), [verify._inputs()] * len(rngs)),
+            lambda x: np.ones(2),
         )
         monkeypatch.setattr(verify, "REGISTRY", (probe,))
         monkeypatch.setattr(verify, "assert_registry_complete", lambda: None)
