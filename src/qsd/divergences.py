@@ -283,9 +283,9 @@ def apply_channel(kraus: Sequence[np.ndarray], rho: OperatorLike) -> DensityMatr
     tr(rho (sum K* K - id))``, a complete set moves a positive operator's
     trace by at most ``dim * 1e-9`` times that trace.
     """
-    if not kraus:
-        raise DomainError("empty Kraus set")
     ops = [np.asarray(k, dtype=np.complex128) for k in kraus]
+    if not ops:
+        raise DomainError("empty Kraus set")
     if any(k.ndim != 2 for k in ops):
         raise DomainError("every Kraus operator must be a matrix")
     if any(k.shape != ops[0].shape for k in ops):

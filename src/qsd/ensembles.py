@@ -184,13 +184,6 @@ def _route(core, *columns):
     return _scatter([(idx, core(*arrays)) for idx, arrays in stacked], size)
 
 
-def _libm(fn, x) -> np.ndarray:
-    """``fn`` of :mod:`math` at each entry of ``x``: numpy's vectorized
-    ``log`` and ``log1p`` can round apart from it, and a single call's
-    scalar formula takes it from :mod:`math`."""
-    return np.reshape([fn(v) for v in np.ravel(x)], np.shape(x))
-
-
 def _mixture(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """``sum p_j rho_j`` of one ensemble's weights and member stack, or of
     each ensemble of a stack of them. The members were validated when the
@@ -349,7 +342,7 @@ def _chi_continuity(w, stack, w_other, stack_other) -> ChiContinuityRecord:
     s = np.where(t == 0.0, 1.0, t)
     p, s1 = w, s[..., None]
     weighted = np.sum(p * s1 * np.log1p((1.0 - p) / (p * s1)) + p * np.log1p((1.0 - p) * s1 / p), -1)
-    dimension_free = s * _libm(math.log1p, (n - 1) / s) + _libm(math.log1p, (n - 1) * s)
+    dimension_free = s * np.log1p((n - 1) / s) + np.log1p((n - 1) * s)
     return ChiContinuityRecord(
         delta_chi=np.abs(_chi(w, stack) - _chi(w_other, stack_other)),
         weighted_bound=np.where(t == 0.0, 0.0, weighted),
@@ -464,7 +457,7 @@ def _sim_bound(w, stack, h1, h2, t) -> SimBoundRecord:
         entropy_gain=entropy_gain,
         sim_bound=2.0 * t * shannon_entropy(p) * h_norm,
         sd_representation_residual=np.abs(entropy_gain - (p1 * d1 + p2 * d2)),
-        bravyi_lhs=np.stack([d1, d2], axis=-1) / -_libm(math.log, p),
+        bravyi_lhs=np.stack([d1, d2], axis=-1) / -np.log(p),
         bravyi_rhs=2.0 * t * h_norm,
         hamiltonian_norm=h_norm,
     )

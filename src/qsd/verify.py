@@ -23,10 +23,12 @@ trial only and are called per trial through ``_each``:
 ``frechet_log_quadrature``, ``sd_by_averaging``, ``second_frechet_log`` and
 ``metric_epsilon_limit_check``.
 
-The runner alone judges trials. A non-finite slack, or a trial that raises,
-counts as a violation. A draw or a judge that raises on a stack is run
-again on each trial alone, so the exception is charged to the trials that
-raise it. Of each check the runner keeps the worst trial, the first in
+The runner alone judges trials, in one stacked pass: the trials of each
+check and dimension are drawn in one call and judged in one call. When that
+raises, or its counts disagree, ``_trial`` draws and judges each trial alone
+from its own generator, so the exception is charged to the trials that
+raise it. A non-finite slack, or a trial that raises, counts as a
+violation. Of each check the runner keeps the worst trial, the first in
 (dim, trial) order, and names it by its coordinates; it writes that
 trial's inputs to the report, as qsd-state-v1 objects, only when the trial
 is a violation. A raising trial records the exception and its coordinates.
@@ -227,13 +229,15 @@ _REGISTERED: list[CheckDef] = []
 
 def _check(check_id: str, tol: float, label: str, draw):
     """Register the decorated function as the judge of the trials ``draw``
-    makes, in the suite its id prefix names. An unknown prefix raises
-    ``ValueError``."""
+    makes, in the suite its id prefix names. An unknown prefix or an id
+    registered before raises ``ValueError``."""
     prefix = check_id.split(".", 1)[0]
     if prefix not in _SUITE_OF_PREFIX:
         raise ValueError(
             f"check {check_id!r}: unknown prefix {prefix!r}; choose from {tuple(_SUITE_OF_PREFIX)}"
         )
+    if any(c.check_id == check_id for c in _REGISTERED):
+        raise ValueError(f"check {check_id!r} is registered twice")
 
     def register(judge):
         _REGISTERED.append(CheckDef(check_id, label, _SUITE_OF_PREFIX[prefix], tol, draw, judge))
@@ -1032,67 +1036,6 @@ def _judge_entropy_gain_bound(exp):
 
 REGISTRY: tuple[CheckDef, ...] = tuple(_REGISTERED)
 
-# One check id per stated library invariant; the registry must cover them all.
-REQUIRED_CHECK_IDS = frozenset(
-    {
-        "core.eigh_reconstruction",
-        "core.spectral_fn_identity",
-        "core.trace_norm_axioms",
-        "core.random_state_invariants",
-        "core.random_cptp_contract",
-        "div.sd_range",
-        "div.sd_orthogonality",
-        "div.sd_scaling",
-        "div.sd_unitary_invariance",
-        "div.sd_contractivity",
-        "div.sd_joint_convexity",
-        "div.sd_trace_norm_sandwich",
-        "div.skewed_re_bound",
-        "div.fidelity_trace_distance",
-        "fre.t_order_preserving",
-        "fre.t_sum_bound",
-        "fre.r_sum_bound",
-        "fre.r_reduces_to_t",
-        "fre.metric_difference",
-        "fre.quadrature_match",
-        "fre.finite_difference_match",
-        "fre.dsd_symmetry",
-        "fre.dsd_derivative",
-        "fre.dsd_bounds",
-        "fre.dsd_contractivity",
-        "fre.chi2_relation",
-        "fre.averaging_match",
-        "fre.metric_epsilon_limit",
-        "ens.chi_three_ways",
-        "ens.chi_bound_chain",
-        "ens.chi_roga_binary",
-        "ens.chi_continuity",
-        "ens.rbts_family",
-        "ens.dsd_difference_bounds",
-        "ens.triangle_family",
-        "ens.triangle_equality",
-        "ens.triangle_rhs_shape",
-        "sim.evolution_distance",
-        "sim.mixing_rate_fd",
-        "sim.svsd_identity",
-        "sim.bravyi_bound",
-        "sim.entropy_gain_bound",
-    }
-)
-
-
-def assert_registry_complete() -> None:
-    registered = {c.check_id for c in REGISTRY}
-    missing = REQUIRED_CHECK_IDS - registered
-    if missing:
-        raise RuntimeError(f"verification registry is missing checks: {sorted(missing)}")
-    duplicates = len(REGISTRY) - len(registered)
-    if duplicates:
-        raise RuntimeError("verification registry contains duplicate check ids")
-
-
-assert_registry_complete()
-
 
 # ---------------------------------------------------------------------------
 # Runner and report
@@ -1161,65 +1104,36 @@ def _raised(exc: Exception, dim: int, trial: int) -> Inputs:
     return _inputs(error=type(exc).__name__, message=str(exc), dim=dim, trial=trial)
 
 
-def _draw_dim(check: CheckDef, seed: int, dim: int, trials: int) -> tuple:
-    """The stacked arguments of the trials of one check at ``dim`` that draw,
-    their indices, and each trial's inputs.
-
-    All trials are drawn in one call. When that raises, each trial is drawn
-    alone from a fresh generator, so only the trials that raise are left
-    out, with an exception record for their inputs.
-    """
-    rng_of = partial(_trial_rng, seed, check.check_id, dim)
-    try:
-        stacks, inputs = check.draw([rng_of(k) for k in range(trials)], dim)
-        if len(inputs) == trials:
-            return stacks, list(range(trials)), inputs
-    except Exception:
-        pass  # drawn trial by trial below
-    drawn, columns, inputs = [], [], []
-    for k in range(trials):
-        try:
-            trial_stacks, (trial_inputs,) = check.draw([rng_of(k)], dim)
-        except Exception as exc:
-            trial_inputs = _raised(exc, dim, k)
-        else:
-            drawn.append(k)
-            columns.append(trial_stacks)
-        inputs.append(trial_inputs)
-    return [np.concatenate(column) for column in zip(*columns)], drawn, inputs
-
-
-def _judge_dim(
-    check: CheckDef, seed: int, dim: int, trials: int
-) -> tuple[list[float], list[Inputs]]:
-    """Slack and inputs of each trial of one check at ``dim``.
-
-    The drawn trials are judged as one stack; a trial whose draw raises gets
-    slack ``-inf`` and an exception record for its inputs. When the judge
-    raises on the stack, each trial is judged alone, so only the trials that
-    raise get that record.
-    """
-    judge = check.judge
-    slacks = [-math.inf] * trials
-    stacks, drawn, inputs = _draw_dim(check, seed, dim, trials)
-    if not drawn:
-        return slacks, inputs
-    try:
-        judged = [float(x) for x in judge(*stacks)]
-        if len(judged) != len(drawn):
-            raise ValueError(f"judge returned {len(judged)} slacks for {len(drawn)} trials")
-    except Exception:
-        judged = []
-        for i, k in enumerate(drawn):
-            try:
-                (slack,) = judge(*(s[i : i + 1] for s in stacks))
-                judged.append(float(slack))
-            except Exception as exc:
-                judged.append(-math.inf)
-                inputs[k] = _raised(exc, dim, k)
-    for k, slack in zip(drawn, judged):
-        slacks[k] = slack
+def _judged(check: CheckDef, rngs: list, dim: int) -> tuple[list[float], list[Inputs]]:
+    """Slack and inputs of each trial of ``rngs``, drawn in one call and
+    judged in one call. Raises unless both give one item per generator."""
+    stacks, inputs = check.draw(rngs, dim)
+    slacks = [float(x) for x in check.judge(*stacks)]
+    if not len(slacks) == len(inputs) == len(rngs):
+        raise ValueError(f"{len(slacks)} slacks and {len(inputs)} inputs for {len(rngs)} trials")
     return slacks, inputs
+
+
+def _trial(check: CheckDef, seed: int, dim: int, k: int) -> tuple[float, Inputs]:
+    """Slack and inputs of trial ``k`` of one check at ``dim``, drawn and
+    judged alone from its own generator. A trial that raises gets slack
+    ``-inf`` and an exception record for its inputs."""
+    try:
+        (slack,), (inputs,) = _judged(check, [_trial_rng(seed, check.check_id, dim, k)], dim)
+    except Exception as exc:
+        return -math.inf, _raised(exc, dim, k)
+    return slack, inputs
+
+
+def _judge_dim(check: CheckDef, seed: int, dim: int, trials: int) -> tuple[Sequence, Sequence]:
+    """Slack and inputs of each trial of one check at ``dim``: all trials as
+    one stack, or, when that raises, each trial alone, so only the trials
+    that raise are charged."""
+    rngs = [_trial_rng(seed, check.check_id, dim, k) for k in range(trials)]
+    try:
+        return _judged(check, rngs, dim)
+    except Exception:
+        return tuple(zip(*(_trial(check, seed, dim, k) for k in range(trials))))
 
 
 def _run_check(check: CheckDef, seed: int, dims: tuple[int, ...], trials: int) -> CheckResult:
@@ -1284,7 +1198,6 @@ def run_suite(
         raise ValueError(f"dims must not repeat, got {dims!r}")
     dims, trials = tuple(int(d) for d in dims), int(trials)
 
-    assert_registry_complete()
     selected = [c for c in REGISTRY if suite == "all" or c.suite == suite]
     report = VerificationReport(suite=suite, seed=int(seed), dims=dims, trials=trials)
     started = time.perf_counter()

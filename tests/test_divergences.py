@@ -410,6 +410,16 @@ class TestApplyChannel:
         rho = random_state(4, rng)
         assert apply_channel(kraus, rho).trace() == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("env", [1, 2, 3])
+    def test_stacked_kraus_blocks_equal_the_list(self, rng, env):
+        kraus = random_cptp(2, env, rng)
+        rho = random_state(2, rng)
+        assert np.array_equal(apply_channel(np.stack(kraus), rho).mat, apply_channel(kraus, rho).mat)
+
+    def test_empty_kraus_stack_rejected(self, rng):
+        with pytest.raises(DomainError, match="empty Kraus set"):
+            apply_channel(np.empty((0, 3, 3)), random_state(3, rng))
+
     def test_incomplete_kraus_rejected(self, rng):
         with pytest.raises(DomainError):
             apply_channel([0.5 * np.eye(2)], random_state(2, rng))

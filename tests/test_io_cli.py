@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 import os
@@ -396,7 +395,8 @@ class TestCliVerify:
         assert outs[0] == outs[1]
 
     def test_report_covers_every_required_check(self, tmp_path):
-        from qsd import REQUIRED_CHECK_IDS
+        from make_acceptance_report import TABLE
+        from qsd import REGISTRY
 
         out = tmp_path / "report.json"
         assert run_cli(
@@ -404,14 +404,10 @@ class TestCliVerify:
             "--seed", "0", "--quiet", "--out", str(out),
         ) == 0
         report = json.loads(out.read_text())
-        ids = {c["check_id"] for c in report["checks"]}
-        assert REQUIRED_CHECK_IDS <= ids
+        ids = [c["check_id"] for c in report["checks"]]
+        assert ids == [c.check_id for c in REGISTRY]
+        assert ids == list(json.loads(TABLE.read_text()))
         assert all(c["label"] for c in report["checks"])
-
-    def test_registry_completeness_assertion(self):
-        from qsd import assert_registry_complete
-
-        assert_registry_complete()  # does not raise
 
     def test_tol_is_not_an_option(self, tmp_path):
         # every check is judged at its pinned tolerance; nothing rescales it
@@ -475,7 +471,6 @@ class TestCliVerify:
             lambda slacks: slacks,
         )
         monkeypatch.setattr(verify, "REGISTRY", (probe,))
-        monkeypatch.setattr(verify, "assert_registry_complete", lambda: None)
         report = verify.run_suite(suite="core", dims=(2, 3), trials=2)
         assert report.total_violations == 4
         out = tmp_path / "report.json"
@@ -500,7 +495,6 @@ class TestCliVerify:
             verify.REGISTRY[0],
         )
         monkeypatch.setattr(verify, "REGISTRY", checks)
-        monkeypatch.setattr(verify, "assert_registry_complete", lambda: None)
         out = tmp_path / "report.json"
         code = run_cli(
             "verify", "--suite", "core", "--dims", "2,3", "--trials", "2",
@@ -538,7 +532,6 @@ class TestCliVerify:
             "core.draw_probe", "draw raises", "core", 0.0, draw, lambda slacks: slacks
         )
         monkeypatch.setattr(verify, "REGISTRY", (probe,))
-        monkeypatch.setattr(verify, "assert_registry_complete", lambda: None)
         record = verify.run_suite(suite="core", dims=(2, 3), trials=4, seed=0).to_dict()["checks"][0]
         assert record["violations"] == 1  # the other seven trials were judged
         assert record["worst_trial"] == {"dim": 3, "trial": bad}
@@ -563,7 +556,6 @@ class TestCliVerify:
             ),
         )
         monkeypatch.setattr(verify, "REGISTRY", checks)
-        monkeypatch.setattr(verify, "assert_registry_complete", lambda: None)
         record = verify.run_suite(suite="core", dims=(2, 3), trials=1).checks[0]
         assert record.worst_slack == -3.0
         assert record.worst_trial == {"dim": 3, "trial": 0}
@@ -581,7 +573,6 @@ class TestCliVerify:
             lambda slacks: slacks,
         )
         monkeypatch.setattr(verify, "REGISTRY", (probe,))
-        monkeypatch.setattr(verify, "assert_registry_complete", lambda: None)
         record = verify.run_suite(suite="core", dims=(3, 2), trials=3).to_dict()["checks"][0]
         assert record["violations"] == 6
         assert record["worst_trial"] == {"dim": 3, "trial": 0}
@@ -589,10 +580,11 @@ class TestCliVerify:
     def test_raising_judge_is_charged_to_its_trial(self, tmp_path, monkeypatch):
         from qsd import verify
 
-        order = itertools.count()  # trials draw in (dim, trial) order
+        # the trial whose generator starts as that of dim 3, trial 1 is bad
+        target = verify._trial_rng(0, "core.judge_probe", 3, 1).uniform()
 
         def draw(rngs, dim):
-            bad = np.array([next(order) == 4 for _ in rngs])  # dim 3, trial 1
+            bad = np.array([rng.uniform() == target for rng in rngs])
             return (bad,), [verify._inputs(np.eye(dim), alpha=0.5)] * len(rngs)
 
         def judge(bad):
@@ -605,7 +597,6 @@ class TestCliVerify:
             verify.REGISTRY[0],
         )
         monkeypatch.setattr(verify, "REGISTRY", checks)
-        monkeypatch.setattr(verify, "assert_registry_complete", lambda: None)
         out = tmp_path / "report.json"
         code = run_cli(
             "verify", "--suite", "core", "--dims", "2,3", "--trials", "3",
@@ -634,7 +625,6 @@ class TestCliVerify:
             lambda x: np.ones(2),
         )
         monkeypatch.setattr(verify, "REGISTRY", (probe,))
-        monkeypatch.setattr(verify, "assert_registry_complete", lambda: None)
         record = verify.run_suite(suite="core", dims=(2,), trials=3).to_dict()["checks"][0]
         assert record["violations"] == 3
         assert record["worst_case_inputs"]["error"] == "ValueError"
