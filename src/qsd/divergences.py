@@ -15,7 +15,6 @@ operand validation and that eigendecomposition see the unrestricted matrices.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -41,8 +40,6 @@ from .linalg import (
     _trace,
     default_support_threshold,
 )
-
-INFINITE = math.inf
 
 ALPHA_MIN = 1e-12
 
@@ -136,7 +133,7 @@ def _scalar_relative_entropy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # the limits replace the 0 and inf entries; an overflow is inf, as in float arithmetic
     with np.errstate(all="ignore"):
         value = a * (np.log(a) - np.log(b)) - (a - b)
-    return np.where(a == 0.0, b, np.where(b == 0.0, INFINITE, value))
+    return np.where(a == 0.0, b, np.where(b == 0.0, np.inf, value))
 
 
 def scalar_relative_entropy(a, b):
@@ -188,7 +185,7 @@ def relative_entropy(a: OperatorLike, b: OperatorLike) -> float | np.ndarray:
     amat, bmat = _common_dim(a, b, stacked=True)
     wb, vb, keep, quad, leak = _psd_against_support(amat, bmat)
     # the value is finite where A does not leak; it is 0 where B vanishes
-    value = np.where(leak > 0.0, INFINITE, 0.0)
+    value = np.where(leak > 0.0, np.inf, 0.0)
     finite = (leak == 0.0) & keep[..., -1]
     if finite.any():  # only then are the eigenvalues of A needed
         inside = _relative_entropy_on(amat, wb, vb, keep, quad)

@@ -3,10 +3,10 @@ continuity bounds, Hamiltonian mixing dynamics and the incremental-mixing
 entropy bound.
 
 Every route evaluates on member stacks. One ensemble (or experiment) gives a
-float, or a record of floats; a sequence of them is evaluated once per group
-whose members share their count and dimension, as ``(T, n, d, d)`` stacks,
-and gives an array of one value per item, or a record of such arrays. Each
-item of a group runs the kernels and reductions of its single call.
+float, or a record of floats; a sequence of them, of one dimension, is padded
+with zero weights and zero matrices to its largest member count ``n`` and run
+once as a ``(T, n, d, d)`` stack. It gives an array of one value per item, or a
+record of such arrays, each item its single call bit for bit while n <= 7.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .linalg import (
     _eigh,
     _frozen,
     _integral,
+    _is_state,
     _like_input,
     _operand_stack,
     _support,
@@ -77,9 +78,11 @@ class Ensemble:
         kept = np.flatnonzero(w)
         if kept.size == 0:
             raise DomainError("all weights are zero")
-        if any(abs(float(np.trace(_as_matrix(states[i])).real) - 1.0) > 1e-10 for i in kept):
+        given = [states[i] for i in kept]
+        # a normalized DensityMatrix has had unit trace since it was built
+        if any(not _is_state(s) and abs(float(np.trace(_as_matrix(s)).real) - 1.0) > 1e-10 for s in given):
             raise DomainError("ensemble members must have unit trace")
-        members = tuple(DensityMatrix(states[i]) for i in kept)
+        members = tuple(DensityMatrix(s) for s in given)
         dims = {dm.dim for dm in members}
         if len(dims) != 1:
             raise DimensionMismatchError(f"states have mixed dimensions {sorted(dims)}")
@@ -146,42 +149,30 @@ def _plain(result):
     return tuple(result.tolist())
 
 
-def _scatter(parts: list, size: int):
-    """The ``(indices, result)`` of each group as one result in input order:
-    an array of one value per item, or a record of such arrays. A trailing
-    axis is NaN past an item's own member count, and a field that a group
-    leaves None is NaN there."""
-    sample = parts[0][1]
-    if dataclasses.is_dataclass(sample):
-        fields = dataclasses.fields(sample)
-        return type(sample)(**{
-            f.name: _scatter([(idx, getattr(rec, f.name)) for idx, rec in parts], size) for f in fields
-        })
-    shapes = [np.shape(value)[1:] for _, value in parts if value is not None]
-    out = np.full((size, *(np.max(shapes, axis=0) if shapes else ())), np.nan)
-    for idx, value in parts:
-        if value is not None:
-            out[(idx, *(slice(n) for n in np.shape(value)[1:]))] = value
-    return out
-
-
 def _route(core, *columns):
     """``core`` on the :func:`_arrays` of one ensemble or experiment per
-    column, or, when every column is a sequence of them of one length, once
-    on each group of items whose arrays share their shapes, those arrays
-    stacked along a new first axis."""
+    column, or once on sequences of them of one length and one dimension,
+    stacked along a new first axis: zero weights and zero matrices pad each
+    ensemble to the call's largest member count, so ``w > 0`` is the member
+    mask of every core."""
     single = [isinstance(c, (Ensemble, MixingExperiment)) for c in columns]
     if all(single):
         return _plain(core(*(a for item in columns for a in _arrays(item))))
     size = 0 if any(single) else len(columns[0])
     if size == 0 or any(len(c) != size for c in columns):
         raise DomainError("expected one item per argument, or nonempty sequences of one length")
-    rows = [[a for item in row for a in _arrays(item)] for row in zip(*columns)]
-    groups: dict = {}
-    for k, row in enumerate(rows):
-        groups.setdefault(tuple(np.shape(a) for a in row), []).append(k)
-    stacked = ((idx, map(np.stack, zip(*(rows[k] for k in idx)))) for idx in groups.values())
-    return _scatter([(idx, core(*arrays)) for idx, arrays in stacked], size)
+    rows = [[_arrays(item) for item in c] for c in columns]
+    dims = {r[1].shape[-1] for col in rows for r in col}
+    if len(dims) != 1:
+        raise DimensionMismatchError(f"a sequence must have one dimension, got {sorted(dims)}")
+    n, d = max(r[0].size for col in rows for r in col), dims.pop()
+    arrays = []
+    for col in rows:
+        w, stack = np.zeros((size, n)), np.zeros((size, n, d, d), dtype=np.complex128)
+        for k, (wk, sk, *_) in enumerate(col):
+            w[k, : wk.size], stack[k, : wk.size] = wk, sk
+        arrays += [w, stack, *map(np.stack, list(zip(*col))[2:])]
+    return core(*arrays)
 
 
 def _mixture(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -194,18 +185,22 @@ def _mixture(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
 
 def _complement_weights(w: np.ndarray) -> np.ndarray:
     """Row ``i``: the weights of every member but ``i``, divided by their sum
-    (``1 - p_i`` loses digits when ``p_i`` is near 1)."""
+    (``1 - p_i`` loses digits when ``p_i`` is near 1); a lone member's row
+    stays 0."""
     c = np.where(np.eye(w.shape[-1], dtype=bool), 0.0, w[..., None, :])
-    return c / c.sum(axis=-1, keepdims=True)
+    total = c.sum(axis=-1, keepdims=True)
+    return c / np.where(total > 0.0, total, 1.0)
 
 
 def _complements(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """The ``n >= 2`` complementary mixtures of each member stack: item ``i``
     mixes every member but ``i`` with the weights of row ``i`` of
-    :func:`_complement_weights`, in one BLAS matrix product over the
-    flattened members (its ``n^2 d^2`` terms are too many for ``einsum``)."""
-    flat = stack.reshape(*stack.shape[:-2], -1)
-    return (_complement_weights(w) @ flat).reshape(stack.shape)
+    :func:`_complement_weights`, in one real BLAS matrix product over the
+    flattened members (its ``n^2 d^2`` terms are too many for ``einsum``);
+    real and imaginary parts as columns of their own keep ``d = 1`` off the
+    matrix-vector product, whose sums a zero pad can regroup."""
+    flat = stack.reshape(*stack.shape[:-2], -1).view(np.float64)
+    return (_complement_weights(w) @ flat).view(np.complex128).reshape(stack.shape)
 
 
 def average_state(ensemble: Ensemble) -> DensityMatrix:
@@ -249,7 +244,10 @@ def holevo_chi_relative_entropy_form(ensemble: Ensemble) -> float:
 def _chi_skew_divergence_form(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
     if stack.shape[-3] == 1:
         return np.zeros(stack.shape[:-3])
-    return _dot(w, _skewed_relative_entropy(stack, _complements(w, stack), w))
+    # a pad is skewed at 0 against the average and weighs 0; a lone member,
+    # skewed at 1 against its empty complement, has no divergence
+    chi = _dot(w, _skewed_relative_entropy(stack, _complements(w, stack), w))
+    return np.where(np.count_nonzero(w, axis=-1) > 1, chi, 0.0)
 
 
 def holevo_chi_skew_divergence_form(ensemble: Ensemble) -> float:
@@ -277,23 +275,27 @@ class ChiBoundRecord:
 
 
 def _chi_bounds(w: np.ndarray, stack: np.ndarray) -> ChiBoundRecord:
-    n = stack.shape[-3]
+    n, real = stack.shape[-3], w > 0.0
     dist = np.zeros((*stack.shape[:-3], n, n))
     comp_bound = pair_bound = np.zeros(stack.shape[:-3])
     if n > 1:
         i, j = np.triu_indices(n, 1)
-        dist[..., i, j] = dist[..., j, i] = _trace_distance(stack[..., i, :, :], stack[..., j, :, :])
-        coeff = -w * np.log(w)
+        # a pair with a pad is no pair: its distance stays 0
+        t_pairs = _trace_distance(stack[..., i, :, :], stack[..., j, :, :])
+        dist[..., i, j] = dist[..., j, i] = np.where(real[..., i] & real[..., j], t_pairs, 0.0)
+        coeff = -w * np.log(np.where(real, w, 1.0))
         comp_bound = _dot(coeff, _trace_distance(stack, _complements(w, stack)))
         # the complementary weights, normalized as _complements normalizes them
         pair_bound = _dot(coeff, (_complement_weights(w) * dist).sum(axis=-1))
     t_max = dist.max(axis=(-2, -1))
 
-    roga = None
-    if n == 2:
+    binary = np.count_nonzero(w, axis=-1) == 2
+    roga = np.full(binary.shape, np.nan)
+    if binary.any():
         p = w[..., 0]
         off = np.sqrt(p * (1.0 - p)) * fidelity(stack[..., 0, :, :], stack[..., 1, :, :])
-        roga = von_neumann_entropy(np.stack([np.stack([p, off], -1), np.stack([off, 1.0 - p], -1)], -2))
+        surrogate = np.stack([np.stack([p, off], -1), np.stack([off, 1.0 - p], -1)], -2)
+        roga = np.where(binary, von_neumann_entropy(surrogate), np.nan)
 
     return ChiBoundRecord(
         chi=_chi(w, stack),
@@ -301,7 +303,7 @@ def _chi_bounds(w: np.ndarray, stack: np.ndarray) -> ChiBoundRecord:
         pairwise_bound=pair_bound,
         entropy_times_t=shannon_entropy(w) * t_max,
         max_pairwise_distance=t_max,
-        roga_bound=roga,
+        roga_bound=roga if binary.ndim or binary else None,
     )
 
 
@@ -323,8 +325,8 @@ class ChiContinuityRecord:
 
 
 def _chi_continuity(w, stack, w_other, stack_other) -> ChiContinuityRecord:
-    n = stack.shape[-3]
-    if n != stack_other.shape[-3]:
+    real, n = w > 0.0, np.count_nonzero(w, axis=-1)
+    if np.any(n != np.count_nonzero(w_other, axis=-1)):
         raise DomainError("ensembles must have the same number of members")
     if stack.shape[-1] != stack_other.shape[-1]:
         raise DimensionMismatchError("ensembles must share dimension")
@@ -335,12 +337,13 @@ def _chi_continuity(w, stack, w_other, stack_other) -> ChiContinuityRecord:
     t = t_members.max(axis=-1)
     # a single member has no complement
     t_comp = np.empty((*stack.shape[:-3], 0))
-    if n > 1:
+    if stack.shape[-3] > 1:
         t_comp = _trace_distance(_complements(w, stack), _complements(w_other, stack_other))
 
-    # the bound formulas divide by t; where it vanishes, so do the bounds
+    # the bound formulas divide by t; where it vanishes, so do the bounds.
+    # A pad enters as p = 1, whose terms are 0
     s = np.where(t == 0.0, 1.0, t)
-    p, s1 = w, s[..., None]
+    p, s1 = np.where(real, w, 1.0), s[..., None]
     weighted = np.sum(p * s1 * np.log1p((1.0 - p) / (p * s1)) + p * np.log1p((1.0 - p) * s1 / p), -1)
     dimension_free = s * np.log1p((n - 1) / s) + np.log1p((n - 1) * s)
     return ChiContinuityRecord(
@@ -348,8 +351,8 @@ def _chi_continuity(w, stack, w_other, stack_other) -> ChiContinuityRecord:
         weighted_bound=np.where(t == 0.0, 0.0, weighted),
         dimension_free_bound=np.where(t == 0.0, 0.0, dimension_free),
         max_member_distance=t,
-        member_distances=t_members,
-        complementary_distances=t_comp,
+        member_distances=np.where(real, t_members, np.nan),
+        complementary_distances=np.where(real & (n > 1)[..., None], t_comp, np.nan),
     )
 
 

@@ -258,3 +258,15 @@ def test_a_single_member_builds_no_complement(monkeypatch, rng):
     assert en.holevo_chi_skew_divergence_form(ens) == 0.0
     assert en.chi_upper_bounds(ens).complementary_bound == 0.0
     assert en.chi_continuity_bound(ens, other).complementary_distances == ()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_zero_pads_leave_the_complements_bit_for_bit(rng, dim):
+    # a sequence pads its ensembles with zero members; at d = 1 a complex
+    # matrix-vector product would regroup its sums around the pads
+    for n in range(2, 8):
+        w = rng.dirichlet(np.ones(n))
+        stack = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+        padded_w, padded = np.zeros((2, 7)), np.zeros((2, 7, dim, dim), dtype=complex)
+        padded_w[:, :n], padded[:, :n] = w, stack
+        assert np.array_equal(en._complements(padded_w, padded)[:, :n], np.stack([en._complements(w, stack)] * 2))

@@ -83,6 +83,13 @@ class TestEnsemble:
         with pytest.raises(DomainError):
             Ensemble((1.0,), [heavy])
 
+    def test_trace_two_members_beside_states_are_rejected(self, rng):
+        # normalized states skip the trace check; the other members keep it
+        heavy = DensityMatrix.positive_operator(np.diag([1.0, 1.0]))
+        for member in (heavy, heavy.mat):
+            with pytest.raises(DomainError, match="unit trace"):
+                Ensemble((0.5, 0.5), [random_state(2, rng), member])
+
     def test_unit_trace_positive_operator_becomes_a_state(self, rng):
         op = DensityMatrix.positive_operator(np.diag([0.5, 0.5]))
         (member,) = Ensemble((1.0,), [op]).states

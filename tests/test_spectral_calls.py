@@ -133,14 +133,20 @@ def test_a_sequence_of_experiments_makes_the_calls_of_one(monkeypatch, rng):
     assert count_eigen_calls(monkeypatch, lambda: qsd.mixing_rate(experiments)) == 2
 
 
-def test_a_sequence_of_ensembles_makes_the_calls_of_one_per_member_count(monkeypatch, rng):
+@pytest.mark.parametrize(
+    "name",
+    ["holevo_chi", "holevo_chi_relative_entropy_form", "holevo_chi_skew_divergence_form", "chi_continuity_bound"],
+)
+def test_a_sequence_of_ensembles_makes_the_calls_of_one_ensemble(monkeypatch, rng, name):
     def ensemble(n):
         return qsd.Ensemble(np.full(n, 1.0 / n), [qsd.random_state(4, rng) for _ in range(n)])
 
-    # two groups, n = 2 and n = 3, however many ensembles each holds
+    # n = 2 and n = 3 share one padded stack, however many ensembles it holds
     sequence = [ensemble(n) for n in (2, 3, 3, 2, 2, 3)]
-    assert count_eigen_calls(monkeypatch, lambda: qsd.holevo_chi(sequence)) == 2 * 2
-    assert count_eigen_calls(monkeypatch, lambda: qsd.holevo_chi(sequence[:1])) == 2
+    others = [ensemble(e.n) for e in sequence]
+    call = ENSEMBLE_ROUTES[name]
+    assert count_eigen_calls(monkeypatch, lambda: call(sequence, others)) == EXPECTED_CALLS[name]
+    assert count_eigen_calls(monkeypatch, lambda: call(sequence[:1], others[:1])) == EXPECTED_CALLS[name]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """The ensemble, SIM and Fréchet routes take a trial axis. A sequence of
 ensembles or experiments, or raw (n, d, d) stacks, gives each item the value
-of its single call bit for bit, and a stack of one is the single call."""
+of its single call bit for bit (for ensembles, while a sequence's largest
+member count is at most 7), and a stack of one is the single call."""
 
 import dataclasses
 
@@ -92,6 +93,16 @@ def test_continuity_gives_each_pair_its_single_call(rng, dim):
     assert_items(qsd.chi_continuity_bound, [sequence, sequence])
 
 
+@pytest.mark.parametrize("dim", DIMS)
+def test_items_stay_exact_up_to_seven_members(rng, dim):
+    # every member count the padded sums keep exact, interleaved
+    sequence = [ensemble(rng, dim, n, max(1, dim // 2) if n % 2 else None) for n in (7, 1, 5, 2, 6, 3, 4, 7)]
+    for route in ENSEMBLE_ROUTES:
+        assert_items(getattr(qsd, route), [sequence])
+    others = [Ensemble(e.weights, [state(rng, dim) for _ in e.states]) for e in sequence]
+    assert_items(qsd.chi_continuity_bound, [sequence, others])
+
+
 def test_a_single_member_sequence_builds_no_complement(rng):
     sequence = [ensemble(rng, 3, n) for n in (1, 2, 1, 3)]
     assert_items(qsd.holevo_chi_skew_divergence_form, [sequence])
@@ -174,6 +185,18 @@ def test_sequences_must_match(rng):
         qsd.holevo_chi([])
     with pytest.raises(DomainError, match="nonempty sequences of one length"):
         qsd.chi_continuity_bound(sequence[0], sequence)
+
+
+def test_a_sequence_has_one_dimension(rng):
+    ensembles = [ensemble(rng, 2, 2), ensemble(rng, 3, 2)]
+    with pytest.raises(DimensionMismatchError, match="one dimension"):
+        qsd.holevo_chi(ensembles)
+    with pytest.raises(DimensionMismatchError, match="one dimension"):
+        qsd.chi_upper_bounds(ensembles[::-1])
+    with pytest.raises(DimensionMismatchError, match="one dimension"):
+        qsd.mixing_rate([experiment(rng, 2, 0.3), experiment(rng, 3, 0.3)])
+    with pytest.raises(DimensionMismatchError, match="one dimension"):
+        qsd.sim_bound_check([experiment(rng, 3, 0.0), experiment(rng, 2, 0.3)])
 
 
 def test_a_sequence_raises_what_its_first_offending_item_raises(rng):
