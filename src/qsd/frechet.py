@@ -20,13 +20,14 @@ The integral representations
 
 are implemented with composite Gauss-Legendre quadrature (after mapping
 ``s = u/(1-u)``) purely as an independent cross-check: they never touch the
-eigenvector path, only linear solves.
+eigenvector path. One Householder reduction ``A = Q T Q*`` per call (Golub &
+Van Loan, Matrix Computations, 8.3) makes each ``T + s`` tridiagonal, so a node
+costs an LDL* factorization and banded sweeps, O(d^2), not a dense solve.
 
-The oracle routes evaluate their nodes in stacked blocks: the shifted matrices
-``A + s_k`` of the quadrature (or the mixtures of :func:`sd_by_averaging`) form
-one ``(n, d, d)`` array per block, handled by a single batched LAPACK call.
-A block holds at most ``_NODE_BLOCK_ELEMS`` complex entries per array, so
-memory stays bounded at every dimension.
+The oracle routes evaluate their nodes in stacked blocks of at most
+``_NODE_BLOCK_ELEMS`` complex entries per array: the quadrature's right-hand
+sides, or the mixtures of :func:`sd_by_averaging` (one batched LAPACK call per
+block), so memory stays bounded at every dimension.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ from .linalg import (
     spectral_fn,
 )
 
-# Largest number of complex entries in one stacked (n, d, d) node array
-# (2**16 entries, 1 MiB); the oracle node loops run in blocks of this size.
+# Largest number of complex entries in one stacked (d, n, d) or (n, d, d) node
+# array (2**16 entries, 1 MiB); the oracle node loops run in blocks of this size.
 _NODE_BLOCK_ELEMS = 1 << 16
 
 # Relative eigenvalue gap below which divided differences switch to their
@@ -308,24 +309,66 @@ def _node_blocks(n_nodes: int, dim: int) -> list[slice]:
     return [slice(lo, min(lo + step, n_nodes)) for lo in range(0, n_nodes, step)]
 
 
+def _tridiagonal(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unitary ``q`` and Hermitian tridiagonal ``t`` with ``mat = q t q*``."""
+    t = np.array(mat, dtype=complex)
+    q = np.eye(t.shape[0], dtype=complex)
+    for k in range(t.shape[0] - 2):
+        x = t[k + 1 :, k]
+        if not x[1:].any():
+            continue  # column k is already reduced
+        norm = np.linalg.norm(x)
+        phase = x[0] / abs(x[0]) if x[0] else 1.0
+        v = x.copy()
+        v[0] += phase * norm
+        v /= np.linalg.norm(v)
+        # H = I - 2 v v* maps x to -phase * norm * e_1; H t H on the trailing block
+        p = t[k + 1 :, k + 1 :] @ v
+        w = p - (v.conj() @ p) * v
+        t[k + 1 :, k + 1 :] -= 2.0 * (np.outer(v, w.conj()) + np.outer(w, v.conj()))
+        t[k + 1, k] = -phase * norm
+        q[:, k + 1 :] -= 2.0 * np.outer(q[:, k + 1 :] @ v, v.conj())
+    sub = t.diagonal(-1)  # the band, read from the lower triangle only
+    return q, np.diag(t.diagonal().real) + np.diag(sub, -1) + np.diag(sub.conj(), 1)
+
+
+def _banded_solve(piv: np.ndarray, mult: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Overwrite each ``x[:, k]`` of a (d, n, m) stack with ``(T + s_k)^-1 x[:, k]``,
+    from LDL* pivots ``piv`` (d, n) and multipliers ``mult`` (d-1, n)."""
+    for i in range(1, len(x)):
+        x[i] -= mult[i - 1, :, None] * x[i - 1]
+    x /= piv[:, :, None]
+    for i in range(len(x) - 2, -1, -1):
+        x[i] -= mult[i, :, None].conj() * x[i + 1]
+    return x
+
+
 def _integral_pass(
     mat: np.ndarray, dmat: np.ndarray, u_edges: np.ndarray, second: bool
 ) -> np.ndarray:
+    """One pass over ``u_edges``; ``mat`` is the ``t`` of :func:`_tridiagonal`."""
     dim = mat.shape[0]
-    eye = np.eye(dim)
     u, wts = _composite_gl(u_edges)
     s = u / (1.0 - u)
     coef = wts * (1.0 / (1.0 - u) ** 2)
     if second:
         coef = 2.0 * coef
+    # T + s is Hermitian positive definite, so LDL* needs no pivoting
+    piv, mult = np.empty((dim, s.size)), np.empty((dim - 1, s.size), dtype=complex)
+    piv[0] = mat[0, 0].real + s
+    for i in range(dim - 1):
+        mult[i] = mat[i + 1, i] / piv[i]
+        piv[i + 1] = mat[i + 1, i + 1].real + s - abs(mat[i + 1, i]) ** 2 / piv[i]
     total = np.zeros_like(mat)
     for block in _node_blocks(s.size, dim):
-        shifted = mat + s[block, None, None] * eye  # stack of A + s_k
-        left = np.linalg.solve(shifted, np.broadcast_to(dmat, shifted.shape))  # (A+s)^-1 D
+        p, m = piv[:, block], mult[:, block]
+        dstack = np.repeat(dmat[:, None, :], p.shape[1], axis=1)  # D at every node
+        left = _banded_solve(p, m, dstack).transpose(1, 0, 2)  # left[k] = (T + s_k)^-1 D
         rhs = left @ left if second else left
-        core = _adjoint(np.linalg.solve(shifted, _adjoint(rhs)))
-        total += np.tensordot(coef[block], core, axes=1)
-    return total
+        # core[:, k] is the adjoint of node k's integrand rhs[k] (T + s_k)^-1
+        core = _banded_solve(p, m, np.conj(rhs.transpose(2, 0, 1), order="C"))
+        total += coef[block] @ core
+    return _adjoint(total)
 
 
 def _quadrature_log_derivative(
@@ -335,13 +378,15 @@ def _quadrature_log_derivative(
     w = np.linalg.eigvalsh(mat)
     _require_pd(w, "base operator")
     wmin, wmax = float(w[0]), float(w[-1])
+    q, t = _tridiagonal(mat)
+    dt = _adjoint(q) @ dmat @ q
 
     def integral(density: int) -> tuple[np.ndarray, int]:
         edges = _graded_u_edges(wmin, wmax, density)
-        value = _integral_pass(mat, dmat, edges, second)
+        value = _integral_pass(t, dt, edges, second)
         return value, (len(edges) - 1) * _NODES_PER_PANEL
 
-    return HermitianOperator(_refine(integral))
+    return HermitianOperator(q @ _refine(integral) @ _adjoint(q))
 
 
 def frechet_log_quadrature(a: OperatorLike, delta: OperatorLike) -> HermitianOperator:

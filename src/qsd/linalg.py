@@ -430,7 +430,7 @@ def operator_norm(x: OperatorLike) -> float | np.ndarray:
 # Seeded random generation
 # ---------------------------------------------------------------------------
 
-RngLike = Union[np.random.Generator, int]
+RngLike = Union["np.random.Generator", int]  # a string: qsd loads numpy.random lazily
 
 
 def _as_rng(rng: RngLike) -> np.random.Generator:

@@ -698,6 +698,56 @@ class TestRefinement:
         assert single != refined
 
 
+def check_tridiagonal(a):
+    """``_tridiagonal(a)`` gives a unitary ``q`` and a Hermitian tridiagonal
+    ``t`` with a real diagonal and ``q t q* = a``; returns them."""
+    q, t = fr._tridiagonal(a)
+    dim = a.shape[0]
+    assert np.linalg.norm(q.conj().T @ q - np.eye(dim)) <= 1e-14 * math.sqrt(dim)
+    assert np.array_equal(t, t.conj().T) and not t.diagonal().imag.any()
+    assert not np.triu(t, 2).any() and not np.tril(t, -2).any()
+    assert_rel_close(q @ t @ q.conj().T, a, rtol=1e-14)
+    return q, t
+
+
+def block_diagonal_pd(rng, sizes=(3, 3)):
+    """Positive definite matrix of independent diagonal blocks."""
+    a = np.zeros((sum(sizes),) * 2, dtype=complex)
+    lo = 0
+    for size in sizes:
+        a[lo : lo + size, lo : lo + size] = conditioned_pd(rng, size, 1e2)
+        lo += size
+    return (a + a.conj().T) / 2
+
+
+class TestTridiagonal:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 64])
+    def test_random_hermitian(self, rng, dim):
+        check_tridiagonal(rand_herm(rng, dim))
+
+    def test_diagonal_skips_every_reflector(self, rng):
+        a = np.diag(rng.uniform(-1.0, 1.0, 5)).astype(complex)
+        q, t = check_tridiagonal(a)
+        assert np.array_equal(q, np.eye(5)) and np.array_equal(t, a)
+
+    def test_block_diagonal_splits_the_band(self, rng):
+        _, t = check_tridiagonal(block_diagonal_pd(rng))
+        assert t[3, 2] == 0.0
+
+    def test_zero_leading_entry(self, rng):
+        a = rand_herm(rng, 5)
+        a[1, 0] = a[0, 1] = 0.0
+        check_tridiagonal(a)
+
+    @pytest.mark.parametrize("oracle", QUADRATURE_ORACLES)
+    def test_split_band_matches_node_loop(self, rng, monkeypatch, oracle):
+        a = block_diagonal_pd(rng)
+        d = rand_herm(rng, 6)
+        banded = oracle(a, d).mat
+        monkeypatch.setattr(fr, "_integral_pass", loop_integral_pass)
+        assert_rel_close(banded, oracle(a, d).mat)
+
+
 def counting(monkeypatch, owner, name):
     """Replace ``owner.name`` by a wrapper; return the list of the positional
     arguments of every call it receives."""
@@ -725,16 +775,18 @@ class TestOracleKernelCalls:
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
         assert np.all(np.isfinite(oracle(a, d).mat))
 
-    def test_solves_per_quadrature_are_per_block(self, rng, monkeypatch):
+    @pytest.mark.parametrize("oracle", QUADRATURE_ORACLES)
+    def test_quadrature_reduces_once_and_never_solves(self, rng, monkeypatch, oracle):
         a = conditioned_pd(rng, 4, 1e3)
         d = rand_herm(rng, 4)
-        passes = counting(monkeypatch, fr, "_composite_gl")
+        passes = counting(monkeypatch, fr, "_integral_pass")
+        reductions = counting(monkeypatch, fr, "_tridiagonal")
         solves = counting(monkeypatch, np.linalg, "solve")
-        frechet_log_quadrature(a, d)
-        block = fr._NODE_BLOCK_ELEMS // 16
-        max_nodes = max(len(edges) - 1 for (edges,) in passes) * 16
+        eighs = counting(monkeypatch, np.linalg, "eigh")
+        oracle(a, d)
         assert len(passes) >= 2  # the adaptive default refines at least once
-        assert len(solves) <= 2 * len(passes) * math.ceil(max_nodes / block)
+        # one reduction serves every pass; each node is a banded sweep
+        assert (len(reductions), len(solves), len(eighs)) == (1, 0, 0)
 
     def test_averaging_eigh_calls(self, rng, monkeypatch):
         rho, sig = random_state(4, rng), random_state(4, rng)
