@@ -15,8 +15,7 @@ operand validation and that eigendecomposition see the unrestricted matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .linalg import (
     _common_dim,
     _eigh,
     _float_or_array,
-    _is_state,
     _like_input,
     _psd_against_support,
     _psd_operands,
@@ -44,39 +42,19 @@ from .linalg import (
 ALPHA_MIN = 1e-12
 
 
-@dataclass(frozen=True)
-class SkewParameter:
-    """Skewing weight, strictly inside (0, 1).
-
-    Values within ``1e-12`` of either endpoint are rejected to keep
-    ``-log(alpha)`` and ``1 - alpha`` well conditioned.
-    """
-
-    alpha: float
-
-    def __post_init__(self):
-        a = self.alpha
-        if not (ALPHA_MIN <= a <= 1.0 - ALPHA_MIN):
-            raise DomainError(
-                f"skew parameter must lie in [{ALPHA_MIN}, 1-{ALPHA_MIN}], got {a}"
-            )
-
-    def __float__(self) -> float:
-        return self.alpha
-
-
-AlphaLike = Union[SkewParameter, float]
-
-
-def _as_alpha(alpha: AlphaLike):
-    """The skew parameter as a float, or an array of them validated entrywise."""
-    if isinstance(alpha, SkewParameter):
-        return alpha.alpha
-    if np.ndim(alpha):  # the range holds every entry when it holds both extremes
+def _as_alpha(alpha):
+    """A float or array of skew parameters, each checked to lie in ``[ALPHA_MIN,
+    1 - ALPHA_MIN]``: ``-log(alpha)`` and ``1 - alpha`` stay well conditioned."""
+    if np.ndim(alpha):  # the extremes decide the range; a NaN entry is both
         a = np.asarray(alpha, dtype=np.float64)
-        SkewParameter(float(a.min())), SkewParameter(float(a.max()))
-        return a
-    return SkewParameter(float(alpha)).alpha
+        extremes = (a.min(), a.max())
+    else:
+        a = float(alpha)
+        extremes = (a,)
+    for x in extremes:
+        if not ALPHA_MIN <= x <= 1.0 - ALPHA_MIN:
+            raise DomainError(f"skew parameter must lie in [{ALPHA_MIN}, 1-{ALPHA_MIN}], got {x}")
+    return a
 
 
 def _require_per_pair(alpha, mat: np.ndarray) -> None:
@@ -221,7 +199,7 @@ def _skewed_relative_entropy(amat: np.ndarray, bmat: np.ndarray, a) -> np.ndarra
 
 
 def skew_divergence(
-    rho: OperatorLike, sigma: OperatorLike, alpha: AlphaLike
+    rho: OperatorLike, sigma: OperatorLike, alpha: float
 ) -> float | np.ndarray:
     """Quantum skew divergence ``S(rho || a rho + (1-a) sigma) / (-log a)``.
 
@@ -273,7 +251,9 @@ def fidelity(rho: OperatorLike, sigma: OperatorLike) -> float | np.ndarray:
 
 
 def apply_channel(kraus: Sequence[np.ndarray], rho: OperatorLike) -> DensityMatrix:
-    """Apply a CPTP map given by Kraus operators: ``sum K rho K*``.
+    """Apply a CPTP map given by Kraus operators: ``sum K rho K*``, divided
+    by its trace when ``rho`` is a state (trace within ``STATE_TRACE_TOL`` of
+    1), otherwise a positive operator.
 
     Raises if the Kraus set is not complete: some entry of ``sum K* K - id``
     exceeds 1e-9 in modulus. Since ``tr(sum K rho K*) - tr rho =
@@ -296,4 +276,4 @@ def apply_channel(kraus: Sequence[np.ndarray], rho: OperatorLike) -> DensityMatr
     if rmat.shape[0] != dim:
         raise DimensionMismatchError("state dimension does not match the channel")
 
-    return _like_input(_is_state(rho), sum(k @ rmat @ k.conj().T for k in ops))
+    return _like_input(rmat, sum(k @ rmat @ k.conj().T for k in ops))

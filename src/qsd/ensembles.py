@@ -7,6 +7,7 @@ float, or a record of floats; a sequence of them, of one dimension, is padded
 with zero weights and zero matrices to its largest member count ``n`` and run
 once as a ``(T, n, d, d)`` stack. It gives an array of one value per item, or a
 record of such arrays, each item its single call bit for bit while n <= 7.
+A member, or an operand of ``evolve``, is a state by its trace alone.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .linalg import (
     _integral,
     _is_state,
     _like_input,
-    _operand_stack,
     _support,
     _support_quad,
     _symmetrized,
@@ -52,7 +52,8 @@ WEIGHT_SUM_TOL = 1e-12
 
 
 class Ensemble:
-    """Probability weights paired with density matrices of a common dimension.
+    """Probability weights paired with states of a common dimension, each
+    an array or an operator whose trace lies within ``STATE_TRACE_TOL`` of 1.
 
     Zero-weight members are dropped at construction so that every
     ``-p log p`` and skew parameter derived from the weights is well defined.
@@ -79,8 +80,7 @@ class Ensemble:
         if kept.size == 0:
             raise DomainError("all weights are zero")
         given = [states[i] for i in kept]
-        # a normalized DensityMatrix has had unit trace since it was built
-        if any(not _is_state(s) and abs(float(np.trace(_as_matrix(s)).real) - 1.0) > 1e-10 for s in given):
+        if not all(_is_state(_as_matrix(s)) for s in given):
             raise DomainError("ensemble members must have unit trace")
         members = tuple(DensityMatrix(s) for s in given)
         dims = {dm.dim for dm in members}
@@ -374,20 +374,20 @@ def _propagator(w: np.ndarray, v: np.ndarray, t) -> np.ndarray:
 
 
 def evolve(rho: OperatorLike, hamiltonian: OperatorLike, t) -> DensityMatrix:
-    """Unitary evolution ``U rho U*`` with ``U = exp(i t H)``; a state when
-    ``rho`` is a normalized :class:`DensityMatrix`, otherwise a positive
-    operator with the trace of ``rho``. A raw stack or a sequence of
-    operators, with a raw stack of Hamiltonians and one ``t`` or one per
-    item, gives the read-only stack of the moved items."""
+    """Unitary evolution ``U rho U*`` with ``U = exp(i t H)``: divided by its
+    trace when ``rho`` is a state (trace within ``STATE_TRACE_TOL`` of 1),
+    otherwise a positive operator with the trace of ``rho``. A raw
+    ``(n, d, d)`` stack, with a raw stack of Hamiltonians and one ``t`` or one
+    per item, gives the read-only stack of the moved items, each under the
+    same rule."""
     t = np.asarray(t, dtype=np.float64)
     if not np.isfinite(t).all():
         raise DomainError(f"evolution time t must be finite, got {t[~np.isfinite(t)][0]}")
-    rmat, states = _operand_stack(rho)
-    hmat, rmat = _common_dim(hamiltonian, rmat, stacked=True)
+    hmat, rmat = _common_dim(hamiltonian, rho, stacked=True)
     if t.shape not in ((), hmat.shape[:-2]):
         raise DomainError(f"t must be one float or one per item, got shape {t.shape}")
     u = _propagator(*_eigh(hmat), t[..., None])
-    return _like_input(states, u @ rmat @ _adjoint(u))
+    return _like_input(rmat, u @ rmat @ _adjoint(u))
 
 
 def _mixing_rate(p, stack, h1, h2, t) -> np.ndarray:

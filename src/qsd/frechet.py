@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .divergences import AlphaLike, _as_alpha, _nonnegative_pair, _require_per_pair
+from .divergences import _as_alpha, _nonnegative_pair, _require_per_pair
 from .linalg import (
     HermitianOperator,
     OperatorLike,
@@ -547,7 +547,7 @@ def chi2_log(a: OperatorLike, b: OperatorLike) -> float | np.ndarray:
 
 
 def sd_by_averaging(
-    a: OperatorLike, b: OperatorLike, alpha: AlphaLike, refine: bool = True
+    a: OperatorLike, b: OperatorLike, alpha: float, refine: bool = True
 ) -> float:
     """Skew divergence reconstructed by averaging the differential version
     over ``-log(alpha')`` from 0 to ``-log(alpha)``.

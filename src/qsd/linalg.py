@@ -31,6 +31,9 @@ PSD_TOL = 1e-10
 # leaking out of it (an infinite relative entropy, a domain error elsewhere).
 SUPPORT_DEFECT_TOL = 1e-10
 
+# A matrix, whatever type carries it, is a state when its trace is this close to 1.
+STATE_TRACE_TOL = 1e-10
+
 
 def _adjoint(mat: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix of a stack."""
@@ -94,10 +97,13 @@ class HermitianOperator:
 
     @classmethod
     def _of(cls, mat: np.ndarray) -> "HermitianOperator":
-        """``mat``, already Hermitian, without a check."""
+        """``mat``, already Hermitian (and PSD for a DensityMatrix), unchecked."""
         self = object.__new__(cls)
-        self._mat = _frozen(mat)
+        self._hold(mat)
         return self
+
+    def _hold(self, mat: np.ndarray) -> None:
+        self._mat = _frozen(mat)
 
     @property
     def mat(self) -> np.ndarray:
@@ -127,30 +133,25 @@ class HermitianOperator:
 
 
 class DensityMatrix(HermitianOperator):
-    """Positive-semidefinite Hermitian operator, unit trace unless built
-    through :meth:`positive_operator`.
+    """Positive-semidefinite Hermitian operator; a state, :attr:`is_normalized`,
+    when its trace lies within ``STATE_TRACE_TOL`` of 1.
 
     Construction clips eigenvalues in ``(-1e-10, 0)`` to zero and rejects
-    anything more negative. A normalized input is already a state and is
-    kept as it is.
+    anything more negative; all but :meth:`positive_operator` then divide by
+    the trace. A DensityMatrix that is a state is kept as it is.
     """
 
     __slots__ = ("_normalized",)
 
     def __init__(self, entries):
         if isinstance(entries, DensityMatrix) and entries.is_normalized:
-            self._mat = entries.mat
+            self._mat, self._normalized = entries.mat, True
         else:
-            self._mat = _frozen(_unit_trace(_clip_psd(entries)))
-        self._normalized = True
+            self._hold(_unit_trace(_clip_psd(entries)))
 
-    @classmethod
-    def _of(cls, mat: np.ndarray, normalized: bool) -> "DensityMatrix":
-        """``mat``, already Hermitian and PSD (and of unit trace when
-        ``normalized``), without a check."""
-        self = super()._of(mat)
-        self._normalized = normalized
-        return self
+    def _hold(self, mat: np.ndarray) -> None:
+        super()._hold(mat)
+        self._normalized = bool(_is_state(self._mat))
 
     @classmethod
     def from_matrix(cls, entries) -> "DensityMatrix":
@@ -160,10 +161,11 @@ class DensityMatrix(HermitianOperator):
     @classmethod
     def positive_operator(cls, entries) -> "DensityMatrix":
         """Positive operator: same PSD clipping, but the trace is left alone."""
-        return cls._of(_clip_psd(entries), False)
+        return cls._of(_clip_psd(entries))
 
     @property
     def is_normalized(self) -> bool:
+        """Whether the trace lies within ``STATE_TRACE_TOL`` of 1, read at construction."""
         return self._normalized
 
     def __repr__(self) -> str:
@@ -188,28 +190,20 @@ def _operator(raw: np.ndarray):
     return HermitianOperator(raw) if raw.ndim == 2 else _hermitian(raw, stacked=True)
 
 
-def _is_state(value) -> bool:
-    return isinstance(value, DensityMatrix) and value.is_normalized
+def _is_state(mat: np.ndarray):
+    """Whether a matrix, or each matrix of an ``(n, d, d)`` stack, is a state:
+    its trace lies within ``STATE_TRACE_TOL`` of 1."""
+    return np.abs(_trace(mat) - 1.0) <= STATE_TRACE_TOL
 
 
-def _operand_stack(values) -> tuple:
-    """``values`` as one operand for :func:`_common_dim`, and whether it is a
-    normalized state: a sequence that holds an operator object becomes one
-    stack, with a flag per item."""
-    listed = isinstance(values, (list, tuple)) or getattr(values, "dtype", None) == object
-    if not (listed and any(isinstance(v, HermitianOperator) for v in values)):
-        return values, _is_state(values)
-    return np.stack(_common_dim(*values)), np.array([_is_state(v) for v in values])
-
-
-def _like_input(states, out: np.ndarray):
-    """``out`` clipped PSD and divided by its trace where ``states``: a
-    :class:`DensityMatrix`, a state exactly when ``states``, or for a stack
-    a read-only array."""
-    out = _unit_trace(_clip_psd(out, stacked=True), states)
+def _like_input(mat: np.ndarray, out: np.ndarray):
+    """``out`` clipped PSD and divided by its trace where the input ``mat``,
+    or the matching item of a stack, is a state: a :class:`DensityMatrix`,
+    or for a stack a read-only array."""
+    out = _unit_trace(_clip_psd(out, stacked=True), _is_state(mat))
     if out.ndim == 3:
         return _frozen(out)
-    return DensityMatrix._of(out, bool(states))
+    return DensityMatrix._of(out)
 
 
 def _require_psd(w: np.ndarray, what: str) -> None:
@@ -276,16 +270,11 @@ def _clip_psd(entries, stacked: bool = False) -> np.ndarray:
 
 
 def _unit_trace(mat: np.ndarray, states=True) -> np.ndarray:
-    """``mat`` divided by its trace; with ``states``, one flag per matrix of
-    a stack, each matrix where its flag holds, and the others divided by 1.0,
-    which keeps them. A trace that divides must be positive."""
-    if states is True:
-        tr = float(np.trace(mat).real)
-        positive = tr > 0.0
-    else:
-        tr = np.where(states, _trace(mat), 1.0)[..., None, None]
-        positive = (tr > 0.0).all()
-    if not positive:
+    """``mat``, or each matrix of a stack, divided by its trace where
+    ``states`` holds (one flag, or one per matrix); the others are divided by
+    1.0, which keeps them. A trace that divides must be positive."""
+    tr = np.where(states, _trace(mat), 1.0)[..., None, None]
+    if not (tr > 0.0).all():
         raise DomainError("cannot normalize an operator with non-positive trace")
     # dividing by a positive scalar keeps the matrix exactly Hermitian
     return mat / tr
@@ -462,7 +451,7 @@ def _random_states(rngs: Sequence[np.random.Generator], dim: int) -> np.ndarray:
     g = _complex_gaussians(rngs, (dim, dim))
     # G G* is PSD by construction: the clipping eigh of from_matrix would
     # keep it as it is, so only its trace is divided out
-    return _unit_trace(_symmetrized(g @ _adjoint(g)), np.ones(len(g), dtype=bool))
+    return _unit_trace(_symmetrized(g @ _adjoint(g)))
 
 
 def _random_hamiltonians(rngs: Sequence[np.random.Generator], dim: int) -> np.ndarray:
@@ -493,7 +482,7 @@ def random_state(dim: int, rng: RngLike) -> DensityMatrix:
     if dim < 1:
         raise DomainError("dim must be at least 1")
     (mat,) = _random_states([_as_rng(rng)], dim)
-    return DensityMatrix._of(mat, True)
+    return DensityMatrix._of(mat)
 
 
 def random_hamiltonian(dim: int, rng: RngLike) -> HermitianOperator:

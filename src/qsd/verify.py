@@ -18,7 +18,8 @@ it to the report.
 A judge calls each public function once on the whole stack. The divergences,
 the Fréchet closed forms, ``evolve`` and the ensemble and SIM routes take a
 trial axis: raw ``(n, d, d)`` stacks, or the 1-D object array that a column
-of ensembles, experiments or states stacks into. Four functions take one
+of ensembles or experiments stacks into; a state is one by its trace alone,
+so a stack of states is a raw stack too. Four functions take one
 trial only and are called per trial through ``_each``:
 ``frechet_log_quadrature``, ``sd_by_averaging``, ``second_frechet_log`` and
 ``metric_epsilon_limit_check``.
@@ -123,7 +124,7 @@ def _channels(rngs, dim: int) -> tuple[np.ndarray, list[int]]:
 def _from_matrices(raw: np.ndarray) -> np.ndarray:
     """``la.DensityMatrix.from_matrix`` of each matrix of a stack, as one
     stack: clipped PSD and divided by its trace."""
-    return la._like_input(np.ones(len(raw), dtype=bool), raw)
+    return la._unit_trace(la._clip_psd(raw, stacked=True))
 
 
 def _channel_images(kraus: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -144,16 +145,11 @@ def _orthogonal_pairs(rngs, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _objects(items) -> np.ndarray:
-    """A 1-D object array of ``items``: the stack of a column of ensembles,
-    experiments or states."""
+    """A 1-D object array of ``items``: the stack of a column of ensembles
+    or experiments."""
     out = np.empty(len(items), dtype=object)
     out[:] = items
     return out
-
-
-def _density_matrices(mats: np.ndarray) -> list:
-    """Each matrix of a stack of states as a :class:`la.DensityMatrix`."""
-    return [la.DensityMatrix._of(m, True) for m in mats]
 
 
 # The inputs of one trial, by reference: its matrices and its named scalars.
@@ -729,7 +725,7 @@ def _draw_ensemble(rngs, dim, n: int | None = None) -> Draw:
     for rng, m in zip(rngs, counts):
         w = 0.8 * rng.dirichlet(np.ones(m)) + 0.2 / m
         weights.append(w / w.sum())
-    members = iter(_density_matrices(la._random_states(_repeated(rngs, counts), dim)))
+    members = map(la.DensityMatrix._of, la._random_states(_repeated(rngs, counts), dim))
     ens = [en.Ensemble(w, [next(members) for _ in w]) for w in weights]
     return (_objects(ens),), [_inputs(*e.states, weights=list(e.weights)) for e in ens]
 
@@ -780,7 +776,7 @@ def _draw_ensemble_pair(rngs, dim) -> Draw:
     mix = np.repeat(_uniforms(rngs, 0.0, 0.4), counts)[:, None, None]
     own = np.stack([s.mat for e in ens for s in e.states])
     fresh = la._random_states(_repeated(rngs, counts), dim)
-    others = iter(_density_matrices(_from_matrices((1.0 - mix) * own + mix * fresh)))
+    others = map(la.DensityMatrix._of, _from_matrices((1.0 - mix) * own + mix * fresh))
     pairs = [en.Ensemble(e.weights, [next(others) for _ in e.states]) for e in ens]
     return (ens, _objects(pairs)), inputs
 
@@ -934,8 +930,7 @@ def _draw_evolution(rngs, dim) -> Draw:
     rho = la._random_states(rngs, dim)
     h = la._random_hamiltonians(rngs, dim)
     t = _uniforms(rngs, 0.0, 2.0)
-    # rho stays a DensityMatrix, so that evolve normalizes what it moves
-    return (_objects(_density_matrices(rho)), h, t), _per_trial(rho, h, t=t)
+    return (rho, h, t), _per_trial(rho, h, t=t)
 
 
 @_check(
@@ -943,7 +938,7 @@ def _draw_evolution(rngs, dim) -> Draw:
 )
 def _judge_evolution_distance(rho, h, t):
     moved = en.evolve(rho, h, t)
-    return t * la.operator_norm(h) - dv.trace_distance(moved, np.stack([r.mat for r in rho]))
+    return t * la.operator_norm(h) - dv.trace_distance(moved, rho)
 
 
 def _draw_experiment(rngs, dim, conditioned: bool = False) -> Draw:
@@ -953,7 +948,7 @@ def _draw_experiment(rngs, dim, conditioned: bool = False) -> Draw:
         mats = _from_matrices(_conditioned_states(pairs, dim, 0.1))
     else:
         mats = la._random_states(pairs, dim)
-    states = _density_matrices(mats)
+    states = list(map(la.DensityMatrix._of, mats))
     hams = [la.HermitianOperator._of(h) for h in la._random_hamiltonians(pairs, dim)]
     times = _uniforms(rngs, 0.0, 1.0).tolist()
     exps = [
@@ -966,7 +961,7 @@ def _draw_experiment(rngs, dim, conditioned: bool = False) -> Draw:
 def _entropy_at(exp, t: np.ndarray) -> np.ndarray:
     """Entropy of each experiment's mixture with each member evolved to its
     entry of ``t``."""
-    states = [s for e in exp for s in e.ensemble.states]
+    states = np.stack([s.mat for e in exp for s in e.ensemble.states])
     hams = np.stack([h.mat for e in exp for h in (e.h1, e.h2)])
     moved = en.evolve(states, hams, np.repeat(t, 2)).reshape(len(exp), 2, *hams.shape[1:])
     p = np.stack([e.ensemble.weights for e in exp])
@@ -1001,9 +996,7 @@ def _draw_bravyi(rngs, dim) -> Draw:
     rho, sig = la._random_states(rngs, dim), la._random_states(rngs, dim)
     h = la._random_hamiltonians(rngs, dim)
     alpha = _picks(rngs, (0.1, 0.5, 0.9))
-    # sig stays a DensityMatrix, so that evolve normalizes what it moves
-    args = (exp, rho, _objects(_density_matrices(sig)), h, alpha)
-    return args, _per_trial(rho, sig, alpha=alpha)
+    return (exp, rho, sig, h, alpha), _per_trial(rho, sig, alpha=alpha)
 
 
 @_check(
@@ -1018,7 +1011,7 @@ def _judge_bravyi_bound(exp, rho, sig, h, alpha):
     # sharper bound min(1/a, 1/(1-a)) ||H|| for the differential version
     moved = en.evolve(sig, h, 1.0)
     op_dsd = fr.differential_skew_divergence
-    lhs_d = op_dsd(rho, moved, alpha) - op_dsd(rho, np.stack([s.mat for s in sig]), alpha)
+    lhs_d = op_dsd(rho, moved, alpha) - op_dsd(rho, sig, alpha)
     sharp = np.minimum(1.0 / alpha, 1.0 / (1.0 - alpha)) * la.operator_norm(h) - lhs_d
     return _least(rhs - lhs[:, 0], rhs - lhs[:, 1], sharp)
 

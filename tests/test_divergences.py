@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from qsd import (
     DomainError,
-    SkewParameter,
     apply_channel,
     fidelity,
     random_cptp,
@@ -16,6 +15,7 @@ from qsd import (
     scalar_differential_sd,
     scalar_relative_entropy,
     scalar_skew_divergence,
+    sd_by_averaging,
     shannon_entropy,
     skew_divergence,
     trace_distance,
@@ -29,13 +29,19 @@ alphas = st.floats(min_value=0.01, max_value=0.99)
 
 
 class TestSkewParameter:
-    def test_accepts_interior(self):
-        assert float(SkewParameter(0.5)) == 0.5
+    SKEWED = {
+        "skew_divergence": lambda a: skew_divergence(np.eye(2) / 2, np.diag([0.3, 0.7]), a),
+        "scalar_skew_divergence": lambda a: scalar_skew_divergence(0.5, 0.3, a),
+        "sd_by_averaging": lambda a: sd_by_averaging(np.eye(2) / 2, np.diag([0.3, 0.7]), a),
+    }
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.1, 1e-13, 1.0 - 1e-13])
-    def test_rejects_endpoints(self, bad):
-        with pytest.raises(DomainError):
-            SkewParameter(bad)
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.1, 1e-13, 1.0 - 1e-13, math.nan])
+    @pytest.mark.parametrize("name", SKEWED)
+    def test_range_is_checked_by_every_skewed_function(self, name, bad):
+        fn = self.SKEWED[name]
+        assert math.isfinite(fn(0.5))
+        with pytest.raises(DomainError, match=r"^skew parameter must lie in \[1e-12, 1-1e-12\], got "):
+            fn(bad)
 
 
 class TestVonNeumannEntropy:
@@ -425,11 +431,14 @@ class TestApplyChannel:
             apply_channel([0.5 * np.eye(2)], random_state(2, rng))
 
     def test_set_complete_within_1e_9_is_accepted(self, rng):
-        # completeness error 5e-10: the trace moves by 5e-10, within dim * 1e-9
+        # completeness error 5e-10 moves the trace of a trace-2 positive
+        # operator, which is no state and so keeps it, by 5e-10 of it,
+        # within dim * 1e-9
         kraus = [math.sqrt(1.0 + 5e-10) * k for k in random_cptp(4, 2, np.random.default_rng(3))]
-        rho = random_state(4, rng).mat
+        rho = 2.0 * random_state(4, rng).mat
         out = apply_channel(kraus, rho)
-        assert out.trace() == pytest.approx(1.0 + 5e-10, abs=1e-14)
+        assert not out.is_normalized
+        assert out.trace() == pytest.approx(2.0 * (1.0 + 5e-10), abs=1e-14)
 
     def test_set_beyond_1e_9_is_rejected(self, rng):
         kraus = [math.sqrt(1.0 + 2e-9) * k for k in random_cptp(4, 2, np.random.default_rng(3))]

@@ -84,7 +84,7 @@ class TestEnsemble:
             Ensemble((1.0,), [heavy])
 
     def test_trace_two_members_beside_states_are_rejected(self, rng):
-        # normalized states skip the trace check; the other members keep it
+        # every member's matrix is checked, whatever type carries it
         heavy = DensityMatrix.positive_operator(np.diag([1.0, 1.0]))
         for member in (heavy, heavy.mat):
             with pytest.raises(DomainError, match="unit trace"):

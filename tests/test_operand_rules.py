@@ -1,6 +1,8 @@
 """Operand rules shared by every public function: one shape check, one output
-kind for the maps that move a state."""
+kind for the maps that move a state, and one result per matrix, whatever type
+carries it."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +25,7 @@ from qsd import (
     metric_M,
     metric_epsilon_limit_check,
     operator_norm,
+    random_cptp,
     random_hamiltonian,
     random_state,
     random_unitary,
@@ -328,3 +331,82 @@ def test_stacked_operands_name_the_first_non_psd_argument():
         _psd_operands(good, bad, stacked=True)
     with pytest.raises(DimensionMismatchError):
         _psd_operands(good, good[:2], stacked=True)
+
+
+# One matrix in five forms: the validating constructors are the boundary, so
+# each form must carry the same bits, and every function must then give the
+# same result for each.
+FORMS = {
+    "ndarray": lambda rho: np.array(rho.mat),
+    "nested list": lambda rho: rho.mat.tolist(),
+    "HermitianOperator": lambda rho: HermitianOperator(rho.mat),
+    "DensityMatrix state": lambda rho: rho,
+    "positive_operator": lambda rho: DensityMatrix.positive_operator(rho.mat),
+}
+_KRAUS = random_cptp(3, 2, np.random.default_rng(5))
+_PROJECTION = support_of(random_state(3, np.random.default_rng(6)))
+
+# name -> (function, operand count) of every public function with matrix
+# operands; each operand takes the form under test
+SAME_BITS = {
+    **{name: (fn, n) for name, (fn, n, _) in MULTI_OPERAND.items()},
+    "skew_divergence": (lambda a, b: skew_divergence(a, b, 0.3), 2),
+    "differential_skew_divergence": (lambda a, b: differential_skew_divergence(a, b, 0.3), 2),
+    "sd_by_averaging": (lambda a, b: sd_by_averaging(a, b, 0.3), 2),
+    "evolve": (lambda a, b: evolve(a, b, 0.7), 2),
+    "von_neumann_entropy": (von_neumann_entropy, 1),
+    "apply_channel": (lambda a: apply_channel(_KRAUS, a), 1),
+    "eigendecompose": (eigendecompose, 1),
+    "spectral_fn": (lambda a: spectral_fn(a, np.log), 1),
+    "trace_norm": (trace_norm, 1),
+    "operator_norm": (operator_norm, 1),
+    "support_of": (support_of, 1),
+    "restrict": (lambda a: restrict(a, _PROJECTION), 1),
+}
+
+
+def _bits(value):
+    """A result as comparable bytes: records and tuples field by field,
+    operators by type and matrix."""
+    if dataclasses.is_dataclass(value):
+        return _bits(dataclasses.astuple(value))
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    arr = np.asarray(getattr(value, "mat", value))
+    return type(value).__name__, arr.dtype.str, arr.shape, arr.tobytes()
+
+
+@pytest.mark.parametrize("fn", SAME_BITS)
+def test_same_matrix_same_bits(fn):
+    call, n = SAME_BITS[fn]
+    states = [random_state(3, np.random.default_rng(seed)) for seed in range(8, 8 + n)]
+    forms = {form: [make(s) for s in states] for form, make in FORMS.items()}
+    matrices = {
+        tuple(np.asarray(getattr(x, "mat", x), dtype=np.complex128).tobytes() for x in operands)
+        for operands in forms.values()
+    }
+    assert len(matrices) == 1
+    results = {form: _bits(call(*operands)) for form, operands in forms.items()}
+    assert [form for form, bits in results.items() if bits != results["ndarray"]] == []
+
+
+def test_a_positive_operator_is_a_state_by_its_trace():
+    assert DensityMatrix.positive_operator(np.diag([0.25, 0.75])).is_normalized
+    assert DensityMatrix.positive_operator(np.diag([0.25, 0.75 + 0.5e-10])).is_normalized
+    assert not DensityMatrix.positive_operator(np.diag([0.25, 0.75 + 2e-10])).is_normalized
+
+
+def test_a_raw_unit_trace_input_to_evolve_comes_out_a_state(rng):
+    h = random_hamiltonian(2, rng)
+    raw = np.diag([0.25, 0.75])
+    out = evolve(raw, h, 0.7)
+    assert out.is_normalized
+    assert np.array_equal(out.mat, evolve(DensityMatrix(raw), h, 0.7).mat)
+
+
+def test_evolve_takes_no_list_of_operator_objects(rng):
+    states = [random_state(2, rng) for _ in range(2)]
+    with pytest.raises(TypeError) as listed:
+        trace_distance(states, states)
+    with pytest.raises(TypeError, match=f"^{listed.value}$"):
+        evolve(states, np.stack([random_hamiltonian(2, rng).mat] * 2), 0.7)

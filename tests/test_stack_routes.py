@@ -152,29 +152,30 @@ def test_frechet_routes_give_each_item_its_single_call(rng, route, dim):
 
 @pytest.mark.parametrize("dim", DIMS)
 def test_evolve_normalizes_each_item_as_its_single_call(rng, dim):
-    # a normalized state, a positive operator and a raw matrix, each moved
-    # by its own Hamiltonian for its own time
+    # a state, a positive operator of trace 2 and a raw state, each moved by
+    # its own Hamiltonian for its own time; the stack holds their matrices
     rho = [state(rng, dim), DensityMatrix.positive_operator(2.0 * state(rng, dim).mat), state(rng, dim).mat]
+    mats = np.stack([getattr(r, "mat", r) for r in rho])
     hams = herm_stack(rng, dim, 3)
     times = np.array([0.7, 0.0, 1.3])
-    moved = qsd.evolve(rho, hams, times)
+    moved = qsd.evolve(mats, hams, times)
     assert moved.shape == (3, dim, dim) and not moved.flags.writeable
     for k in range(3):
         one = qsd.evolve(rho[k], hams[k], float(times[k]))
         assert np.array_equal(moved[k], one.mat)
-        assert np.array_equal(qsd.evolve(rho[k : k + 1], hams[k : k + 1], times[k : k + 1])[0], one.mat)
-    assert [qsd.evolve(r, h, 0.7).is_normalized for r, h in zip(rho, hams)] == [True, False, False]
-    assert qsd.evolve(rho, hams, 0.7)[2].trace().real == pytest.approx(np.trace(rho[2]).real)
+        assert np.array_equal(qsd.evolve(mats[k : k + 1], hams[k : k + 1], times[k : k + 1])[0], one.mat)
+    assert [qsd.evolve(r, h, 0.7).is_normalized for r, h in zip(rho, hams)] == [True, False, True]
+    assert qsd.evolve(mats, hams, 0.7)[1].trace().real == pytest.approx(np.trace(mats[1]).real)
 
 
 def test_evolve_takes_one_time_or_one_per_item(rng):
-    rho, hams = [state(rng, 2) for _ in range(3)], herm_stack(rng, 2, 3)
+    rho, hams = np.stack([state(rng, 2).mat for _ in range(3)]), herm_stack(rng, 2, 3)
     with pytest.raises(DomainError, match="one per item"):
         qsd.evolve(rho, hams, np.array([0.1, 0.2]))
     with pytest.raises(DomainError, match="must be finite"):
         qsd.evolve(rho, hams, np.array([0.1, np.inf, 0.2]))
     with pytest.raises(DimensionMismatchError):
-        qsd.evolve([state(rng, 2), state(rng, 3)], hams[:2], 0.1)
+        qsd.evolve(np.stack([state(rng, 3).mat for _ in range(2)]), hams[:2], 0.1)
 
 
 def test_sequences_must_match(rng):
