@@ -125,7 +125,12 @@ def scalar_relative_entropy(a, b):
 
 
 def _relative_entropy_on(
-    amat: np.ndarray, w: np.ndarray, v: np.ndarray, keep: np.ndarray, quad: np.ndarray
+    amat: np.ndarray,
+    w: np.ndarray,
+    v: np.ndarray,
+    keep: np.ndarray,
+    quad: np.ndarray,
+    wa: np.ndarray | None = None,
 ) -> np.ndarray:
     """``trace A (log A - log B) - trace(A - B)`` on the support of ``B``, for
     one pair or for each pair of an ``(n, d, d)`` stack.
@@ -133,6 +138,7 @@ def _relative_entropy_on(
     ``w``, ``v`` and ``keep`` are the eigenpairs and support mask of ``B``
     (as :func:`qsd.linalg._support` returns them) and ``quad`` the diagonal of
     ``A`` in that eigenbasis; ``A`` must not leak outside the kept columns.
+    ``wa``, when given, is ``eigvalsh(A)``, already computed.
     An item whose support is not full sees ``A`` through the kept
     eigenvectors only: the dropped ones are zeroed, so each item of a stack
     gets the value of its single call.
@@ -140,7 +146,7 @@ def _relative_entropy_on(
     # a term that overflows makes the value inf or NaN, which callers judge
     with np.errstate(over="ignore", invalid="ignore"):
         if keep[..., 0].all():  # eigenvalues ascend: the support is full
-            term_alog_a = _xlogx(np.linalg.eigvalsh(amat))
+            term_alog_a = _xlogx(np.linalg.eigvalsh(amat) if wa is None else wa)
             trace_a = _trace(amat)
             log_w, mass_b = np.log(w), w.sum(axis=-1)
         else:
@@ -161,12 +167,12 @@ def relative_entropy(a: OperatorLike, b: OperatorLike) -> float | np.ndarray:
     :class:`DomainError`. Raw ``(n, d, d)`` stacks give one value per pair.
     """
     amat, bmat = _common_dim(a, b, stacked=True)
-    wb, vb, keep, quad, leak = _psd_against_support(amat, bmat)
+    wa, wb, vb, keep, quad, leak = _psd_against_support(amat, bmat)
     # the value is finite where A does not leak; it is 0 where B vanishes
     value = np.where(leak > 0.0, np.inf, 0.0)
     finite = (leak == 0.0) & keep[..., -1]
     if finite.any():  # only then are the eigenvalues of A needed
-        inside = _relative_entropy_on(amat, wb, vb, keep, quad)
+        inside = _relative_entropy_on(amat, wb, vb, keep, quad, wa)
         overflow = finite & ~np.isfinite(inside)
         if overflow.any():
             raise DomainError(

@@ -36,7 +36,6 @@ from .linalg import (
     HermitianOperator,
     OperatorLike,
     _adjoint,
-    _as_matrix,
     _common_dim,
     _eigh,
     _frozen,
@@ -79,10 +78,15 @@ class Ensemble:
         kept = np.flatnonzero(w)
         if kept.size == 0:
             raise DomainError("all weights are zero")
-        given = [states[i] for i in kept]
-        if not all(_is_state(_as_matrix(s)) for s in given):
-            raise DomainError("ensemble members must have unit trace")
-        members = tuple(DensityMatrix(s) for s in given)
+        operators = []
+        for i in kept:
+            # a raw member is symmetrized once, here; DensityMatrix reads .mat
+            s = states[i]
+            op = s if isinstance(s, HermitianOperator) else HermitianOperator(s)
+            if not _is_state(op.mat):
+                raise DomainError("ensemble members must have unit trace")
+            operators.append(op)
+        members = tuple(map(DensityMatrix, operators))
         dims = {dm.dim for dm in members}
         if len(dims) != 1:
             raise DimensionMismatchError(f"states have mixed dimensions {sorted(dims)}")

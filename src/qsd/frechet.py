@@ -536,7 +536,7 @@ def chi2_log(a: OperatorLike, b: OperatorLike) -> float | np.ndarray:
     pair.
     """
     amat, bmat = _common_dim(a, b, stacked=True)
-    wb, vb, keep, _, leak = _psd_against_support(amat, bmat)
+    _, wb, vb, keep, _, leak = _psd_against_support(amat, bmat)
     if not keep[..., -1].all():
         raise DomainError("second argument vanishes")
     if leak.any():
@@ -599,7 +599,7 @@ def metric_epsilon_limit_check(
     positive-definite.
     """
     amat, bmat, cmat = _common_dim(a, b, c)
-    wb, vb, keep, _, leak = _psd_against_support(amat, bmat)
+    _, wb, vb, keep, _, leak = _psd_against_support(amat, bmat)
     _require_psd(np.linalg.eigvalsh(cmat), "third argument")
     if leak:
         raise DomainError("support of A is not contained in the support of B")

@@ -357,22 +357,24 @@ def _support_quad(x: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _psd_against_support(amat: np.ndarray, bmat: np.ndarray) -> tuple:
     """Validate the first argument ``A``, then the second ``B``, as PSD, for
-    one pair or each pair of an ``(n, d, d)`` stack. Returns the eigenpairs
-    and support mask of ``B`` (as :func:`_support` returns them), the
-    diagonal ``quad`` of ``A`` in that eigenbasis, and the leak: the trace
-    mass of ``A`` outside the support where it exceeds
-    ``SUPPORT_DEFECT_TOL * max(1, trace A)``, 0.0 within tolerance."""
-    _require_psd(np.linalg.eigvalsh(amat), "first argument")
+    one pair or each pair of an ``(n, d, d)`` stack. Returns the eigenvalues
+    of ``A`` that the validation read, the eigenpairs and support mask of
+    ``B`` (as :func:`_support` returns them), the diagonal ``quad`` of ``A``
+    in that eigenbasis, and the leak: the trace mass of ``A`` outside the
+    support where it exceeds ``SUPPORT_DEFECT_TOL * max(1, trace A)``, 0.0
+    within tolerance."""
+    wa = np.linalg.eigvalsh(amat)
+    _require_psd(wa, "first argument")
     w, v, keep = _support(bmat, "second argument")
     quad = _support_quad(amat, v)
     # a full support leaks nothing; the defect would be rounding noise
     full = keep[..., 0]  # the eigenvalues ascend, so the smallest decides
     if full.all():
-        return w, v, keep, quad, np.zeros(full.shape)
+        return wa, w, v, keep, quad, np.zeros(full.shape)
     trace_a = _trace(amat)
     leak = trace_a - quad.sum(axis=-1, where=keep)
     leaks = ~full & (leak > SUPPORT_DEFECT_TOL * np.maximum(1.0, trace_a))
-    return w, v, keep, quad, np.where(leaks, leak, 0.0)
+    return wa, w, v, keep, quad, np.where(leaks, leak, 0.0)
 
 
 def _skewed_mixture(amat: np.ndarray, bmat: np.ndarray, a) -> np.ndarray:

@@ -36,7 +36,13 @@ is a violation. A raising trial records the exception and its coordinates.
 
 Trial streams are derived from ``(seed, check id, dim, trial index)`` so runs
 are reproducible, trials are independent, and the coordinates of a trial
-alone replay it.
+alone replay it. A trial's generator is the one
+``np.random.default_rng([seed, crc32(check id), dim, trial])`` returns. The
+runner seeds all of a check's generators in one batch: ``_trial_seeds``
+runs numpy's SeedSequence hash as uint32 array arithmetic over every
+(dim, trial) at once, and each generator's PCG64 takes its row of words.
+A dim or trial index is one 32-bit word of that seed, so each must be
+below 2**32.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ import math
 import time
 import zlib
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -1087,10 +1093,112 @@ class VerificationReport:
         }
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
+# uint32 words, hashmix and mix, and the output hash of generate_state. Every
+# operand is a uint32 array or np.uint32, so products wrap modulo 2**32 with
+# no overflow warning and no value-based promotion on any numpy version.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_WORD = 2**32
+
+
+def _words(n: int) -> list[int]:
+    """The uint32 words, least significant first, that SeedSequence reads
+    from a nonnegative integer; ``[0]`` for 0."""
+    words = [n % _WORD]
+    while n >= _WORD:
+        n //= _WORD
+        words.append(n % _WORD)
+    return words
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The hash constant ``init * mult**j mod 2**32`` for ``j < count``, as a
+    uint32 column: it steps by ``mult`` at every hash, whatever the data."""
+    consts = [init]
+    for _ in range(count - 1):
+        consts.append(consts[-1] * mult % _WORD)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """A run of SeedSequence hashmix calls, the ``i``-th on row ``i`` of
+    ``values`` (a 1-D ``values`` is every row): it xors with ``consts[i]``
+    and multiplies by ``consts[i + 1]``."""
+    v = (values ^ consts[:-1]) * consts[1:]
+    return v ^ (v >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ (r >> _XSHIFT)
+
+
+def _trial_seeds(seed: int, check_id: str, dims: Sequence[int], trials: Sequence[int]) -> np.ndarray:
+    """The PCG64 seed words of every trial of one check: a ``(len(dims),
+    len(trials), 4)`` uint64 array whose row ``[i, k]`` is what numpy's
+    SeedSequence of ``[seed, crc32(check_id), dims[i], trials[k]]`` gives
+    from ``generate_state(4, np.uint64)``, hashed for all rows at once.
+    Each dim and trial index must be below 2**32 (one uint32 word)."""
+    if max(dims) >= _WORD or max(trials) >= _WORD:
+        raise ValueError("dims and trial indices must be below 2**32")
+    head = _words(seed) + [zlib.crc32(check_id.encode("utf-8"))]
+    n_dims, n_trials = len(dims), len(trials)
+    entropy = np.empty((len(head) + 2, n_dims * n_trials), dtype=np.uint32)
+    entropy[:-2] = np.array(head, dtype=np.uint32)[:, None]
+    entropy[-2] = np.repeat(np.asarray(dims, dtype=np.uint32), n_trials)
+    entropy[-1] = np.tile(np.asarray(trials, dtype=np.uint32), n_dims)
+    # mix_entropy: hash the first four words into the pool, mix each pool word
+    # into the three others, then mix each remaining word into all four
+    extra = len(entropy) - _POOL
+    a = _hash_constants(_INIT_A, _MULT_A, _POOL * (_POOL + extra) + 1)
+    pool, j = _hashmix(entropy[:_POOL], a[: _POOL + 1]), _POOL
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[j : j + _POOL]))
+        j += _POOL - 1
+    for word in entropy[_POOL:]:
+        pool = _mix(pool, _hashmix(word, a[j : j + _POOL + 1]))
+        j += _POOL
+    # generate_state: eight uint32 words from the pool, cycled, read in pairs
+    # as little-endian uint64
+    state = _hashmix(pool[np.arange(8) % _POOL], _hash_constants(_INIT_B, _MULT_B, 9))
+    words = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+    return words.reshape(n_dims, n_trials, 4)
+
+
+@cache
+def _seed_words() -> type:
+    """numpy's ``ISeedSequence`` over precomputed PCG64 seed words, defined
+    on first use: ``numpy.random`` stays unloaded until the harness draws."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # the one request PCG64's seeding makes
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("seed words serve generate_state(4, np.uint64) only")
+            return self.words
+
+    return SeedWords
+
+
+def _generators(words: np.ndarray) -> list:
+    """A generator per row of ``_trial_seeds`` words: the one
+    ``np.random.default_rng`` builds from that row's seed list."""
+    seed_words = _seed_words()
+    return [np.random.Generator(np.random.PCG64(seed_words(w))) for w in words]
+
+
 def _trial_rng(seed: int, check_id: str, dim: int, trial: int) -> np.random.Generator:
-    key = zlib.crc32(check_id.encode("utf-8"))
-    # the generator np.random.default_rng builds, without its argument checks
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, key, dim, trial])))
+    (rng,) = _generators(_trial_seeds(seed, check_id, (dim,), (trial,))[0])
+    return rng
 
 
 def _raised(exc: Exception, dim: int, trial: int) -> Inputs:
@@ -1118,15 +1226,14 @@ def _trial(check: CheckDef, seed: int, dim: int, k: int) -> tuple[float, Inputs]
     return slack, inputs
 
 
-def _judge_dim(check: CheckDef, seed: int, dim: int, trials: int) -> tuple[Sequence, Sequence]:
-    """Slack and inputs of each trial of one check at ``dim``: all trials as
-    one stack, or, when that raises, each trial alone, so only the trials
-    that raise are charged."""
-    rngs = [_trial_rng(seed, check.check_id, dim, k) for k in range(trials)]
+def _judge_dim(check: CheckDef, seed: int, dim: int, words: np.ndarray) -> tuple[Sequence, Sequence]:
+    """Slack and inputs of each trial of one check at ``dim``, from the
+    ``_trial_seeds`` words of its trials: all trials as one stack, or, when
+    that raises, each trial alone, so only the trials that raise are charged."""
     try:
-        return _judged(check, rngs, dim)
+        return _judged(check, _generators(words), dim)
     except Exception:
-        return tuple(zip(*(_trial(check, seed, dim, k) for k in range(trials))))
+        return tuple(zip(*(_trial(check, seed, dim, k) for k in range(len(words)))))
 
 
 def _run_check(check: CheckDef, seed: int, dims: tuple[int, ...], trials: int) -> CheckResult:
@@ -1140,8 +1247,9 @@ def _run_check(check: CheckDef, seed: int, dims: tuple[int, ...], trials: int) -
     worst = math.inf
     worst_trial = worst_inputs = None
     violations = 0
-    for dim in dims:
-        slacks, inputs = _judge_dim(check, seed, dim, trials)
+    seeds = _trial_seeds(seed, check.check_id, dims, range(trials))
+    for dim, words in zip(dims, seeds):
+        slacks, inputs = _judge_dim(check, seed, dim, words)
         for k, slack in enumerate(slacks):
             if not math.isfinite(slack):
                 slack = -math.inf
@@ -1173,20 +1281,21 @@ def run_suite(
     Each check is judged at the tolerance pinned in its registration: a
     trial is a violation when its slack is below ``-tol``. ``seed`` must be
     a nonnegative integer, ``trials`` and each entry of ``dims`` positive
-    integers (a bool is none of these), and no dimension may repeat: its
+    integers (a bool is none of these), each dim and trial index below
+    2**32, one word of a trial's seed, and no dimension may repeat: its
     trials would repeat. A trial whose slack is not finite (NaN or
     infinite), or whose check raises, proves nothing and counts as a
     violation.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
-    if not la._integral(trials) or trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    if not la._integral(trials) or not 1 <= trials <= _WORD:
+        raise ValueError(f"trials must be a positive integer at most 2**32, got {trials!r}")
     if not la._integral(seed) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     dims = tuple(dims)
-    if not dims or not all(la._integral(d) and d >= 1 for d in dims):
-        raise ValueError(f"dims must be positive integers, got {dims!r}")
+    if not dims or not all(la._integral(d) and 1 <= d < _WORD for d in dims):
+        raise ValueError(f"dims must be positive integers below 2**32, got {dims!r}")
     if len(set(dims)) != len(dims):
         raise ValueError(f"dims must not repeat, got {dims!r}")
     dims, trials = tuple(int(d) for d in dims), int(trials)

@@ -90,6 +90,30 @@ class TestEnsemble:
             with pytest.raises(DomainError, match="unit trace"):
                 Ensemble((0.5, 0.5), [random_state(2, rng), member])
 
+    def test_raw_members_are_symmetrized_once(self, rng, monkeypatch):
+        import qsd.linalg as la
+
+        raw = [random_state(3, rng).mat.copy() for _ in range(3)]
+        calls = [0]
+
+        def counted(*args, _original=la._hermitian, **kwargs):
+            calls[0] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(la, "_hermitian", counted)
+        ens = Ensemble((0.2, 0.3, 0.5), raw)
+        monkeypatch.undo()
+        assert calls[0] == 3
+        for member, mat in zip(ens.states, raw):
+            assert np.array_equal(member.mat, DensityMatrix(mat).mat)
+
+    def test_the_first_faulty_member_names_the_error(self, rng):
+        heavy, broken = 2.0 * random_state(2, rng).mat, np.full((2, 2), np.nan)
+        with pytest.raises(DomainError, match="unit trace"):
+            Ensemble((0.5, 0.5), [heavy, broken])
+        with pytest.raises(DomainError, match="non-finite"):
+            Ensemble((0.5, 0.5), [broken, heavy])
+
     def test_unit_trace_positive_operator_becomes_a_state(self, rng):
         op = DensityMatrix.positive_operator(np.diag([0.5, 0.5]))
         (member,) = Ensemble((1.0,), [op]).states

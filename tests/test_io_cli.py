@@ -435,14 +435,16 @@ class TestCliVerify:
         with pytest.raises(ValueError, match="seed"):
             run_suite(suite="core", dims=(2,), trials=1, seed=seed)
 
-    @pytest.mark.parametrize("trials", [0, True, 1.5, 2.0])
+    @pytest.mark.parametrize("trials", [0, True, 1.5, 2.0, 2**32 + 1])
     def test_run_suite_rejects_bad_trials(self, trials):
         from qsd import run_suite
 
         with pytest.raises(ValueError, match="trials"):
             run_suite(suite="core", dims=(2,), trials=trials)
 
-    @pytest.mark.parametrize("dims", [(), (0,), (2.7,), (2, True), ("2",), (2, 2), (3, 2, 3)])
+    @pytest.mark.parametrize(
+        "dims", [(), (0,), (2.7,), (2, True), ("2",), (2, 2), (3, 2, 3), (2, 2**32)]
+    )
     def test_run_suite_rejects_bad_dims(self, dims):
         from qsd import run_suite
 

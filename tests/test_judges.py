@@ -1,8 +1,10 @@
 """The draws and judges of the verify harness treat each trial of a stack as
-they treat that trial alone, each check's draw stream is pinned, and each
-check's worst trial replays from its coordinates."""
+they treat that trial alone, each check's draw stream is pinned, each
+check's worst trial replays from its coordinates, and each trial's
+generator is numpy's ``default_rng`` of those coordinates."""
 
 import hashlib
+import zlib
 
 import numpy as np
 import pytest
@@ -134,3 +136,47 @@ def test_each_worst_trial_replays_from_its_coordinates():
         dim, trial = record.worst_trial["dim"], record.worst_trial["trial"]
         slack, _ = verify._trial(check, seed, dim, trial)
         assert abs(slack - record.worst_slack) <= 1e-13, record.check_id
+
+
+CHECK_IDS = ("core.eigh_reconstruction", "fre.quadrature_match", "sim.entropy_gain_bound")
+
+
+@pytest.mark.parametrize("trials", [range(8), (199,)], ids=["0-7", "199"])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
+def test_trial_seeds_are_numpys_seed_sequence(seed, trials):
+    # a seed of 2**32 or more is several words: the hash's remaining-entropy loop
+    dims = (1, 2, 6)
+    for check_id in CHECK_IDS:
+        seeds = verify._trial_seeds(seed, check_id, dims, trials)
+        assert seeds.shape == (len(dims), len(trials), 4) and seeds.dtype == np.uint64
+        for dim, words in zip(dims, seeds):
+            rngs = verify._generators(words)
+            for k, row, rng in zip(trials, words, rngs):
+                entropy = [seed, zlib.crc32(check_id.encode("utf-8")), dim, k]
+                expected = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+                assert np.array_equal(row, expected), (check_id, dim, k)
+                state = np.random.default_rng(entropy).bit_generator.state
+                assert rng.bit_generator.state == state, (check_id, dim, k)
+                assert verify._trial_rng(seed, check_id, dim, k).bit_generator.state == state
+
+
+def test_the_runner_builds_no_seed_sequence(monkeypatch):
+    # core.random_state_invariants seeds random_state(dim, seed) on purpose
+    built = []
+
+    class Counted(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    def default_rng(*args, _original=np.random.default_rng):
+        built.append(args)
+        return _original(*args)
+
+    checks = tuple(c for c in verify.REGISTRY if c.check_id != "core.random_state_invariants")
+    monkeypatch.setattr(verify, "REGISTRY", checks)
+    monkeypatch.setattr(np.random, "SeedSequence", Counted)
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    report = verify.run_suite("all", dims=(2, 3), trials=2, seed=5)
+    assert len(report.checks) == len(checks)
+    assert built == []

@@ -9,7 +9,7 @@ import qsd
 # name -> np.linalg.eigh + eigvalsh calls per call on d = 4 states; the
 # ensembles have n = 3 members unless the name says n = 2
 EXPECTED_CALLS = {
-    "relative_entropy": 3,
+    "relative_entropy": 2,
     "chi2_log": 2,
     "metric_epsilon_limit_check": 4,
     "mixing_rate": 2,
