@@ -72,15 +72,18 @@ from .ensembles import (
     mixing_rate,
     sim_bound_check,
 )
-from .verify import (
-    CheckDef,
-    CheckResult,
-    REGISTRY,
-    VerificationReport,
-    run_suite,
-)
+from .verify import CheckDef, CheckResult, VerificationReport, run_suite
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # the checks load on first use, so a process that never verifies never compiles them
+    if name == "REGISTRY":
+        from .checks import REGISTRY
+
+        return REGISTRY
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "CheckDef",

@@ -41,7 +41,7 @@ from qsd import (
 )
 from qsd.cli import main as cli_main
 from qsd.divergences import _skewed_relative_entropy
-from qsd.verify import REGISTRY
+from qsd import REGISTRY
 
 from make_acceptance_report import TABLE, VERIFY_ARGS, table_of
 

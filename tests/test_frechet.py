@@ -1,8 +1,5 @@
 import decimal
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -287,17 +284,6 @@ class TestQuadratureOracles:
         monkeypatch.setattr(fr, "_gauss_legendre", lambda: np.polynomial.legendre.leggauss(16))
         fresh = oracles()
         assert np.array_equal(cached[0], fresh[0]) and cached[1] == fresh[1]
-
-    def test_cli_import_leaves_numpy_polynomial_unloaded(self):
-        # the rule is built on first use: the CLI's cold start never pays
-        # for loading numpy.polynomial
-        src = os.path.dirname(os.path.dirname(fr.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        code = "import sys, qsd.cli; print('numpy.polynomial' in sys.modules)"
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
     def test_first_derivative_well_conditioned(self, rng):
         a = rand_pd(rng, 5)

@@ -464,7 +464,7 @@ class TestCliVerify:
 
     @pytest.mark.parametrize("slack", [math.nan, math.inf, -math.inf])
     def test_non_finite_slack_is_a_violation(self, tmp_path, monkeypatch, slack):
-        from qsd import verify
+        from qsd import checks, verify
         from qsd.io import dump_json
 
         probe = verify.CheckDef(
@@ -472,7 +472,7 @@ class TestCliVerify:
             lambda rngs, dim: ((np.full(len(rngs), slack),), [verify._inputs()] * len(rngs)),
             lambda slacks: slacks,
         )
-        monkeypatch.setattr(verify, "REGISTRY", (probe,))
+        monkeypatch.setattr(checks, "REGISTRY", (probe,))
         report = verify.run_suite(suite="core", dims=(2, 3), trials=2)
         assert report.total_violations == 4
         out = tmp_path / "report.json"
@@ -482,7 +482,7 @@ class TestCliVerify:
         assert record["violations"] == 4
 
     def test_raising_check_is_a_violation(self, tmp_path, monkeypatch):
-        from qsd import verify
+        from qsd import checks, verify
 
         def draw(rngs, dim):
             if dim == 3:
@@ -492,11 +492,11 @@ class TestCliVerify:
         probe = verify.CheckDef(
             "core.raising_probe", "raises at dim 3", "core", 0.0, draw, lambda slacks: slacks
         )
-        checks = (
+        probes = (
             probe,
-            verify.REGISTRY[0],
+            checks.REGISTRY[0],
         )
-        monkeypatch.setattr(verify, "REGISTRY", checks)
+        monkeypatch.setattr(checks, "REGISTRY", probes)
         out = tmp_path / "report.json"
         code = run_cli(
             "verify", "--suite", "core", "--dims", "2,3", "--trials", "2",
@@ -514,11 +514,11 @@ class TestCliVerify:
             "dim": 3,
             "trial": 0,
         }
-        assert after["check_id"] == verify.REGISTRY[1].check_id  # the run went on
+        assert after["check_id"] == checks.REGISTRY[1].check_id  # the run went on
         assert after["violations"] == 0 and "worst_case_inputs" not in after
 
     def test_raising_draw_is_charged_to_its_trial(self, monkeypatch):
-        from qsd import verify
+        from qsd import checks, verify
 
         # the trial of dim 3 whose generator starts lowest raises in the draw
         first = [verify._trial_rng(0, "core.draw_probe", 3, k).uniform() for k in range(4)]
@@ -533,7 +533,7 @@ class TestCliVerify:
         probe = verify.CheckDef(
             "core.draw_probe", "draw raises", "core", 0.0, draw, lambda slacks: slacks
         )
-        monkeypatch.setattr(verify, "REGISTRY", (probe,))
+        monkeypatch.setattr(checks, "REGISTRY", (probe,))
         record = verify.run_suite(suite="core", dims=(2, 3), trials=4, seed=0).to_dict()["checks"][0]
         assert record["violations"] == 1  # the other seven trials were judged
         assert record["worst_trial"] == {"dim": 3, "trial": bad}
@@ -545,19 +545,19 @@ class TestCliVerify:
         }
 
     def test_worst_violating_trial_inputs_are_reported(self, monkeypatch):
-        from qsd import verify
+        from qsd import checks, verify
 
         def draw(rngs, dim):
             slack = -float(dim)  # dim 3 is the worst trial
             inputs = verify._inputs(np.eye(dim), np.zeros((dim, dim)), alpha=0.25)
             return (np.full(len(rngs), slack),), [inputs] * len(rngs)
 
-        checks = (
+        probes = (
             verify.CheckDef(
                 "core.slack_probe", "negative slack", "core", 0.0, draw, lambda slacks: slacks
             ),
         )
-        monkeypatch.setattr(verify, "REGISTRY", checks)
+        monkeypatch.setattr(checks, "REGISTRY", probes)
         record = verify.run_suite(suite="core", dims=(2, 3), trials=1).checks[0]
         assert record.worst_slack == -3.0
         assert record.worst_trial == {"dim": 3, "trial": 0}
@@ -567,20 +567,20 @@ class TestCliVerify:
         assert state_from_dict(inputs["states"][0]).mat.tolist() == np.eye(3).tolist()
 
     def test_worst_trial_is_the_first_minimum(self, monkeypatch):
-        from qsd import verify
+        from qsd import checks, verify
 
         probe = verify.CheckDef(
             "core.tie_probe", "every trial ties", "core", 0.0,
             lambda rngs, dim: ((np.full(len(rngs), -1.0),), [verify._inputs()] * len(rngs)),
             lambda slacks: slacks,
         )
-        monkeypatch.setattr(verify, "REGISTRY", (probe,))
+        monkeypatch.setattr(checks, "REGISTRY", (probe,))
         record = verify.run_suite(suite="core", dims=(3, 2), trials=3).to_dict()["checks"][0]
         assert record["violations"] == 6
         assert record["worst_trial"] == {"dim": 3, "trial": 0}
 
     def test_raising_judge_is_charged_to_its_trial(self, tmp_path, monkeypatch):
-        from qsd import verify
+        from qsd import checks, verify
 
         # the trial whose generator starts as that of dim 3, trial 1 is bad
         target = verify._trial_rng(0, "core.judge_probe", 3, 1).uniform()
@@ -594,11 +594,11 @@ class TestCliVerify:
                 raise RuntimeError("judge failed")
             return np.full(bad.shape, 0.5)
 
-        checks = (
+        probes = (
             verify.CheckDef("core.judge_probe", "judge raises", "core", 0.0, draw, judge),
-            verify.REGISTRY[0],
+            checks.REGISTRY[0],
         )
-        monkeypatch.setattr(verify, "REGISTRY", checks)
+        monkeypatch.setattr(checks, "REGISTRY", probes)
         out = tmp_path / "report.json"
         code = run_cli(
             "verify", "--suite", "core", "--dims", "2,3", "--trials", "3",
@@ -615,18 +615,18 @@ class TestCliVerify:
             "dim": 3,
             "trial": 1,
         }
-        assert after["check_id"] == verify.REGISTRY[1].check_id
+        assert after["check_id"] == checks.REGISTRY[1].check_id
         assert after["violations"] == 0 and "worst_case_inputs" not in after
 
     def test_judge_of_the_wrong_length_is_a_violation(self, monkeypatch):
-        from qsd import verify
+        from qsd import checks, verify
 
         probe = verify.CheckDef(
             "core.two_slack_probe", "two slacks for every stack", "core", 0.0,
             lambda rngs, dim: ((np.zeros(len(rngs)),), [verify._inputs()] * len(rngs)),
             lambda x: np.ones(2),
         )
-        monkeypatch.setattr(verify, "REGISTRY", (probe,))
+        monkeypatch.setattr(checks, "REGISTRY", (probe,))
         record = verify.run_suite(suite="core", dims=(2,), trials=3).to_dict()["checks"][0]
         assert record["violations"] == 3
         assert record["worst_case_inputs"]["error"] == "ValueError"

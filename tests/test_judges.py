@@ -9,7 +9,7 @@ import zlib
 import numpy as np
 import pytest
 
-from qsd import verify
+from qsd import checks, verify
 from qsd.ensembles import Ensemble, MixingExperiment
 from qsd.linalg import HermitianOperator
 
@@ -93,13 +93,13 @@ STREAM_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("check", verify.REGISTRY, ids=lambda c: c.check_id)
+@pytest.mark.parametrize("check", checks.REGISTRY, ids=lambda c: c.check_id)
 def test_draw_stream_is_pinned(check):
     assert _stream_digest(check).startswith(STREAM_DIGESTS[check.check_id])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 6])
-@pytest.mark.parametrize("check", verify.REGISTRY, ids=lambda c: c.check_id)
+@pytest.mark.parametrize("check", checks.REGISTRY, ids=lambda c: c.check_id)
 def test_stacked_draw_matches_single_trials(check, dim):
     stacks, inputs = check.draw(_rngs(7, check, dim, range(TRIALS)), dim)
     assert len(inputs) == TRIALS
@@ -116,7 +116,7 @@ def test_stacked_draw_matches_single_trials(check, dim):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 6])
-@pytest.mark.parametrize("check", verify.REGISTRY, ids=lambda c: c.check_id)
+@pytest.mark.parametrize("check", checks.REGISTRY, ids=lambda c: c.check_id)
 def test_stacked_judge_matches_single_trials(check, dim):
     stacks, _ = check.draw(_rngs(7, check, dim, range(TRIALS)), dim)
     stacked = check.judge(*stacks)
@@ -129,10 +129,10 @@ def test_stacked_judge_matches_single_trials(check, dim):
 def test_each_worst_trial_replays_from_its_coordinates():
     seed = 11
     report = verify.run_suite("all", dims=(2, 3, 4), trials=6, seed=seed)
-    checks = {c.check_id: c for c in verify.REGISTRY}
-    assert [r.check_id for r in report.checks] == list(checks)
+    by_id = {c.check_id: c for c in checks.REGISTRY}
+    assert [r.check_id for r in report.checks] == list(by_id)
     for record in report.checks:
-        check = checks[record.check_id]
+        check = by_id[record.check_id]
         dim, trial = record.worst_trial["dim"], record.worst_trial["trial"]
         slack, _ = verify._trial(check, seed, dim, trial)
         assert abs(slack - record.worst_slack) <= 1e-13, record.check_id
@@ -173,10 +173,10 @@ def test_the_runner_builds_no_seed_sequence(monkeypatch):
         built.append(args)
         return _original(*args)
 
-    checks = tuple(c for c in verify.REGISTRY if c.check_id != "core.random_state_invariants")
-    monkeypatch.setattr(verify, "REGISTRY", checks)
+    kept = tuple(c for c in checks.REGISTRY if c.check_id != "core.random_state_invariants")
+    monkeypatch.setattr(checks, "REGISTRY", kept)
     monkeypatch.setattr(np.random, "SeedSequence", Counted)
     monkeypatch.setattr(np.random, "default_rng", default_rng)
     report = verify.run_suite("all", dims=(2, 3), trials=2, seed=5)
-    assert len(report.checks) == len(checks)
+    assert len(report.checks) == len(kept)
     assert built == []
