@@ -7,10 +7,9 @@ Each generator makes its own trial's calls in one fixed order, so a trial
 draws the same numbers alone as in any stack. A judge calls each public
 function once on the whole stack: raw ``(n, d, d)`` stacks (a state is one
 by its trace alone), or the 1-D object array a column of ensembles or
-experiments stacks into. Four functions take one trial only and are called
-per trial through ``_each``: ``frechet_log_quadrature``,
-``sd_by_averaging``, ``second_frechet_log`` and
-``metric_epsilon_limit_check``.
+experiments stacks into. Two functions take one trial only and are called
+per trial through ``_each``: the oracles ``frechet_log_quadrature`` and
+``sd_by_averaging``, whose meshes follow each trial's spectrum.
 
 A check looks a library function up on its module (``dv.``, ``fr.``,
 ``en.``, ``la.``) at each call and never binds it at load, so a function
@@ -458,7 +457,7 @@ def _judge_t_sum_bound(a, b, alpha):
 
 @_check("fre.r_sum_bound", 1e-9, "R_{A+B}(A) <= id for PSD A, B", _draw_psd_pair)
 def _judge_r_sum_bound(a, b, alpha):
-    return 1.0 - np.linalg.eigvalsh(_each(fr.second_frechet_log, a + b, a))[:, -1]
+    return 1.0 - np.linalg.eigvalsh(fr.second_frechet_log(a + b, a))[:, -1]
 
 
 @_check(
@@ -468,7 +467,7 @@ def _judge_r_sum_bound(a, b, alpha):
     _draw_pd_direction,
 )
 def _judge_r_reduces_to_t(a, d):
-    second = _each(fr.second_frechet_log, a, a, d)
+    second = fr.second_frechet_log(a, a, d)
     return -_each(np.linalg.norm, second - fr.frechet_log(a, d))
 
 
@@ -625,8 +624,8 @@ def _draw_metric_epsilon_limit(rngs, dim) -> Draw:
     _draw_metric_epsilon_limit,
 )
 def _judge_metric_epsilon_limit(a, b, c):
-    records = map(fr.metric_epsilon_limit_check, a, b, c)
-    return np.array([-abs(rec.final_gap) if rec.monotone else -1.0 for rec in records])
+    rec = fr.metric_epsilon_limit_check(a, b, c)
+    return np.where(rec.monotone, -np.abs(rec.final_gap), -1.0)
 
 
 def _draw_ensemble(rngs, dim, n: int | None = None) -> Draw:

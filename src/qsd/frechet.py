@@ -182,44 +182,53 @@ def metric_M(a: OperatorLike, b: OperatorLike, c: OperatorLike) -> complex | np.
 
 
 def _second_core(w: np.ndarray, f1: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``C_ij = sum_k x_ik log[w_i, w_k, w_j] y_kj`` without a d^3 table.
+    """``C_ij = sum_k x_ik log[w_i, w_k, w_j] y_kj`` for each item of a stack,
+    without a d^3 table.
 
-    ``w`` is ascending (as ``eigh`` returns it) and ``f1`` is the
+    Each row of ``w`` ascends (as ``eigh`` returns it) and ``f1`` is the
     first-difference table ``log[w_i, w_j]``. Far pairs use
     ``log[w_i, w_k, w_j] = (log[w_i, w_k] - log[w_k, w_j]) / (w_i - w_j)``,
     which turns their sums into two matrix products. The diagonal takes
     ``log[w_i, w_k, w_i]`` from one d x d table by the same recursion, which
     is accurate for every ``k`` far from ``i``, and the limit ``-1/(2 w_i^2)``
-    at ``k = i``. Off-diagonal close
-    pairs, and the diagonal of their rows, are summed directly from
-    ``(pairs, d)`` tables of at most ``_NODE_BLOCK_ELEMS`` entries; ordering
-    a triple's indices orders its values, so its two first differences are
-    entries of ``f1``. The table row of a pair ``(i, j)`` with ``i <= j``
-    also serves ``(j, i)``, since ``log[w_i, w_k, w_j]`` is symmetric.
+    at ``k = i``. Off-diagonal close pairs, and the diagonal of their rows,
+    are summed directly from ``(pairs, d)`` tables of at most
+    ``_NODE_BLOCK_ELEMS`` entries, whose rows come from the tables of all
+    items flattened to ``(item * d + row)`` rows, so a block may mix items.
+    For ``i <= j`` the ordered triple's first differences are row ``i`` of
+    the symmetric ``f1`` up to ``k = j`` and row ``j`` from ``k = i``, and
+    ``log[w_i, w_j]`` beyond. The table row of ``(i, j)`` also serves
+    ``(j, i)``, since ``log[w_i, w_k, w_j]`` is symmetric.
     """
-    dim = w.size
-    gap = w[:, None] - w[None, :]
-    close = np.abs(gap) <= _SPLIT_RTOL * np.maximum(w[:, None], w[None, :])
+    n, dim = w.shape
+    gap = w[:, :, None] - w[:, None, :]
+    close = np.abs(gap) <= _SPLIT_RTOL * np.maximum(w[:, :, None], w[:, None, :])
     gap[close] = 1.0
     core = (x * f1) @ y
     core -= x @ (f1 * y)
     core /= gap
-    diag = (np.diagonal(f1)[:, None] - f1) / gap
-    np.fill_diagonal(diag, -0.5 / (w * w))
-    np.fill_diagonal(core, np.einsum("ik,ik,ki->i", x, diag, y))
+    diag = (np.diagonal(f1, 0, -2, -1)[:, :, None] - f1) / gap
+    diagonal = np.s_[:, :: dim + 1]  # of a (n, d * d) view
+    diag.reshape(n, -1)[diagonal] = -0.5 / (w * w)
+    core.reshape(n, -1)[diagonal] = np.einsum("nik,nik,nki->ni", x, diag, y)
     # a row with a close partner also redoes its diagonal, whose table entry
     # at that partner divided by a small gap
-    np.fill_diagonal(close, close.sum(axis=1) > 1)
-    rows, cols = np.nonzero(close)
+    close.reshape(n, -1)[diagonal] = close.sum(axis=-1) > 1
+    items, rows, cols = np.nonzero(close)
     upper = rows <= cols  # the row of (i, j) also serves (j, i)
-    rows, cols = rows[upper], cols[upper]
+    items, rows, cols = items[upper], rows[upper], cols[upper]
+    f1f, xf, coref = (m.reshape(-1, dim) for m in (f1, x, core))
+    k = np.arange(dim)
     step = max(1, _NODE_BLOCK_ELEMS // dim)
     for start in range(0, rows.size, step):
-        i, j = rows[start : start + step], cols[start : start + step]
-        lo, mid, hi = _order3(i[:, None], j[:, None], np.arange(dim))
-        f2 = _log_dd2_ordered(w[lo], w[mid], w[hi], f1[lo, mid], f1[mid, hi])
-        p, q = np.concatenate((i, j)), np.concatenate((j, i))
-        core[p, q] = np.einsum("pk,pk,kp->p", x[p], np.concatenate((f2, f2)), y[:, q])
+        t, i, j = (idx[start : start + step] for idx in (items, rows, cols))
+        ti, tj = t * dim + i, t * dim + j  # rows of the flattened tables
+        f_lm, f_mh, f_ij = f1f[ti], f1f[tj], f1[t, i, j, None]
+        np.copyto(f_lm, f_ij, where=k > j[:, None])
+        np.copyto(f_mh, f_ij, where=k < i[:, None])
+        f2 = _log_dd2_ordered(*_order3(w[t, i, None], w[t, j, None], w[t]), f_lm, f_mh)
+        p, q, tt = np.concatenate((ti, tj)), np.concatenate((j, i)), np.concatenate((t, t))
+        coref[p, q] = np.einsum("pk,pk,kp->p", xf[p], np.concatenate((f2, f2)), y[tt, :, q].T)
     return core
 
 
@@ -227,16 +236,21 @@ def second_frechet_log(
     a: OperatorLike, delta1: OperatorLike, delta2: OperatorLike | None = None
 ) -> HermitianOperator:
     """Negative second derivative of the operator logarithm, bilinear in the
-    two perturbations (``delta2`` defaults to ``delta1``)."""
-    mats = _common_dim(a, delta1) if delta2 is None else _common_dim(a, delta1, delta2)
-    w, v, f1 = _eigenframe(mats[0])
-    x = v.conj().T @ mats[1] @ v
-    y = x if delta2 is None else v.conj().T @ mats[2] @ v
+    two perturbations (``delta2`` defaults to ``delta1``); raw ``(n, d, d)``
+    stacks give the read-only stack of one derivative per item."""
+    deltas = (delta1,) if delta2 is None else (delta1, delta2)
+    mats = _common_dim(a, *deltas, stacked=True)
+    shape = mats[0].shape
+    # one matrix is the stack of one
+    mat, *dmats = (m.reshape(-1, *shape[-2:]) for m in mats)
+    w, v, f1 = _eigenframe(mat)
+    x = _adjoint(v) @ dmats[0] @ v
+    y = x if delta2 is None else _adjoint(v) @ dmats[1] @ v
     # For Hermitian x and y the swapped term C(y, x) is the adjoint of
-    # C(x, y); HermitianOperator keeps the Hermitian part (M + M*)/2, so one
-    # core and a factor 2 give both terms.
+    # C(x, y); the Hermitian part (M + M*)/2 of the result keeps both, so
+    # one core and a factor 2 give both terms.
     core = _second_core(w, f1, x, y)
-    return HermitianOperator(-2.0 * (v @ core @ v.conj().T))
+    return _operator((-2.0 * (v @ core @ _adjoint(v))).reshape(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +590,8 @@ def sd_by_averaging(
 
 @dataclass(frozen=True)
 class MetricLimitRecord:
-    """Trace of ``M_{B+eps C}(A, A)`` along a decreasing eps sequence."""
+    """Trace of ``M_{B+eps C}(A, A)`` along a decreasing eps sequence; for
+    raw ``(n, d, d)`` stacks, each field holds one entry per item."""
 
     epsilons: tuple[float, ...]
     values: tuple[float, ...]
@@ -596,28 +611,28 @@ def metric_epsilon_limit_check(
     with the support-restricted limit ``M_{B|B}(A|B, A|B)``.
 
     Requires ``supp A`` inside ``supp B`` and every ``B + eps C``
-    positive-definite.
+    positive-definite. Raw ``(n, d, d)`` stacks give a record whose
+    ``values`` and ``epsilons`` are ``(n, 8)`` and whose other fields are
+    ``(n,)``.
     """
-    amat, bmat, cmat = _common_dim(a, b, c)
+    amat, bmat, cmat = _common_dim(a, b, c, stacked=True)
     _, wb, vb, keep, _, leak = _psd_against_support(amat, bmat)
     _require_psd(np.linalg.eigvalsh(cmat), "third argument")
-    if leak:
+    if leak.any():
         raise DomainError("support of A is not contained in the support of B")
 
     eps = np.array(_METRIC_EPSILONS)
-    w, v, kept = _support(bmat + eps[:, None, None] * cmat)
-    if not kept.all():
-        raise DomainError("metric base B + eps C is not positive-definite")
-    values = _metric_on_support(w, v, kept, amat).tolist()
-    limit = float(_metric_on_support(wb, vb, keep, amat))
+    # the bases B + eps C of every item, as one (..., 8, d, d) stack
+    w, v, kept = _support(bmat[..., None, :, :] + eps[:, None, None] * cmat[..., None, :, :])
+    _require_pd(w, "metric base B + eps C")
+    values = _metric_on_support(w, v, kept, amat[..., None, :, :])
+    limit = _metric_on_support(wb, vb, keep, amat)
 
-    diffs = np.diff(values)
-    scale = max(1.0, max(abs(v) for v in values))
-    monotone = bool(np.all(diffs >= -1e-10 * scale))
-    return MetricLimitRecord(
-        epsilons=_METRIC_EPSILONS,
-        values=tuple(values),
-        limit=limit,
-        final_gap=limit - values[-1],
-        monotone=monotone,
-    )
+    scale = np.maximum(1.0, np.abs(values).max(axis=-1))
+    monotone = np.all(np.diff(values) >= -1e-10 * scale[..., None], axis=-1)
+    final_gap = limit - values[..., -1]
+    if values.ndim == 1:  # one triple: tuples, floats and a bool
+        return MetricLimitRecord(
+            _METRIC_EPSILONS, tuple(values.tolist()), float(limit), float(final_gap), bool(monotone)
+        )
+    return MetricLimitRecord(np.broadcast_to(eps, values.shape), values, limit, final_gap, monotone)

@@ -249,13 +249,16 @@ OPERATOR_STACKED = {
             "metric_M",
             "frechet_log_central_diff",
             "second_frechet_log_central_diff",
+            "second_frechet_log",
             "evolve",
         )
     },
     "spectral_fn": (lambda x: spectral_fn(x, np.log), 1, ()),
     "von_neumann_entropy": (von_neumann_entropy, 1, ()),
 }
-ALL_STACKED = {**STACKED, **ONE_OPERAND_STACKED, **OPERATOR_STACKED}
+# functions whose raw stacks give a record with one entry per item in each field
+RECORD_STACKED = {"metric_epsilon_limit_check": MULTI_OPERAND["metric_epsilon_limit_check"]}
+ALL_STACKED = {**STACKED, **ONE_OPERAND_STACKED, **OPERATOR_STACKED, **RECORD_STACKED}
 
 
 @pytest.mark.parametrize("shape", [(2, 3, 2), (2, 2, 2, 2)])
@@ -266,7 +269,9 @@ def test_stacked_operand_rule_takes_only_stacks_of_square_matrices(name, shape):
         fn(*[np.zeros(shape)] * n, *scalars)
 
 
-@pytest.mark.parametrize("name", [*STACKED, *(k for k, v in OPERATOR_STACKED.items() if v[1] > 1)])
+@pytest.mark.parametrize(
+    "name", [*STACKED, *(k for k, v in OPERATOR_STACKED.items() if v[1] > 1), *RECORD_STACKED]
+)
 def test_a_density_matrix_is_one_operand_against_a_stack(name):
     fn, n, scalars = ALL_STACKED[name]
     operands = [np.stack([np.eye(2) / 2] * 3)] * n
@@ -310,9 +315,7 @@ ONE_MATRIX = {
     "HermitianOperator": HermitianOperator,
     "DensityMatrix": DensityMatrix,
     "sd_by_averaging": lambda x: sd_by_averaging(x, x, 0.5),
-    "second_frechet_log": lambda x: second_frechet_log(x, x),
     "frechet_log_quadrature": lambda x: frechet_log_quadrature(x, x),
-    "metric_epsilon_limit_check": lambda x: metric_epsilon_limit_check(x, x, x),
 }
 
 
@@ -321,6 +324,33 @@ ONE_MATRIX = {
 def test_other_operands_reject_raw_stacks(name, shape):
     with pytest.raises(DomainError, match="expected a square matrix, got shape"):
         ONE_MATRIX[name](np.zeros(shape))
+
+
+def test_the_second_derivative_and_the_metric_limit_take_a_stack_of_three():
+    # no longer one-matrix routes: a (3, 2, 2) stack is three operands
+    x = np.stack([np.eye(2) / 2] * 3)
+    assert second_frechet_log(x, x).shape == (3, 2, 2)
+    assert second_frechet_log(x, x, x).shape == (3, 2, 2)
+    record = metric_epsilon_limit_check(x, x, x)
+    assert record.values.shape == record.epsilons.shape == (3, 8)
+    assert record.limit.shape == record.final_gap.shape == record.monotone.shape == (3,)
+
+
+def test_a_stack_names_its_first_non_pd_base():
+    good = np.stack([np.eye(2) / 2] * 4)
+    base = good.copy()
+    base[1], base[3] = np.diag([1.0, -0.5]), np.diag([1.0, -0.25])
+    for deltas in ((good,), (good, good)):
+        with pytest.raises(DomainError, match=r"^base operator is not positive-definite .*-5\.000e-01\)$"):
+            second_frechet_log(base, *deltas)
+    # B + eps C is singular at every eps in item 2, and at eps = 1e-8 alone in
+    # item 1, whose smallest eigenvalue there, 2e-16, the message names
+    a, b, c = good.copy(), good.copy(), good.copy()
+    a[1] = a[2] = np.diag([0.5, 0.0])
+    b[1] = b[2] = c[2] = np.diag([1.0, 0.0])
+    c[1] = np.diag([1.0, 2e-8])
+    with pytest.raises(DomainError, match=r"^metric base B \+ eps C is not positive-definite .*2\.000e-16\)$"):
+        metric_epsilon_limit_check(a, b, c)
 
 
 def test_stacked_operands_name_the_first_non_psd_argument():

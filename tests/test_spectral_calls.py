@@ -154,9 +154,13 @@ def test_a_sequence_of_ensembles_makes_the_calls_of_one_ensemble(monkeypatch, rn
     [
         ("frechet_log", lambda a, d: qsd.frechet_log(a, d)),
         ("metric_M", lambda a, d: qsd.metric_M(a, d, d)),
+        ("second_frechet_log", lambda a, d: qsd.second_frechet_log(a, d)),
+        ("second_frechet_log", lambda a, d: qsd.second_frechet_log(a, d, d[::-1])),
+        ("metric_epsilon_limit_check", lambda a, d: qsd.metric_epsilon_limit_check(a, a, a[::-1])),
     ],
 )
-def test_a_frechet_stack_makes_the_calls_of_one_base(monkeypatch, rng, name, call):
-    a = np.stack([qsd.random_state(4, rng).mat for _ in range(20)])
-    d = np.stack([qsd.random_hamiltonian(4, rng).mat for _ in range(20)])
+@pytest.mark.parametrize("n", [1, 20])
+def test_a_frechet_stack_makes_the_calls_of_one_base(monkeypatch, rng, name, call, n):
+    a = np.stack([qsd.random_state(4, rng).mat for _ in range(n)])
+    d = np.stack([qsd.random_hamiltonian(4, rng).mat for _ in range(n)])
     assert count_eigen_calls(monkeypatch, lambda: call(a, d)) == EXPECTED_CALLS[name]

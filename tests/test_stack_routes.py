@@ -10,6 +10,7 @@ import pytest
 
 import qsd
 from qsd import DensityMatrix, DimensionMismatchError, DomainError, Ensemble, MixingExperiment
+from qsd import frechet as fr
 from qsd import linalg as la
 
 DIMS = (1, 2, 3, 6)
@@ -48,7 +49,7 @@ def assert_item(result, k, one):
         assert np.array_equal(row[: len(one)], np.array(one, dtype=float))
         assert np.isnan(row[len(one) :]).all()
     else:
-        assert isinstance(one, (float, complex, qsd.HermitianOperator))
+        assert isinstance(one, (bool, float, complex, qsd.HermitianOperator))
         assert np.array_equal(result[k], getattr(one, "mat", one))
 
 
@@ -148,6 +149,45 @@ FRECHET_ROUTES = {
 @pytest.mark.parametrize("route", FRECHET_ROUTES)
 def test_frechet_routes_give_each_item_its_single_call(rng, route, dim):
     assert_items(FRECHET_ROUTES[route], [pd_stack(rng, dim), herm_stack(rng, dim)])
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("second", [False, True])
+def test_second_derivative_gives_each_item_its_single_call(rng, dim, second):
+    columns = [pd_stack(rng, dim), herm_stack(rng, dim), herm_stack(rng, dim)]
+    assert_items(qsd.second_frechet_log, columns if second else columns[:2])
+
+
+def test_close_pairs_of_several_items_share_a_block(rng, monkeypatch):
+    # every pair of these spectra is close: the 136 pairs with i <= j of each
+    # of 40 items fill one block of 65536 // 16 = 4096 pairs from 31 items,
+    # and a last one of 1344
+    u = la._haar_columns(la._complex_gaussian(rng, (40, 16, 16)), 16)
+    a = (u * rng.uniform(1.0, 1.05, (40, 1, 16))) @ la._adjoint(u)
+    blocks, original = [], fr._log_dd2_ordered
+
+    def counted(lo, *args):
+        blocks.append(len(lo))
+        return original(lo, *args)
+
+    monkeypatch.setattr(fr, "_log_dd2_ordered", counted)
+    assert_items(qsd.second_frechet_log, [a, herm_stack(rng, 16, 40)])
+    assert blocks[:2] == [fr._NODE_BLOCK_ELEMS // 16, 40 * 136 - fr._NODE_BLOCK_ELEMS // 16]
+
+
+def limit_triples(rng, dim, size=5):
+    """Triples ``(A, B, C)`` of the metric limit: ``B`` of rank ``dim - 1``
+    (full rank at dim 1), ``A`` inside its support, ``C`` PSD and full rank."""
+    rank = max(1, dim - 1)
+    u = la._haar_columns(la._complex_gaussian(rng, (size, dim, dim)), rank)
+    b = (u * rng.uniform(0.5, 1.0, (size, 1, rank))) @ la._adjoint(u)
+    a = (u * rng.uniform(0.1, 1.0, (size, 1, rank))) @ la._adjoint(u)
+    return a, b, pd_stack(rng, dim, size)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_metric_limit_gives_each_item_its_single_call(rng, dim):
+    assert_items(qsd.metric_epsilon_limit_check, limit_triples(rng, dim))
 
 
 @pytest.mark.parametrize("dim", DIMS)
