@@ -38,11 +38,15 @@ from .verify import _REGISTERED, CheckDef, Draw, Inputs, _check, _inputs
 # Each builder takes the generators of a stack of trials, one per trial, and
 # returns one stack. Every generator makes the calls of its own trial's draw
 # in that draw's order, so a trial draws the same numbers alone as in any
-# stack; the linear algebra then runs once on the stack.
+# stack. The two primitives make one call per generator: ``la._complex_gaussians``
+# one block of normals, ``_uniforms`` one double. The arithmetic then runs
+# once on the stack.
 
 
 def _uniforms(rngs, lo: float, hi: float) -> np.ndarray:
-    return np.array([rng.uniform(lo, hi) for rng in rngs])
+    """``rng.uniform(lo, hi)`` of each generator: numpy computes it as
+    ``lo + (hi - lo) * rng.random()``, which scales here once for the stack."""
+    return lo + (hi - lo) * np.array([rng.random() for rng in rngs])
 
 
 def _picks(rngs, options: tuple) -> np.ndarray:
@@ -628,17 +632,34 @@ def _judge_metric_epsilon_limit(a, b, c):
     return np.where(rec.monotone, -np.abs(rec.final_gap), -1.0)
 
 
-def _draw_ensemble(rngs, dim, n: int | None = None) -> Draw:
-    """An ensemble of ``n`` random states per trial; of 2 to 4 when ``n`` is
-    not given."""
+def _ensembles(weights: list, members: np.ndarray) -> tuple[np.ndarray, list[Inputs]]:
+    """An ensemble per trial from its read-only weights and its slice of the
+    member stack of all trials, and the trial's inputs from that slice."""
+    members = la._frozen(members)
+    ends = np.cumsum([w.size for w in weights]).tolist()
+    own = [members[end - w.size : end] for w, end in zip(weights, ends)]
+    ens = [en.Ensemble._of(w, m) for w, m in zip(weights, own)]
+    return _objects(ens), [_inputs(*m, weights=w.tolist()) for w, m in zip(weights, own)]
+
+
+def _ensemble_members(rngs, dim, n: int | None = None) -> tuple[list, np.ndarray]:
+    """The read-only weights of each trial's ensemble, and the stack of all
+    trials' members in trial order."""
     counts = [int(rng.integers(2, 5)) if n is None else n for rng in rngs]
     weights = []
     for rng, m in zip(rngs, counts):
         w = 0.8 * rng.dirichlet(np.ones(m)) + 0.2 / m
-        weights.append(w / w.sum())
-    members = map(la.DensityMatrix._of, la._random_states(_repeated(rngs, counts), dim))
-    ens = [en.Ensemble(w, [next(members) for _ in w]) for w in weights]
-    return (_objects(ens),), [_inputs(*e.states, weights=list(e.weights)) for e in ens]
+        w /= w.sum()
+        w.flags.writeable = False
+        weights.append(w)
+    return weights, la._random_states(_repeated(rngs, counts), dim)
+
+
+def _draw_ensemble(rngs, dim, n: int | None = None) -> Draw:
+    """An ensemble of ``n`` random states per trial; of 2 to 4 when ``n`` is
+    not given."""
+    ens, inputs = _ensembles(*_ensemble_members(rngs, dim, n))
+    return (ens,), inputs
 
 
 @_check(
@@ -682,14 +703,13 @@ def _judge_chi_roga_binary(ens):
 
 
 def _draw_ensemble_pair(rngs, dim) -> Draw:
-    (ens,), inputs = _draw_ensemble(rngs, dim)
-    counts = [e.n for e in ens]
+    weights, own = _ensemble_members(rngs, dim)
+    ens, inputs = _ensembles(weights, own)
+    counts = [w.size for w in weights]
     mix = np.repeat(_uniforms(rngs, 0.0, 0.4), counts)[:, None, None]
-    own = np.stack([s.mat for e in ens for s in e.states])
     fresh = la._random_states(_repeated(rngs, counts), dim)
-    others = map(la.DensityMatrix._of, _from_matrices((1.0 - mix) * own + mix * fresh))
-    pairs = [en.Ensemble(e.weights, [next(others) for _ in e.states]) for e in ens]
-    return (ens, _objects(pairs)), inputs
+    others, _ = _ensembles(weights, _from_matrices((1.0 - mix) * own + mix * fresh))
+    return (ens, others), inputs
 
 
 @_check(
@@ -859,14 +879,16 @@ def _draw_experiment(rngs, dim, conditioned: bool = False) -> Draw:
         mats = _from_matrices(_conditioned_states(pairs, dim, 0.1))
     else:
         mats = la._random_states(pairs, dim)
-    states = list(map(la.DensityMatrix._of, mats))
-    hams = [la.HermitianOperator._of(h) for h in la._random_hamiltonians(pairs, dim)]
+    states = la._frozen(mats).reshape(-1, 2, dim, dim)
+    weights = np.stack([p, 1.0 - p], axis=1)
+    weights.flags.writeable = False
+    hams = la._random_hamiltonians(pairs, dim).reshape(-1, 2, dim, dim)
     times = _uniforms(rngs, 0.0, 1.0).tolist()
     exps = [
-        en.MixingExperiment(en.Ensemble((pk, 1.0 - pk), states[j : j + 2]), *hams[j : j + 2], t)
-        for j, pk, t in zip(range(0, len(pairs), 2), p.tolist(), times)
+        en.MixingExperiment(en.Ensemble._of(w, s), *map(la.HermitianOperator._of, h), t)
+        for w, s, h, t in zip(weights, states, hams, times)
     ]
-    return (_objects(exps),), [_inputs(*e.ensemble.states, t=e.time) for e in exps]
+    return (_objects(exps),), [_inputs(*s, t=t) for s, t in zip(states, times)]
 
 
 def _entropy_at(exp, t: np.ndarray) -> np.ndarray:

@@ -56,11 +56,11 @@ class Ensemble:
 
     Zero-weight members are dropped at construction so that every
     ``-p log p`` and skew parameter derived from the weights is well defined.
-    The validated members are also kept as one read-only ``(n, d, d)`` stack,
-    on which every route of this module evaluates.
+    The validated members are kept as one read-only ``(n, d, d)`` stack, on
+    which every route of this module evaluates; :attr:`states` views it.
     """
 
-    __slots__ = ("_weights", "_states", "_stack")
+    __slots__ = ("_weights", "_stack")
 
     def __init__(self, weights: Sequence[float], states: Sequence):
         w = np.asarray(weights, dtype=np.float64)
@@ -86,15 +86,19 @@ class Ensemble:
             if not _is_state(op.mat):
                 raise DomainError("ensemble members must have unit trace")
             operators.append(op)
-        members = tuple(map(DensityMatrix, operators))
-        dims = {dm.dim for dm in members}
+        members = [DensityMatrix(op).mat for op in operators]
+        dims = {m.shape[0] for m in members}
         if len(dims) != 1:
             raise DimensionMismatchError(f"states have mixed dimensions {sorted(dims)}")
-
-        self._weights = w[kept]
+        self._weights, self._stack = w[kept], _frozen(np.stack(members))
         self._weights.flags.writeable = False
-        self._states = members
-        self._stack = _frozen(np.stack([dm.mat for dm in members]))
+
+    @classmethod
+    def _of(cls, weights: np.ndarray, stack: np.ndarray) -> "Ensemble":
+        """Read-only ``weights`` (positive, sum 1) and ``(n, d, d)`` stack of states, unchecked."""
+        self = object.__new__(cls)
+        self._weights, self._stack = weights, stack
+        return self
 
     @property
     def weights(self) -> np.ndarray:
@@ -102,11 +106,11 @@ class Ensemble:
 
     @property
     def states(self) -> tuple[DensityMatrix, ...]:
-        return self._states
+        return tuple(map(DensityMatrix._of, self._stack))
 
     @property
     def n(self) -> int:
-        return len(self._states)
+        return self._stack.shape[0]
 
     @property
     def dim(self) -> int:

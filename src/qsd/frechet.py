@@ -619,7 +619,9 @@ def metric_epsilon_limit_check(
     _, wb, vb, keep, _, leak = _psd_against_support(amat, bmat)
     _require_psd(np.linalg.eigvalsh(cmat), "third argument")
     if leak.any():
-        raise DomainError("support of A is not contained in the support of B")
+        raise DomainError(
+            f"support of A is not contained in the support of B (leak {leak[leak > 0.0][0]:.3e})"
+        )
 
     eps = np.array(_METRIC_EPSILONS)
     # the bases B + eps C of every item, as one (..., 8, d, d) stack

@@ -430,22 +430,20 @@ def _as_rng(rng: RngLike) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    # the real parts are drawn first, then the imaginary parts
-    g = np.empty(shape, dtype=np.complex128)
-    g.real = rng.standard_normal(shape)
-    g.imag = rng.standard_normal(shape)
-    return g
-
-
 # The stacked generators below draw one item per generator, each generator
 # making the calls its single draw makes, so an item is the same alone as in
 # any stack; a single draw is the stack of one.
 
 
 def _complex_gaussians(rngs: Sequence[np.random.Generator], shape) -> np.ndarray:
-    """A :func:`_complex_gaussian` array of ``shape`` from each generator, stacked."""
-    return np.stack([_complex_gaussian(rng, shape) for rng in rngs])
+    """A complex Gaussian array of ``shape`` from each generator, stacked: in
+    one call, the generator draws its real parts, then its imaginary parts."""
+    parts = np.empty((len(rngs), 2, *shape))
+    for rng, block in zip(rngs, parts):
+        rng.standard_normal(out=block)
+    g = np.empty(parts[:, 0].shape, dtype=np.complex128)
+    g.real, g.imag = parts[:, 0], parts[:, 1]
+    return g
 
 
 def _random_states(rngs: Sequence[np.random.Generator], dim: int) -> np.ndarray:
@@ -463,7 +461,7 @@ def _random_hamiltonians(rngs: Sequence[np.random.Generator], dim: int) -> np.nd
     norm = np.abs(np.linalg.eigvalsh(h)).max(axis=-1)
     for k in np.flatnonzero(norm == 0.0):
         while norm[k] == 0.0:  # a zero matrix has no unit-norm rescaling: draw again
-            h[k] = _symmetrized(_complex_gaussian(rngs[k], (dim, dim)))
+            h[k] = _symmetrized(_complex_gaussians([rngs[k]], (dim, dim))[0])
             norm[k] = np.abs(np.linalg.eigvalsh(h[k])).max()
     return _hermitian(h / norm[:, None, None], stacked=True)
 
@@ -505,7 +503,7 @@ def random_cptp(dim_in: int, dim_env: int, rng: RngLike) -> list[np.ndarray]:
     if dim_in < 1 or dim_env < 1:
         raise DomainError("dimensions must be at least 1")
     total = dim_in * dim_env
-    isometry = _haar_columns(_complex_gaussian(_as_rng(rng), (total, total)), dim_in)
+    isometry = _haar_columns(_complex_gaussians([_as_rng(rng)], (total, total))[0], dim_in)
     return list(isometry.reshape(dim_env, dim_in, dim_in))
 
 

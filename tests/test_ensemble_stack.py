@@ -11,6 +11,7 @@ import pytest
 import qsd
 from qsd import Ensemble, MixingExperiment
 from qsd import ensembles as en
+from qsd import linalg as la
 from qsd.divergences import _skewed_relative_entropy
 from qsd.linalg import _eigh, _symmetrized
 
@@ -270,3 +271,55 @@ def test_zero_pads_leave_the_complements_bit_for_bit(rng, dim):
         padded_w, padded = np.zeros((2, 7)), np.zeros((2, 7, dim, dim), dtype=complex)
         padded_w[:, :n], padded[:, :n] = w, stack
         assert np.array_equal(en._complements(padded_w, padded)[:, :n], np.stack([en._complements(w, stack)] * 2))
+
+
+def _bits(value):
+    """A result as comparable bytes: records field by field, states by matrix."""
+    if dataclasses.is_dataclass(value):
+        return tuple(_bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if value is None:
+        return None
+    arr = np.asarray(getattr(value, "mat", value))
+    return arr.dtype.str, arr.shape, arr.tobytes()
+
+
+def _twins(rng, weights, dim):
+    """Per weight vector, one member stack of states as two ensembles: the
+    validating constructor's, of the members as states, and ``Ensemble._of``'s."""
+    checked, unchecked = [], []
+    for w in weights:
+        stack = la._frozen(la._random_states([rng] * w.size, dim))
+        checked.append(Ensemble(w, [qsd.DensityMatrix._of(m) for m in stack]))
+        unchecked.append(Ensemble._of(w, stack))
+    return checked, unchecked
+
+
+def test_unchecked_ensemble_is_the_validated_one(rng):
+    weights = [rng.dirichlet(np.ones(n)) for n in (2, 3, 4, 2, 2, 2)]
+    for w in weights:
+        w.flags.writeable = False
+    checked, unchecked = _twins(rng, weights, 3)
+    checked_other, unchecked_other = _twins(rng, weights, 3)
+    for a, b in zip(checked + checked_other, unchecked + unchecked_other):
+        assert not (b.weights.flags.writeable or b._stack.flags.writeable)
+        assert (a.n, a.dim, repr(a)) == (b.n, b.dim, repr(b))
+        assert _bits(a.weights) == _bits(b.weights) and _bits(a._stack) == _bits(b._stack)
+        members = [(_bits(m), True) for m in b._stack]  # the stack _of was given
+        assert [(_bits(s), s.is_normalized) for s in a.states] == members
+        assert [(_bits(s), s.is_normalized) for s in b.states] == members
+        assert _bits(qsd.average_state(a)) == _bits(qsd.average_state(b))
+        assert _bits(qsd.complementary_state(a, 1)) == _bits(qsd.complementary_state(b, 1))
+    # every route on a single call and on a sequence of three
+    moving = [(qsd.random_hamiltonian(3, rng), qsd.random_hamiltonian(3, rng), t) for t in (0.0, 0.3, 1.1)]
+    calls = [(getattr(qsd, route), lambda e: (e[:3],)) for route in ROUTES + ["chi_upper_bounds"]]
+    calls += [(qsd.chi_continuity_bound, lambda e: (e[:3], e[6:9]))]
+    calls += [
+        (route, lambda e: ([MixingExperiment(x, *m) for x, m in zip(e[3:6], moving)],))
+        for route in (qsd.mixing_rate, qsd.sim_bound_check)
+    ]
+    for route, columns in calls:
+        left, right = columns(checked + checked_other), columns(unchecked + unchecked_other)
+        assert _bits(route(*left)) == _bits(route(*right)), route.__name__
+        for items in zip(*left, *right):
+            half = len(items) // 2
+            assert _bits(route(*items[:half])) == _bits(route(*items[half:])), route.__name__

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from qsd import checks, verify
+from qsd import linalg as la
 from qsd.ensembles import Ensemble, MixingExperiment
 from qsd.linalg import HermitianOperator
 
@@ -180,3 +181,49 @@ def test_the_runner_builds_no_seed_sequence(monkeypatch):
     report = verify.run_suite("all", dims=(2, 3), trials=2, seed=5)
     assert len(report.checks) == len(kept)
     assert built == []
+
+
+def _generator_list(count, base=0):
+    """``count`` generators, seeded ``base``, ``base + 1``, ..."""
+    return [np.random.Generator(np.random.PCG64(base + k)) for k in range(count)]
+
+
+def _uniform_bounds(monkeypatch) -> set:
+    """Every ``(lo, hi)`` that a draw of the registry passes to ``_uniforms``."""
+    seen, original = set(), checks._uniforms
+
+    def recording(rngs, lo, hi):
+        seen.add((lo, hi))
+        return original(rngs, lo, hi)
+
+    monkeypatch.setattr(checks, "_uniforms", recording)
+    for check in checks.REGISTRY:
+        check.draw(_rngs(3, check, 2, range(2)), 2)
+    return seen
+
+
+def test_uniforms_are_numpys_uniform(monkeypatch):
+    # numpy draws uniform(lo, hi) as lo + (hi - lo) * next_double; _uniforms
+    # scales one next_double per generator, so the bits must agree
+    uniforms = checks._uniforms
+    bounds = _uniform_bounds(monkeypatch)
+    assert len(bounds) >= 10 and (0.02, 0.98) in bounds and (0.0, 0.4) in bounds
+    for lo, hi in sorted(bounds):
+        ours = uniforms(_generator_list(1000), lo, hi)
+        theirs = np.array([rng.uniform(lo, hi) for rng in _generator_list(1000)])
+        assert ours.dtype == np.float64 and ours.tobytes() == theirs.tobytes(), (lo, hi)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (2, 4, 4)], ids=str)
+@pytest.mark.parametrize("counts", [1, 3, [1, 3, 2, 1]], ids=str)
+def test_complex_gaussians_are_numpys_normals(shape, counts):
+    # each entry is its generator's standard_normal(shape) for the real parts,
+    # then for the imaginary parts; a repeated generator goes on where it stopped
+    ours = checks._repeated(_generator_list(4, base=70), counts)
+    theirs = checks._repeated(_generator_list(4, base=70), counts)
+    g = la._complex_gaussians(ours, shape)
+    assert g.shape == (len(ours), *shape) and g.dtype == np.complex128
+    parts = [(rng.standard_normal(shape), rng.standard_normal(shape)) for rng in theirs]
+    assert g.real.tobytes() == np.stack([re for re, _ in parts]).tobytes()
+    assert g.imag.tobytes() == np.stack([im for _, im in parts]).tobytes()
+    assert [r.bit_generator.state for r in ours] == [r.bit_generator.state for r in theirs]

@@ -353,6 +353,15 @@ def test_a_stack_names_its_first_non_pd_base():
         metric_epsilon_limit_check(a, b, c)
 
 
+def test_a_stack_names_its_first_support_leak():
+    # the third B keeps half of A = id/2 off its support: a leak of 0.5
+    a = np.stack([np.eye(2) / 2] * 3)
+    b = a.copy()
+    b[2] = np.diag([1.0, 0.0])
+    with pytest.raises(DomainError, match=r"^support of A is not contained .*\(leak 5\.000e-01\)$"):
+        metric_epsilon_limit_check(a, b, a)
+
+
 def test_stacked_operands_name_the_first_non_psd_argument():
     good = np.stack([np.eye(2) / 2] * 3)
     bad = good.copy()

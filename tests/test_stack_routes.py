@@ -20,7 +20,7 @@ COUNTS = (2, 3, 4, 3, 2, 4, 2)
 
 def state(rng, dim, rank=None):
     """A random state, of rank ``rank`` when given."""
-    g = la._complex_gaussian(rng, (dim, dim if rank is None else rank))
+    g = la._complex_gaussians([rng], (dim, dim if rank is None else rank))[0]
     return DensityMatrix.from_matrix(g @ g.conj().T)
 
 
@@ -132,7 +132,7 @@ def pd_stack(rng, dim, size=5):
 
 
 def herm_stack(rng, dim, size=5):
-    g = la._complex_gaussian(rng, (size, dim, dim))
+    g = la._complex_gaussians([rng], (size, dim, dim))[0]
     return (g + la._adjoint(g)) / 2.0
 
 
@@ -162,7 +162,7 @@ def test_close_pairs_of_several_items_share_a_block(rng, monkeypatch):
     # every pair of these spectra is close: the 136 pairs with i <= j of each
     # of 40 items fill one block of 65536 // 16 = 4096 pairs from 31 items,
     # and a last one of 1344
-    u = la._haar_columns(la._complex_gaussian(rng, (40, 16, 16)), 16)
+    u = la._haar_columns(la._complex_gaussians([rng], (40, 16, 16))[0], 16)
     a = (u * rng.uniform(1.0, 1.05, (40, 1, 16))) @ la._adjoint(u)
     blocks, original = [], fr._log_dd2_ordered
 
@@ -179,7 +179,7 @@ def limit_triples(rng, dim, size=5):
     """Triples ``(A, B, C)`` of the metric limit: ``B`` of rank ``dim - 1``
     (full rank at dim 1), ``A`` inside its support, ``C`` PSD and full rank."""
     rank = max(1, dim - 1)
-    u = la._haar_columns(la._complex_gaussian(rng, (size, dim, dim)), rank)
+    u = la._haar_columns(la._complex_gaussians([rng], (size, dim, dim))[0], rank)
     b = (u * rng.uniform(0.5, 1.0, (size, 1, rank))) @ la._adjoint(u)
     a = (u * rng.uniform(0.1, 1.0, (size, 1, rank))) @ la._adjoint(u)
     return a, b, pd_stack(rng, dim, size)
@@ -258,7 +258,7 @@ def test_random_state_is_the_clipped_construction_bit_for_bit():
     # of DensityMatrix.from_matrix gives the same matrix
     for seed in range(2048):
         dim = 1 + seed % 32
-        g = la._complex_gaussian(np.random.default_rng(seed), (dim, dim))
+        g = la._complex_gaussians([np.random.default_rng(seed)], (dim, dim))[0]
         expected = DensityMatrix.from_matrix(g @ g.conj().T)
         out = qsd.random_state(dim, seed)
         assert out.is_normalized and not out.mat.flags.writeable
