@@ -1,15 +1,16 @@
 """The registered checks of ``qsd.verify``, in definition (report) order.
 
-A draw ``(rngs, dim) -> (stacks, inputs)`` makes all the trials of one
-dimension, one per generator in ``rngs``: the judge's arguments, each
-stacked along a first trial axis, and each trial's inputs for the report.
-Each generator makes its own trial's calls in one fixed order, so a trial
-draws the same numbers alone as in any stack. A judge calls each public
-function once on the whole stack: raw ``(n, d, d)`` stacks (a state is one
-by its trace alone), or the 1-D object array a column of ensembles or
-experiments stacks into. Two functions take one trial only and are called
-per trial through ``_each``: the oracles ``frechet_log_quadrature`` and
-``sd_by_averaging``, whose meshes follow each trial's spectrum.
+A draw ``(rngs, dim) -> stacks`` makes all the trials of one dimension, one
+per generator in ``rngs``: the judge's arguments, in its parameter order,
+each stacked along a first trial axis. Each generator makes its own trial's
+calls in one fixed order, so a trial draws the same numbers alone as in any
+stack, and the runner redraws a violating trial alone for the report. A
+judge calls each public function once on the whole stack: raw ``(n, d, d)``
+stacks (a state is one by its trace alone), or the 1-D object array a column
+of ensembles or experiments stacks into. Two functions take one trial only
+and are called per trial through ``_each``: the oracles
+``frechet_log_quadrature`` and ``sd_by_averaging``, whose meshes follow each
+trial's spectrum.
 
 A check looks a library function up on its module (``dv.``, ``fr.``,
 ``en.``, ``la.``) at each call and never binds it at load, so a function
@@ -28,7 +29,7 @@ from . import divergences as dv
 from . import ensembles as en
 from . import frechet as fr
 from . import linalg as la
-from .verify import _REGISTERED, CheckDef, Draw, Inputs, _check, _inputs
+from .verify import _REGISTERED, CheckDef, _check
 
 
 # ---------------------------------------------------------------------------
@@ -88,15 +89,14 @@ def _unitaries(rngs, dim: int) -> np.ndarray:
     return la._haar_columns(la._complex_gaussians(rngs, (dim, dim)), dim)
 
 
-def _channels(rngs, dim: int) -> tuple[np.ndarray, list[int]]:
-    """A ``la.random_cptp`` channel per trial and its count of 1 to 3 Kraus
-    blocks. The channels stack as ``(n, 3, dim, dim)``: zero blocks pad each
-    to 3, and add exact zeros."""
+def _channels(rngs, dim: int) -> np.ndarray:
+    """A ``la.random_cptp`` channel of 1 to 3 Kraus blocks per trial, stacked
+    as ``(n, 3, dim, dim)``: zero blocks pad each to 3, and add exact zeros."""
     kraus = np.zeros((len(rngs), 3, dim, dim), dtype=np.complex128)
-    envs = [int(rng.integers(1, 4)) for rng in rngs]
-    for k, (rng, env) in enumerate(zip(rngs, envs)):
+    for k, rng in enumerate(rngs):
+        env = int(rng.integers(1, 4))
         kraus[k, :env] = la.random_cptp(dim, env, rng)
-    return kraus, envs
+    return kraus
 
 
 def _from_matrices(raw: np.ndarray) -> np.ndarray:
@@ -130,16 +130,6 @@ def _objects(items) -> np.ndarray:
     return out
 
 
-def _per_trial(*mats: np.ndarray, **extra) -> list[Inputs]:
-    """Each trial's inputs from stacks: its item of each stack in ``mats``
-    and its entry of each named stack, as a plain number."""
-    columns = {name: np.asarray(v).tolist() for name, v in extra.items()}
-    n = len(mats[0]) if mats else len(next(iter(columns.values())))
-    return [
-        (tuple(m[k] for m in mats), {name: c[k] for name, c in columns.items()}) for k in range(n)
-    ]
-
-
 def _least(*slacks) -> np.ndarray:
     """Per-trial minimum of several slacks (a NaN stays NaN)."""
     return np.min(np.broadcast_arrays(*slacks), axis=0)
@@ -162,9 +152,9 @@ def _rel_err(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _draw_herm(rngs, dim, scaled: bool = False) -> Draw:
+def _draw_herm(rngs, dim, scaled: bool = False):
     a = _herms(rngs, dim, _uniforms(rngs, 0.1, 3.0)[:, None, None] if scaled else 1.0)
-    return (a,), _per_trial(a)
+    return (a,)
 
 
 @_check(
@@ -194,11 +184,11 @@ def _judge_spectral_fn_identity(a):
     return 1e-12 * np.maximum(1.0, np.abs(a).max(axis=(1, 2))) - resid
 
 
-def _draw_trace_norm_axioms(rngs, dim) -> Draw:
+def _draw_trace_norm_axioms(rngs, dim):
     x = _herms(rngs, dim)
     y = _herms(rngs, dim)
     c = _uniforms(rngs, -3.0, 3.0)
-    return (x, y, c), _per_trial(x, y, c=c)
+    return x, y, c
 
 
 @_check(
@@ -213,14 +203,14 @@ def _judge_trace_norm_axioms(x, y, c):
     return np.minimum(tn(x) + tn(y) - tn(x + y), homog)
 
 
-def _draw_random_state_invariants(rngs, dim) -> Draw:
+def _draw_random_state_invariants(rngs, dim):
     seeds = [int(rng.integers(0, 2**63 - 1)) for rng in rngs]
     # the check is on the single-trial generator: one call per state
     s1, s2 = (
         np.stack([la.random_state(dim, np.random.default_rng(seed)).mat for seed in seeds])
         for _ in range(2)
     )
-    return (s1, s2), _per_trial(s1, seed=seeds)
+    return s1, s2
 
 
 @_check(
@@ -235,10 +225,8 @@ def _judge_random_state_invariants(s1, s2):
     return _least(1e-12 - trace_err, np.linalg.eigvalsh(s1)[:, 0] + 1e-10, deterministic)
 
 
-def _draw_random_cptp(rngs, dim) -> Draw:
-    kraus, envs = _channels(rngs, dim)
-    rho = la._random_states(rngs, dim)
-    return (kraus, rho), _per_trial(rho, env=envs)
+def _draw_random_cptp(rngs, dim):
+    return _channels(rngs, dim), la._random_states(rngs, dim)
 
 
 @_check(
@@ -256,28 +244,28 @@ def _judge_random_cptp_contract(kraus, rho):
     return _least(1e-10 - comp_err, 1e-10 - trace_err, min_eig + 1e-10)
 
 
-_RANGE_ALPHAS = (0.01, 0.1, 0.5, 0.9, 0.99)
+def _draw_states(rngs, dim):
+    return la._random_states(rngs, dim), la._random_states(rngs, dim)
 
 
-def _draw_state_pair(rngs, dim, lo: float = 0.02, hi: float = 0.98) -> Draw:
-    rho, sig = la._random_states(rngs, dim), la._random_states(rngs, dim)
-    alpha = _uniforms(rngs, lo, hi)
-    return (rho, sig, alpha), _per_trial(rho, sig, alpha=alpha)
+def _draw_state_pair(rngs, dim, lo: float = 0.02, hi: float = 0.98, picks: tuple = ()):
+    """Two states and a skew per trial: uniform on [lo, hi], or one of ``picks``."""
+    rho, sig = _draw_states(rngs, dim)
+    return rho, sig, _picks(rngs, picks) if picks else _uniforms(rngs, lo, hi)
 
 
-def _draw_sd_range(rngs, dim) -> Draw:
-    rho, sig = la._random_states(rngs, dim), la._random_states(rngs, dim)
-    alpha = _picks(rngs, _RANGE_ALPHAS)
-    return (rho, sig, alpha), _per_trial(rho, sig, alpha=alpha)
-
-
-@_check("div.sd_range", 1e-9, "skew divergence of states lies in [0, 1]", _draw_sd_range)
+@_check(
+    "div.sd_range",
+    1e-9,
+    "skew divergence of states lies in [0, 1]",
+    partial(_draw_state_pair, picks=(0.01, 0.1, 0.5, 0.9, 0.99)),
+)
 def _judge_sd_range(rho, sig, alpha):
     v = dv.skew_divergence(rho, sig, alpha)
     return np.minimum(v, 1.0 - v)
 
 
-def _draw_sd_orthogonality(rngs, dim) -> Draw:
+def _draw_sd_orthogonality(rngs, dim):
     rho_o, sig_o = _orthogonal_pairs(rngs, dim)
     alpha = _picks(rngs, (0.01, 0.5, 0.99))
     # constructed overlapping pair: a 1% identity admixture caps the trace
@@ -285,7 +273,7 @@ def _draw_sd_orthogonality(rngs, dim) -> Draw:
     eye = np.eye(dim) / dim
     rho = 0.99 * la._random_states(rngs, dim) + 0.01 * eye
     sig = 0.99 * la._random_states(rngs, dim) + 0.01 * eye
-    return (rho_o, sig_o, rho, sig, alpha), _per_trial(rho_o, sig_o, alpha=alpha)
+    return rho_o, sig_o, rho, sig, alpha
 
 
 @_check(
@@ -301,12 +289,12 @@ def _judge_sd_orthogonality(rho_o, sig_o, rho, sig, alpha):
     return _least(-np.abs(1.0 - v), 1e-9 - overlap, (1.0 - 1e-2) - v_mixed)
 
 
-def _draw_sd_scaling(rngs, dim) -> Draw:
+def _draw_sd_scaling(rngs, dim):
     x = _psds(rngs, dim)
     y = _psds(rngs, dim)
     b, c = _uniforms(rngs, 0.05, 2.0), _uniforms(rngs, 0.05, 2.0)
     alpha = _uniforms(rngs, 0.02, 0.98)
-    return (x, y, b, c, alpha), _per_trial(x, y, b=b, c=c, alpha=alpha)
+    return x, y, b, c, alpha
 
 
 @_check(
@@ -322,11 +310,11 @@ def _judge_sd_scaling(x, y, b, c, alpha):
     return -np.maximum(np.abs(r1), np.abs(r2))
 
 
-def _draw_sd_unitary_invariance(rngs, dim) -> Draw:
+def _draw_sd_unitary_invariance(rngs, dim):
     rho, sig = la._random_states(rngs, dim), la._random_states(rngs, dim)
     u = _unitaries(rngs, dim)
     alpha = _uniforms(rngs, 0.02, 0.98)
-    return (rho, sig, u, alpha), _per_trial(rho, sig, alpha=alpha)
+    return rho, sig, u, alpha
 
 
 @_check(
@@ -341,13 +329,13 @@ def _judge_sd_unitary_invariance(rho, sig, u, alpha):
     return -np.abs(moved - dv.skew_divergence(rho, sig, alpha))
 
 
-def _draw_channel_pair(rngs, dim) -> Draw:
+def _draw_channel_pair(rngs, dim):
     """A pair of states, a skew and the pair's images under a random channel."""
     rho, sig = la._random_states(rngs, dim), la._random_states(rngs, dim)
     alpha = _uniforms(rngs, 0.02, 0.98)
-    kraus, _ = _channels(rngs, dim)
+    kraus = _channels(rngs, dim)
     moved = (_channel_images(kraus, rho), _channel_images(kraus, sig))
-    return (rho, sig, *moved, alpha), _per_trial(rho, sig, alpha=alpha)
+    return rho, sig, *moved, alpha
 
 
 @_check(
@@ -357,13 +345,12 @@ def _judge_sd_contractivity(rho, sig, rho_out, sig_out, alpha):
     return dv.skew_divergence(rho, sig, alpha) - dv.skew_divergence(rho_out, sig_out, alpha)
 
 
-def _draw_sd_joint_convexity(rngs, dim) -> Draw:
+def _draw_sd_joint_convexity(rngs, dim):
     alpha = _uniforms(rngs, 0.02, 0.98)
     w = np.stack([rng.dirichlet(np.ones(3)) for rng in rngs])
     rhos = la._random_states(_repeated(rngs, 3), dim).reshape(-1, 3, dim, dim)
     sigs = la._random_states(_repeated(rngs, 3), dim).reshape(-1, 3, dim, dim)
-    inputs = [_inputs(*r, *s, alpha=a) for r, s, a in zip(rhos, sigs, alpha.tolist())]
-    return (rhos, sigs, w, alpha), inputs
+    return rhos, sigs, w, alpha
 
 
 @_check(
@@ -383,15 +370,15 @@ def _judge_sd_joint_convexity(rhos, sigs, w, alpha):
     return rhs - dv.skew_divergence(mix_r, mix_s, alpha)
 
 
-def _draw_sd_trace_norm_sandwich(rngs, dim) -> Draw:
-    (rho, sig, alpha), inputs = _draw_state_pair(rngs, dim)
+def _draw_sd_trace_norm_sandwich(rngs, dim):
+    rho, sig, alpha = _draw_state_pair(rngs, dim)
     # tightness family diag(t,0,1-t) vs diag(0,t,1-t): SD equals t (at 1e-9)
     tf = np.array([rng.choice(np.arange(0.1, 0.95, 0.1)) for rng in rngs])
     af = _picks(rngs, (0.1, 0.5, 0.9))
     fam_r, fam_s = np.zeros((2, len(rngs), 3, 3), dtype=np.complex128)
     fam_r[:, 0, 0] = fam_s[:, 1, 1] = tf
     fam_r[:, 2, 2] = fam_s[:, 2, 2] = 1.0 - tf
-    return (rho, sig, alpha, fam_r, fam_s, tf, af), inputs
+    return rho, sig, alpha, fam_r, fam_s, tf, af
 
 
 @_check(
@@ -415,11 +402,6 @@ def _judge_skewed_re_bound(rho, sig, alpha):
     return -np.log(alpha) - dv.relative_entropy(rho, la._skewed_mixture(rho, sig, alpha))
 
 
-def _draw_states(rngs, dim) -> Draw:
-    rho, sig = la._random_states(rngs, dim), la._random_states(rngs, dim)
-    return (rho, sig), _per_trial(rho, sig)
-
-
 @_check(
     "div.fidelity_trace_distance",
     1e-8,
@@ -431,10 +413,10 @@ def _judge_fidelity_trace_distance(rho, sig):
     return np.sqrt(np.maximum(0.0, 1.0 - f * f)) - dv.trace_distance(rho, sig)
 
 
-def _draw_pd_direction(rngs, dim, floor: float = 0.05, direction=_herms) -> Draw:
+def _draw_pd_direction(rngs, dim, floor: float = 0.05, direction=_herms):
     a = _pds(rngs, dim, floor)
     d = direction(rngs, dim)
-    return (a, d), _per_trial(a, d)
+    return a, d
 
 
 @_check(
@@ -447,11 +429,11 @@ def _judge_t_order_preserving(a, d):
     return np.linalg.eigvalsh(fr.frechet_log(a, d))[:, 0]
 
 
-def _draw_psd_pair(rngs, dim) -> Draw:
+def _draw_psd_pair(rngs, dim):
     a = _psds(rngs, dim)
     b = _psds(rngs, dim)
     alpha = _uniforms(rngs, 0.02, 0.98)
-    return (a, b, alpha), _per_trial(a, b, alpha=alpha)
+    return a, b, alpha
 
 
 @_check("fre.t_sum_bound", 1e-9, "T_{A+B}(A) <= id for PSD A, B", _draw_psd_pair)
@@ -475,10 +457,10 @@ def _judge_r_reduces_to_t(a, d):
     return -_each(np.linalg.norm, second - fr.frechet_log(a, d))
 
 
-def _draw_psd_triple(rngs, dim) -> Draw:
+def _draw_psd_triple(rngs, dim):
     a, b, c = (_psds(rngs, dim) for _ in range(3))
     alpha = _uniforms(rngs, 0.02, 0.98)
-    return (a, b, c, alpha), _per_trial(a, b, c, alpha=alpha)
+    return a, b, c, alpha
 
 
 @_check(
@@ -493,7 +475,7 @@ def _judge_metric_difference(a, b, c, alpha):
     return np.minimum(diff, ta - ta * ta / (ta + tc) - diff)
 
 
-def _draw_quadrature_match(rngs, dim) -> Draw:
+def _draw_quadrature_match(rngs, dim):
     conds = [10.0 ** rng.uniform(0.0, 4.0) for rng in rngs]
     v = _unitaries(rngs, dim)
     lam = np.empty((len(rngs), dim))
@@ -503,7 +485,7 @@ def _draw_quadrature_match(rngs, dim) -> Draw:
             lam[k, 1] = lam[k, 0]  # exercise the confluent divided-difference branch
     a = (v * lam[:, None, :]) @ la._adjoint(v)
     d = _herms(rngs, dim)
-    return (a, d), _per_trial(a, d)
+    return a, d
 
 
 @_check(
@@ -538,11 +520,11 @@ def _judge_dsd_symmetry(a, b, alpha):
     return -np.abs(op_dsd(a, b, alpha) - op_dsd(b, a, 1.0 - alpha))
 
 
-def _draw_dsd_derivative(rngs, dim) -> Draw:
+def _draw_dsd_derivative(rngs, dim):
     a = _conditioned_states(rngs, dim)
     b = _conditioned_states(rngs, dim)
     alpha = _uniforms(rngs, 0.1, 0.9)
-    return (a, b, alpha), _per_trial(a, b, alpha=alpha)
+    return a, b, alpha
 
 
 @_check(
@@ -603,7 +585,7 @@ def _judge_averaging_match(rho, sig, alpha):
     return -np.abs(dv.skew_divergence(rho, sig, alpha) - averaged)
 
 
-def _draw_metric_epsilon_limit(rngs, dim) -> Draw:
+def _draw_metric_epsilon_limit(rngs, dim):
     dim = max(dim, 2)
     ranks = [int(rng.integers(1, dim)) for rng in rngs]
     us = _unitaries(rngs, dim)
@@ -618,7 +600,7 @@ def _draw_metric_epsilon_limit(rngs, dim) -> Draw:
         off[k] = u[:, rank:] @ u[:, rank:].conj().T
     c = _psds(rngs, dim) + off
     c /= la.operator_norm(c)[:, None, None]
-    return (a, b, c), _per_trial(a, b, c)
+    return a, b, c
 
 
 @_check(
@@ -632,14 +614,14 @@ def _judge_metric_epsilon_limit(a, b, c):
     return np.where(rec.monotone, -np.abs(rec.final_gap), -1.0)
 
 
-def _ensembles(weights: list, members: np.ndarray) -> tuple[np.ndarray, list[Inputs]]:
+def _ensembles(weights: list, members: np.ndarray) -> np.ndarray:
     """An ensemble per trial from its read-only weights and its slice of the
-    member stack of all trials, and the trial's inputs from that slice."""
+    member stack of all trials."""
     members = la._frozen(members)
     ends = np.cumsum([w.size for w in weights]).tolist()
     own = [members[end - w.size : end] for w, end in zip(weights, ends)]
     ens = [en.Ensemble._of(w, m) for w, m in zip(weights, own)]
-    return _objects(ens), [_inputs(*m, weights=w.tolist()) for w, m in zip(weights, own)]
+    return _objects(ens)
 
 
 def _ensemble_members(rngs, dim, n: int | None = None) -> tuple[list, np.ndarray]:
@@ -655,11 +637,10 @@ def _ensemble_members(rngs, dim, n: int | None = None) -> tuple[list, np.ndarray
     return weights, la._random_states(_repeated(rngs, counts), dim)
 
 
-def _draw_ensemble(rngs, dim, n: int | None = None) -> Draw:
+def _draw_ensemble(rngs, dim, n: int | None = None):
     """An ensemble of ``n`` random states per trial; of 2 to 4 when ``n`` is
     not given."""
-    ens, inputs = _ensembles(*_ensemble_members(rngs, dim, n))
-    return (ens,), inputs
+    return (_ensembles(*_ensemble_members(rngs, dim, n)),)
 
 
 @_check(
@@ -702,14 +683,13 @@ def _judge_chi_roga_binary(ens):
     return np.minimum(roga - rec.chi, entropy * np.sqrt(np.maximum(0.0, 1.0 - f * f)) - roga)
 
 
-def _draw_ensemble_pair(rngs, dim) -> Draw:
+def _draw_ensemble_pair(rngs, dim):
     weights, own = _ensemble_members(rngs, dim)
-    ens, inputs = _ensembles(weights, own)
     counts = [w.size for w in weights]
     mix = np.repeat(_uniforms(rngs, 0.0, 0.4), counts)[:, None, None]
     fresh = la._random_states(_repeated(rngs, counts), dim)
-    others, _ = _ensembles(weights, _from_matrices((1.0 - mix) * own + mix * fresh))
-    return (ens, others), inputs
+    others = _from_matrices((1.0 - mix) * own + mix * fresh)
+    return _ensembles(weights, own), _ensembles(weights, others)
 
 
 @_check(
@@ -789,11 +769,11 @@ def _triangle_rhs(f, alpha, t, swap: bool = False):
     return np.where(t == 0.0, 0.0, g(1.0, 0.0) - g(1.0, s) + g(0.0, s))
 
 
-def _draw_triangle_family(rngs, dim) -> Draw:
+def _draw_triangle_family(rngs, dim):
     mats = la._random_states(_repeated(rngs, 3), dim).reshape(-1, 3, dim, dim)
     rho, s1, s2 = (np.ascontiguousarray(mats[:, j]) for j in range(3))
     alpha = _uniforms(rngs, 0.02, 0.98)
-    return (rho, s1, s2, alpha), _per_trial(rho, s1, s2, alpha=alpha)
+    return rho, s1, s2, alpha
 
 
 @_check(
@@ -816,7 +796,7 @@ def _judge_triangle_family(rho, s1, s2, alpha):
     return _least(*slacks)
 
 
-def _draw_triangle_equality(rngs, dim) -> Draw:
+def _draw_triangle_equality(rngs, dim):
     dim = max(dim, 2)
     u = _unitaries(rngs, dim)
     rho = u[:, :, 0, None] * u[:, None, :, 0].conj()
@@ -825,7 +805,7 @@ def _draw_triangle_equality(rngs, dim) -> Draw:
     t = _uniforms(rngs, 0.05, 0.95)
     s2 = t[:, None, None] * rho + (1.0 - t[:, None, None]) * s1
     alpha = _uniforms(rngs, 0.05, 0.95)
-    return (rho, s1, s2, alpha, t), _per_trial(rho, s1, alpha=alpha, t=t)
+    return rho, s1, s2, alpha, t
 
 
 @_check(
@@ -839,9 +819,9 @@ def _judge_triangle_equality(rho, s1, s2, alpha, t):
     return -np.abs(lhs - _triangle_rhs(dv.scalar_skew_divergence, alpha, t))
 
 
-def _draw_alpha(rngs, dim) -> Draw:
+def _draw_alpha(rngs, dim):
     alpha = _uniforms(rngs, 0.02, 0.98)
-    return (alpha,), _per_trial(alpha=alpha)
+    return (alpha,)
 
 
 @_check(
@@ -857,11 +837,11 @@ def _judge_triangle_rhs_shape(alpha):
     return np.minimum(np.diff(g).min(axis=1), concave)
 
 
-def _draw_evolution(rngs, dim) -> Draw:
+def _draw_evolution(rngs, dim):
     rho = la._random_states(rngs, dim)
     h = la._random_hamiltonians(rngs, dim)
     t = _uniforms(rngs, 0.0, 2.0)
-    return (rho, h, t), _per_trial(rho, h, t=t)
+    return rho, h, t
 
 
 @_check(
@@ -872,7 +852,7 @@ def _judge_evolution_distance(rho, h, t):
     return t * la.operator_norm(h) - dv.trace_distance(moved, rho)
 
 
-def _draw_experiment(rngs, dim, conditioned: bool = False) -> Draw:
+def _draw_experiment(rngs, dim, conditioned: bool = False):
     p = _uniforms(rngs, 0.05, 0.95)
     pairs = _repeated(rngs, 2)
     if conditioned:
@@ -888,7 +868,7 @@ def _draw_experiment(rngs, dim, conditioned: bool = False) -> Draw:
         en.MixingExperiment(en.Ensemble._of(w, s), *map(la.HermitianOperator._of, h), t)
         for w, s, h, t in zip(weights, states, hams, times)
     ]
-    return (_objects(exps),), [_inputs(*s, t=t) for s, t in zip(states, times)]
+    return (_objects(exps),)
 
 
 def _entropy_at(exp, t: np.ndarray) -> np.ndarray:
@@ -924,12 +904,12 @@ def _judge_svsd_identity(exp):
     return -en.sim_bound_check(exp).sd_representation_residual
 
 
-def _draw_bravyi(rngs, dim) -> Draw:
-    (exp,), _ = _draw_experiment(rngs, dim)
+def _draw_bravyi(rngs, dim):
+    (exp,) = _draw_experiment(rngs, dim)
     rho, sig = la._random_states(rngs, dim), la._random_states(rngs, dim)
     h = la._random_hamiltonians(rngs, dim)
     alpha = _picks(rngs, (0.1, 0.5, 0.9))
-    return (exp, rho, sig, h, alpha), _per_trial(rho, sig, alpha=alpha)
+    return exp, rho, sig, h, alpha
 
 
 @_check(

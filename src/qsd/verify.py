@@ -15,9 +15,9 @@ raises, or its counts disagree, ``_trial`` draws and judges each trial alone
 from its own generator, so the exception is charged to the trials that
 raise it. A non-finite slack, or a trial that raises, counts as a
 violation. Of each check the runner keeps the worst trial, the first in
-(dim, trial) order, and names it by its coordinates; it writes that
-trial's inputs to the report, as qsd-state-v1 objects, only when the trial
-is a violation. A raising trial records the exception and its coordinates.
+(dim, trial) order, and names it by its coordinates. When it is a
+violation, ``_replay`` draws and judges it again from them and reports its
+judge's arguments by name, or the exception it raises and its coordinates.
 
 Trial streams are derived from ``(seed, check id, dim, trial index)`` so runs
 are reproducible, trials are independent, and the coordinates of a trial
@@ -32,6 +32,7 @@ below 2**32.
 
 from __future__ import annotations
 
+import inspect
 import math
 import time
 import zlib
@@ -42,26 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg as la
-from .io import state_to_dict
-
-
-# The inputs of one trial, by reference: its matrices and its named scalars.
-Inputs = tuple[tuple, dict]
-# The draw of a stack of trials: the judge's arguments, each stacked along a
-# first trial axis, and each trial's inputs.
-Draw = tuple[tuple, list]
-
-
-def _inputs(*mats: la.OperatorLike, **extra) -> Inputs:
-    return mats, extra
-
-
-def _states_payload(inputs: Inputs) -> dict:
-    """Report form of a trial's inputs: matrices as qsd-state-v1 objects."""
-    mats, extra = inputs
-    payload = {"states": [state_to_dict(m) for m in mats]} if mats else {}
-    payload.update(extra)
-    return payload
+from .io import judge_argument
 
 
 # ---------------------------------------------------------------------------
@@ -72,13 +54,13 @@ def _states_payload(inputs: Inputs) -> dict:
 @dataclass(frozen=True)
 class CheckDef:
     """A registered check: ``judge`` maps the stacked arguments of the trials
-    ``draw`` makes to their slacks."""
+    ``draw`` makes, one stack per judge parameter, to their slacks."""
 
     check_id: str
     label: str
     suite: str
     tol: float
-    draw: Callable[[Sequence[np.random.Generator], int], Draw]
+    draw: Callable[[Sequence[np.random.Generator], int], tuple]
     judge: Callable[..., np.ndarray]
 
 
@@ -273,60 +255,64 @@ def _trial_rng(seed: int, check_id: str, dim: int, trial: int) -> np.random.Gene
     return rng
 
 
-def _raised(exc: Exception, dim: int, trial: int) -> Inputs:
-    return _inputs(error=type(exc).__name__, message=str(exc), dim=dim, trial=trial)
-
-
-def _judged(check: CheckDef, rngs: list, dim: int) -> tuple[list[float], list[Inputs]]:
-    """Slack and inputs of each trial of ``rngs``, drawn in one call and
-    judged in one call. Raises unless both give one item per generator."""
-    stacks, inputs = check.draw(rngs, dim)
+def _judged(check: CheckDef, rngs: list, dim: int) -> tuple[tuple, list[float]]:
+    """The stacked judge arguments of the trials of ``rngs``, drawn in one
+    call, and their slacks, judged in one call: one per generator, or raise."""
+    stacks = check.draw(rngs, dim)
     slacks = [float(x) for x in check.judge(*stacks)]
-    if not len(slacks) == len(inputs) == len(rngs):
-        raise ValueError(f"{len(slacks)} slacks and {len(inputs)} inputs for {len(rngs)} trials")
-    return slacks, inputs
+    if len(slacks) != len(rngs):
+        raise ValueError(f"{len(slacks)} slacks for {len(rngs)} trials")
+    return stacks, slacks
 
 
-def _trial(check: CheckDef, seed: int, dim: int, k: int) -> tuple[float, Inputs]:
-    """Slack and inputs of trial ``k`` of one check at ``dim``, drawn and
-    judged alone from its own generator. A trial that raises gets slack
-    ``-inf`` and an exception record for its inputs."""
+def _trial(check: CheckDef, seed: int, dim: int, k: int) -> float:
+    """Slack of trial ``k`` of one check at ``dim``, drawn and judged alone
+    from its own generator; ``-inf`` when the trial raises."""
     try:
-        (slack,), (inputs,) = _judged(check, [_trial_rng(seed, check.check_id, dim, k)], dim)
-    except Exception as exc:
-        return -math.inf, _raised(exc, dim, k)
-    return slack, inputs
-
-
-def _judge_dim(check: CheckDef, seed: int, dim: int, words: np.ndarray) -> tuple[Sequence, Sequence]:
-    """Slack and inputs of each trial of one check at ``dim``, from the
-    ``_trial_seeds`` words of its trials: all trials as one stack, or, when
-    that raises, each trial alone, so only the trials that raise are charged."""
-    try:
-        return _judged(check, _generators(words), dim)
+        return _judged(check, [_trial_rng(seed, check.check_id, dim, k)], dim)[1][0]
     except Exception:
-        return tuple(zip(*(_trial(check, seed, dim, k) for k in range(len(words)))))
+        return -math.inf
+
+
+def _judge_dim(check: CheckDef, seed: int, dim: int, words: np.ndarray) -> list[float]:
+    """Slack of each trial of one check at ``dim``, from the ``_trial_seeds``
+    words of its trials: all trials as one stack, or, when that raises, each
+    trial alone, so only the trials that raise are charged."""
+    try:
+        return _judged(check, _generators(words), dim)[1]
+    except Exception:
+        return [_trial(check, seed, dim, k) for k in range(len(words))]
+
+
+def _replay(check: CheckDef, seed: int, dim: int, trial: int) -> dict:
+    """The inputs of one trial, drawn and judged again from its coordinates:
+    its judge's arguments by parameter name, each as ``io.judge_argument``
+    writes it, or, when the trial raises, its exception and coordinates."""
+    try:
+        stacks, _ = _judged(check, [_trial_rng(seed, check.check_id, dim, trial)], dim)
+    except Exception as exc:
+        return {"error": type(exc).__name__, "message": str(exc), "dim": dim, "trial": trial}
+    names = inspect.signature(check.judge).parameters
+    return {name: judge_argument(stack[0]) for name, stack in zip(names, stacks)}
 
 
 def _run_check(check: CheckDef, seed: int, dims: tuple[int, ...], trials: int) -> CheckResult:
     """Run ``trials`` trials of one check per dimension at its pinned ``tol``.
 
-    A trial that raises counts as a violation with slack ``-inf``; its inputs
-    are the exception and the trial coordinates. The worst trial is the first
-    minimum in (dim, trial) order; its inputs enter the result only when it is
-    a violation.
+    A trial that raises counts as a violation with slack ``-inf``. The worst
+    trial is the first minimum in (dim, trial) order; when it is a violation,
+    ``_replay`` gives its inputs.
     """
     worst = math.inf
-    worst_trial = worst_inputs = None
+    worst_trial = None
     violations = 0
     seeds = _trial_seeds(seed, check.check_id, dims, range(trials))
     for dim, words in zip(dims, seeds):
-        slacks, inputs = _judge_dim(check, seed, dim, words)
-        for k, slack in enumerate(slacks):
+        for k, slack in enumerate(_judge_dim(check, seed, dim, words)):
             if not math.isfinite(slack):
                 slack = -math.inf
             if slack < worst:
-                worst, worst_trial, worst_inputs = slack, {"dim": dim, "trial": k}, inputs[k]
+                worst, worst_trial = slack, {"dim": dim, "trial": k}
             if slack < -check.tol:
                 violations += 1
     return CheckResult(
@@ -337,7 +323,7 @@ def _run_check(check: CheckDef, seed: int, dims: tuple[int, ...], trials: int) -
         worst_slack=worst,
         violations=violations,
         worst_trial=worst_trial,
-        worst_case_inputs=_states_payload(worst_inputs) if worst < -check.tol else None,
+        worst_case_inputs=_replay(check, seed, **worst_trial) if worst < -check.tol else None,
     )
 
 

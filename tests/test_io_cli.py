@@ -256,6 +256,42 @@ class TestCliCompute:
         assert out == "" and err.count("\n") == 1
         assert err.startswith("error: relative entropy overflows")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dim", 2.5),
+            ("dim", "2"),
+            ("dim", 2.0),
+            ("re", True),
+            ("re", "0.5"),
+            ("re", 10**400),
+            ("weights", "1"),
+            ("weights", [True]),
+        ],
+        ids=[
+            "dim-2.5", "dim-str", "dim-2.0", "entry-true", "entry-str", "entry-10**400",
+            "weights-str", "weight-true",
+        ],
+    )
+    def test_malformed_number_exits_2(self, tmp_path, capsys, field, value):
+        # dim is a JSON integer, and each entry and weight a JSON number: a
+        # bool or a string is neither, and weights form a JSON array; an
+        # integer entry must fit a float
+        state = {"format": "qsd-state-v1", "dim": 1, "re": [[1.0]], "im": [[0.0]]}
+        payload, measure = state, "entropy"
+        if field == "weights":
+            payload = {"format": "qsd-ensemble-v1", "weights": value, "states": [state]}
+            measure = "chi"
+        elif field == "re":
+            state["re"][0][0] = value
+        else:
+            state[field] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(payload))
+        assert run_cli("compute", "--measure", measure, str(p)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and f"'{field}'" in err
+
     def test_missing_file_exits_4(self, tmp_path):
         assert run_cli("compute", "--measure", "entropy", str(tmp_path / "nope.json")) == 4
 
@@ -469,8 +505,8 @@ class TestCliVerify:
 
         probe = verify.CheckDef(
             "core.non_finite_probe", "returns a non-finite slack", "core", 0.0,
-            lambda rngs, dim: ((np.full(len(rngs), slack),), [verify._inputs()] * len(rngs)),
-            lambda slacks: slacks,
+            lambda rngs, dim: (np.zeros(len(rngs)),),
+            lambda x: x + slack,
         )
         monkeypatch.setattr(checks, "REGISTRY", (probe,))
         report = verify.run_suite(suite="core", dims=(2, 3), trials=2)
@@ -480,6 +516,7 @@ class TestCliVerify:
         record = json.loads(out.read_text())["checks"][0]
         assert record["worst_slack"] is None
         assert record["violations"] == 4
+        assert record["worst_case_inputs"] == {"x": 0.0}
 
     def test_raising_check_is_a_violation(self, tmp_path, monkeypatch):
         from qsd import checks, verify
@@ -487,7 +524,7 @@ class TestCliVerify:
         def draw(rngs, dim):
             if dim == 3:
                 raise RuntimeError(f"probe failed at dim {dim}")
-            return (np.full(len(rngs), 0.5),), [verify._inputs(np.eye(dim), alpha=0.5)] * len(rngs)
+            return (np.full(len(rngs), 0.5),)
 
         probe = verify.CheckDef(
             "core.raising_probe", "raises at dim 3", "core", 0.0, draw, lambda slacks: slacks
@@ -528,7 +565,7 @@ class TestCliVerify:
             x = np.array([rng.uniform() for rng in rngs])
             if dim == 3 and (x <= first[bad]).any():
                 raise RuntimeError("draw failed")
-            return (np.full(len(rngs), 0.5),), [verify._inputs(np.eye(dim), alpha=0.5)] * len(rngs)
+            return (np.full(len(rngs), 0.5),)
 
         probe = verify.CheckDef(
             "core.draw_probe", "draw raises", "core", 0.0, draw, lambda slacks: slacks
@@ -548,30 +585,31 @@ class TestCliVerify:
         from qsd import checks, verify
 
         def draw(rngs, dim):
-            slack = -float(dim)  # dim 3 is the worst trial
-            inputs = verify._inputs(np.eye(dim), np.zeros((dim, dim)), alpha=0.25)
-            return (np.full(len(rngs), slack),), [inputs] * len(rngs)
+            n = len(rngs)
+            rho, sigma = np.stack([np.eye(dim)] * n), np.zeros((n, dim, dim))
+            return rho, sigma, np.full(n, 0.25), np.full(n, -float(dim))  # dim 3 is the worst
 
-        probes = (
-            verify.CheckDef(
-                "core.slack_probe", "negative slack", "core", 0.0, draw, lambda slacks: slacks
-            ),
-        )
+        def judge(rho, sigma, alpha, slack):
+            return slack
+
+        probes = (verify.CheckDef("core.slack_probe", "negative slack", "core", 0.0, draw, judge),)
         monkeypatch.setattr(checks, "REGISTRY", probes)
         record = verify.run_suite(suite="core", dims=(2, 3), trials=1).checks[0]
         assert record.worst_slack == -3.0
         assert record.worst_trial == {"dim": 3, "trial": 0}
         inputs = record.worst_case_inputs
-        assert inputs["alpha"] == 0.25
-        assert [s["dim"] for s in inputs["states"]] == [3, 3]
-        assert state_from_dict(inputs["states"][0]).mat.tolist() == np.eye(3).tolist()
+        assert list(inputs) == ["rho", "sigma", "alpha", "slack"]
+        assert inputs["alpha"] == 0.25 and inputs["slack"] == -3.0
+        assert [inputs[name]["dim"] for name in ("rho", "sigma")] == [3, 3]
+        assert state_from_dict(inputs["rho"]).mat.tolist() == np.eye(3).tolist()
+        assert state_from_dict(inputs["sigma"]).mat.tolist() == np.zeros((3, 3)).tolist()
 
     def test_worst_trial_is_the_first_minimum(self, monkeypatch):
         from qsd import checks, verify
 
         probe = verify.CheckDef(
             "core.tie_probe", "every trial ties", "core", 0.0,
-            lambda rngs, dim: ((np.full(len(rngs), -1.0),), [verify._inputs()] * len(rngs)),
+            lambda rngs, dim: (np.full(len(rngs), -1.0),),
             lambda slacks: slacks,
         )
         monkeypatch.setattr(checks, "REGISTRY", (probe,))
@@ -586,8 +624,7 @@ class TestCliVerify:
         target = verify._trial_rng(0, "core.judge_probe", 3, 1).uniform()
 
         def draw(rngs, dim):
-            bad = np.array([rng.uniform() == target for rng in rngs])
-            return (bad,), [verify._inputs(np.eye(dim), alpha=0.5)] * len(rngs)
+            return (np.array([rng.uniform() == target for rng in rngs]),)
 
         def judge(bad):
             if bad.any():
@@ -623,7 +660,7 @@ class TestCliVerify:
 
         probe = verify.CheckDef(
             "core.two_slack_probe", "two slacks for every stack", "core", 0.0,
-            lambda rngs, dim: ((np.zeros(len(rngs)),), [verify._inputs()] * len(rngs)),
+            lambda rngs, dim: (np.zeros(len(rngs)),),
             lambda x: np.ones(2),
         )
         monkeypatch.setattr(checks, "REGISTRY", (probe,))

@@ -1,15 +1,20 @@
 """The draws and judges of the verify harness treat each trial of a stack as
 they treat that trial alone, each check's draw stream is pinned, each
-check's worst trial replays from its coordinates, and each trial's
-generator is numpy's ``default_rng`` of those coordinates."""
+check's worst trial replays from its coordinates, a violation reports every
+judge argument of its trial, and each trial's generator is numpy's
+``default_rng`` of those coordinates."""
 
+import dataclasses
+import functools
 import hashlib
+import inspect
+import json
 import zlib
 
 import numpy as np
 import pytest
 
-from qsd import checks, verify
+from qsd import checks, io, verify
 from qsd import linalg as la
 from qsd.ensembles import Ensemble, MixingExperiment
 from qsd.linalg import HermitianOperator
@@ -38,7 +43,7 @@ def _stream_digest(check) -> str:
     at 6 decimals: BLAS rounding and the sign of a zero do not move it."""
     h = hashlib.sha256()
     for dim in (2, 3):
-        stacks, _ = check.draw(_rngs(7, check, dim, range(2)), dim)
+        stacks = check.draw(_rngs(7, check, dim, range(2)), dim)
         for a in (a for stack in stacks for item in stack for a in _arrays(item)):
             a = np.round(np.asarray(a) + 0.0, 6) + 0.0
             h.update(repr(a.shape).encode() + np.ascontiguousarray(a).tobytes())
@@ -102,10 +107,9 @@ def test_draw_stream_is_pinned(check):
 @pytest.mark.parametrize("dim", [1, 2, 3, 6])
 @pytest.mark.parametrize("check", checks.REGISTRY, ids=lambda c: c.check_id)
 def test_stacked_draw_matches_single_trials(check, dim):
-    stacks, inputs = check.draw(_rngs(7, check, dim, range(TRIALS)), dim)
-    assert len(inputs) == TRIALS
+    stacks = check.draw(_rngs(7, check, dim, range(TRIALS)), dim)
     for k in range(TRIALS):
-        single, (single_inputs,) = check.draw(_rngs(7, check, dim, [k]), dim)
+        single = check.draw(_rngs(7, check, dim, [k]), dim)
         assert len(single) == len(stacks)
         for j, (stack, arg) in enumerate(zip(stacks, single)):
             assert len(stack) == TRIALS and len(arg) == 1
@@ -113,13 +117,12 @@ def test_stacked_draw_matches_single_trials(check, dim):
             left, right = _arrays(stack[k]), _arrays(arg[0])
             assert len(left) == len(right), (j, k)
             assert all(np.array_equal(x, y) for x, y in zip(left, right)), (j, k)
-        assert verify._states_payload(inputs[k]) == verify._states_payload(single_inputs), k
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 6])
 @pytest.mark.parametrize("check", checks.REGISTRY, ids=lambda c: c.check_id)
 def test_stacked_judge_matches_single_trials(check, dim):
-    stacks, _ = check.draw(_rngs(7, check, dim, range(TRIALS)), dim)
+    stacks = check.draw(_rngs(7, check, dim, range(TRIALS)), dim)
     stacked = check.judge(*stacks)
     single = [check.judge(*(s[k : k + 1] for s in stacks)) for k in range(TRIALS)]
     assert stacked.shape == (TRIALS,)
@@ -135,8 +138,75 @@ def test_each_worst_trial_replays_from_its_coordinates():
     for record in report.checks:
         check = by_id[record.check_id]
         dim, trial = record.worst_trial["dim"], record.worst_trial["trial"]
-        slack, _ = verify._trial(check, seed, dim, trial)
+        slack = verify._trial(check, seed, dim, trial)
         assert abs(slack - record.worst_slack) <= 1e-13, record.check_id
+
+
+def _violated(judge):
+    """``judge`` with every slack lowered by 1, under its own signature."""
+
+    @functools.wraps(judge)
+    def lowered(*stacks):
+        return judge(*stacks) - 1.0
+
+    return lowered
+
+
+def _parts(payload) -> list:
+    """Each number or vector of a reported judge argument, and the real and
+    imaginary parts of each matrix or stack of matrices, as arrays."""
+    if isinstance(payload, list) and payload and isinstance(payload[0], dict):
+        return [np.array([state[part] for state in payload]) for part in ("re", "im")]
+    if not isinstance(payload, dict):
+        return [np.array(payload)]
+    if payload.get("format") == "qsd-state-v1":
+        return [np.array(payload["re"]), np.array(payload["im"])]
+    if payload.get("format") == "qsd-channel-v1":
+        return [np.array([block[part] for block in payload["kraus"]]) for part in ("re", "im")]
+    if payload.get("format") == "qsd-ensemble-v1":
+        states = [part for state in payload["states"] for part in _parts(state)]
+        return [np.array(payload["weights"]), *states]
+    return [part for field in payload.values() for part in _parts(field)]  # an experiment
+
+
+def _item_parts(item) -> list:
+    """``_parts`` of the item of a stack that a judge argument reports."""
+    arrays = [np.asarray(a) for a in _arrays(item)]
+    return [p for a in arrays for p in ((a.real, a.imag) if np.iscomplexobj(a) else (a,))]
+
+
+def _read_back(payload) -> None:
+    """Read each qsd-state-v1 and qsd-ensemble-v1 object of a payload."""
+    if isinstance(payload, list):
+        for entry in payload:
+            _read_back(entry)
+    elif isinstance(payload, dict):
+        reader = {"qsd-state-v1": io.state_from_dict, "qsd-ensemble-v1": io.ensemble_from_dict}
+        if payload.get("format") in reader:
+            reader[payload["format"]](payload)
+        elif "format" not in payload:
+            for field in payload.values():
+                _read_back(field)
+
+
+@pytest.mark.parametrize("check", checks.REGISTRY, ids=lambda c: c.check_id)
+def test_violation_reports_every_judge_argument(check):
+    seed, trials = 3, 2
+    lowered = dataclasses.replace(check, judge=_violated(check.judge))
+    record = verify._run_check(lowered, seed, (2, 3), trials)
+    assert record.worst_slack < -check.tol
+    inputs = record.worst_case_inputs
+    names = list(inspect.signature(check.judge).parameters)
+    assert list(inputs) == names
+    json.dumps(record.to_dict(), allow_nan=False)
+    dim, trial = record.worst_trial["dim"], record.worst_trial["trial"]
+    stacks = check.draw(_rngs(seed, check, dim, range(trials)), dim)
+    for name, stack in zip(names, stacks):
+        reported, drawn = _parts(inputs[name]), _item_parts(stack[trial])
+        assert len(reported) == len(drawn), name
+        for x, y in zip(reported, drawn):
+            assert x.size == y.size and x.tobytes() == y.tobytes(), name
+        _read_back(inputs[name])
 
 
 CHECK_IDS = ("core.eigh_reconstruction", "fre.quadrature_match", "sim.entropy_gain_bound")

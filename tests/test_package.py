@@ -135,7 +135,7 @@ def replacement(tag):
 dv.trace_distance = replacement("before")
 loaded_early = "qsd.checks" in sys.modules
 check = next(c for c in qsd.REGISTRY if c.check_id == "div.fidelity_trace_distance")
-stacks, _ = check.draw([np.random.default_rng(0)], 3)
+stacks = check.draw([np.random.default_rng(0)], 3)
 check.judge(*stacks)
 dv.trace_distance = replacement("after")
 check.judge(*stacks)
