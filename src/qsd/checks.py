@@ -6,9 +6,11 @@ each stacked along a first trial axis. Each generator makes its own trial's
 calls in one fixed order, so a trial draws the same numbers alone as in any
 stack, and the runner redraws a violating trial alone for the report. A
 judge calls each public function once on the whole stack: raw ``(n, d, d)``
-stacks (a state is one by its trace alone), or the 1-D object array a column
-of ensembles or experiments stacks into. Two functions take one trial only
-and are called per trial through ``_each``: the oracles
+stacks (a state is one by its trace alone), or one ``Ensemble`` (or
+``MixingExperiment``) whose arrays carry the trial axis, each trial's
+members padded with zero weights and zero matrices to the largest count
+(``_ensembles``). Two functions take one trial only and are called per
+trial through ``_each``: the oracles
 ``frechet_log_quadrature`` and ``sd_by_averaging``, whose meshes follow each
 trial's spectrum.
 
@@ -105,11 +107,6 @@ def _from_matrices(raw: np.ndarray) -> np.ndarray:
     return la._unit_trace(la._clip_psd(raw, stacked=True))
 
 
-def _channel_images(kraus: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """``dv.apply_channel`` of each trial's state under its Kraus blocks."""
-    return _from_matrices(sum(k @ states @ la._adjoint(k) for k in kraus.swapaxes(0, 1)))
-
-
 def _orthogonal_pairs(rngs, dim: int) -> tuple[np.ndarray, np.ndarray]:
     dim = max(dim, 2)
     pairs = []
@@ -120,14 +117,6 @@ def _orthogonal_pairs(rngs, dim: int) -> tuple[np.ndarray, np.ndarray]:
         wr = rng.dirichlet(np.ones(dim - split))
         pairs.append(((left * wl) @ left.conj().T, (right * wr) @ right.conj().T))
     return tuple(np.stack(side) for side in zip(*pairs))
-
-
-def _objects(items) -> np.ndarray:
-    """A 1-D object array of ``items``: the stack of a column of ensembles
-    or experiments."""
-    out = np.empty(len(items), dtype=object)
-    out[:] = items
-    return out
 
 
 def _least(*slacks) -> np.ndarray:
@@ -334,8 +323,7 @@ def _draw_channel_pair(rngs, dim):
     rho, sig = la._random_states(rngs, dim), la._random_states(rngs, dim)
     alpha = _uniforms(rngs, 0.02, 0.98)
     kraus = _channels(rngs, dim)
-    moved = (_channel_images(kraus, rho), _channel_images(kraus, sig))
-    return rho, sig, *moved, alpha
+    return rho, sig, dv.apply_channel(kraus, rho), dv.apply_channel(kraus, sig), alpha
 
 
 @_check(
@@ -614,26 +602,26 @@ def _judge_metric_epsilon_limit(a, b, c):
     return np.where(rec.monotone, -np.abs(rec.final_gap), -1.0)
 
 
-def _ensembles(weights: list, members: np.ndarray) -> np.ndarray:
-    """An ensemble per trial from its read-only weights and its slice of the
-    member stack of all trials."""
-    members = la._frozen(members)
-    ends = np.cumsum([w.size for w in weights]).tolist()
-    own = [members[end - w.size : end] for w, end in zip(weights, ends)]
-    ens = [en.Ensemble._of(w, m) for w, m in zip(weights, own)]
-    return _objects(ens)
+def _ensembles(weights: list, members: np.ndarray) -> en.Ensemble:
+    """The padded stack of each trial's ensemble: its weights, and its slice
+    of the member stack of all trials, in trial order."""
+    counts = np.array([w.size for w in weights])
+    real = np.arange(counts.max()) < counts[:, None]
+    w = np.zeros(real.shape)
+    stack = np.zeros((*real.shape, *members.shape[1:]), dtype=np.complex128)
+    w[real], stack[real] = np.concatenate(weights), members
+    w.flags.writeable = False
+    return en.Ensemble._of(w, la._frozen(stack))
 
 
 def _ensemble_members(rngs, dim, n: int | None = None) -> tuple[list, np.ndarray]:
-    """The read-only weights of each trial's ensemble, and the stack of all
-    trials' members in trial order."""
+    """The weights of each trial's ensemble, and the stack of all trials'
+    members in trial order."""
     counts = [int(rng.integers(2, 5)) if n is None else n for rng in rngs]
     weights = []
     for rng, m in zip(rngs, counts):
         w = 0.8 * rng.dirichlet(np.ones(m)) + 0.2 / m
-        w /= w.sum()
-        w.flags.writeable = False
-        weights.append(w)
+        weights.append(w / w.sum())
     return weights, la._random_states(_repeated(rngs, counts), dim)
 
 
@@ -676,10 +664,9 @@ def _judge_chi_bound_chain(ens):
 )
 def _judge_chi_roga_binary(ens):
     rec = en.chi_upper_bounds(ens)
-    roga = rec.roga_bound
-    members = np.stack([[s.mat for s in e.states] for e in ens])
+    roga, members = rec.roga_bound, ens.members
     f = dv.fidelity(members[:, 0], members[:, 1])
-    entropy = dv.shannon_entropy(np.stack([e.weights for e in ens]))
+    entropy = dv.shannon_entropy(ens.weights)
     return np.minimum(roga - rec.chi, entropy * np.sqrt(np.maximum(0.0, 1.0 - f * f)) - roga)
 
 
@@ -705,7 +692,7 @@ def _judge_chi_continuity(ens, other):
     # 1e4 is the check's pinned 1e-8 over that 1e-12. Each trial reads its
     # own n members; the NaN padding past them drops out.
     t, comp = rec.member_distances, rec.complementary_distances
-    member = np.arange(t.shape[1]) < np.array([e.n for e in ens])[:, None]
+    member = ens.weights > 0.0
     others = np.eye(t.shape[1], dtype=bool) | ~member[:, None, :]
     others_max = np.where(others, -np.inf, t[:, None, :]).max(axis=2)
     complementary = np.where(member, (others_max - comp) * 1e4, np.inf).min(axis=1)
@@ -859,25 +846,19 @@ def _draw_experiment(rngs, dim, conditioned: bool = False):
         mats = _from_matrices(_conditioned_states(pairs, dim, 0.1))
     else:
         mats = la._random_states(pairs, dim)
-    states = la._frozen(mats).reshape(-1, 2, dim, dim)
-    weights = np.stack([p, 1.0 - p], axis=1)
-    weights.flags.writeable = False
+    ens = _ensembles(list(np.stack([p, 1.0 - p], axis=1)), mats)
     hams = la._random_hamiltonians(pairs, dim).reshape(-1, 2, dim, dim)
-    times = _uniforms(rngs, 0.0, 1.0).tolist()
-    exps = [
-        en.MixingExperiment(en.Ensemble._of(w, s), *map(la.HermitianOperator._of, h), t)
-        for w, s, h, t in zip(weights, states, hams, times)
-    ]
-    return (_objects(exps),)
+    h1, h2 = map(la.HermitianOperator._of, hams.swapaxes(0, 1))
+    return (en.MixingExperiment(ens, h1, h2, _uniforms(rngs, 0.0, 1.0)),)
 
 
 def _entropy_at(exp, t: np.ndarray) -> np.ndarray:
     """Entropy of each experiment's mixture with each member evolved to its
     entry of ``t``."""
-    states = np.stack([s.mat for e in exp for s in e.ensemble.states])
-    hams = np.stack([h.mat for e in exp for h in (e.h1, e.h2)])
-    moved = en.evolve(states, hams, np.repeat(t, 2)).reshape(len(exp), 2, *hams.shape[1:])
-    p = np.stack([e.ensemble.weights for e in exp])
+    members, p = exp.ensemble.members, exp.ensemble.weights
+    hams = np.stack([exp.h1.mat, exp.h2.mat], axis=1)
+    flat = (-1, *members.shape[2:])
+    moved = en.evolve(members.reshape(flat), hams.reshape(flat), np.repeat(t, 2)).reshape(members.shape)
     return dv.von_neumann_entropy(sum(p[:, j, None, None] * moved[:, j] for j in range(2)))
 
 
@@ -889,8 +870,7 @@ def _entropy_at(exp, t: np.ndarray) -> np.ndarray:
 )
 def _judge_mixing_rate_fd(exp):
     h = 1e-5
-    times = np.array([e.time for e in exp])
-    up, down = (_entropy_at(exp, times + s) for s in (h, -h))
+    up, down = (_entropy_at(exp, exp.time + s) for s in (h, -h))
     return -np.abs(en.mixing_rate(exp) - (up - down) / (2.0 * h))
 
 

@@ -259,27 +259,29 @@ def fidelity(rho: OperatorLike, sigma: OperatorLike) -> float | np.ndarray:
 def apply_channel(kraus: Sequence[np.ndarray], rho: OperatorLike) -> DensityMatrix:
     """Apply a CPTP map given by Kraus operators: ``sum K rho K*``, divided
     by its trace when ``rho`` is a state (trace within ``STATE_TRACE_TOL`` of
-    1), otherwise a positive operator.
+    1), otherwise a positive operator. A stack of Kraus sets ``(n, k, d, d)``
+    maps each item of a raw ``(n, d, d)`` stack by its own set, into the
+    read-only stack of the images; a zero block pads a set and adds zeros.
 
-    Raises if the Kraus set is not complete: some entry of ``sum K* K - id``
+    Raises if a Kraus set is not complete: some entry of ``sum K* K - id``
     exceeds 1e-9 in modulus. Since ``tr(sum K rho K*) - tr rho =
     tr(rho (sum K* K - id))``, a complete set moves a positive operator's
     trace by at most ``dim * 1e-9`` times that trace.
     """
-    ops = [np.asarray(k, dtype=np.complex128) for k in kraus]
-    if not ops:
+    if len(kraus) == 0:
         raise DomainError("empty Kraus set")
-    if any(k.ndim != 2 for k in ops):
+    try:
+        ops = np.asarray(kraus, dtype=np.complex128)
+    except ValueError as exc:  # blocks of different shapes make no array
+        raise DimensionMismatchError("Kraus operators have different shapes") from exc
+    if ops.ndim not in (3, 4):
         raise DomainError("every Kraus operator must be a matrix")
-    if any(k.shape != ops[0].shape for k in ops):
-        raise DimensionMismatchError("Kraus operators have different shapes")
-    dim = ops[0].shape[1]
-    completeness = sum(k.conj().T @ k for k in ops)
-    if np.abs(completeness - np.eye(dim)).max() > 1e-9:
+    blocks = np.moveaxis(ops, -3, 0)
+    completeness = sum(_adjoint(k) @ k for k in blocks)
+    if np.abs(completeness - np.eye(ops.shape[-1])).max() > 1e-9:
         raise DomainError("Kraus operators do not satisfy sum K*K = id within 1e-9")
 
-    rmat = _as_matrix(rho)
-    if rmat.shape[0] != dim:
+    rmat = _as_matrix(rho, stacked=ops.ndim == 4)
+    if rmat.shape[:-2] != ops.shape[:-3] or rmat.shape[-1] != ops.shape[-1]:
         raise DimensionMismatchError("state dimension does not match the channel")
-
-    return _like_input(rmat, sum(k @ rmat @ k.conj().T for k in ops))
+    return _like_input(rmat, sum(k @ rmat @ _adjoint(k) for k in blocks))

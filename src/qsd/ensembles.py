@@ -3,17 +3,18 @@ continuity bounds, Hamiltonian mixing dynamics and the incremental-mixing
 entropy bound.
 
 Every route evaluates on member stacks. One ensemble (or experiment) gives a
-float, or a record of floats; a sequence of them, of one dimension, is padded
-with zero weights and zero matrices to its largest member count ``n`` and run
-once as a ``(T, n, d, d)`` stack. It gives an array of one value per item, or a
-record of such arrays, each item its single call bit for bit while n <= 7.
+float, or a record of floats. The verify harness builds, through
+``Ensemble._of``, one ensemble of its trials' ensembles, each padded with zero
+weights and zero matrices to the largest member count ``n`` (at most 4), and
+experiments of such ensembles. A route runs it once as a ``(T, n, d, d)``
+stack and gives an array of one value per trial, or a record of such arrays,
+each trial its single call bit for bit while n <= 7.
 A member, or an operand of ``evolve``, is a state by its trace alone.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -56,8 +57,9 @@ class Ensemble:
 
     Zero-weight members are dropped at construction so that every
     ``-p log p`` and skew parameter derived from the weights is well defined.
-    The validated members are kept as one read-only ``(n, d, d)`` stack, on
-    which every route of this module evaluates; :attr:`states` views it.
+    The validated members are kept as one read-only ``(n, d, d)`` stack,
+    :attr:`members`, on which every route of this module evaluates;
+    :attr:`states` views it.
     """
 
     __slots__ = ("_weights", "_stack")
@@ -75,9 +77,8 @@ class Ensemble:
         if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise DomainError(f"weights sum to {w.sum()}, expected 1")
 
+        # weights summing to 1 keep at least one member
         kept = np.flatnonzero(w)
-        if kept.size == 0:
-            raise DomainError("all weights are zero")
         operators = []
         for i in kept:
             # a raw member is symmetrized once, here; DensityMatrix reads .mat
@@ -95,14 +96,28 @@ class Ensemble:
 
     @classmethod
     def _of(cls, weights: np.ndarray, stack: np.ndarray) -> "Ensemble":
-        """Read-only ``weights`` (positive, sum 1) and ``(n, d, d)`` stack of states, unchecked."""
+        """Read-only ``(n,)`` weights summing to 1 and ``(n, d, d)`` states,
+        unchecked; or ``(T, n)`` and ``(T, n, d, d)``, the ensembles of ``T``
+        trials, each padded past its members with zero weights and matrices."""
         self = object.__new__(cls)
         self._weights, self._stack = weights, stack
         return self
 
+    def __getitem__(self, k: int) -> "Ensemble":
+        """Trial ``k`` of a stack of ensembles, its pads dropped."""
+        if self._weights.ndim != 2:
+            raise TypeError("only a stack of ensembles has trials")
+        n = np.count_nonzero(self._weights[k])
+        return Ensemble._of(self._weights[k, :n], self._stack[k, :n])
+
     @property
     def weights(self) -> np.ndarray:
         return self._weights
+
+    @property
+    def members(self) -> np.ndarray:
+        """The read-only member stack."""
+        return self._stack
 
     @property
     def states(self) -> tuple[DensityMatrix, ...]:
@@ -110,7 +125,7 @@ class Ensemble:
 
     @property
     def n(self) -> int:
-        return self._stack.shape[0]
+        return self._stack.shape[-3]
 
     @property
     def dim(self) -> int:
@@ -123,7 +138,7 @@ class Ensemble:
 @dataclass(frozen=True)
 class MixingExperiment:
     """A binary ensemble whose members evolve under their own Hamiltonians
-    for a fixed time."""
+    for a fixed time; on a stack of ensembles, a pair and a time per trial."""
 
     ensemble: Ensemble
     h1: HermitianOperator
@@ -135,15 +150,23 @@ class MixingExperiment:
             raise DomainError("mixing experiments require a binary ensemble")
         if self.h1.dim != self.ensemble.dim or self.h2.dim != self.ensemble.dim:
             raise DimensionMismatchError("Hamiltonian dimension must match the ensemble")
-        if not (math.isfinite(self.time) and self.time >= 0.0):
+        t = np.asarray(self.time)
+        if not np.all(np.isfinite(t) & (t >= 0.0)):
             raise DomainError(f"time must be finite and nonnegative, got {self.time}")
+
+    def __getitem__(self, k: int) -> "MixingExperiment":
+        """Trial ``k`` of a stack of experiments."""
+        h1, h2 = (HermitianOperator._of(h.mat[k]) for h in (self.h1, self.h2))
+        return MixingExperiment(self.ensemble[k], h1, h2, float(self.time[k]))
 
 
 def _arrays(item) -> tuple:
     """The arrays a route evaluates of one ensemble or experiment."""
-    ens = getattr(item, "ensemble", item)
-    moving = (item.h1.mat, item.h2.mat, item.time) if ens is not item else ()
-    return (ens.weights, ens._stack, *moving)
+    if isinstance(item, MixingExperiment):
+        return (*_arrays(item.ensemble), item.h1.mat, item.h2.mat, item.time)
+    if not isinstance(item, Ensemble):
+        raise TypeError(f"expected an Ensemble or a MixingExperiment, got {type(item).__name__}")
+    return (item.weights, item.members)
 
 
 def _plain(result):
@@ -157,30 +180,13 @@ def _plain(result):
     return tuple(result.tolist())
 
 
-def _route(core, *columns):
+def _route(core, *items):
     """``core`` on the :func:`_arrays` of one ensemble or experiment per
-    column, or once on sequences of them of one length and one dimension,
-    stacked along a new first axis: zero weights and zero matrices pad each
-    ensemble to the call's largest member count, so ``w > 0`` is the member
-    mask of every core."""
-    single = [isinstance(c, (Ensemble, MixingExperiment)) for c in columns]
-    if all(single):
-        return _plain(core(*(a for item in columns for a in _arrays(item))))
-    size = 0 if any(single) else len(columns[0])
-    if size == 0 or any(len(c) != size for c in columns):
-        raise DomainError("expected one item per argument, or nonempty sequences of one length")
-    rows = [[_arrays(item) for item in c] for c in columns]
-    dims = {r[1].shape[-1] for col in rows for r in col}
-    if len(dims) != 1:
-        raise DimensionMismatchError(f"a sequence must have one dimension, got {sorted(dims)}")
-    n, d = max(r[0].size for col in rows for r in col), dims.pop()
-    arrays = []
-    for col in rows:
-        w, stack = np.zeros((size, n)), np.zeros((size, n, d, d), dtype=np.complex128)
-        for k, (wk, sk, *_) in enumerate(col):
-            w[k, : wk.size], stack[k, : wk.size] = wk, sk
-        arrays += [w, stack, *map(np.stack, list(zip(*col))[2:])]
-    return core(*arrays)
+    argument: floats for one trial, an axis of values for a stack of them.
+    Zero weights pad a stack, so ``w > 0`` is the member mask of every core."""
+    arrays = [a for item in items for a in _arrays(item)]
+    result = core(*arrays)
+    return _plain(result) if arrays[0].ndim == 1 else result
 
 
 def _mixture(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -213,7 +219,7 @@ def _complements(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
 
 def average_state(ensemble: Ensemble) -> DensityMatrix:
     """Weighted mixture ``sum p_i rho_i`` of the ensemble members."""
-    return DensityMatrix.from_matrix(_mixture(ensemble.weights, ensemble._stack))
+    return DensityMatrix.from_matrix(_mixture(ensemble.weights, ensemble.members))
 
 
 def complementary_state(ensemble: Ensemble, index: int) -> DensityMatrix:
@@ -222,7 +228,7 @@ def complementary_state(ensemble: Ensemble, index: int) -> DensityMatrix:
         raise DomainError("complementary states need at least two members")
     if not (_integral(index) and 0 <= index < ensemble.n):
         raise DomainError(f"index must be an integer in [0, {ensemble.n}), got {index!r}")
-    stack = ensemble._stack
+    stack = ensemble.members
     row = _complement_weights(ensemble.weights)[index] @ stack.reshape(ensemble.n, -1)
     return DensityMatrix.from_matrix(row.reshape(stack.shape[1:]))
 

@@ -25,20 +25,30 @@ ENSEMBLE_FORMAT = "qsd-ensemble-v1"
 CHANNEL_FORMAT = "qsd-channel-v1"
 
 
+def _listed(arr: np.ndarray):
+    """``arr.tolist()`` with each NaN or infinity as None: JSON has no such number."""
+    if np.isfinite(arr).all():
+        return arr.tolist()
+    return [_listed(row) for row in arr] if arr.ndim else None
+
+
 def _matrix_parts(mat) -> dict:
     mat = np.asarray(mat, dtype=np.complex128)
-    return {"re": mat.real.tolist(), "im": mat.imag.tolist()}
+    return {"re": _listed(mat.real), "im": _listed(mat.imag)}
+
+
+def _leaves(value) -> list:
+    return [x for item in value for x in _leaves(item)] if isinstance(value, list) else [value]
 
 
 def _numbers(value, field: str) -> np.ndarray:
     """``value``, a JSON array (nested or not) of JSON numbers, as floats; a
     bool or a string is not a number."""
-    items = np.asarray(value, dtype=object)
-    if not isinstance(value, list) or not all(type(x) in (int, float) for x in items.flat):
+    if not isinstance(value, list) or not all(type(x) in (int, float) for x in _leaves(value)):
         raise FormatError(f"{field} must be an array of JSON numbers")
     try:
-        return items.astype(np.float64)
-    except OverflowError as exc:  # an integer beyond the float range
+        return np.array(value, dtype=np.float64)
+    except (OverflowError, ValueError) as exc:  # beyond the float range, or ragged
         raise FormatError(f"{field}: {exc}") from exc
 
 
@@ -106,14 +116,15 @@ def judge_argument(value):
     """The JSON form of one trial's argument to a verify judge: a number or
     vector as numbers, an ensemble as qsd-ensemble-v1, a mixing experiment
     as its fields, a Hermitian matrix as qsd-state-v1 (a stack of them as a
-    list), and any other matrix or stack as the Kraus blocks of qsd-channel-v1."""
+    list), and any other matrix or stack as the Kraus blocks of qsd-channel-v1.
+    A NaN or infinite entry is written as null."""
     if isinstance(value, Ensemble):
         return ensemble_to_dict(value)
     if isinstance(value, MixingExperiment):
         return {name: judge_argument(field) for name, field in vars(value).items()}
     arr = np.asarray(getattr(value, "mat", value))
     if arr.ndim < 2:
-        return arr.tolist()
+        return _listed(arr)
     mats = arr.reshape(-1, *arr.shape[-2:])
     if max(map(_asymmetry, mats)) > 1e-9:
         return channel_to_dict(mats)

@@ -112,7 +112,7 @@ class HermitianOperator:
 
     @property
     def dim(self) -> int:
-        return self._mat.shape[0]
+        return self._mat.shape[-1]
 
     def trace(self) -> float:
         return float(np.trace(self._mat).real)

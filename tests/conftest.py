@@ -15,3 +15,20 @@ if os.environ.get("CI"):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def _stacked(items):
+    """Ensembles, or experiments, as one stack of trials, padded as the
+    verify harness pads it (``checks._ensembles``)."""
+    from qsd import HermitianOperator, MixingExperiment, checks
+
+    if isinstance(items[0], MixingExperiment):
+        h1, h2 = (HermitianOperator._of(np.stack([getattr(e, h).mat for e in items])) for h in ("h1", "h2"))
+        ens = _stacked([e.ensemble for e in items])
+        return MixingExperiment(ens, h1, h2, np.array([e.time for e in items]))
+    return checks._ensembles([e.weights for e in items], np.concatenate([e.members for e in items]))
+
+
+@pytest.fixture
+def stacked():
+    return _stacked

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qsd import (
+    DimensionMismatchError,
     DomainError,
     apply_channel,
     fidelity,
@@ -421,6 +422,32 @@ class TestApplyChannel:
         kraus = random_cptp(2, env, rng)
         rho = random_state(2, rng)
         assert np.array_equal(apply_channel(np.stack(kraus), rho).mat, apply_channel(kraus, rho).mat)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_a_stack_of_kraus_sets_maps_each_item_as_its_single_call(self, rng, dim):
+        # 1 to 3 blocks per set, zero blocks padding each to 3
+        sets = [random_cptp(dim, env, rng) for env in (1, 3, 2, 1)]
+        kraus = np.zeros((4, 3, dim, dim), dtype=complex)
+        for k, blocks in enumerate(sets):
+            kraus[k, : len(blocks)] = blocks
+        rho = [random_state(dim, rng), 2.0 * random_state(dim, rng).mat, random_state(dim, rng), random_state(dim, rng)]
+        out = apply_channel(kraus, np.stack([getattr(r, "mat", r) for r in rho]))
+        assert out.shape == (4, dim, dim) and not out.flags.writeable
+        for k in range(4):
+            one = apply_channel(kraus[k], rho[k])
+            assert np.array_equal(out[k], one.mat) and one.is_normalized == (k != 1)
+            assert np.array_equal(one.mat, apply_channel(sets[k], rho[k]).mat)
+
+    def test_a_stack_of_kraus_sets_takes_a_stack_of_states(self, rng):
+        kraus = np.stack([np.stack(random_cptp(2, 2, rng)) for _ in range(3)])
+        with pytest.raises(DimensionMismatchError):
+            apply_channel(kraus, random_state(2, rng))
+        with pytest.raises(DimensionMismatchError):
+            apply_channel(kraus, np.stack([random_state(2, rng).mat] * 2))
+        incomplete = kraus.copy()
+        incomplete[1, 1] = 0.0
+        with pytest.raises(DomainError, match=r"sum K\*K = id"):
+            apply_channel(incomplete, np.stack([random_state(2, rng).mat] * 3))
 
     def test_empty_kraus_stack_rejected(self, rng):
         with pytest.raises(DomainError, match="empty Kraus set"):

@@ -263,7 +263,7 @@ def test_a_single_member_builds_no_complement(monkeypatch, rng):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_zero_pads_leave_the_complements_bit_for_bit(rng, dim):
-    # a sequence pads its ensembles with zero members; at d = 1 a complex
+    # a stack pads its ensembles with zero members; at d = 1 a complex
     # matrix-vector product would regroup its sums around the pads
     for n in range(2, 8):
         w = rng.dirichlet(np.ones(n))
@@ -294,7 +294,7 @@ def _twins(rng, weights, dim):
     return checked, unchecked
 
 
-def test_unchecked_ensemble_is_the_validated_one(rng):
+def test_unchecked_ensemble_is_the_validated_one(rng, stacked):
     weights = [rng.dirichlet(np.ones(n)) for n in (2, 3, 4, 2, 2, 2)]
     for w in weights:
         w.flags.writeable = False
@@ -309,7 +309,7 @@ def test_unchecked_ensemble_is_the_validated_one(rng):
         assert [(_bits(s), s.is_normalized) for s in b.states] == members
         assert _bits(qsd.average_state(a)) == _bits(qsd.average_state(b))
         assert _bits(qsd.complementary_state(a, 1)) == _bits(qsd.complementary_state(b, 1))
-    # every route on a single call and on a sequence of three
+    # every route on a single call and on a stack of three
     moving = [(qsd.random_hamiltonian(3, rng), qsd.random_hamiltonian(3, rng), t) for t in (0.0, 0.3, 1.1)]
     calls = [(getattr(qsd, route), lambda e: (e[:3],)) for route in ROUTES + ["chi_upper_bounds"]]
     calls += [(qsd.chi_continuity_bound, lambda e: (e[:3], e[6:9]))]
@@ -319,7 +319,7 @@ def test_unchecked_ensemble_is_the_validated_one(rng):
     ]
     for route, columns in calls:
         left, right = columns(checked + checked_other), columns(unchecked + unchecked_other)
-        assert _bits(route(*left)) == _bits(route(*right)), route.__name__
+        assert _bits(route(*map(stacked, left))) == _bits(route(*map(stacked, right))), route.__name__
         for items in zip(*left, *right):
             half = len(items) // 2
             assert _bits(route(*items[:half])) == _bits(route(*items[half:])), route.__name__

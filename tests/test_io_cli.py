@@ -518,6 +518,24 @@ class TestCliVerify:
         assert record["violations"] == 4
         assert record["worst_case_inputs"] == {"x": 0.0}
 
+    def test_non_finite_judge_argument_is_reported_as_null(self, tmp_path, monkeypatch):
+        from qsd import checks, verify
+
+        probe = verify.CheckDef(
+            "core.non_finite_argument_probe", "draws a non-finite argument", "core", 0.0,
+            lambda rngs, dim: (np.full(len(rngs), math.nan),),
+            lambda x: x,
+        )
+        monkeypatch.setattr(checks, "REGISTRY", (probe,))
+        out = tmp_path / "report.json"
+        code = main(
+            ["verify", "--suite", "core", "--dims", "2", "--trials", "2", "--seed", "0", "--quiet", "--out", str(out)]
+        )
+        assert code == 1
+        record = json.loads(out.read_text(), parse_constant=pytest.fail)["checks"][0]
+        assert record["violations"] == 2 and record["worst_slack"] is None
+        assert record["worst_case_inputs"] == {"x": None}
+
     def test_raising_check_is_a_violation(self, tmp_path, monkeypatch):
         from qsd import checks, verify
 

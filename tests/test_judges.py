@@ -32,10 +32,32 @@ def _arrays(item) -> list:
     if isinstance(item, MixingExperiment):
         return [*_arrays(item.ensemble), item.h1.mat, item.h2.mat, item.time]
     if isinstance(item, Ensemble):
-        return [item.weights, *(s.mat for s in item.states)]
+        return [item.weights, *item.members]
     if isinstance(item, HermitianOperator):
         return [item.mat]
     return [item]
+
+
+def _columns(stack) -> list:
+    """The arrays of a stacked judge argument, each with the trial axis
+    first: a stacked ensemble by its weights and members, a stacked
+    experiment by those, its Hamiltonians and its times."""
+    if isinstance(stack, MixingExperiment):
+        return [*_columns(stack.ensemble), stack.h1.mat, stack.h2.mat, np.asarray(stack.time)]
+    if isinstance(stack, Ensemble):
+        return [stack.weights, stack.members]
+    return [stack]
+
+
+def _one(stack, k: int):
+    """Trial ``k`` of a stacked judge argument as a stack of one trial."""
+    if isinstance(stack, MixingExperiment):
+        h1, h2 = (HermitianOperator._of(h.mat[k : k + 1]) for h in (stack.h1, stack.h2))
+        return MixingExperiment(_one(stack.ensemble, k), h1, h2, stack.time[k : k + 1])
+    if isinstance(stack, Ensemble):
+        item = stack[k]
+        return Ensemble._of(item.weights[None], item.members[None])
+    return stack[k : k + 1]
 
 
 def _stream_digest(check) -> str:
@@ -112,8 +134,9 @@ def test_stacked_draw_matches_single_trials(check, dim):
         single = check.draw(_rngs(7, check, dim, [k]), dim)
         assert len(single) == len(stacks)
         for j, (stack, arg) in enumerate(zip(stacks, single)):
-            assert len(stack) == TRIALS and len(arg) == 1
-            assert stack.dtype == arg.dtype, (j, k)
+            assert all(len(c) == TRIALS for c in _columns(stack))
+            assert all(len(c) == 1 for c in _columns(arg))
+            assert [c.dtype for c in _columns(stack)] == [c.dtype for c in _columns(arg)], (j, k)
             left, right = _arrays(stack[k]), _arrays(arg[0])
             assert len(left) == len(right), (j, k)
             assert all(np.array_equal(x, y) for x, y in zip(left, right)), (j, k)
@@ -124,7 +147,7 @@ def test_stacked_draw_matches_single_trials(check, dim):
 def test_stacked_judge_matches_single_trials(check, dim):
     stacks = check.draw(_rngs(7, check, dim, range(TRIALS)), dim)
     stacked = check.judge(*stacks)
-    single = [check.judge(*(s[k : k + 1] for s in stacks)) for k in range(TRIALS)]
+    single = [check.judge(*(_one(s, k) for s in stacks)) for k in range(TRIALS)]
     assert stacked.shape == (TRIALS,)
     assert all(s.shape == (1,) for s in single)
     np.testing.assert_allclose(stacked, np.concatenate(single), rtol=0.0, atol=1e-13)

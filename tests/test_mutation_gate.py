@@ -33,6 +33,7 @@ KILLS = {
     "mixing_rate": {1e-2: 1},
     "sd_by_averaging": {1e-4: 1, 1e-2: 1},
     "evolve": {1e-2: 1},
+    "apply_channel": {1e-6: 2, 1e-2: 2},
 }
 
 

@@ -122,13 +122,13 @@ def test_an_ensemble_route_makes_the_calls_of_three_members(monkeypatch, rng, na
     assert count(6) == EXPECTED_CALLS[name]
 
 
-def test_a_sequence_of_experiments_makes_the_calls_of_one(monkeypatch, rng):
+def test_a_stack_of_experiments_makes_the_calls_of_one(monkeypatch, rng, stacked):
     def experiment(time):
         ens = qsd.Ensemble((0.3, 0.7), [qsd.random_state(4, rng) for _ in range(2)])
         h1, h2 = qsd.random_hamiltonian(4, rng), qsd.random_hamiltonian(4, rng)
         return qsd.MixingExperiment(ens, h1, h2, time)
 
-    experiments = [experiment(t) for t in (0.4, 0.0, 0.9, 0.2, 0.6)]
+    experiments = stacked([experiment(t) for t in (0.4, 0.0, 0.9, 0.2, 0.6)])
     assert count_eigen_calls(monkeypatch, lambda: qsd.sim_bound_check(experiments)) == 5
     assert count_eigen_calls(monkeypatch, lambda: qsd.mixing_rate(experiments)) == 2
 
@@ -137,16 +137,18 @@ def test_a_sequence_of_experiments_makes_the_calls_of_one(monkeypatch, rng):
     "name",
     ["holevo_chi", "holevo_chi_relative_entropy_form", "holevo_chi_skew_divergence_form", "chi_continuity_bound"],
 )
-def test_a_sequence_of_ensembles_makes_the_calls_of_one_ensemble(monkeypatch, rng, name):
+def test_a_stack_of_ensembles_makes_the_calls_of_one_ensemble(monkeypatch, rng, stacked, name):
     def ensemble(n):
         return qsd.Ensemble(np.full(n, 1.0 / n), [qsd.random_state(4, rng) for _ in range(n)])
 
     # n = 2 and n = 3 share one padded stack, however many ensembles it holds
-    sequence = [ensemble(n) for n in (2, 3, 3, 2, 2, 3)]
-    others = [ensemble(e.n) for e in sequence]
+    items = [ensemble(n) for n in (2, 3, 3, 2, 2, 3)]
+    others = [ensemble(e.n) for e in items]
     call = ENSEMBLE_ROUTES[name]
-    assert count_eigen_calls(monkeypatch, lambda: call(sequence, others)) == EXPECTED_CALLS[name]
-    assert count_eigen_calls(monkeypatch, lambda: call(sequence[:1], others[:1])) == EXPECTED_CALLS[name]
+    stack, other = stacked(items), stacked(others)
+    assert count_eigen_calls(monkeypatch, lambda: call(stack, other)) == EXPECTED_CALLS[name]
+    one, other_one = stacked(items[:1]), stacked(others[:1])
+    assert count_eigen_calls(monkeypatch, lambda: call(one, other_one)) == EXPECTED_CALLS[name]
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,8 @@
-"""The ensemble, SIM and Fréchet routes take a trial axis. A sequence of
-ensembles or experiments, or raw (n, d, d) stacks, gives each item the value
-of its single call bit for bit (for ensembles, while a sequence's largest
-member count is at most 7), and a stack of one is the single call."""
+"""The ensemble, SIM and Fréchet routes take a trial axis. A stacked
+ensemble or experiment, padded as the verify harness pads it, or raw
+(n, d, d) stacks, gives each item the value of its single call bit for bit
+(for ensembles, while the largest member count is at most 7), and a stack
+of one is the single call. A list of ensembles is no ensemble."""
 
 import dataclasses
 
@@ -14,7 +15,7 @@ from qsd import frechet as fr
 from qsd import linalg as la
 
 DIMS = (1, 2, 3, 6)
-# member counts of one sequence: every group the verify draws make, interleaved
+# member counts of one stack: every group the verify draws make, interleaved
 COUNTS = (2, 3, 4, 3, 2, 4, 2)
 
 
@@ -37,7 +38,7 @@ def experiment(rng, dim, time, rank=None):
 
 
 def assert_item(result, k, one):
-    """Item ``k`` of a sequence result is the single-call result ``one``."""
+    """Item ``k`` of a stacked result is the single-call result ``one``."""
     if dataclasses.is_dataclass(one):
         assert type(result) is type(one)
         for field in dataclasses.fields(one):
@@ -53,14 +54,16 @@ def assert_item(result, k, one):
         assert np.array_equal(result[k], getattr(one, "mat", one))
 
 
-def assert_items(route, columns):
-    """``route`` over the columns (sequences of one length) gives each item
-    its single call, and a sequence of one gives it too."""
-    result = route(*columns)
+def assert_items(route, columns, stack=None):
+    """``route`` over the columns, each a list of one length stacked by
+    ``stack`` (raw arrays are stacks already), gives each item its single
+    call, and a stack of one gives it too."""
+    stack = stack or (lambda items: items)
+    result = route(*map(stack, columns))
     for k, items in enumerate(zip(*columns)):
         one = route(*items)
         assert_item(result, k, one)
-        assert_item(route(*([item] for item in items)), 0, one)
+        assert_item(route(*(stack([item]) for item in items)), 0, one)
 
 
 ENSEMBLE_ROUTES = (
@@ -74,57 +77,71 @@ ENSEMBLE_ROUTES = (
 @pytest.mark.parametrize("rank_deficient", [False, True])
 @pytest.mark.parametrize("dim", DIMS)
 @pytest.mark.parametrize("route", ENSEMBLE_ROUTES)
-def test_ensemble_routes_give_each_item_its_single_call(rng, route, dim, rank_deficient):
+def test_ensemble_routes_give_each_item_its_single_call(rng, stacked, route, dim, rank_deficient):
     rank = max(1, dim // 2) if rank_deficient else None
-    sequence = [ensemble(rng, dim, n, rank) for n in COUNTS]
-    assert_items(getattr(qsd, route), [sequence])
-    # an object array, as the verify harness stacks its trials, is a sequence too
-    assert_items(getattr(qsd, route), [np.array(sequence, dtype=object)])
+    items = [ensemble(rng, dim, n, rank) for n in COUNTS]
+    assert_items(getattr(qsd, route), [items], stacked)
 
 
 @pytest.mark.parametrize("dim", DIMS)
-def test_continuity_gives_each_pair_its_single_call(rng, dim):
-    sequence = [ensemble(rng, dim, n) for n in COUNTS]
+def test_continuity_gives_each_pair_its_single_call(rng, stacked, dim):
+    items = [ensemble(rng, dim, n) for n in COUNTS]
     others = [
-        Ensemble(e.weights, [DensityMatrix.from_matrix(0.7 * s.mat + 0.3 * state(rng, dim).mat) for s in e.states])
-        for e in sequence
+        Ensemble(e.weights, [DensityMatrix.from_matrix(0.7 * m + 0.3 * state(rng, dim).mat) for m in e.members])
+        for e in items
     ]
-    assert_items(qsd.chi_continuity_bound, [sequence, others])
+    assert_items(qsd.chi_continuity_bound, [items, others], stacked)
     # an ensemble against itself: the bounds take their t = 0 value
-    assert_items(qsd.chi_continuity_bound, [sequence, sequence])
+    assert_items(qsd.chi_continuity_bound, [items, items], stacked)
 
 
 @pytest.mark.parametrize("dim", DIMS)
-def test_items_stay_exact_up_to_seven_members(rng, dim):
-    # every member count the padded sums keep exact, interleaved
-    sequence = [ensemble(rng, dim, n, max(1, dim // 2) if n % 2 else None) for n in (7, 1, 5, 2, 6, 3, 4, 7)]
+def test_items_stay_exact_up_to_seven_members(rng, stacked, dim):
+    # every member count the padded sums keep exact, interleaved, odd counts rank-deficient
+    items = [ensemble(rng, dim, n, max(1, dim // 2) if n % 2 else None) for n in (7, 1, 5, 2, 6, 3, 4, 7)]
     for route in ENSEMBLE_ROUTES:
-        assert_items(getattr(qsd, route), [sequence])
-    others = [Ensemble(e.weights, [state(rng, dim) for _ in e.states]) for e in sequence]
-    assert_items(qsd.chi_continuity_bound, [sequence, others])
+        assert_items(getattr(qsd, route), [items], stacked)
+    others = [Ensemble(e.weights, [state(rng, dim) for _ in range(e.n)]) for e in items]
+    assert_items(qsd.chi_continuity_bound, [items, others], stacked)
 
 
-def test_a_single_member_sequence_builds_no_complement(rng):
-    sequence = [ensemble(rng, 3, n) for n in (1, 2, 1, 3)]
-    assert_items(qsd.holevo_chi_skew_divergence_form, [sequence])
-    assert_items(qsd.chi_upper_bounds, [sequence])
-    assert_items(qsd.chi_continuity_bound, [sequence, sequence])
+def test_a_single_member_item_builds_no_complement(rng, stacked):
+    items = [ensemble(rng, 3, n) for n in (1, 2, 1, 3)]
+    assert_items(qsd.holevo_chi_skew_divergence_form, [items], stacked)
+    assert_items(qsd.chi_upper_bounds, [items], stacked)
+    assert_items(qsd.chi_continuity_bound, [items, items], stacked)
 
 
 @pytest.mark.parametrize("rank_deficient", [False, True])
 @pytest.mark.parametrize("dim", DIMS)
 @pytest.mark.parametrize("route", ["mixing_rate", "sim_bound_check"])
-def test_experiment_routes_give_each_item_its_single_call(rng, route, dim, rank_deficient):
+def test_experiment_routes_give_each_item_its_single_call(rng, stacked, route, dim, rank_deficient):
     rank = max(1, dim // 2) if rank_deficient else None
     # experiments at t = 0 between moving ones
     times = (0.4, 0.0, 0.9, 0.0, 0.1)
-    assert_items(getattr(qsd, route), [[experiment(rng, dim, t, rank) for t in times]])
+    assert_items(getattr(qsd, route), [[experiment(rng, dim, t, rank) for t in times]], stacked)
 
 
-def test_experiments_all_at_rest(rng):
-    sequence = [experiment(rng, 3, 0.0) for _ in range(3)]
-    assert_items(qsd.mixing_rate, [sequence])
-    assert_items(qsd.sim_bound_check, [sequence])
+def test_experiments_all_at_rest(rng, stacked):
+    items = [experiment(rng, 3, 0.0) for _ in range(3)]
+    assert_items(qsd.mixing_rate, [items], stacked)
+    assert_items(qsd.sim_bound_check, [items], stacked)
+
+
+def test_a_trial_of_a_stack_is_its_item(rng, stacked):
+    # the verify report writes trial k of a stack: its own members, pads dropped
+    items = [ensemble(rng, 2, n) for n in (3, 1, 2)]
+    stack = stacked(items)
+    for k, item in enumerate(items):
+        assert np.array_equal(stack[k].weights, item.weights)
+        assert np.array_equal(stack[k].members, item.members)
+    moving = [experiment(rng, 2, t) for t in (0.3, 0.0)]
+    for k, item in enumerate(moving):
+        trial = stacked(moving)[k]
+        assert trial.time == item.time and np.array_equal(trial.h2.mat, item.h2.mat)
+        assert np.array_equal(trial.ensemble.members, item.ensemble.members)
+    with pytest.raises(TypeError, match="stack of ensembles"):
+        items[0][0]
 
 
 def pd_stack(rng, dim, size=5):
@@ -218,39 +235,48 @@ def test_evolve_takes_one_time_or_one_per_item(rng):
         qsd.evolve(np.stack([state(rng, 3).mat for _ in range(2)]), hams[:2], 0.1)
 
 
-def test_sequences_must_match(rng):
-    sequence = [ensemble(rng, 2, 2) for _ in range(3)]
-    with pytest.raises(DomainError, match="nonempty sequences of one length"):
-        qsd.chi_continuity_bound(sequence, sequence[:2])
-    with pytest.raises(DomainError, match="nonempty sequences of one length"):
-        qsd.holevo_chi([])
-    with pytest.raises(DomainError, match="nonempty sequences of one length"):
-        qsd.chi_continuity_bound(sequence[0], sequence)
+ROUTES = (*ENSEMBLE_ROUTES, "chi_continuity_bound", "mixing_rate", "sim_bound_check")
 
 
-def test_a_sequence_has_one_dimension(rng):
-    ensembles = [ensemble(rng, 2, 2), ensemble(rng, 3, 2)]
-    with pytest.raises(DimensionMismatchError, match="one dimension"):
-        qsd.holevo_chi(ensembles)
-    with pytest.raises(DimensionMismatchError, match="one dimension"):
-        qsd.chi_upper_bounds(ensembles[::-1])
-    with pytest.raises(DimensionMismatchError, match="one dimension"):
-        qsd.mixing_rate([experiment(rng, 2, 0.3), experiment(rng, 3, 0.3)])
-    with pytest.raises(DimensionMismatchError, match="one dimension"):
-        qsd.sim_bound_check([experiment(rng, 3, 0.0), experiment(rng, 2, 0.3)])
+@pytest.mark.parametrize("route", ROUTES)
+def test_a_list_is_no_ensemble(rng, route):
+    items = [ensemble(rng, 2, 2) for _ in range(2)]
+    if route in ("mixing_rate", "sim_bound_check"):
+        items = [experiment(rng, 2, 0.3) for _ in range(2)]
+    args = (items,) * (2 if route == "chi_continuity_bound" else 1)
+    with pytest.raises(TypeError, match="got list"):
+        getattr(qsd, route)(*args)
+    with pytest.raises(TypeError, match="got ndarray"):
+        getattr(qsd, route)(*(np.array(a + [None])[:-1] for a in args))
 
 
-def test_a_sequence_raises_what_its_first_offending_item_raises(rng):
-    sequence = [ensemble(rng, 2, 2), ensemble(rng, 2, 3)]
-    wrong_count = [sequence[0], ensemble(rng, 2, 2)]
+def test_a_stack_raises_what_its_first_offending_item_raises(rng, stacked):
+    items = [ensemble(rng, 2, 2), ensemble(rng, 2, 3)]
+    wrong_count = [items[0], ensemble(rng, 2, 2)]
     with pytest.raises(DomainError, match="same number of members"):
-        qsd.chi_continuity_bound(sequence, wrong_count)
+        qsd.chi_continuity_bound(stacked(items), stacked(wrong_count))
     with pytest.raises(DimensionMismatchError):
-        qsd.chi_continuity_bound(sequence, [sequence[0], ensemble(rng, 3, 3)])
+        qsd.chi_continuity_bound(stacked(items), stacked([ensemble(rng, 3, 2), ensemble(rng, 3, 3)]))
     light = Ensemble((1e-13, 1.0 - 1e-13), [state(rng, 2) for _ in range(2)])
     experiments = [experiment(rng, 2, 0.3), MixingExperiment(light, *[qsd.random_hamiltonian(2, rng)] * 2, 0.3)]
     with pytest.raises(DomainError, match="skew parameter"):
-        qsd.sim_bound_check(experiments)
+        qsd.sim_bound_check(stacked(experiments))
+
+
+def test_a_stacked_experiment_is_validated(rng, stacked):
+    # the one constructor checks a stack as it checks one experiment
+    ens = stacked([ensemble(rng, 2, 2) for _ in range(3)])
+    h = qsd.HermitianOperator._of(np.stack([qsd.random_hamiltonian(2, rng).mat for _ in range(3)]))
+    assert MixingExperiment(ens, h, h, np.array([0.0, 0.5, 1.0])).time.shape == (3,)
+    with pytest.raises(DomainError, match="finite and nonnegative"):
+        MixingExperiment(ens, h, h, np.array([0.1, -0.5, 1.0]))
+    with pytest.raises(DomainError, match="finite and nonnegative"):
+        MixingExperiment(ens, h, h, np.array([0.1, np.nan, 1.0]))
+    with pytest.raises(DomainError, match="binary"):
+        MixingExperiment(stacked([ensemble(rng, 2, n) for n in (2, 3, 2)]), h, h, 0.5)
+    wide = qsd.HermitianOperator._of(np.stack([qsd.random_hamiltonian(3, rng).mat for _ in range(3)]))
+    with pytest.raises(DimensionMismatchError):
+        MixingExperiment(ens, h, wide, 0.5)
 
 
 def test_random_state_is_the_clipped_construction_bit_for_bit():

@@ -1,11 +1,11 @@
-"""Structural rules of the package, applied in tier-1: the harness reaches no
-private name of ``divergences``, ``frechet`` or ``ensembles``, passes no
-stack-native route to ``_each`` or ``map``, defines no per-trial draw, builds
-no ensemble through the validating constructor and no ``SeedSequence``;
-``frechet.py`` makes no dense solve; and ``DensityMatrix`` has one type test,
-its constructor's keep path. CI's step "The harness judges through the
-public API" greps the same seven rules. Each rule here has a test that a
-violation planted in a copy of the package trips it."""
+"""Structural rules of the package: the harness reaches no private name of
+``divergences``, ``frechet`` or ``ensembles``, passes no stack-native route
+to ``_each`` or ``map``, defines no per-trial draw, builds no ensemble
+through the validating constructor, no ``SeedSequence`` and no object
+array; ``frechet.py`` makes no dense solve; and ``DensityMatrix`` has one
+type test, its constructor's keep path. They run in tier-1, and CI's step
+"The harness judges through the public API" runs this file. Each rule here
+has a test that a violation planted in a copy of the package trips it."""
 
 import ast
 import re
@@ -61,6 +61,10 @@ def seed_sequences(root: Path) -> list[str]:
     return _grep(root, HARNESS, r"SeedSequence\(")
 
 
+def object_arrays(root: Path) -> list[str]:
+    return _grep(root, HARNESS, r"dtype\s*=\s*object\b")
+
+
 def dense_solves(root: Path) -> list[str]:
     return _grep(root, ("frechet.py",), r"np\.linalg\.(solve|inv)\b")
 
@@ -90,6 +94,7 @@ RULES = {
         validating_ensembles, 0, "checks.py", "x = en.Ensemble((1.0,), [np.eye(1)])\n",
     ),
     "seed-sequence": (seed_sequences, 0, "verify.py", "x = np.random.SeedSequence(0)\n"),
+    "object-array": (object_arrays, 0, "checks.py", "x = np.empty(2, dtype=object)\n"),
     "dense-solve": (dense_solves, 0, "frechet.py", "x = np.linalg.inv\n"),
     "density-matrix-type-test": (
         density_matrix_type_tests, 1, "divergences.py",
