@@ -4,20 +4,25 @@ A draw ``(rngs, dim) -> stacks`` makes all the trials of one dimension, one
 per generator in ``rngs``: the judge's arguments, in its parameter order,
 each stacked along a first trial axis. Each generator makes its own trial's
 calls in one fixed order, so a trial draws the same numbers alone as in any
-stack, and the runner redraws a violating trial alone for the report. A
-judge calls each public function once on the whole stack: raw ``(n, d, d)``
-stacks (a state is one by its trace alone), or one ``Ensemble`` (or
-``MixingExperiment``) whose arrays carry the trial axis, each trial's
-members padded with zero weights and zero matrices to the largest count
-(``_ensembles``). Two functions take one trial only and are called per
-trial through ``_each``: the oracles
-``frechet_log_quadrature`` and ``sd_by_averaging``, whose meshes follow each
-trial's spectrum.
+stack, and the runner redraws a violating trial alone for the report. Most
+checks register ``_draws(builder, ...)``, one builder ``(rngs, dim) ->
+stack`` per judge parameter; a ``_draw_*`` function is written only where
+the inputs depend on each other, a size varies per trial, or the draw order
+differs from the judge's parameter order. A judge calls each public
+function once on the whole stack: raw ``(n, d, d)`` stacks (a state is one
+by its trace alone), or one ``Ensemble`` (or ``MixingExperiment``) whose
+arrays carry the trial axis, each trial's members padded with zero weights
+and zero matrices to the largest count (``_ensembles``). Two functions take
+one trial only and are called per trial through ``_each``: the oracles
+``frechet_log_quadrature`` and ``sd_by_averaging``, whose meshes follow
+each trial's spectrum.
 
 A check looks a library function up on its module (``dv.``, ``fr.``,
 ``en.``, ``la.``) at each call and never binds it at load, so a function
 replaced on its module (by the span tracer or the mutation gate) reaches
-every check, whether this module loaded before the replacement or after.
+every check, whether this module loaded before the replacement or after. A
+library builder is composed through a builder of this module that looks it
+up (``_states``, ``_hamiltonians``), never passed to ``_draws`` itself.
 """
 
 from __future__ import annotations
@@ -38,12 +43,12 @@ from .verify import _REGISTERED, CheckDef, _check
 # Random input builders
 # ---------------------------------------------------------------------------
 #
-# Each builder takes the generators of a stack of trials, one per trial, and
-# returns one stack. Every generator makes the calls of its own trial's draw
-# in that draw's order, so a trial draws the same numbers alone as in any
-# stack. The two primitives make one call per generator: ``la._complex_gaussians``
-# one block of normals, ``_uniforms`` one double. The arithmetic then runs
-# once on the stack.
+# A builder ``(rngs, dim) -> stack`` takes the generators of a stack of
+# trials, one per trial, and returns one stack. Every generator makes the
+# calls of its own trial's draw in that draw's order, so a trial draws the
+# same numbers alone as in any stack. The two primitives make one call per
+# generator: ``la._complex_gaussians`` one block of normals, ``_uniforms`` one
+# double. The arithmetic then runs once on the stack.
 
 
 def _uniforms(rngs, lo: float, hi: float) -> np.ndarray:
@@ -55,6 +60,22 @@ def _uniforms(rngs, lo: float, hi: float) -> np.ndarray:
 def _picks(rngs, options: tuple) -> np.ndarray:
     """An entry of ``options`` per trial, each equally likely."""
     return np.array([options[int(rng.integers(0, len(options)))] for rng in rngs])
+
+
+def _uniform(lo: float, hi: float):
+    """The builder of a skew or scale uniform on ``[lo, hi]`` per trial."""
+    return lambda rngs, dim: _uniforms(rngs, lo, hi)
+
+
+def _pick(*options):
+    """The builder of one of ``options`` per trial."""
+    return lambda rngs, dim: _picks(rngs, options)
+
+
+def _draws(*builders):
+    """The draw whose arguments are the stacks of ``builders``, each called
+    on the generators in turn."""
+    return lambda rngs, dim: tuple(build(rngs, dim) for build in builders)
 
 
 def _repeated(rngs, counts) -> list:
@@ -80,6 +101,14 @@ def _psds(rngs, dim: int, scale=None) -> np.ndarray:
 
 def _pds(rngs, dim: int, floor: float = 0.05) -> np.ndarray:
     return _psds(rngs, dim, scale=1.0) + floor * np.eye(dim)
+
+
+def _states(rngs, dim: int) -> np.ndarray:
+    return la._random_states(rngs, dim)
+
+
+def _hamiltonians(rngs, dim: int) -> np.ndarray:
+    return la._random_hamiltonians(rngs, dim)
 
 
 def _conditioned_states(rngs, dim: int, mix: float = 0.05) -> np.ndarray:
@@ -140,17 +169,17 @@ def _rel_err(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
 # Checks: a draw and the judge registered with it
 # ---------------------------------------------------------------------------
 
-
-def _draw_herm(rngs, dim, scaled: bool = False):
-    a = _herms(rngs, dim, _uniforms(rngs, 0.1, 3.0)[:, None, None] if scaled else 1.0)
-    return (a,)
+# the draws several checks share
+_STATE_PAIR = _draws(_states, _states, _uniform(0.02, 0.98))
+_PSD_PAIR = _draws(_psds, _psds, _uniform(0.02, 0.98))
+_PSD_TRIPLE = _draws(_psds, _psds, _psds, _uniform(0.02, 0.98))
 
 
 @_check(
     "core.eigh_reconstruction",
     0.0,
     "eigendecomposition reconstructs A within 1e-12 max(1, ||A||_F), unitary basis, ascending eigenvalues",
-    partial(_draw_herm, scaled=True),
+    _draws(lambda rngs, dim: _herms(rngs, dim, _uniforms(rngs, 0.1, 3.0)[:, None, None])),
 )
 def _judge_eigh_reconstruction(a):
     w, v = la.eigendecompose(a)
@@ -165,7 +194,7 @@ def _judge_eigh_reconstruction(a):
     "core.spectral_fn_identity",
     0.0,
     "spectral calculus with the identity function returns the input within 1e-12",
-    _draw_herm,
+    _draws(_herms),
 )
 def _judge_spectral_fn_identity(a):
     out = la.spectral_fn(a, lambda w: w)
@@ -173,18 +202,11 @@ def _judge_spectral_fn_identity(a):
     return 1e-12 * np.maximum(1.0, np.abs(a).max(axis=(1, 2))) - resid
 
 
-def _draw_trace_norm_axioms(rngs, dim):
-    x = _herms(rngs, dim)
-    y = _herms(rngs, dim)
-    c = _uniforms(rngs, -3.0, 3.0)
-    return x, y, c
-
-
 @_check(
     "core.trace_norm_axioms",
     1e-10,
     "trace norm satisfies the triangle inequality and absolute homogeneity",
-    _draw_trace_norm_axioms,
+    _draws(_herms, _herms, _uniform(-3.0, 3.0)),
 )
 def _judge_trace_norm_axioms(x, y, c):
     tn = la.trace_norm
@@ -214,15 +236,11 @@ def _judge_random_state_invariants(s1, s2):
     return _least(1e-12 - trace_err, np.linalg.eigvalsh(s1)[:, 0] + 1e-10, deterministic)
 
 
-def _draw_random_cptp(rngs, dim):
-    return _channels(rngs, dim), la._random_states(rngs, dim)
-
-
 @_check(
     "core.random_cptp_contract",
     0.0,
     "random Kraus sets are complete and map states to states (trace, PSD within 1e-10)",
-    _draw_random_cptp,
+    _draws(_channels, _states),
 )
 def _judge_random_cptp_contract(kraus, rho):
     kh = la._adjoint(kraus)
@@ -233,21 +251,11 @@ def _judge_random_cptp_contract(kraus, rho):
     return _least(1e-10 - comp_err, 1e-10 - trace_err, min_eig + 1e-10)
 
 
-def _draw_states(rngs, dim):
-    return la._random_states(rngs, dim), la._random_states(rngs, dim)
-
-
-def _draw_state_pair(rngs, dim, lo: float = 0.02, hi: float = 0.98, picks: tuple = ()):
-    """Two states and a skew per trial: uniform on [lo, hi], or one of ``picks``."""
-    rho, sig = _draw_states(rngs, dim)
-    return rho, sig, _picks(rngs, picks) if picks else _uniforms(rngs, lo, hi)
-
-
 @_check(
     "div.sd_range",
     1e-9,
     "skew divergence of states lies in [0, 1]",
-    partial(_draw_state_pair, picks=(0.01, 0.1, 0.5, 0.9, 0.99)),
+    _draws(_states, _states, _pick(0.01, 0.1, 0.5, 0.9, 0.99)),
 )
 def _judge_sd_range(rho, sig, alpha):
     v = dv.skew_divergence(rho, sig, alpha)
@@ -278,19 +286,11 @@ def _judge_sd_orthogonality(rho_o, sig_o, rho, sig, alpha):
     return _least(-np.abs(1.0 - v), 1e-9 - overlap, (1.0 - 1e-2) - v_mixed)
 
 
-def _draw_sd_scaling(rngs, dim):
-    x = _psds(rngs, dim)
-    y = _psds(rngs, dim)
-    b, c = _uniforms(rngs, 0.05, 2.0), _uniforms(rngs, 0.05, 2.0)
-    alpha = _uniforms(rngs, 0.02, 0.98)
-    return x, y, b, c, alpha
-
-
 @_check(
     "div.sd_scaling",
     1e-9,
     "scaling identities: SD_a(bX||bY) = b SD_a(X||Y) and SD_a(bX||cX) = SD_a(b|c) trace X",
-    _draw_sd_scaling,
+    _draws(_psds, _psds, _uniform(0.05, 2.0), _uniform(0.05, 2.0), _uniform(0.02, 0.98)),
 )
 def _judge_sd_scaling(x, y, b, c, alpha):
     bx, by, cx = (s[:, None, None] * m for s, m in ((b, x), (b, y), (c, x)))
@@ -299,18 +299,11 @@ def _judge_sd_scaling(x, y, b, c, alpha):
     return -np.maximum(np.abs(r1), np.abs(r2))
 
 
-def _draw_sd_unitary_invariance(rngs, dim):
-    rho, sig = la._random_states(rngs, dim), la._random_states(rngs, dim)
-    u = _unitaries(rngs, dim)
-    alpha = _uniforms(rngs, 0.02, 0.98)
-    return rho, sig, u, alpha
-
-
 @_check(
     "div.sd_unitary_invariance",
     1e-9,
     "skew divergence is invariant under joint unitary conjugation",
-    _draw_sd_unitary_invariance,
+    _draws(_states, _states, _unitaries, _uniform(0.02, 0.98)),
 )
 def _judge_sd_unitary_invariance(rho, sig, u, alpha):
     uh = la._adjoint(u)
@@ -320,8 +313,7 @@ def _judge_sd_unitary_invariance(rho, sig, u, alpha):
 
 def _draw_channel_pair(rngs, dim):
     """A pair of states, a skew and the pair's images under a random channel."""
-    rho, sig = la._random_states(rngs, dim), la._random_states(rngs, dim)
-    alpha = _uniforms(rngs, 0.02, 0.98)
+    rho, sig, alpha = _STATE_PAIR(rngs, dim)
     kraus = _channels(rngs, dim)
     return rho, sig, dv.apply_channel(kraus, rho), dv.apply_channel(kraus, sig), alpha
 
@@ -359,9 +351,9 @@ def _judge_sd_joint_convexity(rhos, sigs, w, alpha):
 
 
 def _draw_sd_trace_norm_sandwich(rngs, dim):
-    rho, sig, alpha = _draw_state_pair(rngs, dim)
+    rho, sig, alpha = _STATE_PAIR(rngs, dim)
     # tightness family diag(t,0,1-t) vs diag(0,t,1-t): SD equals t (at 1e-9)
-    tf = np.array([rng.choice(np.arange(0.1, 0.95, 0.1)) for rng in rngs])
+    tf = _picks(rngs, np.arange(0.1, 0.95, 0.1))
     af = _picks(rngs, (0.1, 0.5, 0.9))
     fam_r, fam_s = np.zeros((2, len(rngs), 3, 3), dtype=np.complex128)
     fam_r[:, 0, 0] = fam_s[:, 1, 1] = tf
@@ -384,7 +376,7 @@ def _judge_sd_trace_norm_sandwich(rho, sig, alpha, fam_r, fam_s, tf, af):
 
 
 @_check(
-    "div.skewed_re_bound", 1e-9, "S(rho || a rho + (1-a) sigma) <= -log a", _draw_state_pair
+    "div.skewed_re_bound", 1e-9, "S(rho || a rho + (1-a) sigma) <= -log a", _STATE_PAIR
 )
 def _judge_skewed_re_bound(rho, sig, alpha):
     return -np.log(alpha) - dv.relative_entropy(rho, la._skewed_mixture(rho, sig, alpha))
@@ -394,42 +386,29 @@ def _judge_skewed_re_bound(rho, sig, alpha):
     "div.fidelity_trace_distance",
     1e-8,
     "trace distance is bounded by sqrt(1 - F^2)",
-    _draw_states,
+    _draws(_states, _states),
 )
 def _judge_fidelity_trace_distance(rho, sig):
     f = dv.fidelity(rho, sig)
     return np.sqrt(np.maximum(0.0, 1.0 - f * f)) - dv.trace_distance(rho, sig)
 
 
-def _draw_pd_direction(rngs, dim, floor: float = 0.05, direction=_herms):
-    a = _pds(rngs, dim, floor)
-    d = direction(rngs, dim)
-    return a, d
-
-
 @_check(
     "fre.t_order_preserving",
     1e-9,
     "the log derivative map preserves the PSD order: X <= Y implies T_A(X) <= T_A(Y)",
-    partial(_draw_pd_direction, direction=_psds),  # d = Y - X for X <= Y
+    _draws(_pds, _psds),  # d = Y - X for X <= Y
 )
 def _judge_t_order_preserving(a, d):
     return np.linalg.eigvalsh(fr.frechet_log(a, d))[:, 0]
 
 
-def _draw_psd_pair(rngs, dim):
-    a = _psds(rngs, dim)
-    b = _psds(rngs, dim)
-    alpha = _uniforms(rngs, 0.02, 0.98)
-    return a, b, alpha
-
-
-@_check("fre.t_sum_bound", 1e-9, "T_{A+B}(A) <= id for PSD A, B", _draw_psd_pair)
+@_check("fre.t_sum_bound", 1e-9, "T_{A+B}(A) <= id for PSD A, B", _PSD_PAIR)
 def _judge_t_sum_bound(a, b, alpha):
     return 1.0 - np.linalg.eigvalsh(fr.frechet_log(a + b, a))[:, -1]
 
 
-@_check("fre.r_sum_bound", 1e-9, "R_{A+B}(A) <= id for PSD A, B", _draw_psd_pair)
+@_check("fre.r_sum_bound", 1e-9, "R_{A+B}(A) <= id for PSD A, B", _PSD_PAIR)
 def _judge_r_sum_bound(a, b, alpha):
     return 1.0 - np.linalg.eigvalsh(fr.second_frechet_log(a + b, a))[:, -1]
 
@@ -438,24 +417,18 @@ def _judge_r_sum_bound(a, b, alpha):
     "fre.r_reduces_to_t",
     1e-8,
     "the bilinear second derivative satisfies R_A(A, D) = T_A(D)",
-    _draw_pd_direction,
+    _draws(_pds, _herms),
 )
 def _judge_r_reduces_to_t(a, d):
     second = fr.second_frechet_log(a, a, d)
     return -_each(np.linalg.norm, second - fr.frechet_log(a, d))
 
 
-def _draw_psd_triple(rngs, dim):
-    a, b, c = (_psds(rngs, dim) for _ in range(3))
-    alpha = _uniforms(rngs, 0.02, 0.98)
-    return a, b, c, alpha
-
-
 @_check(
     "fre.metric_difference",
     1e-8,
     "0 <= M_{A+B}(A,A) - M_{A+B+C}(A,A) <= a - a^2/(a+c) with a = tr A, c = tr C",
-    _draw_psd_triple,
+    _PSD_TRIPLE,
 )
 def _judge_metric_difference(a, b, c, alpha):
     diff = fr.metric_M(a + b, a, a).real - fr.metric_M(a + b + c, a, a).real
@@ -490,7 +463,7 @@ def _judge_quadrature_match(a, d):
     "fre.finite_difference_match",
     1e-6,
     "log derivative matches the central difference (log(A+hD)-log(A-hD))/2h at h=1e-5",
-    partial(_draw_pd_direction, floor=0.2),
+    _draws(partial(_pds, floor=0.2), _herms),
 )
 def _judge_finite_difference_match(a, d):
     fd = fr.frechet_log_central_diff(a, d, h=1e-5, order=2)
@@ -501,25 +474,18 @@ def _judge_finite_difference_match(a, d):
     "fre.dsd_symmetry",
     1e-10,
     "differential skew divergence satisfies D_a(A||B) = D_{1-a}(B||A)",
-    _draw_psd_pair,
+    _PSD_PAIR,
 )
 def _judge_dsd_symmetry(a, b, alpha):
     op_dsd = fr.differential_skew_divergence
     return -np.abs(op_dsd(a, b, alpha) - op_dsd(b, a, 1.0 - alpha))
 
 
-def _draw_dsd_derivative(rngs, dim):
-    a = _conditioned_states(rngs, dim)
-    b = _conditioned_states(rngs, dim)
-    alpha = _uniforms(rngs, 0.1, 0.9)
-    return a, b, alpha
-
-
 @_check(
     "fre.dsd_derivative",
     1e-6,
     "differential skew divergence equals -a d/da of the skewed relative entropy",
-    _draw_dsd_derivative,
+    _draws(_conditioned_states, _conditioned_states, _uniform(0.1, 0.9)),
 )
 def _judge_dsd_derivative(a, b, alpha):
     h = 1e-5
@@ -530,7 +496,7 @@ def _judge_dsd_derivative(a, b, alpha):
     return -np.abs(v + alpha * (up - down) / (2.0 * h))
 
 
-@_check("fre.dsd_bounds", 1e-8, "4a(1-a) T^2 <= D_a(rho||sigma) <= T", _draw_state_pair)
+@_check("fre.dsd_bounds", 1e-8, "4a(1-a) T^2 <= D_a(rho||sigma) <= T", _STATE_PAIR)
 def _judge_dsd_bounds(rho, sig, alpha):
     t = dv.trace_distance(rho, sig)
     v = fr.differential_skew_divergence(rho, sig, alpha)
@@ -552,7 +518,7 @@ def _judge_dsd_contractivity(rho, sig, rho_out, sig_out, alpha):
     "fre.chi2_relation",
     1e-8,
     "D_a(A||B) = a/(1-a) chi2_log(A, aA+(1-a)B) and chi2_log >= ||rho-sigma||_1^2",
-    _draw_state_pair,
+    _STATE_PAIR,
 )
 def _judge_chi2_relation(rho, sig, alpha):
     lhs = fr.differential_skew_divergence(rho, sig, alpha)
@@ -566,7 +532,7 @@ def _judge_chi2_relation(rho, sig, alpha):
     "fre.averaging_match",
     1e-6,
     "averaging the differential version over -log a' reconstructs the skew divergence",
-    partial(_draw_state_pair, lo=0.05, hi=0.95),
+    _draws(_states, _states, _uniform(0.05, 0.95)),
 )
 def _judge_averaging_match(rho, sig, alpha):
     averaged = _each(partial(fr.sd_by_averaging, refine=False), rho, sig, alpha)
@@ -625,17 +591,16 @@ def _ensemble_members(rngs, dim, n: int | None = None) -> tuple[list, np.ndarray
     return weights, la._random_states(_repeated(rngs, counts), dim)
 
 
-def _draw_ensemble(rngs, dim, n: int | None = None):
-    """An ensemble of ``n`` random states per trial; of 2 to 4 when ``n`` is
-    not given."""
-    return (_ensembles(*_ensemble_members(rngs, dim, n)),)
+def _random_ensembles(rngs, dim, n: int | None = None) -> en.Ensemble:
+    """A padded stack of ensembles of ``n`` (else 2 to 4) random states."""
+    return _ensembles(*_ensemble_members(rngs, dim, n))
 
 
 @_check(
     "ens.chi_three_ways",
     1e-9,
     "Holevo information agrees across entropy, relative-entropy and skew-divergence forms",
-    _draw_ensemble,
+    _draws(_random_ensembles),
 )
 def _judge_chi_three_ways(ens):
     chi = en.holevo_chi(ens)
@@ -648,7 +613,7 @@ def _judge_chi_three_ways(ens):
     "ens.chi_bound_chain",
     1e-8,
     "chi <= sum -p log p T(rho_i, rhobar_i) <= pairwise bound <= H(p) max t_ij, monotonically",
-    _draw_ensemble,
+    _draws(_random_ensembles),
 )
 def _judge_chi_bound_chain(ens):
     rec = en.chi_upper_bounds(ens)
@@ -660,7 +625,7 @@ def _judge_chi_bound_chain(ens):
     "ens.chi_roga_binary",
     1e-8,
     "binary fidelity-surrogate entropy bound dominates chi and undercuts H(p) sqrt(1-F^2)",
-    partial(_draw_ensemble, n=2),
+    _draws(partial(_random_ensembles, n=2)),
 )
 def _judge_chi_roga_binary(ens):
     rec = en.chi_upper_bounds(ens)
@@ -703,7 +668,7 @@ def _judge_chi_continuity(ens, other):
     "ens.rbts_family",
     1e-8,
     "two-sided scalar bounds on SD_a(A||A+B) - SD_a(A||A+B+C) and the shifted variant, for SD and S",
-    _draw_psd_triple,
+    _PSD_TRIPLE,
 )
 def _judge_rbts_family(a, b, c, alpha):
     ta, tc = la._trace(a), la._trace(c)
@@ -730,7 +695,7 @@ def _judge_rbts_family(a, b, c, alpha):
     "ens.dsd_difference_bounds",
     1e-8,
     "two-sided scalar bounds on D_a(A||B) - D_a(A||B+C) and the shifted variant",
-    _draw_psd_triple,
+    _PSD_TRIPLE,
 )
 def _judge_dsd_difference_bounds(a, b, c, alpha):
     ta, tc = la._trace(a), la._trace(c)
@@ -806,16 +771,11 @@ def _judge_triangle_equality(rho, s1, s2, alpha, t):
     return -np.abs(lhs - _triangle_rhs(dv.scalar_skew_divergence, alpha, t))
 
 
-def _draw_alpha(rngs, dim):
-    alpha = _uniforms(rngs, 0.02, 0.98)
-    return (alpha,)
-
-
 @_check(
     "ens.triangle_rhs_shape",
     1e-10,
     "the continuity bound is nondecreasing and midpoint-concave in t on {0.01..0.99}",
-    _draw_alpha,
+    _draws(_uniform(0.02, 0.98)),
 )
 def _judge_triangle_rhs_shape(alpha):
     grid = np.arange(0.01, 0.995, 0.01)
@@ -824,32 +784,26 @@ def _judge_triangle_rhs_shape(alpha):
     return np.minimum(np.diff(g).min(axis=1), concave)
 
 
-def _draw_evolution(rngs, dim):
-    rho = la._random_states(rngs, dim)
-    h = la._random_hamiltonians(rngs, dim)
-    t = _uniforms(rngs, 0.0, 2.0)
-    return rho, h, t
-
-
 @_check(
-    "sim.evolution_distance", 1e-8, "T(U(t) rho U*(t), rho) <= t ||H||", _draw_evolution
+    "sim.evolution_distance",
+    1e-8,
+    "T(U(t) rho U*(t), rho) <= t ||H||",
+    _draws(_states, _hamiltonians, _uniform(0.0, 2.0)),
 )
 def _judge_evolution_distance(rho, h, t):
     moved = en.evolve(rho, h, t)
     return t * la.operator_norm(h) - dv.trace_distance(moved, rho)
 
 
-def _draw_experiment(rngs, dim, conditioned: bool = False):
+def _experiments(rngs, dim, conditioned: bool = False) -> en.MixingExperiment:
+    """A binary experiment per trial, as one stack."""
     p = _uniforms(rngs, 0.05, 0.95)
     pairs = _repeated(rngs, 2)
-    if conditioned:
-        mats = _from_matrices(_conditioned_states(pairs, dim, 0.1))
-    else:
-        mats = la._random_states(pairs, dim)
+    mats = _from_matrices(_conditioned_states(pairs, dim, 0.1)) if conditioned else _states(pairs, dim)
     ens = _ensembles(list(np.stack([p, 1.0 - p], axis=1)), mats)
     hams = la._random_hamiltonians(pairs, dim).reshape(-1, 2, dim, dim)
     h1, h2 = map(la.HermitianOperator._of, hams.swapaxes(0, 1))
-    return (en.MixingExperiment(ens, h1, h2, _uniforms(rngs, 0.0, 1.0)),)
+    return en.MixingExperiment(ens, h1, h2, _uniforms(rngs, 0.0, 1.0))
 
 
 def _entropy_at(exp, t: np.ndarray) -> np.ndarray:
@@ -866,7 +820,7 @@ def _entropy_at(exp, t: np.ndarray) -> np.ndarray:
     "sim.mixing_rate_fd",
     1e-5,
     "analytic mixing rate matches the entropy central difference at h=1e-5",
-    partial(_draw_experiment, conditioned=True),
+    _draws(partial(_experiments, conditioned=True)),
 )
 def _judge_mixing_rate_fd(exp):
     h = 1e-5
@@ -878,25 +832,17 @@ def _judge_mixing_rate_fd(exp):
     "sim.svsd_identity",
     1e-8,
     "entropy gain of a binary experiment decomposes into weighted skew-divergence increments",
-    _draw_experiment,
+    _draws(_experiments),
 )
 def _judge_svsd_identity(exp):
     return -en.sim_bound_check(exp).sd_representation_residual
-
-
-def _draw_bravyi(rngs, dim):
-    (exp,) = _draw_experiment(rngs, dim)
-    rho, sig = la._random_states(rngs, dim), la._random_states(rngs, dim)
-    h = la._random_hamiltonians(rngs, dim)
-    alpha = _picks(rngs, (0.1, 0.5, 0.9))
-    return exp, rho, sig, h, alpha
 
 
 @_check(
     "sim.bravyi_bound",
     1e-8,
     "SD_a(rho||U sigma U*) - SD_a(rho||sigma) <= 2||tH||; differential version <= min(1/a,1/(1-a))||H||",
-    _draw_bravyi,
+    _draws(_experiments, _states, _states, _hamiltonians, _pick(0.1, 0.5, 0.9)),
 )
 def _judge_bravyi_bound(exp, rho, sig, h, alpha):
     rec = en.sim_bound_check(exp)
@@ -913,7 +859,7 @@ def _judge_bravyi_bound(exp, rho, sig, h, alpha):
     "sim.entropy_gain_bound",
     1e-8,
     "S(rho_0(t)) - S(rho_0) <= 2 t h(p1,p2) ||H|| for binary experiments",
-    _draw_experiment,
+    _draws(_experiments),
 )
 def _judge_entropy_gain_bound(exp):
     rec = en.sim_bound_check(exp)

@@ -121,7 +121,14 @@ class Ensemble:
 
     @property
     def states(self) -> tuple[DensityMatrix, ...]:
-        return tuple(map(DensityMatrix._of, self._stack))
+        return tuple(map(DensityMatrix._of, self._one("Ensemble.states")._stack))
+
+    def _one(self, what: str) -> "Ensemble":
+        """This ensemble; a ``TypeError`` naming ``what`` when it is a stack."""
+        if self._weights.ndim != 1:
+            n = len(self._weights)
+            raise TypeError(f"{what} takes one ensemble, got a stack of {n}; pick one as ens[k]")
+        return self
 
     @property
     def n(self) -> int:
@@ -132,7 +139,8 @@ class Ensemble:
         return self._stack.shape[-1]
 
     def __repr__(self) -> str:
-        return f"Ensemble(n={self.n}, dim={self.dim})"
+        trials = f"trials={len(self._weights)}, " if self._weights.ndim == 2 else ""
+        return f"Ensemble({trials}n={self.n}, dim={self.dim})"
 
 
 @dataclass(frozen=True)
@@ -219,12 +227,13 @@ def _complements(w: np.ndarray, stack: np.ndarray) -> np.ndarray:
 
 def average_state(ensemble: Ensemble) -> DensityMatrix:
     """Weighted mixture ``sum p_i rho_i`` of the ensemble members."""
+    ensemble._one("average_state")
     return DensityMatrix.from_matrix(_mixture(ensemble.weights, ensemble.members))
 
 
 def complementary_state(ensemble: Ensemble, index: int) -> DensityMatrix:
     """Reweighted mixture of all members except ``index``."""
-    if ensemble.n < 2:
+    if ensemble._one("complementary_state").n < 2:
         raise DomainError("complementary states need at least two members")
     if not (_integral(index) and 0 <= index < ensemble.n):
         raise DomainError(f"index must be an integer in [0, {ensemble.n}), got {index!r}")

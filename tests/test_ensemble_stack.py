@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qsd
+import qsd.io
 from qsd import Ensemble, MixingExperiment
 from qsd import ensembles as en
 from qsd import linalg as la
@@ -323,3 +324,20 @@ def test_unchecked_ensemble_is_the_validated_one(rng, stacked):
         for items in zip(*left, *right):
             half = len(items) // 2
             assert _bits(route(*items[:half])) == _bits(route(*items[half:])), route.__name__
+
+
+def test_a_stack_is_refused_where_one_ensemble_is_meant(rng, stacked):
+    items = [Ensemble(rng.dirichlet(np.ones(2)), la._random_states([rng] * 2, 2)) for _ in range(3)]
+    ens = stacked(items)
+    assert repr(ens) == "Ensemble(trials=3, n=2, dim=2)"
+    assert repr(ens[0]) == repr(items[0]) == "Ensemble(n=2, dim=2)"
+    single = [
+        lambda: ens.states,
+        lambda: qsd.io.ensemble_to_dict(ens),
+        lambda: qsd.average_state(ens),
+        lambda: qsd.complementary_state(ens, 0),
+    ]
+    for call in single:
+        with pytest.raises(TypeError, match=r"stack of 3; .*ens\[k\]"):
+            call()
+    assert _bits(qsd.average_state(ens[1])) == _bits(qsd.average_state(items[1]))

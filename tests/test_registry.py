@@ -43,12 +43,12 @@ def test_run_suite_selects_exactly_the_prefixed_ids(suite):
 @pytest.mark.parametrize("check_id", ["qjsd.identity", "frechet.t_sum_bound", "sd_range"])
 def test_unknown_prefix_is_rejected(check_id):
     with pytest.raises(ValueError, match=check_id):
-        verify._check(check_id, 1e-8, "a check in no suite", checks._draw_state_pair)
+        verify._check(check_id, 1e-8, "a check in no suite", checks._STATE_PAIR)
     assert len(verify._REGISTERED) == len(REGISTRY)
 
 
 def test_repeated_id_is_rejected():
     check_id = REGISTRY[0].check_id
     with pytest.raises(ValueError, match=check_id):
-        verify._check(check_id, 1e-8, "a second check of one id", checks._draw_state_pair)
+        verify._check(check_id, 1e-8, "a second check of one id", checks._STATE_PAIR)
     assert len(verify._REGISTERED) == len(REGISTRY)

@@ -1,8 +1,8 @@
 """Structural rules of the package: the harness reaches no private name of
 ``divergences``, ``frechet`` or ``ensembles``, passes no stack-native route
-to ``_each`` or ``map``, defines no per-trial draw, builds no ensemble
-through the validating constructor, no ``SeedSequence`` and no object
-array; ``frechet.py`` makes no dense solve; and ``DensityMatrix`` has one
+to ``_each`` or ``map``, defines no per-trial draw or builder, builds no
+ensemble through the validating constructor, no ``SeedSequence`` and no
+object array; ``frechet.py`` makes no dense solve; and ``DensityMatrix`` has one
 type test, its constructor's keep path. They run in tier-1, and CI's step
 "The harness judges through the public API" runs this file. Each rule here
 has a test that a violation planted in a copy of the package trips it."""
@@ -53,6 +53,19 @@ def per_trial_draws(root: Path) -> list[str]:
     return hits
 
 
+def per_trial_builders(root: Path) -> list[str]:
+    """Each function or lambda whose first parameter is a single ``rng``: a
+    builder composed by ``_draws`` is one, and has no ``_draw_`` name."""
+    hits = []
+    for name in HARNESS:
+        for node in ast.walk(ast.parse((root / name).read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                params = node.args.posonlyargs + node.args.args
+                if params and params[0].arg == "rng":
+                    hits.append(f"{name}:{node.lineno}: {getattr(node, 'name', 'lambda')}")
+    return hits
+
+
 def validating_ensembles(root: Path) -> list[str]:
     return _grep(root, ("checks.py",), r"en\.Ensemble\(")
 
@@ -90,6 +103,10 @@ RULES = {
         stack_native_routes_per_trial, 0, "checks.py", "x = _each(dv.fidelity, a, b)\n",
     ),
     "per-trial-draw": (per_trial_draws, 0, "checks.py", "def _draw_one(rng, dim):\n    return ()\n"),
+    "per-trial-builder": (
+        per_trial_builders, 0, "checks.py",
+        "def _one(rng, dim):\n    return rng.random()\n\n\n_ONE = _draws(_one)\n",
+    ),
     "validating-ensemble": (
         validating_ensembles, 0, "checks.py", "x = en.Ensemble((1.0,), [np.eye(1)])\n",
     ),
