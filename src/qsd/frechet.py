@@ -7,11 +7,11 @@ error. The second derivative never forms the d^3 table of
 ``log[w_i, w_k, w_j]``: the recursion
 ``log[w_i, w_k, w_j] = (log[w_i, w_k] - log[w_k, w_j]) / (w_i - w_j)`` turns
 the sum over ``k`` into two matrix products for every pair whose relative gap
-exceeds ``_SPLIT_RTOL`` = 0.1, and the diagonal into one d x d table. Only
+exceeds ``_SPLIT_RTOL`` = 0.01, and the diagonal into one d x d table. Only
 the off-diagonal close pairs (and the diagonal of their rows) are summed
 directly, in blocks, so memory is O(d^2). The recursion divides the rounding
 error of its products by the gap, so a far pair loses at most a factor
-1/_SPLIT_RTOL = 10 against a direct sum.
+1/_SPLIT_RTOL = 100 against a direct sum.
 
 The integral representations
 
@@ -21,8 +21,9 @@ The integral representations
 are implemented with composite Gauss-Legendre quadrature (after mapping
 ``s = u/(1-u)``) purely as an independent cross-check: they never touch the
 eigenvector path. One Householder reduction ``A = Q T Q*`` per call (Golub &
-Van Loan, Matrix Computations, 8.3) makes each ``T + s`` tridiagonal, so a node
-costs an LDL* factorization and banded sweeps, O(d^2), not a dense solve.
+Van Loan, Matrix Computations, 8.3), with the band's phases folded into ``Q``,
+makes each ``T + s`` real symmetric tridiagonal, so a node costs a real LDL^T
+factorization and banded sweeps, O(d^2), not a dense solve.
 
 The oracle routes evaluate their nodes in stacked blocks of at most
 ``_NODE_BLOCK_ELEMS`` complex entries per array: the quadrature's right-hand
@@ -74,10 +75,10 @@ DD_CLOSE_RTOL = 1e-7
 _DD2_TAYLOR_RTOL = 1e-2
 
 # Relative eigenvalue gap above which ``_second_core`` takes a pair from the
-# two-GEMM split form. That form divides the GEMM rounding error by the gap,
-# so a pair loses at most a factor 1/_SPLIT_RTOL against a direct sum; closer
-# pairs are summed directly.
-_SPLIT_RTOL = 0.1
+# two-GEMM split form, which divides the GEMM rounding error by the gap: a pair
+# loses at most a factor 1/_SPLIT_RTOL = 100 against a direct sum (30-digit
+# reference: tests/test_reference_precision.py); closer pairs are summed directly.
+_SPLIT_RTOL = 0.01
 
 
 def _log_dd1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -176,8 +177,11 @@ def metric_M(a: OperatorLike, b: OperatorLike, c: OperatorLike) -> complex | np.
     mat, bmat, cmat = _common_dim(a, b, c, stacked=True)
     w, v, f1 = _eigenframe(mat)
     btil = _adjoint(v) @ bmat @ v
-    ctil = _adjoint(v) @ cmat @ v
-    value = (np.conj(btil) * f1 * ctil).sum(axis=(-2, -1))
+    # M_A(X, X) changes basis once; real products (numpy fuses complex ones) keep it real
+    ctil = btil if c is b else _adjoint(v) @ cmat @ v
+    (br, bi), (cr, ci) = (btil.real, btil.imag), (ctil.real, ctil.imag)
+    value = (f1 * (br * cr + bi * ci)).sum(axis=(-2, -1))
+    value = value + 1j * (f1 * (br * ci - bi * cr)).sum(axis=(-2, -1))
     return complex(value) if value.ndim == 0 else value
 
 
@@ -324,7 +328,7 @@ def _node_blocks(n_nodes: int, dim: int) -> list[slice]:
 
 
 def _tridiagonal(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unitary ``q`` and Hermitian tridiagonal ``t`` with ``mat = q t q*``."""
+    """Unitary ``q`` and real symmetric tridiagonal ``t``, band >= 0, with ``mat = q t q*``."""
     t = np.array(mat, dtype=complex)
     q = np.eye(t.shape[0], dtype=complex)
     for k in range(t.shape[0] - 2):
@@ -343,17 +347,23 @@ def _tridiagonal(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         t[k + 1, k] = -phase * norm
         q[:, k + 1 :] -= 2.0 * np.outer(q[:, k + 1 :] @ v, v.conj())
     sub = t.diagonal(-1)  # the band, read from the lower triangle only
-    return q, np.diag(t.diagonal().real) + np.diag(sub, -1) + np.diag(sub.conj(), 1)
+    band = np.abs(sub)
+    # q diag(1, p_0, p_0 p_1, ...) with p_k the phase of band entry k makes it |t_{k+1,k}|
+    q[:, 1:] *= np.cumprod(np.divide(sub, band, out=np.ones_like(sub), where=band > 0))
+    return q, np.diag(t.diagonal().real) + np.diag(band, -1) + np.diag(band, 1)
 
 
 def _banded_solve(piv: np.ndarray, mult: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Overwrite each ``x[:, k]`` of a (d, n, m) stack with ``(T + s_k)^-1 x[:, k]``,
-    from LDL* pivots ``piv`` (d, n) and multipliers ``mult`` (d-1, n)."""
-    for i in range(1, len(x)):
-        x[i] -= mult[i - 1, :, None] * x[i - 1]
-    x /= piv[:, :, None]
-    for i in range(len(x) - 2, -1, -1):
-        x[i] -= mult[i, :, None].conj() * x[i + 1]
+    """Overwrite each ``x[:, k]`` of a complex (d, n, m) stack with ``(T + s_k)^-1 x[:, k]``,
+    from LDL^T pivots ``piv`` (d, n) and real multipliers ``mult`` (d-1, n),
+    sweeping the float64 view of ``x``."""
+    xr = x.view(np.float64)
+    step = np.empty_like(xr[0])
+    for i in range(1, len(xr)):
+        xr[i] -= np.multiply(mult[i - 1, :, None], xr[i - 1], out=step)
+    xr /= piv[:, :, None]
+    for i in range(len(xr) - 2, -1, -1):
+        xr[i] -= np.multiply(mult[i, :, None], xr[i + 1], out=step)
     return x
 
 
@@ -367,13 +377,13 @@ def _integral_pass(
     coef = wts * (1.0 / (1.0 - u) ** 2)
     if second:
         coef = 2.0 * coef
-    # T + s is Hermitian positive definite, so LDL* needs no pivoting
-    piv, mult = np.empty((dim, s.size)), np.empty((dim - 1, s.size), dtype=complex)
-    piv[0] = mat[0, 0].real + s
+    # T + s is real symmetric positive definite, so LDL^T needs no pivoting
+    piv, mult = np.empty((dim, s.size)), np.empty((dim - 1, s.size))
+    piv[0] = mat[0, 0] + s
     for i in range(dim - 1):
         mult[i] = mat[i + 1, i] / piv[i]
-        piv[i + 1] = mat[i + 1, i + 1].real + s - abs(mat[i + 1, i]) ** 2 / piv[i]
-    total = np.zeros_like(mat)
+        piv[i + 1] = mat[i + 1, i + 1] + s - mat[i + 1, i] ** 2 / piv[i]
+    total = np.zeros_like(dmat)
     for block in _node_blocks(s.size, dim):
         p, m = piv[:, block], mult[:, block]
         dstack = np.repeat(dmat[:, None, :], p.shape[1], axis=1)  # D at every node
