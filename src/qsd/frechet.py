@@ -18,9 +18,16 @@ The integral representations
     T_A(D) = int_0^inf (A+s)^-1 D (A+s)^-1 ds
     R_A(D) = 2 int_0^inf (A+s)^-1 D (A+s)^-1 D (A+s)^-1 ds
 
-are implemented with composite Gauss-Legendre quadrature (after mapping
-``s = u/(1-u)``) purely as an independent cross-check: they never touch the
-eigenvector path. One Householder reduction ``A = Q T Q*`` per call (Golub &
+are implemented with composite Gauss-Legendre quadrature purely as an
+independent cross-check: they never touch the eigenvector path. The panels
+are equal in ``t = log s`` over the spectral range padded by 10^3 on both
+sides, where every pole ``s = -w_i`` sits at ``Im t = pi`` whatever the
+spectrum, so each panel converges at the same rate (Bernstein parameter
+rho ~ 3.1 over two decades, 5.6 over one; Trefethen & Weideman, SIAM Review
+56 (2014)): 16 nodes integrate ``(w+s)^-2`` to about 1e-14 over two decades
+and 1e-15 over one. Only the tails ``[0, s_lo]`` and ``[s_hi, inf)`` map
+``s = s_lo u/(1-u)`` and ``s = s_hi u/(1-u)``, so the whole rule scales with
+the spectrum. One Householder reduction ``A = Q T Q*`` per call (Golub &
 Van Loan, Matrix Computations, 8.3), with the band's phases folded into ``Q``,
 makes each ``T + s`` real symmetric tridiagonal, so a node costs a real LDL^T
 factorization and banded sweeps, O(d^2), not a dense solve.
@@ -262,11 +269,14 @@ def second_frechet_log(
 # ---------------------------------------------------------------------------
 
 
-# Composite Gauss-Legendre rule: at least _PANELS panels of _NODES_PER_PANEL
-# nodes. The panels are graded geometrically over the spectral range, so each
-# decade of an ill-conditioned spectrum gets resolved, which a uniform mesh
-# cannot do. The adaptive routes double the grading density until the estimate
-# settles, with no pass above _MAX_QUAD_NODES nodes.
+# Composite Gauss-Legendre rules of _NODES_PER_PANEL-node panels. The
+# quadrature oracle's panels are equal in log s over the spectral range padded
+# by 10^3 on both sides, one per two decades at density 1 (every pole lies pi
+# from the real axis in log s, so rho ~ 3.1), which the padding makes at least
+# three, plus one panel on each tail in u, scaled to the padded range;
+# sd_by_averaging grades at least _PANELS panels geometrically. The adaptive
+# routes double the density until the estimate settles, with no pass above
+# _MAX_QUAD_NODES nodes.
 _PANELS = 8
 _NODES_PER_PANEL = 16
 _MAX_QUAD_NODES = 4096
@@ -309,15 +319,30 @@ def _composite_gl(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _graded_u_edges(wmin: float, wmax: float, density: int) -> np.ndarray:
-    """Panel edges in u-space, geometrically graded over the spectral range."""
+def _u_panel(scale: float, u_lo: float, u_hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes ``s = scale u/(1-u)`` and weights of one Gauss-Legendre panel ``[u_lo, u_hi]`` in u."""
+    u, wts = _composite_gl(np.array([u_lo, u_hi]))
+    return scale * u / (1.0 - u), scale * wts / (1.0 - u) ** 2
+
+
+def _quadrature_nodes(wmin: float, wmax: float, density: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes ``s`` and weights of the composite rule for ``int_0^inf ds``.
+
+    The padded spectral range ``[s_lo, s_hi] = [wmin 1e-3, wmax 1e3]`` is
+    split into equal panels in ``t = log s``, one per ``2 / density``
+    decades, whose nodes ``s = exp(t)`` weigh ``w s``. The tails
+    ``[0, s_lo]`` and ``[s_hi, inf)`` are one panel each in u, mapped by
+    ``s = s_lo u/(1-u)`` on ``[0, 1/2]`` and ``s = s_hi u/(1-u)`` on
+    ``[1/2, 1]``, so that, like the log panels, they scale with the spectrum.
+    """
     s_lo = wmin * 1e-3
     s_hi = wmax * 1e3
     decades = math.log10(s_hi / s_lo)
-    n_geo = max(_PANELS - 2, int(math.ceil(decades * density)))
-    s_edges = np.geomspace(s_lo, s_hi, n_geo + 1)
-    u_edges = s_edges / (1.0 + s_edges)
-    return np.concatenate(([0.0], u_edges, [1.0]))
+    n_log = math.ceil(decades * density / 2)
+    t, wts = _composite_gl(np.linspace(math.log(s_lo), math.log(s_hi), n_log + 1))
+    s = np.exp(t)
+    panels = (_u_panel(s_lo, 0.0, 0.5), (s, wts * s), _u_panel(s_hi, 0.5, 1.0))
+    return tuple(np.concatenate(part) for part in zip(*panels))
 
 
 def _node_blocks(n_nodes: int, dim: int) -> list[slice]:
@@ -368,13 +393,11 @@ def _banded_solve(piv: np.ndarray, mult: np.ndarray, x: np.ndarray) -> np.ndarra
 
 
 def _integral_pass(
-    mat: np.ndarray, dmat: np.ndarray, u_edges: np.ndarray, second: bool
+    mat: np.ndarray, dmat: np.ndarray, s: np.ndarray, coef: np.ndarray, second: bool
 ) -> np.ndarray:
-    """One pass over ``u_edges``; ``mat`` is the ``t`` of :func:`_tridiagonal`."""
+    """The rule with nodes ``s`` and weights ``coef`` applied to the integrand;
+    ``mat`` is the ``t`` of :func:`_tridiagonal`."""
     dim = mat.shape[0]
-    u, wts = _composite_gl(u_edges)
-    s = u / (1.0 - u)
-    coef = wts * (1.0 / (1.0 - u) ** 2)
     if second:
         coef = 2.0 * coef
     # T + s is real symmetric positive definite, so LDL^T needs no pivoting
@@ -406,9 +429,8 @@ def _quadrature_log_derivative(
     dt = _adjoint(q) @ dmat @ q
 
     def integral(density: int) -> tuple[np.ndarray, int]:
-        edges = _graded_u_edges(wmin, wmax, density)
-        value = _integral_pass(t, dt, edges, second)
-        return value, (len(edges) - 1) * _NODES_PER_PANEL
+        s, coef = _quadrature_nodes(wmin, wmax, density)
+        return _integral_pass(t, dt, s, coef, second), s.size
 
     return HermitianOperator(q @ _refine(integral) @ _adjoint(q))
 

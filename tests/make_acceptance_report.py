@@ -5,12 +5,19 @@ compares against.
 Run from the repository root::
 
     PYTHONPATH=src python tests/make_acceptance_report.py
+    PYTHONPATH=src python tests/make_acceptance_report.py --diff
 
 A change that moves a record regenerates the table and names each move.
+``--diff`` writes nothing: it prints each pinned field that a fresh run
+changes, bit for bit, as ``old -> new`` with the delta, and exits 1 when one
+does. Criterion 10 of ``tests/test_acceptance.py`` runs the same comparison
+with its band.
 """
 
+import argparse
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 TABLE = Path(__file__).resolve().parent / "data" / "acceptance_report.json"
@@ -23,14 +30,59 @@ def table_of(report: dict) -> dict:
     return {c["check_id"]: {k: c[k] for k in FIELDS} for c in report["checks"]}
 
 
-def main() -> int:
+def diff_lines(
+    pinned: dict, table: dict, band: float = 0.0, tie: float | None = None
+) -> list[str]:
+    """One line per check id or pinned field of ``pinned`` that ``table``
+    does not reproduce, in pinned order after the missing and new ids.
+
+    ``worst_slack`` may move by ``band`` (a non-finite slack is written as
+    None and must stay None). With ``tie``, ``worst_trial`` is compared only
+    where the pinned ``|worst_slack| > tie``, since below that a
+    rounding-level tie may pick another trial on another BLAS. Every other
+    field, and the order of the ids, must match bit for bit; so do all
+    fields by default.
+    """
+    lines = [f"{check_id}: not in the new table" for check_id in pinned if check_id not in table]
+    lines += [f"{check_id}: not pinned" for check_id in table if check_id not in pinned]
+    if not lines and list(table) != list(pinned):
+        lines.append(f"check ids {list(table)} are not in the pinned order")
+    for check_id, old in pinned.items():
+        new = table.get(check_id, old)
+        slack = old["worst_slack"]
+        for key in FIELDS:
+            a, b = old[key], new[key]
+            numbers = all(isinstance(x, (int, float)) for x in (a, b))
+            if a == b or (key == "worst_slack" and numbers and abs(b - a) <= band):
+                continue
+            if key == "worst_trial" and tie is not None and (slack is None or abs(slack) <= tie):
+                continue
+            delta = f" (delta {b - a:+.3e})" if numbers else ""
+            lines.append(f"{check_id}.{key}: {a!r} -> {b!r}{delta}")
+    return lines
+
+
+def fresh_table() -> tuple[int, dict]:
+    """The verify run's exit code and its table, with the report in a
+    temporary directory."""
     from qsd.cli import main as cli_main
 
-    out = TABLE.with_suffix(".tmp")
-    code = cli_main([*VERIFY_ARGS, "--quiet", "--out", str(out)])
-    report = json.loads(out.read_text())
-    out.unlink()
-    TABLE.write_text(json.dumps(table_of(report), indent=1) + "\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        code = cli_main([*VERIFY_ARGS, "--quiet", "--out", str(out)])
+        return code, table_of(json.loads(out.read_text()))
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate or diff the pinned acceptance table.")
+    parser.add_argument("--diff", action="store_true", help="print the moves; write nothing")
+    args = parser.parse_args(argv)
+    code, table = fresh_table()
+    if args.diff:
+        lines = diff_lines(json.loads(TABLE.read_text()), table)
+        print("\n".join(lines) if lines else f"no record differs from {TABLE.name}")
+        return 1 if lines or code else 0
+    TABLE.write_text(json.dumps(table, indent=1) + "\n")
     return code
 
 

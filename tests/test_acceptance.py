@@ -43,7 +43,7 @@ from qsd.cli import main as cli_main
 from qsd.divergences import _skewed_relative_entropy
 from qsd import REGISTRY
 
-from make_acceptance_report import TABLE, VERIFY_ARGS, table_of
+from make_acceptance_report import TABLE, VERIFY_ARGS, diff_lines, table_of
 
 SEED = 719
 DIMS = (2, 3, 4, 6)
@@ -431,26 +431,9 @@ def test_criterion_09_holevo_suite():
     )
 
 
-def _moved_records(table: dict, pinned: dict) -> list[str]:
-    """Where a report's table differs from the pinned one: ids, ``tol``,
-    ``trials`` and ``violations`` exactly, ``worst_slack`` within 1e-12, and
-    ``worst_trial`` exactly where ``|worst_slack| > 1e-9`` (below that a
-    rounding-level tie may pick another trial on another BLAS)."""
-    if list(table) != list(pinned):
-        return [f"check ids {list(table)} != pinned {list(pinned)}"]
-    moved = []
-    for check_id, want in pinned.items():
-        got = table[check_id]
-        for key in ("tol", "trials", "violations"):
-            if got[key] != want[key]:
-                moved.append(f"{check_id}: {key} {got[key]!r} != pinned {want[key]!r}")
-        slack, pin = got["worst_slack"], want["worst_slack"]
-        # a non-finite worst slack is written as None, and must stay None
-        if slack != pin and (None in (slack, pin) or abs(slack - pin) > 1e-12):
-            moved.append(f"{check_id}: worst_slack {slack!r} != pinned {pin!r}")
-        elif pin is not None and abs(pin) > 1e-9 and got["worst_trial"] != want["worst_trial"]:
-            moved.append(f"{check_id}: worst_trial {got['worst_trial']} != pinned {want['worst_trial']}")
-    return moved
+# criterion 10 lets a worst slack move by 1e-12, and a worst trial only where
+# the worst slack exceeds 1e-9 in magnitude
+BAND, TIE = 1e-12, 1e-9
 
 
 def test_moved_records_are_caught():
@@ -460,10 +443,10 @@ def test_moved_records_are_caught():
     def moved(key, value, of=check_id):
         table = json.loads(TABLE.read_text())
         table[of][key] = value
-        return _moved_records(table, pinned)
+        return diff_lines(pinned, table, BAND, TIE)
 
     slack = pinned[check_id]["worst_slack"]
-    assert _moved_records(json.loads(TABLE.read_text()), pinned) == []
+    assert diff_lines(pinned, json.loads(TABLE.read_text()), BAND, TIE) == []
     assert moved("worst_slack", slack + 1e-13) == []
     assert len(moved("worst_slack", slack + 1e-11)) == 1
     assert len(moved("worst_slack", None)) == 1
@@ -473,7 +456,26 @@ def test_moved_records_are_caught():
     tiny = next(k for k, v in pinned.items() if abs(v["worst_slack"]) <= 1e-9)
     assert moved("worst_trial", {"dim": 5, "trial": 0}, of=tiny) == []
     del pinned[check_id]
-    assert len(_moved_records(json.loads(TABLE.read_text()), pinned)) == 1
+    assert len(diff_lines(pinned, json.loads(TABLE.read_text()), BAND, TIE)) == 1
+
+
+def test_diff_lines_name_every_bit_move():
+    pinned = json.loads(TABLE.read_text())
+    table = json.loads(TABLE.read_text())
+    assert diff_lines(pinned, table) == []
+    first, last = list(pinned)[0], list(pinned)[-1]
+    slack = pinned[first]["worst_slack"]
+    table[first]["worst_slack"] = math.nextafter(slack, math.inf)  # inside criterion 10's band
+    table[first]["worst_trial"] = {"dim": 5, "trial": 0}
+    table["new.check"] = table.pop(last)
+    lines = diff_lines(pinned, table)
+    assert lines[:2] == [f"{last}: not in the new table", "new.check: not pinned"]
+    assert lines[2].startswith(f"{first}.worst_slack: {slack!r} -> ") and "(delta +" in lines[2]
+    assert lines[3] == f"{first}.worst_trial: {pinned[first]['worst_trial']!r} -> {{'dim': 5, 'trial': 0}}"
+    assert len(lines) == 4
+    assert diff_lines(pinned, dict(reversed(pinned.items()))) == [
+        f"check ids {list(reversed(pinned))} are not in the pinned order"
+    ]
 
 
 def test_criterion_10_end_to_end_verify(tmp_path):
@@ -482,7 +484,7 @@ def test_criterion_10_end_to_end_verify(tmp_path):
     report = json.loads(out.read_text())
     ids = [c["check_id"] for c in report["checks"]]
     coverage_ok = ids == [c.check_id for c in REGISTRY]
-    moved = _moved_records(table_of(report), json.loads(TABLE.read_text()))
+    moved = diff_lines(json.loads(TABLE.read_text()), table_of(report), BAND, TIE)
     _report(
         10,
         f"verify --suite all exits {code} with {report['total_violations']} violations; "

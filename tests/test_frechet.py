@@ -318,6 +318,17 @@ class TestQuadratureOracles:
         q = second_frechet_log_quadrature(a, d).mat
         assert np.linalg.norm(q - rr) <= 1e-6 * max(1.0, np.linalg.norm(rr))
 
+    @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1.0, 1e4])
+    def test_any_scale_of_the_spectrum(self, rng, scale):
+        # the tail panels scale with the spectrum, as the log panels do
+        a, d = scale * rand_pd(rng, 4), rand_herm(rng, 4)
+        for oracle, closed in (
+            (frechet_log_quadrature, frechet_log),
+            (second_frechet_log_quadrature, second_frechet_log),
+        ):
+            ref = closed(a, d).mat
+            assert np.linalg.norm(oracle(a, d).mat - ref) <= 3e-13 * np.linalg.norm(ref)
+
     def test_finite_difference_route(self, rng):
         a = rand_pd(rng, 5, floor=0.2)
         d = rand_herm(rng, 5)
@@ -562,17 +573,16 @@ class TestMetricEpsilonLimit:
 # ---------------------------------------------------------------------------
 
 
-def loop_integral_pass(mat, dmat, u_edges, second):
+def loop_integral_pass(mat, dmat, s, coef, second):
     """Reference for ``_integral_pass``: one pair of solves per node."""
     eye = np.eye(mat.shape[0])
-    u, wts = fr._composite_gl(u_edges)
     total = np.zeros_like(dmat)  # mat is the real band, dmat complex
-    for ui, wi in zip(u, wts):
-        shifted = mat + (ui / (1.0 - ui)) * eye
+    for si, ci in zip(s, coef):
+        shifted = mat + si * eye
         left = np.linalg.solve(shifted, dmat)
         rhs = left @ left if second else left
         core = np.linalg.solve(shifted, rhs.conj().T).conj().T
-        total += ((2.0 if second else 1.0) * wi / (1.0 - ui) ** 2) * core
+        total += ((2.0 if second else 1.0) * ci) * core
     return total
 
 
@@ -687,8 +697,8 @@ class TestRefinement:
         # integrals that never settle, so only the node cap stops refinement
         nodes = []
 
-        def quad_pass(mat, dmat, u_edges, second):
-            nodes.append((len(u_edges) - 1) * fr._NODES_PER_PANEL)
+        def quad_pass(mat, dmat, s, coef, second):
+            nodes.append(s.size)
             return np.full_like(mat, len(nodes))
 
         def dsd_kernel(amat, bmat, alphas):
@@ -708,6 +718,34 @@ class TestRefinement:
             run()
             assert len(nodes) >= 2
             assert max(nodes) <= fr._MAX_QUAD_NODES < 2 * nodes[-1]
+
+    def test_log_panels_per_two_decades(self, rng, monkeypatch):
+        # 2.5 + 6 padded decades: 5 log panels, then 9, each with the two
+        # tail panels
+        v = random_unitary(64, rng)
+        a = (v * np.geomspace(10.0**-2.5, 1.0, 64)) @ v.conj().T
+        passes = counting(monkeypatch, fr, "_integral_pass")
+        frechet_log_quadrature(a, rand_herm(rng, 64))
+        assert [args[2].size for args in passes] == [112, 176]
+
+    @pytest.mark.parametrize("scale", [1.0, 0.37, 1e-6])
+    def test_second_pass_refines_a_scalar_base(self, rng, monkeypatch, scale):
+        # the padding alone spans 6 decades: 3 log panels (4 if the span
+        # rounds up), then twice as many less at most one
+        passes = counting(monkeypatch, fr, "_integral_pass")
+        frechet_log_quadrature(scale * np.eye(4), rand_herm(rng, 4))
+        first, second = (args[2].size // fr._NODES_PER_PANEL - 2 for args in passes)
+        assert 3 <= first <= 4 and second >= 2 * first - 1
+
+    @pytest.mark.parametrize("density, rtol", [(1, 1e-13), (2, 1e-14)])
+    @pytest.mark.parametrize("wmin, wmax", [(1e-4, 1.0), (1e-12, 1e-8), (1e4, 1e10)])
+    def test_nodes_integrate_the_resolvent(self, density, rtol, wmin, wmax):
+        # int_0^inf (w + s)^-2 ds = 1/w, for w inside and just outside the spectrum
+        s, coef = fr._quadrature_nodes(wmin, wmax, density)
+        assert (np.diff(s) > 0.0).all() and (coef > 0.0).all()
+        w = np.geomspace(wmin / 10, wmax * 10, 25)
+        got = coef @ (1.0 / (w[None, :] + s[:, None]) ** 2)
+        assert np.abs(got * w - 1.0).max() <= rtol
 
     def test_single_pass_is_first_pass(self, rng, monkeypatch):
         rho, sig = random_state(4, rng), random_state(4, rng)

@@ -6,8 +6,10 @@ digits, so the float operands are the only rounded data. The second
 derivative's core is checked on the spectra its two forms split on: a dense
 geometric spectrum whose neighbours all lie between ``_SPLIT_RTOL`` and ten
 times it, and clusters whose relative gaps 10^U(-9, -1) straddle both
-``DD_CLOSE_RTOL`` and ``_SPLIT_RTOL``. Each bound is pinned at about ten
-times the worst error these draws show.
+``DD_CLOSE_RTOL`` and ``_SPLIT_RTOL``. The quadrature oracles are checked on
+the same spectra and on the ``fre.quadrature_match`` draws, in a basis of one
+Householder reflection. Each bound is pinned at about ten times the worst
+error these draws show.
 """
 
 import mpmath
@@ -22,8 +24,11 @@ DPS = 30
 # Forward-error bounds, about ten times the worst measured at _SPLIT_RTOL =
 # 0.01: the core 7.4e-15 on the dense spectra and 2.4e-14 over 20 cluster
 # draws (1.5e-14 on the three here), frechet_log 2.9e-15 and metric_M 1.9e-15
-# over 100 draws of the close pairs.
+# over 100 draws of the close pairs. The quadrature oracles, both orders:
+# 3.2e-15 on the dense spectra (8 draws), 3.4e-15 on clusters (8 draws) and
+# 5.5e-13 on the fre.quadrature_match draws (240 draws, cond up to 1e4).
 PINS = {"dense": 8e-14, "cluster": 1e-13, "frechet_log": 3e-14, "metric_M": 2e-14}
+PINS |= {"oracle_dense": 3e-14, "oracle_cluster": 4e-14, "oracle_match": 6e-12}
 
 
 def rand_herm(rng, dim):
@@ -32,32 +37,42 @@ def rand_herm(rng, dim):
 
 
 def mp_log_dd1(w):
-    """``log[w_i, w_k]`` of ``mpf`` eigenvalues, ``1/w_i`` on the diagonal."""
+    """``log[w_i, w_k]`` of ``mpf`` eigenvalues, ``1/w_i`` where they are equal."""
     logs = [mpmath.log(x) for x in w]
     n = range(len(w))
-    return [[1 / w[i] if i == k else (logs[i] - logs[k]) / (w[i] - w[k]) for k in n] for i in n]
+    return [[1 / w[i] if w[i] == w[k] else (logs[i] - logs[k]) / (w[i] - w[k]) for k in n] for i in n]
 
 
 def core_reference(w, x, y):
     """``C_ij = sum_k x_ik log[w_i, w_k, w_j] y_kj`` as a direct sum, each
     second divided difference taken from the 30-digit first ones."""
     with mpmath.workdps(DPS):
-        wm = [mpmath.mpf(v) for v in w.tolist()]
-        f1 = mp_log_dd1(wm)
-        xm = [[mpmath.mpc(v) for v in row] for row in x.tolist()]
-        ycols = [[mpmath.mpc(v) for v in col] for col in y.T.tolist()]
-        dim = len(wm)
-        out = np.empty((dim, dim), dtype=complex)
-        for i in range(dim):
-            # log[w_i, w_k, w_i] = (log[w_i, w_k] - 1/w_i) / (w_k - w_i), -1/(2 w_i^2) at k = i
-            f2 = [(f1[i][k] - f1[i][i]) / (wm[k] - wm[i]) for k in range(dim) if k != i]
-            f2.insert(i, -1 / (2 * wm[i] ** 2))
-            out[i, i] = complex(mpmath.fdot([a * f for a, f in zip(xm[i], f2)], ycols[i]))
-            for j in range(dim):
-                if j != i:
-                    gap = wm[i] - wm[j]
-                    f2 = [(f1[i][k] - f1[k][j]) / gap for k in range(dim)]
-                    out[i, j] = complex(mpmath.fdot([a * f for a, f in zip(xm[i], f2)], ycols[j]))
+        return to_float(mp_core([mpmath.mpf(v) for v in w.tolist()], x, y))
+
+
+def to_float(m):
+    """A matrix of ``mpmath`` numbers rounded to a complex array."""
+    return np.array(m.tolist(), dtype=complex)
+
+
+def mp_core(wm, x, y):
+    """``core_reference`` of ``mpf`` eigenvalues, as an array of ``mpmath``
+    numbers at the working precision."""
+    f1 = mp_log_dd1(wm)
+    xm = [[mpmath.mpc(v) for v in row] for row in x.tolist()]
+    ycols = [[mpmath.mpc(v) for v in col] for col in y.T.tolist()]
+    dim = len(wm)
+    out = np.empty((dim, dim), dtype=object)
+    for i in range(dim):
+        # log[w_i, w_k, w_i] = (log[w_i, w_k] - 1/w_i) / (w_k - w_i), -1/(2 w_i^2) at w_k = w_i
+        confluent = [
+            -1 / (2 * wm[i] ** 2) if wm[k] == wm[i] else (f1[i][k] - f1[i][i]) / (wm[k] - wm[i])
+            for k in range(dim)
+        ]
+        for j in range(dim):
+            gap = wm[i] - wm[j]
+            f2 = [(f1[i][k] - f1[k][j]) / gap for k in range(dim)] if gap else confluent
+            out[i, j] = mpmath.fdot([a * f for a, f in zip(xm[i], f2)], ycols[j])
     return out
 
 
@@ -149,3 +164,67 @@ class TestFirstOrder:
         assert abs(metric_M(a, x, x) - mxx) <= PINS["metric_M"] * abs(mxx)
         assert abs(metric_M(a, y, x) - myx) <= PINS["metric_M"] * abs(mxx * myy) ** 0.5
 
+
+def reflected(v, m):
+    """``H M H`` of a Hermitian ``M`` at the working precision, for the
+    Householder reflection ``H = I - tau v v*``, ``tau = 2/(v* v)``, which is
+    unitary and Hermitian: ``H M H = M - v q* - q v*`` with ``p = tau M v``
+    and ``q = p - (tau v* p / 2) v`` costs O(d^2). Arrays hold ``mpmath``
+    numbers (``object`` dtype)."""
+    vc = np.conj(v)
+    tau = 2 / vc.dot(v)
+    p = m.dot(v) * tau
+    q = p - v * (tau * vc.dot(p) / 2)
+    return m - np.outer(v, np.conj(q)) - np.outer(q, vc)
+
+
+def oracle_errors(rng, w, second=True):
+    """Relative Frobenius errors of the first and, with ``second``, the
+    second quadrature oracle at the base ``H diag(w) H`` and direction
+    ``H X H``, both rounded from 30 digits, where ``H`` is a reflection and
+    ``X`` a float Hermitian matrix; the references act on ``w`` and ``X`` in
+    the exact basis."""
+    dim = len(w)
+    x = rand_herm(rng, dim)
+    exact = np.vectorize(mpmath.mpc, otypes=[object])
+    with mpmath.workdps(DPS):
+        v = exact(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        wm = [mpmath.mpf(e) for e in w.tolist()]
+        f1, xm = np.array(mp_log_dd1(wm), dtype=object), exact(x)
+        a, d = (to_float(reflected(v, m)) for m in (np.diag(exact(w)), xm))
+        refs = [(fr.frechet_log_quadrature, to_float(reflected(v, f1 * xm)))]
+        if second:
+            core = to_float(reflected(v, -2 * mp_core(wm, x, x)))
+            refs.append((fr.second_frechet_log_quadrature, core))
+    a, d = (a + a.conj().T) / 2, (d + d.conj().T) / 2
+    return [np.linalg.norm(oracle(a, d).mat - ref) / np.linalg.norm(ref) for oracle, ref in refs]
+
+
+def quadrature_match_spectrum(rng, dim):
+    """The ``fre.quadrature_match`` draw: ``dim`` eigenvalues log-uniform
+    over ``[1/cond, 1]`` with ``cond = 10^U(0, 4)``, the first two equal in
+    half the draws."""
+    cond = 10.0 ** rng.uniform(0.0, 4.0)
+    w = np.exp(rng.uniform(-np.log(cond), 0.0, dim))
+    if rng.uniform() < 0.5:
+        w[1] = w[0]
+    return w
+
+
+class TestQuadratureOracles:
+    @pytest.mark.parametrize("dim, cond", [(48, 10.0), (32, 2.5)])
+    def test_dense_spectra(self, dim, cond):
+        rng = np.random.default_rng(dim)
+        # the second order only at d=32: its d^3 reference sum takes about 1 s at d=48
+        errs = oracle_errors(rng, np.geomspace(1.0 / cond, 1.0, dim), second=dim <= 32)
+        assert max(errs) <= PINS["oracle_dense"]
+
+    def test_clusters(self):
+        rng = np.random.default_rng(0)
+        assert max(oracle_errors(rng, cluster_spectrum(rng, 24))) <= PINS["oracle_cluster"]
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 6])
+    def test_quadrature_match_draws(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(5):
+            assert max(oracle_errors(rng, quadrature_match_spectrum(rng, dim))) <= PINS["oracle_match"]
