@@ -14,8 +14,8 @@ by its trace alone), or one ``Ensemble`` (or ``MixingExperiment``) whose
 arrays carry the trial axis, each trial's members padded with zero weights
 and zero matrices to the largest count (``_ensembles``). Two functions take
 one trial only and are called per trial through ``_each``: the oracles
-``frechet_log_quadrature`` and ``sd_by_averaging``, whose meshes follow
-each trial's spectrum.
+``frechet_log_quadrature``, whose nodes follow each trial's spectrum, and
+``sd_by_averaging``, whose nodes follow each trial's alpha.
 
 A check looks a library function up on its module (``dv.``, ``fr.``,
 ``en.``, ``la.``) at each call and never binds it at load, so a function

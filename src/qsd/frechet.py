@@ -27,9 +27,11 @@ rho ~ 3.1 over two decades, 5.6 over one; Trefethen & Weideman, SIAM Review
 56 (2014)): 16 nodes integrate ``(w+s)^-2`` to about 1e-14 over two decades
 and 1e-15 over one. Only the tails ``[0, s_lo]`` and ``[s_hi, inf)`` map
 ``s = s_lo u/(1-u)`` and ``s = s_hi u/(1-u)``, so the whole rule scales with
-the spectrum. One Householder reduction ``A = Q T Q*`` per call (Golub &
-Van Loan, Matrix Computations, 8.3), with the band's phases folded into ``Q``,
-makes each ``T + s`` real symmetric tridiagonal, so a node costs a real LDL^T
+the spectrum; :func:`sd_by_averaging` takes the same rule in
+``x = 1/alpha' - 1``, whose singularities also lie on the negative axis. One
+Householder reduction ``A = Q T Q*`` per call (Golub & Van Loan, Matrix
+Computations, 8.3), with the band's phases folded into ``Q``, makes each
+``T + s`` real symmetric tridiagonal, so a node costs a real LDL^T
 factorization and banded sweeps, O(d^2), not a dense solve.
 
 The oracle routes evaluate their nodes in stacked blocks of at most
@@ -269,15 +271,12 @@ def second_frechet_log(
 # ---------------------------------------------------------------------------
 
 
-# Composite Gauss-Legendre rules of _NODES_PER_PANEL-node panels. The
-# quadrature oracle's panels are equal in log s over the spectral range padded
-# by 10^3 on both sides, one per two decades at density 1 (every pole lies pi
-# from the real axis in log s, so rho ~ 3.1), which the padding makes at least
-# three, plus one panel on each tail in u, scaled to the padded range;
-# sd_by_averaging grades at least _PANELS panels geometrically. The adaptive
+# Composite Gauss-Legendre rules of _NODES_PER_PANEL-node panels, one rule
+# for both oracles (_log_panels): panels equal in a log variable, one per two
+# decades at density 1 (every pole lies pi from the real axis there, so
+# rho ~ 3.1), after one head panel in u, all scaled to the range. The adaptive
 # routes double the density until the estimate settles, with no pass above
 # _MAX_QUAD_NODES nodes.
-_PANELS = 8
 _NODES_PER_PANEL = 16
 _MAX_QUAD_NODES = 4096
 
@@ -325,23 +324,25 @@ def _u_panel(scale: float, u_lo: float, u_hi: float) -> tuple[np.ndarray, np.nda
     return scale * u / (1.0 - u), scale * wts / (1.0 - u) ** 2
 
 
-def _quadrature_nodes(wmin: float, wmax: float, density: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending nodes ``s`` and weights of the composite rule for ``int_0^inf ds``.
+def _log_panels(lo: float, hi: float, density: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes ``x`` and weights of the rule for ``int_0^hi dx``: one
+    panel in u on ``[0, lo]``, mapped by ``x = lo u/(1-u)`` on ``[0, 1/2]``,
+    then equal panels in ``t = log x`` over ``[lo, hi]``, one per
+    ``2 / density`` decades, whose nodes ``x = exp(t)`` weigh ``w x``."""
+    n_log = math.ceil(math.log10(hi / lo) * density / 2)
+    t, wts = _composite_gl(np.linspace(math.log(lo), math.log(hi), n_log + 1))
+    x = np.exp(t)
+    head = _u_panel(lo, 0.0, 0.5)
+    return np.concatenate((head[0], x)), np.concatenate((head[1], wts * x))
 
-    The padded spectral range ``[s_lo, s_hi] = [wmin 1e-3, wmax 1e3]`` is
-    split into equal panels in ``t = log s``, one per ``2 / density``
-    decades, whose nodes ``s = exp(t)`` weigh ``w s``. The tails
-    ``[0, s_lo]`` and ``[s_hi, inf)`` are one panel each in u, mapped by
-    ``s = s_lo u/(1-u)`` on ``[0, 1/2]`` and ``s = s_hi u/(1-u)`` on
-    ``[1/2, 1]``, so that, like the log panels, they scale with the spectrum.
-    """
-    s_lo = wmin * 1e-3
+
+def _quadrature_nodes(wmin: float, wmax: float, density: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes ``s`` and weights of the rule for ``int_0^inf ds``:
+    :func:`_log_panels` over the padded spectral range ``[s_lo, s_hi] =
+    [wmin 1e-3, wmax 1e3]``, then ``[s_hi, inf)`` as one panel in u, mapped by
+    ``s = s_hi u/(1-u)`` on ``[1/2, 1]``, so the rule scales with the spectrum."""
     s_hi = wmax * 1e3
-    decades = math.log10(s_hi / s_lo)
-    n_log = math.ceil(decades * density / 2)
-    t, wts = _composite_gl(np.linspace(math.log(s_lo), math.log(s_hi), n_log + 1))
-    s = np.exp(t)
-    panels = (_u_panel(s_lo, 0.0, 0.5), (s, wts * s), _u_panel(s_hi, 0.5, 1.0))
+    panels = (_log_panels(wmin * 1e-3, s_hi, density), _u_panel(s_hi, 0.5, 1.0))
     return tuple(np.concatenate(part) for part in zip(*panels))
 
 
@@ -607,15 +608,14 @@ def sd_by_averaging(
     b_total = -math.log(alpha)
 
     def integral(density: int) -> tuple[float, int]:
-        # The integrand develops a boundary layer at u -> 0 (alpha' -> 1) on
-        # the scale of the smallest eigenvalue of A, so the mesh is graded
-        # geometrically toward that endpoint instead of kept uniform.
-        n_geo = max(_PANELS - 1, int(math.ceil(9 * density)))
-        geo = b_total * np.geomspace(1e-9, 1.0, n_geo + 1)
-        edges = np.concatenate(([0.0], geo))
-        u, wts = _composite_gl(edges)
-        pair = (np.broadcast_to(m, u.shape + m.shape) for m in (amat, bmat))
-        return float(np.dot(wts, _dsd_kernel(*pair, np.exp(-u)))), u.size
+        # d(-log alpha') = alpha' dx in x = 1/alpha' - 1, where the mixture is
+        # (A + x B) alpha': every singularity, the boundary layer of A's smallest
+        # eigenvalue too, lies at x <= 0, pi from the real axis in log x. Near 0,
+        # x ~ -log alpha', so the head panel spans about [0, 1e-9 b] in it.
+        x, wts = _log_panels(1e-9 * b_total, (1.0 - alpha) / alpha, density)
+        alphas = 1.0 / (1.0 + x)
+        pair = (np.broadcast_to(m, x.shape + m.shape) for m in (amat, bmat))
+        return float(np.dot(wts * alphas, _dsd_kernel(*pair, alphas))), x.size
 
     return _refine(integral, refine) / b_total
 

@@ -1,17 +1,18 @@
-"""Regenerate ``tests/data/acceptance_report.json``, the pinned table of the
-200-trial acceptance report that ``test_criterion_10_end_to_end_verify``
-compares against.
+"""Regenerate ``tests/data/acceptance_report_seed<seed>.json``, the pinned
+tables of the 200-trial acceptance report at seeds 42 and 7 that
+``test_criterion_10_end_to_end_verify`` compares against.
 
 Run from the repository root::
 
     PYTHONPATH=src python tests/make_acceptance_report.py
     PYTHONPATH=src python tests/make_acceptance_report.py --diff
+    PYTHONPATH=src python tests/make_acceptance_report.py --seed 7 --diff
 
-A change that moves a record regenerates the table and names each move.
+A change that moves a record regenerates the tables and names each move.
 ``--diff`` writes nothing: it prints each pinned field that a fresh run
 changes, bit for bit, as ``old -> new`` with the delta, and exits 1 when one
-does. Criterion 10 of ``tests/test_acceptance.py`` runs the same comparison
-with its band.
+does. ``--seed`` selects one table; the default is both. Criterion 10 of
+``tests/test_acceptance.py`` runs the same comparison with its band.
 """
 
 import argparse
@@ -20,8 +21,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-TABLE = Path(__file__).resolve().parent / "data" / "acceptance_report.json"
-VERIFY_ARGS = ["verify", "--suite", "all", "--dims", "2,3,4,6", "--trials", "200", "--seed", "42"]
+DATA = Path(__file__).resolve().parent / "data"
+# the pinned table of each seed; 7 shows moves that 42 does not
+TABLES = {seed: DATA / f"acceptance_report_seed{seed}.json" for seed in (42, 7)}
 FIELDS = ("tol", "trials", "violations", "worst_slack", "worst_trial")
 
 
@@ -62,28 +64,40 @@ def diff_lines(
     return lines
 
 
-def fresh_table() -> tuple[int, dict]:
+def verify_args(seed: int) -> list[str]:
+    """The acceptance run at ``seed``: all checks, dims 2,3,4,6, 200 trials."""
+    return ["verify", "--suite", "all", "--dims", "2,3,4,6", "--trials", "200", "--seed", str(seed)]
+
+
+def fresh_table(seed: int) -> tuple[int, dict]:
     """The verify run's exit code and its table, with the report in a
     temporary directory."""
     from qsd.cli import main as cli_main
 
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.json"
-        code = cli_main([*VERIFY_ARGS, "--quiet", "--out", str(out)])
+        code = cli_main([*verify_args(seed), "--quiet", "--out", str(out)])
         return code, table_of(json.loads(out.read_text()))
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description="Regenerate or diff the pinned acceptance table.")
+    parser = argparse.ArgumentParser(description="Regenerate or diff the pinned acceptance tables.")
     parser.add_argument("--diff", action="store_true", help="print the moves; write nothing")
+    parser.add_argument("--seed", type=int, choices=list(TABLES), help="one table (default: each)")
     args = parser.parse_args(argv)
-    code, table = fresh_table()
-    if args.diff:
-        lines = diff_lines(json.loads(TABLE.read_text()), table)
-        print("\n".join(lines) if lines else f"no record differs from {TABLE.name}")
-        return 1 if lines or code else 0
-    TABLE.write_text(json.dumps(table, indent=1) + "\n")
-    return code
+    failed = False
+    for seed in TABLES if args.seed is None else [args.seed]:
+        code, table = fresh_table(seed)
+        path = TABLES[seed]
+        if args.diff:
+            lines = diff_lines(json.loads(path.read_text()), table)
+            lines = [f"{path.name}: {line}" for line in lines]
+            print("\n".join(lines) or f"no record differs from {path.name}")
+            failed |= bool(lines)
+        else:
+            path.write_text(json.dumps(table, indent=1) + "\n")
+        failed |= code != 0
+    return int(failed)
 
 
 if __name__ == "__main__":

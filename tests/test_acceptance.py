@@ -43,7 +43,7 @@ from qsd.cli import main as cli_main
 from qsd.divergences import _skewed_relative_entropy
 from qsd import REGISTRY
 
-from make_acceptance_report import TABLE, VERIFY_ARGS, diff_lines, table_of
+from make_acceptance_report import TABLES, diff_lines, table_of, verify_args
 
 SEED = 719
 DIMS = (2, 3, 4, 6)
@@ -434,6 +434,7 @@ def test_criterion_09_holevo_suite():
 # criterion 10 lets a worst slack move by 1e-12, and a worst trial only where
 # the worst slack exceeds 1e-9 in magnitude
 BAND, TIE = 1e-12, 1e-9
+TABLE = TABLES[42]
 
 
 def test_moved_records_are_caught():
@@ -478,17 +479,18 @@ def test_diff_lines_name_every_bit_move():
     ]
 
 
-def test_criterion_10_end_to_end_verify(tmp_path):
+@pytest.mark.parametrize("seed", TABLES)
+def test_criterion_10_end_to_end_verify(tmp_path, seed):
     out = tmp_path / "report.json"
-    code = cli_main([*VERIFY_ARGS, "--quiet", "--out", str(out)])
+    code = cli_main([*verify_args(seed), "--quiet", "--out", str(out)])
     report = json.loads(out.read_text())
     ids = [c["check_id"] for c in report["checks"]]
     coverage_ok = ids == [c.check_id for c in REGISTRY]
-    moved = diff_lines(json.loads(TABLE.read_text()), table_of(report), BAND, TIE)
+    moved = diff_lines(json.loads(TABLES[seed].read_text()), table_of(report), BAND, TIE)
     _report(
         10,
-        f"verify --suite all exits {code} with {report['total_violations']} violations; "
-        f"{len(ids)} checks are the {len(REGISTRY)} registered, in order; "
-        f"{len(moved)} records differ from {TABLE.name} {moved}",
+        f"verify --suite all --seed {seed} exits {code} with {report['total_violations']} "
+        f"violations; {len(ids)} checks are the {len(REGISTRY)} registered, in order; "
+        f"{len(moved)} records differ from {TABLES[seed].name} {moved}",
         code == 0 and report["total_violations"] == 0 and coverage_ok and not moved,
     )

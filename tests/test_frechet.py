@@ -728,6 +728,18 @@ class TestRefinement:
         frechet_log_quadrature(a, rand_herm(rng, 64))
         assert [args[2].size for args in passes] == [112, 176]
 
+    def test_single_pass_is_first_pass(self, rng, monkeypatch):
+        # 1e-9 b to 1/a - 1 spans 9.29 decades at b = -log 0.3: 5 log panels,
+        # then 10, each with the head panel
+        rho, sig = random_state(4, rng), random_state(4, rng)
+        passes = counting(monkeypatch, fr, "_dsd_kernel")
+        refined = sd_by_averaging(rho, sig, 0.3)
+        assert [args[2].size for args in passes] == [96, 176]
+        single = sd_by_averaging(rho, sig, 0.3, refine=False)
+        monkeypatch.setattr(fr, "_MAX_QUAD_NODES", 0)  # the default route stops at once
+        assert single == sd_by_averaging(rho, sig, 0.3)
+        assert single != refined
+
     @pytest.mark.parametrize("scale", [1.0, 0.37, 1e-6])
     def test_second_pass_refines_a_scalar_base(self, rng, monkeypatch, scale):
         # the padding alone spans 6 decades: 3 log panels (4 if the span
@@ -737,25 +749,27 @@ class TestRefinement:
         first, second = (args[2].size // fr._NODES_PER_PANEL - 2 for args in passes)
         assert 3 <= first <= 4 and second >= 2 * first - 1
 
-    @pytest.mark.parametrize("density, rtol", [(1, 1e-13), (2, 1e-14)])
-    @pytest.mark.parametrize("wmin, wmax", [(1e-4, 1.0), (1e-12, 1e-8), (1e4, 1e10)])
-    def test_nodes_integrate_the_resolvent(self, density, rtol, wmin, wmax):
-        # int_0^inf (w + s)^-2 ds = 1/w, for w inside and just outside the spectrum
-        s, coef = fr._quadrature_nodes(wmin, wmax, density)
-        assert (np.diff(s) > 0.0).all() and (coef > 0.0).all()
-        w = np.geomspace(wmin / 10, wmax * 10, 25)
-        got = coef @ (1.0 / (w[None, :] + s[:, None]) ** 2)
-        assert np.abs(got * w - 1.0).max() <= rtol
-
-    def test_single_pass_is_first_pass(self, rng, monkeypatch):
-        rho, sig = random_state(4, rng), random_state(4, rng)
-        passes = counting(monkeypatch, fr, "_composite_gl")
-        refined = sd_by_averaging(rho, sig, 0.3)
-        assert len(passes) >= 2
-        single = sd_by_averaging(rho, sig, 0.3, refine=False)
-        monkeypatch.setattr(fr, "_MAX_QUAD_NODES", 0)  # the default route stops at once
-        assert single == sd_by_averaging(rho, sig, 0.3)
-        assert single != refined
+    @pytest.mark.parametrize("density", [1, 2])
+    @pytest.mark.parametrize(
+        "rule, lo, hi",
+        [("quadrature", 1e-4, 1.0), ("quadrature", 1e-12, 1e-8), ("quadrature", 1e4, 1e10)]
+        + [("averaging", -1e-9 * math.log(a), 1.0 / a - 1.0) for a in (0.05, 0.5, 0.95)],
+    )
+    def test_nodes_integrate_the_resolvent(self, density, rule, lo, hi):
+        # int (w + x)^-2 dx, for w inside and just outside the range: 1/w over
+        # [0, inf) for the quadrature oracle's spectrum [lo, hi], and
+        # 1/w - 1/(w + hi) over the averaging oracle's [0, 1/a - 1]
+        if rule == "quadrature":
+            x, coef = fr._quadrature_nodes(lo, hi, density)
+            w = np.geomspace(lo / 10, hi * 10, 25)
+            exact, rtol = 1.0 / w, 1e-13 if density == 1 else 1e-14
+        else:
+            x, coef = fr._log_panels(lo, hi, density)
+            w = np.geomspace(lo, 10 * hi, 25)
+            exact, rtol = hi / (w * (w + hi)), 1e-14
+        assert (np.diff(x) > 0.0).all() and (coef > 0.0).all()
+        got = coef @ (1.0 / (w[None, :] + x[:, None]) ** 2)
+        assert np.abs(got / exact - 1.0).max() <= rtol
 
 
 def check_tridiagonal(a):
@@ -853,7 +867,7 @@ class TestOracleKernelCalls:
         rho, sig = random_state(4, rng), random_state(4, rng)
         eighs = counting(monkeypatch, np.linalg, "eigh")
         sd_by_averaging(rho, sig, 0.4, refine=False)
-        # one for the stack of all 160 mixtures; their support masks drop
+        # one for the stack of all 96 mixtures; their support masks drop
         # every direction outside supp(A+B), so no separate support call
         assert len(eighs) == 1
 

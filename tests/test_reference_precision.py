@@ -8,8 +8,10 @@ geometric spectrum whose neighbours all lie between ``_SPLIT_RTOL`` and ten
 times it, and clusters whose relative gaps 10^U(-9, -1) straddle both
 ``DD_CLOSE_RTOL`` and ``_SPLIT_RTOL``. The quadrature oracles are checked on
 the same spectra and on the ``fre.quadrature_match`` draws, in a basis of one
-Householder reflection. Each bound is pinned at about ten times the worst
-error these draws show.
+Householder reflection. ``sd_by_averaging`` is checked, at its first pass
+and refined, against the skew divergence of exact factors at d=4, the
+mixture diagonalized by ``mpmath.eighe``. Each bound is pinned at about ten
+times the worst error these draws show.
 """
 
 import mpmath
@@ -29,6 +31,11 @@ DPS = 30
 # 5.5e-13 on the fre.quadrature_match draws (240 draws, cond up to 1e4).
 PINS = {"dense": 8e-14, "cluster": 1e-13, "frechet_log": 3e-14, "metric_M": 2e-14}
 PINS |= {"oracle_dense": 3e-14, "oracle_cluster": 4e-14, "oracle_match": 6e-12}
+# sd_by_averaging over 10 draws of each family, the worse of refine=False and
+# refined: 1.9e-15 generic, 1.5e-15 with an eigenvalue 1e-8 of A, 2.2e-13 with
+# one of 1e-12 (the head panel's) and 3.1e-15 with A of rank 1.
+PINS |= {"avg_generic": 2e-14, "avg_eigenvalue_1e-8": 2e-14}
+PINS |= {"avg_eigenvalue_1e-12": 2e-12, "avg_rank_1": 3e-14}
 
 
 def rand_herm(rng, dim):
@@ -228,3 +235,49 @@ class TestQuadratureOracles:
         rng = np.random.default_rng(dim)
         for _ in range(5):
             assert max(oracle_errors(rng, quadrature_match_spectrum(rng, dim))) <= PINS["oracle_match"]
+
+
+# The spectrum of A in each sd_by_averaging family, from a Dirichlet draw.
+AVERAGING_FAMILIES = {
+    "generic": lambda w: w,
+    "eigenvalue_1e-8": lambda w: np.concatenate(([1e-8], w[1:])),
+    "eigenvalue_1e-12": lambda w: np.concatenate(([1e-12], w[1:])),
+    "rank_1": lambda w: np.eye(len(w))[0],
+}
+
+
+def skew_reference(a_factors, b_factors, alpha):
+    """``S(A || M) / (-log alpha)`` with ``M = alpha A + (1 - alpha) B``, at
+    30 digits, from the exact factors ``(U, w)`` of ``A`` and of ``B``."""
+    with mpmath.workdps(DPS):
+        am, bm = (u * mpmath.diag(w) * u.H for u, w in (a_factors, b_factors))
+        al = mpmath.mpf(alpha)
+        e, q = mpmath.eighe(al * am + (1 - al) * bm)
+        log_m = q * mpmath.diag([mpmath.log(x) for x in e]) * q.H
+        n = range(am.rows)
+        tr_a_log_m = mpmath.fsum(am[i, j] * log_m[j, i] for i in n for j in n)
+        wa, wb = a_factors[1], b_factors[1]
+        trace = (1 - al) * (mpmath.fsum(wa) - mpmath.fsum(wb))
+        rel = mpmath.fsum(x * mpmath.log(x) for x in wa if x) - tr_a_log_m - trace
+        return float(mpmath.re(rel) / -mpmath.log(al))
+
+
+def averaging_errors(family):
+    """Relative errors of ``sd_by_averaging`` with ``refine=False`` and
+    refined, one row per draw of ``family``: ``A`` from its spectrum, ``B``
+    generic, ``alpha`` uniform on ``[0.05, 0.95]`` as in ``fre.averaging_match``."""
+    rng = np.random.default_rng(list(AVERAGING_FAMILIES).index(family))
+    errs = []
+    for _ in range(10):
+        a, *a_factors = exact_factors(rng, AVERAGING_FAMILIES[family](rng.dirichlet(np.ones(4))))
+        b, *b_factors = exact_factors(rng, rng.dirichlet(np.ones(4)))
+        alpha = rng.uniform(0.05, 0.95)
+        ref = skew_reference(a_factors, b_factors, alpha)
+        values = [fr.sd_by_averaging(a, b, alpha, refine=r) for r in (False, True)]
+        errs.append([abs(v - ref) / ref for v in values])
+    return np.array(errs)
+
+
+@pytest.mark.parametrize("family", AVERAGING_FAMILIES)
+def test_sd_by_averaging(family):
+    assert averaging_errors(family).max() <= PINS[f"avg_{family}"]
