@@ -12,10 +12,7 @@ differs from the judge's parameter order. A judge calls each public
 function once on the whole stack: raw ``(n, d, d)`` stacks (a state is one
 by its trace alone), or one ``Ensemble`` (or ``MixingExperiment``) whose
 arrays carry the trial axis, each trial's members padded with zero weights
-and zero matrices to the largest count (``_ensembles``). Two functions take
-one trial only and are called per trial through ``_each``: the oracles
-``frechet_log_quadrature``, whose nodes follow each trial's spectrum, and
-``sd_by_averaging``, whose nodes follow each trial's alpha.
+and zero matrices to the largest count (``_ensembles``).
 
 A check looks a library function up on its module (``dv.``, ``fr.``,
 ``en.``, ``la.``) at each call and never binds it at load, so a function
@@ -153,16 +150,9 @@ def _least(*slacks) -> np.ndarray:
     return np.min(np.broadcast_arrays(*slacks), axis=0)
 
 
-def _each(fn, *stacks) -> np.ndarray:
-    """``fn`` called on each trial's arguments, its results stacked (an
-    operator as its matrix): the judge's form of a function that takes one
-    matrix or one trial only."""
-    return np.stack([getattr(out, "mat", out) for out in map(fn, *stacks)])
-
-
 def _rel_err(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """``||x - ref|| / max(1, ||ref||)`` per trial, in Frobenius norms."""
-    return _each(np.linalg.norm, x - ref) / np.maximum(1.0, _each(np.linalg.norm, ref))
+    return np.linalg.norm(x - ref, axis=(-2, -1)) / np.maximum(1.0, np.linalg.norm(ref, axis=(-2, -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +173,10 @@ _PSD_TRIPLE = _draws(_psds, _psds, _psds, _uniform(0.02, 0.98))
 )
 def _judge_eigh_reconstruction(a):
     w, v = la.eigendecompose(a)
-    resid = _each(np.linalg.norm, (v * w[:, None, :]) @ la._adjoint(v) - a)
-    unit = _each(np.linalg.norm, la._adjoint(v) @ v - np.eye(a.shape[-1]))
+    resid = np.linalg.norm((v * w[:, None, :]) @ la._adjoint(v) - a, axis=(-2, -1))
+    unit = np.linalg.norm(la._adjoint(v) @ v - np.eye(a.shape[-1]), axis=(-2, -1))
     ascending = np.where((np.diff(w) >= 0.0).all(axis=-1), 0.0, -1.0)
-    fro = _each(np.linalg.norm, a)
+    fro = np.linalg.norm(a, axis=(-2, -1))
     return _least(1e-12 * np.maximum(1.0, fro) - resid, 1e-12 * a.shape[-1] - unit, ascending)
 
 
@@ -421,7 +411,7 @@ def _judge_r_sum_bound(a, b, alpha):
 )
 def _judge_r_reduces_to_t(a, d):
     second = fr.second_frechet_log(a, a, d)
-    return -_each(np.linalg.norm, second - fr.frechet_log(a, d))
+    return -np.linalg.norm(second - fr.frechet_log(a, d), axis=(-2, -1))
 
 
 @_check(
@@ -456,7 +446,7 @@ def _draw_quadrature_match(rngs, dim):
     _draw_quadrature_match,
 )
 def _judge_quadrature_match(a, d):
-    return -_rel_err(_each(fr.frechet_log_quadrature, a, d), fr.frechet_log(a, d))
+    return -_rel_err(fr.frechet_log_quadrature(a, d), fr.frechet_log(a, d))
 
 
 @_check(
@@ -535,8 +525,7 @@ def _judge_chi2_relation(rho, sig, alpha):
     _draws(_states, _states, _uniform(0.05, 0.95)),
 )
 def _judge_averaging_match(rho, sig, alpha):
-    averaged = _each(partial(fr.sd_by_averaging, refine=False), rho, sig, alpha)
-    return -np.abs(dv.skew_divergence(rho, sig, alpha) - averaged)
+    return -np.abs(dv.skew_divergence(rho, sig, alpha) - fr.sd_by_averaging(rho, sig, alpha, refine=False))
 
 
 def _draw_metric_epsilon_limit(rngs, dim):
@@ -802,7 +791,7 @@ def _experiments(rngs, dim, conditioned: bool = False) -> en.MixingExperiment:
     mats = _from_matrices(_conditioned_states(pairs, dim, 0.1)) if conditioned else _states(pairs, dim)
     ens = _ensembles(list(np.stack([p, 1.0 - p], axis=1)), mats)
     hams = la._random_hamiltonians(pairs, dim).reshape(-1, 2, dim, dim)
-    h1, h2 = map(la.HermitianOperator._of, hams.swapaxes(0, 1))
+    h1, h2 = (la.HermitianOperator._of(hams[:, j]) for j in range(2))  # each holds every trial
     return en.MixingExperiment(ens, h1, h2, _uniforms(rngs, 0.0, 1.0))
 
 

@@ -166,7 +166,7 @@ def relative_entropy(a: OperatorLike, b: OperatorLike) -> float | np.ndarray:
     beyond tolerance. A value that overflows without a leak raises
     :class:`DomainError`. Raw ``(n, d, d)`` stacks give one value per pair.
     """
-    amat, bmat = _common_dim(a, b, stacked=True)
+    amat, bmat = _common_dim(a, b)
     wa, wb, vb, keep, quad, leak = _psd_against_support(amat, bmat)
     # the value is finite where A does not leak; it is 0 where B vanishes
     value = np.where(leak > 0.0, np.inf, 0.0)
@@ -214,7 +214,7 @@ def skew_divergence(
     an array of one entry per pair.
     """
     a = _as_alpha(alpha)
-    rmat, smat = _psd_operands(rho, sigma, stacked=True)
+    rmat, smat = _psd_operands(rho, sigma)
     _require_per_pair(a, rmat)
     return _float_or_array(_skewed_relative_entropy(rmat, smat, a) / -np.log(a))
 
@@ -228,14 +228,14 @@ def _trace_distance(rmat: np.ndarray, smat: np.ndarray) -> np.ndarray:
 def trace_distance(rho: OperatorLike, sigma: OperatorLike) -> float | np.ndarray:
     """Half the trace norm of ``rho - sigma``; raw ``(n, d, d)`` stacks give
     one value per pair."""
-    return _float_or_array(_trace_distance(*_common_dim(rho, sigma, stacked=True)))
+    return _float_or_array(_trace_distance(*_common_dim(rho, sigma)))
 
 
 def fidelity(rho: OperatorLike, sigma: OperatorLike) -> float | np.ndarray:
     """Uhlmann fidelity ``trace sqrt(sqrt(rho) sigma sqrt(rho))`` of positive
     operators; ``F(c rho, c sigma) = c F(rho, sigma)``. Raw ``(n, d, d)``
     stacks give one value per pair."""
-    rmat, smat = _common_dim(rho, sigma, stacked=True)
+    rmat, smat = _common_dim(rho, sigma)
     w, v = _eigh(rmat)
     _require_psd(w, "first argument")
     ws = np.linalg.eigvalsh(smat)

@@ -406,7 +406,7 @@ def evolve(rho: OperatorLike, hamiltonian: OperatorLike, t) -> DensityMatrix:
     t = np.asarray(t, dtype=np.float64)
     if not np.isfinite(t).all():
         raise DomainError(f"evolution time t must be finite, got {t[~np.isfinite(t)][0]}")
-    hmat, rmat = _common_dim(hamiltonian, rho, stacked=True)
+    hmat, rmat = _common_dim(hamiltonian, rho)
     if t.shape not in ((), hmat.shape[:-2]):
         raise DomainError(f"t must be one float or one per item, got shape {t.shape}")
     u = _propagator(*_eigh(hmat), t[..., None])

@@ -29,15 +29,15 @@ and 1e-15 over one. Only the tails ``[0, s_lo]`` and ``[s_hi, inf)`` map
 ``s = s_lo u/(1-u)`` and ``s = s_hi u/(1-u)``, so the whole rule scales with
 the spectrum; :func:`sd_by_averaging` takes the same rule in
 ``x = 1/alpha' - 1``, whose singularities also lie on the negative axis. One
-Householder reduction ``A = Q T Q*`` per call (Golub & Van Loan, Matrix
+Householder reduction ``A = Q T Q*`` per item (Golub & Van Loan, Matrix
 Computations, 8.3), with the band's phases folded into ``Q``, makes each
 ``T + s`` real symmetric tridiagonal, so a node costs a real LDL^T
 factorization and banded sweeps, O(d^2), not a dense solve.
 
-The oracle routes evaluate their nodes in stacked blocks of at most
-``_NODE_BLOCK_ELEMS`` complex entries per array: the quadrature's right-hand
-sides, or the mixtures of :func:`sd_by_averaging` (one batched LAPACK call per
-block), so memory stays bounded at every dimension.
+The oracles validate a raw ``(n, d, d)`` stack at once, then integrate each
+pair on its own mesh in node blocks of at most ``_NODE_BLOCK_ELEMS`` complex
+entries per array (the quadrature's right-hand sides, or the mixtures of
+:func:`sd_by_averaging`), so memory stays bounded at every dimension.
 """
 
 from __future__ import annotations
@@ -174,7 +174,7 @@ def frechet_log(a: OperatorLike, delta: OperatorLike) -> HermitianOperator:
     """Derivative of the operator logarithm at ``a`` in direction ``delta``;
     raw ``(n, d, d)`` stacks give the read-only stack of one derivative per
     pair."""
-    mat, dmat = _common_dim(a, delta, stacked=True)
+    mat, dmat = _common_dim(a, delta)
     w, v, f1 = _eigenframe(mat)
     dtil = _adjoint(v) @ dmat @ v
     return _operator(v @ (f1 * dtil) @ _adjoint(v))
@@ -183,7 +183,7 @@ def frechet_log(a: OperatorLike, delta: OperatorLike) -> HermitianOperator:
 def metric_M(a: OperatorLike, b: OperatorLike, c: OperatorLike) -> complex | np.ndarray:
     """Monotone metric ``trace B* T_A(C)`` for a positive-definite base ``A``;
     raw ``(n, d, d)`` stacks give one complex value per triple."""
-    mat, bmat, cmat = _common_dim(a, b, c, stacked=True)
+    mat, bmat, cmat = _common_dim(a, b, c)
     w, v, f1 = _eigenframe(mat)
     btil = _adjoint(v) @ bmat @ v
     # M_A(X, X) changes basis once; real products (numpy fuses complex ones) keep it real
@@ -252,7 +252,7 @@ def second_frechet_log(
     two perturbations (``delta2`` defaults to ``delta1``); raw ``(n, d, d)``
     stacks give the read-only stack of one derivative per item."""
     deltas = (delta1,) if delta2 is None else (delta1, delta2)
-    mats = _common_dim(a, *deltas, stacked=True)
+    mats = _common_dim(a, *deltas)
     shape = mats[0].shape
     # one matrix is the stack of one
     mat, *dmats = (m.reshape(-1, *shape[-2:]) for m in mats)
@@ -419,30 +419,33 @@ def _integral_pass(
     return _adjoint(total)
 
 
-def _quadrature_log_derivative(
-    a: OperatorLike, delta: OperatorLike, second: bool
-) -> HermitianOperator:
-    mat, dmat = _common_dim(a, delta)
-    w = np.linalg.eigvalsh(mat)
-    _require_pd(w, "base operator")
-    wmin, wmax = float(w[0]), float(w[-1])
+def _quadrature_item(mat: np.ndarray, dmat: np.ndarray, w: np.ndarray, second: bool) -> np.ndarray:
+    """The refined quadrature of one pair on its own mesh; ``w`` is its base's spectrum."""
     q, t = _tridiagonal(mat)
     dt = _adjoint(q) @ dmat @ q
 
     def integral(density: int) -> tuple[np.ndarray, int]:
-        s, coef = _quadrature_nodes(wmin, wmax, density)
+        s, coef = _quadrature_nodes(float(w[0]), float(w[-1]), density)
         return _integral_pass(t, dt, s, coef, second), s.size
 
-    return HermitianOperator(q @ _refine(integral) @ _adjoint(q))
+    return q @ _refine(integral) @ _adjoint(q)
 
 
-def frechet_log_quadrature(a: OperatorLike, delta: OperatorLike) -> HermitianOperator:
-    """Quadrature evaluation of the log derivative (oracle route)."""
+def _quadrature_log_derivative(a: OperatorLike, delta: OperatorLike, second: bool):
+    mat, dmat = _common_dim(a, delta)
+    w = np.linalg.eigvalsh(mat)
+    _require_pd(w, "base operator")
+    out = [_quadrature_item(mat[k], dmat[k], w[k], second) for k in np.ndindex(mat.shape[:-2])]
+    return _operator(np.reshape(out, mat.shape))
+
+
+def frechet_log_quadrature(a: OperatorLike, delta: OperatorLike) -> HermitianOperator | np.ndarray:
+    """Quadrature evaluation of the log derivative (oracle route); raw stacks give one per pair."""
     return _quadrature_log_derivative(a, delta, second=False)
 
 
-def second_frechet_log_quadrature(a: OperatorLike, delta: OperatorLike) -> HermitianOperator:
-    """Quadrature evaluation of the quadratic log derivative (oracle route)."""
+def second_frechet_log_quadrature(a: OperatorLike, delta: OperatorLike) -> HermitianOperator | np.ndarray:
+    """Quadrature evaluation of the quadratic log derivative (oracle route), as the first."""
     return _quadrature_log_derivative(a, delta, second=True)
 
 
@@ -461,7 +464,7 @@ def _central_diff(
 ) -> np.ndarray:
     """Central-difference estimate of a derivative of log at ``a`` along
     ``delta``, or at each pair of raw ``(n, d, d)`` stacks."""
-    mat, dmat = _common_dim(a, delta, stacked=True)
+    mat, dmat = _common_dim(a, delta)
     if order not in (2, 4):
         raise DomainError("order must be 2 or 4")
     if not (math.isfinite(h) and h != 0.0):
@@ -548,7 +551,7 @@ def differential_skew_divergence(
         outside = ~((0.0 <= al) & (al <= 1.0))
         if outside.any():
             raise DomainError(f"alpha must lie in [0, 1], got {al[outside][0]}")
-    amat, bmat = _psd_operands(a, b, stacked=True)
+    amat, bmat = _psd_operands(a, b)
     _require_per_pair(al, amat)
     if interior:
         if amat.ndim == 2:  # one pair, as a stack of one
@@ -582,7 +585,7 @@ def chi2_log(a: OperatorLike, b: OperatorLike) -> float | np.ndarray:
     mass outside that support. Raw ``(n, d, d)`` stacks give one value per
     pair.
     """
-    amat, bmat = _common_dim(a, b, stacked=True)
+    amat, bmat = _common_dim(a, b)
     _, wb, vb, keep, _, leak = _psd_against_support(amat, bmat)
     if not keep[..., -1].all():
         raise DomainError("second argument vanishes")
@@ -593,18 +596,8 @@ def chi2_log(a: OperatorLike, b: OperatorLike) -> float | np.ndarray:
     return _float_or_array(_metric_on_support(wb, vb, keep, amat - bmat))
 
 
-def sd_by_averaging(
-    a: OperatorLike, b: OperatorLike, alpha: float, refine: bool = True
-) -> float:
-    """Skew divergence reconstructed by averaging the differential version
-    over ``-log(alpha')`` from 0 to ``-log(alpha)``.
-
-    Must agree with :func:`qsd.divergences.skew_divergence`; serves as the
-    integral-representation cross-check of the closed form. ``refine=False``
-    keeps the first quadrature pass instead of refining it.
-    """
-    alpha = _as_alpha(alpha)
-    amat, bmat = _psd_operands(a, b)
+def _averaged(amat: np.ndarray, bmat: np.ndarray, alpha: float, refine: bool) -> float:
+    """:func:`sd_by_averaging` of one pair."""
     b_total = -math.log(alpha)
 
     def integral(density: int) -> tuple[float, int]:
@@ -618,6 +611,25 @@ def sd_by_averaging(
         return float(np.dot(wts * alphas, _dsd_kernel(*pair, alphas))), x.size
 
     return _refine(integral, refine) / b_total
+
+
+def sd_by_averaging(
+    a: OperatorLike, b: OperatorLike, alpha: float | np.ndarray, refine: bool = True
+) -> float | np.ndarray:
+    """Skew divergence reconstructed by averaging the differential version
+    over ``-log(alpha')`` from 0 to ``-log(alpha)``; raw ``(n, d, d)`` stacks
+    give one value per pair, at one ``alpha`` or one per pair.
+
+    Must agree with :func:`qsd.divergences.skew_divergence`; serves as the
+    integral-representation cross-check of the closed form. ``refine=False``
+    keeps the first quadrature pass instead of refining it.
+    """
+    alpha = _as_alpha(alpha)
+    amat, bmat = _psd_operands(a, b)
+    _require_per_pair(alpha, amat)
+    alphas = np.broadcast_to(alpha, amat.shape[:-2])  # each pair on the mesh of its own alpha
+    out = [_averaged(amat[k], bmat[k], float(alphas[k]), refine) for k in np.ndindex(alphas.shape)]
+    return _float_or_array(np.reshape(out, alphas.shape))
 
 
 @dataclass(frozen=True)
@@ -647,7 +659,7 @@ def metric_epsilon_limit_check(
     ``values`` and ``epsilons`` are ``(n, 8)`` and whose other fields are
     ``(n,)``.
     """
-    amat, bmat, cmat = _common_dim(a, b, c, stacked=True)
+    amat, bmat, cmat = _common_dim(a, b, c)
     _, wb, vb, keep, _, leak = _psd_against_support(amat, bmat)
     _require_psd(np.linalg.eigvalsh(cmat), "third argument")
     if leak.any():

@@ -237,19 +237,17 @@ def _require_pd(w: np.ndarray, what: str) -> None:
 _ARGUMENTS = ("first argument", "second argument", "third argument")
 
 
-def _psd_operands(*values: OperatorLike, stacked: bool = False) -> list[np.ndarray]:
-    """Matrices of PSD operands that share one shape, validated in order;
-    with ``stacked``, raw ``(n, d, d)`` stacks too, validated item by item."""
-    mats = _common_dim(*values, stacked=stacked)
+def _psd_operands(*values: OperatorLike) -> list[np.ndarray]:
+    """Matrices of PSD operands, or raw stacks of them, of one shape, validated in order."""
+    mats = _common_dim(*values)
     for what, mat in zip(_ARGUMENTS, mats):
         _require_psd(np.linalg.eigvalsh(mat), what)
     return mats
 
 
-def _common_dim(*values: OperatorLike, stacked: bool = False) -> list[np.ndarray]:
-    """Matrices of the operands, after checking that they all have one shape;
-    with ``stacked``, raw ``(n, d, d)`` stacks of them too."""
-    mats = [_as_matrix(value, stacked) for value in values]
+def _common_dim(*values: OperatorLike) -> list[np.ndarray]:
+    """Matrices of the operands, or raw ``(n, d, d)`` stacks of them, checked to share one shape."""
+    mats = [_as_matrix(value, stacked=True) for value in values]
     for m in mats[1:]:
         if m.shape != mats[0].shape:
             raise DimensionMismatchError("operands have different dimensions")

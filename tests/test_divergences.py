@@ -316,6 +316,17 @@ class TestSkewDivergence:
         with pytest.raises(DomainError):
             skew_divergence(np.zeros((2, 2)), np.zeros((2, 2)), 0.5)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="S(rho || mixture) is a difference of O(1) traces, so near alpha = 1 "
+        "its rounding error exceeds the value (about 1e-9 at 1 - 1e-9)",
+    )
+    def test_nonnegative_near_alpha_one(self):
+        # on such random d=3 pairs about 4 in 10 values come out negative
+        rng = np.random.default_rng(5)
+        rho, sig = (np.stack([random_state(3, rng).mat for _ in range(20)]) for _ in range(2))
+        assert (skew_divergence(rho, sig, 1.0 - 1e-9) >= 0.0).all()
+
 
 class TestTraceDistance:
     def test_basics(self, rng):

@@ -871,6 +871,24 @@ class TestOracleKernelCalls:
         # every direction outside supp(A+B), so no separate support call
         assert len(eighs) == 1
 
+    @pytest.mark.parametrize("oracle", QUADRATURE_ORACLES)
+    def test_a_stack_reduces_once_per_pair_and_never_solves(self, rng, monkeypatch, oracle):
+        a = np.stack([conditioned_pd(rng, 4, 1e3) for _ in range(3)])
+        d = np.stack([rand_herm(rng, 4) for _ in range(3)])
+        spectra = counting(monkeypatch, np.linalg, "eigvalsh")
+        reductions = counting(monkeypatch, fr, "_tridiagonal")
+        solves = counting(monkeypatch, np.linalg, "solve")
+        eighs = counting(monkeypatch, np.linalg, "eigh")
+        oracle(a, d)
+        # one eigvalsh validates the stack; each pair is reduced on its own
+        assert (len(spectra), len(reductions), len(solves), len(eighs)) == (1, 3, 0, 0)
+
+    def test_averaging_eigh_calls_per_pair(self, rng, monkeypatch):
+        rho, sig = (np.stack([random_state(4, rng).mat for _ in range(3)]) for _ in range(2))
+        eighs = counting(monkeypatch, np.linalg, "eigh")
+        sd_by_averaging(rho, sig, 0.4, refine=False)
+        assert len(eighs) == 3  # one per pair, for the stack of its 96 mixtures
+
 
 # ---------------------------------------------------------------------------
 # The second-derivative kernel against the d^3 einsum

@@ -4,6 +4,7 @@ carries it."""
 
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -152,22 +153,26 @@ def test_stacked_operand_rule_symmetrizes_each_item(rng):
     assert stacked.shape == raw.shape
     for item, single in zip(stacked, raw):
         assert np.array_equal(item, _hermitian(single))
-    first, second = _psd_operands(raw, raw[::-1], stacked=True)
+    first, second = _psd_operands(raw, raw[::-1])
     assert np.array_equal(first, stacked) and np.array_equal(second, stacked[::-1])
 
 
 # name -> (function, operand count, trailing scalar arguments) of the
 # functions that also take raw (n, d, d) stacks, one value per pair
 STACKED = {
-    name: MULTI_OPERAND[name]
-    for name in (
-        "relative_entropy",
-        "skew_divergence",
-        "trace_distance",
-        "fidelity",
-        "chi2_log",
-        "differential_skew_divergence",
-    )
+    **{
+        name: MULTI_OPERAND[name]
+        for name in (
+            "relative_entropy",
+            "skew_divergence",
+            "trace_distance",
+            "fidelity",
+            "chi2_log",
+            "differential_skew_divergence",
+            "sd_by_averaging",
+        )
+    },
+    "sd_by_averaging(refine=False)": (partial(sd_by_averaging, refine=False), 2, (0.5,)),
 }
 
 
@@ -187,7 +192,7 @@ def test_each_item_of_a_stack_gets_its_one_pair_value(rng, name):
         assert values[i] == one, i
 
 
-@pytest.mark.parametrize("name", ["skew_divergence", "differential_skew_divergence"])
+@pytest.mark.parametrize("name", ["skew_divergence", "differential_skew_divergence", "sd_by_averaging"])
 def test_a_stack_takes_one_alpha_per_pair(rng, name):
     fn = STACKED[name][0]
     a, b = pair_stacks(rng, 2)
@@ -250,6 +255,8 @@ OPERATOR_STACKED = {
             "frechet_log_central_diff",
             "second_frechet_log_central_diff",
             "second_frechet_log",
+            "frechet_log_quadrature",
+            "second_frechet_log_quadrature",
             "evolve",
         )
     },
@@ -259,6 +266,10 @@ OPERATOR_STACKED = {
 # functions whose raw stacks give a record with one entry per item in each field
 RECORD_STACKED = {"metric_epsilon_limit_check": MULTI_OPERAND["metric_epsilon_limit_check"]}
 ALL_STACKED = {**STACKED, **ONE_OPERAND_STACKED, **OPERATOR_STACKED, **RECORD_STACKED}
+
+
+def test_every_multi_operand_function_takes_stacks():
+    assert [name for name in MULTI_OPERAND if name not in ALL_STACKED] == []
 
 
 @pytest.mark.parametrize("shape", [(2, 3, 2), (2, 2, 2, 2)])
@@ -311,12 +322,7 @@ def test_each_item_of_an_operator_stack_gets_its_one_call_result(rng, name):
 
 
 # operand rules that take one matrix only: a raw stack is no operand there
-ONE_MATRIX = {
-    "HermitianOperator": HermitianOperator,
-    "DensityMatrix": DensityMatrix,
-    "sd_by_averaging": lambda x: sd_by_averaging(x, x, 0.5),
-    "frechet_log_quadrature": lambda x: frechet_log_quadrature(x, x),
-}
+ONE_MATRIX = {"HermitianOperator": HermitianOperator, "DensityMatrix": DensityMatrix}
 
 
 @pytest.mark.parametrize("shape", [(3, 2, 2), (2, 2, 2, 2)])
@@ -367,9 +373,9 @@ def test_stacked_operands_name_the_first_non_psd_argument():
     bad = good.copy()
     bad[1] = np.diag([1.0, -0.5])
     with pytest.raises(DomainError, match="^second argument is not positive semidefinite"):
-        _psd_operands(good, bad, stacked=True)
+        _psd_operands(good, bad)
     with pytest.raises(DimensionMismatchError):
-        _psd_operands(good, good[:2], stacked=True)
+        _psd_operands(good, good[:2])
 
 
 # One matrix in five forms: the validating constructors are the boundary, so
