@@ -525,7 +525,7 @@ def _judge_chi2_relation(rho, sig, alpha):
     _draws(_states, _states, _uniform(0.05, 0.95)),
 )
 def _judge_averaging_match(rho, sig, alpha):
-    return -np.abs(dv.skew_divergence(rho, sig, alpha) - fr.sd_by_averaging(rho, sig, alpha, refine=False))
+    return -np.abs(dv.skew_divergence(rho, sig, alpha) - fr.sd_by_averaging(rho, sig, alpha))
 
 
 def _draw_metric_epsilon_limit(rngs, dim):

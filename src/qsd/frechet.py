@@ -25,10 +25,12 @@ sides, where every pole ``s = -w_i`` sits at ``Im t = pi`` whatever the
 spectrum, so each panel converges at the same rate (Bernstein parameter
 rho ~ 3.1 over two decades, 5.6 over one; Trefethen & Weideman, SIAM Review
 56 (2014)): 16 nodes integrate ``(w+s)^-2`` to about 1e-14 over two decades
-and 1e-15 over one. Only the tails ``[0, s_lo]`` and ``[s_hi, inf)`` map
-``s = s_lo u/(1-u)`` and ``s = s_hi u/(1-u)``, so the whole rule scales with
-the spectrum; :func:`sd_by_averaging` takes the same rule in
-``x = 1/alpha' - 1``, whose singularities also lie on the negative axis. One
+and 1e-15 over one. So each oracle runs one pass of a fixed rule, with no
+adaptive refinement: one panel per decade here. Only the tails ``[0, s_lo]``
+and ``[s_hi, inf)`` map ``s = s_lo u/(1-u)`` and ``s = s_hi u/(1-u)``, so the
+whole rule scales with the spectrum; :func:`sd_by_averaging` takes the same
+rule, one panel per two decades, in ``x = 1/alpha' - 1``, whose
+singularities also lie on the negative axis. One
 Householder reduction ``A = Q T Q*`` per item (Golub & Van Loan, Matrix
 Computations, 8.3), with the band's phases folded into ``Q``, makes each
 ``T + s`` real symmetric tridiagonal, so a node costs a real LDL^T
@@ -45,7 +47,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -272,33 +273,12 @@ def second_frechet_log(
 
 
 # Composite Gauss-Legendre rules of _NODES_PER_PANEL-node panels, one rule
-# for both oracles (_log_panels): panels equal in a log variable, one per two
-# decades at density 1 (every pole lies pi from the real axis there, so
-# rho ~ 3.1), after one head panel in u, all scaled to the range. The adaptive
-# routes double the density until the estimate settles, with no pass above
-# _MAX_QUAD_NODES nodes.
+# for both oracles (_log_panels): panels equal in a log variable, one per
+# 2 / density decades (every pole lies pi from the real axis there, so rho ~
+# 3.1 at density 1 and 5.6 at 2), after one head panel in u, all scaled to the
+# range. Each oracle runs one pass at a fixed density, so its node count is
+# known before it integrates.
 _NODES_PER_PANEL = 16
-_MAX_QUAD_NODES = 4096
-
-
-def _refine(integral: Callable[[int], tuple], refine: bool = True):
-    """Value of ``integral(density)``, which returns ``(value, nodes)``.
-
-    Starting from density 1, the density doubles until two successive
-    values differ by at most ``1e-8 * max(1, |value|)`` or the next pass
-    would exceed ``_MAX_QUAD_NODES`` nodes; ``refine=False`` keeps the first
-    pass.
-    """
-    density = 1
-    estimate, nodes = integral(density)
-    while refine and 2 * nodes <= _MAX_QUAD_NODES:
-        density *= 2
-        refined, nodes = integral(density)
-        change = np.linalg.norm(refined - estimate)
-        estimate = refined
-        if change <= 1e-8 * max(1.0, float(np.linalg.norm(refined))):
-            break
-    return estimate
 
 
 @functools.cache
@@ -420,15 +400,11 @@ def _integral_pass(
 
 
 def _quadrature_item(mat: np.ndarray, dmat: np.ndarray, w: np.ndarray, second: bool) -> np.ndarray:
-    """The refined quadrature of one pair on its own mesh; ``w`` is its base's spectrum."""
+    """The quadrature of one pair on its own mesh, one log panel per decade;
+    ``w`` is its base's spectrum."""
     q, t = _tridiagonal(mat)
-    dt = _adjoint(q) @ dmat @ q
-
-    def integral(density: int) -> tuple[np.ndarray, int]:
-        s, coef = _quadrature_nodes(float(w[0]), float(w[-1]), density)
-        return _integral_pass(t, dt, s, coef, second), s.size
-
-    return q @ _refine(integral) @ _adjoint(q)
+    s, coef = _quadrature_nodes(float(w[0]), float(w[-1]), 2)
+    return q @ _integral_pass(t, _adjoint(q) @ dmat @ q, s, coef, second) @ _adjoint(q)
 
 
 def _quadrature_log_derivative(a: OperatorLike, delta: OperatorLike, second: bool):
@@ -596,39 +572,33 @@ def chi2_log(a: OperatorLike, b: OperatorLike) -> float | np.ndarray:
     return _float_or_array(_metric_on_support(wb, vb, keep, amat - bmat))
 
 
-def _averaged(amat: np.ndarray, bmat: np.ndarray, alpha: float, refine: bool) -> float:
+def _averaged(amat: np.ndarray, bmat: np.ndarray, alpha: float) -> float:
     """:func:`sd_by_averaging` of one pair."""
     b_total = -math.log(alpha)
-
-    def integral(density: int) -> tuple[float, int]:
-        # d(-log alpha') = alpha' dx in x = 1/alpha' - 1, where the mixture is
-        # (A + x B) alpha': every singularity, the boundary layer of A's smallest
-        # eigenvalue too, lies at x <= 0, pi from the real axis in log x. Near 0,
-        # x ~ -log alpha', so the head panel spans about [0, 1e-9 b] in it.
-        x, wts = _log_panels(1e-9 * b_total, (1.0 - alpha) / alpha, density)
-        alphas = 1.0 / (1.0 + x)
-        pair = (np.broadcast_to(m, x.shape + m.shape) for m in (amat, bmat))
-        return float(np.dot(wts * alphas, _dsd_kernel(*pair, alphas))), x.size
-
-    return _refine(integral, refine) / b_total
+    # d(-log alpha') = alpha' dx in x = 1/alpha' - 1, where the mixture is
+    # (A + x B) alpha': every singularity, the boundary layer of A's smallest
+    # eigenvalue too, lies at x <= 0, pi from the real axis in log x. Near 0,
+    # x ~ -log alpha', so the head panel spans about [0, 1e-9 b] in it.
+    x, wts = _log_panels(1e-9 * b_total, (1.0 - alpha) / alpha, 1)
+    alphas = 1.0 / (1.0 + x)
+    pair = (np.broadcast_to(m, x.shape + m.shape) for m in (amat, bmat))
+    return float(np.dot(wts * alphas, _dsd_kernel(*pair, alphas))) / b_total
 
 
-def sd_by_averaging(
-    a: OperatorLike, b: OperatorLike, alpha: float | np.ndarray, refine: bool = True
-) -> float | np.ndarray:
+def sd_by_averaging(a: OperatorLike, b: OperatorLike, alpha: float | np.ndarray) -> float | np.ndarray:
     """Skew divergence reconstructed by averaging the differential version
-    over ``-log(alpha')`` from 0 to ``-log(alpha)``; raw ``(n, d, d)`` stacks
-    give one value per pair, at one ``alpha`` or one per pair.
+    over ``-log(alpha')`` from 0 to ``-log(alpha)``, one log panel per two
+    decades of ``x = 1/alpha' - 1``; raw ``(n, d, d)`` stacks give one value
+    per pair, at one ``alpha`` or one per pair.
 
     Must agree with :func:`qsd.divergences.skew_divergence`; serves as the
-    integral-representation cross-check of the closed form. ``refine=False``
-    keeps the first quadrature pass instead of refining it.
+    integral-representation cross-check of the closed form.
     """
     alpha = _as_alpha(alpha)
     amat, bmat = _psd_operands(a, b)
     _require_per_pair(alpha, amat)
     alphas = np.broadcast_to(alpha, amat.shape[:-2])  # each pair on the mesh of its own alpha
-    out = [_averaged(amat[k], bmat[k], float(alphas[k]), refine) for k in np.ndindex(alphas.shape)]
+    out = [_averaged(amat[k], bmat[k], float(alphas[k])) for k in np.ndindex(alphas.shape)]
     return _float_or_array(np.reshape(out, alphas.shape))
 
 

@@ -221,10 +221,7 @@ def test_criterion_06_differential_calculus():
         rho, sig = random_state(dim, rng), random_state(dim, rng)
         worst_avg = max(
             worst_avg,
-            abs(
-                sd_by_averaging(rho, sig, alpha, refine=False)
-                - skew_divergence(rho, sig, alpha)
-            ),
+            abs(sd_by_averaging(rho, sig, alpha) - skew_divergence(rho, sig, alpha)),
         )
 
         ac = 0.95 * random_state(dim, rng).mat + 0.05 * np.eye(dim) / dim

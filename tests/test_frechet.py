@@ -28,6 +28,7 @@ from qsd import (
 from qsd import frechet as fr
 from qsd.divergences import _skewed_relative_entropy
 from qsd.linalg import default_support_threshold
+from test_reference_precision import AVERAGING_FAMILIES
 
 
 def rand_pd(rng, dim, floor=0.1):
@@ -518,7 +519,7 @@ class TestAveraging:
 
     def test_single_pass(self, rng):
         rho, sig = random_state(3, rng), random_state(3, rng)
-        v = sd_by_averaging(rho, sig, 0.4, refine=False)
+        v = sd_by_averaging(rho, sig, 0.4)
         assert v == pytest.approx(skew_divergence(rho, sig, 0.4), abs=1e-6)
 
 
@@ -632,11 +633,8 @@ QUADRATURE_ORACLES = (frechet_log_quadrature, second_frechet_log_quadrature)
 
 class TestBatchedOracles:
     @pytest.mark.parametrize("dim", [1, 2, 3, 6, 64])
-    @pytest.mark.parametrize("refine", [True, False])
     @pytest.mark.parametrize("oracle", QUADRATURE_ORACLES)
-    def test_quadrature_matches_node_loop(self, rng, monkeypatch, dim, refine, oracle):
-        if not refine:
-            monkeypatch.setattr(fr, "_MAX_QUAD_NODES", 0)  # first pass only
+    def test_quadrature_matches_node_loop(self, rng, monkeypatch, dim, oracle):
         a = conditioned_pd(rng, dim, 1e3)
         d = rand_herm(rng, dim)
         batched = oracle(a, d).mat
@@ -668,86 +666,47 @@ class TestBatchedOracles:
     def test_averaging_matches_node_loop(self, rng, monkeypatch, kind, dim):
         a, b = support_pair(rng, dim, kind)
         alpha = 0.35
-        batched = [
-            sd_by_averaging(a, b, alpha),
-            sd_by_averaging(a, b, alpha, refine=False),
-            differential_skew_divergence(a, b, alpha),
-        ]
+        batched = [sd_by_averaging(a, b, alpha), differential_skew_divergence(a, b, alpha)]
         monkeypatch.setattr(fr, "_dsd_kernel", loop_dsd_kernel)
-        reference = [
-            sd_by_averaging(a, b, alpha),
-            sd_by_averaging(a, b, alpha, refine=False),
-            differential_skew_divergence(a, b, alpha),
-        ]
+        reference = [sd_by_averaging(a, b, alpha), differential_skew_divergence(a, b, alpha)]
         for value, ref in zip(batched, reference):
             assert_rel_close(value, ref)
 
     def test_averaging_partial_last_block(self, rng, monkeypatch):
         monkeypatch.setattr(fr, "_NODE_BLOCK_ELEMS", 7 * 16)  # 7 mixtures per block at d=4
         a, b = support_pair(rng, 4, "nested")
-        batched = sd_by_averaging(a, b, 0.6, refine=False)
+        batched = sd_by_averaging(a, b, 0.6)
         monkeypatch.setattr(fr, "_dsd_kernel", loop_dsd_kernel)
-        assert_rel_close(batched, sd_by_averaging(a, b, 0.6, refine=False))
+        assert_rel_close(batched, sd_by_averaging(a, b, 0.6))
 
 
-class TestRefinement:
-    """``_refine`` doubles the mesh density of both oracle families."""
-
-    def test_no_pass_exceeds_node_cap(self, rng, monkeypatch):
-        # integrals that never settle, so only the node cap stops refinement
-        nodes = []
-
-        def quad_pass(mat, dmat, s, coef, second):
-            nodes.append(s.size)
-            return np.full_like(mat, len(nodes))
-
-        def dsd_kernel(amat, bmat, alphas):
-            nodes.append(alphas.size)
-            return np.full(alphas.size, float(len(nodes)))
-
-        monkeypatch.setattr(fr, "_integral_pass", quad_pass)
-        monkeypatch.setattr(fr, "_dsd_kernel", dsd_kernel)
-        a, d = conditioned_pd(rng, 3, 1e3), rand_herm(rng, 3)
-        rho, sig = random_state(3, rng), random_state(3, rng)
-        for run in (
-            lambda: frechet_log_quadrature(a, d),
-            lambda: second_frechet_log_quadrature(a, d),
-            lambda: sd_by_averaging(rho, sig, 0.4),
-        ):
-            nodes.clear()
-            run()
-            assert len(nodes) >= 2
-            assert max(nodes) <= fr._MAX_QUAD_NODES < 2 * nodes[-1]
+class TestFixedRules:
+    """Each oracle integrates once, on a rule fixed before the pass."""
 
     def test_log_panels_per_two_decades(self, rng, monkeypatch):
-        # 2.5 + 6 padded decades: 5 log panels, then 9, each with the two
-        # tail panels
+        # 2.5 + 6 padded decades: 9 log panels at one per decade, with the
+        # two tail panels
         v = random_unitary(64, rng)
         a = (v * np.geomspace(10.0**-2.5, 1.0, 64)) @ v.conj().T
         passes = counting(monkeypatch, fr, "_integral_pass")
         frechet_log_quadrature(a, rand_herm(rng, 64))
-        assert [args[2].size for args in passes] == [112, 176]
+        assert [args[2].size for args in passes] == [176]
 
     def test_single_pass_is_first_pass(self, rng, monkeypatch):
-        # 1e-9 b to 1/a - 1 spans 9.29 decades at b = -log 0.3: 5 log panels,
-        # then 10, each with the head panel
+        # 1e-9 b to 1/a - 1 spans 9.29 decades at b = -log 0.3: 5 log panels
+        # at one per two decades, with the head panel
         rho, sig = random_state(4, rng), random_state(4, rng)
         passes = counting(monkeypatch, fr, "_dsd_kernel")
-        refined = sd_by_averaging(rho, sig, 0.3)
-        assert [args[2].size for args in passes] == [96, 176]
-        single = sd_by_averaging(rho, sig, 0.3, refine=False)
-        monkeypatch.setattr(fr, "_MAX_QUAD_NODES", 0)  # the default route stops at once
-        assert single == sd_by_averaging(rho, sig, 0.3)
-        assert single != refined
+        sd_by_averaging(rho, sig, 0.3)
+        assert [args[2].size for args in passes] == [96]
 
     @pytest.mark.parametrize("scale", [1.0, 0.37, 1e-6])
-    def test_second_pass_refines_a_scalar_base(self, rng, monkeypatch, scale):
-        # the padding alone spans 6 decades: 3 log panels (4 if the span
-        # rounds up), then twice as many less at most one
+    def test_one_pass_on_a_scalar_base(self, rng, monkeypatch, scale):
+        # the padding alone spans 6 decades: 6 log panels (7 if the span
+        # rounds up)
         passes = counting(monkeypatch, fr, "_integral_pass")
         frechet_log_quadrature(scale * np.eye(4), rand_herm(rng, 4))
-        first, second = (args[2].size // fr._NODES_PER_PANEL - 2 for args in passes)
-        assert 3 <= first <= 4 and second >= 2 * first - 1
+        assert [args[2].size // fr._NODES_PER_PANEL - 2 for args in passes] in ([6], [7])
 
     @pytest.mark.parametrize("density", [1, 2])
     @pytest.mark.parametrize(
@@ -770,6 +729,70 @@ class TestRefinement:
         assert (np.diff(x) > 0.0).all() and (coef > 0.0).all()
         got = coef @ (1.0 / (w[None, :] + x[:, None]) ** 2)
         assert np.abs(got / exact - 1.0).max() <= rtol
+
+    # Relative change when a fixed rule runs at twice its density, about ten
+    # times the worst over the draws below and three more per case: the
+    # quadrature oracles, both orders, 1.6e-15 at condition 1e2, 1.1e-13 at
+    # 1e4 and 1.9e-11 at 1e6 (rounding in the sweeps, not truncation),
+    # 1.1e-15 on scalar bases and 2.5e-14 on confluent pairs; sd_by_averaging
+    # 1.4e-14 (A of rank 1).
+    CONVERGED = {"cond1e2": 2e-14, "cond1e4": 1e-12, "cond1e6": 2e-10}
+    CONVERGED |= {"scalar": 2e-14, "confluent": 3e-13, "averaging": 2e-13}
+
+    @staticmethod
+    def doubled(monkeypatch, name):
+        """Make the rule builder ``fr.<name>`` build its rule at twice the
+        density asked for."""
+        rule = getattr(fr, name)
+        monkeypatch.setattr(fr, name, lambda lo, hi, density: rule(lo, hi, 2 * density))
+
+    @staticmethod
+    def quadrature_base(rng, dim, kind):
+        """A base like the harness draws: a spectrum of condition 1e2, 1e4
+        or 1e6 spanning its range, a scalar of norm 1e-8 to 1e4, or a
+        spectrum of condition up to 1e4 whose two lowest eigenvalues meet."""
+        if kind == "scalar":
+            return 10.0 ** rng.uniform(-8.0, 4.0) * np.eye(dim)
+        cond = 1e4 if kind == "confluent" else float(kind[4:])
+        w = np.exp(rng.uniform(-math.log(cond), 0.0, dim))
+        if kind == "confluent":
+            w[1] = w[0]
+        elif dim > 1:
+            w[0], w[-1] = 1.0 / cond, 1.0
+        v = random_unitary(dim, rng)
+        a = (v * w) @ v.conj().T
+        return (a + a.conj().T) / 2
+
+    @pytest.mark.parametrize(
+        "kind, dim",
+        [
+            (kind, dim)
+            for kind in ("cond1e2", "cond1e4", "cond1e6", "scalar", "confluent")
+            for dim in (1, 2, 4, 8, 32, 64)
+            if dim > 1 or kind != "confluent"  # one eigenvalue has no partner
+        ],
+    )
+    def test_quadrature_rule_has_converged(self, monkeypatch, kind, dim):
+        rng = np.random.default_rng(dim)
+        cases = [(self.quadrature_base(rng, dim, kind), rand_herm(rng, dim)) for _ in range(2)]
+        one = [oracle(a, d).mat for a, d in cases for oracle in QUADRATURE_ORACLES]
+        self.doubled(monkeypatch, "_quadrature_nodes")
+        two = [oracle(a, d).mat for a, d in cases for oracle in QUADRATURE_ORACLES]
+        for value, reference in zip(one, two):
+            assert_rel_close(value, reference, rtol=self.CONVERGED[kind])
+
+    @pytest.mark.parametrize("family", AVERAGING_FAMILIES)
+    def test_averaging_rule_has_converged(self, monkeypatch, family):
+        rng = np.random.default_rng(len(family))
+        cases = []
+        for alpha in [1e-6, *np.linspace(0.05, 0.95, 7)]:
+            va, vb = random_unitary(4, rng), random_unitary(4, rng)
+            a = (va * AVERAGING_FAMILIES[family](rng.dirichlet(np.ones(4)))) @ va.conj().T
+            cases.append((a, (vb * rng.dirichlet(np.ones(4))) @ vb.conj().T, alpha))
+        one = [sd_by_averaging(*case) for case in cases]
+        self.doubled(monkeypatch, "_log_panels")
+        for value, case in zip(one, cases):
+            assert_rel_close(value, sd_by_averaging(*case), rtol=self.CONVERGED["averaging"])
 
 
 def check_tridiagonal(a):
@@ -859,14 +882,13 @@ class TestOracleKernelCalls:
         solves = counting(monkeypatch, np.linalg, "solve")
         eighs = counting(monkeypatch, np.linalg, "eigh")
         oracle(a, d)
-        assert len(passes) >= 2  # the adaptive default refines at least once
-        # one reduction serves every pass; each node is a banded sweep
-        assert (len(reductions), len(solves), len(eighs)) == (1, 0, 0)
+        # one reduction and one pass; each node is a banded sweep
+        assert (len(passes), len(reductions), len(solves), len(eighs)) == (1, 1, 0, 0)
 
     def test_averaging_eigh_calls(self, rng, monkeypatch):
         rho, sig = random_state(4, rng), random_state(4, rng)
         eighs = counting(monkeypatch, np.linalg, "eigh")
-        sd_by_averaging(rho, sig, 0.4, refine=False)
+        sd_by_averaging(rho, sig, 0.4)
         # one for the stack of all 96 mixtures; their support masks drop
         # every direction outside supp(A+B), so no separate support call
         assert len(eighs) == 1
@@ -876,17 +898,19 @@ class TestOracleKernelCalls:
         a = np.stack([conditioned_pd(rng, 4, 1e3) for _ in range(3)])
         d = np.stack([rand_herm(rng, 4) for _ in range(3)])
         spectra = counting(monkeypatch, np.linalg, "eigvalsh")
+        passes = counting(monkeypatch, fr, "_integral_pass")
         reductions = counting(monkeypatch, fr, "_tridiagonal")
         solves = counting(monkeypatch, np.linalg, "solve")
         eighs = counting(monkeypatch, np.linalg, "eigh")
         oracle(a, d)
-        # one eigvalsh validates the stack; each pair is reduced on its own
-        assert (len(spectra), len(reductions), len(solves), len(eighs)) == (1, 3, 0, 0)
+        # one eigvalsh validates the stack; each pair is reduced and integrated on its own
+        counts = (len(spectra), len(passes), len(reductions), len(solves), len(eighs))
+        assert counts == (1, 3, 3, 0, 0)
 
     def test_averaging_eigh_calls_per_pair(self, rng, monkeypatch):
         rho, sig = (np.stack([random_state(4, rng).mat for _ in range(3)]) for _ in range(2))
         eighs = counting(monkeypatch, np.linalg, "eigh")
-        sd_by_averaging(rho, sig, 0.4, refine=False)
+        sd_by_averaging(rho, sig, 0.4)
         assert len(eighs) == 3  # one per pair, for the stack of its 96 mixtures
 
 

@@ -4,7 +4,6 @@ carries it."""
 
 import dataclasses
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -160,19 +159,16 @@ def test_stacked_operand_rule_symmetrizes_each_item(rng):
 # name -> (function, operand count, trailing scalar arguments) of the
 # functions that also take raw (n, d, d) stacks, one value per pair
 STACKED = {
-    **{
-        name: MULTI_OPERAND[name]
-        for name in (
-            "relative_entropy",
-            "skew_divergence",
-            "trace_distance",
-            "fidelity",
-            "chi2_log",
-            "differential_skew_divergence",
-            "sd_by_averaging",
-        )
-    },
-    "sd_by_averaging(refine=False)": (partial(sd_by_averaging, refine=False), 2, (0.5,)),
+    name: MULTI_OPERAND[name]
+    for name in (
+        "relative_entropy",
+        "skew_divergence",
+        "trace_distance",
+        "fidelity",
+        "chi2_log",
+        "differential_skew_divergence",
+        "sd_by_averaging",
+    )
 }
 
 

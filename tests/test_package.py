@@ -3,6 +3,7 @@ documented in README; importing the package loads no numpy module it does
 not use, and a process that never verifies never loads the checks."""
 
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -38,6 +39,22 @@ def test_every_readme_api_bullet_resolves():
     api = text.split("\n## API", 1)[1].split("\n## ", 1)[0]
     bullets = re.findall(r"^- `(\w+)", api, flags=re.M)
     assert sorted(bullets) == qsd.__all__
+
+
+def test_every_readme_api_call_names_its_parameters():
+    # a bullet that writes a call, such as `evolve(rho, hamiltonian, t)`,
+    # names every parameter of the signature, in order; a written default
+    # such as `delta2=None` is the signature's
+    text = README.read_text(encoding="utf-8")
+    api = text.split("\n## API", 1)[1].split("\n## ", 1)[0]
+    wrong = []
+    for name, args in re.findall(r"^- `(\w+)\(([^)]*)\)", api, flags=re.M):
+        params = inspect.signature(getattr(qsd, name)).parameters
+        written = [arg.strip().partition("=") for arg in args.split(",") if arg.strip()]
+        defaults = all(repr(params[p].default) == d for p, eq, d in written if eq and p in params)
+        if [p for p, _, _ in written] != list(params) or not defaults:
+            wrong.append(f"{name}({args})")
+    assert wrong == []
 
 
 def _fresh(code: str, *args: str) -> str:

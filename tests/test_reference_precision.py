@@ -8,9 +8,9 @@ geometric spectrum whose neighbours all lie between ``_SPLIT_RTOL`` and ten
 times it, and clusters whose relative gaps 10^U(-9, -1) straddle both
 ``DD_CLOSE_RTOL`` and ``_SPLIT_RTOL``. The quadrature oracles are checked on
 the same spectra and on the ``fre.quadrature_match`` draws, in a basis of one
-Householder reflection. ``sd_by_averaging`` is checked, at its first pass
-and refined, against the skew divergence of exact factors at d=4, the
-mixture diagonalized by ``mpmath.eighe``. Each bound is pinned at about ten
+Householder reflection. ``sd_by_averaging`` is checked against the skew
+divergence of exact factors at d=4, the mixture diagonalized by
+``mpmath.eighe``. Each bound is pinned at about ten
 times the worst error these draws show.
 """
 
@@ -31,9 +31,9 @@ DPS = 30
 # 5.5e-13 on the fre.quadrature_match draws (240 draws, cond up to 1e4).
 PINS = {"dense": 8e-14, "cluster": 1e-13, "frechet_log": 3e-14, "metric_M": 2e-14}
 PINS |= {"oracle_dense": 3e-14, "oracle_cluster": 4e-14, "oracle_match": 6e-12}
-# sd_by_averaging over 10 draws of each family, the worse of refine=False and
-# refined: 1.9e-15 generic, 1.5e-15 with an eigenvalue 1e-8 of A, 2.2e-13 with
-# one of 1e-12 (the head panel's) and 3.1e-15 with A of rank 1.
+# sd_by_averaging over 10 draws of each family: 1.9e-15 generic, 1.5e-15 with
+# an eigenvalue 1e-8 of A, 2.2e-13 with one of 1e-12 (the head panel's) and
+# 2.7e-15 with A of rank 1.
 PINS |= {"avg_generic": 2e-14, "avg_eigenvalue_1e-8": 2e-14}
 PINS |= {"avg_eigenvalue_1e-12": 2e-12, "avg_rank_1": 3e-14}
 
@@ -263,8 +263,7 @@ def skew_reference(a_factors, b_factors, alpha):
 
 
 def averaging_errors(family):
-    """Relative errors of ``sd_by_averaging`` with ``refine=False`` and
-    refined, one row per draw of ``family``: ``A`` from its spectrum, ``B``
+    """Relative errors of ``sd_by_averaging``, one per draw of ``family``: ``A`` from its spectrum, ``B``
     generic, ``alpha`` uniform on ``[0.05, 0.95]`` as in ``fre.averaging_match``."""
     rng = np.random.default_rng(list(AVERAGING_FAMILIES).index(family))
     errs = []
@@ -273,8 +272,7 @@ def averaging_errors(family):
         b, *b_factors = exact_factors(rng, rng.dirichlet(np.ones(4)))
         alpha = rng.uniform(0.05, 0.95)
         ref = skew_reference(a_factors, b_factors, alpha)
-        values = [fr.sd_by_averaging(a, b, alpha, refine=r) for r in (False, True)]
-        errs.append([abs(v - ref) / ref for v in values])
+        errs.append(abs(fr.sd_by_averaging(a, b, alpha) - ref) / ref)
     return np.array(errs)
 
 
