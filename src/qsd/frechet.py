@@ -64,7 +64,6 @@ from .linalg import (
     _psd_operands,
     _require_pd,
     _require_psd,
-    _skewed_mixture,
     _support,
     spectral_fn,
 )
@@ -492,22 +491,26 @@ def _metric_on_support(
     return (f1 * np.abs(dtil) ** 2).sum(axis=(-2, -1))
 
 
-def _dsd_kernel(amat: np.ndarray, bmat: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """``a(1-a) M_tau(A-B, A-B)`` with ``tau = a A + (1-a) B``, restricted to
-    supp(A+B), for each pair of an ``(n, d, d)`` stack at its own entry of
-    ``alphas`` (all interior); one pair at many alphas comes as a broadcast
-    view, so memory stays bounded by the blocks.
+def _dsd_kernel(
+    amat: np.ndarray, bmat: np.ndarray, alphas: np.ndarray, betas: np.ndarray
+) -> np.ndarray:
+    """``a b M_tau(A-B, A-B)`` with ``tau = a A + b B``, restricted to
+    supp(A+B), for each pair of an ``(n, d, d)`` stack at its own entries of
+    ``alphas`` (all interior) and ``betas``, their complements ``1 - a``
+    given exactly, since near a = 1 rounding ``a`` loses the digits of
+    ``1 - a``; one pair at many alphas comes as a broadcast view, so memory
+    stays bounded by the blocks.
 
     For interior alpha the mixture shares its support with A+B, so its own
     eigenbasis provides the restriction.
     """
     out = np.empty(alphas.shape[0])
     for block in _node_blocks(alphas.shape[0], amat.shape[-1]):
-        a, pa, pb = alphas[block], amat[block], bmat[block]
-        wt, vt, keep = _support(_skewed_mixture(pa, pb, a))
+        a, b, pa, pb = alphas[block], betas[block], amat[block], bmat[block]
+        wt, vt, keep = _support(a[:, None, None] * pa + b[:, None, None] * pb)
         if not keep[:, -1].all():
             raise DomainError("A + B vanishes; differential skew divergence undefined")
-        out[block] = a * (1.0 - a) * _metric_on_support(wt, vt, keep, pa - pb)
+        out[block] = a * b * _metric_on_support(wt, vt, keep, pa - pb)
     return out
 
 
@@ -531,11 +534,12 @@ def differential_skew_divergence(
     _require_per_pair(al, amat)
     if interior:
         if amat.ndim == 2:  # one pair, as a stack of one
-            return float(_dsd_kernel(amat[None], bmat[None], al.reshape(1))[0])
-        return _dsd_kernel(amat, bmat, np.broadcast_to(al, amat.shape[:1]))
+            return float(_dsd_kernel(amat[None], bmat[None], al.reshape(1), 1.0 - al.reshape(1))[0])
+        pair_alphas = (np.broadcast_to(x, amat.shape[:1]) for x in (al, 1.0 - al))
+        return _dsd_kernel(amat, bmat, *pair_alphas)
     out = np.zeros(amat.shape[:-2])  # 0 at the endpoints; the kernel sees the other entries
     if inner.any():
-        out[inner] = _dsd_kernel(amat[inner], bmat[inner], al[inner])
+        out[inner] = _dsd_kernel(amat[inner], bmat[inner], al[inner], 1.0 - al[inner])
     return _float_or_array(out)
 
 
@@ -582,7 +586,7 @@ def _averaged(amat: np.ndarray, bmat: np.ndarray, alpha: float) -> float:
     x, wts = _log_panels(1e-9 * b_total, (1.0 - alpha) / alpha, 1)
     alphas = 1.0 / (1.0 + x)
     pair = (np.broadcast_to(m, x.shape + m.shape) for m in (amat, bmat))
-    return float(np.dot(wts * alphas, _dsd_kernel(*pair, alphas))) / b_total
+    return float(np.dot(wts * alphas, _dsd_kernel(*pair, alphas, x / (1.0 + x)))) / b_total
 
 
 def sd_by_averaging(a: OperatorLike, b: OperatorLike, alpha: float | np.ndarray) -> float | np.ndarray:

@@ -587,20 +587,21 @@ def loop_integral_pass(mat, dmat, s, coef, second):
     return total
 
 
-def loop_dsd(amat, bmat, alpha):
-    """Reference for one alpha of ``_dsd_kernel``: compress onto the kept
-    eigenvectors of the mixture, then sum the divided-difference form."""
-    tau = alpha * amat + (1.0 - alpha) * bmat
+def loop_dsd(amat, bmat, alpha, beta):
+    """Reference for one alpha of ``_dsd_kernel``, its complement ``beta``:
+    compress onto the kept eigenvectors of the mixture, then sum the
+    divided-difference form."""
+    tau = alpha * amat + beta * bmat
     w, v = np.linalg.eigh(tau)
     keep = w > default_support_threshold(tau.shape[0], float(w[-1]))
     basis = v[:, keep]
     dtil = basis.conj().T @ (amat - bmat) @ basis
     f1 = fr._log_dd1(w[keep][:, None], w[keep][None, :])
-    return alpha * (1.0 - alpha) * float(np.sum(f1 * np.abs(dtil) ** 2))
+    return alpha * beta * float(np.sum(f1 * np.abs(dtil) ** 2))
 
 
-def loop_dsd_kernel(amat, bmat, alphas):
-    return np.array([loop_dsd(a, b, float(x)) for a, b, x in zip(amat, bmat, alphas)])
+def loop_dsd_kernel(amat, bmat, alphas, betas):
+    return np.array([loop_dsd(*pair, float(x), float(y)) for *pair, x, y in zip(amat, bmat, alphas, betas)])
 
 
 def assert_rel_close(value, reference, rtol=1e-13):

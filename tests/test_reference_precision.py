@@ -116,11 +116,12 @@ class TestSecondCore:
         assert core_error(w, rand_herm(rng, 24), rand_herm(rng, 24)) <= PINS["cluster"]
 
 
-def exact_factors(rng, w):
-    """Float base ``A`` and, as 30-digit ``mpmath`` values, the ``U`` and
-    ``w`` whose ``U diag(w) U*`` it rounds; ``U`` is orthonormal to 30 digits."""
+def exact_factors(rng, w, dps=DPS):
+    """Float base ``A`` and, as ``dps``-digit ``mpmath`` values, the ``U``
+    and ``w`` whose ``U diag(w) U*`` it rounds; ``U`` is orthonormal to
+    ``dps`` digits."""
     dim = len(w)
-    with mpmath.workdps(DPS):
+    with mpmath.workdps(dps):
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         u, _ = mpmath.qr(mpmath.matrix(g.tolist()))
         wm = [mpmath.mpf(v) for v in w.tolist()]
@@ -246,10 +247,10 @@ AVERAGING_FAMILIES = {
 }
 
 
-def skew_reference(a_factors, b_factors, alpha):
+def skew_reference(a_factors, b_factors, alpha, dps=DPS):
     """``S(A || M) / (-log alpha)`` with ``M = alpha A + (1 - alpha) B``, at
-    30 digits, from the exact factors ``(U, w)`` of ``A`` and of ``B``."""
-    with mpmath.workdps(DPS):
+    ``dps`` digits, from the exact factors ``(U, w)`` of ``A`` and of ``B``."""
+    with mpmath.workdps(dps):
         am, bm = (u * mpmath.diag(w) * u.H for u, w in (a_factors, b_factors))
         al = mpmath.mpf(alpha)
         e, q = mpmath.eighe(al * am + (1 - al) * bm)
@@ -279,3 +280,23 @@ def averaging_errors(family):
 @pytest.mark.parametrize("family", AVERAGING_FAMILIES)
 def test_sd_by_averaging(family):
     assert averaging_errors(family).max() <= PINS[f"avg_{family}"]
+
+
+# sd_by_averaging near alpha = 1, over 10 generic d=3 pairs against a 45-digit
+# reference: S(A || M) is of order (1 - alpha)^2 there, so 30 digits would
+# resolve it only to about 1e-12. Worst 1.7e-15 at 1 - 1e-6 and 2.1e-15 at
+# 1 - 1e-9 on these draws, 1.8e-14 and 4.2e-15 over five more seeds; forming
+# 1 - alpha' from the rounded alpha' erred by 8.0e-11 and 6.5e-8 here.
+PINS |= {"avg_near_one_1e-06": 2e-13, "avg_near_one_1e-09": 4e-14}
+
+
+@pytest.mark.parametrize("gap", [1e-6, 1e-9])
+def test_sd_by_averaging_near_alpha_one(gap):
+    rng = np.random.default_rng(3)
+    worst = 0.0
+    for _ in range(10):
+        a, *a_factors = exact_factors(rng, rng.dirichlet(np.ones(3)), dps=45)
+        b, *b_factors = exact_factors(rng, rng.dirichlet(np.ones(3)), dps=45)
+        ref = skew_reference(a_factors, b_factors, 1.0 - gap, dps=45)
+        worst = max(worst, abs(fr.sd_by_averaging(a, b, 1.0 - gap) - ref) / ref)
+    assert worst <= PINS[f"avg_near_one_{gap:.0e}"]
