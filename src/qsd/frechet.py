@@ -25,12 +25,12 @@ sides, where every pole ``s = -w_i`` sits at ``Im t = pi`` whatever the
 spectrum, so each panel converges at the same rate (Bernstein parameter
 rho ~ 3.1 over two decades, 5.6 over one; Trefethen & Weideman, SIAM Review
 56 (2014)): 16 nodes integrate ``(w+s)^-2`` to about 1e-14 over two decades
-and 1e-15 over one. So each oracle runs one pass of a fixed rule, with no
-adaptive refinement: one panel per decade here. Only the tails ``[0, s_lo]``
-and ``[s_hi, inf)`` map ``s = s_lo u/(1-u)`` and ``s = s_hi u/(1-u)``, so the
-whole rule scales with the spectrum; :func:`sd_by_averaging` takes the same
-rule, one panel per two decades, in ``x = 1/alpha' - 1``, whose
-singularities also lie on the negative axis. One
+and 1e-15 over one. So each oracle runs one pass of a fixed rule, one panel
+per decade here. Only the tails ``[0, s_lo]`` and ``[s_hi, inf)`` map
+``s = s_lo u/(1-u)`` and ``s = s_hi u/(1-u)``, so the whole rule scales with
+the spectrum; :func:`sd_by_averaging` takes the same rule, one panel per two
+decades, in ``x = 1/alpha' - 1``, whose singularities also lie on the
+negative axis. One
 Householder reduction ``A = Q T Q*`` per item (Golub & Van Loan, Matrix
 Computations, 8.3), with the band's phases folded into ``Q``, makes each
 ``T + s`` real symmetric tridiagonal, so a node costs a real LDL^T
